@@ -20,6 +20,7 @@ from .buchstab import (
     PLATEAU_LOWER,
     PLATEAU_UPPER,
     BuchstabTable,
+    SoundnessError,
     Enclosure,
     OMEGA_LOWER,
     OMEGA_UPPER,
@@ -27,7 +28,6 @@ from .buchstab import (
     dump_table_csv,
     omega_bound,
     omega_bound_range,
-    omega_bound_value,
     omega_enclosure,
 )
 from .losses import (
@@ -109,6 +109,7 @@ __all__ = [
     "RIGOROUS",
     "RegionPredicate",
     "SieveContext",
+    "SoundnessError",
     "TARGETS",
     "TYPE_II_STRIP",
     "assemble_ledger",
@@ -127,7 +128,6 @@ __all__ = [
     "loss_mc",
     "omega_bound",
     "omega_bound_range",
-    "omega_bound_value",
     "omega_enclosure",
     "psi",
     "region_catalog",

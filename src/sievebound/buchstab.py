@@ -28,10 +28,12 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
+    "SoundnessError",
     "Enclosure",
     "log_enc",
     "PiecewiseBound",
@@ -44,7 +46,6 @@ __all__ = [
     "branch_expression_range",
     "omega_bound",
     "omega_bound_range",
-    "omega_bound_value",
     "dump_table_csv",
 ]
 
@@ -76,6 +77,15 @@ def _down(v: float) -> float:
 
 def _up(v: float) -> float:
     return math.nextafter(v, math.inf)
+
+
+class SoundnessError(ValueError):
+    """A certified computation broke one of its own invariants.
+
+    Raised for a disjoint enclosure intersection, a nonpositive affine
+    factor, or an unproved Buchstab argument range.  It signals a fault
+    in the computation, never a usage error.
+    """
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,7 +129,7 @@ class Enclosure:
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
         if lo > hi:
-            raise ValueError(f"disjoint enclosures [{self.lo},{self.hi}] and [{other.lo},{other.hi}]")
+            raise SoundnessError(f"disjoint enclosures [{self.lo},{self.hi}] and [{other.lo},{other.hi}]")
         return Enclosure(lo, hi)
 
     def widen(self, pad: float) -> "Enclosure":
@@ -131,7 +141,13 @@ class Enclosure:
     def _coerce(value) -> "Enclosure":
         if isinstance(value, Enclosure):
             return value
-        return Enclosure(float(value), float(value))
+        if isinstance(value, float):
+            return Enclosure(value, value)
+        if isinstance(value, int) and abs(value) <= 2**53:  # exact as a float
+            return Enclosure(float(value), float(value))
+        if isinstance(value, numbers.Rational):
+            return _rational_enclosure(value)
+        raise TypeError(f"cannot enclose a {type(value).__name__} exactly")
 
     def __add__(self, other) -> "Enclosure":
         o = Enclosure._coerce(other)
@@ -165,6 +181,19 @@ class Enclosure:
 
     def __rtruediv__(self, other) -> "Enclosure":
         return Enclosure._coerce(other) / self
+
+
+def _rational_enclosure(q: numbers.Rational) -> Enclosure:
+    """Tightest float enclosure of an exact rational (int, Fraction, ...).
+
+    float() rounds to nearest, so the exact value lies between that
+    float and its neighbour on the side the rounding moved away from.
+    """
+    f = float(q)
+    exact = Fraction(f)
+    if exact == q:
+        return Enclosure(f, f)
+    return Enclosure(f, _up(f)) if exact < q else Enclosure(_down(f), f)
 
 
 def log_enc(x: Enclosure) -> Enclosure:
@@ -285,32 +314,6 @@ def omega_bound_range(bound: PiecewiseBound, u: Enclosure) -> Enclosure:
 def omega_bound(bound: PiecewiseBound, u: float) -> Enclosure:
     """Enclosure of the bound evaluated at the single point u."""
     return omega_bound_range(bound, Enclosure(u))
-
-
-def omega_bound_value(bound: PiecewiseBound, u: float) -> float:
-    """Fast float evaluation of the bound, for Monte Carlo sampling.
-
-    Not directed-rounded.  The [3, 4) integral term uses a fixed
-    composite Simpson rule whose error is far below 1e-10.
-    """
-    if u < 1.0:
-        raise ValueError("piecewise bounds are defined for u >= 1")
-    if u <= 2.0:
-        return 1.0 / u
-    if u < 3.0:
-        return (1.0 + math.log(u - 1.0)) / u
-    if u < 4.0:
-        n = 128
-        h = (u - 3.0) / n
-        acc = 0.0  # g(2) = 0
-        for i in range(1, n):
-            t = 2.0 + i * h
-            acc += (4.0 if i % 2 else 2.0) * math.log(t - 1.0) / t
-        t_end = u - 1.0
-        acc += math.log(t_end - 1.0) / t_end
-        j = acc * h / 3.0
-        return (1.0 + math.log(u - 1.0) + j) / u
-    return bound.plateau
 
 
 def branch_expression_range(step: float = 2e-4) -> Enclosure:

@@ -8,7 +8,8 @@ Subcommands:
     regions   inspect the exponent-region catalog
 
 Exit codes: 0 all requested verdicts pass, 1 at least one verdict
-fails, 2 usage or configuration error.
+fails or a certified computation hits a soundness failure, 2 usage or
+configuration error.
 
 Parameter precedence, highest first: command line flag, config file
 entry (--config, "key = value" lines, # comments), environment
@@ -417,6 +418,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except buchstab.SoundnessError as exc:
+        print(f"error: soundness failure: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

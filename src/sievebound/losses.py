@@ -10,29 +10,29 @@ Buchstab-bound kernel over one of the region predicates:
              u1 = (t1 - t4)/t4,  u2 = (1 - t1 - t2 - t3)/t3, over u_b3;
     loss_c:  upper(u) / (t1 t2^2) du, u = (1 - t1 - t2)/t2, over region_c,
 
-where upper is the piecewise upper Buchstab bound.  On each region the
-bound argument provably stays inside (1, 2), where upper(u) = 1/u, so
-every integrand collapses to a rational function:
+where upper is the piecewise upper Buchstab bound.  Where every
+argument lies in [1, 2], upper(u) = 1/u exactly, and each kernel is the
+rational function of its factor table (`_FACTORS`):
 
     loss_a3: 1 / (t1 t2 t3 t4 (1 - t1 - t2 - t3 - t4)),
     loss_b3: 1 / (t2 t3 t4 (t1 - t4) (1 - t1 - t2 - t3)),
     loss_c:  1 / (t1 t2 (1 - t1 - t2)).
 
-Argument ranges on the regions: for u_a3, t2 + t3 + t4 > 11/19 (the
-subset {t2,t3,t4} sums past 9/19 > 8/19 so it must clear the window)
-forces 1 - sum < 8/19 - t4 and t4 >= 3/19, hence u < 5/3, while
-t4 < (1 - t1 - t2 - t3)/2 gives u > 1.  For u_b3, t4 < t1/2 < 4/19
-gives u1 in (1, 5/3), and t3 < (1 - t1 - t2)/2 with the leftover
-exponent below 5/19 gives u2 in (1, 5/3).  For region_c,
-t2 < (1 - t1)/2 gives u > 1 and t1 + 2 t2 coming within the region
-keeps u <= 2.
+`check_argument_range` proves that range at the start of every
+`verified_loss` call.  For each argument u = N/D of the argument table
+(`_ARGUMENTS`) it establishes, on region intersect box:
 
-Both routes are wired as `Integrand`s: the general route goes through
-the piecewise bound (with the argument clamped to max(u, 1), a sound
-extension used only off-region on mixed boxes), while the reduced
-rational route supplies an independent oracle and the curvature data
-for mean-value average enclosures.  The certified bounds of the two
-routes must agree to within the enclosure tolerance.
+    D > 0:   exact corner range of D over the whole box;
+    u >= 1:  the halfspace N - D >= 0 (or > 0) is, coefficient for
+             coefficient in exact rationals, a top-level conjunct of the
+             region's AndNode;
+    u <= 2:  bisecting the box breadth first, exact classification
+             finds region and N - 2 D > 0 OUTSIDE on every leaf, within
+             RANGE_LEAF_BUDGET classified boxes.
+
+It raises SoundnessError otherwise.  Over PAIR_BASE on [3/19, 8/19]^2,
+for example, the argument of loss_c reaches 13/3.  Rigorous runs and
+Monte Carlo both use the one rational integrand per loss.
 
 Integration domains are pre-clipped bounding boxes of the regions,
 derived exactly:
@@ -49,27 +49,33 @@ derived exactly:
     region_c box: t1 in [11/38, 8/19],  t2 in [9/38, 8/19]
        (2 t1 > t1 + t2 > 11/19).
 
-On these boxes every affine factor above is bounded away from zero
-(for example 1 - t1 - t2 - t3 - t4 >= 8/57 on the u_a3 box), so the
-interval extensions never divide by zero.
+That each box covers its region is the one step the code does not
+check: the box faces are tangent to the region, so box refinement
+cannot certify it.  It rests on the derivations above, and tests sample
+it.  On these boxes every affine factor is bounded away from zero (for
+example 1 - t1 - t2 - t3 - t4 >= 8/57 on the u_a3 box), so the interval
+extensions never divide by zero.
 """
 
 from __future__ import annotations
 
-import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .buchstab import Enclosure, OMEGA_UPPER, _down, _up, omega_bound_range, omega_bound_value
-from .quadrature import Integrand, IntegralEstimate, RIGOROUS, integrate_mc, integrate_rigorous
-from .regions import Box, REGION_C, REGION_U_A3, REGION_U_B3, RegionPredicate
+# omega_bound_range is unused here but stays importable as
+# losses.omega_bound_range: perfbench's traced runs rebind it.
+from .buchstab import Enclosure, SoundnessError, _down, _up, omega_bound_range  # noqa: F401
+from .quadrature import Integrand, IntegralEstimate, RIGOROUS, _split, integrate_mc, integrate_rigorous
+from .regions import OUTSIDE, REGION_C, REGION_U_A3, REGION_U_B3, AndNode, Box, LinearConstraint, RegionPredicate
 
 __all__ = [
     "TARGETS",
     "LOSS_NAMES",
     "LossLedger",
+    "check_argument_range",
     "integration_domain",
     "loss_a3",
     "loss_b3",
@@ -95,6 +101,7 @@ LOSS_NAMES = ("a3", "b3", "c")
 DEFAULT_BUDGETS = {"a3": 10**7, "b3": 10**7, "c": 10**6}
 DEFAULT_TOLS = {"a3": 2e-5, "b3": 5e-5, "c": 5e-7}
 MAX_ESCALATIONS = 2
+RANGE_LEAF_BUDGET = 256
 
 _F = Fraction
 
@@ -112,7 +119,30 @@ def _outward_box(exact: tuple[tuple[Fraction, Fraction], ...]) -> Box:
 _BOXES: dict[str, Box] = {name: _outward_box(b) for name, b in _BOXES_EXACT.items()}
 _REGIONS: dict[str, RegionPredicate] = {"a3": REGION_U_A3, "b3": REGION_U_B3, "c": REGION_C}
 
+# An affine form (const, coeffs) is const + sum(coeffs[i] * t_i).  The
+# tables below hold small integers, exact both as floats and as Fractions.
 AffineForm = tuple[float, tuple[float, ...]]
+
+_T1, _T2, _T3, _T4 = ((0.0, tuple(float(i == k) for i in range(4))) for k in range(4))
+_PAIR_T1, _PAIR_T2 = (0.0, (1.0, 0.0)), (0.0, (0.0, 1.0))
+_A3_REST = (1.0, (-1.0, -1.0, -1.0, -1.0))
+_B3_GAP = (0.0, (1.0, 0.0, 0.0, -1.0))
+_B3_REST = (1.0, (-1.0, -1.0, -1.0, 0.0))
+_C_REST = (1.0, (-1.0, -1.0))
+
+# Affine factors L_k of each rational kernel 1 / prod L_k.
+_FACTORS = {
+    "a3": (_T1, _T2, _T3, _T4, _A3_REST),
+    "b3": (_T2, _T3, _T4, _B3_GAP, _B3_REST),
+    "c": (_PAIR_T1, _PAIR_T2, _C_REST),
+}
+
+# Buchstab arguments u = N / D of each loss, as (N, D) pairs.
+_ARGUMENTS = {
+    "a3": ((_A3_REST, _T4),),
+    "b3": ((_B3_GAP, _T4), (_B3_REST, _T3)),
+    "c": ((_C_REST, _PAIR_T2),),
+}
 
 
 def _affine_enclosure(form: AffineForm, box: Box) -> Enclosure:
@@ -158,7 +188,7 @@ class ReciprocalProduct:
         for form in self.factors:
             enc = _affine_enclosure(form, box)
             if enc.lo <= 0.0:
-                raise ValueError("affine factor not positive over the box")
+                raise SoundnessError("affine factor not positive over the box")
             out.append(enc)
         return out
 
@@ -166,12 +196,6 @@ class ReciprocalProduct:
         prod = Enclosure(1.0)
         for enc in self.intervals(box):
             prod = prod * enc
-        return 1.0 / prod
-
-    def value(self, t) -> float:
-        prod = 1.0
-        for form in self.factors:
-            prod *= _affine_value(form, t)
         return 1.0 / prod
 
     def value_many(self, pts: np.ndarray) -> np.ndarray:
@@ -220,131 +244,88 @@ class ReciprocalProduct:
         return fc.widen(remainder)
 
 
-def _clamped_ratio(num: AffineForm, den: AffineForm, box: Box) -> Enclosure:
-    """Enclosure of max(num/den, 1) over the box; den must be positive."""
-    ratio = _affine_enclosure(num, box) / _affine_enclosure(den, box)
-    return Enclosure(max(ratio.lo, 1.0), max(ratio.hi, 1.0))
+def _integrand(name: str) -> Integrand:
+    rp = ReciprocalProduct(_FACTORS[name])
+    return Integrand(len(_BOXES[name]), enclosure=rp.enclosure, value_many=rp.value_many, average=rp.average)
 
 
-_UNIT = {
-    0: (0.0, (1.0, 0.0, 0.0, 0.0)),
-    1: (0.0, (0.0, 1.0, 0.0, 0.0)),
-    2: (0.0, (0.0, 0.0, 1.0, 0.0)),
-    3: (0.0, (0.0, 0.0, 0.0, 1.0)),
-}
+_INTEGRANDS = {name: _integrand(name) for name in LOSS_NAMES}
 
 
-def _build_a3() -> tuple[Integrand, Integrand]:
-    reduced_rp = ReciprocalProduct(
-        (
-            _UNIT[0],
-            _UNIT[1],
-            _UNIT[2],
-            _UNIT[3],
-            (1.0, (-1.0, -1.0, -1.0, -1.0)),
-        )
-    )
-    denom = ReciprocalProduct((_UNIT[0], _UNIT[1], _UNIT[2], _UNIT[3], _UNIT[3]))
-    num_form = (1.0, (-1.0, -1.0, -1.0, -1.0))
-    den_form = _UNIT[3]
-
-    def value(t) -> float:
-        u = max(_affine_value(num_form, t) / t[3], 1.0)
-        return omega_bound_value(OMEGA_UPPER, u) * denom.value(t)
-
-    def value_many(pts: np.ndarray) -> np.ndarray:
-        u = np.maximum(_affine_many(num_form, pts) / pts[:, 3], 1.0)
-        return (1.0 / u) * denom.value_many(pts)
-
-    def enclosure(box: Box) -> Enclosure:
-        om = omega_bound_range(OMEGA_UPPER, _clamped_ratio(num_form, den_form, box))
-        return om * denom.enclosure(box)
-
-    general = Integrand(4, value, enclosure, value_many, reduced_rp.average)
-    reduced = Integrand(4, reduced_rp.value, reduced_rp.enclosure, reduced_rp.value_many, reduced_rp.average)
-    return general, reduced
+def _halfspace(num: AffineForm, den: AffineForm, scale: int, rel: str) -> LinearConstraint:
+    """The exact halfspace num(t) - scale * den(t) REL 0."""
+    (n0, n), (d0, d) = num, den
+    return LinearConstraint(tuple(_F(a) - scale * _F(b) for a, b in zip(n, d)), rel, scale * _F(d0) - _F(n0))
 
 
-def _build_b3() -> tuple[Integrand, Integrand]:
-    t1_minus_t4 = (0.0, (1.0, 0.0, 0.0, -1.0))
-    leftover = (1.0, (-1.0, -1.0, -1.0, 0.0))
-    reduced_rp = ReciprocalProduct((_UNIT[1], _UNIT[2], _UNIT[3], t1_minus_t4, leftover))
-    denom = ReciprocalProduct((_UNIT[1], _UNIT[2], _UNIT[2], _UNIT[3], _UNIT[3]))
-
-    def value(t) -> float:
-        u1 = max((t[0] - t[3]) / t[3], 1.0)
-        u2 = max((1.0 - t[0] - t[1] - t[2]) / t[2], 1.0)
-        om = omega_bound_value(OMEGA_UPPER, u1) * omega_bound_value(OMEGA_UPPER, u2)
-        return om * denom.value(t)
-
-    def value_many(pts: np.ndarray) -> np.ndarray:
-        u1 = np.maximum((pts[:, 0] - pts[:, 3]) / pts[:, 3], 1.0)
-        u2 = np.maximum((1.0 - pts[:, 0] - pts[:, 1] - pts[:, 2]) / pts[:, 2], 1.0)
-        return (1.0 / u1) * (1.0 / u2) * denom.value_many(pts)
-
-    def enclosure(box: Box) -> Enclosure:
-        om1 = omega_bound_range(OMEGA_UPPER, _clamped_ratio(t1_minus_t4, _UNIT[3], box))
-        om2 = omega_bound_range(OMEGA_UPPER, _clamped_ratio(leftover, _UNIT[2], box))
-        return om1 * om2 * denom.enclosure(box)
-
-    general = Integrand(4, value, enclosure, value_many, reduced_rp.average)
-    reduced = Integrand(4, reduced_rp.value, reduced_rp.enclosure, reduced_rp.value_many, reduced_rp.average)
-    return general, reduced
+def _nonnegative_form(con: LinearConstraint) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """(const, coeffs) of the form g with con equivalent to g >= 0 or g > 0."""
+    if con.rel in (">", ">="):
+        return -con.bound, con.coeffs
+    return con.bound, tuple(-c for c in con.coeffs)
 
 
-def _build_c() -> tuple[Integrand, Integrand]:
-    unit0 = (0.0, (1.0, 0.0))
-    unit1 = (0.0, (0.0, 1.0))
-    rest = (1.0, (-1.0, -1.0))
-    reduced_rp = ReciprocalProduct((unit0, unit1, rest))
-    denom = ReciprocalProduct((unit0, unit1, unit1))
+def check_argument_range(region: RegionPredicate, box: Box, arguments) -> tuple[int, ...]:
+    """Prove 1 <= N/D <= 2 on region intersect box for every (N, D) argument.
 
-    def value(t) -> float:
-        u = max((1.0 - t[0] - t[1]) / t[1], 1.0)
-        return omega_bound_value(OMEGA_UPPER, u) * denom.value(t)
+    Returns the number of boxes classified per argument.  Raises
+    SoundnessError when any of the three steps in the module docstring
+    fails.
+    """
+    if not isinstance(region.tree, AndNode):
+        raise SoundnessError(f"{region.name}: argument range check needs a top-level AndNode")
+    conjuncts = {_nonnegative_form(c) for c in region.tree.children if isinstance(c, LinearConstraint)}
+    zero = (0.0, (0.0,) * len(box))
+    scale = tuple(hi - lo for lo, hi in box)
+    visited = []
+    for k, (num, den) in enumerate(arguments):
+        # -D >= 0 is OUTSIDE only when D > 0 on the whole closed box.
+        if _halfspace(zero, den, 1, ">=").classify(box) != OUTSIDE:
+            raise SoundnessError(f"{region.name}: denominator of argument {k} not positive over the box")
+        if _nonnegative_form(_halfspace(num, den, 1, ">=")) not in conjuncts:
+            raise SoundnessError(f"{region.name}: argument {k} >= 1 is not a top-level constraint")
+        probe = AndNode(region.tree.children + (_halfspace(num, den, 2, ">"),))
+        beyond_two = RegionPredicate(f"{region.name} with argument {k} > 2", region.arity, probe)
+        queue = deque([box])
+        count = 0
+        while queue:
+            leaf = queue.popleft()
+            count += 1
+            if beyond_two.classify(leaf) == OUTSIDE:
+                continue
+            halves = _split(leaf, scale)
+            if halves is None or count + len(queue) + 2 > RANGE_LEAF_BUDGET:
+                raise SoundnessError(f"{region.name}: argument {k} <= 2 not certified in {RANGE_LEAF_BUDGET} boxes")
+            queue.extend(halves)
+        visited.append(count)
+    return tuple(visited)
 
-    def value_many(pts: np.ndarray) -> np.ndarray:
-        u = np.maximum((1.0 - pts[:, 0] - pts[:, 1]) / pts[:, 1], 1.0)
-        return (1.0 / u) * denom.value_many(pts)
 
-    def enclosure(box: Box) -> Enclosure:
-        om = omega_bound_range(OMEGA_UPPER, _clamped_ratio(rest, unit1, box))
-        return om * denom.enclosure(box)
-
-    general = Integrand(2, value, enclosure, value_many, reduced_rp.average)
-    reduced = Integrand(2, reduced_rp.value, reduced_rp.enclosure, reduced_rp.value_many, reduced_rp.average)
-    return general, reduced
-
-
-_INTEGRANDS = {"a3": _build_a3(), "b3": _build_b3(), "c": _build_c()}
-
-
-def integration_domain(name: str) -> tuple[Integrand, Integrand, RegionPredicate, Box]:
-    """(general integrand, reduced oracle integrand, region, bounding box) for a loss."""
+def integration_domain(name: str) -> tuple[Integrand, tuple, RegionPredicate, Box]:
+    """(integrand, Buchstab arguments as (N, D) forms, region, bounding box) for a loss."""
     if name not in LOSS_NAMES:
         raise ValueError(f"unknown loss {name!r}; expected one of {LOSS_NAMES}")
-    general, reduced = _INTEGRANDS[name]
-    return general, reduced, _REGIONS[name], _BOXES[name]
+    return _INTEGRANDS[name], _ARGUMENTS[name], _REGIONS[name], _BOXES[name]
 
 
-def _run(name: str, budget: int, tol: float, reduced: bool) -> IntegralEstimate:
-    general, oracle, region, box = integration_domain(name)
-    return integrate_rigorous(oracle if reduced else general, region, box, budget=budget, tol=tol)
+def _run(name: str, budget: int, tol: float) -> IntegralEstimate:
+    integrand, _, region, box = integration_domain(name)
+    return integrate_rigorous(integrand, region, box, budget=budget, tol=tol)
 
 
-def loss_a3(budget: int = DEFAULT_BUDGETS["a3"], tol: float = DEFAULT_TOLS["a3"], reduced: bool = False) -> IntegralEstimate:
+def loss_a3(budget: int = DEFAULT_BUDGETS["a3"], tol: float = DEFAULT_TOLS["a3"]) -> IntegralEstimate:
     """Certified sandwich for the first discard integral (four variables)."""
-    return _run("a3", budget, tol, reduced)
+    return _run("a3", budget, tol)
 
 
-def loss_b3(budget: int = DEFAULT_BUDGETS["b3"], tol: float = DEFAULT_TOLS["b3"], reduced: bool = False) -> IntegralEstimate:
+def loss_b3(budget: int = DEFAULT_BUDGETS["b3"], tol: float = DEFAULT_TOLS["b3"]) -> IntegralEstimate:
     """Certified sandwich for the reversed-roles discard integral (four variables)."""
-    return _run("b3", budget, tol, reduced)
+    return _run("b3", budget, tol)
 
 
-def loss_c(budget: int = DEFAULT_BUDGETS["c"], tol: float = DEFAULT_TOLS["c"], reduced: bool = False) -> IntegralEstimate:
+def loss_c(budget: int = DEFAULT_BUDGETS["c"], tol: float = DEFAULT_TOLS["c"]) -> IntegralEstimate:
     """Certified sandwich for the dominant two-variable discard integral."""
-    return _run("c", budget, tol, reduced)
+    return _run("c", budget, tol)
 
 
 _LOSS_FUNCS = {"a3": loss_a3, "b3": loss_b3, "c": loss_c}
@@ -352,19 +333,19 @@ _LOSS_FUNCS = {"a3": loss_a3, "b3": loss_b3, "c": loss_c}
 
 def loss_mc(name: str, samples: int = 10**7, seed: int = 20240801, workers: int = 1) -> IntegralEstimate:
     """Monte Carlo cross-check of a loss integral (uncertified)."""
-    general, _, region, box = integration_domain(name)
-    return integrate_mc(general, region, box, samples=samples, seed=seed, workers=workers)
+    integrand, _, region, box = integration_domain(name)
+    return integrate_mc(integrand, region, box, samples=samples, seed=seed, workers=workers)
 
 
 def verified_loss(name: str, budget: int | None = None, tol: float | None = None) -> tuple[IntegralEstimate, int]:
-    """Run a loss and escalate the box budget until its target certifies.
+    """Check the argument range, then run a loss and escalate until its target certifies.
 
     If the certified upper bound exceeds the target the budget is
     multiplied by ten and the run repeated, at most twice.  Returns the
     final estimate and the number of escalations used.
     """
-    if name not in LOSS_NAMES:
-        raise ValueError(f"unknown loss {name!r}; expected one of {LOSS_NAMES}")
+    _, arguments, region, box = integration_domain(name)
+    check_argument_range(region, box, arguments)
     budget = DEFAULT_BUDGETS[name] if budget is None else budget
     tol = DEFAULT_TOLS[name] if tol is None else tol
     escalations = 0

@@ -48,7 +48,6 @@ MONTE_CARLO = "monte_carlo"
 class Integrand:
     """A nonnegative integrand with a certified interval extension.
 
-    value:      exact-intent float evaluation at a point inside the box.
     value_many: vectorized evaluation for an (n, arity) float array; only
                 required for Monte Carlo, and only trusted on points the
                 region mask accepts.
@@ -59,7 +58,6 @@ class Integrand:
     """
 
     arity: int
-    value: Callable[[tuple[float, ...]], float]
     enclosure: Callable[[Box], Enclosure]
     value_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
     average: Optional[Callable[[Box], Enclosure]] = None

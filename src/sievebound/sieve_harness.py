@@ -92,7 +92,7 @@ __all__ = [
 ]
 
 X_MIN = 10**4
-X_MAX = 10**8
+X_MAX = 10**6
 
 _INF = 1 << 62  # sentinel spf for 1: larger than any threshold in range
 
@@ -116,7 +116,7 @@ class SieveContext:
     """Precomputed integer thresholds and a smallest-prime-factor table.
 
     Covers the window (x, 2x].  The spf table costs 4(2x + 1) bytes, so
-    the largest admissible x = 10^8 needs about 800 MB.
+    the largest admissible x = 10^6 needs about 8 MB.
     """
 
     def __init__(self, x: int):

@@ -19,6 +19,8 @@ from __future__ import annotations
 import csv
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -38,7 +40,6 @@ from sievebound.buchstab import (
     log_integral_term,
     omega_bound,
     omega_bound_range,
-    omega_bound_value,
     omega_enclosure,
 )
 
@@ -102,6 +103,62 @@ class TestEnclosure:
         for _ in range(500):
             v = rng.uniform(1e-6, 50.0)
             assert log_enc(Enclosure(v)).contains(math.log(v))
+
+    def test_coerce_encloses_exact_rationals(self):
+        """Non-float operands are enclosed outward, never rounded to a point."""
+        for q in (Fraction(1, 3), Fraction(-2, 7), 2**53 + 1, -(2**53 + 1)):
+            enc = Enclosure._coerce(q)
+            assert Fraction(enc.lo) <= q <= Fraction(enc.hi)
+            assert enc.lo < enc.hi
+            for result in (Enclosure(0.0) + q, q + Enclosure(0.0), Enclosure(1.0) * q):
+                assert Fraction(result.lo) <= q <= Fraction(result.hi)
+        assert Enclosure._coerce(Fraction(1, 4)) == Enclosure(0.25)
+        assert Enclosure._coerce(2**53) == Enclosure(float(2**53))
+        assert Enclosure._coerce(0.1) == Enclosure(0.1)
+        with pytest.raises(TypeError):
+            Enclosure._coerce(Decimal("0.1"))
+
+
+@pytest.fixture
+def mpiv():
+    """mpmath's interval context at 113 bits, restored afterwards."""
+    mpmath = pytest.importorskip("mpmath")
+    saved = mpmath.iv.prec
+    mpmath.iv.prec = 113
+    yield mpmath
+    mpmath.iv.prec = saved
+
+
+def mp_endpoints(mpmath, interval):
+    with mpmath.mp.workprec(113):
+        return mpmath.mp.mpf(interval.a), mpmath.mp.mpf(interval.b)
+
+
+class TestAgainstMpmath:
+    """Independent interval oracle: mpmath.iv at 113 bits of precision."""
+
+    def test_log_enc_contains_mpmath(self, mpiv):
+        rng = random.Random(20240801)
+        for _ in range(500):
+            a = 10.0 ** rng.uniform(-3.0, 3.0)
+            b = min(a * (1.0 + rng.choice((0.0, 1e-9, 1e-3, 1.0)) * rng.random()), 1e3)
+            enc = log_enc(Enclosure(a, b))
+            lo, hi = mp_endpoints(mpiv, mpiv.iv.log(mpiv.iv.mpf([a, b])))
+            assert enc.lo <= lo and hi <= enc.hi
+            scale = max(abs(enc.lo), abs(enc.hi))
+            assert (enc.hi - enc.lo) - float(hi - lo) <= 3e-14 * scale + 16 * math.ulp(scale)
+
+    def test_table_entries_contain_mpmath(self, table, mpiv):
+        """Grid entries on [1, 3] against 1/u and (1 + log(u - 1))/u."""
+        iv = mpiv.iv
+        m = table.grid_den
+        rng = random.Random(20240801)
+        ks = [0, m, 2 * m] + rng.sample(range(1, 2 * m), 300)
+        for k in ks:
+            u = iv.mpf(m + k) / m
+            exact = 1 / u if k <= m else (1 + iv.log(u - 1)) / u
+            lo, hi = mp_endpoints(mpiv, exact)
+            assert table.values[k].lo <= lo and hi <= table.values[k].hi
 
 
 class TestTable:
@@ -236,14 +293,6 @@ class TestPiecewiseBounds:
                 pt = omega_bound(OMEGA_UPPER, u)
                 assert span.hi >= pt.hi - 1e-12
                 assert span.lo <= pt.lo + 1e-12
-
-    def test_value_close_to_interval_route(self):
-        rng = random.Random(8)
-        for _ in range(300):
-            u = rng.uniform(1.0, 8.0)
-            enc = omega_bound(OMEGA_UPPER, u)
-            val = omega_bound_value(OMEGA_UPPER, u)
-            assert enc.lo - 1e-6 <= val <= enc.hi + 1e-6
 
     def test_plateau_beyond_table(self):
         enc = omega_bound(OMEGA_UPPER, 25.0)

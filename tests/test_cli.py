@@ -10,10 +10,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from sievebound import cli
+from sievebound import cli, losses, regions
+from sievebound.buchstab import Enclosure
 
 
 def run_cli(args, capsys):
@@ -70,6 +72,34 @@ class TestVerify:
         code, _, stderr = run_cli(["verify", "--targets", "bogus"], capsys)
         assert code == 2
         assert "unknown verification targets" in stderr
+
+    def test_argument_error_is_usage_error(self, capsys):
+        code, _, stderr = run_cli(["verify", "--targets", "c", "--budget", "0"], capsys)
+        assert code == 2
+        assert "budget must be at least 1" in stderr
+        assert "soundness" not in stderr
+
+    @pytest.mark.parametrize("failure", ["range", "intersect", "factor"])
+    def test_soundness_failure_exits_one(self, failure, capsys, monkeypatch):
+        """Internal soundness failures are verdict failures, not usage errors."""
+        if failure == "range":
+            # The argument of loss c reaches 13/3 over the base pair region.
+            edge = (float(Fraction(3, 19)), float(Fraction(8, 19)))
+            monkeypatch.setitem(losses._REGIONS, "c", regions.PAIR_BASE)
+            monkeypatch.setitem(losses._BOXES, "c", (edge, edge))
+            expected = "argument 0 <= 2 not certified"
+        elif failure == "intersect":
+            disjoint = lambda *args, **kwargs: Enclosure(0.0, 1.0).intersect(Enclosure(2.0, 3.0))
+            monkeypatch.setattr(losses, "integrate_rigorous", disjoint)
+            expected = "disjoint enclosures"
+        else:
+            # Past t1 + t2 = 1 the factor 1 - t1 - t2 of the loss c kernel vanishes.
+            monkeypatch.setitem(losses._BOXES, "c", ((0.29, 0.8), (0.24, 0.43)))
+            expected = "affine factor not positive"
+        code, _, stderr = run_cli(["verify", "--targets", "c", "--budget", "10"], capsys)
+        assert code == 1
+        assert "error: soundness failure:" in stderr
+        assert expected in stderr
 
     def test_config_file_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -129,6 +159,11 @@ class TestHarness:
 
     def test_bad_x(self, capsys):
         code, _, stderr = run_cli(["harness", "--x", "12"], capsys)
+        assert code == 2
+        assert "x must lie" in stderr
+
+    def test_x_above_max(self, capsys):
+        code, _, stderr = run_cli(["harness", "--x", "1000001"], capsys)
         assert code == 2
         assert "x must lie" in stderr
 

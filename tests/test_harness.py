@@ -66,6 +66,8 @@ class TestContext:
         with pytest.raises(ValueError):
             sh.build_context(9999)
         with pytest.raises(ValueError):
+            sh.build_context(10**6 + 1)
+        with pytest.raises(ValueError):
             sh.build_context(10**8 + 1)
         with pytest.raises(TypeError):
             sh.build_context(1e5)

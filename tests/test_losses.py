@@ -28,7 +28,9 @@ from fractions import Fraction
 import pytest
 
 from sievebound import losses
+from sievebound.buchstab import OMEGA_UPPER, Enclosure, SoundnessError, omega_bound
 from sievebound.quadrature import MONTE_CARLO, RIGOROUS, IntegralEstimate
+from sievebound.regions import PAIR_BASE, AndNode, LinearConstraint, RegionPredicate
 
 FROZEN = {
     "a3": 8.934900411446318e-05,
@@ -67,19 +69,34 @@ class TestOracles:
         """The Simpson oracle reproduces the frozen planar value to 1e-9."""
         assert abs(planar_oracle() - FROZEN["c"]) <= 1e-9
 
-    def test_general_equals_reduced_at_members(self):
-        """Both integrand routes agree pointwise inside each region."""
-        for name, point in (
-            ("a3", (0.21, 0.205, 0.195, 0.185)),
-            ("b3", (0.40, 0.20, 0.19, 0.195)),
-            ("c", (0.35, 0.25)),
-        ):
-            general, reduced, region, box = losses.integration_domain(name)
-            assert region.contains(point)
-            gv = general.value(point)
-            rv = reduced.value(point)
-            assert gv == pytest.approx(rv, rel=1e-12)
-            assert gv > 0.0
+    def test_rational_kernel_matches_upper_bound_at_members(self):
+        """The factor table reproduces upper(u) / monomial inside each region.
+
+        The kernel side goes through the piecewise upper Buchstab bound
+        on every argument, so it checks the factor and argument tables
+        against the loss definitions in the module docstring.
+        """
+        import numpy as np
+
+        monomials = {
+            "a3": lambda t: t[0] * t[1] * t[2] * t[3] ** 2,
+            "b3": lambda t: t[1] * t[2] ** 2 * t[3] ** 2,
+            "c": lambda t: t[0] * t[1] ** 2,
+        }
+        rng = np.random.default_rng(20240801)
+        for name in losses.LOSS_NAMES:
+            integrand, arguments, region, box = losses.integration_domain(name)
+            pts = rng.uniform([lo for lo, _ in box], [hi for _, hi in box], size=(20000, len(box)))
+            members = pts[region.mask(pts)][:200]
+            assert len(members) == 200
+            values = integrand.value_many(members)
+            for t, value in zip(members, values):
+                kernel = Enclosure(1.0) / monomials[name](t)
+                for num, den in arguments:
+                    u = losses._affine_value(num, t) / losses._affine_value(den, t)
+                    assert 1.0 <= u <= 2.0
+                    kernel = kernel * omega_bound(OMEGA_UPPER, u)
+                assert value == pytest.approx(kernel.mid, rel=1e-12)
 
     def test_boxes_cover_regions(self):
         """No region mass may leak outside the pre-clipped boxes."""
@@ -100,23 +117,9 @@ class TestCertifiedRuns:
     def test_coarse_sandwiches_contain_frozen(self):
         """Cheap rigorous runs bracket the frozen references."""
         for name, budget, tol in (("a3", 4000, 1e-3), ("b3", 8000, 1e-2), ("c", 4000, 1e-3)):
-            general, reduced, region, box = losses.integration_domain(name)
-            est = losses._run(name, budget=budget, tol=tol, reduced=False)
+            est = losses._run(name, budget=budget, tol=tol)
             assert est.mode == RIGOROUS
             assert est.lower <= FROZEN[name] <= est.upper
-
-    def test_dual_route_sandwiches_overlap(self):
-        """General and reduced evaluators certify the same integral.
-
-        Two correct enclosures of one number must intersect, and both
-        must contain the frozen reference.
-        """
-        for name in losses.LOSS_NAMES:
-            a = losses._run(name, budget=3000, tol=1e-9, reduced=False)
-            b = losses._run(name, budget=3000, tol=1e-9, reduced=True)
-            assert max(a.lower, b.lower) <= min(a.upper, b.upper)
-            assert a.lower <= FROZEN[name] <= a.upper
-            assert b.lower <= FROZEN[name] <= b.upper
 
     def test_default_runs_meet_targets(self, verified_a3, verified_b3, verified_c):
         for (est, _), name in (
@@ -131,6 +134,7 @@ class TestCertifiedRuns:
     def test_c_width_requirement(self, verified_c):
         est, escalations = verified_c
         assert est.upper - est.lower <= 5e-5
+        assert est.upper - est.lower <= losses.DEFAULT_TOLS["c"]
         assert est.lower > 0.2
         assert escalations == 0
 
@@ -138,6 +142,39 @@ class TestCertifiedRuns:
         a = losses.loss_a3(budget=2000, tol=1e-9)
         b = losses.loss_a3(budget=2000, tol=1e-9)
         assert (a.lower, a.upper, a.boxes_used) == (b.lower, b.upper, b.boxes_used)
+
+
+class TestArgumentRange:
+    def test_check_passes_for_every_loss(self):
+        for name in losses.LOSS_NAMES:
+            _, arguments, region, box = losses.integration_domain(name)
+            visited = losses.check_argument_range(region, box, arguments)
+            assert len(visited) == len(arguments)
+            assert max(visited) <= 32
+
+    def test_rejects_c_over_pair_base(self):
+        """Over the whole base pair square the loss c argument reaches 13/3."""
+        edge = (float(Fraction(3, 19)), float(Fraction(8, 19)))
+        _, arguments, _, _ = losses.integration_domain("c")
+        with pytest.raises(SoundnessError, match="<= 2 not certified"):
+            losses.check_argument_range(PAIR_BASE, (edge, edge), arguments)
+
+    def test_rejects_missing_lower_halfspace(self):
+        """Without t1 + 2 t2 < 1 as a conjunct, u >= 1 is not established."""
+        _, arguments, region, box = losses.integration_domain("c")
+        kept = tuple(
+            c for c in region.tree.children
+            if not (isinstance(c, LinearConstraint) and c.coeffs == (1, 2))
+        )
+        assert len(kept) == len(region.tree.children) - 1
+        weakened = RegionPredicate("weakened_c", 2, AndNode(kept))
+        with pytest.raises(SoundnessError, match=">= 1"):
+            losses.check_argument_range(weakened, box, arguments)
+
+    def test_verified_loss_runs_the_check(self, monkeypatch):
+        monkeypatch.setitem(losses._REGIONS, "c", PAIR_BASE)
+        with pytest.raises(SoundnessError):
+            losses.verified_loss("c", budget=10, tol=1e-3)
 
 
 class TestVerifiedLoss:

@@ -34,7 +34,6 @@ def halfspace_region() -> RegionPredicate:
 def constant_one() -> Integrand:
     return Integrand(
         arity=2,
-        value=lambda t: 1.0,
         enclosure=lambda box: Enclosure(1.0),
         value_many=lambda pts: np.ones(len(pts)),
     )
@@ -43,7 +42,6 @@ def constant_one() -> Integrand:
 def linear_t1() -> Integrand:
     return Integrand(
         arity=2,
-        value=lambda t: t[0],
         enclosure=lambda box: Enclosure(box[0][0], box[0][1]),
         value_many=lambda pts: pts[:, 0].copy(),
     )
@@ -104,7 +102,6 @@ class TestRigorous:
         box = ((0.0, 0.2), (0.0, 0.2))
         f = Integrand(
             arity=2,
-            value=lambda t: t[0],
             enclosure=lambda b: Enclosure(b[0][0], b[0][1]),
             average=lambda b: Enclosure(0.5 * (b[0][0] + b[0][1])).widen(1e-15),
         )
