@@ -27,8 +27,10 @@ u >= 4, bracketing the asymptotic value exp(-euler_gamma) = 0.56145...
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import numbers
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,9 +68,19 @@ PLATEAU_UPPER = 0.5617
 # magnitude peaks at t = 2 with value 1.
 SECOND_DERIVATIVE_BOUND = 2.0
 
+# Panels of the cumulative trapezoid table of J on [3, 4] (h = 2**-17).
+# Its accumulated error bound (u - 3) h^2 / 6 stays within 1e-12 of the
+# (u - 3)^3 / (6 * 8192^2) of an 8192-panel trapezoid over [2, u - 1].
+LOG_INTEGRAL_PANELS = 2**17
+
 # Global Lipschitz constant for omega on [1, u_max]: |omega'| = 1/u**2 <= 1
 # on [1, 2], and |omega'(u)| = |omega(u-1) - omega(u)|/u <= 0.17/2 < 1 past 2.
 LIPSCHITZ_BOUND = 1.0
+
+
+# Rounding directions for math.nextafter in the float-pair kernels.
+_DOWN = -math.inf
+_UP = math.inf
 
 
 def _down(v: float) -> float:
@@ -94,14 +106,15 @@ class Enclosure:
 
     Every operator rounds the computed endpoints one ulp outward, so for
     finite inputs the result interval contains the exact real-number
-    image of the operand intervals (inclusion isotonicity).
+    image of the operand intervals (inclusion isotonicity).  Enclosure(x)
+    is the point [x, x]; a NaN or infinite endpoint is rejected.
     """
 
     lo: float
-    hi: float = math.nan
+    hi: float | None = None
 
     def __post_init__(self) -> None:
-        if math.isnan(self.hi):
+        if self.hi is None:
             object.__setattr__(self, "hi", self.lo)
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError("enclosure endpoints must be finite")
@@ -183,8 +196,8 @@ class Enclosure:
         return Enclosure._coerce(other) / self
 
 
-def _rational_enclosure(q: numbers.Rational) -> Enclosure:
-    """Tightest float enclosure of an exact rational (int, Fraction, ...).
+def _rational_bounds(q: numbers.Rational) -> tuple[float, float]:
+    """Tightest float bounds (lo, hi) on an exact rational (int, Fraction, ...).
 
     float() rounds to nearest, so the exact value lies between that
     float and its neighbour on the side the rounding moved away from.
@@ -192,8 +205,25 @@ def _rational_enclosure(q: numbers.Rational) -> Enclosure:
     f = float(q)
     exact = Fraction(f)
     if exact == q:
-        return Enclosure(f, f)
-    return Enclosure(f, _up(f)) if exact < q else Enclosure(_down(f), f)
+        return f, f
+    return (f, _up(f)) if exact < q else (_down(f), f)
+
+
+def _rational_enclosure(q: numbers.Rational) -> Enclosure:
+    """Tightest float enclosure of an exact rational (int, Fraction, ...)."""
+    return Enclosure(*_rational_bounds(q))
+
+
+def _log_bounds(lo: float, hi: float) -> tuple[float, float]:
+    """Bounds on log over [lo, hi], 0 < lo <= hi (see log_enc)."""
+    lo = math.log(lo)
+    hi = math.log(hi)
+    lo -= abs(lo) * 1e-14
+    hi += abs(hi) * 1e-14
+    for _ in range(4):
+        lo = _down(lo)
+        hi = _up(hi)
+    return lo, hi
 
 
 def log_enc(x: Enclosure) -> Enclosure:
@@ -205,14 +235,7 @@ def log_enc(x: Enclosure) -> Enclosure:
     """
     if x.lo <= 0.0:
         raise ValueError("log requires a strictly positive enclosure")
-    lo = math.log(x.lo)
-    hi = math.log(x.hi)
-    lo -= abs(lo) * 1e-14
-    hi += abs(hi) * 1e-14
-    for _ in range(4):
-        lo = _down(lo)
-        hi = _up(hi)
-    return Enclosure(lo, hi)
+    return Enclosure(*_log_bounds(x.lo, x.hi))
 
 
 def _ratio_enclosure(num: int, den: int) -> Enclosure:
@@ -231,35 +254,78 @@ def _expr_23(u: Enclosure) -> Enclosure:
     return (1.0 + log_enc(u - 1.0)) / u
 
 
-def _log_integral_raw(u: float, panels: int = 8192) -> Enclosure:
+def _g_bounds(t: float) -> tuple[float, float]:
+    """Bounds on g(t) = log(t - 1)/t at a float t in [2, 3] (t - 1 is exact there)."""
+    lo, hi = _log_bounds(t - 1.0, t - 1.0)
+    return _down(lo / t), _up(hi / t)
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """(s, e) with s = fl(a + b) and a + b = s + e exactly (Knuth's TwoSum)."""
+    s = a + b
+    b_part = s - a
+    return s, (a - (s - b_part)) + (b - b_part)
+
+
+@functools.cache
+def _log_integral_table() -> tuple[array, array]:
+    """Lower and upper bounds on J(3 + k h), k = 0..N, with N = LOG_INTEGRAL_PANELS, h = 1/N.
+
+    Built once, on first use.  Panel k is the trapezoid of the interval
+    values of g(t) = log(t - 1)/t on [2 + (k-1) h, 2 + k h], widened by
+    the trapezoid error bound h^3/12 * max|g''| (max|g''| <= 2 on
+    [2, 3]).  Each side's running sum is a float plus its TwoSum error
+    terms, summed with directed rounding, so an entry carries one
+    outward rounding rather than one per panel.
+    """
+    n = LOG_INTEGRAL_PANELS
+    h = 1.0 / n
+    pad = _up(_up(h**3) * SECOND_DERIVATIVE_BOUND / 12.0)
+    lows = array("d", [0.0])
+    highs = array("d", [0.0])
+    sum_lo = sum_hi = err_lo = err_hi = 0.0
+    g_prev_lo = g_prev_hi = 0.0  # g(2) = log(1)/2 = 0
+    for k in range(1, n + 1):
+        g_lo, g_hi = _g_bounds(2.0 + k * h)
+        # Multiplying by h/2, a power of two, is exact.
+        sum_lo, err = _two_sum(sum_lo, _down(_down(g_prev_lo + g_lo) * (0.5 * h) - pad))
+        err_lo = _down(err_lo + err)
+        sum_hi, err = _two_sum(sum_hi, _up(_up(g_prev_hi + g_hi) * (0.5 * h) + pad))
+        err_hi = _up(err_hi + err)
+        lows.append(_down(sum_lo + err_lo))
+        highs.append(_up(sum_hi + err_hi))
+        g_prev_lo, g_prev_hi = g_lo, g_hi
+    return lows, highs
+
+
+def _log_integral(u: float) -> Enclosure:
     """Enclosure of J(u) = integral of log(t - 1)/t over [2, u - 1], 3 <= u <= 4.
 
-    Composite trapezoid on `panels` panels evaluated in interval
-    arithmetic, widened by the standard error bound
-    (b - a) * h^2 / 12 * max|g''| with max|g''| <= 2 on [2, 3].
+    The table entry at the grid point 3 + k h just below u, plus a
+    trapezoid on the partial panel [2 + k h, u - 1] of width r, widened
+    by its own error bound r^3/12 * max|g''|.
     """
     if not 3.0 <= u <= 4.0:
         raise ValueError("log integral is defined for u in [3, 4]")
-    width = Enclosure(u) - 3.0
-    if width.hi <= 0.0:
-        return Enclosure(0.0)
-    h = width / panels
-    total = Enclosure(0.0)
-    g_prev = Enclosure(0.0)  # g(2) = log(1)/2 = 0
-    t = Enclosure(2.0)
-    for i in range(1, panels + 1):
-        t = 2.0 + h * i
-        g_curr = log_enc(t - 1.0) / t
-        total = total + (g_prev + g_curr)
-        g_prev = g_curr
-    integral = total * h * 0.5
-    pad = _up(_up(width.hi ** 3) * SECOND_DERIVATIVE_BOUND / (12.0 * panels * panels))
-    return integral.widen(pad)
+    lows, highs = _log_integral_table()
+    n = LOG_INTEGRAL_PANELS
+    # u - 3, its scaling by n = 2**17 and r are all exact.
+    x = u - 3.0
+    k = int(x * n)
+    r = x - k / n
+    lo, hi = lows[k], highs[k]
+    if r > 0.0:
+        g0_lo, g0_hi = _g_bounds(2.0 + k / n)
+        g1_lo, g1_hi = _g_bounds(u - 1.0)
+        pad = _up(_up(_up(_up(r * r) * r) * SECOND_DERIVATIVE_BOUND) / 12.0)
+        lo = _down(lo + _down(_down(_down(g0_lo + g1_lo) * (0.5 * r)) - pad))
+        hi = _up(hi + _up(_up(_up(g0_hi + g1_hi) * (0.5 * r)) + pad))
+    return Enclosure(lo, hi)
 
 
 def log_integral_term(u: float) -> Enclosure:
     """Enclosure of J(u)/u, the integral correction in the closed form on [3, 4]."""
-    return _log_integral_raw(u) / Enclosure(u)
+    return _log_integral(u) / Enclosure(u)
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,7 +366,7 @@ def omega_bound_range(bound: PiecewiseBound, u: Enclosure) -> Enclosure:
         b = min(u.hi, 4.0)
         seg = Enclosure(a, b)
         # J is nondecreasing (its integrand is nonnegative on [2, 3]).
-        j_range = Enclosure(_log_integral_raw(a).lo, _log_integral_raw(b).hi)
+        j_range = Enclosure(_log_integral(a).lo, _log_integral(b).hi)
         piece = _expr_23(seg) + j_range / seg
         pieces.append(piece.intersect(Enclosure(BRANCH_FLOOR, BRANCH_CEILING)))
     if u.hi >= 4.0:

@@ -177,6 +177,7 @@ def _cmd_verify(args, config: dict[str, str]) -> int:
                 "upper": est.upper,
                 "target": target,
                 "boxes_used": est.boxes_used,
+                "exhausted": est.exhausted,
                 "escalations": escalations,
                 "pass": ok,
             }

@@ -59,15 +59,17 @@ extensions never divide by zero.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import nextafter
 
 import numpy as np
 
 # omega_bound_range is unused here but stays importable as
 # losses.omega_bound_range: perfbench's traced runs rebind it.
-from .buchstab import Enclosure, SoundnessError, _down, _up, omega_bound_range  # noqa: F401
+from .buchstab import _DOWN, _UP, Enclosure, SoundnessError, _down, _up, omega_bound_range  # noqa: F401
 from .quadrature import Integrand, IntegralEstimate, RIGOROUS, _split, integrate_mc, integrate_rigorous
 from .regions import OUTSIDE, REGION_C, REGION_U_A3, REGION_U_B3, AndNode, Box, LinearConstraint, RegionPredicate
 
@@ -145,23 +147,36 @@ _ARGUMENTS = {
 }
 
 
-def _affine_enclosure(form: AffineForm, box: Box) -> Enclosure:
-    const, coeffs = form
-    acc = Enclosure(const)
-    for c, (lo, hi) in zip(coeffs, box, strict=True):
-        if c:
-            acc = acc + Enclosure(lo, hi) * c
-    return acc
-
-
-def _affine_value(form: AffineForm, t) -> float:
-    const, coeffs = form
-    return const + sum(c * ti for c, ti in zip(coeffs, t) if c)
-
-
 def _affine_many(form: AffineForm, pts: np.ndarray) -> np.ndarray:
     const, coeffs = form
     return const + pts @ np.array(coeffs)
+
+
+def _magnitude(lo: float, hi: float) -> float:
+    """max(|lo|, |hi|), and NaN when either is NaN (every comparison with NaN is false)."""
+    if hi >= -lo:
+        return hi
+    if -lo > hi:
+        return -lo
+    return lo + hi
+
+
+def _mul(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    """Outward-rounded interval product [alo, ahi] * [blo, bhi]; a NaN product makes both ends NaN."""
+    p, q, r, s = alo * blo, alo * bhi, ahi * blo, ahi * bhi
+    probe = p + q + r + s
+    if probe != probe:
+        return probe, probe
+    return nextafter(min(p, q, r, s), _DOWN), nextafter(max(p, q, r, s), _UP)
+
+
+def _reciprocal_bounds(factors: list[tuple[float, float]]) -> tuple[float, float]:
+    """Outward bounds on 1 / prod of positive factor bounds."""
+    p_lo = p_hi = 1.0
+    for lo, hi in factors:
+        p_lo = nextafter(p_lo * lo, _DOWN)
+        p_hi = nextafter(p_hi * hi, _UP)
+    return nextafter(1.0 / p_hi, _DOWN), nextafter(1.0 / p_lo, _UP)
 
 
 @dataclass(frozen=True)
@@ -169,34 +184,56 @@ class ReciprocalProduct:
     """f(t) = 1 / prod_k L_k(t) with affine factors L_k positive on the box.
 
     Supplies the certified interval extension and a mean-value average
-    enclosure.  With f = exp(-sum log L_k) the partials are
-    d_i f = -f S_i and d_j d_i f = f (S_i S_j + Q_ij) for
-    S_i = sum_k a_ki / L_k and Q_ij = sum_k a_ki a_kj / L_k^2, so an
-    interval Hessian bound M_ij over the box yields
+    enclosure, both computed on float (lo, hi) pairs rounded outward
+    after every operation; only the result is an Enclosure.  With
+    f = exp(-sum log L_k) the partials are d_i f = -f S_i and
+    d_j d_i f = f (S_i S_j + Q_ij) for S_i = sum_k a_ki / L_k and
+    Q_ij = sum_k a_ki a_kj / L_k^2, so an interval Hessian bound M_ij
+    over the box yields
 
-        |avg - f(centre)| <= sum_i M_ii r_i^2 / 6
-                             + sum_{i<j} M_ij r_i r_j / 4
+        |avg - f(c)| <= sum_i M_ii r_i^2 / 6 + sum_{i<j} M_ij r_i r_j / 4
 
-    with r the box half-widths, from E[d_i^2] = r_i^2/3 and
-    E|d_i| = r_i/2 for the uniform deviation from the centre.
+    with c the exact centre and r the box half-widths, from
+    E[d_i^2] = r_i^2/3 and E|d_i| = r_i/2 for the uniform deviation
+    from the centre.  The float centre c~ = (lo + hi) * 0.5 lies in the
+    box within ulp(c~_i) of c_i (half an ulp in the normal range; the
+    full ulp also covers a subnormal halving), so
+
+        |f(c) - f(c~)| <= sum_i sup|f S_i| ulp(c~_i).
+
+    f(c~) is enclosed by enclosing each factor at c~ outward, and both
+    error terms are summed with upward rounding before they widen it.
     """
 
     factors: tuple[AffineForm, ...]
 
-    def intervals(self, box: Box) -> list[Enclosure]:
+    def __post_init__(self) -> None:
+        # (const, ((i, a_i), ...)) over the nonzero coefficients of each factor.
+        terms = tuple((const, tuple((i, c) for i, c in enumerate(coeffs) if c)) for const, coeffs in self.factors)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_arity", len(self.factors[0][1]))
+
+    def _factor_bounds(self, box: Box) -> list[tuple[float, float]]:
+        if len(box) != self._arity:
+            raise ValueError(f"expected a {self._arity}-dimensional box")
         out = []
-        for form in self.factors:
-            enc = _affine_enclosure(form, box)
-            if enc.lo <= 0.0:
+        for const, terms in self._terms:
+            lo = hi = const
+            for i, c in terms:
+                a, b = box[i]
+                if c > 0.0:
+                    lo = nextafter(lo + nextafter(c * a, _DOWN), _DOWN)
+                    hi = nextafter(hi + nextafter(c * b, _UP), _UP)
+                else:
+                    lo = nextafter(lo + nextafter(c * b, _DOWN), _DOWN)
+                    hi = nextafter(hi + nextafter(c * a, _UP), _UP)
+            if not lo > 0.0:
                 raise SoundnessError("affine factor not positive over the box")
-            out.append(enc)
+            out.append((lo, hi))
         return out
 
     def enclosure(self, box: Box) -> Enclosure:
-        prod = Enclosure(1.0)
-        for enc in self.intervals(box):
-            prod = prod * enc
-        return 1.0 / prod
+        return Enclosure(*_reciprocal_bounds(self._factor_bounds(box)))
 
     def value_many(self, pts: np.ndarray) -> np.ndarray:
         prod = np.ones(len(pts))
@@ -205,43 +242,53 @@ class ReciprocalProduct:
         return 1.0 / prod
 
     def average(self, box: Box) -> Enclosure:
-        dims = len(box)
-        ls = self.intervals(box)
-        f_box = Enclosure(1.0)
-        for enc in ls:
-            f_box = f_box * enc
-        f_box = 1.0 / f_box
+        ls = self._factor_bounds(box)
+        _, f_hi = _reciprocal_bounds(ls)
         centre = tuple((lo + hi) * 0.5 for lo, hi in box)
-        fc = Enclosure(1.0)
-        for form in self.factors:
-            fc = fc * Enclosure(_affine_value(form, centre))
-        fc = 1.0 / fc
+        fc_lo, fc_hi = _reciprocal_bounds(self._factor_bounds(tuple((c, c) for c in centre)))
 
+        # S_i = sum_k a_ki / L_k, and the centre-offset term sup|f S_i| ulp(c~_i).
         s = []
-        for i in range(dims):
-            acc = Enclosure(0.0)
-            for form, enc in zip(self.factors, ls):
-                a = form[1][i]
-                if a:
-                    acc = acc + a / enc
-            s.append(acc)
-        radii = [(hi - lo) * 0.5 for lo, hi in box]
+        offset = 0.0
+        for i, c in enumerate(centre):
+            s_lo = s_hi = 0.0
+            for (_, coeffs), (lo, hi) in zip(self.factors, ls):
+                a = coeffs[i]
+                if a > 0.0:
+                    s_lo = nextafter(s_lo + nextafter(a / hi, _DOWN), _DOWN)
+                    s_hi = nextafter(s_hi + nextafter(a / lo, _UP), _UP)
+                elif a < 0.0:
+                    s_lo = nextafter(s_lo + nextafter(a / lo, _DOWN), _DOWN)
+                    s_hi = nextafter(s_hi + nextafter(a / hi, _UP), _UP)
+            s.append((s_lo, s_hi))
+            slope = nextafter(f_hi * _magnitude(s_lo, s_hi), _UP)
+            offset = nextafter(offset + nextafter(slope * math.ulp(c), _UP), _UP)
+
+        # Q_ij = sum_k a_ki a_kj / L_k^2 and the Taylor remainder.
+        squares = [(nextafter(lo * lo, _DOWN), nextafter(hi * hi, _UP)) for lo, hi in ls]
+        radii = [nextafter(hi - lo, _UP) * 0.5 for lo, hi in box]
         remainder = 0.0
-        for i in range(dims):
-            for j in range(i, dims):
-                q = Enclosure(0.0)
-                for form, enc in zip(self.factors, ls):
-                    ai, aj = form[1][i], form[1][j]
-                    if ai and aj:
-                        q = q + (ai * aj) / (enc * enc)
-                h = f_box * (s[i] * s[j] + q)
-                m = max(abs(h.lo), abs(h.hi))
-                if i == j:
-                    remainder += m * radii[i] * radii[i] / 6.0
-                else:
-                    remainder += m * radii[i] * radii[j] / 4.0
-        remainder = _up(_up(remainder))
-        return fc.widen(remainder)
+        for i in range(len(box)):
+            for j in range(i, len(box)):
+                q_lo = q_hi = 0.0
+                for (_, coeffs), (sq_lo, sq_hi) in zip(self.factors, squares):
+                    a = coeffs[i] * coeffs[j]
+                    if a > 0.0:
+                        q_lo = nextafter(q_lo + nextafter(a / sq_hi, _DOWN), _DOWN)
+                        q_hi = nextafter(q_hi + nextafter(a / sq_lo, _UP), _UP)
+                    elif a < 0.0:
+                        q_lo = nextafter(q_lo + nextafter(a / sq_lo, _DOWN), _DOWN)
+                        q_hi = nextafter(q_hi + nextafter(a / sq_hi, _UP), _UP)
+                ss_lo, ss_hi = _mul(*s[i], *s[j])
+                x_lo = nextafter(ss_lo + q_lo, _DOWN)
+                x_hi = nextafter(ss_hi + q_hi, _UP)
+                # sup |f (S_i S_j + Q_ij)| over the box, f > 0.
+                m = nextafter(f_hi * _magnitude(x_lo, x_hi), _UP)
+                term = nextafter(nextafter(m * radii[i], _UP) * radii[j], _UP)
+                term = nextafter(term / 6.0, _UP) if i == j else nextafter(term / 4.0, _UP)
+                remainder = nextafter(remainder + term, _UP)
+        pad = nextafter(remainder + offset, _UP)
+        return Enclosure(nextafter(fc_lo - pad, _DOWN), nextafter(fc_hi + pad, _UP))
 
 
 def _integrand(name: str) -> Integrand:

@@ -6,13 +6,15 @@ machine floats.  The box is refined adaptively; every leaf contributes
     volume(leaf) * fraction_bounds(leaf) * value_bounds(leaf)
 
 where fraction_bounds are the region module's certified volume-fraction
-bounds (exact at a single linear constraint, Frechet-combined above) and
+bounds, outward-rounded floats (float Irwin-Hall at a single linear
+constraint with an exact rational fallback, Frechet-combined above), and
 value_bounds come from the integrand's interval extension.  Leaves fully
 inside the region may instead use the integrand's certified average
 enclosure (a mean-value form), always intersected with the plain value
-enclosure, which keeps refinement monotone.  All endpoint arithmetic is
-outward-rounded, and the final endpoint sums use math.fsum, which is
-correctly rounded, before one outward rounding step.
+enclosure, which keeps refinement monotone.  The leaf product is
+computed on plain floats rounded outward after every operation, and the
+final endpoint sums use math.fsum, which is correctly rounded, before
+one outward rounding step.
 
 `integrate_mc` is the unrigorous cross-check: plain uniform sampling over
 the box with the region as indicator.  It is deterministic for a fixed
@@ -26,11 +28,12 @@ import heapq
 import math
 import warnings
 from dataclasses import dataclass
+from math import nextafter
 from typing import Callable, Optional
 
 import numpy as np
 
-from .buchstab import Enclosure, _down, _up
+from .buchstab import _DOWN, _UP, Enclosure, SoundnessError, _down, _up
 from .regions import Box, RegionPredicate
 
 __all__ = [
@@ -90,29 +93,27 @@ class IntegralEstimate:
         return 0.5 * (self.lower + self.upper)
 
 
-def _volume_enclosure(box: Box) -> Enclosure:
-    v = Enclosure(1.0)
-    for lo, hi in box:
-        v = v * (Enclosure(hi) - Enclosure(lo))
-    return v
-
-
 def _leaf_contribution(f: Integrand, region: RegionPredicate, box: Box) -> tuple[float, float]:
     """Certified bounds on integral(f) over (region intersect box)."""
     fr_lo, fr_hi = region.fraction(box)
-    if fr_hi == 0:
+    if not 0.0 <= fr_lo <= fr_hi <= 1.0:
+        raise SoundnessError(f"volume fraction bounds [{fr_lo}, {fr_hi}] not inside [0, 1]")
+    if fr_hi == 0.0:
         return 0.0, 0.0
-    volume = _volume_enclosure(box)
     enc = f.enclosure(box)
-    enc = Enclosure(max(enc.lo, 0.0), max(enc.hi, 0.0))
-    if fr_lo == 1:
-        if f.average is not None:
-            enc = f.average(box).intersect(enc)
-        contrib = volume * enc
-    else:
-        frac = Enclosure(max(_down(float(fr_lo)), 0.0), min(_up(float(fr_hi)), 1.0))
-        contrib = volume * frac * enc
-    return max(contrib.lo, 0.0), contrib.hi
+    if fr_lo == 1.0 and f.average is not None:
+        enc = f.average(box).intersect(enc)
+    lo = hi = 1.0
+    for a, b in box:
+        lo = nextafter(lo * nextafter(b - a, _DOWN), _DOWN)
+        hi = nextafter(hi * nextafter(b - a, _UP), _UP)
+    if fr_lo != 1.0:
+        lo = nextafter(lo * fr_lo, _DOWN)
+        hi = nextafter(hi * fr_hi, _UP)
+    # The integrand is nonnegative, so its enclosure is clipped at zero.
+    lo = nextafter(lo * max(enc.lo, 0.0), _DOWN)
+    hi = nextafter(hi * max(enc.hi, 0.0), _UP)
+    return max(lo, 0.0), hi
 
 
 def _split(box: Box, scale: tuple[float, ...]) -> Optional[tuple[Box, Box]]:

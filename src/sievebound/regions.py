@@ -23,17 +23,28 @@ inequalities are distinguished by point membership but deliberately
 conflated by box classification, since they differ on a measure-zero
 set and every integral is insensitive to it.
 
-Each predicate also computes, for a box, certified bounds on the
-fraction of the box volume satisfying the predicate.  A single linear
-constraint admits an exact fraction: after rescaling the box to the unit
-cube the constraint reads sum(b_i * U_i) <= y, and the volume below a
-hyperplane over the unit cube is the Irwin-Hall expression
+Each predicate also computes, for a box, certified float bounds on the
+fraction of the box volume satisfying the predicate.  After rescaling
+the box to the unit cube a single linear constraint reads
+sum(b_i * U_i) <= y with b_i > 0 and U uniform, and its fraction is the
+Irwin-Hall distribution function
 
-    Vol = (1/m!) * sum over subsets S of (-1)^|S| * max(0, y - b_S)^m
+    F(y; b) = (1/m!) * sum over subsets S of (-1)^|S| * max(0, y - b_S)^m
 
-divided by the product of the b_i.  Conjunctions and disjunctions are
-combined with two-sided Frechet bounds, which are exact when a single
-child is undecided on the box.
+divided by the product of the b_i.  F is nondecreasing in y and
+nonincreasing in every b_i, so with the float enclosures [y_lo, y_hi]
+and [b_lo, b_hi] of the rescaled data,
+
+    F(y_lo; b_hi) <= F(y; b) <= F(y_hi; b_lo),
+
+and each side is evaluated at those float points with every operation
+rounded outward.  The alternating sum cancels badly on thin, anisotropic
+boxes; when the two sides are more than FLOAT_FRACTION_MAX_WIDTH apart,
+or a coefficient is not an exact float, the exact rational Irwin-Hall
+value (`LinearConstraint.fraction`) is used instead, rounded outward to
+floats.  Conjunctions and disjunctions combine their children's bounds
+with two-sided Frechet bounds in directed rounding, which are exact up
+to rounding when a single child is undecided on the box.
 """
 
 from __future__ import annotations
@@ -42,8 +53,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import nextafter
 
 import numpy as np
+
+from .buchstab import _DOWN, _UP, _rational_bounds, _two_sum
 
 __all__ = [
     "INSIDE",
@@ -81,6 +95,9 @@ B_SECOND_CAP = Fraction(9, 38)
 
 MAX_SUBSET_ARITY = 8
 
+# Widest float Irwin-Hall bound accepted before the exact fallback.
+FLOAT_FRACTION_MAX_WIDTH = 2.0**-40
+
 Box = tuple[tuple[float, float], ...]
 
 
@@ -115,6 +132,12 @@ class LinearConstraint:
             b = float(self.bound)
             object.__setattr__(self, "_bound_below", b if Fraction(b) <= self.bound else math.nextafter(b, -math.inf))
             object.__setattr__(self, "_bound_above", b if Fraction(b) >= self.bound else math.nextafter(b, math.inf))
+            # Volume-fraction data: bound = b + residual, and whether every
+            # product coeff * endpoint is exact (|coeff| a power of two, >= 1).
+            object.__setattr__(self, "_bound_float", b)
+            object.__setattr__(self, "_bound_residual", _rational_bounds(self.bound - Fraction(b)))
+            exact = all(c == 0.0 or (abs(c) >= 1.0 and abs(math.frexp(c)[0]) == 0.5) for c in self._fcoeffs)
+            object.__setattr__(self, "_exact_products", exact)
 
     def evaluate(self, point) -> bool:
         total = sum((c * _as_fraction(t) for c, t in zip(self.coeffs, point, strict=True)), Fraction(0))
@@ -210,6 +233,63 @@ class LinearConstraint:
             return below
         return 1 - below
 
+    def fraction_bounds(self, box: Box) -> tuple[float, float]:
+        """Outward float bounds on the volume fraction of the box satisfying the halfspace.
+
+        Float Irwin-Hall (module docstring) when the coefficients are
+        exact floats and its bounds lie within FLOAT_FRACTION_MAX_WIDTH
+        of each other; otherwise the exact fraction, rounded outward.
+        """
+        if self._fcoeffs is not None:
+            lo, hi = self._float_fraction_leq(box)
+            if hi - lo <= FLOAT_FRACTION_MAX_WIDTH:
+                if self.rel in (">", ">="):
+                    lo, hi = nextafter(1.0 - hi, _DOWN), nextafter(1.0 - lo, _UP)
+                return max(lo, 0.0), min(hi, 1.0)
+        return _rational_bounds(self.fraction(box))
+
+    def _float_fraction_leq(self, box: Box) -> tuple[float, float]:
+        """Outward float bounds on P(sum c_i T_i <= bound) for T uniform on the box.
+
+        The rescaled threshold y = bound - sum(c_i * corner_i) is summed
+        with TwoSum, so that its float value plus the collected error
+        terms is exact, and only their sum is rounded outward; the widths
+        b_i are enclosed outward.  The monotone Irwin-Hall function is
+        then evaluated at (y_lo, b_hi) for the lower and at (y_hi, b_lo)
+        for the upper bound.  Inputs that are not finite give the trivial
+        bounds (0, 1).
+        """
+        y = self._bound_float
+        err_lo, err_hi = self._bound_residual
+        betas_lo: list[float] = []
+        betas_hi: list[float] = []
+        for c, (a, b) in zip(self._fcoeffs, box, strict=True):
+            if c == 0.0:
+                continue
+            # T = a + (b - a) U; for c < 0 reflect U -> 1 - U, so that
+            # c T = c b + |c| (b - a) U with a positive width coefficient.
+            p = -c * a if c > 0.0 else -c * b
+            if not self._exact_products:
+                half_ulp = math.ulp(p) * 0.5
+                err_lo = nextafter(err_lo - half_ulp, _DOWN)
+                err_hi = nextafter(err_hi + half_ulp, _UP)
+            y, err = _two_sum(y, p)
+            err_lo = nextafter(err_lo + err, _DOWN)
+            err_hi = nextafter(err_hi + err, _UP)
+            w = b - a
+            if w != 0.0:
+                mag = abs(c)
+                betas_lo.append(nextafter(mag * nextafter(w, _DOWN), _DOWN))
+                betas_hi.append(nextafter(mag * nextafter(w, _UP), _UP))
+        y_lo = nextafter(y + err_lo, _DOWN)
+        y_hi = nextafter(y + err_hi, _UP)
+        if not betas_lo:
+            return (1.0, 1.0) if y_lo >= 0.0 else (0.0, 0.0) if y_hi < 0.0 else (0.0, 1.0)
+        # Also false for a NaN: the slack pruning in _irwin_hall needs finite data.
+        if not y_hi - y_lo + sum(betas_hi) < math.inf:
+            return 0.0, 1.0
+        return _irwin_hall(y_lo, betas_hi)[0], _irwin_hall(y_hi, betas_lo)[1]
+
     def to_json(self) -> dict:
         return {
             "type": "constraint",
@@ -251,6 +331,45 @@ def _halfspace_fraction_leq(coeffs: tuple[Fraction, ...], bound: Fraction, box: 
     for b in betas:
         denom *= b
     return vol / denom
+
+
+def _irwin_hall(y: float, betas: list[float]) -> tuple[float, float]:
+    """Outward enclosure of the Irwin-Hall function F(y; betas) at finite float inputs.
+
+    A nonpositive denominator m! * prod(betas) gives the trivial bounds (0, 1).
+    """
+    m = len(betas)
+    # (slack lo, slack hi, |S| odd) over the subsets S whose slack
+    # y - b_S may be positive; supersets of the others contribute zero.
+    slacks = [(y, y, False)]
+    for b in betas:
+        for lo, hi, odd in slacks[:]:
+            if hi - b > 0.0:
+                slacks.append((nextafter(lo - b, _DOWN), nextafter(hi - b, _UP), not odd))
+    acc_lo = acc_hi = 0.0
+    for lo, hi, odd in slacks:
+        if hi <= 0.0:
+            continue
+        lo = max(lo, 0.0)
+        p_lo, p_hi = lo, hi
+        for _ in range(m - 1):
+            p_lo = nextafter(p_lo * lo, _DOWN)
+            p_hi = nextafter(p_hi * hi, _UP)
+        if odd:
+            acc_lo = nextafter(acc_lo - p_hi, _DOWN)
+            acc_hi = nextafter(acc_hi - p_lo, _UP)
+        else:
+            acc_lo = nextafter(acc_lo + p_lo, _DOWN)
+            acc_hi = nextafter(acc_hi + p_hi, _UP)
+    d_lo = d_hi = float(math.factorial(m))
+    for b in betas:
+        d_lo = nextafter(d_lo * b, _DOWN)
+        d_hi = nextafter(d_hi * b, _UP)
+    if not d_lo > 0.0:
+        return 0.0, 1.0
+    lo = nextafter(acc_lo / (d_hi if acc_lo >= 0.0 else d_lo), _DOWN)
+    hi = nextafter(acc_hi / (d_lo if acc_hi >= 0.0 else d_hi), _UP)
+    return lo, hi
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,36 +421,37 @@ def _tree_classify(node, box: Box, memo: dict | None = None) -> str:
     return verdict
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+def _tree_fraction(node, box: Box, memo: dict) -> tuple[float, float]:
+    """Outward float bounds on the satisfied volume fraction of the box.
 
-
-def _tree_fraction(node, box: Box, memo: dict | None = None) -> tuple[Fraction, Fraction]:
-    """Two-sided bounds on the satisfied volume fraction of the box.
-
-    Leaves are exact.  AndNode uses the Frechet conjunction bounds
-    [max(0, 1 - sum(1 - f_i)), min(f_i)] on the children's own bounds,
-    OrNode the dual [max(f_i), min(1, sum f_i)].  Decided subtrees are
-    settled by classification before any volume computation.
+    Leaves use LinearConstraint.fraction_bounds.  AndNode uses the
+    Frechet conjunction bounds [1 - sum(1 - f_i), min(f_i)] on the
+    children's own bounds, OrNode the dual [max(f_i), sum(f_i)], both
+    clipped to [0, 1] and rounded outward.  Decided subtrees are
+    settled by exact classification before any volume computation.
     """
-    if memo is None:
-        memo = {}
     verdict = _tree_classify(node, box, memo)
     if verdict == INSIDE:
-        return _ONE, _ONE
+        return 1.0, 1.0
     if verdict == OUTSIDE:
-        return _ZERO, _ZERO
+        return 0.0, 0.0
     if isinstance(node, LinearConstraint):
-        f = node.fraction(box)
-        return f, f
+        return node.fraction_bounds(box)
     parts = [_tree_fraction(c, box, memo) for c in node.children]
     if isinstance(node, AndNode):
-        lo = 1 - sum((1 - p[0] for p in parts if p[0] != 1), _ZERO)
+        missing = 0.0
+        for lo, _ in parts:
+            if lo != 1.0:
+                missing = nextafter(missing + nextafter(1.0 - lo, _UP), _UP)
+        lo = nextafter(1.0 - missing, _DOWN)
         hi = min(p[1] for p in parts)
     else:
         lo = max(p[0] for p in parts)
-        hi = sum((p[1] for p in parts if p[1] != 0), _ZERO)
-    return max(lo, _ZERO), min(hi, _ONE)
+        hi = 0.0
+        for _, p_hi in parts:
+            if p_hi != 0.0:
+                hi = nextafter(hi + p_hi, _UP)
+    return max(lo, 0.0), min(hi, 1.0)
 
 
 def _tree_mask(node, pts: np.ndarray) -> np.ndarray:
@@ -386,12 +506,12 @@ class RegionPredicate:
             raise ValueError(f"{self.name} expects a {self.arity}-dimensional box")
         return _tree_classify(self.tree, box)
 
-    def fraction(self, box: Box) -> tuple[Fraction, Fraction]:
-        """Certified rational bounds on the satisfied volume fraction of the box."""
+    def fraction(self, box: Box) -> tuple[float, float]:
+        """Certified outward float bounds on the satisfied volume fraction of the box."""
         box = tuple(tuple(iv) for iv in box)
         if len(box) != self.arity:
             raise ValueError(f"{self.name} expects a {self.arity}-dimensional box")
-        return _tree_fraction(self.tree, box)
+        return _tree_fraction(self.tree, box, {})
 
     def mask(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized float membership for an (n, arity) array of points."""

@@ -19,6 +19,8 @@ from __future__ import annotations
 import csv
 import math
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -59,6 +61,8 @@ class TestEnclosure:
             Enclosure(1.0, 0.5)
         with pytest.raises(ValueError):
             Enclosure(math.nan, 1.0)
+        with pytest.raises(ValueError):
+            Enclosure(0.0, math.nan)
         with pytest.raises(ValueError):
             Enclosure(0.0, math.inf)
 
@@ -147,6 +151,27 @@ class TestAgainstMpmath:
             assert enc.lo <= lo and hi <= enc.hi
             scale = max(abs(enc.lo), abs(enc.hi))
             assert (enc.hi - enc.lo) - float(hi - lo) <= 3e-14 * scale + 16 * math.ulp(scale)
+
+    def test_log_integral_contains_mpmath(self):
+        """J(u) from the cumulative table contains a 30-digit mpmath.quad value.
+
+        Its width stays within 1e-12 of the error bound
+        (u - 3)^3 / (6 * 8192^2) of the 8192-panel trapezoid over
+        [2, u - 1] that the table replaced.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        n = buchstab.LOG_INTEGRAL_PANELS
+        rng = random.Random(20240801)
+        us = [3.0, 4.0, 3.5, 3.0 + 1 / n, 3.0 + 2**-40, 4.0 - 2**-50]
+        us += [rng.uniform(3.0, 4.0) for _ in range(40)]
+        us += [3.0 + rng.uniform(0.0, 0.05) for _ in range(20)]
+        us += [3.0 + rng.randrange(n) / n for _ in range(10)]
+        with mpmath.workdps(30):
+            for u in us:
+                enc = buchstab._log_integral(u)
+                exact = mpmath.quad(lambda t: mpmath.log(t - 1) / t, [2, u - 1])
+                assert mpmath.mpf(enc.lo) <= exact <= mpmath.mpf(enc.hi)
+                assert enc.width <= (u - 3.0) ** 3 / (6.0 * 8192**2) + 1e-12
 
     def test_table_entries_contain_mpmath(self, table, mpiv):
         """Grid entries on [1, 3] against 1/u and (1 + log(u - 1))/u."""
@@ -293,6 +318,14 @@ class TestPiecewiseBounds:
                 pt = omega_bound(OMEGA_UPPER, u)
                 assert span.hi >= pt.hi - 1e-12
                 assert span.lo <= pt.lo + 1e-12
+
+    def test_log_integral_table_is_lazy(self):
+        """Importing the package builds no J table; the first [3, 4) call does."""
+        code = "import sievebound.cli, sievebound.buchstab as b; print(b._log_integral_table.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stdout.strip() == "0"
+        omega_bound(OMEGA_UPPER, 3.5)
+        assert buchstab._log_integral_table.cache_info().currsize == 1
 
     def test_plateau_beyond_table(self):
         enc = omega_bound(OMEGA_UPPER, 25.0)

@@ -38,7 +38,21 @@ class TestVerify:
         assert report["version"]
         assert report["results"]["losses"]["a3"]["pass"] is True
         assert report["results"]["losses"]["a3"]["upper"] <= 0.000829
+        assert report["results"]["losses"]["a3"]["exhausted"] is False
         assert report["config"]["targets"] == ["a3"]
+
+    def test_exhausted_budget_reported(self, tmp_path, capsys):
+        """A run that hits its (escalated) box budget before the tol says so."""
+        out = tmp_path / "exhausted.json"
+        code, _, _ = run_cli(
+            ["verify", "--targets", "c", "--budget", "2", "--tol", "1e-5", "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        entry = json.loads(out.read_text())["results"]["losses"]["c"]
+        assert entry["exhausted"] is True
+        assert entry["escalations"] == 2
+        assert entry["boxes_used"] <= 200
 
     def test_deterministic_reports(self, tmp_path, capsys):
         paths = []

@@ -39,6 +39,30 @@ FROZEN = {
 }
 
 
+def affine_value(form, t) -> float:
+    """Round-to-nearest float value of an affine form (const, coeffs) at t."""
+    const, coeffs = form
+    return const + sum(c * ti for c, ti in zip(coeffs, t) if c)
+
+
+def affine_exact(form, t) -> Fraction:
+    const, coeffs = form
+    return Fraction(const) + sum((Fraction(c) * Fraction(ti) for c, ti in zip(coeffs, t)), Fraction(0))
+
+
+def seeded_leaves(rng, box, count, min_exp=20, max_exp=34):
+    """Random sub-boxes of box with sides 2**-k, k uniform in [min_exp, max_exp]."""
+    leaves = []
+    for _ in range(count):
+        leaf = []
+        for lo, hi in box:
+            side = 2.0 ** -rng.randint(min_exp, max_exp)
+            a = rng.uniform(lo, hi - side)
+            leaf.append((a, a + side))
+        leaves.append(tuple(leaf))
+    return leaves
+
+
 def planar_oracle(panels: int = 4096) -> float:
     """Composite Simpson over the closed-form inner integral."""
 
@@ -93,7 +117,7 @@ class TestOracles:
             for t, value in zip(members, values):
                 kernel = Enclosure(1.0) / monomials[name](t)
                 for num, den in arguments:
-                    u = losses._affine_value(num, t) / losses._affine_value(den, t)
+                    u = affine_value(num, t) / affine_value(den, t)
                     assert 1.0 <= u <= 2.0
                     kernel = kernel * omega_bound(OMEGA_UPPER, u)
                 assert value == pytest.approx(kernel.mid, rel=1e-12)
@@ -142,6 +166,97 @@ class TestCertifiedRuns:
         a = losses.loss_a3(budget=2000, tol=1e-9)
         b = losses.loss_a3(budget=2000, tol=1e-9)
         assert (a.lower, a.upper, a.boxes_used) == (b.lower, b.upper, b.boxes_used)
+
+
+class TestMeanValueRigor:
+    def test_centre_factors_enclose_exact_values(self, monkeypatch):
+        """The centre factor enclosures of average contain the exact factor values.
+
+        At the float centre of a leaf, each affine factor of the loss c
+        kernel has an exact rational value.  A round-to-nearest float
+        evaluation misses it on a large share of leaves (the last
+        assertion shows the check has teeth); the factor enclosures that
+        `average` builds at the centre must contain it on every leaf.
+        """
+        import random
+
+        calls = []
+        factor_bounds = losses.ReciprocalProduct._factor_bounds
+
+        def recording(self, box):
+            calls.append((box, factor_bounds(self, box)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(losses.ReciprocalProduct, "_factor_bounds", recording)
+        rp = losses.ReciprocalProduct(losses._FACTORS["c"])
+        rng = random.Random(20240801)
+        missed = 0
+        for leaf in seeded_leaves(rng, losses._BOXES["c"], 1000, min_exp=8, max_exp=34):
+            calls.clear()
+            rp.average(leaf)
+            centre_calls = [(box, bounds) for box, bounds in calls if all(lo == hi for lo, hi in box)]
+            assert len(centre_calls) == 1
+            box, bounds = centre_calls[0]
+            centre = tuple(lo for lo, _ in box)
+            assert centre == tuple((lo + hi) * 0.5 for lo, hi in leaf)
+            for form, (lo, hi) in zip(rp.factors, bounds):
+                assert lo <= affine_exact(form, centre) <= hi
+            missed += any(Fraction(affine_value(f, centre)) != affine_exact(f, centre) for f in rp.factors)
+        assert missed >= 200
+
+    def test_average_contains_mpmath_box_average(self):
+        """average and enclosure contain an independent 40-digit box average.
+
+        For inside-region leaves of the loss c box with sides from 2**-34
+        to 2**-20, the inner t2 integral of 1/(t1 t2 (1 - t1 - t2)) is
+        log(t2 / (1 - t1 - t2)) / (t1 (1 - t1)) between the box limits,
+        and mpmath.quad does the outer t1 integral.
+        """
+        import random
+
+        mpmath = pytest.importorskip("mpmath")
+        integrand, _, region, box = losses.integration_domain("c")
+        rng = random.Random(7)
+        checked = 0
+        with mpmath.workdps(40):
+            for leaf in seeded_leaves(rng, box, 200):
+                if region.classify(leaf) != "inside":
+                    continue
+                (a1, b1), (a2, b2) = [(mpmath.mpf(lo), mpmath.mpf(hi)) for lo, hi in leaf]
+
+                def inner(t1):
+                    c = 1 - t1
+                    return (mpmath.log(b2 / (c - b2)) - mpmath.log(a2 / (c - a2))) / (t1 * c)
+
+                mean = mpmath.quad(inner, [a1, b1]) / ((b1 - a1) * (b2 - a2))
+                for enc in (integrand.average(leaf), integrand.enclosure(leaf)):
+                    assert mpmath.mpf(enc.lo) <= mean <= mpmath.mpf(enc.hi)
+                checked += 1
+        assert checked >= 40
+
+    def test_enclosure_constructions_per_leaf(self, monkeypatch):
+        """The leaf kernel builds at most four Enclosure objects per box."""
+        calls = []
+        original = Enclosure.__post_init__
+
+        def counting(self):
+            calls.append(None)
+            original(self)
+
+        monkeypatch.setattr(Enclosure, "__post_init__", counting)
+        est = losses._run("c", budget=2000, tol=1e-9)
+        assert est.boxes_used == 1999
+        assert len(calls) <= 4 * est.boxes_used
+
+    def test_nan_propagates_through_min_max_helpers(self):
+        nan = math.nan
+        assert math.isnan(losses._magnitude(nan, 1.0))
+        assert math.isnan(losses._magnitude(-1.0, nan))
+        assert losses._magnitude(-3.0, 2.0) == 3.0
+        assert all(math.isnan(v) for v in losses._mul(0.0, 1.0, 2.0, math.inf))
+        assert all(math.isnan(v) for v in losses._mul(1.0, 2.0, nan, 3.0))
+        lo, hi = losses._mul(-1.0, 2.0, -3.0, 0.5)
+        assert lo <= -6.0 and 3.0 <= hi
 
 
 class TestArgumentRange:

@@ -9,13 +9,15 @@ t1 + t2 <= 1/2:
 
 from __future__ import annotations
 
+import math
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sievebound.buchstab import Enclosure
+from sievebound.buchstab import Enclosure, SoundnessError
 from sievebound.quadrature import (
     Integrand,
     MONTE_CARLO,
@@ -116,6 +118,13 @@ class TestRigorous:
         a = integrate_rigorous(f, region, UNIT_SQUARE, budget=2000, tol=1e-7)
         b = integrate_rigorous(f, region, UNIT_SQUARE, budget=2000, tol=1e-7)
         assert (a.lower, a.upper, a.boxes_used) == (b.lower, b.upper, b.boxes_used)
+
+    def test_fraction_bounds_outside_unit_interval_rejected(self):
+        """Region fraction bounds are checked before any leaf arithmetic uses them."""
+        for bounds in ((math.nan, math.nan), (0.5, 0.25), (-0.25, 0.5), (0.5, 1.5)):
+            region = SimpleNamespace(arity=2, fraction=lambda box, b=bounds: b)
+            with pytest.raises(SoundnessError, match="volume fraction bounds"):
+                integrate_rigorous(constant_one(), region, UNIT_SQUARE)
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):

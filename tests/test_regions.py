@@ -10,6 +10,7 @@ uniform coordinates):
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -31,6 +32,8 @@ from sievebound.regions import (
     TYPE_II_STRIP,
     WINDOW_HI,
     WINDOW_LO,
+    FLOAT_FRACTION_MAX_WIDTH,
+    AndNode,
     LinearConstraint,
     region_catalog,
     type_i_feasible,
@@ -38,6 +41,47 @@ from sievebound.regions import (
 )
 
 F = Fraction
+
+
+def exact_frechet(node, box):
+    """Exact rational Frechet bounds from LinearConstraint.fraction (test oracle)."""
+    verdict = regions._tree_classify(node, box)
+    if verdict == INSIDE:
+        return F(1), F(1)
+    if verdict == OUTSIDE:
+        return F(0), F(0)
+    if isinstance(node, LinearConstraint):
+        f = node.fraction(box)
+        return f, f
+    parts = [exact_frechet(c, box) for c in node.children]
+    if isinstance(node, AndNode):
+        lo = 1 - sum((1 - p[0] for p in parts), F(0))
+        hi = min(p[1] for p in parts)
+    else:
+        lo = max(p[0] for p in parts)
+        hi = sum((p[1] for p in parts), F(0))
+    return max(lo, F(0)), min(hi, F(1))
+
+
+def anisotropic_leaf(rng: random.Random, region, domain):
+    """A leaf of domain from random bisections, kept MIXED for the region where possible.
+
+    One coordinate is halved up to 17 times more often than the others,
+    so side ratios (relative to the domain) reach 2**17 > 1e5.
+    """
+    splits = [rng.randint(0, 4) for _ in domain]
+    splits[rng.randrange(len(domain))] += rng.randint(0, 13)
+    order = [i for i, n in enumerate(splits) for _ in range(n)]
+    rng.shuffle(order)
+    box = list(domain)
+    for i in order:
+        lo, hi = box[i]
+        mid = 0.5 * (lo + hi)
+        halves = [box[:i] + [half] + box[i + 1 :] for half in ((lo, mid), (mid, hi))]
+        rng.shuffle(halves)
+        mixed = [h for h in halves if region.classify(tuple(h)) == MIXED]
+        box = (mixed or halves)[0]
+    return tuple(box)
 
 
 def random_box(rng: random.Random, dims: int, lo=-1.0, hi=1.0):
@@ -213,6 +257,57 @@ class TestRegionMembership:
                 freq = region.mask(pts).mean()
                 sigma = max((freq * (1 - freq) / n) ** 0.5, 2e-3)
                 assert float(lo) - 5 * sigma <= freq <= float(hi) + 5 * sigma
+
+    def test_float_fractions_contain_exact_frechet_bounds(self):
+        """Float fraction bounds contain the exact rational Frechet bounds.
+
+        Boxes are seeded over every catalog region (pair regions on the
+        base square, the quadruple regions on their loss boxes) and over
+        every loss box, with side ratios up to 1e5.  The float bounds may
+        be wider than the exact ones by at most the fallback constant.
+        """
+        from sievebound import losses
+
+        edge = (float(SIEVE_FLOOR), float(WINDOW_LO))
+        cases = [(r, ((edge,) * 2 if r.arity == 2 else None)) for r in region_catalog().values()]
+        cases = [(r, d if d is not None else losses._BOXES["a3" if r.name == "u_a3" else "b3"]) for r, d in cases]
+        cases += [(losses._REGIONS[n], losses._BOXES[n]) for n in losses.LOSS_NAMES]
+        rng = random.Random(20240801)
+        mixed = 0
+        for region, domain in cases:
+            for _ in range(40):
+                box = anisotropic_leaf(rng, region, domain)
+                lo, hi = region.fraction(box)
+                assert isinstance(lo, float) and isinstance(hi, float)
+                exact_lo, exact_hi = exact_frechet(region.tree, box)
+                assert lo <= exact_lo and exact_hi <= hi
+                assert (hi - lo) - float(exact_hi - exact_lo) <= FLOAT_FRACTION_MAX_WIDTH
+                mixed += 0.0 < hi and lo < 1.0
+        assert mixed >= 200
+
+    def test_fraction_fallback_for_inexact_coefficient(self):
+        """A coefficient that is not a float takes the exact route, rounded outward."""
+        c = LinearConstraint((F(1, 3), F(1)), "<=", F(1, 2))
+        box = ((0.0, 1.0), (0.125, 0.75))
+        exact = c.fraction(box)
+        lo, hi = c.fraction_bounds(box)
+        assert (lo, hi) == regions._rational_bounds(exact)
+        assert lo <= exact <= hi and hi - lo <= 2 * math.ulp(hi)
+
+    def test_fraction_fallback_for_thin_anisotropic_box(self):
+        """Cancellation on a thin 4-D box exceeds the width limit and falls back to exact."""
+        c = LinearConstraint((F(1), F(1), F(1), F(1)), "<=", F(9, 10))
+        box = ((0.1, 0.5), (0.2, 0.2 + 1e-6), (0.15, 0.15 + 2e-6), (0.2, 0.2 + 3e-6))
+        float_lo, float_hi = c._float_fraction_leq(box)
+        assert not float_hi - float_lo <= FLOAT_FRACTION_MAX_WIDTH
+        exact = c.fraction(box)
+        lo, hi = c.fraction_bounds(box)
+        assert (lo, hi) == regions._rational_bounds(exact)
+        # The same constraint on a well-shaped box stays on the float route.
+        square = ((0.1, 0.3), (0.2, 0.4), (0.15, 0.35), (0.2, 0.4))
+        lo, hi = c.fraction_bounds(square)
+        assert lo <= c.fraction(square) <= hi and hi - lo <= 1e-14
+        assert (lo, hi) != regions._rational_bounds(c.fraction(square))
 
     def test_catalog_json(self):
         blob = regions.catalog_json()
