@@ -68,15 +68,11 @@ from .regions import (
 )
 from .sieve_harness import (
     DecompositionRecord,
-    IdentityReport,
-    MinorantReport,
     SieveContext,
     build_context,
     decompose,
     harness_report,
     psi,
-    verify_identities,
-    verify_minorant,
 )
 
 __version__ = "0.1.0"
@@ -89,13 +85,11 @@ __all__ = [
     "DEFAULT_TOLS",
     "DecompositionRecord",
     "Enclosure",
-    "IdentityReport",
     "Integrand",
     "IntegralEstimate",
     "LOSS_NAMES",
     "LossLedger",
     "MONTE_CARLO",
-    "MinorantReport",
     "OMEGA_LOWER",
     "OMEGA_UPPER",
     "PAIR_BASE",
@@ -134,7 +128,5 @@ __all__ = [
     "type_i_feasible",
     "type_ii_feasible",
     "verified_loss",
-    "verify_identities",
-    "verify_minorant",
     "__version__",
 ]

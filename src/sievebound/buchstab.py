@@ -42,6 +42,7 @@ __all__ = [
     "OMEGA_LOWER",
     "OMEGA_UPPER",
     "BuchstabTable",
+    "TableWidthError",
     "build_table",
     "omega_enclosure",
     "log_integral_term",
@@ -436,6 +437,18 @@ class BuchstabTable:
         return 1.0 / self.grid_den
 
 
+class TableWidthError(ValueError):
+    """A table built as asked whose widest enclosure exceeds its tol.
+
+    The table is attached, so a caller that reports the width as a
+    verdict (the CLI) can still use it.
+    """
+
+    def __init__(self, table: BuchstabTable):
+        super().__init__(f"table width {table.max_width:.3e} exceeds tol {table.tol:.3e}; shrink step")
+        self.table = table
+
+
 def build_table(u_max: float = 8.0, step: float = 1e-4, tol: float = 5e-8) -> BuchstabTable:
     """Solve the delay recurrence on a uniform grid with certified error.
 
@@ -449,7 +462,8 @@ def build_table(u_max: float = 8.0, step: float = 1e-4, tol: float = 5e-8) -> Bu
 
     is advanced with a trapezoid step on the delayed enclosures, widened
     by the trapezoid error bound h^3/12 * max|omega''| <= h^3/6 per step.
-    Raises ValueError if any enclosure width exceeds tol.
+    Raises TableWidthError, a ValueError, if any enclosure width
+    exceeds tol.
     """
     if not 0.0 < step <= 1e-3:
         raise ValueError("step must lie in (0, 1e-3]")
@@ -474,9 +488,10 @@ def build_table(u_max: float = 8.0, step: float = 1e-4, tol: float = 5e-8) -> Bu
         increment = delayed.widen(step_pad)
         values.append((values[k] * grid[k] + increment) / grid[k + 1])
     max_width = max(v.width for v in values)
+    table = BuchstabTable(u_max=float(u_max), grid_den=m, tol=tol, values=tuple(values), max_width=max_width)
     if max_width > tol:
-        raise ValueError(f"table width {max_width:.3e} exceeds tol {tol:.3e}; shrink step")
-    return BuchstabTable(u_max=float(u_max), grid_den=m, tol=tol, values=tuple(values), max_width=max_width)
+        raise TableWidthError(table)
+    return table
 
 
 def omega_enclosure(table: BuchstabTable, u: float) -> Enclosure:

@@ -269,7 +269,11 @@ def _cmd_omega(args, config: dict[str, str]) -> int:
     u_max = _resolve("u_max", args.u_max, config, float, 8.0)
     step = _resolve("step", args.step, config, float, 1e-4)
     tol = _resolve("tol", args.tol, config, float, 5e-8)
-    table = buchstab.build_table(u_max=u_max, step=step, tol=tol)
+    try:
+        table = buchstab.build_table(u_max=u_max, step=step, tol=tol)
+    except buchstab.TableWidthError as exc:
+        # A table wider than tol is a failed verdict, not a usage error.
+        table = exc.table
     ok = table.max_width <= tol
     all_ok = _verdict(
         ok,

@@ -387,9 +387,12 @@ def loss_mc(name: str, samples: int = 10**7, seed: int = 20240801, workers: int 
 def verified_loss(name: str, budget: int | None = None, tol: float | None = None) -> tuple[IntegralEstimate, int]:
     """Check the argument range, then run a loss and escalate until its target certifies.
 
-    If the certified upper bound exceeds the target the budget is
-    multiplied by ten and the run repeated, at most twice.  Returns the
-    final estimate and the number of escalations used.
+    If the certified upper bound exceeds the target and the run was
+    exhausted (stopped by its box budget before reaching tol), the
+    budget is multiplied by ten and the run repeated, at most twice.  A
+    run that reached tol is final: the refinement is deterministic, so
+    a larger budget would repeat it box for box.  Returns the final
+    estimate and the number of escalations used.
     """
     _, arguments, region, box = integration_domain(name)
     check_argument_range(region, box, arguments)
@@ -397,7 +400,7 @@ def verified_loss(name: str, budget: int | None = None, tol: float | None = None
     tol = DEFAULT_TOLS[name] if tol is None else tol
     escalations = 0
     est = _LOSS_FUNCS[name](budget=budget, tol=tol)
-    while est.upper > TARGETS[name] and escalations < MAX_ESCALATIONS:
+    while est.exhausted and est.upper > TARGETS[name] and escalations < MAX_ESCALATIONS:
         escalations += 1
         budget *= 10
         est = _LOSS_FUNCS[name](budget=budget, tol=tol)

@@ -390,68 +390,70 @@ def _tree_contains(node, point) -> bool:
     return any(_tree_contains(c, point) for c in node.children)
 
 
-def _tree_classify(node, box: Box, memo: dict | None = None) -> str:
-    if memo is None:
-        memo = {}
-    key = id(node)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
+def _tree_classify(node, box: Box) -> str:
     if isinstance(node, LinearConstraint):
-        verdict = node.classify(box)
-    elif isinstance(node, AndNode):
+        return node.classify(box)
+    if isinstance(node, AndNode):
         verdict = INSIDE
         for child in node.children:
-            v = _tree_classify(child, box, memo)
+            v = _tree_classify(child, box)
             if v == OUTSIDE:
-                verdict = OUTSIDE
-                break
+                return OUTSIDE
             if v == MIXED:
                 verdict = MIXED
-    else:
-        verdict = OUTSIDE
-        for child in node.children:
-            v = _tree_classify(child, box, memo)
-            if v == INSIDE:
-                verdict = INSIDE
-                break
-            if v == MIXED:
-                verdict = MIXED
-    memo[key] = verdict
+        return verdict
+    verdict = OUTSIDE
+    for child in node.children:
+        v = _tree_classify(child, box)
+        if v == INSIDE:
+            return INSIDE
+        if v == MIXED:
+            verdict = MIXED
     return verdict
 
 
-def _tree_fraction(node, box: Box, memo: dict) -> tuple[float, float]:
+def _tree_fraction(node, box: Box) -> tuple[float, float]:
     """Outward float bounds on the satisfied volume fraction of the box.
 
-    Leaves use LinearConstraint.fraction_bounds.  AndNode uses the
-    Frechet conjunction bounds [1 - sum(1 - f_i), min(f_i)] on the
-    children's own bounds, OrNode the dual [max(f_i), sum(f_i)], both
-    clipped to [0, 1] and rounded outward.  Decided subtrees are
-    settled by exact classification before any volume computation.
+    A leaf decided by exact classification is (1, 1) or (0, 0); any
+    other leaf uses LinearConstraint.fraction_bounds.  AndNode combines
+    its children's bounds by the Frechet conjunction bounds
+    [1 - sum(1 - f_i), min(f_i)] and stops at a (0, 0) child; OrNode
+    uses the dual [max(f_i), sum(f_i)] and stops at a (1, 1) child.
+    Both are clipped to [0, 1] and rounded outward.  A subtree that
+    exact classification decides gets exactly (1, 1) or (0, 0), and no
+    other subtree gets (1, 1): a MIXED leaf's fraction, and with it its
+    lower bound, is below 1.
     """
-    verdict = _tree_classify(node, box, memo)
-    if verdict == INSIDE:
-        return 1.0, 1.0
-    if verdict == OUTSIDE:
-        return 0.0, 0.0
     if isinstance(node, LinearConstraint):
+        verdict = node.classify(box)
+        if verdict == INSIDE:
+            return 1.0, 1.0
+        if verdict == OUTSIDE:
+            return 0.0, 0.0
         return node.fraction_bounds(box)
-    parts = [_tree_fraction(c, box, memo) for c in node.children]
     if isinstance(node, AndNode):
         missing = 0.0
-        for lo, _ in parts:
-            if lo != 1.0:
-                missing = nextafter(missing + nextafter(1.0 - lo, _UP), _UP)
-        lo = nextafter(1.0 - missing, _DOWN)
-        hi = min(p[1] for p in parts)
-    else:
-        lo = max(p[0] for p in parts)
-        hi = 0.0
-        for _, p_hi in parts:
-            if p_hi != 0.0:
-                hi = nextafter(hi + p_hi, _UP)
-    return max(lo, 0.0), min(hi, 1.0)
+        hi = 1.0
+        for child in node.children:
+            c_lo, c_hi = _tree_fraction(child, box)
+            if c_hi == 0.0:
+                return 0.0, 0.0
+            if c_lo != 1.0:
+                missing = nextafter(missing + nextafter(1.0 - c_lo, _UP), _UP)
+            hi = min(hi, c_hi)
+        lo = nextafter(1.0 - missing, _DOWN) if missing != 0.0 else 1.0
+        return max(lo, 0.0), hi
+    lo = 0.0
+    hi = 0.0
+    for child in node.children:
+        c_lo, c_hi = _tree_fraction(child, box)
+        if c_lo == 1.0:
+            return 1.0, 1.0
+        lo = max(lo, c_lo)
+        if c_hi != 0.0:
+            hi = nextafter(hi + c_hi, _UP)
+    return lo, min(hi, 1.0)
 
 
 def _tree_mask(node, pts: np.ndarray) -> np.ndarray:
@@ -511,7 +513,7 @@ class RegionPredicate:
         box = tuple(tuple(iv) for iv in box)
         if len(box) != self.arity:
             raise ValueError(f"{self.name} expects a {self.arity}-dimensional box")
-        return _tree_fraction(self.tree, box, {})
+        return _tree_fraction(self.tree, box)
 
     def mask(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized float membership for an (n, arity) array of points."""

@@ -81,13 +81,9 @@ import numpy as np
 __all__ = [
     "SieveContext",
     "DecompositionRecord",
-    "IdentityReport",
-    "MinorantReport",
     "build_context",
     "psi",
     "decompose",
-    "verify_identities",
-    "verify_minorant",
     "harness_report",
 ]
 
@@ -133,7 +129,6 @@ class SieveContext:
         self.pow11 = self.twox**11
         self.x8 = x**8
         self.x11 = x**11
-        self._scan_cache: dict | None = None
 
     @property
     def z(self) -> float:
@@ -181,29 +176,6 @@ def _factorize(ctx: SieveContext, n: int) -> list[list[int]]:
             e += 1
         out.append([p, e])
     return out
-
-
-_RECORD_FIELDS = (
-    "n",
-    "one_p",
-    "s1",
-    "s2",
-    "s3",
-    "s4",
-    "s_a",
-    "s_type2",
-    "s_b",
-    "s_c",
-    "s_a1",
-    "s_a2",
-    "s_a3",
-    "s_b1",
-    "s_b2",
-    "s_b3",
-    "dropped_a3",
-    "dropped_b3",
-    "rho",
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -461,131 +433,59 @@ def decompose(ctx: SieveContext, n: int) -> DecompositionRecord:
     )
 
 
-def _scan(ctx: SieveContext) -> dict:
-    if ctx._scan_cache is not None:
-        return ctx._scan_cache
-    totals = {name: 0 for name in _RECORD_FIELDS if name != "n"}
-    identity_violations = {name: 0 for name in IDENTITY_NAMES}
-    minorant_violations = 0
-    support_violations = 0
-    cap_violations = 0
-    min_rho = None
-    for n in range(ctx.x + 1, ctx.twox + 1):
-        rec = decompose(ctx, n)
-        for name in totals:
-            totals[name] += getattr(rec, name)
-        for name, residual in rec.identity_residuals().items():
-            if residual != 0:
-                identity_violations[name] += 1
-        if rec.rho > rec.one_p:
-            minorant_violations += 1
-        if rec.rho > 1:
-            cap_violations += 1
-        if rec.rho != 0 and ctx.spf_of(n) < ctx.cut:
-            support_violations += 1
-        if min_rho is None or rec.rho < min_rho:
-            min_rho = rec.rho
-    ctx._scan_cache = {
-        "checked": ctx.x,
-        "totals": totals,
-        "identity_violations": identity_violations,
-        "minorant_violations": minorant_violations,
-        "support_violations": support_violations,
-        "cap_violations": cap_violations,
-        "min_rho": min_rho,
-    }
-    return ctx._scan_cache
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    x: int
-    checked: int
-    violations: dict[str, int]
-    totals: dict[str, int]
-
-    def clean(self) -> bool:
-        return all(v == 0 for v in self.violations.values())
-
-
-@dataclass(frozen=True)
-class MinorantReport:
-    x: int
-    checked: int
-    minorant_violations: int
-    support_violations: int
-    cap_violations: int
-    min_rho: int
-    sum_rho: int
-    prime_count: int
-    ratio_window_log: float
-    ratio_base_log: float
-
-    def clean(self) -> bool:
-        return (
-            self.minorant_violations == 0
-            and self.support_violations == 0
-            and self.cap_violations == 0
-        )
-
-
-def verify_identities(ctx: SieveContext) -> IdentityReport:
-    """Scan the whole window and count identity violations (expect zero)."""
-    scan = _scan(ctx)
-    return IdentityReport(
-        x=ctx.x,
-        checked=ctx.x,
-        violations=dict(scan["identity_violations"]),
-        totals=dict(scan["totals"]),
-    )
-
-
-def verify_minorant(ctx: SieveContext) -> MinorantReport:
-    """Scan the window for minorant, cap and support violations (expect zero).
-
-    The reported ratios divide sum(rho) by the window length after
-    multiplying by log of the representative size: the window midpoint
-    scale 1.5x, and the base scale x for comparison.
-    """
-    scan = _scan(ctx)
-    sum_rho = scan["totals"]["rho"]
-    return MinorantReport(
-        x=ctx.x,
-        checked=ctx.x,
-        minorant_violations=scan["minorant_violations"],
-        support_violations=scan["support_violations"],
-        cap_violations=scan["cap_violations"],
-        min_rho=scan["min_rho"],
-        sum_rho=sum_rho,
-        prime_count=scan["totals"]["one_p"],
-        ratio_window_log=sum_rho * math.log(1.5 * ctx.x) / ctx.x,
-        ratio_base_log=sum_rho * math.log(ctx.x) / ctx.x,
-    )
+# Report key -> DecompositionRecord field, for the window totals.
+_TOTALS = {
+    "rho": "rho",
+    "primes": "one_p",
+    "S_C": "s_c",
+    "dropped_A3": "dropped_a3",
+    "dropped_B3": "dropped_b3",
+}
 
 
 def harness_report(ctx: SieveContext) -> dict:
-    """JSON-ready summary of both window scans."""
-    identities = verify_identities(ctx)
-    minorant = verify_minorant(ctx)
+    """Scan the window (x, 2x] once and return a JSON-ready summary.
+
+    Violations are counted per n and expected to be zero: each identity
+    with a nonzero residual, the minorant rho > 1_p (which covers
+    rho > 1, since 1_p <= 1), and the support rho != 0 with
+    spf(n) < z.  The ratios divide sum(rho) by the window length after
+    multiplying by log of the representative size: the window midpoint
+    scale 1.5x, and the base scale x for comparison.
+    """
+    totals = dict.fromkeys(_TOTALS, 0)
+    identity = dict.fromkeys(IDENTITY_NAMES, 0)
+    minorant = support = 0
+    min_rho = None
+    for n in range(ctx.x + 1, ctx.twox + 1):
+        rec = decompose(ctx, n)
+        for key, name in _TOTALS.items():
+            totals[key] += getattr(rec, name)
+        for name, residual in rec.identity_residuals().items():
+            if residual != 0:
+                identity[name] += 1
+        if rec.rho > rec.one_p:
+            minorant += 1
+        if rec.rho != 0 and ctx.spf_of(n) < ctx.cut:
+            support += 1
+        if min_rho is None or rec.rho < min_rho:
+            min_rho = rec.rho
+    sum_rho = totals["rho"]
+    identity_total = sum(identity.values())
     return {
         "x": ctx.x,
-        "checked": identities.checked,
+        "checked": ctx.x,
         "violations": {
-            "identity": sum(identities.violations.values()),
-            "identity_detail": dict(identities.violations),
-            "minorant": minorant.minorant_violations + minorant.cap_violations,
-            "support": minorant.support_violations,
+            "identity": identity_total,
+            "identity_detail": identity,
+            "minorant": minorant,
+            "support": support,
         },
-        "totals": {
-            "rho": minorant.sum_rho,
-            "primes": minorant.prime_count,
-            "S_C": identities.totals["s_c"],
-            "dropped_A3": identities.totals["dropped_a3"],
-            "dropped_B3": identities.totals["dropped_b3"],
-        },
+        "totals": totals,
+        "min_rho": min_rho,
         "ratios": {
-            "window_log": minorant.ratio_window_log,
-            "base_log": minorant.ratio_base_log,
+            "window_log": sum_rho * math.log(1.5 * ctx.x) / ctx.x,
+            "base_log": sum_rho * math.log(ctx.x) / ctx.x,
         },
-        "clean": identities.clean() and minorant.clean(),
+        "clean": identity_total == 0 and minorant == 0 and support == 0,
     }

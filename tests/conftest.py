@@ -84,23 +84,18 @@ def mc_estimates():
     }
 
 
-def _scanned_context(key: str, x: int) -> sieve_harness.SieveContext:
-    def work():
-        ctx = sieve_harness.build_context(x)
-        sieve_harness.harness_report(ctx)
-        return ctx
-
-    return _timed(key, work)
+def _window_report(key: str, x: int) -> dict:
+    return _timed(key, lambda: sieve_harness.harness_report(sieve_harness.build_context(x)))
 
 
 @pytest.fixture(scope="session")
-def harness_1e5() -> sieve_harness.SieveContext:
-    return _scanned_context("harness_1e5", 10**5)
+def harness_1e5() -> dict:
+    return _window_report("harness_1e5", 10**5)
 
 
 @pytest.fixture(scope="session")
-def harness_2e5() -> sieve_harness.SieveContext:
-    return _scanned_context("harness_2e5", 2 * 10**5)
+def harness_2e5() -> dict:
+    return _window_report("harness_2e5", 2 * 10**5)
 
 
 @pytest.fixture(scope="session")

@@ -38,7 +38,7 @@ import random
 import numpy as np
 
 import conftest
-from sievebound import buchstab, losses, regions, sieve_harness
+from sievebound import buchstab, losses, regions
 
 _SEED = 20240801
 
@@ -185,14 +185,13 @@ def test_window_exactness(acceptance, harness_1e5, harness_2e5):
     ok = True
     notes = []
     seconds = 0.0
-    for ctx, key in ((harness_1e5, "harness_1e5"), (harness_2e5, "harness_2e5")):
-        report = sieve_harness.harness_report(ctx)
+    for report, key in ((harness_1e5, "harness_1e5"), (harness_2e5, "harness_2e5")):
         v = report["violations"]
         clean = v["identity"] == 0 and v["minorant"] == 0 and v["support"] == 0
         ok = ok and clean and report["clean"]
         seconds += conftest.FIXTURE_SECONDS[key]
         notes.append(
-            f"x={ctx.x}: identity {v['identity']}, minorant {v['minorant']}, "
+            f"x={report['x']}: identity {v['identity']}, minorant {v['minorant']}, "
             f"support {v['support']} over {report['checked']} n"
         )
     ok = ok and seconds <= 900.0
@@ -203,10 +202,10 @@ def test_window_exactness(acceptance, harness_1e5, harness_2e5):
 def test_window_density_sanity(acceptance, harness_1e5, harness_2e5):
     ok = True
     notes = []
-    for ctx in (harness_1e5, harness_2e5):
-        ratio = sieve_harness.harness_report(ctx)["ratios"]["window_log"]
+    for report in (harness_1e5, harness_2e5):
+        ratio = report["ratios"]["window_log"]
         ok = ok and 0.0 < ratio <= 1.0
-        notes.append(f"x={ctx.x}: ratio {ratio:.6f}")
+        notes.append(f"x={report['x']}: ratio {ratio:.6f}")
     assert acceptance.record("window density sanity", ok, "; ".join(notes))
 
 

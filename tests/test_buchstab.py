@@ -196,8 +196,10 @@ class TestTable:
             build_table(u_max=100.0)
         with pytest.raises(ValueError):
             build_table(u_max=3.00005, step=1e-3)
-        with pytest.raises(ValueError):
+        with pytest.raises(buchstab.TableWidthError) as info:
             build_table(u_max=3.0, step=1e-3, tol=1e-13)
+        assert isinstance(info.value, ValueError)
+        assert info.value.table.max_width > 1e-13
 
     def test_omega_at_two(self, table):
         """omega(2) = 1/2 exactly, from the [1, 2] branch omega = 1/u."""

@@ -204,6 +204,17 @@ class TestOmega:
         code, _, stderr = run_cli(["omega", "--step", "0.5"], capsys)
         assert code == 2
 
+    def test_too_wide_table_fails_verdict(self, tmp_path, capsys):
+        out = tmp_path / "omega.json"
+        code, stdout, stderr = run_cli(
+            ["omega", "--tol", "1e-12", "--u-max", "3", "--out", str(out)], capsys
+        )
+        assert code == 1
+        assert "[FAIL] table enclosure width" in stdout
+        assert "error" not in stderr
+        results = json.loads(out.read_text())["results"]
+        assert results["max_width"] > results["tol"] == 1e-12
+
 
 class TestRegions:
     def test_point_membership(self, tmp_path, capsys):

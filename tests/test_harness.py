@@ -10,6 +10,7 @@ the independent routes.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -200,24 +201,29 @@ class TestDecompose:
         assert 48**19 < ctx.x8 <= 50**19 <= ctx.x11
 
 
+@pytest.fixture(scope="module")
+def report(ctx):
+    return sh.harness_report(ctx)
+
+
 class TestWindowScan:
-    def test_identity_report_clean(self, ctx):
-        report = sh.verify_identities(ctx)
-        assert report.clean()
-        assert report.violations == {name: 0 for name in sh.IDENTITY_NAMES}
+    def test_identity_report_clean(self, report):
+        assert report["clean"]
+        assert report["violations"]["identity"] == 0
+        assert report["violations"]["identity_detail"] == {name: 0 for name in sh.IDENTITY_NAMES}
 
-    def test_minorant_report_clean(self, ctx):
-        report = sh.verify_minorant(ctx)
-        assert report.clean()
-        assert report.min_rho >= -2
+    def test_minorant_report_clean(self, report):
+        assert report["violations"]["minorant"] == 0
+        assert report["violations"]["support"] == 0
+        assert -2 <= report["min_rho"] <= 0
 
-    def test_prime_count_oracle(self, ctx):
+    def test_prime_count_oracle(self, ctx, report):
         """Window prime count from an independent byte sieve."""
         ps = primes_upto(2 * ctx.x)
         expected = sum(1 for p in ps if p > ctx.x)
-        assert sh.verify_minorant(ctx).prime_count == expected == 1033
+        assert report["totals"]["primes"] == expected == 1033
 
-    def test_sc_total_oracle(self, ctx):
+    def test_sc_total_oracle(self, ctx, report):
         """Sum-driven S_C total: enumerate pairs, count their multiples."""
         twox = 2 * ctx.x
         total = 0
@@ -235,11 +241,11 @@ class TestWindowScan:
                 for k in range(ctx.x // pq + 1, twox // pq + 1):
                     if sh.psi(ctx, k, p2):
                         total += 1
-        assert total == sh.verify_identities(ctx).totals["s_c"] == 158
+        assert total == report["totals"]["S_C"] == 158
 
-    def test_frozen_window_totals(self, ctx):
-        report = sh.harness_report(ctx)
+    def test_frozen_window_totals(self, report):
         assert report["clean"]
+        assert report["checked"] == 10**4
         assert report["totals"]["rho"] == 875
         assert report["totals"]["primes"] == 1033
         assert report["totals"]["dropped_A3"] == 0
@@ -253,3 +259,37 @@ class TestWindowScan:
         ctx = sh.build_context(12345)
         report = sh.harness_report(ctx)
         assert report["clean"]
+
+    def test_faults_counted_once(self, ctx, monkeypatch):
+        """The report sees faults through the module-level decompose.
+
+        One prime gets rho = 2, which breaks both rho <= 1_p and rho <= 1
+        and must count as a single minorant violation; another n gets a
+        nonzero low_chain residual.
+        """
+        real = sh.decompose
+        bad_rho, bad_chain = 10007, 10008
+
+        def faulty(ctx, n):
+            rec = real(ctx, n)
+            if n == bad_rho:
+                assert rec.one_p == 1
+                return dataclasses.replace(rec, rho=2)
+            if n == bad_chain:
+                return dataclasses.replace(rec, s_a1=rec.s_a1 + 1)
+            return rec
+
+        monkeypatch.setattr(sh, "decompose", faulty)
+        report = sh.harness_report(ctx)
+        violations = report["violations"]
+        assert violations["minorant"] == 1
+        assert violations["support"] == 0
+        assert violations["identity_detail"] == {
+            "prime_split": 0,
+            "bucket_partition": 0,
+            "low_chain": 1,
+            "reversal_chain": 0,
+        }
+        assert violations["identity"] == 1
+        assert report["clean"] is False
+        assert report["totals"]["rho"] == 875 - real(ctx, bad_rho).rho + 2

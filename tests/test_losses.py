@@ -302,6 +302,30 @@ class TestVerifiedLoss:
         est, escalations = losses.verified_loss("a3", budget=1, tol=1e-9)
         assert escalations == 2
 
+    def test_no_escalation_after_converged_run(self, monkeypatch):
+        """A run that reached tol is not repeated with a larger budget.
+
+        With budget 200 the first c run is exhausted; the escalated run
+        reaches tol 1e-3 and still misses the target, and a further
+        escalation would only repeat it box for box.
+        """
+        real = losses.integrate_rigorous
+        runs = []
+
+        def counting(*args, **kwargs):
+            est = real(*args, **kwargs)
+            runs.append(est)
+            return est
+
+        monkeypatch.setattr(losses, "integrate_rigorous", counting)
+        est, escalations = losses.verified_loss("c", budget=200, tol=1e-3)
+        assert len(runs) == 2
+        assert escalations == 1
+        assert runs[0].exhausted and not runs[1].exhausted
+        assert est is runs[1]
+        assert est.upper > losses.TARGETS["c"]
+        assert est.lower <= FROZEN["c"] <= est.upper
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             losses.verified_loss("nope")
