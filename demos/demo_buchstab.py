@@ -11,13 +11,15 @@ The Buchstab function omega(u) solves the delay differential equation
   3. evaluates the flat piecewise bounds used downstream and shows that
      they bracket exp(-euler_gamma), the limit of omega at infinity.
 
-Run with --step to change the grid resolution (default 1e-4).
+Run with --step to change the grid resolution (default 1e-4).  The
+exit status is 1 when any verdict fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import sys
 
 from sievebound import buchstab
 from sievebound.buchstab import OMEGA_LOWER, OMEGA_UPPER
@@ -30,7 +32,7 @@ def banner(title: str) -> None:
     print("=" * 72)
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--step", type=float, default=1e-4, help="grid step of the table")
     parser.add_argument("--u-max", type=float, default=8.0, help="right end of the table")
@@ -40,7 +42,7 @@ def main() -> None:
         default=5e-8,
         help="largest tolerated enclosure width; coarser steps need a looser tol",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     banner("1. Certified table of omega")
     table = buchstab.build_table(u_max=args.u_max, step=args.step, tol=args.tol)
@@ -65,27 +67,29 @@ def main() -> None:
         worst = max(worst, abs(enc.mid - closed))
         if not enc.contains(closed):
             print(f"  [FAIL] closed form escapes the enclosure at u = {u}")
-            raise SystemExit(1)
+            return 1
     print(f"  [PASS] closed form inside every sampled enclosure on [2, 3]; max deviation {worst:.2e}")
     at4 = buchstab.omega_enclosure(table, 4.0)
     closed4 = 0.5614582414068379
-    verdict = "PASS" if at4.contains(closed4) else "FAIL"
-    print(f"  [{verdict}] omega(4) enclosure contains the closed-form value {closed4}")
+    ok = at4.contains(closed4)
+    print(f"  [{'PASS' if ok else 'FAIL'}] omega(4) enclosure contains the closed-form value {closed4}")
 
     banner("3. Piecewise bounds and the plateau")
     print("Downstream integrals replace omega by flat bounds past u = 4:")
     print(f"  lower bound plateau {OMEGA_LOWER.plateau}, upper bound plateau {OMEGA_UPPER.plateau}")
     limit = math.exp(-0.5772156649015329)
     print(f"  asymptotic value exp(-euler_gamma) = {limit:.12f}")
-    verdict = "PASS" if OMEGA_LOWER.plateau < limit < OMEGA_UPPER.plateau else "FAIL"
-    print(f"  [{verdict}] plateau constants bracket exp(-euler_gamma)")
+    bracket = OMEGA_LOWER.plateau < limit < OMEGA_UPPER.plateau
+    ok = ok and bracket
+    print(f"  [{'PASS' if bracket else 'FAIL'}] plateau constants bracket exp(-euler_gamma)")
     branch = buchstab.branch_expression_range()
     print(f"  certified range of the [3, 4) branch: [{branch.lo:.6f}, {branch.hi:.6f}]")
     for u in (2.0, 3.0, 3.7, 4.0, 25.0):
         lo = buchstab.omega_bound(OMEGA_LOWER, u)
         hi = buchstab.omega_bound(OMEGA_UPPER, u)
         print(f"  bounds at u = {u:4.1f}: lower >= {lo.lo:.9f}, upper <= {hi.hi:.9f}")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -19,12 +19,15 @@ route.  The combined upper bound must stay below 0.25 so that at least
 three quarters of the density survives.
 
 The full-resolution loss_c run takes about twenty seconds; pass --quick
-to loosen its gap tolerance and skip the final headline verdict.
+to loosen its gap tolerance and skip the final headline verdict.  The
+exit status is 1 when any verdict fails; a LOOSE quick-mode loss_c is
+not a failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 
 from sievebound import losses
 
@@ -36,18 +39,19 @@ def banner(title: str) -> None:
     print("=" * 72)
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="loosen the loss_c tolerance")
     parser.add_argument("--mc-samples", type=int, default=10**6, help="Monte Carlo sample count")
     parser.add_argument("--seed", type=int, default=20240801, help="Monte Carlo seed")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     banner("1. Certified sandwiches")
     overrides = {"a3": (2 * 10**4, 5e-4), "b3": (10**5, 5e-4), "c": (10**6, 5e-7)}
     if args.quick:
         overrides["c"] = (10**5, 2e-5)
     runs = {}
+    ok = True
     for name in losses.LOSS_NAMES:
         budget, tol = overrides[name]
         est, escalations = losses.verified_loss(name, budget=budget, tol=tol)
@@ -61,6 +65,7 @@ def main() -> None:
             verdict = "LOOSE"
         else:
             verdict = "FAIL"
+            ok = False
         print(
             f"  [{verdict}] loss_{name}: [{est.lower:.10f}, {est.upper:.10f}] "
             f"vs target {target} ({est.boxes_used} boxes, {escalations} escalations)"
@@ -72,9 +77,9 @@ def main() -> None:
         mc = losses.loss_mc(name, samples=args.mc_samples, seed=args.seed)
         est = runs[name]
         inside = est.lower - 4 * mc.stderr <= mc.lower <= est.upper + 4 * mc.stderr
-        verdict = "PASS" if inside else "FAIL"
+        ok = ok and inside
         print(
-            f"  [{verdict}] loss_{name}: estimate {mc.lower:.8e} +- {mc.stderr:.1e} "
+            f"  [{'PASS' if inside else 'FAIL'}] loss_{name}: estimate {mc.lower:.8e} +- {mc.stderr:.1e} "
             f"{'inside' if inside else 'OUTSIDE'} the widened sandwich"
         )
 
@@ -82,15 +87,16 @@ def main() -> None:
     if args.quick:
         print("  quick mode: loss_c sandwich is too loose for the headline verdict;")
         print("  rerun without --quick for the certified budget.")
-        return
+        return 0 if ok else 1
     ledger = losses.assemble_ledger(runs["a3"], runs["b3"], runs["c"])
     print(f"  total loss upper bound:   {ledger.total_upper:.9f}  (target < 0.25)")
     print(f"  retained density lower:   {ledger.retained_lower:.9f}  (target >= 0.75)")
     for name, margin in ledger.margins().items():
         print(f"    margin {name:8s} {margin:+.6f}")
-    verdict = "PASS" if ledger.all_within() else "FAIL"
-    print(f"  [{verdict}] every certified bound sits on the right side of its target")
+    within = ledger.all_within()
+    print(f"  [{'PASS' if within else 'FAIL'}] every certified bound sits on the right side of its target")
+    return 0 if ok and within else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

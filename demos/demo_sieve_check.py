@@ -16,13 +16,15 @@ ungroupable tails and the hopeless bucket leaves a function rho that is
 Everything here is integer arithmetic on one window; there is no
 floating point anywhere in the verdicts.
 
-Run with --x to change the window base (default 10000).
+Run with --x to change the window base (default 10000).  The exit
+status is 1 when any verdict fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 
 from sievebound import sieve_harness
 
@@ -34,11 +36,11 @@ def banner(title: str) -> None:
     print("=" * 72)
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--x", type=int, default=10**4, help="window base; window is (x, 2x]")
     parser.add_argument("--show", type=int, default=3, help="how many sample decompositions to print")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     ctx = sieve_harness.build_context(args.x)
 
@@ -82,12 +84,13 @@ def main() -> None:
         f"dropped tails {totals['dropped_A3']} + {totals['dropped_B3']}"
     )
     ratio = report["ratios"]["window_log"]
-    verdict = "PASS" if 0.0 < ratio <= 1.0 else "FAIL"
-    print(f"  [{verdict}] retained density proxy sum(rho) log(1.5x)/x = {ratio:.6f} in (0, 1]")
+    ratio_ok = 0.0 < ratio <= 1.0
+    print(f"  [{'PASS' if ratio_ok else 'FAIL'}] retained density proxy sum(rho) log(1.5x)/x = {ratio:.6f} in (0, 1]")
 
     banner("4. JSON report")
     print(json.dumps(report, indent=2, sort_keys=True))
+    return 0 if ratio_ok and all(ok for _, ok in checks) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

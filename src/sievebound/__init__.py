@@ -73,6 +73,7 @@ from .sieve_harness import (
     decompose,
     harness_report,
     psi,
+    window_term,
 )
 
 __version__ = "0.1.0"
@@ -128,5 +129,6 @@ __all__ = [
     "type_i_feasible",
     "type_ii_feasible",
     "verified_loss",
+    "window_term",
     "__version__",
 ]

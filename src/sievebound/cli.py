@@ -365,7 +365,10 @@ def _add_common(parser: argparse.ArgumentParser, root: bool) -> None:
     parser.add_argument("--config", default=default, help="key = value configuration file")
     parser.add_argument("--seed", type=int, default=default, help="base random seed")
     parser.add_argument(
-        "--workers", type=int, default=default, help="Monte Carlo worker count"
+        "--workers",
+        type=int,
+        default=default,
+        help="Monte Carlo RNG stream count; the streams run one after another",
     )
 
 

@@ -26,6 +26,25 @@ range, by parity or by size, so strict and non-strict agree):
     pair buckets          by  (p1 p2)^19 against (2x)^8 and (2x)^11,
                           B/C split by p2^38 against (2x)^9
     grouping window       prod(T)^19 in [x^8, x^11]  (x-based)
+    spf table             uint16 entries min(spf(m), 65535), and
+                          65535 for m = 1; every threshold compared
+                          against the table is at most
+                          ceil(sqrt(2x)) <= 1415, so [spf(m) >= t]
+                          stays exact, and spf_of maps a capped entry
+                          back to m, a prime since 2x < 65536^2
+
+Two evaluation routes share these realizations.  decompose factors one
+n and walks its prime tuples.  window_term computes one term on the
+whole window: it enumerates the prime tuples d of the term (every cap
+and bucket test once per tuple, in exact integers), and for each adds
+[spf(m) >= threshold] over the contiguous cofactor range
+x/d < m <= 2x/d into the strided slice of the multiples n = d m.  The
+reversed B chain enumerates (p2, p3, q) with q <= (2x)^(8/19) and
+takes beta = n/(p2 p3 q) as the cofactor; S_B3 and dropped_B3 cap it at
+beta <= (2x - 1) // (p4^2 p2 p3) for each prime p4 | q, and dropped_B3
+tests the grouping window on beta against the integer bounds
+min{v : v^19 >= x^8} and max{v : v^19 <= x^11}.  harness_report folds
+the terms one identity at a time; decompose is the per-n oracle.
 
 Derivation of the identities (each exact for n in (x, 2x], x >= 10^4):
 
@@ -73,7 +92,7 @@ free of primes below z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -85,34 +104,45 @@ __all__ = [
     "psi",
     "decompose",
     "harness_report",
+    "window_term",
 ]
 
 X_MIN = 10**4
 X_MAX = 10**6
 
 _INF = 1 << 62  # sentinel spf for 1: larger than any threshold in range
+SPF_CAP = np.iinfo(np.uint16).max  # spf table entries saturate here
+
+# A window term exceeding this in absolute value is rejected before it
+# is folded, so that an int8 sum of at most five terms cannot wrap.
+TERM_LIMIT = 25
 
 IDENTITY_NAMES = ("prime_split", "bucket_partition", "low_chain", "reversal_chain")
 
 
 def _build_spf(limit: int) -> np.ndarray:
-    spf = np.zeros(limit + 1, dtype=np.int32)
+    spf = np.zeros(limit + 1, dtype=np.uint16)
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:
             sl = spf[p * p :: p]
             sl[sl == 0] = p
-    idx = np.nonzero(spf == 0)[0]
-    spf[idx] = idx.astype(np.int32)
+    idx = np.flatnonzero(spf == 0)
+    spf[idx] = np.minimum(idx, SPF_CAP)
     spf[0] = 0
-    spf[1] = 0
+    spf[1] = SPF_CAP  # spf(1) is infinite; the cap clears every threshold
     return spf
 
 
 class SieveContext:
     """Precomputed integer thresholds and a smallest-prime-factor table.
 
-    Covers the window (x, 2x].  The spf table costs 4(2x + 1) bytes, so
-    the largest admissible x = 10^6 needs about 8 MB.
+    Covers the window (x, 2x].  The spf table is uint16 and costs
+    2(2x + 1) bytes, so the largest admissible x = 10^6 needs about
+    4 MB.  Entries are min(spf(m), SPF_CAP); spf_of restores the exact
+    value, and every threshold compared against the table directly is
+    at most ceil(sqrt(2x)) < SPF_CAP.  The prime tuples of the window terms
+    are enumerated on first use by window_term and kept with the
+    context.
     """
 
     def __init__(self, x: int):
@@ -129,6 +159,11 @@ class SieveContext:
         self.pow11 = self.twox**11
         self.x8 = x**8
         self.x11 = x**11
+        self.root2 = math.isqrt(self.twox - 1) + 1  # min{v : v^2 >= 2x}
+        self.top8 = _min_root_geq(self.pow8 + 1, 19) - 1  # max{v : v^19 <= (2x)^8}
+        self.group_lo = _min_root_geq(self.x8, 19)  # min{v : v^19 >= x^8}
+        self.group_hi = _min_root_geq(self.x11 + 1, 19) - 1  # max{v : v^19 <= x^11}
+        self._tuples: dict[str, list[tuple]] | None = None
 
     @property
     def z(self) -> float:
@@ -139,7 +174,9 @@ class SieveContext:
             return _INF
         if not 2 <= m <= self.twox:
             raise ValueError(f"m = {m} outside spf table range [1, {self.twox}]")
-        return int(self.spf[m])
+        p = int(self.spf[m])
+        # A capped entry is a prime above the cap: m <= 2x < SPF_CAP^2.
+        return m if p == SPF_CAP else p
 
 
 def _min_root_geq(value: int, k: int) -> int:
@@ -167,9 +204,8 @@ def psi(ctx: SieveContext, m: int, threshold) -> int:
 def _factorize(ctx: SieveContext, n: int) -> list[list[int]]:
     out: list[list[int]] = []
     m = n
-    spf = ctx.spf
     while m > 1:
-        p = int(spf[m])
+        p = ctx.spf_of(m)
         e = 0
         while m % p == 0:
             m //= p
@@ -433,14 +469,180 @@ def decompose(ctx: SieveContext, n: int) -> DecompositionRecord:
     )
 
 
-# Report key -> DecompositionRecord field, for the window totals.
-_TOTALS = {
-    "rho": "rho",
-    "primes": "one_p",
-    "S_C": "s_c",
-    "dropped_A3": "dropped_a3",
-    "dropped_B3": "dropped_b3",
+# ------------------------------------------------------------ window terms
+
+
+def _groupable_cofactors(ctx: SieveContext, beta: np.ndarray, parts: tuple[int, ...]) -> np.ndarray:
+    """_groupable((b,) + parts) for every b in the int64 array beta."""
+    if _groupable(ctx, parts):
+        return np.ones(beta.shape, dtype=bool)
+    out = np.zeros(beta.shape, dtype=bool)
+    for mask in range(1 << len(parts)):
+        sub = math.prod(parts[i] for i in range(len(parts)) if mask >> i & 1)
+        prod = beta * sub
+        out |= (prod >= ctx.group_lo) & (prod <= ctx.group_hi)
+    return out
+
+
+def _sieve_primes(ctx: SieveContext) -> list[int]:
+    """Primes p with CZ <= p < sqrt(2x): every prime a tuple can hold."""
+    head = ctx.spf[: ctx.root2]
+    return [int(p) for p in np.flatnonzero(head == np.arange(ctx.root2)) if p >= ctx.cut]
+
+
+# A tuple item (term, d, threshold, cap, parts) stands for the weights
+# [spf(m) >= threshold] at n = d m, over the cofactors x/d < m <= 2x/d
+# with m <= cap, minus the m for which (m,) + parts is groupable when
+# parts is given.
+
+
+def _single_chain(ctx: SieveContext, primes: list[int]) -> Iterator[tuple]:
+    yield "one_p", 1, ctx.root2, None, None
+    yield "s1", 1, ctx.cut, None, None
+    for p in primes:  # each p^2 < 2x
+        if p**19 <= ctx.pow8:
+            yield "s2", p, ctx.cut, None, None
+        else:
+            yield "s3", p, p, None, None
+
+
+def _pair_chain(ctx: SieveContext, primes: list[int]) -> Iterator[tuple]:
+    twox, cz = ctx.twox, ctx.cut
+    for p1 in primes:
+        if p1**19 > ctx.pow8:
+            break
+        for p2 in primes:
+            if p2 >= p1 or p1 * p2 * p2 >= twox:
+                break
+            d = p1 * p2
+            pair_pow = d**19
+            if pair_pow < ctx.pow8:
+                bucket = "s_a"
+            elif pair_pow <= ctx.pow11:
+                bucket = "s_type2"
+            else:
+                p2_split = p2**38
+                if p2_split == ctx.pow9:
+                    raise AssertionError("impossible equality p2^38 = (2x)^9")
+                bucket = "s_b" if p2_split < ctx.pow9 else "s_c"
+            yield "s4", d, p2, None, None
+            yield bucket, d, p2, None, None
+            if bucket == "s_b":
+                yield "s_b1", d, cz, None, None
+            if bucket != "s_a":
+                continue
+            yield "s_a1", d, cz, None, None
+            for p3 in primes:
+                if p3 >= p2 or d * p3 * p3 >= twox:
+                    break
+                yield "s_a2", d * p3, cz, None, None
+                for p4 in primes:
+                    if p4 >= p3 or d * p3 * p4 * p4 >= twox:
+                        break
+                    yield "s_a3", d * p3 * p4, p4, None, None
+                    if not _groupable(ctx, (p1, p2, p3)) and not _groupable(ctx, (p1, p2, p3, p4)):
+                        yield "dropped_a3", d * p3 * p4, p4, None, None
+
+
+def _reversal_chain(ctx: SieveContext, primes: list[int]) -> Iterator[tuple]:
+    twox, cz = ctx.twox, ctx.cut
+    for p2 in primes:
+        if p2**38 >= ctx.pow9:
+            break
+        for p3 in primes:
+            if p3 >= p2:
+                break
+            for q in range(p2 + 1, ctx.top8 + 1):
+                if (q * p2) ** 19 <= ctx.pow11:
+                    continue
+                if q * p2 * p2 >= twox or q * p2 * p3 * p3 >= twox:
+                    break
+                d = q * p2 * p3
+                if ctx.spf_of(q) >= cz:
+                    yield "s_b2", d, p3, None, None
+                p4s = [p4 for p4, _ in _factorize(ctx, q) if p4 >= cz and ctx.spf_of(q // p4) >= p4]
+                if not p4s:
+                    continue
+                ungroupable = not _groupable(ctx, (q, p2, p3))
+                for p4 in p4s:
+                    cap = (twox - 1) // (p4 * p4 * p2 * p3)
+                    yield "s_b3", d, p3, cap, None
+                    if ungroupable:
+                        yield "dropped_b3", d, p3, cap, (p2, p3, p4)
+
+
+TERM_NAMES = tuple(f.name for f in fields(DecompositionRecord) if f.name not in ("n", "rho"))
+
+
+def _term_tuples(ctx: SieveContext) -> dict[str, list[tuple]]:
+    """Each term's tuple items (d, threshold, cap, parts), built once per context."""
+    if ctx._tuples is None:
+        primes = _sieve_primes(ctx)
+        tuples: dict[str, list[tuple]] = {name: [] for name in TERM_NAMES}
+        for chain in (_single_chain, _pair_chain, _reversal_chain):
+            for name, *item in chain(ctx, primes):
+                tuples[name].append(item)
+        ctx._tuples = tuples
+    return ctx._tuples
+
+
+def window_term(ctx: SieveContext, name: str) -> np.ndarray:
+    """One DecompositionRecord term over the window, as int8 indexed by n - x - 1.
+
+    Every tuple test runs once per prime tuple in exact integers; the
+    cofactors m of a tuple's d form a contiguous range whose multiples
+    d m are the strided slice term[d lo - x - 1 :: d].  A term counts
+    the tuples of one n, at most 14 anywhere in the x = 10^6 window, far
+    inside int8; harness_report still bounds each term by TERM_LIMIT.
+    """
+    if name not in TERM_NAMES:
+        raise ValueError(f"unknown window term {name!r}")
+    x, twox = ctx.x, ctx.twox
+    term = np.zeros(x, dtype=np.int8)
+    for d, threshold, cap, parts in _term_tuples(ctx)[name]:
+        lo = x // d + 1
+        hi = twox // d if cap is None else min(cap, twox // d)
+        if hi < lo:
+            continue
+        hit = ctx.spf[lo : hi + 1] >= threshold
+        if parts is not None:
+            hit &= ~_groupable_cofactors(ctx, np.arange(lo, hi + 1, dtype=np.int64), parts)
+        term[d * lo - x - 1 : d * hi - x : d] += hit
+    return term
+
+
+# Signed window terms whose sum is each identity's residual.
+_IDENTITY_FOLDS = {
+    "prime_split": (("one_p", 1), ("s1", -1), ("s2", 1), ("s3", 1), ("s4", -1)),
+    "bucket_partition": (("s4", 1), ("s_a", -1), ("s_type2", -1), ("s_b", -1), ("s_c", -1)),
+    "low_chain": (("s_a", 1), ("s_a1", -1), ("s_a2", 1), ("s_a3", -1)),
+    "reversal_chain": (("s_b", 1), ("s_b1", -1), ("s_b2", 1), ("s_b3", -1)),
 }
+# rho - 1_p; the fold adds one_p last.
+_RHO_DROPS = (("s_c", -1), ("dropped_a3", -1), ("dropped_b3", -1))
+
+# Window term -> report key, for the window totals besides rho.
+_TOTALS = {
+    "one_p": "primes",
+    "s_c": "S_C",
+    "dropped_a3": "dropped_A3",
+    "dropped_b3": "dropped_B3",
+}
+
+
+def _fold(ctx: SieveContext, signed, residual: np.ndarray, totals: dict) -> np.ndarray:
+    """Add each signed window term into residual, recording the totals."""
+    for name, sign in signed:
+        term = window_term(ctx, name)
+        if term.max() > TERM_LIMIT or term.min() < -TERM_LIMIT:
+            raise ValueError(f"window term {name} leaves [-{TERM_LIMIT}, {TERM_LIMIT}]")
+        if name in _TOTALS:
+            totals[_TOTALS[name]] = int(term.sum(dtype=np.int64))
+        if sign > 0:
+            residual += term
+        else:
+            residual -= term
+    return residual
 
 
 def harness_report(ctx: SieveContext) -> dict:
@@ -453,24 +655,17 @@ def harness_report(ctx: SieveContext) -> dict:
     multiplying by log of the representative size: the window midpoint
     scale 1.5x, and the base scale x for comparison.
     """
-    totals = dict.fromkeys(_TOTALS, 0)
-    identity = dict.fromkeys(IDENTITY_NAMES, 0)
-    minorant = support = 0
-    min_rho = None
-    for n in range(ctx.x + 1, ctx.twox + 1):
-        rec = decompose(ctx, n)
-        for key, name in _TOTALS.items():
-            totals[key] += getattr(rec, name)
-        for name, residual in rec.identity_residuals().items():
-            if residual != 0:
-                identity[name] += 1
-        if rec.rho > rec.one_p:
-            minorant += 1
-        if rec.rho != 0 and ctx.spf_of(n) < ctx.cut:
-            support += 1
-        if min_rho is None or rec.rho < min_rho:
-            min_rho = rec.rho
-    sum_rho = totals["rho"]
+    totals = dict.fromkeys(("rho", *_TOTALS.values()), 0)
+    identity = {}
+    for name, signed in _IDENTITY_FOLDS.items():
+        residual = _fold(ctx, signed, np.zeros(ctx.x, dtype=np.int8), totals)
+        identity[name] = int(np.count_nonzero(residual))
+    rho = _fold(ctx, _RHO_DROPS, np.zeros(ctx.x, dtype=np.int8), totals)
+    minorant = int(np.count_nonzero(rho > 0))
+    rho = _fold(ctx, (("one_p", 1),), rho, totals)
+    support = int(np.count_nonzero((rho != 0) & (ctx.spf[ctx.x + 1 :] < ctx.cut)))
+    sum_rho = totals["rho"] = int(rho.sum(dtype=np.int64))
+    min_rho = int(rho.min())
     identity_total = sum(identity.values())
     return {
         "x": ctx.x,

@@ -99,5 +99,10 @@ def harness_2e5() -> dict:
 
 
 @pytest.fixture(scope="session")
+def harness_1e6() -> dict:
+    return _window_report("harness_1e6", 10**6)
+
+
+@pytest.fixture(scope="session")
 def harness_1e4() -> sieve_harness.SieveContext:
     return sieve_harness.build_context(10**4)

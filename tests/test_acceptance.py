@@ -23,7 +23,7 @@ Criteria covered, with their pinned tolerances:
      exponent on 1e5 random sets.
   7. Monte Carlo sandwich: each loss estimate from 1e7 samples lies in
      the certified interval widened by four standard errors.
-  8. Window exactness at x = 1e5 and x = 2e5: zero identity, minorant
+  8. Window exactness at x = 1e5, 2e5 and 1e6: zero identity, minorant
      and support violations over the full windows.
   9. Window density sanity: sum(rho) * log(1.5 x) / x lies in (0, 1].
  10. Determinism: repeated runs with identical configuration and seed
@@ -181,11 +181,12 @@ def test_monte_carlo_sandwich(acceptance, verified_a3, verified_b3, verified_c, 
     assert acceptance.record("monte carlo sandwich", ok, "; ".join(notes))
 
 
-def test_window_exactness(acceptance, harness_1e5, harness_2e5):
+def test_window_exactness(acceptance, harness_1e5, harness_2e5, harness_1e6):
     ok = True
     notes = []
     seconds = 0.0
-    for report, key in ((harness_1e5, "harness_1e5"), (harness_2e5, "harness_2e5")):
+    windows = ((harness_1e5, "harness_1e5"), (harness_2e5, "harness_2e5"), (harness_1e6, "harness_1e6"))
+    for report, key in windows:
         v = report["violations"]
         clean = v["identity"] == 0 and v["minorant"] == 0 and v["support"] == 0
         ok = ok and clean and report["clean"]
@@ -199,10 +200,10 @@ def test_window_exactness(acceptance, harness_1e5, harness_2e5):
     assert acceptance.record("window exactness", ok, "; ".join(notes))
 
 
-def test_window_density_sanity(acceptance, harness_1e5, harness_2e5):
+def test_window_density_sanity(acceptance, harness_1e5, harness_2e5, harness_1e6):
     ok = True
     notes = []
-    for report in (harness_1e5, harness_2e5):
+    for report in (harness_1e5, harness_2e5, harness_1e6):
         ratio = report["ratios"]["window_log"]
         ok = ok and 0.0 < ratio <= 1.0
         notes.append(f"x={report['x']}: ratio {ratio:.6f}")

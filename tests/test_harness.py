@@ -3,9 +3,10 @@
 Every oracle here is independent of the decomposition code: trial
 division for factorizations and primality, an in-test prime sieve for
 pair enumeration, and closed-form threshold arithmetic.  Window totals
-frozen from a full scan at x = 10^4 (sum rho = 875, S_C = 158) act as
-regression anchors after their components have been verified against
-the independent routes.
+frozen from a full scan at x = 10^4 (sum rho = 875, S_C = 158) and at
+x = 10^6 act as regression anchors after their components have been
+verified against the independent routes.  The per-n decompose is in
+turn the oracle for the window terms that harness_report folds.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from sievebound import sieve_harness as sh
@@ -62,6 +64,16 @@ def ctx(harness_1e4):
     return harness_1e4
 
 
+@pytest.fixture(scope="module")
+def ctx_1e5():
+    return sh.build_context(10**5)
+
+
+@pytest.fixture(scope="module")
+def ctx_1e6():
+    return sh.build_context(10**6)
+
+
 class TestContext:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -96,6 +108,21 @@ class TestContext:
         for _ in range(300):
             m = rng.randint(2, 2 * 10**4)
             assert ctx.spf_of(m) == trial_spf(m)
+        assert ctx.spf.dtype == np.uint16
+        assert ctx.spf[1] == sh.SPF_CAP  # psi(1, t) = 1 read from the table
+        assert ctx.spf.nbytes == 2 * (2 * 10**4 + 1)
+
+    def test_spf_above_cap(self, ctx_1e5, ctx_1e6):
+        """Table entries saturate at SPF_CAP; spf_of and _factorize stay exact."""
+        assert sh.SPF_CAP == 65535
+        for m, ctx in ((65537, ctx_1e5), (3 * 65537, ctx_1e5), (1999993, ctx_1e6)):
+            assert ctx.spf_of(m) == trial_spf(m)
+            assert sh._factorize(ctx, m) == [list(pe) for pe in trial_factor(m)]
+        assert ctx_1e5.spf[65537] == sh.SPF_CAP
+        assert ctx_1e6.spf[1999993] == sh.SPF_CAP
+        assert ctx_1e5.spf_of(65537) == 65537
+        assert ctx_1e6.spf_of(1999993) == 1999993
+        assert sh._factorize(ctx_1e5, 3 * 65537) == [[3, 1], [65537, 1]]
 
     def test_psi(self, ctx):
         assert sh.psi(ctx, 77, 7) == 1
@@ -261,25 +288,16 @@ class TestWindowScan:
         assert report["clean"]
 
     def test_faults_counted_once(self, ctx, monkeypatch):
-        """The report sees faults through the module-level decompose.
+        """The report sees faults through the module-level window_term.
 
-        One prime gets rho = 2, which breaks both rho <= 1_p and rho <= 1
-        and must count as a single minorant violation; another n gets a
-        nonzero low_chain residual.
+        One prime gets rho = 2 (dropped_B3 = -1), which breaks both
+        rho <= 1_p and rho <= 1 and must count as a single minorant
+        violation; another n gets a nonzero low_chain residual.
         """
-        real = sh.decompose
         bad_rho, bad_chain = 10007, 10008
-
-        def faulty(ctx, n):
-            rec = real(ctx, n)
-            if n == bad_rho:
-                assert rec.one_p == 1
-                return dataclasses.replace(rec, rho=2)
-            if n == bad_chain:
-                return dataclasses.replace(rec, s_a1=rec.s_a1 + 1)
-            return rec
-
-        monkeypatch.setattr(sh, "decompose", faulty)
+        inject = {"dropped_b3": (bad_rho, -1), "s_a1": (bad_chain, 1)}
+        monkeypatch.setattr(sh, "window_term", _faulty_window_term(inject))
+        assert sh.decompose(ctx, bad_rho).one_p == 1
         report = sh.harness_report(ctx)
         violations = report["violations"]
         assert violations["minorant"] == 1
@@ -292,4 +310,92 @@ class TestWindowScan:
         }
         assert violations["identity"] == 1
         assert report["clean"] is False
-        assert report["totals"]["rho"] == 875 - real(ctx, bad_rho).rho + 2
+        assert report["totals"]["rho"] == 875 - sh.decompose(ctx, bad_rho).rho + 2
+
+    def test_fold_rejects_wide_term(self, ctx, monkeypatch):
+        """A term above TERM_LIMIT could wrap the int8 residual; the fold refuses it."""
+        monkeypatch.setattr(sh, "window_term", _faulty_window_term({"s3": (10009, sh.TERM_LIMIT + 1)}))
+        with pytest.raises(ValueError, match="s3"):
+            sh.harness_report(ctx)
+
+    def test_frozen_1e6_totals(self, harness_1e6):
+        """Anchors of the largest window, frozen from a per-n decompose scan."""
+        assert harness_1e6["clean"]
+        assert harness_1e6["checked"] == 10**6
+        assert harness_1e6["totals"] == {
+            "rho": 58831,
+            "primes": 70435,
+            "S_C": 11587,
+            "dropped_A3": 0,
+            "dropped_B3": 17,
+        }
+        assert harness_1e6["min_rho"] == -3
+
+
+def _faulty_window_term(inject):
+    """window_term with term[n - x - 1] += delta for each name -> (n, delta)."""
+    real = sh.window_term
+
+    def faulty(ctx, name):
+        term = real(ctx, name)
+        if name in inject:
+            n, delta = inject[name]
+            term[n - ctx.x - 1] += delta
+        return term
+
+    return faulty
+
+
+def _assert_terms_match_decompose(ctx, ns):
+    records = [sh.decompose(ctx, n) for n in ns]
+    index = np.array(ns) - ctx.x - 1
+    for name in sh.TERM_NAMES:
+        term = sh.window_term(ctx, name)
+        assert term.dtype == np.int8 and term.shape == (ctx.x,)
+        expected = np.array([getattr(rec, name) for rec in records])
+        mismatch = np.flatnonzero(term[index] != expected)
+        assert mismatch.size == 0, (name, [ns[i] for i in mismatch[:5]])
+
+
+class TestWindowTerms:
+    def test_term_names(self):
+        names = [f.name for f in dataclasses.fields(sh.DecompositionRecord)]
+        assert list(sh.TERM_NAMES) == names[1:-1]
+        assert len(sh.TERM_NAMES) == 17
+
+    @pytest.mark.parametrize("x", [10**4, 12345])
+    def test_every_n_matches_decompose(self, x, ctx):
+        window = ctx if x == ctx.x else sh.build_context(x)
+        _assert_terms_match_decompose(window, list(range(x + 1, 2 * x + 1)))
+
+    def test_sampled_n_match_decompose(self, ctx_1e5, ctx_1e6):
+        for window, seed in ((ctx_1e5, 61), (ctx_1e6, 67)):
+            sample = random.Random(seed).sample(range(window.x + 1, window.twox + 1), 2000)
+            _assert_terms_match_decompose(window, sample)
+
+    def test_dropped_b3_whole_1e6_window(self, ctx_1e6):
+        """dropped_B3 is sparse, so samples rarely see it: check the whole window.
+
+        The window route agrees with decompose on its support, and both
+        sum to the frozen per-n total 17, so decompose has no mass
+        elsewhere.
+        """
+        term = sh.window_term(ctx_1e6, "dropped_b3")
+        support = np.flatnonzero(term) + ctx_1e6.x + 1
+        assert [sh.decompose(ctx_1e6, int(n)).dropped_b3 for n in support] == term[support - ctx_1e6.x - 1].tolist()
+        assert int(term.sum()) == 17
+
+    def test_groupable_cofactors_match_groupable(self, ctx_1e6):
+        rng = random.Random(71)
+        beta = np.arange(1, 3000, dtype=np.int64)
+        ungroupable = 0
+        for _ in range(40):
+            parts = tuple(sorted(rng.sample([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31], rng.randint(1, 3))))
+            ungroupable += not sh._groupable(ctx_1e6, parts)
+            mask = sh._groupable_cofactors(ctx_1e6, beta, parts)
+            assert mask.tolist() == [sh._groupable(ctx_1e6, (int(b),) + parts) for b in beta], parts
+        assert ungroupable >= 10
+
+    def test_unknown_term(self, ctx):
+        with pytest.raises(ValueError):
+            sh.window_term(ctx, "rho")
