@@ -133,9 +133,6 @@ class Enclosure:
     def contains(self, value: float) -> bool:
         return self.lo <= value <= self.hi
 
-    def encloses(self, other: "Enclosure") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def hull(self, other: "Enclosure") -> "Enclosure":
         return Enclosure(min(self.lo, other.lo), max(self.hi, other.hi))
 

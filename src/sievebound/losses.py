@@ -203,6 +203,10 @@ class ReciprocalProduct:
 
     f(c~) is enclosed by enclosing each factor at c~ outward, and both
     error terms are summed with upward rounding before they widen it.
+    The average lies in the box's value range, so `average` returns the
+    widened enclosure intersected with the interval extension of the
+    same factor bounds, and raises SoundnessError when the two are
+    disjoint.
     """
 
     factors: tuple[AffineForm, ...]
@@ -243,7 +247,7 @@ class ReciprocalProduct:
 
     def average(self, box: Box) -> Enclosure:
         ls = self._factor_bounds(box)
-        _, f_hi = _reciprocal_bounds(ls)
+        f_lo, f_hi = _reciprocal_bounds(ls)
         centre = tuple((lo + hi) * 0.5 for lo, hi in box)
         fc_lo, fc_hi = _reciprocal_bounds(self._factor_bounds(tuple((c, c) for c in centre)))
 
@@ -288,7 +292,8 @@ class ReciprocalProduct:
                 term = nextafter(term / 6.0, _UP) if i == j else nextafter(term / 4.0, _UP)
                 remainder = nextafter(remainder + term, _UP)
         pad = nextafter(remainder + offset, _UP)
-        return Enclosure(nextafter(fc_lo - pad, _DOWN), nextafter(fc_hi + pad, _UP))
+        average = Enclosure(nextafter(fc_lo - pad, _DOWN), nextafter(fc_hi + pad, _UP))
+        return average.intersect(Enclosure(f_lo, f_hi))
 
 
 def _integrand(name: str) -> Integrand:

@@ -9,12 +9,11 @@ where fraction_bounds are the region module's certified volume-fraction
 bounds, outward-rounded floats (float Irwin-Hall at a single linear
 constraint with an exact rational fallback, Frechet-combined above), and
 value_bounds come from the integrand's interval extension.  Leaves fully
-inside the region may instead use the integrand's certified average
-enclosure (a mean-value form), always intersected with the plain value
-enclosure, which keeps refinement monotone.  The leaf product is
-computed on plain floats rounded outward after every operation, and the
-final endpoint sums use math.fsum, which is correctly rounded, before
-one outward rounding step.
+inside the region use the integrand's certified average enclosure (a
+mean-value form) instead, which lies inside the box's value range and so
+keeps refinement monotone.  The leaf product is computed on plain floats
+rounded outward after every operation, and the final endpoint sums use
+math.fsum, which is correctly rounded, before one outward rounding step.
 
 `integrate_mc` is the unrigorous cross-check: plain uniform sampling over
 the box with the region as indicator.  It is deterministic for a fixed
@@ -57,7 +56,8 @@ class Integrand:
     enclosure:  certified bounds on {f(t) : t in box}.
     average:    optional certified bounds on the box average of f
                 (tighter than `enclosure` when curvature information is
-                available); must hold for the true mean over the box.
+                available); must hold for the true mean over the box and
+                lie inside the box's value range, i.e. inside `enclosure`.
     """
 
     arity: int
@@ -100,9 +100,10 @@ def _leaf_contribution(f: Integrand, region: RegionPredicate, box: Box) -> tuple
         raise SoundnessError(f"volume fraction bounds [{fr_lo}, {fr_hi}] not inside [0, 1]")
     if fr_hi == 0.0:
         return 0.0, 0.0
-    enc = f.enclosure(box)
     if fr_lo == 1.0 and f.average is not None:
-        enc = f.average(box).intersect(enc)
+        enc = f.average(box)
+    else:
+        enc = f.enclosure(box)
     lo = hi = 1.0
     for a, b in box:
         lo = nextafter(lo * nextafter(b - a, _DOWN), _DOWN)

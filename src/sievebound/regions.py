@@ -17,11 +17,16 @@ and two four-variable refinements (u_a3, u_b3) whose extra clauses state
 that no nonempty subset of designated exponents has sum inside the
 groupable window [8/19, 11/19].
 
-All membership and box-classification logic runs in exact `Fraction`
-arithmetic; float inputs are converted exactly.  Strict and non-strict
-inequalities are distinguished by point membership but deliberately
-conflated by box classification, since they differ on a measure-zero
-set and every integral is insensitive to it.
+Point membership runs in exact `Fraction` arithmetic, float inputs
+converted exactly.  Box classification is exact integer arithmetic: each
+constraint is scaled to integer coefficients and bound once, and each
+box is put once on a common integer grid (`_grid`: every float, int or
+Fraction endpoint is A / scale for one integer scale), so the corner
+range of a constraint over the box is an integer sum compared with
+bound * scale.  Strict and non-strict inequalities are distinguished by
+point membership but deliberately conflated by box classification, since
+they differ on a measure-zero set and every integral is insensitive to
+it.
 
 Each predicate also computes, for a box, certified float bounds on the
 fraction of the box volume satisfying the predicate.  After rescaling
@@ -40,11 +45,12 @@ and [b_lo, b_hi] of the rescaled data,
 and each side is evaluated at those float points with every operation
 rounded outward.  The alternating sum cancels badly on thin, anisotropic
 boxes; when the two sides are more than FLOAT_FRACTION_MAX_WIDTH apart,
-or a coefficient is not an exact float, the exact rational Irwin-Hall
-value (`LinearConstraint.fraction`) is used instead, rounded outward to
-floats.  Conjunctions and disjunctions combine their children's bounds
-with two-sided Frechet bounds in directed rounding, which are exact up
-to rounding when a single child is undecided on the box.
+or a coefficient is not an exact float, the exact Irwin-Hall value
+(`LinearConstraint.fraction`, integer y and b_i read from the grid) is
+used instead, rounded outward to floats.  Conjunctions and disjunctions
+combine their children's bounds with two-sided Frechet bounds in
+directed rounding, which are exact up to rounding when a single child
+is undecided on the box.
 """
 
 from __future__ import annotations
@@ -99,6 +105,25 @@ MAX_SUBSET_ARITY = 8
 FLOAT_FRACTION_MAX_WIDTH = 2.0**-40
 
 Box = tuple[tuple[float, float], ...]
+# (scale, integer endpoints): the box ((A_i / scale, B_i / scale), ...).
+Grid = tuple[int, tuple[tuple[int, int], ...]]
+
+
+def _grid(box: Box) -> Grid:
+    """The box on a common integer grid, exactly; float, int and Fraction endpoints.
+
+    Raises ValueError for a NaN or infinite endpoint and for an interval
+    with lo > hi.
+    """
+    try:
+        ratios = [(lo.as_integer_ratio(), hi.as_integer_ratio()) for lo, hi in box]
+    except (OverflowError, ValueError):
+        raise ValueError(f"box endpoints must be finite: {box!r}") from None
+    scale = math.lcm(*(d for pair in ratios for _, d in pair))
+    ends = tuple((a * (scale // da), b * (scale // db)) for (a, da), (b, db) in ratios)
+    if any(a > b for a, b in ends):
+        raise ValueError("box interval with lo > hi")
+    return scale, ends
 
 
 def _as_fraction(value) -> Fraction:
@@ -122,18 +147,21 @@ class LinearConstraint:
     def __post_init__(self) -> None:
         if self.rel not in ("<", "<=", ">", ">="):
             raise ValueError(f"unknown relation {self.rel!r}")
-        # Float screen data.  Coefficients in this module are small
-        # integers, hence exact in float; coefficient times endpoint is
-        # a single rounding, bounded outward below.
+        # Integer data for classification: scaled by the lcm of the
+        # denominators, the halfspace reads sum(C_i * t_i) REL B.
+        rationals = [Fraction(c) for c in self.coeffs] + [Fraction(self.bound)]
+        den = math.lcm(*(q.denominator for q in rationals))
+        *scaled, bound = (q.numerator * (den // q.denominator) for q in rationals)
+        object.__setattr__(self, "_terms", tuple((i, c) for i, c in enumerate(scaled) if c))
+        object.__setattr__(self, "_ibound", bound)
+        # Float Irwin-Hall data, when every coefficient is an exact float.
         object.__setattr__(self, "_fcoeffs", tuple(float(c) for c in self.coeffs))
         if any(Fraction(fc) != c for fc, c in zip(self._fcoeffs, self.coeffs)):
             object.__setattr__(self, "_fcoeffs", None)
         else:
+            # bound = b + residual, and whether every product coeff *
+            # endpoint is exact (|coeff| a power of two, >= 1).
             b = float(self.bound)
-            object.__setattr__(self, "_bound_below", b if Fraction(b) <= self.bound else math.nextafter(b, -math.inf))
-            object.__setattr__(self, "_bound_above", b if Fraction(b) >= self.bound else math.nextafter(b, math.inf))
-            # Volume-fraction data: bound = b + residual, and whether every
-            # product coeff * endpoint is exact (|coeff| a power of two, >= 1).
             object.__setattr__(self, "_bound_float", b)
             object.__setattr__(self, "_bound_residual", _rational_bounds(self.bound - Fraction(b)))
             exact = all(c == 0.0 or (abs(c) >= 1.0 and abs(math.frexp(c)[0]) == 0.5) for c in self._fcoeffs)
@@ -149,89 +177,68 @@ class LinearConstraint:
             return total > self.bound
         return total >= self.bound
 
-    def _corner_range_exact(self, box: Box) -> tuple[Fraction, Fraction]:
-        lo = Fraction(0)
-        hi = Fraction(0)
-        for c, (a, b) in zip(self.coeffs, box, strict=True):
-            if a > b:
-                raise ValueError("box interval with lo > hi")
-            if c > 0:
-                lo += c * Fraction(a)
-                hi += c * Fraction(b)
-            elif c < 0:
-                lo += c * Fraction(b)
-                hi += c * Fraction(a)
-        return lo, hi
-
-    def _screen(self, box: Box) -> str | None:
-        """Directed-rounded float classification, or None when too close to call.
-
-        Products coeff*endpoint are exact (the coefficients are small
-        integers), and each running addition is pushed one ulp outward
-        (resp. inward), so [lo_out, hi_out] encloses the exact corner
-        range and [lo_in, hi_in] is enclosed by it.  Decisions made from
-        these intervals therefore agree with exact arithmetic; anything
-        undecidable at float precision falls back to rationals.
-        """
-        fcoeffs = self._fcoeffs
-        if fcoeffs is None:
-            return None
-        lo_out = 0.0
-        hi_out = 0.0
-        lo_in = 0.0
-        hi_in = 0.0
-        for c, (a, b) in zip(fcoeffs, box):
-            if c > 0.0:
-                plo, phi = c * a, c * b
-            elif c < 0.0:
-                plo, phi = c * b, c * a
-            else:
-                continue
-            lo_out = math.nextafter(lo_out + plo, -math.inf)
-            hi_out = math.nextafter(hi_out + phi, math.inf)
-            lo_in = math.nextafter(lo_in + plo, math.inf)
-            hi_in = math.nextafter(hi_in + phi, -math.inf)
-        below, above = self._bound_below, self._bound_above
-        if self.rel in ("<", "<="):
-            if hi_out <= below:
-                return INSIDE
-            if lo_out > above:
-                return OUTSIDE
-            if lo_in <= below and hi_in > above:
-                return MIXED
-            return None
-        if lo_out >= above:
-            return INSIDE
-        if hi_out < below:
-            return OUTSIDE
-        if hi_in >= above and lo_in < below:
-            return MIXED
-        return None
-
     def classify(self, box: Box) -> str:
         """Three-valued box test, treating strict relations as non-strict."""
-        screened = self._screen(box)
-        if screened is not None:
-            return screened
-        lo, hi = self._corner_range_exact(box)
+        return self._classify(_grid(box))
+
+    def _classify(self, grid: Grid) -> str:
+        """classify on a box given as its `_grid`: exact integer corner range against the bound."""
+        scale, ends = grid
+        lo = hi = 0
+        for i, c in self._terms:
+            a, b = ends[i]
+            if c > 0:
+                lo += c * a
+                hi += c * b
+            else:
+                lo += c * b
+                hi += c * a
+        bound = self._ibound * scale
         if self.rel in ("<", "<="):
-            if hi <= self.bound:
-                return INSIDE
-            if lo > self.bound:
-                return OUTSIDE
-            return MIXED
-        if lo >= self.bound:
-            return INSIDE
-        if hi < self.bound:
-            return OUTSIDE
-        return MIXED
+            return INSIDE if hi <= bound else OUTSIDE if lo > bound else MIXED
+        return INSIDE if lo >= bound else OUTSIDE if hi < bound else MIXED
 
     def fraction(self, box: Box) -> Fraction:
         """Exact volume fraction of the box satisfying the halfspace."""
-        below = _halfspace_fraction_leq(self.coeffs, self.bound, box)
+        below = self._fraction_leq(_grid(box))
         if self.rel in ("<", "<="):
             return below
         return 1 - below
+
+    def _fraction_leq(self, grid: Grid) -> Fraction:
+        """Exact P(sum c_i T_i <= bound) for T uniform on the box (Irwin-Hall form).
+
+        On the grid the threshold Y and the widths B_i are integers; F is
+        homogeneous of degree 0 in (Y, B), so the integer data give the
+        same value as the rescaled rational data.
+        """
+        scale, ends = grid
+        y = self._ibound * scale
+        betas = []
+        for i, c in self._terms:
+            a, b = ends[i]
+            y -= c * a
+            beta = c * (b - a)
+            if beta < 0:
+                # Reflect U -> 1 - U to make the coefficient positive.
+                y -= beta
+                beta = -beta
+            if beta:
+                betas.append(beta)
+        if not betas:
+            return Fraction(int(y >= 0))
+        if y <= 0:
+            return Fraction(0)
+        if y >= sum(betas):
+            return Fraction(1)
+        m = len(betas)
+        vol = 0
+        for r in range(m + 1):
+            for subset in itertools.combinations(betas, r):
+                slack = y - sum(subset)
+                if slack > 0:
+                    vol += (-1) ** r * slack**m
+        return Fraction(vol, math.factorial(m) * math.prod(betas))
 
     def fraction_bounds(self, box: Box) -> tuple[float, float]:
         """Outward float bounds on the volume fraction of the box satisfying the halfspace.
@@ -299,40 +306,6 @@ class LinearConstraint:
         }
 
 
-def _halfspace_fraction_leq(coeffs: tuple[Fraction, ...], bound: Fraction, box: Box) -> Fraction:
-    """Exact P(sum c_i T_i <= bound) for T uniform on the box (Irwin-Hall form)."""
-    y = bound
-    betas: list[Fraction] = []
-    for c, (a, b) in zip(coeffs, box, strict=True):
-        fa, fb = Fraction(a), Fraction(b)
-        w = fb - fa
-        y -= c * fa
-        s = c * w
-        if s > 0:
-            betas.append(s)
-        elif s < 0:
-            # Reflect U -> 1 - U to make the coefficient positive.
-            y -= s
-            betas.append(-s)
-    if not betas:
-        return Fraction(1) if y >= 0 else Fraction(0)
-    if y <= 0:
-        return Fraction(0)
-    if y >= sum(betas):
-        return Fraction(1)
-    m = len(betas)
-    vol = Fraction(0)
-    for r in range(m + 1):
-        for subset in itertools.combinations(betas, r):
-            slack = y - sum(subset, Fraction(0))
-            if slack > 0:
-                vol += (-1) ** r * slack**m
-    denom = math.factorial(m)
-    for b in betas:
-        denom *= b
-    return vol / denom
-
-
 def _irwin_hall(y: float, betas: list[float]) -> tuple[float, float]:
     """Outward enclosure of the Irwin-Hall function F(y; betas) at finite float inputs.
 
@@ -390,13 +363,13 @@ def _tree_contains(node, point) -> bool:
     return any(_tree_contains(c, point) for c in node.children)
 
 
-def _tree_classify(node, box: Box) -> str:
+def _tree_classify(node, grid: Grid) -> str:
     if isinstance(node, LinearConstraint):
-        return node.classify(box)
+        return node._classify(grid)
     if isinstance(node, AndNode):
         verdict = INSIDE
         for child in node.children:
-            v = _tree_classify(child, box)
+            v = _tree_classify(child, grid)
             if v == OUTSIDE:
                 return OUTSIDE
             if v == MIXED:
@@ -404,7 +377,7 @@ def _tree_classify(node, box: Box) -> str:
         return verdict
     verdict = OUTSIDE
     for child in node.children:
-        v = _tree_classify(child, box)
+        v = _tree_classify(child, grid)
         if v == INSIDE:
             return INSIDE
         if v == MIXED:
@@ -412,8 +385,8 @@ def _tree_classify(node, box: Box) -> str:
     return verdict
 
 
-def _tree_fraction(node, box: Box) -> tuple[float, float]:
-    """Outward float bounds on the satisfied volume fraction of the box.
+def _tree_fraction(node, box: Box, grid: Grid) -> tuple[float, float]:
+    """Outward float bounds on the satisfied volume fraction of the box, given with its grid.
 
     A leaf decided by exact classification is (1, 1) or (0, 0); any
     other leaf uses LinearConstraint.fraction_bounds.  AndNode combines
@@ -426,7 +399,7 @@ def _tree_fraction(node, box: Box) -> tuple[float, float]:
     lower bound, is below 1.
     """
     if isinstance(node, LinearConstraint):
-        verdict = node.classify(box)
+        verdict = node._classify(grid)
         if verdict == INSIDE:
             return 1.0, 1.0
         if verdict == OUTSIDE:
@@ -436,7 +409,7 @@ def _tree_fraction(node, box: Box) -> tuple[float, float]:
         missing = 0.0
         hi = 1.0
         for child in node.children:
-            c_lo, c_hi = _tree_fraction(child, box)
+            c_lo, c_hi = _tree_fraction(child, box, grid)
             if c_hi == 0.0:
                 return 0.0, 0.0
             if c_lo != 1.0:
@@ -447,7 +420,7 @@ def _tree_fraction(node, box: Box) -> tuple[float, float]:
     lo = 0.0
     hi = 0.0
     for child in node.children:
-        c_lo, c_hi = _tree_fraction(child, box)
+        c_lo, c_hi = _tree_fraction(child, box, grid)
         if c_lo == 1.0:
             return 1.0, 1.0
         lo = max(lo, c_lo)
@@ -506,14 +479,14 @@ class RegionPredicate:
         box = tuple(tuple(iv) for iv in box)
         if len(box) != self.arity:
             raise ValueError(f"{self.name} expects a {self.arity}-dimensional box")
-        return _tree_classify(self.tree, box)
+        return _tree_classify(self.tree, _grid(box))
 
     def fraction(self, box: Box) -> tuple[float, float]:
         """Certified outward float bounds on the satisfied volume fraction of the box."""
         box = tuple(tuple(iv) for iv in box)
         if len(box) != self.arity:
             raise ValueError(f"{self.name} expects a {self.arity}-dimensional box")
-        return _tree_fraction(self.tree, box)
+        return _tree_fraction(self.tree, box, _grid(box))
 
     def mask(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized float membership for an (n, arity) array of points."""

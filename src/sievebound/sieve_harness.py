@@ -117,7 +117,18 @@ SPF_CAP = np.iinfo(np.uint16).max  # spf table entries saturate here
 # is folded, so that an int8 sum of at most five terms cannot wrap.
 TERM_LIMIT = 25
 
-IDENTITY_NAMES = ("prime_split", "bucket_partition", "low_chain", "reversal_chain")
+# Signed terms whose sum is each identity's residual, per n
+# (identity_residuals) and over the window (harness_report).
+_IDENTITY_FOLDS = {
+    "prime_split": (("one_p", 1), ("s1", -1), ("s2", 1), ("s3", 1), ("s4", -1)),
+    "bucket_partition": (("s4", 1), ("s_a", -1), ("s_type2", -1), ("s_b", -1), ("s_c", -1)),
+    "low_chain": (("s_a", 1), ("s_a1", -1), ("s_a2", 1), ("s_a3", -1)),
+    "reversal_chain": (("s_b", 1), ("s_b1", -1), ("s_b2", 1), ("s_b3", -1)),
+}
+# rho - 1_p; the fold adds one_p last.
+_RHO_DROPS = (("s_c", -1), ("dropped_a3", -1), ("dropped_b3", -1))
+
+IDENTITY_NAMES = tuple(_IDENTITY_FOLDS)
 
 
 def _build_spf(limit: int) -> np.ndarray:
@@ -240,10 +251,8 @@ class DecompositionRecord:
 
     def identity_residuals(self) -> dict[str, int]:
         return {
-            "prime_split": self.one_p - (self.s1 - self.s2 - self.s3 + self.s4),
-            "bucket_partition": self.s4 - (self.s_a + self.s_type2 + self.s_b + self.s_c),
-            "low_chain": self.s_a - (self.s_a1 - self.s_a2 + self.s_a3),
-            "reversal_chain": self.s_b - (self.s_b1 - self.s_b2 + self.s_b3),
+            name: sum(sign * getattr(self, term) for term, sign in signed)
+            for name, signed in _IDENTITY_FOLDS.items()
         }
 
 
@@ -445,9 +454,7 @@ def decompose(ctx: SieveContext, n: int) -> DecompositionRecord:
                         ):
                             dropped_b3 += 1
 
-    rho = one_p - s_c - dropped_a3 - dropped_b3
-    return DecompositionRecord(
-        n=n,
+    terms = dict(
         one_p=one_p,
         s1=s1,
         s2=s2,
@@ -465,8 +472,9 @@ def decompose(ctx: SieveContext, n: int) -> DecompositionRecord:
         s_b3=s_b3,
         dropped_a3=dropped_a3,
         dropped_b3=dropped_b3,
-        rho=rho,
     )
+    rho = one_p + sum(sign * terms[name] for name, sign in _RHO_DROPS)
+    return DecompositionRecord(n=n, **terms, rho=rho)
 
 
 # ------------------------------------------------------------ window terms
@@ -610,16 +618,6 @@ def window_term(ctx: SieveContext, name: str) -> np.ndarray:
         term[d * lo - x - 1 : d * hi - x : d] += hit
     return term
 
-
-# Signed window terms whose sum is each identity's residual.
-_IDENTITY_FOLDS = {
-    "prime_split": (("one_p", 1), ("s1", -1), ("s2", 1), ("s3", 1), ("s4", -1)),
-    "bucket_partition": (("s4", 1), ("s_a", -1), ("s_type2", -1), ("s_b", -1), ("s_c", -1)),
-    "low_chain": (("s_a", 1), ("s_a1", -1), ("s_a2", 1), ("s_a3", -1)),
-    "reversal_chain": (("s_b", 1), ("s_b1", -1), ("s_b2", 1), ("s_b3", -1)),
-}
-# rho - 1_p; the fold adds one_p last.
-_RHO_DROPS = (("s_c", -1), ("dropped_a3", -1), ("dropped_b3", -1))
 
 # Window term -> report key, for the window totals besides rho.
 _TOTALS = {

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import pytest
 
-from sievebound import losses
+from sievebound import losses, quadrature
 from sievebound.buchstab import OMEGA_UPPER, Enclosure, SoundnessError, omega_bound
 from sievebound.quadrature import MONTE_CARLO, RIGOROUS, IntegralEstimate
 from sievebound.regions import PAIR_BASE, AndNode, LinearConstraint, RegionPredicate
@@ -162,6 +162,17 @@ class TestCertifiedRuns:
         assert est.lower > 0.2
         assert escalations == 0
 
+    def test_quadruple_sandwiches_pinned(self):
+        """verified_loss for a3 and b3 at tol 2e-4 reproduces its sandwich and box count exactly."""
+        pinned = {
+            "a3": (3.2225579735762946e-05, 0.00022587314527473083, 265),
+            "b3": (0.0003489528461573702, 0.000542905719903855, 4509),
+        }
+        for name, expected in pinned.items():
+            est, escalations = losses.verified_loss(name, tol=2e-4)
+            assert (est.lower, est.upper, est.boxes_used) == expected
+            assert escalations == 0 and not est.exhausted
+
     def test_determinism(self):
         a = losses.loss_a3(budget=2000, tol=1e-9)
         b = losses.loss_a3(budget=2000, tol=1e-9)
@@ -233,6 +244,38 @@ class TestMeanValueRigor:
                     assert mpmath.mpf(enc.lo) <= mean <= mpmath.mpf(enc.hi)
                 checked += 1
         assert checked >= 40
+
+    def test_inside_leaf_asks_integrand_once(self, monkeypatch):
+        """An inside leaf takes its value bounds from `average` alone.
+
+        `average` intersects its mean-value enclosure with the interval
+        extension of the factor bounds it already holds, so the leaf
+        needs the factor bounds of the box and of its centre only.
+        """
+        integrand, _, region, _ = losses.integration_domain("c")
+        box = ((0.375, 0.37890625), (0.25, 0.25390625))
+        assert region.fraction(box) == (1.0, 1.0)
+        calls = []
+        factor_bounds = losses.ReciprocalProduct._factor_bounds
+
+        def recording(self, leaf):
+            calls.append(leaf)
+            return factor_bounds(self, leaf)
+
+        monkeypatch.setattr(losses.ReciprocalProduct, "_factor_bounds", recording)
+        lo, hi = quadrature._leaf_contribution(integrand, region, box)
+        assert len(calls) == 2
+        assert (lo.hex(), hi.hex()) == ("0x1.c5f5084cb9ea5p-12", "0x1.c5fcba11943d6p-12")
+
+    def test_average_rejects_disjoint_enclosures(self, monkeypatch):
+        """A mean-value enclosure outside the box's value range is a soundness failure."""
+        rp = losses.ReciprocalProduct(losses._FACTORS["c"])
+        box = ((0.375, 0.37890625), (0.25, 0.25390625))
+        # The box's value range first, then the centre value far above it.
+        ranges = iter([(1.0, 2.0), (5.0, 6.0)])
+        monkeypatch.setattr(losses, "_reciprocal_bounds", lambda factors: next(ranges))
+        with pytest.raises(SoundnessError, match="disjoint enclosures"):
+            rp.average(box)
 
     def test_enclosure_constructions_per_leaf(self, monkeypatch):
         """The leaf kernel builds at most four Enclosure objects per box."""

@@ -45,7 +45,7 @@ F = Fraction
 
 def exact_frechet(node, box):
     """Exact rational Frechet bounds from LinearConstraint.fraction (test oracle)."""
-    verdict = regions._tree_classify(node, box)
+    verdict = regions._tree_classify(node, regions._grid(box))
     if verdict == INSIDE:
         return F(1), F(1)
     if verdict == OUTSIDE:
@@ -108,34 +108,72 @@ class TestLinearConstraint:
         assert c.evaluate((F(1, 4), F(1, 8))) is False  # 1/2 < 1/2 fails
 
     def test_classify_matches_corner_logic(self):
-        """Float-screened classification equals exact corner-range logic.
+        """Integer grid classification equals exact Fraction corner-range logic.
 
         A linear form attains its box extremes at corners.  classify
         treats strict relations as non-strict (boundary slices carry no
         volume), so INSIDE for a "below" relation means the exact corner
-        maximum is <= bound, OUTSIDE means the minimum is > bound.
+        maximum is <= bound, OUTSIDE means the minimum is > bound.  The
+        inputs mix float, non-dyadic Fraction and subnormal endpoints,
+        endpoints near 2**60 and 2**-60, non-integer coefficients, and
+        bounds placed exactly on a corner value for every relation.
         """
+
+        def corner_range(coeffs, box):
+            lo = sum((F(co) * F(a if co > 0 else b) for co, (a, b) in zip(coeffs, box)), F(0))
+            hi = sum((F(co) * F(b if co > 0 else a) for co, (a, b) in zip(coeffs, box)), F(0))
+            return lo, hi
+
+        def expected(rel, bound, lo, hi):
+            if rel in ("<", "<="):
+                return INSIDE if hi <= bound else OUTSIDE if lo > bound else MIXED
+            return INSIDE if lo >= bound else OUTSIDE if hi < bound else MIXED
+
+        def interval(rng, kind):
+            if kind == "fraction":
+                a, b = (F(rng.randint(-60, 60), rng.randint(1, 97)) for _ in range(2))
+            elif kind == "subnormal":
+                a, b = (rng.randint(-40, 40) * math.ulp(0.0) for _ in range(2))
+            else:
+                scale = {"float": 1.0, "huge": 2.0**60, "tiny": 2.0**-60}[kind]
+                a, b = (rng.uniform(-1.0, 1.0) * scale for _ in range(2))
+            return (min(a, b), max(a, b))
+
         rng = random.Random(20240801)
-        for _ in range(800):
+        kinds = ("float", "fraction", "subnormal", "huge", "tiny")
+        ties = {rel: 0 for rel in ("<", "<=", ">", ">=")}
+        for trial in range(2000):
             dims = rng.randint(1, 4)
             coeffs = tuple(rng.randint(-3, 3) for _ in range(dims))
-            rel = rng.choice(["<", "<=", ">", ">="])
-            bound = F(rng.randint(-8, 8), rng.randint(1, 9))
-            c = LinearConstraint(coeffs=coeffs, rel=rel, bound=bound)
-            box = random_box(rng, dims)
-            lo = sum(
-                (F(co) * F(a if co > 0 else b) for co, (a, b) in zip(coeffs, box)),
-                F(0),
-            )
-            hi = sum(
-                (F(co) * F(b if co > 0 else a) for co, (a, b) in zip(coeffs, box)),
-                F(0),
-            )
-            if rel in ("<", "<="):
-                expected = INSIDE if hi <= bound else OUTSIDE if lo > bound else MIXED
-            else:
-                expected = INSIDE if lo >= bound else OUTSIDE if hi < bound else MIXED
-            assert c.classify(box) == expected
+            if trial % 4 == 3:
+                coeffs = tuple(F(c, rng.randint(1, 6)) for c in coeffs)
+            kind = kinds[trial % len(kinds)]
+            box = random_box(rng, dims) if kind == "float" else tuple(interval(rng, kind) for _ in range(dims))
+            lo, hi = corner_range(coeffs, box)
+            scale = {"huge": 2**60, "tiny": F(1, 2**60), "subnormal": F(math.ulp(0.0))}.get(kind, 1)
+            bounds = [F(rng.randint(-8, 8), rng.randint(1, 9)) * scale, lo, hi]
+            for rel in ("<", "<=", ">", ">="):
+                for bound in bounds:
+                    c = LinearConstraint(coeffs=coeffs, rel=rel, bound=bound)
+                    assert c.classify(box) == expected(rel, bound, lo, hi), (coeffs, rel, bound, box)
+                    ties[rel] += bound in (lo, hi) and lo != hi
+        assert min(ties.values()) >= 1000
+
+    def test_invalid_boxes_rejected(self):
+        """A lo > hi interval or a NaN or infinite endpoint is a ValueError, not a verdict."""
+        c = LinearConstraint((1, 1), "<=", F(1, 2))
+        bad = [
+            ((0.5, 0.25), (0.0, 1.0)),
+            ((0.0, 1.0), (F(1, 3), F(1, 4))),
+            ((math.nan, 0.5), (0.0, 1.0)),
+            ((0.0, 1.0), (0.0, math.nan)),
+            ((0.0, math.inf), (0.0, 1.0)),
+            ((0.0, 1.0), (-math.inf, 0.0)),
+        ]
+        for box in bad:
+            for call in (REGION_A.classify, REGION_A.fraction, c.classify, c.fraction):
+                with pytest.raises(ValueError):
+                    call(box)
 
     def test_fraction_closed_forms(self):
         assert LinearConstraint((1, 1), "<=", F(1, 2)).fraction(
