@@ -5,9 +5,9 @@ The package has three layers:
   * interval tools: directed-rounding enclosures, a rigorous Buchstab
     table, and piecewise bounds for the Buchstab function (buchstab);
   * exact geometry: rational halfspace trees for the exponent regions,
-    Irwin-Hall volume fractions, and verified adaptive integration of
-    the three loss integrals against the budget targets (regions,
-    quadrature, losses);
+    exact integer Irwin-Hall volume fractions rounded outward once, and
+    verified adaptive integration of the three loss integrals against
+    the budget targets (regions, quadrature, losses);
   * an exact integer harness that re-derives every decomposition
     identity termwise on a dyadic window (sieve_harness).
 

@@ -194,17 +194,24 @@ class Enclosure:
         return Enclosure._coerce(other) / self
 
 
-def _rational_bounds(q: numbers.Rational) -> tuple[float, float]:
-    """Tightest float bounds (lo, hi) on an exact rational (int, Fraction, ...).
+def _ratio_bounds(num: int, den: int) -> tuple[float, float]:
+    """Tightest float bounds (lo, hi) on the exact rational num/den, den > 0.
 
-    float() rounds to nearest, so the exact value lies between that
-    float and its neighbour on the side the rounding moved away from.
+    num / den is one correctly rounded division, so the exact value lies
+    between that float and its neighbour on the side the rounding moved
+    away from; one integer cross-multiplication tells which side.
     """
-    f = float(q)
-    exact = Fraction(f)
-    if exact == q:
+    f = num / den
+    n, d = f.as_integer_ratio()
+    side = n * den - num * d  # has the sign of f - num/den
+    if side == 0:
         return f, f
-    return (f, _up(f)) if exact < q else (_down(f), f)
+    return (f, _up(f)) if side < 0 else (_down(f), f)
+
+
+def _rational_bounds(q: numbers.Rational) -> tuple[float, float]:
+    """Tightest float bounds (lo, hi) on an exact rational (int, Fraction, ...)."""
+    return _ratio_bounds(q.numerator, q.denominator)
 
 
 def _rational_enclosure(q: numbers.Rational) -> Enclosure:

@@ -6,8 +6,9 @@ machine floats.  The box is refined adaptively; every leaf contributes
     volume(leaf) * fraction_bounds(leaf) * value_bounds(leaf)
 
 where fraction_bounds are the region module's certified volume-fraction
-bounds, outward-rounded floats (float Irwin-Hall at a single linear
-constraint with an exact rational fallback, Frechet-combined above), and
+bounds, outward-rounded floats (the exact integer Irwin-Hall fraction
+of a single linear constraint rounded outward once, Frechet-combined
+above), and
 value_bounds come from the integrand's interval extension.  Leaves fully
 inside the region use the integrand's certified average enclosure (a
 mean-value form) instead, which lies inside the box's value range and so

@@ -36,21 +36,16 @@ Irwin-Hall distribution function
 
     F(y; b) = (1/m!) * sum over subsets S of (-1)^|S| * max(0, y - b_S)^m
 
-divided by the product of the b_i.  F is nondecreasing in y and
-nonincreasing in every b_i, so with the float enclosures [y_lo, y_hi]
-and [b_lo, b_hi] of the rescaled data,
-
-    F(y_lo; b_hi) <= F(y; b) <= F(y_hi; b_lo),
-
-and each side is evaluated at those float points with every operation
-rounded outward.  The alternating sum cancels badly on thin, anisotropic
-boxes; when the two sides are more than FLOAT_FRACTION_MAX_WIDTH apart,
-or a coefficient is not an exact float, the exact Irwin-Hall value
-(`LinearConstraint.fraction`, integer y and b_i read from the grid) is
-used instead, rounded outward to floats.  Conjunctions and disjunctions
-combine their children's bounds with two-sided Frechet bounds in
-directed rounding, which are exact up to rounding when a single child
-is undecided on the box.
+divided by the product of the b_i.  F is homogeneous of degree 0 in
+(y, b), so on the box's integer grid y and the b_i are integers and F
+is an exact integer ratio (`LinearConstraint._ratio`; only subsets with
+y - b_S > 0 are enumerated).  That ratio is rounded to floats once, by
+one correctly rounded division and an integer check of which side of
+the quotient the exact value lies (`buchstab._ratio_bounds`), so each
+bound is within one ulp of the exact fraction.  Conjunctions and
+disjunctions combine their children's bounds with two-sided Frechet
+bounds in directed rounding, which are exact up to rounding when a
+single child is undecided on the box.
 """
 
 from __future__ import annotations
@@ -63,7 +58,7 @@ from math import nextafter
 
 import numpy as np
 
-from .buchstab import _DOWN, _UP, _rational_bounds, _two_sum
+from .buchstab import _DOWN, _UP, _ratio_bounds
 
 __all__ = [
     "INSIDE",
@@ -100,9 +95,6 @@ WINDOW_HI = Fraction(11, 19)
 B_SECOND_CAP = Fraction(9, 38)
 
 MAX_SUBSET_ARITY = 8
-
-# Widest float Irwin-Hall bound accepted before the exact fallback.
-FLOAT_FRACTION_MAX_WIDTH = 2.0**-40
 
 Box = tuple[tuple[float, float], ...]
 # (scale, integer endpoints): the box ((A_i / scale, B_i / scale), ...).
@@ -154,18 +146,6 @@ class LinearConstraint:
         *scaled, bound = (q.numerator * (den // q.denominator) for q in rationals)
         object.__setattr__(self, "_terms", tuple((i, c) for i, c in enumerate(scaled) if c))
         object.__setattr__(self, "_ibound", bound)
-        # Float Irwin-Hall data, when every coefficient is an exact float.
-        object.__setattr__(self, "_fcoeffs", tuple(float(c) for c in self.coeffs))
-        if any(Fraction(fc) != c for fc, c in zip(self._fcoeffs, self.coeffs)):
-            object.__setattr__(self, "_fcoeffs", None)
-        else:
-            # bound = b + residual, and whether every product coeff *
-            # endpoint is exact (|coeff| a power of two, >= 1).
-            b = float(self.bound)
-            object.__setattr__(self, "_bound_float", b)
-            object.__setattr__(self, "_bound_residual", _rational_bounds(self.bound - Fraction(b)))
-            exact = all(c == 0.0 or (abs(c) >= 1.0 and abs(math.frexp(c)[0]) == 0.5) for c in self._fcoeffs)
-            object.__setattr__(self, "_exact_products", exact)
 
     def evaluate(self, point) -> bool:
         total = sum((c * _as_fraction(t) for c, t in zip(self.coeffs, point, strict=True)), Fraction(0))
@@ -177,9 +157,15 @@ class LinearConstraint:
             return total > self.bound
         return total >= self.bound
 
+    def _box_grid(self, box: Box) -> Grid:
+        """`_grid` of a box, which must have one interval per coefficient."""
+        if len(box) != len(self.coeffs):
+            raise ValueError(f"constraint on {len(self.coeffs)} coordinates given a {len(box)}-dimensional box")
+        return _grid(box)
+
     def classify(self, box: Box) -> str:
         """Three-valued box test, treating strict relations as non-strict."""
-        return self._classify(_grid(box))
+        return self._classify(self._box_grid(box))
 
     def _classify(self, grid: Grid) -> str:
         """classify on a box given as its `_grid`: exact integer corner range against the bound."""
@@ -200,102 +186,58 @@ class LinearConstraint:
 
     def fraction(self, box: Box) -> Fraction:
         """Exact volume fraction of the box satisfying the halfspace."""
-        below = self._fraction_leq(_grid(box))
-        if self.rel in ("<", "<="):
-            return below
-        return 1 - below
+        return Fraction(*self._ratio(self._box_grid(box)))
 
-    def _fraction_leq(self, grid: Grid) -> Fraction:
-        """Exact P(sum c_i T_i <= bound) for T uniform on the box (Irwin-Hall form).
+    def fraction_bounds(self, box: Box) -> tuple[float, float]:
+        """Float bounds on the volume fraction of the box satisfying the halfspace.
 
-        On the grid the threshold Y and the widths B_i are integers; F is
-        homogeneous of degree 0 in (Y, B), so the integer data give the
-        same value as the rescaled rational data.
+        The exact fraction rounded outward once: (f, f) when it is a
+        float, otherwise the two floats adjacent to it.
+        """
+        return self._fraction_bounds(self._box_grid(box))
+
+    def _fraction_bounds(self, grid: Grid) -> tuple[float, float]:
+        """fraction_bounds on a box given as its `_grid`."""
+        return _ratio_bounds(*self._ratio(grid))
+
+    def _ratio(self, grid: Grid) -> tuple[int, int]:
+        """The exact volume fraction as (numerator, denominator > 0), in Irwin-Hall form.
+
+        On the grid the threshold Y and the widths B_i of
+        P(sum c_i T_i <= bound) are integers; F is homogeneous of degree
+        0 in (Y, B), so the integer data give the same value as the
+        rescaled rational data.  Only subsets S with Y - B_S > 0 are
+        enumerated: supersets of the others contribute zero.  The
+        relations > and >= take the complement.
         """
         scale, ends = grid
         y = self._ibound * scale
         betas = []
         for i, c in self._terms:
             a, b = ends[i]
-            y -= c * a
-            beta = c * (b - a)
-            if beta < 0:
-                # Reflect U -> 1 - U to make the coefficient positive.
-                y -= beta
-                beta = -beta
+            # T = a + (b - a) U; for c < 0 reflect U -> 1 - U, so that
+            # c T = c b + |c| (b - a) U with a positive width coefficient.
+            y -= c * a if c > 0 else c * b
+            beta = abs(c) * (b - a)
             if beta:
                 betas.append(beta)
         if not betas:
-            return Fraction(int(y >= 0))
-        if y <= 0:
-            return Fraction(0)
-        if y >= sum(betas):
-            return Fraction(1)
-        m = len(betas)
-        vol = 0
-        for r in range(m + 1):
-            for subset in itertools.combinations(betas, r):
-                slack = y - sum(subset)
-                if slack > 0:
-                    vol += (-1) ** r * slack**m
-        return Fraction(vol, math.factorial(m) * math.prod(betas))
-
-    def fraction_bounds(self, box: Box) -> tuple[float, float]:
-        """Outward float bounds on the volume fraction of the box satisfying the halfspace.
-
-        Float Irwin-Hall (module docstring) when the coefficients are
-        exact floats and its bounds lie within FLOAT_FRACTION_MAX_WIDTH
-        of each other; otherwise the exact fraction, rounded outward.
-        """
-        if self._fcoeffs is not None:
-            lo, hi = self._float_fraction_leq(box)
-            if hi - lo <= FLOAT_FRACTION_MAX_WIDTH:
-                if self.rel in (">", ">="):
-                    lo, hi = nextafter(1.0 - hi, _DOWN), nextafter(1.0 - lo, _UP)
-                return max(lo, 0.0), min(hi, 1.0)
-        return _rational_bounds(self.fraction(box))
-
-    def _float_fraction_leq(self, box: Box) -> tuple[float, float]:
-        """Outward float bounds on P(sum c_i T_i <= bound) for T uniform on the box.
-
-        The rescaled threshold y = bound - sum(c_i * corner_i) is summed
-        with TwoSum, so that its float value plus the collected error
-        terms is exact, and only their sum is rounded outward; the widths
-        b_i are enclosed outward.  The monotone Irwin-Hall function is
-        then evaluated at (y_lo, b_hi) for the lower and at (y_hi, b_lo)
-        for the upper bound.  Inputs that are not finite give the trivial
-        bounds (0, 1).
-        """
-        y = self._bound_float
-        err_lo, err_hi = self._bound_residual
-        betas_lo: list[float] = []
-        betas_hi: list[float] = []
-        for c, (a, b) in zip(self._fcoeffs, box, strict=True):
-            if c == 0.0:
-                continue
-            # T = a + (b - a) U; for c < 0 reflect U -> 1 - U, so that
-            # c T = c b + |c| (b - a) U with a positive width coefficient.
-            p = -c * a if c > 0.0 else -c * b
-            if not self._exact_products:
-                half_ulp = math.ulp(p) * 0.5
-                err_lo = nextafter(err_lo - half_ulp, _DOWN)
-                err_hi = nextafter(err_hi + half_ulp, _UP)
-            y, err = _two_sum(y, p)
-            err_lo = nextafter(err_lo + err, _DOWN)
-            err_hi = nextafter(err_hi + err, _UP)
-            w = b - a
-            if w != 0.0:
-                mag = abs(c)
-                betas_lo.append(nextafter(mag * nextafter(w, _DOWN), _DOWN))
-                betas_hi.append(nextafter(mag * nextafter(w, _UP), _UP))
-        y_lo = nextafter(y + err_lo, _DOWN)
-        y_hi = nextafter(y + err_hi, _UP)
-        if not betas_lo:
-            return (1.0, 1.0) if y_lo >= 0.0 else (0.0, 0.0) if y_hi < 0.0 else (0.0, 1.0)
-        # Also false for a NaN: the slack pruning in _irwin_hall needs finite data.
-        if not y_hi - y_lo + sum(betas_hi) < math.inf:
-            return 0.0, 1.0
-        return _irwin_hall(y_lo, betas_hi)[0], _irwin_hall(y_hi, betas_lo)[1]
+            num, den = int(y >= 0), 1
+        elif y <= 0:
+            num, den = 0, 1
+        elif y >= sum(betas):
+            num, den = 1, 1
+        else:
+            m = len(betas)
+            # (slack Y - B_S, (-1)^|S|) over the subsets S with positive slack.
+            slacks = [(y, 1)]
+            for beta in betas:
+                slacks += [(s - beta, -sign) for s, sign in slacks if s > beta]
+            num = sum(sign * s**m for s, sign in slacks)
+            den = math.factorial(m) * math.prod(betas)
+        if self.rel in (">", ">="):
+            num = den - num
+        return num, den
 
     def to_json(self) -> dict:
         return {
@@ -304,45 +246,6 @@ class LinearConstraint:
             "rel": self.rel,
             "bound": {"num": self.bound.numerator, "den": self.bound.denominator},
         }
-
-
-def _irwin_hall(y: float, betas: list[float]) -> tuple[float, float]:
-    """Outward enclosure of the Irwin-Hall function F(y; betas) at finite float inputs.
-
-    A nonpositive denominator m! * prod(betas) gives the trivial bounds (0, 1).
-    """
-    m = len(betas)
-    # (slack lo, slack hi, |S| odd) over the subsets S whose slack
-    # y - b_S may be positive; supersets of the others contribute zero.
-    slacks = [(y, y, False)]
-    for b in betas:
-        for lo, hi, odd in slacks[:]:
-            if hi - b > 0.0:
-                slacks.append((nextafter(lo - b, _DOWN), nextafter(hi - b, _UP), not odd))
-    acc_lo = acc_hi = 0.0
-    for lo, hi, odd in slacks:
-        if hi <= 0.0:
-            continue
-        lo = max(lo, 0.0)
-        p_lo, p_hi = lo, hi
-        for _ in range(m - 1):
-            p_lo = nextafter(p_lo * lo, _DOWN)
-            p_hi = nextafter(p_hi * hi, _UP)
-        if odd:
-            acc_lo = nextafter(acc_lo - p_hi, _DOWN)
-            acc_hi = nextafter(acc_hi - p_lo, _UP)
-        else:
-            acc_lo = nextafter(acc_lo + p_lo, _DOWN)
-            acc_hi = nextafter(acc_hi + p_hi, _UP)
-    d_lo = d_hi = float(math.factorial(m))
-    for b in betas:
-        d_lo = nextafter(d_lo * b, _DOWN)
-        d_hi = nextafter(d_hi * b, _UP)
-    if not d_lo > 0.0:
-        return 0.0, 1.0
-    lo = nextafter(acc_lo / (d_hi if acc_lo >= 0.0 else d_lo), _DOWN)
-    hi = nextafter(acc_hi / (d_lo if acc_hi >= 0.0 else d_hi), _UP)
-    return lo, hi
 
 
 @dataclass(frozen=True, slots=True)
@@ -385,18 +288,19 @@ def _tree_classify(node, grid: Grid) -> str:
     return verdict
 
 
-def _tree_fraction(node, box: Box, grid: Grid) -> tuple[float, float]:
-    """Outward float bounds on the satisfied volume fraction of the box, given with its grid.
+def _tree_fraction(node, grid: Grid) -> tuple[float, float]:
+    """Outward float bounds on the satisfied volume fraction of a box given as its `_grid`.
 
     A leaf decided by exact classification is (1, 1) or (0, 0); any
-    other leaf uses LinearConstraint.fraction_bounds.  AndNode combines
+    other leaf gets its exact fraction rounded outward.  AndNode combines
     its children's bounds by the Frechet conjunction bounds
     [1 - sum(1 - f_i), min(f_i)] and stops at a (0, 0) child; OrNode
     uses the dual [max(f_i), sum(f_i)] and stops at a (1, 1) child.
     Both are clipped to [0, 1] and rounded outward.  A subtree that
     exact classification decides gets exactly (1, 1) or (0, 0), and no
     other subtree gets (1, 1): a MIXED leaf's fraction, and with it its
-    lower bound, is below 1.
+    lower bound, is below 1.  It may be exactly 0, when the box meets
+    the halfspace only on its boundary, and then the leaf gets (0, 0).
     """
     if isinstance(node, LinearConstraint):
         verdict = node._classify(grid)
@@ -404,12 +308,12 @@ def _tree_fraction(node, box: Box, grid: Grid) -> tuple[float, float]:
             return 1.0, 1.0
         if verdict == OUTSIDE:
             return 0.0, 0.0
-        return node.fraction_bounds(box)
+        return node._fraction_bounds(grid)
     if isinstance(node, AndNode):
         missing = 0.0
         hi = 1.0
         for child in node.children:
-            c_lo, c_hi = _tree_fraction(child, box, grid)
+            c_lo, c_hi = _tree_fraction(child, grid)
             if c_hi == 0.0:
                 return 0.0, 0.0
             if c_lo != 1.0:
@@ -420,7 +324,7 @@ def _tree_fraction(node, box: Box, grid: Grid) -> tuple[float, float]:
     lo = 0.0
     hi = 0.0
     for child in node.children:
-        c_lo, c_hi = _tree_fraction(child, box, grid)
+        c_lo, c_hi = _tree_fraction(child, grid)
         if c_lo == 1.0:
             return 1.0, 1.0
         lo = max(lo, c_lo)
@@ -486,7 +390,7 @@ class RegionPredicate:
         box = tuple(tuple(iv) for iv in box)
         if len(box) != self.arity:
             raise ValueError(f"{self.name} expects a {self.arity}-dimensional box")
-        return _tree_fraction(self.tree, box, _grid(box))
+        return _tree_fraction(self.tree, _grid(box))
 
     def mask(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized float membership for an (n, arity) array of points."""

@@ -122,6 +122,23 @@ class TestEnclosure:
         with pytest.raises(TypeError):
             Enclosure._coerce(Decimal("0.1"))
 
+    def test_ratio_bounds_are_adjacent_floats_around_exact_value(self):
+        """_ratio_bounds(num, den) is (f, f) at a float, else the two floats around num/den."""
+        rng = random.Random(20240801)
+        cases = [(1, 3), (-2, 7), (1, 4), (0, 5), (2**53 + 1, 1), (3**80, 7**50 + 1)]
+        for _ in range(2000):
+            den = rng.randint(1, 10 ** rng.randint(1, 60))
+            cases.append((rng.randint(-den, den) * rng.choice((1, 3, 2**40)), den))
+        for num, den in cases:
+            q = Fraction(num, den)
+            lo, hi = buchstab._ratio_bounds(num, den)
+            assert (lo, hi) == buchstab._rational_bounds(q)
+            assert Fraction(lo) <= q <= Fraction(hi)
+            if Fraction(lo) == q or Fraction(hi) == q:
+                assert lo == hi
+            else:
+                assert hi == math.nextafter(lo, math.inf)
+
 
 @pytest.fixture
 def mpiv():

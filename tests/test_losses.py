@@ -163,15 +163,25 @@ class TestCertifiedRuns:
         assert escalations == 0
 
     def test_quadruple_sandwiches_pinned(self):
-        """verified_loss for a3 and b3 at tol 2e-4 reproduces its sandwich and box count exactly."""
+        """verified_loss for a3 and b3 at tol 2e-4 reproduces its sandwich and box count exactly.
+
+        Each sandwich also lies inside the one that looser float
+        Irwin-Hall fraction bounds gave at the same box count.
+        """
         pinned = {
-            "a3": (3.2225579735762946e-05, 0.00022587314527473083, 265),
-            "b3": (0.0003489528461573702, 0.000542905719903855, 4509),
+            "a3": (3.222557973576694e-05, 0.00022587314527472324, 265),
+            "b3": (0.0003489528461573749, 0.0005429057199038448, 4509),
+        }
+        float_route = {
+            "a3": (3.2225579735762946e-05, 0.00022587314527473083),
+            "b3": (0.0003489528461573702, 0.000542905719903855),
         }
         for name, expected in pinned.items():
             est, escalations = losses.verified_loss(name, tol=2e-4)
             assert (est.lower, est.upper, est.boxes_used) == expected
             assert escalations == 0 and not est.exhausted
+            outer_lo, outer_hi = float_route[name]
+            assert outer_lo <= est.lower and est.upper <= outer_hi
 
     def test_determinism(self):
         a = losses.loss_a3(budget=2000, tol=1e-9)

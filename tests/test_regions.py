@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from sievebound import regions
+from sievebound.buchstab import _rational_bounds
 from sievebound.regions import (
     INSIDE,
     MIXED,
@@ -32,7 +33,6 @@ from sievebound.regions import (
     TYPE_II_STRIP,
     WINDOW_HI,
     WINDOW_LO,
-    FLOAT_FRACTION_MAX_WIDTH,
     AndNode,
     LinearConstraint,
     region_catalog,
@@ -171,7 +171,7 @@ class TestLinearConstraint:
             ((0.0, 1.0), (-math.inf, 0.0)),
         ]
         for box in bad:
-            for call in (REGION_A.classify, REGION_A.fraction, c.classify, c.fraction):
+            for call in (REGION_A.classify, REGION_A.fraction, c.classify, c.fraction, c.fraction_bounds):
                 with pytest.raises(ValueError):
                     call(box)
 
@@ -301,8 +301,9 @@ class TestRegionMembership:
 
         Boxes are seeded over every catalog region (pair regions on the
         base square, the quadruple regions on their loss boxes) and over
-        every loss box, with side ratios up to 1e5.  The float bounds may
-        be wider than the exact ones by at most the fallback constant.
+        every loss box, with side ratios up to 1e5.  Each leaf fraction is
+        rounded outward once and the Frechet combination once per child,
+        so the float bounds are wider than the exact ones by at most 1e-14.
         """
         from sievebound import losses
 
@@ -319,33 +320,40 @@ class TestRegionMembership:
                 assert isinstance(lo, float) and isinstance(hi, float)
                 exact_lo, exact_hi = exact_frechet(region.tree, box)
                 assert lo <= exact_lo and exact_hi <= hi
-                assert (hi - lo) - float(exact_hi - exact_lo) <= FLOAT_FRACTION_MAX_WIDTH
+                assert (hi - lo) - float(exact_hi - exact_lo) <= 1e-14
                 mixed += 0.0 < hi and lo < 1.0
         assert mixed >= 200
 
     def test_fraction_fallback_for_inexact_coefficient(self):
-        """A coefficient that is not a float takes the exact route, rounded outward."""
+        """A coefficient that is not a float gets the exact fraction, rounded outward once."""
         c = LinearConstraint((F(1, 3), F(1)), "<=", F(1, 2))
         box = ((0.0, 1.0), (0.125, 0.75))
         exact = c.fraction(box)
         lo, hi = c.fraction_bounds(box)
-        assert (lo, hi) == regions._rational_bounds(exact)
+        assert (lo, hi) == _rational_bounds(exact)
         assert lo <= exact <= hi and hi - lo <= 2 * math.ulp(hi)
 
     def test_fraction_fallback_for_thin_anisotropic_box(self):
-        """Cancellation on a thin 4-D box exceeds the width limit and falls back to exact."""
+        """A thin 4-D box, where a float Irwin-Hall sum cancels badly, keeps a tight exact enclosure."""
         c = LinearConstraint((F(1), F(1), F(1), F(1)), "<=", F(9, 10))
         box = ((0.1, 0.5), (0.2, 0.2 + 1e-6), (0.15, 0.15 + 2e-6), (0.2, 0.2 + 3e-6))
-        float_lo, float_hi = c._float_fraction_leq(box)
-        assert not float_hi - float_lo <= FLOAT_FRACTION_MAX_WIDTH
         exact = c.fraction(box)
+        assert 0 < exact < 1
         lo, hi = c.fraction_bounds(box)
-        assert (lo, hi) == regions._rational_bounds(exact)
-        # The same constraint on a well-shaped box stays on the float route.
-        square = ((0.1, 0.3), (0.2, 0.4), (0.15, 0.35), (0.2, 0.4))
-        lo, hi = c.fraction_bounds(square)
-        assert lo <= c.fraction(square) <= hi and hi - lo <= 1e-14
-        assert (lo, hi) != regions._rational_bounds(c.fraction(square))
+        assert (lo, hi) == _rational_bounds(exact)
+        assert lo <= exact <= hi and hi - lo <= 2 * math.ulp(hi)
+        # The complement is rounded from its own exact value.
+        above = LinearConstraint(c.coeffs, ">", c.bound)
+        assert above.fraction(box) == 1 - exact
+        assert above.fraction_bounds(box) == _rational_bounds(1 - exact)
+
+    def test_wrong_dimension_rejected(self):
+        """A box with more or fewer intervals than coefficients is a ValueError, not a verdict."""
+        c = LinearConstraint((1, 1), "<=", F(1, 2))
+        for box in (((0.0, 1.0),), ((0.0, 1.0),) * 3):
+            for call in (c.classify, c.fraction, c.fraction_bounds):
+                with pytest.raises(ValueError, match="2 coordinates"):
+                    call(box)
 
     def test_catalog_json(self):
         blob = regions.catalog_json()
