@@ -244,9 +244,8 @@ def log_enc(x: Enclosure) -> Enclosure:
 
 
 def _ratio_enclosure(num: int, den: int) -> Enclosure:
-    """Enclosure of the exact rational num/den from one correctly rounded division."""
-    q = num / den
-    return Enclosure(_down(q), _up(q))
+    """Tightest float enclosure of the exact rational num/den, den > 0 (see `_ratio_bounds`)."""
+    return Enclosure(*_ratio_bounds(num, den))
 
 
 def _recip_decreasing(u: Enclosure) -> Enclosure:

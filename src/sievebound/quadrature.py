@@ -15,11 +15,15 @@ mean-value form) instead, which lies inside the box's value range and so
 keeps refinement monotone.  The leaf product is computed on plain floats
 rounded outward after every operation, and the final endpoint sums use
 math.fsum, which is correctly rounded, before one outward rounding step.
+Each heap entry carries its leaf's residual region tree (the constraints
+the leaf left undecided), and both halves of a split are classified
+against it only, which gives the same fraction bounds as the full tree.
 
 `integrate_mc` is the unrigorous cross-check: plain uniform sampling over
-the box with the region as indicator.  It is deterministic for a fixed
-(seed, workers) pair; the worker count changes the stream split, never
-the statistical meaning.
+the box with the region as indicator, masked on the box's residual (the
+constraints the box does not decide for every sample).  It is
+deterministic for a fixed (seed, workers) pair; the worker count changes
+the stream split, never the statistical meaning.
 """
 
 from __future__ import annotations
@@ -94,9 +98,9 @@ class IntegralEstimate:
         return 0.5 * (self.lower + self.upper)
 
 
-def _leaf_contribution(f: Integrand, region: RegionPredicate, box: Box) -> tuple[float, float]:
-    """Certified bounds on integral(f) over (region intersect box)."""
-    fr_lo, fr_hi = region.fraction(box)
+def _leaf_contribution(f: Integrand, fraction: tuple[float, float], box: Box) -> tuple[float, float]:
+    """Certified bounds on integral(f) over (region intersect box), given the region's fraction bounds on box."""
+    fr_lo, fr_hi = fraction
     if not 0.0 <= fr_lo <= fr_hi <= 1.0:
         raise SoundnessError(f"volume fraction bounds [{fr_lo}, {fr_hi}] not inside [0, 1]")
     if fr_hi == 0.0:
@@ -130,6 +134,17 @@ def _split(box: Box, scale: tuple[float, ...]) -> Optional[tuple[Box, Box]]:
     return left, right
 
 
+def _checked_box(f: Integrand, region: RegionPredicate, box: Box) -> Box:
+    """box as float intervals; ValueError unless finite, nondegenerate and of the common dimension."""
+    box = tuple((float(lo), float(hi)) for lo, hi in box)
+    if len(box) != f.arity or len(box) != region.arity:
+        raise ValueError("box, integrand and region dimensions disagree")
+    for lo, hi in box:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError("box intervals must be finite and nondegenerate")
+    return box
+
+
 def integrate_rigorous(
     f: Integrand,
     region: RegionPredicate,
@@ -147,37 +162,33 @@ def integrate_rigorous(
         raise ValueError("budget must be at least 1")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    box = tuple((float(lo), float(hi)) for lo, hi in box)
-    if len(box) != f.arity or len(box) != region.arity:
-        raise ValueError("box, integrand and region dimensions disagree")
-    for lo, hi in box:
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError("box intervals must be finite and nondegenerate")
+    box = _checked_box(f, region, box)
 
     scale = tuple(hi - lo for lo, hi in box)
     stop_tol = 0.97 * tol
     settled_lo: list[float] = []
     settled_hi: list[float] = []
-    heap: list[tuple[float, int, Box, float, float]] = []
+    # Heap entries: (-gap, seq, leaf, lo, hi, the leaf's residual region tree).
+    heap: list[tuple[float, int, Box, float, float, object]] = []
     seq = 0
 
-    def admit(leaf: Box) -> float:
+    def admit(leaf: Box, fraction) -> float:
         nonlocal seq
-        lo_c, hi_c = _leaf_contribution(f, region, leaf)
+        lo_c, hi_c = _leaf_contribution(f, fraction, leaf)
         gap = hi_c - lo_c
         if gap <= 0.0:
             if hi_c != 0.0 or lo_c != 0.0:
                 settled_lo.append(lo_c)
                 settled_hi.append(hi_c)
             return 0.0
-        heapq.heappush(heap, (-gap, seq, leaf, lo_c, hi_c))
+        heapq.heappush(heap, (-gap, seq, leaf, lo_c, hi_c, fraction.residual))
         seq += 1
         return gap
 
     boxes_used = 1
-    approx_gap = admit(box)
+    approx_gap = admit(box, region.fraction(box))
     while heap and boxes_used + 2 <= budget and approx_gap > stop_tol:
-        _, _, leaf, lo_c, hi_c = heapq.heappop(heap)
+        _, _, leaf, lo_c, hi_c, residual = heapq.heappop(heap)
         parts = _split(leaf, scale)
         if parts is None:
             settled_lo.append(lo_c)
@@ -185,8 +196,8 @@ def integrate_rigorous(
             continue
         boxes_used += 2
         approx_gap -= hi_c - lo_c
-        approx_gap += admit(parts[0])
-        approx_gap += admit(parts[1])
+        for part in parts:
+            approx_gap += admit(part, region.fraction(part, within=residual))
 
     lows = settled_lo + [item[3] for item in heap]
     highs = settled_hi + [item[4] for item in heap]
@@ -226,9 +237,7 @@ def integrate_mc(
         raise ValueError("workers must be at least 1")
     if f.value_many is None:
         raise TypeError("integrand lacks a vectorized value_many, required for Monte Carlo")
-    box = tuple((float(lo), float(hi)) for lo, hi in box)
-    if len(box) != f.arity or len(box) != region.arity:
-        raise ValueError("box, integrand and region dimensions disagree")
+    box = _checked_box(f, region, box)
 
     lows = np.array([lo for lo, _ in box])
     his = np.array([hi for _, hi in box])
@@ -244,8 +253,10 @@ def integrate_mc(
         while remaining > 0:
             n = min(remaining, _CHUNK)
             remaining -= n
+            # lo + (hi - lo) * U with U <= 1 - 2^-53 never rounds past
+            # hi, so every sample lies in the closed box.
             pts = rng.uniform(lows, his, size=(n, len(box)))
-            mask = region.mask(pts)
+            mask = region.mask(pts, box=box)
             vals = np.where(mask, f.value_many(pts), 0.0)
             total += float(vals.sum())
             total_sq += float(np.square(vals).sum())

@@ -46,12 +46,24 @@ bound is within one ulp of the exact fraction.  Conjunctions and
 disjunctions combine their children's bounds with two-sided Frechet
 bounds in directed rounding, which are exact up to rounding when a
 single child is undecided on the box.
+
+A constraint decided on a box stays decided on every sub-box, so each
+fraction also returns the box's residual tree: the conjunctions without
+their INSIDE children and the disjunctions without their OUTSIDE ones
+(the inner/outer box tests of SIVIA, Jaulin, Kieffer, Didrit & Walter,
+*Applied Interval Analysis*, 2001).  Walked on a sub-box
+(`fraction(box, within=residual)`), it gives the full tree's bounds bit
+for bit while visiting only the constraints left open.  The float point
+mask skips, on a box, the constraints whose float comparison the box
+decides for every point in it, strictness and rounding included
+(`LinearConstraint._mask_classify`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import nextafter
@@ -68,6 +80,7 @@ __all__ = [
     "AndNode",
     "OrNode",
     "RegionPredicate",
+    "FractionBounds",
     "PAIR_BASE",
     "REGION_A",
     "REGION_B",
@@ -95,6 +108,8 @@ WINDOW_HI = Fraction(11, 19)
 B_SECOND_CAP = Fraction(9, 38)
 
 MAX_SUBSET_ARITY = 8
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 Box = tuple[tuple[float, float], ...]
 # (scale, integer endpoints): the box ((A_i / scale, B_i / scale), ...).
@@ -137,7 +152,7 @@ class LinearConstraint:
     bound: Fraction
 
     def __post_init__(self) -> None:
-        if self.rel not in ("<", "<=", ">", ">="):
+        if self.rel not in _COMPARE:
             raise ValueError(f"unknown relation {self.rel!r}")
         # Integer data for classification: scaled by the lcm of the
         # denominators, the halfspace reads sum(C_i * t_i) REL B.
@@ -146,16 +161,19 @@ class LinearConstraint:
         *scaled, bound = (q.numerator * (den // q.denominator) for q in rationals)
         object.__setattr__(self, "_terms", tuple((i, c) for i, c in enumerate(scaled) if c))
         object.__setattr__(self, "_ibound", bound)
+        # The same for the float halfspace that `_tree_mask` tests, with
+        # coefficients and bound rounded to floats: sum(F_i * t_i) REL FB
+        # scaled by `_fden`.
+        floats = [float(q).as_integer_ratio() for q in rationals]
+        fden = math.lcm(*(d for _, d in floats))
+        *fscaled, fbound = (n * (fden // d) for n, d in floats)
+        object.__setattr__(self, "_fterms", tuple((i, c) for i, c in enumerate(fscaled) if c))
+        object.__setattr__(self, "_fbound", fbound)
+        object.__setattr__(self, "_fden", fden)
 
     def evaluate(self, point) -> bool:
         total = sum((c * _as_fraction(t) for c, t in zip(self.coeffs, point, strict=True)), Fraction(0))
-        if self.rel == "<":
-            return total < self.bound
-        if self.rel == "<=":
-            return total <= self.bound
-        if self.rel == ">":
-            return total > self.bound
-        return total >= self.bound
+        return _COMPARE[self.rel](total, self.bound)
 
     def _box_grid(self, box: Box) -> Grid:
         """`_grid` of a box, which must have one interval per coefficient."""
@@ -183,6 +201,40 @@ class LinearConstraint:
         if self.rel in ("<", "<="):
             return INSIDE if hi <= bound else OUTSIDE if lo > bound else MIXED
         return INSIDE if lo >= bound else OUTSIDE if hi < bound else MIXED
+
+    def _mask_classify(self, grid: Grid) -> str:
+        """Three-valued test, over a box given as its `_grid`, of the float comparison in `_tree_mask`.
+
+        `_tree_mask` compares a float dot product of the point with the
+        float coefficients against the float bound, strictness included.
+        In any summation order that product lies within
+        gamma_k * sum|F_i t_i| + k * 2^-1074 of the exact one, for k
+        nonzero terms, gamma_k = k u / (1 - k u) and u = 2^-53 (Higham,
+        *Accuracy and Stability of Numerical Algorithms*, 2002, sec. 3.1;
+        the second term covers products that underflow).  The verdict is
+        INSIDE or OUTSIDE only when the comparison holds, or fails, at both
+        ends of the exact corner range widened by that error, so it holds
+        for every point of the closed box.  Sums that might overflow are
+        MIXED.
+        """
+        scale, ends = grid
+        lo = hi = mag = 0
+        for i, c in self._fterms:
+            a, b = ends[i]
+            lo += c * (a if c > 0 else b)
+            hi += c * (b if c > 0 else a)
+            mag += abs(c) * max(-a, b)
+        width = self._fden * scale  # the exact sums are lo / width, hi / width
+        if mag >= width << 1023:
+            return MIXED
+        # Everything times (2^53 - k) * 2^1074 * width, all integers.
+        k = len(self._fterms)
+        g = ((1 << 53) - k) << 1074
+        err = (k * mag << 1074) + k * width * ((1 << 53) - k)
+        bound = self._fbound * scale * g
+        compare = _COMPARE[self.rel]
+        at_lo, at_hi = compare(lo * g - err, bound), compare(hi * g + err, bound)
+        return INSIDE if at_lo and at_hi else OUTSIDE if not (at_lo or at_hi) else MIXED
 
     def fraction(self, box: Box) -> Fraction:
         """Exact volume fraction of the box satisfying the halfspace."""
@@ -288,8 +340,29 @@ def _tree_classify(node, grid: Grid) -> str:
     return verdict
 
 
-def _tree_fraction(node, grid: Grid) -> tuple[float, float]:
-    """Outward float bounds on the satisfied volume fraction of a box given as its `_grid`.
+# The residual of a box decided INSIDE or OUTSIDE: the empty conjunction
+# and the empty disjunction, which every walk decides the same way.
+_TRUE = AndNode(())
+_FALSE = OrNode(())
+
+
+def _pruned(node, kept: list):
+    """node with its children replaced by `kept`, their residuals in order.
+
+    No child left means every child was neutral: an AndNode of INSIDE
+    children is `_TRUE`, an OrNode of OUTSIDE children `_FALSE`.  A node
+    that lost no child and whose children are their own residuals is
+    returned as is, so unchanged subtrees are shared, not copied.
+    """
+    if not kept:
+        return _TRUE if isinstance(node, AndNode) else _FALSE
+    if len(kept) == len(node.children) and all(map(operator.is_, kept, node.children)):
+        return node
+    return type(node)(tuple(kept))
+
+
+def _tree_fraction(node, grid: Grid) -> tuple[float, float, object]:
+    """(lo, hi, residual): outward float bounds on the satisfied volume fraction of a box given as its `_grid`.
 
     A leaf decided by exact classification is (1, 1) or (0, 0); any
     other leaf gets its exact fraction rounded outward.  AndNode combines
@@ -301,50 +374,76 @@ def _tree_fraction(node, grid: Grid) -> tuple[float, float]:
     other subtree gets (1, 1): a MIXED leaf's fraction, and with it its
     lower bound, is below 1.  It may be exactly 0, when the box meets
     the halfspace only on its boundary, and then the leaf gets (0, 0).
+
+    The residual is the part of the tree the box leaves undecided:
+    `_TRUE` for (1, 1), `_FALSE` for (0, 0), otherwise the node with
+    the (1, 1) children of an AndNode and the (0, 0) children of an
+    OrNode dropped.  Both stay so on every sub-box (a sub-box of a box
+    that meets a halfspace in measure zero does too), and they add
+    exactly nothing to their parent's bounds, so walking the residual
+    on any sub-box gives the bounds the full tree gives, bit for bit.
     """
     if isinstance(node, LinearConstraint):
         verdict = node._classify(grid)
         if verdict == INSIDE:
-            return 1.0, 1.0
+            return 1.0, 1.0, _TRUE
         if verdict == OUTSIDE:
-            return 0.0, 0.0
-        return node._fraction_bounds(grid)
+            return 0.0, 0.0, _FALSE
+        lo, hi = node._fraction_bounds(grid)
+        return lo, hi, node if hi != 0.0 else _FALSE
+    kept = []
     if isinstance(node, AndNode):
         missing = 0.0
         hi = 1.0
         for child in node.children:
-            c_lo, c_hi = _tree_fraction(child, grid)
+            c_lo, c_hi, residual = _tree_fraction(child, grid)
             if c_hi == 0.0:
-                return 0.0, 0.0
+                return 0.0, 0.0, _FALSE
             if c_lo != 1.0:
                 missing = nextafter(missing + nextafter(1.0 - c_lo, _UP), _UP)
+                kept.append(residual)
             hi = min(hi, c_hi)
         lo = nextafter(1.0 - missing, _DOWN) if missing != 0.0 else 1.0
-        return max(lo, 0.0), hi
+        return max(lo, 0.0), hi, _pruned(node, kept)
     lo = 0.0
     hi = 0.0
     for child in node.children:
-        c_lo, c_hi = _tree_fraction(child, grid)
+        c_lo, c_hi, residual = _tree_fraction(child, grid)
         if c_lo == 1.0:
-            return 1.0, 1.0
+            return 1.0, 1.0, _TRUE
         lo = max(lo, c_lo)
         if c_hi != 0.0:
             hi = nextafter(hi + c_hi, _UP)
-    return lo, min(hi, 1.0)
+            kept.append(residual)
+    return lo, min(hi, 1.0), _pruned(node, kept)
+
+
+def _tree_mask_residual(node, grid: Grid):
+    """The part of the tree that `_tree_mask` leaves undecided on a box given as its `_grid`.
+
+    Leaves are decided by `LinearConstraint._mask_classify`, which is
+    exact for the float test on every point of the closed box; AndNode
+    drops INSIDE children and OrNode OUTSIDE ones, as in `_tree_fraction`.
+    On every point of the box the residual's mask equals the tree's.
+    """
+    if isinstance(node, LinearConstraint):
+        verdict = node._mask_classify(grid)
+        return _TRUE if verdict == INSIDE else _FALSE if verdict == OUTSIDE else node
+    decisive, neutral = (_FALSE, _TRUE) if isinstance(node, AndNode) else (_TRUE, _FALSE)
+    kept = []
+    for child in node.children:
+        residual = _tree_mask_residual(child, grid)
+        if residual is decisive:
+            return decisive
+        if residual is not neutral:
+            kept.append(residual)
+    return _pruned(node, kept)
 
 
 def _tree_mask(node, pts: np.ndarray) -> np.ndarray:
     if isinstance(node, LinearConstraint):
         coeffs = np.array([float(c) for c in node.coeffs])
-        totals = pts @ coeffs
-        bound = float(node.bound)
-        if node.rel == "<":
-            return totals < bound
-        if node.rel == "<=":
-            return totals <= bound
-        if node.rel == ">":
-            return totals > bound
-        return totals >= bound
+        return _COMPARE[node.rel](pts @ coeffs, float(node.bound))
     if isinstance(node, AndNode):
         out = np.ones(len(pts), dtype=bool)
         for c in node.children:
@@ -363,6 +462,20 @@ def _tree_json(node) -> dict:
     return {"type": key, "children": [_tree_json(c) for c in node.children]}
 
 
+class FractionBounds(tuple):
+    """(lo, hi) volume-fraction bounds of a box, with the box's residual region tree.
+
+    `residual` is the part of the tree the box leaves undecided (see
+    `_tree_fraction`); walked on any sub-box it gives the same bounds as
+    the full tree.
+    """
+
+    def __new__(cls, lo: float, hi: float, residual):
+        bounds = super().__new__(cls, (lo, hi))
+        bounds.residual = residual
+        return bounds
+
+
 @dataclass(frozen=True)
 class RegionPredicate:
     """A named region of exponent space defined by an and/or constraint tree."""
@@ -378,26 +491,40 @@ class RegionPredicate:
             raise ValueError(f"{self.name} expects {self.arity} coordinates, got {len(point)}")
         return _tree_contains(self.tree, point)
 
+    def _box_grid(self, box: Box) -> Grid:
+        """`_grid` of a box, which must have `arity` intervals."""
+        box = tuple(tuple(iv) for iv in box)
+        if len(box) != self.arity:
+            raise ValueError(f"{self.name} expects a {self.arity}-dimensional box")
+        return _grid(box)
+
     def classify(self, box: Box) -> str:
         """INSIDE / OUTSIDE / MIXED over an axis-aligned box, exactly."""
-        box = tuple(tuple(iv) for iv in box)
-        if len(box) != self.arity:
-            raise ValueError(f"{self.name} expects a {self.arity}-dimensional box")
-        return _tree_classify(self.tree, _grid(box))
+        return _tree_classify(self.tree, self._box_grid(box))
 
-    def fraction(self, box: Box) -> tuple[float, float]:
-        """Certified outward float bounds on the satisfied volume fraction of the box."""
-        box = tuple(tuple(iv) for iv in box)
-        if len(box) != self.arity:
-            raise ValueError(f"{self.name} expects a {self.arity}-dimensional box")
-        return _tree_fraction(self.tree, _grid(box))
+    def fraction(self, box: Box, within=None) -> FractionBounds:
+        """Certified outward float bounds on the satisfied volume fraction of the box.
 
-    def mask(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized float membership for an (n, arity) array of points."""
+        The result unpacks as (lo, hi) and carries the box's residual
+        tree.  `within` is the tree to walk: by default the full tree,
+        or the residual of a box that contains this one, which gives
+        the same bounds with only the constraints that box left open.
+        """
+        tree = self.tree if within is None else within
+        return FractionBounds(*_tree_fraction(tree, self._box_grid(box)))
+
+    def mask(self, pts: np.ndarray, box: Box | None = None) -> np.ndarray:
+        """Vectorized float membership for an (n, arity) array of points.
+
+        With a box, which must contain every point (faces included), the
+        constraints whose float test the box decides are skipped; the
+        mask is the same.
+        """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.arity:
             raise ValueError(f"{self.name} expects an (n, {self.arity}) array")
-        return _tree_mask(self.tree, pts)
+        tree = self.tree if box is None else _tree_mask_residual(self.tree, self._box_grid(box))
+        return _tree_mask(tree, pts)
 
     def to_json(self) -> dict:
         return {"name": self.name, "arity": self.arity, "tree": _tree_json(self.tree)}

@@ -123,7 +123,11 @@ class TestEnclosure:
             Enclosure._coerce(Decimal("0.1"))
 
     def test_ratio_bounds_are_adjacent_floats_around_exact_value(self):
-        """_ratio_bounds(num, den) is (f, f) at a float, else the two floats around num/den."""
+        """_ratio_bounds(num, den) is (f, f) at a float, else the two floats around num/den.
+
+        `_ratio_enclosure`, which places the Buchstab grid points, is the
+        same enclosure.
+        """
         rng = random.Random(20240801)
         cases = [(1, 3), (-2, 7), (1, 4), (0, 5), (2**53 + 1, 1), (3**80, 7**50 + 1)]
         for _ in range(2000):
@@ -133,6 +137,7 @@ class TestEnclosure:
             q = Fraction(num, den)
             lo, hi = buchstab._ratio_bounds(num, den)
             assert (lo, hi) == buchstab._rational_bounds(q)
+            assert buchstab._ratio_enclosure(num, den) == Enclosure(lo, hi)
             assert Fraction(lo) <= q <= Fraction(hi)
             if Fraction(lo) == q or Fraction(hi) == q:
                 assert lo == hi

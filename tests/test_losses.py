@@ -273,7 +273,7 @@ class TestMeanValueRigor:
             return factor_bounds(self, leaf)
 
         monkeypatch.setattr(losses.ReciprocalProduct, "_factor_bounds", recording)
-        lo, hi = quadrature._leaf_contribution(integrand, region, box)
+        lo, hi = quadrature._leaf_contribution(integrand, region.fraction(box), box)
         assert len(calls) == 2
         assert (lo.hex(), hi.hex()) == ("0x1.c5f5084cb9ea5p-12", "0x1.c5fcba11943d6p-12")
 

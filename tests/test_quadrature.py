@@ -25,7 +25,7 @@ from sievebound.quadrature import (
     integrate_mc,
     integrate_rigorous,
 )
-from sievebound.regions import AndNode, LinearConstraint, RegionPredicate
+from sievebound.regions import REGION_A, AndNode, LinearConstraint, RegionPredicate
 
 
 def halfspace_region() -> RegionPredicate:
@@ -130,6 +130,26 @@ class TestRigorous:
         with pytest.raises(ValueError):
             integrate_rigorous(linear_t1(), halfspace_region(), ((0.0, 1.0),))
 
+    def test_region_stub_with_a_forwarding_fraction(self):
+        """A region exposing only arity and a forwarding fraction gives the same run.
+
+        The root box walks the full tree; every later box walks the
+        residual of the box it was split from.
+        """
+        calls = []
+
+        def fraction(*args, **kwargs):
+            calls.append(kwargs)
+            return REGION_A.fraction(*args, **kwargs)
+
+        stub = SimpleNamespace(arity=2, fraction=fraction)
+        box = ((0.1, 0.45), (0.1, 0.45))
+        a = integrate_rigorous(linear_t1(), stub, box, budget=3000, tol=1e-9)
+        b = integrate_rigorous(linear_t1(), REGION_A, box, budget=3000, tol=1e-9)
+        assert (a.lower, a.upper, a.boxes_used, a.exhausted) == (b.lower, b.upper, b.boxes_used, b.exhausted)
+        assert len(calls) == b.boxes_used
+        assert calls[0] == {} and all(set(kw) == {"within"} for kw in calls[1:])
+
 
 class TestMonteCarlo:
     def test_estimates_area(self):
@@ -171,3 +191,37 @@ class TestMonteCarlo:
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             integrate_mc(constant_one(), halfspace_region(), UNIT_SQUARE, samples=100, seed=1)
+
+    def test_region_stub_with_only_a_mask(self):
+        """A region exposing only arity and a forwarding mask gives the same estimate; it is given the box."""
+        calls = []
+
+        def mask(*args, **kwargs):
+            calls.append(kwargs)
+            return REGION_A.mask(*args, **kwargs)
+
+        stub = SimpleNamespace(arity=2, mask=mask)
+        box = ((0.1, 0.45), (0.1, 0.45))
+        a = integrate_mc(linear_t1(), stub, box, samples=50000, seed=6, workers=2)
+        b = integrate_mc(linear_t1(), REGION_A, box, samples=50000, seed=6, workers=2)
+        assert (a.lower, a.stderr) == (b.lower, b.stderr)
+        assert calls and all(kw == {"box": box} for kw in calls)
+
+
+INVALID_BOXES = {
+    "infinite": ((0.0, math.inf), (0.0, 1.0)),
+    "reversed": ((0.0, 1.0), (1.0, 0.0)),
+    "degenerate": ((0.5, 0.5), (0.0, 1.0)),
+}
+INTEGRATORS = {
+    "rigorous": lambda box: integrate_rigorous(constant_one(), halfspace_region(), box),
+    "monte_carlo": lambda box: integrate_mc(constant_one(), halfspace_region(), box, samples=10000, seed=1),
+}
+
+
+@pytest.mark.parametrize("box", INVALID_BOXES.values(), ids=INVALID_BOXES.keys())
+@pytest.mark.parametrize("integrate", INTEGRATORS.values(), ids=INTEGRATORS.keys())
+def test_invalid_box_rejected(integrate, box):
+    """Both integrators reject a non-finite, reversed or zero-width interval with ValueError."""
+    with pytest.raises(ValueError, match="finite and nondegenerate"):
+        integrate(box)

@@ -371,6 +371,103 @@ class TestRegionMembership:
         assert entries["region_c"]["arity"] == 2
 
 
+def bisection_chain(rng: random.Random, box, depth: int):
+    """Boxes from seeded bisections of box, each inside the one before, box first."""
+    chain = [box]
+    for _ in range(depth):
+        i = rng.randrange(len(box))
+        lo, hi = box[i]
+        mid = 0.5 * (lo + hi)
+        box = box[:i] + (rng.choice(((lo, mid), (mid, hi))),) + box[i + 1 :]
+        chain.append(box)
+    return chain
+
+
+def face_boxes(rng: random.Random, arity: int, count: int):
+    """Boxes with endpoints at, or one ulp from, the float bounds of the region constraints."""
+    anchors = [float(q) for q in (SIEVE_FLOOR, WINDOW_LO, WINDOW_HI, regions.B_SECOND_CAP)]
+    ends = [x for a in anchors for x in (math.nextafter(a, 0.0), a, math.nextafter(a, 1.0))]
+    boxes = []
+    for _ in range(count):
+        box = []
+        for _ in range(arity):
+            lo, hi = sorted((rng.choice(ends), rng.uniform(0.1, 0.6)))
+            box.append((lo, hi))
+        boxes.append(tuple(box))
+    return boxes
+
+
+def points_in(npr: np.random.Generator, box, n: int) -> np.ndarray:
+    """n seeded points of the closed box, with every corner and points on each face."""
+    lows = np.array([lo for lo, _ in box])
+    his = np.array([hi for _, hi in box])
+    pts = npr.uniform(lows, his, size=(n, len(box)))
+    on_face = npr.random(pts.shape) < 0.3
+    pts = np.where(on_face, np.where(npr.random(pts.shape) < 0.5, lows, his), pts)
+    corners = np.array([[box[i][bit >> i & 1] for i in range(len(box))] for bit in range(1 << len(box))])
+    return np.vstack([corners, pts])
+
+
+class TestResiduals:
+    def test_residual_gives_the_full_tree_bounds_on_sub_boxes(self):
+        """fraction(child, within=fraction(parent).residual) is fraction(child) bit for bit.
+
+        Along seeded bisection chains for every catalog region, and the
+        residuals agree too.  A box with bounds (1, 1) or (0, 0) has the
+        empty conjunction or disjunction as its residual.
+        """
+        rng = random.Random(20261018)
+        decided = 0
+        for region in region_catalog().values():
+            for _ in range(30):
+                chain = bisection_chain(rng, ((0.1, 0.45),) * region.arity, 14)
+                for parent_box, child_box in zip(chain, chain[1:]):
+                    parent = region.fraction(parent_box)
+                    child = region.fraction(child_box)
+                    via = region.fraction(child_box, within=parent.residual)
+                    assert [x.hex() for x in via] == [x.hex() for x in child]
+                    assert via == tuple(child) and via.residual == child.residual
+                    if tuple(child) in ((1.0, 1.0), (0.0, 0.0)):
+                        decided += 1
+                        expected = regions._TRUE if child[0] == 1.0 else regions._FALSE
+                        assert child.residual is expected and via.residual is expected
+                        assert region.fraction(child_box, within=child.residual) == child
+        assert decided >= 100
+
+    def test_mask_on_a_box_matches_the_full_mask(self):
+        """mask(pts, box=b) equals mask(pts) on seeded points of b, faces and corners included.
+
+        The face boxes put endpoints at the float region bounds, where the
+        float test and exact classification part ways: t1 < 8/19 holds
+        exactly on t1 <= float(8/19) < 8/19 but not in floats at the face.
+        """
+        rng = random.Random(7)
+        npr = np.random.default_rng(7)
+        pruned = 0
+        for region in region_catalog().values():
+            boxes = face_boxes(rng, region.arity, 40)
+            for _ in range(40):
+                boxes.extend(bisection_chain(rng, ((0.1, 0.45),) * region.arity, 10)[2::4])
+            for box in boxes:
+                pts = points_in(npr, box, 300)
+                assert np.array_equal(region.mask(pts, box=box), region.mask(pts))
+                pruned += regions._tree_mask_residual(region.tree, regions._grid(box)) != region.tree
+        assert pruned >= 100
+        strict = regions.RegionPredicate("t1 < 8/19", 1, LinearConstraint((1,), "<", WINDOW_LO))
+        box = ((0.3, float(WINDOW_LO)),)
+        assert strict.classify(box) == INSIDE
+        pts = np.array([[0.3], [0.35], [float(WINDOW_LO)]])
+        assert strict.mask(pts, box=box).tolist() == strict.mask(pts).tolist() == [True, True, False]
+        # Below the float bound exactly, but the float sum at the corner rounds onto it.
+        pair = regions.RegionPredicate("t1 + t2 < 8/19", 2, LinearConstraint((1, 1), "<", WINDOW_LO))
+        fb = float(WINDOW_LO)
+        t2 = math.nextafter(fb - 0.2, 0.0)
+        assert F(0.2) + F(t2) < F(fb) and 0.2 + t2 == fb
+        box = ((0.1, 0.2), (0.1, t2))
+        pts = np.array([[0.1, 0.1], [0.2, t2]])
+        assert pair.mask(pts, box=box).tolist() == pair.mask(pts).tolist() == [True, False]
+
+
 class TestFeasibility:
     def test_type_ii_examples(self):
         assert type_ii_feasible([F(8, 19)])
