@@ -8,9 +8,11 @@ machine floats.  The box is refined adaptively; every leaf contributes
 where fraction_bounds are the region module's certified volume-fraction
 bounds, outward-rounded floats (the exact integer Irwin-Hall fraction
 of a single linear constraint rounded outward once, Frechet-combined
-above), and
-value_bounds come from the integrand's interval extension.  Leaves fully
-inside the region use the integrand's certified average enclosure (a
+above), and value_bounds come from the integrand's interval extension.
+Each constraint is decided on a leaf by that exact fraction alone: 1 is
+inside, 0 is outside, so a leaf that meets the region only in a face
+contact of measure zero contributes exactly zero.  Leaves fully inside
+the region use the integrand's certified average enclosure (a
 mean-value form) instead, which lies inside the box's value range and so
 keeps refinement monotone.  The leaf product is computed on plain floats
 rounded outward after every operation, and the final endpoint sums use
@@ -135,13 +137,25 @@ def _split(box: Box, scale: tuple[float, ...]) -> Optional[tuple[Box, Box]]:
 
 
 def _checked_box(f: Integrand, region: RegionPredicate, box: Box) -> Box:
-    """box as float intervals; ValueError unless finite, nondegenerate and of the common dimension."""
-    box = tuple((float(lo), float(hi)) for lo, hi in box)
-    if len(box) != f.arity or len(box) != region.arity:
+    """box as float intervals; ValueError unless finite, nondegenerate, exactly floats and of the common dimension.
+
+    An endpoint that float() would round (a Fraction such as 1/3, a
+    huge int) is rejected rather than moved, since the rounded box is a
+    different domain.
+    """
+    exact = tuple(tuple(iv) for iv in box)
+    if len(exact) != f.arity or len(exact) != region.arity:
         raise ValueError("box, integrand and region dimensions disagree")
-    for lo, hi in box:
+    try:
+        box = tuple((float(lo), float(hi)) for lo, hi in exact)
+    except OverflowError:
+        raise ValueError("box intervals must be finite and nondegenerate") from None
+    for floats, given in zip(box, exact):
+        lo, hi = floats
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("box intervals must be finite and nondegenerate")
+        if floats != given:
+            raise ValueError(f"box endpoints {given} are not exactly representable as floats")
     return box
 
 

@@ -18,15 +18,17 @@ that no nonempty subset of designated exponents has sum inside the
 groupable window [8/19, 11/19].
 
 Point membership runs in exact `Fraction` arithmetic, float inputs
-converted exactly.  Box classification is exact integer arithmetic: each
+converted exactly.  Box tests are exact integer arithmetic: each
 constraint is scaled to integer coefficients and bound once, and each
 box is put once on a common integer grid (`_grid`: every float, int or
-Fraction endpoint is A / scale for one integer scale), so the corner
-range of a constraint over the box is an integer sum compared with
-bound * scale.  Strict and non-strict inequalities are distinguished by
-point membership but deliberately conflated by box classification, since
-they differ on a measure-zero set and every integral is insensitive to
-it.
+Fraction endpoint is A / scale for one integer scale).  Strict and
+non-strict inequalities are distinguished by point membership but
+deliberately conflated by box tests, since they differ on a
+measure-zero set and every integral is insensitive to it.
+
+`classify` decides a box by the exact corner range of each constraint,
+an integer sum compared with bound * scale: a box that touches a
+halfspace only on its face is MIXED for it.
 
 Each predicate also computes, for a box, certified float bounds on the
 fraction of the box volume satisfying the predicate.  After rescaling
@@ -39,8 +41,10 @@ Irwin-Hall distribution function
 divided by the product of the b_i.  F is homogeneous of degree 0 in
 (y, b), so on the box's integer grid y and the b_i are integers and F
 is an exact integer ratio (`LinearConstraint._ratio`; only subsets with
-y - b_S > 0 are enumerated).  That ratio is rounded to floats once, by
-one correctly rounded division and an integer check of which side of
+y - b_S > 0 are enumerated).  A constraint is decided on a box by that
+ratio alone: 1 is inside, 0 is outside, which counts a face contact of
+measure zero as outside, and any other value is rounded to floats once,
+by one correctly rounded division and an integer check of which side of
 the quotient the exact value lies (`buchstab._ratio_bounds`), so each
 bound is within one ulp of the exact fraction.  Conjunctions and
 disjunctions combine their children's bounds with two-sided Frechet
@@ -49,14 +53,15 @@ single child is undecided on the box.
 
 A constraint decided on a box stays decided on every sub-box, so each
 fraction also returns the box's residual tree: the conjunctions without
-their INSIDE children and the disjunctions without their OUTSIDE ones
+their inside children and the disjunctions without their outside ones
 (the inner/outer box tests of SIVIA, Jaulin, Kieffer, Didrit & Walter,
 *Applied Interval Analysis*, 2001).  Walked on a sub-box
 (`fraction(box, within=residual)`), it gives the full tree's bounds bit
 for bit while visiting only the constraints left open.  The float point
 mask skips, on a box, the constraints whose float comparison the box
 decides for every point in it, strictness and rounding included
-(`LinearConstraint._mask_classify`).
+(`LinearConstraint._mask_classify`).  One walk, `_tree_residual`, prunes
+a tree by either leaf test, for `classify` and for the mask.
 """
 
 from __future__ import annotations
@@ -246,11 +251,7 @@ class LinearConstraint:
         The exact fraction rounded outward once: (f, f) when it is a
         float, otherwise the two floats adjacent to it.
         """
-        return self._fraction_bounds(self._box_grid(box))
-
-    def _fraction_bounds(self, grid: Grid) -> tuple[float, float]:
-        """fraction_bounds on a box given as its `_grid`."""
-        return _ratio_bounds(*self._ratio(grid))
+        return _ratio_bounds(*self._ratio(self._box_grid(box)))
 
     def _ratio(self, grid: Grid) -> tuple[int, int]:
         """The exact volume fraction as (numerator, denominator > 0), in Irwin-Hall form.
@@ -318,28 +319,6 @@ def _tree_contains(node, point) -> bool:
     return any(_tree_contains(c, point) for c in node.children)
 
 
-def _tree_classify(node, grid: Grid) -> str:
-    if isinstance(node, LinearConstraint):
-        return node._classify(grid)
-    if isinstance(node, AndNode):
-        verdict = INSIDE
-        for child in node.children:
-            v = _tree_classify(child, grid)
-            if v == OUTSIDE:
-                return OUTSIDE
-            if v == MIXED:
-                verdict = MIXED
-        return verdict
-    verdict = OUTSIDE
-    for child in node.children:
-        v = _tree_classify(child, grid)
-        if v == INSIDE:
-            return INSIDE
-        if v == MIXED:
-            verdict = MIXED
-    return verdict
-
-
 # The residual of a box decided INSIDE or OUTSIDE: the empty conjunction
 # and the empty disjunction, which every walk decides the same way.
 _TRUE = AndNode(())
@@ -364,33 +343,30 @@ def _pruned(node, kept: list):
 def _tree_fraction(node, grid: Grid) -> tuple[float, float, object]:
     """(lo, hi, residual): outward float bounds on the satisfied volume fraction of a box given as its `_grid`.
 
-    A leaf decided by exact classification is (1, 1) or (0, 0); any
-    other leaf gets its exact fraction rounded outward.  AndNode combines
-    its children's bounds by the Frechet conjunction bounds
-    [1 - sum(1 - f_i), min(f_i)] and stops at a (0, 0) child; OrNode
-    uses the dual [max(f_i), sum(f_i)] and stops at a (1, 1) child.
-    Both are clipped to [0, 1] and rounded outward.  A subtree that
-    exact classification decides gets exactly (1, 1) or (0, 0), and no
-    other subtree gets (1, 1): a MIXED leaf's fraction, and with it its
-    lower bound, is below 1.  It may be exactly 0, when the box meets
-    the halfspace only on its boundary, and then the leaf gets (0, 0).
+    A leaf is decided by its exact fraction alone: 1 gives (1, 1), 0
+    gives (0, 0), and any other value is rounded outward, so its bounds
+    are neither (1, 1) nor (0, 0).  A box that meets the halfspace only
+    on its boundary, a face contact of measure zero, has fraction 0 and
+    counts as outside.  AndNode combines its children's bounds by the
+    Frechet conjunction bounds [1 - sum(1 - f_i), min(f_i)] and stops at
+    a (0, 0) child; OrNode uses the dual [max(f_i), sum(f_i)] and stops
+    at a (1, 1) child.  Both are clipped to [0, 1] and rounded outward.
 
     The residual is the part of the tree the box leaves undecided:
     `_TRUE` for (1, 1), `_FALSE` for (0, 0), otherwise the node with
     the (1, 1) children of an AndNode and the (0, 0) children of an
-    OrNode dropped.  Both stay so on every sub-box (a sub-box of a box
-    that meets a halfspace in measure zero does too), and they add
-    exactly nothing to their parent's bounds, so walking the residual
-    on any sub-box gives the bounds the full tree gives, bit for bit.
+    OrNode dropped.  A fraction of 1 or 0 stays so on every sub-box,
+    and such a child adds exactly nothing to its parent's bounds, so
+    walking the residual on any sub-box gives the bounds the full tree
+    gives, bit for bit.
     """
     if isinstance(node, LinearConstraint):
-        verdict = node._classify(grid)
-        if verdict == INSIDE:
+        num, den = node._ratio(grid)
+        if num == den:
             return 1.0, 1.0, _TRUE
-        if verdict == OUTSIDE:
+        if num == 0:
             return 0.0, 0.0, _FALSE
-        lo, hi = node._fraction_bounds(grid)
-        return lo, hi, node if hi != 0.0 else _FALSE
+        return *_ratio_bounds(num, den), node
     kept = []
     if isinstance(node, AndNode):
         missing = 0.0
@@ -418,21 +394,20 @@ def _tree_fraction(node, grid: Grid) -> tuple[float, float, object]:
     return lo, min(hi, 1.0), _pruned(node, kept)
 
 
-def _tree_mask_residual(node, grid: Grid):
-    """The part of the tree that `_tree_mask` leaves undecided on a box given as its `_grid`.
+def _tree_residual(node, decide):
+    """The part of the tree that `decide` leaves undecided on a box.
 
-    Leaves are decided by `LinearConstraint._mask_classify`, which is
-    exact for the float test on every point of the closed box; AndNode
-    drops INSIDE children and OrNode OUTSIDE ones, as in `_tree_fraction`.
-    On every point of the box the residual's mask equals the tree's.
+    `decide(leaf)` is INSIDE, OUTSIDE or MIXED for each constraint;
+    AndNode drops INSIDE children and OrNode OUTSIDE ones, as in
+    `_tree_fraction`, and a decided tree is `_TRUE` or `_FALSE`.
     """
     if isinstance(node, LinearConstraint):
-        verdict = node._mask_classify(grid)
+        verdict = decide(node)
         return _TRUE if verdict == INSIDE else _FALSE if verdict == OUTSIDE else node
     decisive, neutral = (_FALSE, _TRUE) if isinstance(node, AndNode) else (_TRUE, _FALSE)
     kept = []
     for child in node.children:
-        residual = _tree_mask_residual(child, grid)
+        residual = _tree_residual(child, decide)
         if residual is decisive:
             return decisive
         if residual is not neutral:
@@ -499,8 +474,14 @@ class RegionPredicate:
         return _grid(box)
 
     def classify(self, box: Box) -> str:
-        """INSIDE / OUTSIDE / MIXED over an axis-aligned box, exactly."""
-        return _tree_classify(self.tree, self._box_grid(box))
+        """INSIDE / OUTSIDE / MIXED over an axis-aligned box, exactly.
+
+        Each constraint is decided by its exact corner range, so a box
+        that touches a halfspace only on its face is MIXED for it.
+        """
+        grid = self._box_grid(box)
+        residual = _tree_residual(self.tree, lambda leaf: leaf._classify(grid))
+        return INSIDE if residual is _TRUE else OUTSIDE if residual is _FALSE else MIXED
 
     def fraction(self, box: Box, within=None) -> FractionBounds:
         """Certified outward float bounds on the satisfied volume fraction of the box.
@@ -523,7 +504,10 @@ class RegionPredicate:
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.arity:
             raise ValueError(f"{self.name} expects an (n, {self.arity}) array")
-        tree = self.tree if box is None else _tree_mask_residual(self.tree, self._box_grid(box))
+        tree = self.tree
+        if box is not None:
+            grid = self._box_grid(box)
+            tree = _tree_residual(tree, lambda leaf: leaf._mask_classify(grid))
         return _tree_mask(tree, pts)
 
     def to_json(self) -> dict:

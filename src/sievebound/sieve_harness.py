@@ -43,8 +43,9 @@ reversed B chain enumerates (p2, p3, q) with q <= (2x)^(8/19) and
 takes beta = n/(p2 p3 q) as the cofactor; S_B3 and dropped_B3 cap it at
 beta <= (2x - 1) // (p4^2 p2 p3) for each prime p4 | q, and dropped_B3
 tests the grouping window on beta against the integer bounds
-min{v : v^19 >= x^8} and max{v : v^19 <= x^11}.  harness_report folds
-the terms one identity at a time; decompose is the per-n oracle.
+min{v : v^19 >= x^8} and max{v : v^19 <= x^11}.  harness_report builds
+each term once and adds it, signed, into every identity residual and
+into rho; decompose is the per-n oracle.
 
 Derivation of the identities (each exact for n in (x, 2x], x >= 10^4):
 
@@ -114,7 +115,7 @@ _INF = 1 << 62  # sentinel spf for 1: larger than any threshold in range
 SPF_CAP = np.iinfo(np.uint16).max  # spf table entries saturate here
 
 # A window term exceeding this in absolute value is rejected before it
-# is folded, so that an int8 sum of at most five terms cannot wrap.
+# is added, so that an int8 sum of at most five terms cannot wrap.
 TERM_LIMIT = 25
 
 # Signed terms whose sum is each identity's residual, per n
@@ -125,8 +126,8 @@ _IDENTITY_FOLDS = {
     "low_chain": (("s_a", 1), ("s_a1", -1), ("s_a2", 1), ("s_a3", -1)),
     "reversal_chain": (("s_b", 1), ("s_b1", -1), ("s_b2", 1), ("s_b3", -1)),
 }
-# rho - 1_p; the fold adds one_p last.
-_RHO_DROPS = (("s_c", -1), ("dropped_a3", -1), ("dropped_b3", -1))
+# Signed terms whose sum is rho.
+_RHO = (("one_p", 1), ("s_c", -1), ("dropped_a3", -1), ("dropped_b3", -1))
 
 IDENTITY_NAMES = tuple(_IDENTITY_FOLDS)
 
@@ -256,6 +257,9 @@ class DecompositionRecord:
         }
 
 
+TERM_NAMES = tuple(f.name for f in fields(DecompositionRecord) if f.name not in ("n", "rho"))
+
+
 def _groupable(ctx: SieveContext, parts: tuple[int, ...]) -> bool:
     """True when some nonempty sub-product lands in [x^(8/19), x^(11/19)]."""
     n_parts = len(parts)
@@ -324,26 +328,21 @@ def decompose(ctx: SieveContext, n: int) -> DecompositionRecord:
                 return p
         return _INF
 
-    one_p = 1 if spf_n * spf_n >= twox else 0
-    s1 = 1 if spf_n >= cz else 0
+    terms = dict.fromkeys(TERM_NAMES, 0)
+    terms["one_p"] = 1 if spf_n * spf_n >= twox else 0
+    terms["s1"] = 1 if spf_n >= cz else 0
 
     qual = [p for p, _ in fac if p >= cz]
-
-    s2 = s3 = s4 = 0
-    s_a = s_type2 = s_b = s_c = 0
-    s_a1 = s_a2 = s_a3 = 0
-    s_b1 = s_b2 = s_b3 = 0
-    dropped_a3 = dropped_b3 = 0
     a_pairs: list[tuple[int, int]] = []
     b_pairs: list[tuple[int, int]] = []
 
     for p in qual:
         if p**19 <= ctx.pow8:
             if cof_spf({p: 1}) >= cz:
-                s2 += 1
+                terms["s2"] += 1
         elif p * p < twox:
             if cof_spf({p: 1}) >= p:
-                s3 += 1
+                terms["s3"] += 1
 
     for p1 in qual:
         if p1**19 > ctx.pow8:
@@ -355,35 +354,27 @@ def decompose(ctx: SieveContext, n: int) -> DecompositionRecord:
                 continue
             pair_pow = (p1 * p2) ** 19
             if pair_pow < ctx.pow8:
-                bucket = "a"
+                bucket = "s_a"
                 a_pairs.append((p1, p2))
             elif pair_pow <= ctx.pow11:
-                bucket = "t2"
+                bucket = "s_type2"
             else:
                 p2_split = p2**38
                 if p2_split < ctx.pow9:
-                    bucket = "b"
+                    bucket = "s_b"
                     b_pairs.append((p1, p2))
                 elif p2_split > ctx.pow9:
-                    bucket = "c"
+                    bucket = "s_c"
                 else:
                     raise AssertionError("impossible equality p2^38 = (2x)^9")
-            w = 1 if cof_spf({p1: 1, p2: 1}) >= p2 else 0
-            if w:
-                s4 += 1
-                if bucket == "a":
-                    s_a += 1
-                elif bucket == "t2":
-                    s_type2 += 1
-                elif bucket == "b":
-                    s_b += 1
-                else:
-                    s_c += 1
+            if cof_spf({p1: 1, p2: 1}) >= p2:
+                terms["s4"] += 1
+                terms[bucket] += 1
 
     # A-side chain: two further Buchstab steps over each admissible pair.
     for p1, p2 in a_pairs:
         if cof_spf({p1: 1, p2: 1}) >= cz:
-            s_a1 += 1
+            terms["s_a1"] += 1
         for p3 in qual:
             if not p3 < p2:
                 continue
@@ -391,7 +382,7 @@ def decompose(ctx: SieveContext, n: int) -> DecompositionRecord:
                 continue
             used3 = {p1: 1, p2: 1, p3: 1}
             if cof_spf(used3) >= cz:
-                s_a2 += 1
+                terms["s_a2"] += 1
             for p4 in qual:
                 if not p4 < p3:
                     continue
@@ -399,15 +390,15 @@ def decompose(ctx: SieveContext, n: int) -> DecompositionRecord:
                     continue
                 used4 = {p1: 1, p2: 1, p3: 1, p4: 1}
                 if cof_spf(used4) >= p4:
-                    s_a3 += 1
+                    terms["s_a3"] += 1
                     if not _groupable(ctx, (p1, p2, p3)) and not _groupable(
                         ctx, (p1, p2, p3, p4)
                     ):
-                        dropped_a3 += 1
+                        terms["dropped_a3"] += 1
 
     for p1, p2 in b_pairs:
         if cof_spf({p1: 1, p2: 1}) >= cz:
-            s_b1 += 1
+            terms["s_b1"] += 1
 
     # Reversed B-side chain, enumerated over (p2, p3, beta) with
     # q = n / (beta p2 p3); the forward pair prime p1 reappears as q.
@@ -433,7 +424,7 @@ def decompose(ctx: SieveContext, n: int) -> DecompositionRecord:
                 if q * p2 * p3 * p3 >= twox:
                     continue
                 if spf_q >= cz:
-                    s_b2 += 1
+                    terms["s_b2"] += 1
                 qq = q
                 while qq > 1:
                     p4 = ctx.spf_of(qq)
@@ -448,32 +439,13 @@ def decompose(ctx: SieveContext, n: int) -> DecompositionRecord:
                     rest = q // p4
                     spf_rest = ctx.spf_of(rest) if e4 == 1 else min(ctx.spf_of(rest), p4)
                     if spf_rest >= p4:
-                        s_b3 += 1
+                        terms["s_b3"] += 1
                         if not _groupable(ctx, (q, p2, p3)) and not _groupable(
                             ctx, (beta, p2, p3, p4)
                         ):
-                            dropped_b3 += 1
+                            terms["dropped_b3"] += 1
 
-    terms = dict(
-        one_p=one_p,
-        s1=s1,
-        s2=s2,
-        s3=s3,
-        s4=s4,
-        s_a=s_a,
-        s_type2=s_type2,
-        s_b=s_b,
-        s_c=s_c,
-        s_a1=s_a1,
-        s_a2=s_a2,
-        s_a3=s_a3,
-        s_b1=s_b1,
-        s_b2=s_b2,
-        s_b3=s_b3,
-        dropped_a3=dropped_a3,
-        dropped_b3=dropped_b3,
-    )
-    rho = one_p + sum(sign * terms[name] for name, sign in _RHO_DROPS)
+    rho = sum(sign * terms[name] for name, sign in _RHO)
     return DecompositionRecord(n=n, **terms, rho=rho)
 
 
@@ -579,9 +551,6 @@ def _reversal_chain(ctx: SieveContext, primes: list[int]) -> Iterator[tuple]:
                         yield "dropped_b3", d, p3, cap, (p2, p3, p4)
 
 
-TERM_NAMES = tuple(f.name for f in fields(DecompositionRecord) if f.name not in ("n", "rho"))
-
-
 def _term_tuples(ctx: SieveContext) -> dict[str, list[tuple]]:
     """Each term's tuple items (d, threshold, cap, parts), built once per context."""
     if ctx._tuples is None:
@@ -627,40 +596,48 @@ _TOTALS = {
     "dropped_b3": "dropped_B3",
 }
 
-
-def _fold(ctx: SieveContext, signed, residual: np.ndarray, totals: dict) -> np.ndarray:
-    """Add each signed window term into residual, recording the totals."""
-    for name, sign in signed:
-        term = window_term(ctx, name)
-        if term.max() > TERM_LIMIT or term.min() < -TERM_LIMIT:
-            raise ValueError(f"window term {name} leaves [-{TERM_LIMIT}, {TERM_LIMIT}]")
-        if name in _TOTALS:
-            totals[_TOTALS[name]] = int(term.sum(dtype=np.int64))
-        if sign > 0:
-            residual += term
-        else:
-            residual -= term
-    return residual
+# Window term -> (identity name or "rho", sign) for every sum it enters.
+_SIGNS = {
+    term: [
+        (target, sign)
+        for target, signed in (*_IDENTITY_FOLDS.items(), ("rho", _RHO))
+        for t, sign in signed
+        if t == term
+    ]
+    for term in TERM_NAMES
+}
 
 
 def harness_report(ctx: SieveContext) -> dict:
     """Scan the window (x, 2x] once and return a JSON-ready summary.
 
-    Violations are counted per n and expected to be zero: each identity
-    with a nonzero residual, the minorant rho > 1_p (which covers
-    rho > 1, since 1_p <= 1), and the support rho != 0 with
-    spf(n) < z.  The ratios divide sum(rho) by the window length after
-    multiplying by log of the representative size: the window midpoint
-    scale 1.5x, and the base scale x for comparison.
+    Each window term is built once and added with its sign into every
+    identity residual and into rho that it enters.  Violations are
+    counted per n and expected to be zero: each identity with a nonzero
+    residual, the minorant rho > 1_p (which covers rho > 1, since
+    1_p <= 1), and the support rho != 0 with spf(n) < z.  The ratios
+    divide sum(rho) by the window length after multiplying by log of
+    the representative size: the window midpoint scale 1.5x, and the
+    base scale x for comparison.
     """
     totals = dict.fromkeys(("rho", *_TOTALS.values()), 0)
-    identity = {}
-    for name, signed in _IDENTITY_FOLDS.items():
-        residual = _fold(ctx, signed, np.zeros(ctx.x, dtype=np.int8), totals)
-        identity[name] = int(np.count_nonzero(residual))
-    rho = _fold(ctx, _RHO_DROPS, np.zeros(ctx.x, dtype=np.int8), totals)
-    minorant = int(np.count_nonzero(rho > 0))
-    rho = _fold(ctx, (("one_p", 1),), rho, totals)
+    sums = {name: np.zeros(ctx.x, dtype=np.int8) for name in (*IDENTITY_NAMES, "rho")}
+    for name in TERM_NAMES:
+        term = window_term(ctx, name)
+        if term.max() > TERM_LIMIT or term.min() < -TERM_LIMIT:
+            raise ValueError(f"window term {name} leaves [-{TERM_LIMIT}, {TERM_LIMIT}]")
+        if name in _TOTALS:
+            totals[_TOTALS[name]] = int(term.sum(dtype=np.int64))
+        if name == "one_p":
+            one_p = term
+        for target, sign in _SIGNS[name]:
+            if sign > 0:
+                sums[target] += term
+            else:
+                sums[target] -= term
+    rho = sums.pop("rho")
+    identity = {name: int(np.count_nonzero(residual)) for name, residual in sums.items()}
+    minorant = int(np.count_nonzero(rho > one_p))
     support = int(np.count_nonzero((rho != 0) & (ctx.spf[ctx.x + 1 :] < ctx.cut)))
     sum_rho = totals["rho"] = int(rho.sum(dtype=np.int64))
     min_rho = int(rho.min())

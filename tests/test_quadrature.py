@@ -225,3 +225,23 @@ def test_invalid_box_rejected(integrate, box):
     """Both integrators reject a non-finite, reversed or zero-width interval with ValueError."""
     with pytest.raises(ValueError, match="finite and nondegenerate"):
         integrate(box)
+
+
+@pytest.mark.parametrize("integrate", [integrate_rigorous, integrate_mc], ids=["rigorous", "monte_carlo"])
+def test_inexact_endpoint_rejected(integrate):
+    """An endpoint that float() would round is a ValueError, not a moved box.
+
+    Rounded, the box below has width 9.992e-16 in floats, so a run over
+    it would certify an area that excludes the true 1e-15.  Fraction and
+    int endpoints that are floats exactly are accepted.
+    """
+    one = Integrand(arity=1, enclosure=lambda box: Enclosure(1.0), value_many=lambda pts: np.ones(len(pts)))
+    everywhere = RegionPredicate("everywhere", 1, AndNode(()))
+    kwargs = {"samples": 10000, "seed": 1} if integrate is integrate_mc else {}
+    third = Fraction(1, 3)
+    with pytest.raises(ValueError, match="not exactly representable"):
+        integrate(one, everywhere, ((third, third + Fraction(1, 10**15)),), **kwargs)
+    with pytest.raises(ValueError, match="not exactly representable"):
+        integrate(one, everywhere, ((0, 2**60 + 1),), **kwargs)
+    est = integrate(one, everywhere, ((Fraction(1, 4), 1),), **kwargs)
+    assert est.lower <= 0.75 <= est.upper and est.width <= 1e-15

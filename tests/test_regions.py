@@ -44,23 +44,30 @@ F = Fraction
 
 
 def exact_frechet(node, box):
-    """Exact rational Frechet bounds from LinearConstraint.fraction (test oracle)."""
-    verdict = regions._tree_classify(node, regions._grid(box))
-    if verdict == INSIDE:
-        return F(1), F(1)
-    if verdict == OUTSIDE:
-        return F(0), F(0)
+    """Exact rational Frechet bounds from LinearConstraint.classify and .fraction (test oracle)."""
     if isinstance(node, LinearConstraint):
-        f = node.fraction(box)
+        verdict = node.classify(box)
+        f = F(1) if verdict == INSIDE else F(0) if verdict == OUTSIDE else node.fraction(box)
         return f, f
     parts = [exact_frechet(c, box) for c in node.children]
     if isinstance(node, AndNode):
         lo = 1 - sum((1 - p[0] for p in parts), F(0))
-        hi = min(p[1] for p in parts)
+        hi = min((p[1] for p in parts), default=F(1))
     else:
-        lo = max(p[0] for p in parts)
+        lo = max((p[0] for p in parts), default=F(0))
         hi = sum((p[1] for p in parts), F(0))
     return max(lo, F(0)), min(hi, F(1))
+
+
+def plain_verdict(node, box):
+    """INSIDE / OUTSIDE / MIXED of a tree from LinearConstraint.classify, without pruning (test oracle)."""
+    if isinstance(node, LinearConstraint):
+        return node.classify(box)
+    verdicts = [plain_verdict(c, box) for c in node.children]
+    decisive, neutral = (OUTSIDE, INSIDE) if isinstance(node, AndNode) else (INSIDE, OUTSIDE)
+    if decisive in verdicts:
+        return decisive
+    return neutral if all(v == neutral for v in verdicts) else MIXED
 
 
 def anisotropic_leaf(rng: random.Random, region, domain):
@@ -434,6 +441,52 @@ class TestResiduals:
                         assert region.fraction(child_box, within=child.residual) == child
         assert decided >= 100
 
+    def test_face_contact_is_outside_for_fractions_but_mixed_for_classify(self):
+        """A box touching a <= face from outside has fraction (0, 0) and residual _FALSE.
+
+        classify keeps its exact corner semantics and calls the same box
+        MIXED, and the mask on the box still accepts the contact point.
+        """
+        below = LinearConstraint((1, 1), "<=", F(1, 2))
+        box = ((0.25, 0.75), (0.25, 0.5))  # t1 + t2 >= 1/2, equal only at (0.25, 0.25)
+        region = regions.RegionPredicate("t1 + t2 <= 1/2", 2, below)
+        assert below.classify(box) == MIXED and region.classify(box) == MIXED
+        assert below.fraction(box) == 0 and below.fraction_bounds(box) == (0.0, 0.0)
+        bounds = region.fraction(box)
+        assert bounds == (0.0, 0.0) and bounds.residual is regions._FALSE
+        pts = np.array([[0.25, 0.25], [0.5, 0.25]])
+        assert region.mask(pts, box=box).tolist() == region.mask(pts).tolist() == [True, False]
+        # In a conjunction the contact decides the whole box; classify stays MIXED.
+        both = regions.RegionPredicate("and", 2, AndNode((LinearConstraint((1, 0), ">=", F(0)), below)))
+        assert both.classify(box) == MIXED
+        bounds = both.fraction(box)
+        assert bounds == (0.0, 0.0) and bounds.residual is regions._FALSE
+
+    def test_classify_matches_a_plain_recursive_verdict(self):
+        """RegionPredicate.classify equals an unpruned recursion over LinearConstraint.classify.
+
+        Seeded boxes over every catalog region: bisection chains from the
+        region's domain (the base square for the pair regions, the loss
+        box for the quadruple ones) and boxes with endpoints at or next
+        to the float region bounds.
+        """
+        from sievebound import losses
+
+        edge = (float(SIEVE_FLOOR), float(WINDOW_LO))
+        domains = {"u_a3": losses._BOXES["a3"], "u_b3": losses._BOXES["b3"]}
+        rng = random.Random(20261019)
+        seen = {INSIDE: 0, OUTSIDE: 0, MIXED: 0}
+        for region in region_catalog().values():
+            domain = domains.get(region.name, (edge,) * 2)
+            boxes = face_boxes(rng, region.arity, 40)
+            for _ in range(30):
+                boxes.extend(bisection_chain(rng, domain, 16)[1::3])
+            for box in boxes:
+                verdict = region.classify(box)
+                assert verdict == plain_verdict(region.tree, box), (region.name, box)
+                seen[verdict] += 1
+        assert min(seen.values()) >= 50
+
     def test_mask_on_a_box_matches_the_full_mask(self):
         """mask(pts, box=b) equals mask(pts) on seeded points of b, faces and corners included.
 
@@ -451,7 +504,8 @@ class TestResiduals:
             for box in boxes:
                 pts = points_in(npr, box, 300)
                 assert np.array_equal(region.mask(pts, box=box), region.mask(pts))
-                pruned += regions._tree_mask_residual(region.tree, regions._grid(box)) != region.tree
+                grid = regions._grid(box)
+                pruned += regions._tree_residual(region.tree, lambda leaf: leaf._mask_classify(grid)) != region.tree
         assert pruned >= 100
         strict = regions.RegionPredicate("t1 < 8/19", 1, LinearConstraint((1,), "<", WINDOW_LO))
         box = ((0.3, float(WINDOW_LO)),)
