@@ -394,20 +394,21 @@ def _tree_fraction(node, grid: Grid) -> tuple[float, float, object]:
     return lo, min(hi, 1.0), _pruned(node, kept)
 
 
-def _tree_residual(node, decide):
-    """The part of the tree that `decide` leaves undecided on a box.
+def _tree_residual(node, grid: Grid, decide):
+    """The part of the tree that `decide` leaves undecided on a box given as its `_grid`.
 
-    `decide(leaf)` is INSIDE, OUTSIDE or MIXED for each constraint;
-    AndNode drops INSIDE children and OrNode OUTSIDE ones, as in
-    `_tree_fraction`, and a decided tree is `_TRUE` or `_FALSE`.
+    `decide(leaf, grid)` is INSIDE, OUTSIDE or MIXED for each constraint
+    (`LinearConstraint._classify` or `._mask_classify`); AndNode drops
+    INSIDE children and OrNode OUTSIDE ones, as in `_tree_fraction`, and
+    a decided tree is `_TRUE` or `_FALSE`.
     """
     if isinstance(node, LinearConstraint):
-        verdict = decide(node)
+        verdict = decide(node, grid)
         return _TRUE if verdict == INSIDE else _FALSE if verdict == OUTSIDE else node
     decisive, neutral = (_FALSE, _TRUE) if isinstance(node, AndNode) else (_TRUE, _FALSE)
     kept = []
     for child in node.children:
-        residual = _tree_residual(child, decide)
+        residual = _tree_residual(child, grid, decide)
         if residual is decisive:
             return decisive
         if residual is not neutral:
@@ -479,8 +480,7 @@ class RegionPredicate:
         Each constraint is decided by its exact corner range, so a box
         that touches a halfspace only on its face is MIXED for it.
         """
-        grid = self._box_grid(box)
-        residual = _tree_residual(self.tree, lambda leaf: leaf._classify(grid))
+        residual = _tree_residual(self.tree, self._box_grid(box), LinearConstraint._classify)
         return INSIDE if residual is _TRUE else OUTSIDE if residual is _FALSE else MIXED
 
     def fraction(self, box: Box, within=None) -> FractionBounds:
@@ -504,11 +504,9 @@ class RegionPredicate:
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.arity:
             raise ValueError(f"{self.name} expects an (n, {self.arity}) array")
-        tree = self.tree
-        if box is not None:
-            grid = self._box_grid(box)
-            tree = _tree_residual(tree, lambda leaf: leaf._mask_classify(grid))
-        return _tree_mask(tree, pts)
+        if box is None:
+            return _tree_mask(self.tree, pts)
+        return _tree_mask(_tree_residual(self.tree, self._box_grid(box), LinearConstraint._mask_classify), pts)
 
     def to_json(self) -> dict:
         return {"name": self.name, "arity": self.arity, "tree": _tree_json(self.tree)}

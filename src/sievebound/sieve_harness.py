@@ -636,7 +636,8 @@ def harness_report(ctx: SieveContext) -> dict:
             else:
                 sums[target] -= term
     rho = sums.pop("rho")
-    identity = {name: int(np.count_nonzero(residual)) for name, residual in sums.items()}
+    # Popped, so that each residual is freed once it is counted.
+    identity = {name: int(np.count_nonzero(sums.pop(name))) for name in IDENTITY_NAMES}
     minorant = int(np.count_nonzero(rho > one_p))
     support = int(np.count_nonzero((rho != 0) & (ctx.spf[ctx.x + 1 :] < ctx.cut)))
     sum_rho = totals["rho"] = int(rho.sum(dtype=np.int64))

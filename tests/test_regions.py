@@ -504,8 +504,8 @@ class TestResiduals:
             for box in boxes:
                 pts = points_in(npr, box, 300)
                 assert np.array_equal(region.mask(pts, box=box), region.mask(pts))
-                grid = regions._grid(box)
-                pruned += regions._tree_residual(region.tree, lambda leaf: leaf._mask_classify(grid)) != region.tree
+                residual = regions._tree_residual(region.tree, regions._grid(box), LinearConstraint._mask_classify)
+                pruned += residual != region.tree
         assert pruned >= 100
         strict = regions.RegionPredicate("t1 < 8/19", 1, LinearConstraint((1,), "<", WINDOW_LO))
         box = ((0.3, float(WINDOW_LO)),)
