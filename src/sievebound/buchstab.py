@@ -45,7 +45,6 @@ __all__ = [
     "TableWidthError",
     "build_table",
     "omega_enclosure",
-    "log_integral_term",
     "branch_expression_range",
     "omega_bound",
     "omega_bound_range",
@@ -154,10 +153,8 @@ class Enclosure:
             return value
         if isinstance(value, float):
             return Enclosure(value, value)
-        if isinstance(value, int) and abs(value) <= 2**53:  # exact as a float
-            return Enclosure(float(value), float(value))
         if isinstance(value, numbers.Rational):
-            return _rational_enclosure(value)
+            return Enclosure(*_ratio_bounds(value.numerator, value.denominator))
         raise TypeError(f"cannot enclose a {type(value).__name__} exactly")
 
     def __add__(self, other) -> "Enclosure":
@@ -209,16 +206,6 @@ def _ratio_bounds(num: int, den: int) -> tuple[float, float]:
     return (f, _up(f)) if side < 0 else (_down(f), f)
 
 
-def _rational_bounds(q: numbers.Rational) -> tuple[float, float]:
-    """Tightest float bounds (lo, hi) on an exact rational (int, Fraction, ...)."""
-    return _ratio_bounds(q.numerator, q.denominator)
-
-
-def _rational_enclosure(q: numbers.Rational) -> Enclosure:
-    """Tightest float enclosure of an exact rational (int, Fraction, ...)."""
-    return Enclosure(*_rational_bounds(q))
-
-
 def _log_bounds(lo: float, hi: float) -> tuple[float, float]:
     """Bounds on log over [lo, hi], 0 < lo <= hi (see log_enc)."""
     lo = math.log(lo)
@@ -241,16 +228,6 @@ def log_enc(x: Enclosure) -> Enclosure:
     if x.lo <= 0.0:
         raise ValueError("log requires a strictly positive enclosure")
     return Enclosure(*_log_bounds(x.lo, x.hi))
-
-
-def _ratio_enclosure(num: int, den: int) -> Enclosure:
-    """Tightest float enclosure of the exact rational num/den, den > 0 (see `_ratio_bounds`)."""
-    return Enclosure(*_ratio_bounds(num, den))
-
-
-def _recip_decreasing(u: Enclosure) -> Enclosure:
-    """Tight enclosure of 1/u for positive u, using monotonicity."""
-    return Enclosure(_down(1.0 / u.hi), _up(1.0 / u.lo))
 
 
 def _expr_23(u: Enclosure) -> Enclosure:
@@ -327,9 +304,15 @@ def _log_integral(u: float) -> Enclosure:
     return Enclosure(lo, hi)
 
 
-def log_integral_term(u: float) -> Enclosure:
-    """Enclosure of J(u)/u, the integral correction in the closed form on [3, 4]."""
-    return _log_integral(u) / Enclosure(u)
+def _branch_34(a: float, b: float) -> Enclosure:
+    """Enclosure of the closed form (1 + log(u - 1) + J(u))/u over u in [a, b], 3 <= a <= b <= 4.
+
+    J is nondecreasing (its integrand is nonnegative on [2, 3]), so the
+    table enclosures at the two endpoints bound it over the whole segment.
+    """
+    seg = Enclosure(a, b)
+    j_range = Enclosure(_log_integral(a).lo, _log_integral(b).hi)
+    return _expr_23(seg) + j_range / seg
 
 
 @dataclass(frozen=True, slots=True)
@@ -360,18 +343,13 @@ def omega_bound_range(bound: PiecewiseBound, u: Enclosure) -> Enclosure:
         raise ValueError("piecewise bounds are defined for u >= 1")
     pieces: list[Enclosure] = []
     if u.lo < 2.0:
-        pieces.append(_recip_decreasing(Enclosure(u.lo, min(u.hi, 2.0))))
+        pieces.append(1.0 / Enclosure(u.lo, min(u.hi, 2.0)))
     # The closed forms agree at the knots, so each right-hand branch is
     # taken closed on the left; degenerate knot inputs stay covered.
     if u.hi >= 2.0 and u.lo < 3.0:
         pieces.append(_expr_23(Enclosure(max(u.lo, 2.0), min(u.hi, 3.0))))
     if u.hi >= 3.0 and u.lo < 4.0:
-        a = max(u.lo, 3.0)
-        b = min(u.hi, 4.0)
-        seg = Enclosure(a, b)
-        # J is nondecreasing (its integrand is nonnegative on [2, 3]).
-        j_range = Enclosure(_log_integral(a).lo, _log_integral(b).hi)
-        piece = _expr_23(seg) + j_range / seg
+        piece = _branch_34(max(u.lo, 3.0), min(u.hi, 4.0))
         pieces.append(piece.intersect(Enclosure(BRANCH_FLOOR, BRANCH_CEILING)))
     if u.hi >= 4.0:
         pieces.append(Enclosure(bound.plateau))
@@ -389,36 +367,32 @@ def omega_bound(bound: PiecewiseBound, u: float) -> Enclosure:
 def branch_expression_range(step: float = 2e-4) -> Enclosure:
     """Certified range of the closed-form branch over [3, 4].
 
-    Walks a uniform grid of the given step, carrying a cumulative
-    trapezoid enclosure of J along the grid (per-segment error
-    h^3/12 * max|g''|), and fills the gaps between grid points with the
-    derivative bound |d/du omega(u)| <= 0.022 on [3, 4]: there
-    omega'(u) = (omega(u-1) - omega(u))/u with omega(u-1) in [0.5, 0.5644],
-    omega(u) in [0.5607, 0.5644] and u >= 3, so |omega'| <= 0.0644/3.
+    Encloses the closed form at each grid point 3 + k * step
+    (`_branch_34`) and fills the gaps between grid points with the
+    derivative bound |omega'| <= 0.022 on [3, 4].  There
+    omega'(u) = (omega(u-1) - omega(u))/u with u >= 3, omega(u-1) in
+    [0.5, 0.5672] (omega peaks at about 0.56714 near u = 2.7632) and
+    omega(u) in [BRANCH_FLOOR, BRANCH_CEILING] = [0.5607, 0.5644], so
+    |omega'| <= (0.5644 - 0.5)/3, the larger of the two gaps.  That band
+    is what the range certifies, so a range leaving it raises
+    SoundnessError.
     """
     if not 0.0 < step <= 1e-3:
         raise ValueError("step must lie in (0, 1e-3]")
     m = round(1.0 / step)
     if abs(m * step - 1.0) > 1e-9:
         raise ValueError("step must divide 1 to float precision")
-    h = _ratio_enclosure(1, m)
-    seg_pad = _up(_up(h.hi ** 3) * SECOND_DERIVATIVE_BOUND / 12.0)
-    j_acc = Enclosure(0.0)
     lo_min = math.inf
     hi_max = -math.inf
-    g_prev = Enclosure(0.0)  # g at t = 2
     for k in range(m + 1):
-        u_k = _ratio_enclosure(3 * m + k, m)
-        if k > 0:
-            t_k = u_k - 1.0
-            g_curr = log_enc(t_k - 1.0) / t_k
-            j_acc = (j_acc + (g_prev + g_curr) * h * 0.5).widen(seg_pad)
-            g_prev = g_curr
-        expr = _expr_23(u_k) + j_acc / u_k
+        expr = _branch_34(*_ratio_bounds(3 * m + k, m))
         lo_min = min(lo_min, expr.lo)
         hi_max = max(hi_max, expr.hi)
     fill = _up(0.022 * step * 0.5)
-    return Enclosure(_down(lo_min - fill), _up(hi_max + fill))
+    out = Enclosure(_down(lo_min - fill), _up(hi_max + fill))
+    if not BRANCH_FLOOR <= out.lo <= out.hi <= BRANCH_CEILING:
+        raise SoundnessError(f"branch range [{out.lo}, {out.hi}] leaves [{BRANCH_FLOOR}, {BRANCH_CEILING}]")
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -434,10 +408,6 @@ class BuchstabTable:
     tol: float
     values: tuple[Enclosure, ...]
     max_width: float
-
-    @property
-    def step(self) -> float:
-        return 1.0 / self.grid_den
 
 
 class TableWidthError(ValueError):
@@ -482,10 +452,10 @@ def build_table(u_max: float = 8.0, step: float = 1e-4, tol: float = 5e-8) -> Bu
     if abs(span - last) > 1e-6:
         raise ValueError("u_max - 1 must be a multiple of step")
 
-    h = _ratio_enclosure(1, m)
+    h = Enclosure(*_ratio_bounds(1, m))
     step_pad = _up(_up(h.hi ** 3) * SECOND_DERIVATIVE_BOUND / 12.0)
-    grid = [_ratio_enclosure(m + k, m) for k in range(last + 1)]
-    values: list[Enclosure] = [_recip_decreasing(grid[k]) for k in range(min(m, last) + 1)]
+    grid = [Enclosure(*_ratio_bounds(m + k, m)) for k in range(last + 1)]
+    values: list[Enclosure] = [1.0 / grid[k] for k in range(min(m, last) + 1)]
     for k in range(m, last):
         delayed = (values[k - m] + values[k - m + 1]) * h * 0.5
         increment = delayed.widen(step_pad)

@@ -13,7 +13,8 @@ configuration error.
 
 Parameter precedence, highest first: command line flag, config file
 entry (--config, "key = value" lines, # comments), environment
-(SIEVEBOUND_WORKERS), built-in default.
+(SIEVEBOUND_WORKERS), built-in default.  A config key that no command
+reads (see _CONFIG_KEYS) is a configuration error.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from . import buchstab, losses, quadrature, regions, sieve_harness
 
 _ENV_WORKERS = "SIEVEBOUND_WORKERS"
 _DEFAULT_SEED = 20240801
+# Every key some command resolves from a config file.
+_CONFIG_KEYS = frozenset({"seed", "workers", "mode", "samples", "budget", "tol", "targets", "x", "u_max", "step"})
 
 
 class CliError(Exception):
@@ -60,8 +63,10 @@ def _read_config(path: str) -> dict[str, str]:
                     continue
                 if "=" not in line:
                     raise CliError(f"{path}:{lineno}: expected 'key = value'")
-                key, value = line.split("=", 1)
-                out[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key not in _CONFIG_KEYS:
+                    raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+                out[key] = value
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     return out

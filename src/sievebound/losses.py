@@ -50,9 +50,10 @@ derived exactly:
        (2 t1 > t1 + t2 > 11/19).
 
 That each box covers its region is the one step the code does not
-check: the box faces are tangent to the region, so box refinement
-cannot certify it.  It rests on the derivations above, and tests sample
-it.  On these boxes every affine factor is bounded away from zero (for
+check.  It rests on the derivations above and on a sampled test
+(`test_boxes_cover_regions`).  The boxes are not tight: on region_c,
+t2 < t1 and t1 + 2 t2 < 1 give t2 < 1/3, yet its box runs to 8/19.  On
+these boxes every affine factor is bounded away from zero (for
 example 1 - t1 - t2 - t3 - t4 >= 8/57 on the u_a3 box), so the interval
 extensions never divide by zero.
 """

@@ -7,7 +7,7 @@ Frozen reference values and where they come from:
     on [1, 2]; it is evaluated directly with math.log.
   * On [3, 4], omega(u) = (1 + log(u - 1)) / u + J(u) / u with
     J(u) = int_2^{u-1} log(t - 1) / t dt.  The literals
-    J(3.5) = 0.013317226773258802 and
+    J(3.5) / 3.5 = 0.013317226773258802 and
     int_2^3 log(t - 1)/t dt = 0.14722067695924124 were frozen from
     high-resolution trapezoid runs with rigorous error padding whose
     enclosures had width below 2e-10.
@@ -39,7 +39,6 @@ from sievebound.buchstab import (
     build_table,
     dump_table_csv,
     log_enc,
-    log_integral_term,
     omega_bound,
     omega_bound_range,
     omega_enclosure,
@@ -125,8 +124,8 @@ class TestEnclosure:
     def test_ratio_bounds_are_adjacent_floats_around_exact_value(self):
         """_ratio_bounds(num, den) is (f, f) at a float, else the two floats around num/den.
 
-        `_ratio_enclosure`, which places the Buchstab grid points, is the
-        same enclosure.
+        `Enclosure._coerce`, which encloses every exact rational operand,
+        gives the same bounds.
         """
         rng = random.Random(20240801)
         cases = [(1, 3), (-2, 7), (1, 4), (0, 5), (2**53 + 1, 1), (3**80, 7**50 + 1)]
@@ -136,8 +135,7 @@ class TestEnclosure:
         for num, den in cases:
             q = Fraction(num, den)
             lo, hi = buchstab._ratio_bounds(num, den)
-            assert (lo, hi) == buchstab._rational_bounds(q)
-            assert buchstab._ratio_enclosure(num, den) == Enclosure(lo, hi)
+            assert Enclosure._coerce(q) == Enclosure(lo, hi)
             assert Fraction(lo) <= q <= Fraction(hi)
             if Fraction(lo) == q or Fraction(hi) == q:
                 assert lo == hi
@@ -239,9 +237,9 @@ class TestTable:
             assert abs(enc.mid - val) <= 1e-6
 
     def test_log_integral_literals(self):
-        assert log_integral_term(3.5).contains(0.013317226773258802)
+        assert (buchstab._log_integral(3.5) / 3.5).contains(0.013317226773258802)
         # J(4) integrates log(t-1)/t over [2, 3].
-        j4 = log_integral_term(4.0) * Enclosure(4.0)
+        j4 = buchstab._log_integral(4.0)
         assert j4.contains(0.14722067695924124)
         assert j4.width <= 1e-8
 
@@ -310,6 +308,12 @@ class TestPiecewiseBounds:
         rng = branch_expression_range()
         assert BRANCH_FLOOR <= rng.lo and rng.hi <= BRANCH_CEILING
         assert rng.lo <= 0.560823 and 0.564382 <= rng.hi
+
+    def test_branch_range_outside_its_band_raises(self, monkeypatch):
+        """The derivative fill assumes omega stays in the band, so a range leaving it is a SoundnessError."""
+        monkeypatch.setattr(buchstab, "BRANCH_CEILING", 0.5643)
+        with pytest.raises(buchstab.SoundnessError, match="leaves"):
+            branch_expression_range(1e-3)
 
     def test_bounds_sandwich_table(self, table):
         """omega_lower(u) <= omega(u) <= omega_upper(u) pointwise."""

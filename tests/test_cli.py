@@ -152,6 +152,14 @@ class TestVerify:
         assert code == 2
         assert "expected 'key = value'" in stderr
 
+    def test_unknown_config_key(self, tmp_path, capsys):
+        """A key no command reads is rejected by name, not run at the defaults."""
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("tolerance = 1e-3\n")
+        code, _, stderr = run_cli(["--config", str(cfg), "verify"], capsys)
+        assert code == 2
+        assert "unknown config key 'tolerance'" in stderr
+
     def test_missing_config_file(self, capsys):
         code, _, stderr = run_cli(
             ["--config", "/nonexistent/path.cfg", "verify"], capsys

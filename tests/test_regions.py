@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from sievebound import regions
-from sievebound.buchstab import _rational_bounds
+from sievebound.buchstab import _ratio_bounds
 from sievebound.regions import (
     INSIDE,
     MIXED,
@@ -337,7 +337,7 @@ class TestRegionMembership:
         box = ((0.0, 1.0), (0.125, 0.75))
         exact = c.fraction(box)
         lo, hi = c.fraction_bounds(box)
-        assert (lo, hi) == _rational_bounds(exact)
+        assert (lo, hi) == _ratio_bounds(*exact.as_integer_ratio())
         assert lo <= exact <= hi and hi - lo <= 2 * math.ulp(hi)
 
     def test_fraction_fallback_for_thin_anisotropic_box(self):
@@ -347,12 +347,12 @@ class TestRegionMembership:
         exact = c.fraction(box)
         assert 0 < exact < 1
         lo, hi = c.fraction_bounds(box)
-        assert (lo, hi) == _rational_bounds(exact)
+        assert (lo, hi) == _ratio_bounds(*exact.as_integer_ratio())
         assert lo <= exact <= hi and hi - lo <= 2 * math.ulp(hi)
         # The complement is rounded from its own exact value.
         above = LinearConstraint(c.coeffs, ">", c.bound)
         assert above.fraction(box) == 1 - exact
-        assert above.fraction_bounds(box) == _rational_bounds(1 - exact)
+        assert above.fraction_bounds(box) == _ratio_bounds(*(1 - exact).as_integer_ratio())
 
     def test_wrong_dimension_rejected(self):
         """A box with more or fewer intervals than coefficients is a ValueError, not a verdict."""
