@@ -18,7 +18,7 @@ A seeded Monte Carlo estimate cross-checks every sandwich from a second
 route.  The combined upper bound must stay below 0.25 so that at least
 three quarters of the density survives.
 
-The full-resolution loss_c run takes about twenty seconds; pass --quick
+The full-resolution loss_c run takes a few seconds; pass --quick
 to loosen its gap tolerance and skip the final headline verdict.  The
 exit status is 1 when any verdict fails; a LOOSE quick-mode loss_c is
 not a failure.

@@ -153,15 +153,6 @@ def _affine_many(form: AffineForm, pts: np.ndarray) -> np.ndarray:
     return const + pts @ np.array(coeffs)
 
 
-def _magnitude(lo: float, hi: float) -> float:
-    """max(|lo|, |hi|), and NaN when either is NaN (every comparison with NaN is false)."""
-    if hi >= -lo:
-        return hi
-    if -lo > hi:
-        return -lo
-    return lo + hi
-
-
 def _mul(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
     """Outward-rounded interval product [alo, ahi] * [blo, bhi]; a NaN product makes both ends NaN."""
     p, q, r, s = alo * blo, alo * bhi, ahi * blo, ahi * bhi
@@ -184,26 +175,34 @@ def _reciprocal_bounds(factors: list[tuple[float, float]]) -> tuple[float, float
 class ReciprocalProduct:
     """f(t) = 1 / prod_k L_k(t) with affine factors L_k positive on the box.
 
-    Supplies the certified interval extension and a mean-value average
-    enclosure, both computed on float (lo, hi) pairs rounded outward
-    after every operation; only the result is an Enclosure.  With
-    f = exp(-sum log L_k) the partials are d_i f = -f S_i and
-    d_j d_i f = f (S_i S_j + Q_ij) for S_i = sum_k a_ki / L_k and
-    Q_ij = sum_k a_ki a_kj / L_k^2, so an interval Hessian bound M_ij
-    over the box yields
+    Supplies the certified interval extension and a fourth-order
+    mean-value average enclosure, both computed on float (lo, hi) pairs
+    rounded outward after every operation; only the result is an
+    Enclosure.  With f = exp(-sum log L_k), S_i = sum_k a_ki / L_k and
+    Q_ii = sum_k a_ki^2 / L_k^2, the pure second partials are
+    d_i^2 f = f (S_i^2 + Q_ii).  Expanding f to fourth order about the
+    exact centre c of a box with half-widths r, the odd terms and the
+    mixed second-order terms average to zero and E[d_i^2] = r_i^2 / 3, so
 
-        |avg - f(c)| <= sum_i M_ii r_i^2 / 6 + sum_{i<j} M_ij r_i r_j / 4
+        avg = F(c) + E[R_4],  F(x) = f(x) (1 + sum_i (S_i^2 + Q_ii)(x) r_i^2 / 6).
 
-    with c the exact centre and r the box half-widths, from
-    E[d_i^2] = r_i^2/3 and E|d_i| = r_i/2 for the uniform deviation
-    from the centre.  The float centre c~ = (lo + hi) * 0.5 lies in the
-    box within ulp(c~_i) of c_i (half an ulp in the normal range; the
-    full ulp also covers a subnormal halving), so
+    Along the segment from c to t, with delta_k = L_k(t) - L_k(c), the
+    function g(s) = f(c + s (t - c)) has g^(4)/4! = g h_4(-delta_k / L_k)
+    for the complete homogeneous symmetric polynomial h_4, and
+    |h_4(x)| <= (sum_k |x_k|)^4, so
 
-        |f(c) - f(c~)| <= sum_i sup|f S_i| ulp(c~_i).
+        |R_4| <= f_hi R^4,  R = sum_k sum_i |a_ki| r_i / L_k,lo,
 
-    f(c~) is enclosed by enclosing each factor at c~ outward, and both
-    error terms are summed with upward rounding before they widen it.
+    with f_hi and L_k,lo the bounds of f and L_k over the box.  The float
+    centre c~ = (lo + hi) * 0.5 lies in the box within ulp(c~_j) of c_j
+    (half an ulp in the normal range; the full ulp also covers a
+    subnormal halving).  From |d_j f| <= f D and |d_i^2 d_j f| <= 6 f D^3
+    with D = sum_k sum_i |a_ki| / L_k,lo,
+
+        |F(c) - F(c~)| <= sum_j ulp(c~_j) f_hi (D + D^3 sum_i r_i^2).
+
+    F(c~) is enclosed from the factor enclosures at c~, the remainder
+    and the offset are summed with upward rounding, and they widen it.
     The average lies in the box's value range, so `average` returns the
     widened enclosure intersected with the interval extension of the
     same factor bounds, and raises SoundnessError when the two are
@@ -217,6 +216,9 @@ class ReciprocalProduct:
         terms = tuple((const, tuple((i, c) for i, c in enumerate(coeffs) if c)) for const, coeffs in self.factors)
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_arity", len(self.factors[0][1]))
+        # ((i, |a_i|), ...) and sum_i |a_i| of each factor, small integers exact as floats.
+        spans = tuple((tuple((i, abs(c)) for i, c in ts), sum(abs(c) for _, c in ts)) for _, ts in terms)
+        object.__setattr__(self, "_spans", spans)
 
     def _factor_bounds(self, box: Box) -> list[tuple[float, float]]:
         if len(box) != self._arity:
@@ -250,50 +252,63 @@ class ReciprocalProduct:
         ls = self._factor_bounds(box)
         f_lo, f_hi = _reciprocal_bounds(ls)
         centre = tuple((lo + hi) * 0.5 for lo, hi in box)
-        fc_lo, fc_hi = _reciprocal_bounds(self._factor_bounds(tuple((c, c) for c in centre)))
+        at_centre = self._factor_bounds(tuple((c, c) for c in centre))
+        fc_lo, fc_hi = _reciprocal_bounds(at_centre)
+        inverses = [(nextafter(1.0 / hi, _DOWN), nextafter(1.0 / lo, _UP)) for lo, hi in at_centre]
+        widths = [nextafter(hi - lo, _UP) for lo, hi in box]
 
-        # S_i = sum_k a_ki / L_k, and the centre-offset term sup|f S_i| ulp(c~_i).
-        s = []
-        offset = 0.0
-        for i, c in enumerate(centre):
-            s_lo = s_hi = 0.0
-            for (_, coeffs), (lo, hi) in zip(self.factors, ls):
+        # curv = sum_i (S_i^2 + Q_ii)(c~) r_i^2 / 6 with r_i^2 / 6 = w_i^2 / 24
+        # for the side w_i, the sum of w_i^2 and the sum of ulp(c~_i).
+        curv_lo = curv_hi = sides_sq = ulps = 0.0
+        for i, ((lo, hi), c) in enumerate(zip(box, centre)):
+            s_lo = s_hi = q_lo = q_hi = 0.0
+            for (_, coeffs), (v_lo, v_hi) in zip(self.factors, inverses):
                 a = coeffs[i]
                 if a > 0.0:
-                    s_lo = nextafter(s_lo + nextafter(a / hi, _DOWN), _DOWN)
-                    s_hi = nextafter(s_hi + nextafter(a / lo, _UP), _UP)
+                    x_lo, x_hi = nextafter(a * v_lo, _DOWN), nextafter(a * v_hi, _UP)
+                    sq_lo, sq_hi = x_lo * x_lo, x_hi * x_hi
                 elif a < 0.0:
-                    s_lo = nextafter(s_lo + nextafter(a / lo, _DOWN), _DOWN)
-                    s_hi = nextafter(s_hi + nextafter(a / hi, _UP), _UP)
-            s.append((s_lo, s_hi))
-            slope = nextafter(f_hi * _magnitude(s_lo, s_hi), _UP)
-            offset = nextafter(offset + nextafter(slope * math.ulp(c), _UP), _UP)
+                    x_lo, x_hi = nextafter(a * v_hi, _DOWN), nextafter(a * v_lo, _UP)
+                    sq_lo, sq_hi = x_hi * x_hi, x_lo * x_lo
+                else:
+                    continue
+                s_lo = nextafter(s_lo + x_lo, _DOWN)
+                s_hi = nextafter(s_hi + x_hi, _UP)
+                q_lo = nextafter(q_lo + nextafter(sq_lo, _DOWN), _DOWN)
+                q_hi = nextafter(q_hi + nextafter(sq_hi, _UP), _UP)
+            ss_lo, ss_hi = _mul(s_lo, s_hi, s_lo, s_hi)
+            t_lo = nextafter(max(ss_lo, 0.0) + q_lo, _DOWN)
+            t_hi = nextafter(ss_hi + q_hi, _UP)
+            w_lo = nextafter(hi - lo, _DOWN)
+            w_sq = nextafter(widths[i] * widths[i], _UP)
+            rr_lo = nextafter(nextafter(w_lo * w_lo, _DOWN) / 24.0, _DOWN)
+            rr_hi = nextafter(w_sq / 24.0, _UP)
+            curv_lo = nextafter(curv_lo + nextafter(t_lo * rr_lo, _DOWN), _DOWN)
+            curv_hi = nextafter(curv_hi + nextafter(t_hi * rr_hi, _UP), _UP)
+            sides_sq = nextafter(sides_sq + w_sq, _UP)
+            ulps = nextafter(ulps + math.ulp(c), _UP)
 
-        # Q_ij = sum_k a_ki a_kj / L_k^2 and the Taylor remainder.
-        squares = [(nextafter(lo * lo, _DOWN), nextafter(hi * hi, _UP)) for lo, hi in ls]
-        radii = [nextafter(hi - lo, _UP) * 0.5 for lo, hi in box]
-        remainder = 0.0
-        for i in range(len(box)):
-            for j in range(i, len(box)):
-                q_lo = q_hi = 0.0
-                for (_, coeffs), (sq_lo, sq_hi) in zip(self.factors, squares):
-                    a = coeffs[i] * coeffs[j]
-                    if a > 0.0:
-                        q_lo = nextafter(q_lo + nextafter(a / sq_hi, _DOWN), _DOWN)
-                        q_hi = nextafter(q_hi + nextafter(a / sq_lo, _UP), _UP)
-                    elif a < 0.0:
-                        q_lo = nextafter(q_lo + nextafter(a / sq_lo, _DOWN), _DOWN)
-                        q_hi = nextafter(q_hi + nextafter(a / sq_hi, _UP), _UP)
-                ss_lo, ss_hi = _mul(*s[i], *s[j])
-                x_lo = nextafter(ss_lo + q_lo, _DOWN)
-                x_hi = nextafter(ss_hi + q_hi, _UP)
-                # sup |f (S_i S_j + Q_ij)| over the box, f > 0.
-                m = nextafter(f_hi * _magnitude(x_lo, x_hi), _UP)
-                term = nextafter(nextafter(m * radii[i], _UP) * radii[j], _UP)
-                term = nextafter(term / 6.0, _UP) if i == j else nextafter(term / 4.0, _UP)
-                remainder = nextafter(remainder + term, _UP)
+        # 2 R = sum_k sum_i |a_ki| w_i / L_k,lo and D = sum_k sum_i |a_ki| / L_k,lo.
+        spread = reach = 0.0
+        for (terms, total), (lo, _) in zip(self._spans, ls):
+            num = 0.0
+            for i, a in terms:
+                num = nextafter(num + nextafter(a * widths[i], _UP), _UP)
+            spread = nextafter(spread + nextafter(num / lo, _UP), _UP)
+            reach = nextafter(reach + nextafter(total / lo, _UP), _UP)
+        # f_hi R^4 = f_hi (2 R)^4 / 16.
+        spread_sq = nextafter(spread * spread, _UP)
+        remainder = nextafter(nextafter(f_hi * nextafter(spread_sq * spread_sq, _UP), _UP) / 16.0, _UP)
+        # sum_j ulp(c~_j) f_hi (D + D^3 sum_i r_i^2), with r_i^2 = w_i^2 / 4.
+        radii_sq = nextafter(sides_sq / 4.0, _UP)
+        cube = nextafter(nextafter(reach * reach, _UP) * reach, _UP)
+        slope = nextafter(reach + nextafter(cube * radii_sq, _UP), _UP)
+        offset = nextafter(nextafter(ulps * f_hi, _UP) * slope, _UP)
+
         pad = nextafter(remainder + offset, _UP)
-        average = Enclosure(nextafter(fc_lo - pad, _DOWN), nextafter(fc_hi + pad, _UP))
+        mid_lo = nextafter(fc_lo + nextafter(fc_lo * curv_lo, _DOWN), _DOWN)
+        mid_hi = nextafter(fc_hi + nextafter(fc_hi * curv_hi, _UP), _UP)
+        average = Enclosure(nextafter(mid_lo - pad, _DOWN), nextafter(mid_hi + pad, _UP))
         return average.intersect(Enclosure(f_lo, f_hi))
 
 

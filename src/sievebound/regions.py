@@ -175,6 +175,12 @@ class LinearConstraint:
         object.__setattr__(self, "_fterms", tuple((i, c) for i, c in enumerate(fscaled) if c))
         object.__setattr__(self, "_fbound", fbound)
         object.__setattr__(self, "_fden", fden)
+        # The float test itself: the one nonzero column times its
+        # coefficient, or a dot product with every float coefficient.
+        fcoeffs = [float(c) for c in self.coeffs]
+        nonzero = [(i, c) for i, c in enumerate(fcoeffs) if c]
+        column = nonzero[0] if len(nonzero) == 1 else None
+        object.__setattr__(self, "_mask_data", (column, np.array(fcoeffs), float(self.bound)))
 
     def evaluate(self, point) -> bool:
         total = sum((c * _as_fraction(t) for c, t in zip(self.coeffs, point, strict=True)), Fraction(0))
@@ -418,8 +424,13 @@ def _tree_residual(node, grid: Grid, decide):
 
 def _tree_mask(node, pts: np.ndarray) -> np.ndarray:
     if isinstance(node, LinearConstraint):
-        coeffs = np.array([float(c) for c in node.coeffs])
-        return _COMPARE[node.rel](pts @ coeffs, float(node.bound))
+        column, coeffs, bound = node._mask_data
+        if column is None:
+            return _COMPARE[node.rel](pts @ coeffs, bound)
+        # At finite points zero coefficients add exact zeros to a dot
+        # product, so the single column gives the same sums.
+        i, c = column
+        return _COMPARE[node.rel](pts[:, i] * c, bound)
     if isinstance(node, AndNode):
         out = np.ones(len(pts), dtype=bool)
         for c in node.children:

@@ -133,11 +133,16 @@ IDENTITY_NAMES = tuple(_IDENTITY_FOLDS)
 
 
 def _build_spf(limit: int) -> np.ndarray:
+    root = math.isqrt(limit)
+    prime = np.ones(root + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
     spf = np.zeros(limit + 1, dtype=np.uint16)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
+    # Primes in descending order, so the smallest one is written last.
+    for p in np.flatnonzero(prime)[::-1].tolist():
+        spf[p * p :: p] = p
     idx = np.flatnonzero(spf == 0)
     spf[idx] = np.minimum(idx, SPF_CAP)
     spf[0] = 0

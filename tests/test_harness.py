@@ -124,6 +124,23 @@ class TestContext:
         assert ctx_1e6.spf_of(1999993) == 1999993
         assert sh._factorize(ctx_1e5, 3 * 65537) == [[3, 1], [65537, 1]]
 
+    @pytest.mark.parametrize("x", [10**4, 10**5, 10**6])
+    def test_spf_matches_masked_sieve(self, x):
+        """The table equals a masked sieve that writes each entry once, smallest prime first."""
+        limit = 2 * x
+        oracle = np.zeros(limit + 1, dtype=np.uint16)
+        for p in range(2, math.isqrt(limit) + 1):
+            if oracle[p] == 0:
+                sl = oracle[p * p :: p]
+                sl[sl == 0] = p
+        idx = np.flatnonzero(oracle == 0)
+        oracle[idx] = np.minimum(idx, sh.SPF_CAP)
+        oracle[0] = 0
+        oracle[1] = sh.SPF_CAP
+        table = sh._build_spf(limit)
+        assert table.dtype == oracle.dtype
+        assert np.array_equal(table, oracle)
+
     def test_psi(self, ctx):
         assert sh.psi(ctx, 77, 7) == 1
         assert sh.psi(ctx, 30, 3) == 0

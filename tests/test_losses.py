@@ -161,6 +161,7 @@ class TestCertifiedRuns:
         assert est.upper - est.lower <= losses.DEFAULT_TOLS["c"]
         assert est.lower > 0.2
         assert escalations == 0
+        assert est.boxes_used <= 40_000
 
     def test_quadruple_sandwiches_pinned(self):
         """verified_loss for a3 and b3 at tol 2e-4 reproduces its sandwich and box count exactly.
@@ -170,7 +171,7 @@ class TestCertifiedRuns:
         """
         pinned = {
             "a3": (3.222557973576694e-05, 0.00022587314527472324, 265),
-            "b3": (0.0003489528461573749, 0.0005429057199038448, 4509),
+            "b3": (0.00034896600566824195, 0.0005429033977628731, 4509),
         }
         float_route = {
             "a3": (3.2225579735762946e-05, 0.00022587314527473083),
@@ -229,18 +230,21 @@ class TestMeanValueRigor:
         """average and enclosure contain an independent 40-digit box average.
 
         For inside-region leaves of the loss c box with sides from 2**-34
-        to 2**-20, the inner t2 integral of 1/(t1 t2 (1 - t1 - t2)) is
-        log(t2 / (1 - t1 - t2)) / (t1 (1 - t1)) between the box limits,
-        and mpmath.quad does the outer t1 integral.
+        to 2**-20, where the centre rounding matters, and from 2**-12 to
+        2**-5, where the quartic remainder does, the inner t2 integral of
+        1/(t1 t2 (1 - t1 - t2)) is log(t2 / (1 - t1 - t2)) / (t1 (1 - t1))
+        between the box limits, and mpmath.quad does the outer t1
+        integral.
         """
         import random
 
         mpmath = pytest.importorskip("mpmath")
         integrand, _, region, box = losses.integration_domain("c")
         rng = random.Random(7)
+        leaves = seeded_leaves(rng, box, 200) + seeded_leaves(rng, box, 300, min_exp=5, max_exp=12)
         checked = 0
         with mpmath.workdps(40):
-            for leaf in seeded_leaves(rng, box, 200):
+            for leaf in leaves:
                 if region.classify(leaf) != "inside":
                     continue
                 (a1, b1), (a2, b2) = [(mpmath.mpf(lo), mpmath.mpf(hi)) for lo, hi in leaf]
@@ -253,7 +257,81 @@ class TestMeanValueRigor:
                 for enc in (integrand.average(leaf), integrand.enclosure(leaf)):
                     assert mpmath.mpf(enc.lo) <= mean <= mpmath.mpf(enc.hi)
                 checked += 1
-        assert checked >= 40
+        assert checked >= 80
+
+    def test_average_contains_separable_average(self):
+        """average contains the closed-form box average of 1/(t1 t2 t3 t4).
+
+        The kernel separates, so its average over a box is
+        prod_i log(b_i / a_i) / (b_i - a_i), here in 40-digit mpmath, on
+        seeded boxes with sides from 2**-12 to 2**-3.
+        """
+        import random
+
+        mpmath = pytest.importorskip("mpmath")
+        rp = losses.ReciprocalProduct(losses._FACTORS["a3"][:4])
+        rng = random.Random(11)
+        with mpmath.workdps(40):
+            for leaf in seeded_leaves(rng, ((0.05, 0.6),) * 4, 200, min_exp=3, max_exp=12):
+                mean = mpmath.mpf(1)
+                for lo, hi in leaf:
+                    a, b = mpmath.mpf(lo), mpmath.mpf(hi)
+                    mean *= mpmath.log(b / a) / (b - a)
+                enc = rp.average(leaf)
+                assert mpmath.mpf(enc.lo) <= mean <= mpmath.mpf(enc.hi)
+
+    def test_average_is_fourth_order(self):
+        """Halving the sides of a small inside leaf shrinks its average enclosure at least twelvefold.
+
+        On a leaf with sides 2**-9 the enclosure width is the quartic
+        remainder pad up to rounding, so it falls by about 16 when the
+        sides halve; a cubic pad would give about 8 and a second-order
+        form about 4.
+        """
+        integrand, _, region, _ = losses.integration_domain("c")
+        c1, c2, side = 0.375, 0.3, 2.0**-9
+        leaf = ((c1 - side / 2, c1 + side / 2), (c2 - side / 2, c2 + side / 2))
+        half = ((c1 - side / 4, c1 + side / 4), (c2 - side / 4, c2 + side / 4))
+        assert region.fraction(leaf) == (1.0, 1.0)
+        wide, narrow = integrand.average(leaf), integrand.average(half)
+        assert wide.hi - wide.lo >= 12 * (narrow.hi - narrow.lo) > 0.0
+
+    def test_offset_covers_float_centre(self, monkeypatch):
+        """average holds with the tightest centre factor bounds floats allow.
+
+        Any enclosure of the factors at the float centre c~ is valid
+        input, and with the tightest ones only the centre offset term
+        covers the distance from c~ to the exact centre c.  For
+        1/(1 - t1 - t2) near the line t1 + t2 = 1 that distance moves the
+        value by about 1e-7 relatively; the box average has a closed form
+        via G(x) = x log x - x, evaluated in 80-digit mpmath.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        from sievebound.buchstab import _ratio_bounds
+
+        u = 2.0**-53
+        t2 = 0.5 - 2.0**-30
+        box = ((0.5 + 3 * u, 0.5 + 6 * u), (t2, t2 + 2 * u))
+        (a1, b1), _ = box
+        assert Fraction((a1 + b1) * 0.5) != (Fraction(a1) + Fraction(b1)) / 2
+        real = losses.ReciprocalProduct._factor_bounds
+
+        def tightest(self, leaf):
+            if not all(lo == hi for lo, hi in leaf):
+                return real(self, leaf)
+            values = (affine_exact(form, [lo for lo, _ in leaf]) for form in self.factors)
+            return [_ratio_bounds(v.numerator, v.denominator) for v in values]
+
+        monkeypatch.setattr(losses.ReciprocalProduct, "_factor_bounds", tightest)
+        enc = losses.ReciprocalProduct(((1.0, (-1.0, -1.0)),)).average(box)
+        with mpmath.workdps(80):
+            (a1, b1), (a2, b2) = [(mpmath.mpf(lo), mpmath.mpf(hi)) for lo, hi in box]
+
+            def g(x):
+                return x * mpmath.log(x) - x
+
+            mean = (g(1 - a1 - a2) - g(1 - b1 - a2) - g(1 - a1 - b2) + g(1 - b1 - b2)) / ((b1 - a1) * (b2 - a2))
+            assert mpmath.mpf(enc.lo) <= mean <= mpmath.mpf(enc.hi)
 
     def test_inside_leaf_asks_integrand_once(self, monkeypatch):
         """An inside leaf takes its value bounds from `average` alone.
@@ -275,7 +353,7 @@ class TestMeanValueRigor:
         monkeypatch.setattr(losses.ReciprocalProduct, "_factor_bounds", recording)
         lo, hi = quadrature._leaf_contribution(integrand, region.fraction(box), box)
         assert len(calls) == 2
-        assert (lo.hex(), hi.hex()) == ("0x1.c5f5084cb9ea5p-12", "0x1.c5fcba11943d6p-12")
+        assert (lo.hex(), hi.hex()) == ("0x1.c5fbb831e6457p-12", "0x1.c5fbcb487d442p-12")
 
     def test_average_rejects_disjoint_enclosures(self, monkeypatch):
         """A mean-value enclosure outside the box's value range is a soundness failure."""
@@ -303,9 +381,6 @@ class TestMeanValueRigor:
 
     def test_nan_propagates_through_min_max_helpers(self):
         nan = math.nan
-        assert math.isnan(losses._magnitude(nan, 1.0))
-        assert math.isnan(losses._magnitude(-1.0, nan))
-        assert losses._magnitude(-3.0, 2.0) == 3.0
         assert all(math.isnan(v) for v in losses._mul(0.0, 1.0, 2.0, math.inf))
         assert all(math.isnan(v) for v in losses._mul(1.0, 2.0, nan, 3.0))
         lo, hi = losses._mul(-1.0, 2.0, -3.0, 0.5)

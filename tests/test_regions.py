@@ -268,6 +268,28 @@ class TestRegionMembership:
             for i in range(0, 400, 7):
                 assert bool(mask[i]) == region.contains(tuple(pts[i]))
 
+    def test_single_term_mask_matches_dot_product(self):
+        """A one-term constraint's mask equals the float dot product with every coefficient."""
+        import operator
+
+        compare = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(0.0, 0.7, size=(5000, 4))
+        extra = [LinearConstraint((0, 0, F(-1), 0), "<", F(-1, 5)), LinearConstraint((0, 2, 0, 0), ">=", F(3, 7))]
+        stack = [region.tree for region in region_catalog().values() if region.arity == 4] + extra
+        checked = 0
+        while stack:
+            node = stack.pop()
+            if not isinstance(node, LinearConstraint):
+                stack.extend(node.children)
+                continue
+            if sum(1 for c in node.coeffs if c) != 1:
+                continue
+            dot = pts @ np.array([float(c) for c in node.coeffs])
+            assert np.array_equal(regions._tree_mask(node, pts), compare[node.rel](dot, float(node.bound)))
+            checked += 1
+        assert checked >= 10
+
     def test_u_a3_avoids_type_ii(self):
         """Members of the deep A region never admit a type-II grouping."""
         npr = np.random.default_rng(3)
