@@ -45,9 +45,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     banner("1. Certified table of omega")
-    table = buchstab.build_table(u_max=args.u_max, step=args.step, tol=args.tol)
+    table = buchstab.build_table(u_max=args.u_max, step=args.step)
     print(f"grid: u_k = 1 + k/{table.grid_den}, {len(table.values)} entries up to u = {table.u_max}")
-    print(f"widest enclosure in the table: {table.max_width:.3e}")
+    narrow = table.max_width <= args.tol
+    print(f"[{'PASS' if narrow else 'FAIL'}] widest enclosure in the table: {table.max_width:.3e} <= {args.tol:g}")
     for u in (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 6.0, 8.0):
         if u > table.u_max:
             continue
@@ -60,7 +61,8 @@ def main(argv: list[str] | None = None) -> int:
     print("and on [3, 4] one more integration adds J(u)/u with")
     print("  J(u) = integral of log(t - 1)/t over [2, u - 1].")
     worst = 0.0
-    for k in range(table.grid_den, 2 * table.grid_den + 1, max(1, table.grid_den // 50)):
+    last = min(2 * table.grid_den, len(table.values) - 1)
+    for k in range(table.grid_den, last + 1, max(1, table.grid_den // 50)):
         u = 1.0 + k / table.grid_den
         closed = (1.0 + math.log(u - 1.0)) / u
         enc = table.values[k]
@@ -68,11 +70,12 @@ def main(argv: list[str] | None = None) -> int:
         if not enc.contains(closed):
             print(f"  [FAIL] closed form escapes the enclosure at u = {u}")
             return 1
-    print(f"  [PASS] closed form inside every sampled enclosure on [2, 3]; max deviation {worst:.2e}")
-    at4 = buchstab.omega_enclosure(table, 4.0)
-    closed4 = 0.5614582414068379
-    ok = at4.contains(closed4)
-    print(f"  [{'PASS' if ok else 'FAIL'}] omega(4) enclosure contains the closed-form value {closed4}")
+    print(f"  [PASS] closed form inside every sampled enclosure on [2, {min(table.u_max, 3.0):g}]; max deviation {worst:.2e}")
+    ok = True
+    if table.u_max >= 4.0:
+        closed4 = 0.5614582414068379
+        ok = buchstab.omega_enclosure(table, 4.0).contains(closed4)
+        print(f"  [{'PASS' if ok else 'FAIL'}] omega(4) enclosure contains the closed-form value {closed4}")
 
     banner("3. Piecewise bounds and the plateau")
     print("Downstream integrals replace omega by flat bounds past u = 4:")
@@ -88,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
         lo = buchstab.omega_bound(OMEGA_LOWER, u)
         hi = buchstab.omega_bound(OMEGA_UPPER, u)
         print(f"  bounds at u = {u:4.1f}: lower >= {lo.lo:.9f}, upper <= {hi.hi:.9f}")
-    return 0 if ok else 1
+    return 0 if ok and narrow else 1
 
 
 if __name__ == "__main__":

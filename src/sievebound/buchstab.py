@@ -42,7 +42,6 @@ __all__ = [
     "OMEGA_LOWER",
     "OMEGA_UPPER",
     "BuchstabTable",
-    "TableWidthError",
     "build_table",
     "omega_enclosure",
     "branch_expression_range",
@@ -405,24 +404,11 @@ class BuchstabTable:
 
     u_max: float
     grid_den: int
-    tol: float
     values: tuple[Enclosure, ...]
     max_width: float
 
 
-class TableWidthError(ValueError):
-    """A table built as asked whose widest enclosure exceeds its tol.
-
-    The table is attached, so a caller that reports the width as a
-    verdict (the CLI) can still use it.
-    """
-
-    def __init__(self, table: BuchstabTable):
-        super().__init__(f"table width {table.max_width:.3e} exceeds tol {table.tol:.3e}; shrink step")
-        self.table = table
-
-
-def build_table(u_max: float = 8.0, step: float = 1e-4, tol: float = 5e-8) -> BuchstabTable:
+def build_table(u_max: float = 8.0, step: float = 1e-4) -> BuchstabTable:
     """Solve the delay recurrence on a uniform grid with certified error.
 
     The grid is u_k = 1 + k/m with m = round(1/step), so the unit delay
@@ -435,15 +421,12 @@ def build_table(u_max: float = 8.0, step: float = 1e-4, tol: float = 5e-8) -> Bu
 
     is advanced with a trapezoid step on the delayed enclosures, widened
     by the trapezoid error bound h^3/12 * max|omega''| <= h^3/6 per step.
-    Raises TableWidthError, a ValueError, if any enclosure width
-    exceeds tol.
+    The caller judges max_width against the width it needs.
     """
     if not 0.0 < step <= 1e-3:
         raise ValueError("step must lie in (0, 1e-3]")
     if not 2.0 <= u_max <= 64.0:
         raise ValueError("u_max must lie in [2, 64]")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     m = round(1.0 / step)
     if abs(m * step - 1.0) > 1e-9:
         raise ValueError("step must divide 1 to float precision")
@@ -461,10 +444,7 @@ def build_table(u_max: float = 8.0, step: float = 1e-4, tol: float = 5e-8) -> Bu
         increment = delayed.widen(step_pad)
         values.append((values[k] * grid[k] + increment) / grid[k + 1])
     max_width = max(v.width for v in values)
-    table = BuchstabTable(u_max=float(u_max), grid_den=m, tol=tol, values=tuple(values), max_width=max_width)
-    if max_width > tol:
-        raise TableWidthError(table)
-    return table
+    return BuchstabTable(u_max=float(u_max), grid_den=m, values=tuple(values), max_width=max_width)
 
 
 def omega_enclosure(table: BuchstabTable, u: float) -> Enclosure:

@@ -25,7 +25,6 @@ import math
 import os
 import platform
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -41,16 +40,6 @@ _CONFIG_KEYS = frozenset({"seed", "workers", "mode", "samples", "budget", "tol",
 
 class CliError(Exception):
     """Usage or configuration problem; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int
-    workers: int
-    params: dict
-
-    def as_json(self) -> dict:
-        return {"seed": self.seed, "workers": self.workers, **self.params}
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -117,10 +106,11 @@ def _environment() -> dict:
     }
 
 
-def _emit_report(results: dict, config: RunConfig, out_path: str | None) -> None:
+def _emit_report(results: dict, config: dict, out_path: str | None) -> None:
+    """Print or write the JSON report; config holds only what the command read."""
     report = {
         "version": __version__,
-        "config": config.as_json(),
+        "config": config,
         "results": results,
         "environment": _environment(),
     }
@@ -228,18 +218,16 @@ def _cmd_verify(args, config: dict[str, str]) -> int:
             print(f"[INFO] total loss estimate {total:.9f} (not a certificate)")
             results["total"] = {"estimate": total}
 
-    cfg = RunConfig(
-        seed=seed,
-        workers=workers,
-        params={
-            "command": "verify",
-            "mode": mode,
-            "targets": wanted,
-            "budget": budget,
-            "tol": tol,
-            "samples": samples if mode == quadrature.MONTE_CARLO else None,
-        },
-    )
+    cfg = {
+        "command": "verify",
+        "seed": seed,
+        "workers": workers,
+        "mode": mode,
+        "targets": wanted,
+        "budget": budget,
+        "tol": tol,
+        "samples": samples if mode == quadrature.MONTE_CARLO else None,
+    }
     _emit_report(results, cfg, args.out)
     return 0 if (all_ok or mode == quadrature.MONTE_CARLO) else 1
 
@@ -262,8 +250,7 @@ def _cmd_harness(args, config: dict[str, str]) -> int:
         f"[INFO] window ({x}, {2*x}]: sum rho {report['totals']['rho']}, "
         f"primes {report['totals']['primes']}, scaled ratio {report['ratios']['window_log']:.6f}"
     )
-    cfg = RunConfig(seed=0, workers=1, params={"command": "harness", "x": x})
-    _emit_report(report, cfg, args.out)
+    _emit_report(report, {"command": "harness", "x": x}, args.out)
     return 0 if all_ok else 1
 
 
@@ -274,14 +261,11 @@ def _cmd_omega(args, config: dict[str, str]) -> int:
     u_max = _resolve("u_max", args.u_max, config, float, 8.0)
     step = _resolve("step", args.step, config, float, 1e-4)
     tol = _resolve("tol", args.tol, config, float, 5e-8)
-    try:
-        table = buchstab.build_table(u_max=u_max, step=step, tol=tol)
-    except buchstab.TableWidthError as exc:
-        # A table wider than tol is a failed verdict, not a usage error.
-        table = exc.table
-    ok = table.max_width <= tol
+    if tol <= 0.0:
+        raise CliError("tol must be positive")
+    table = buchstab.build_table(u_max=u_max, step=step)
     all_ok = _verdict(
-        ok,
+        table.max_width <= tol,
         "table enclosure width",
         f"max width {table.max_width:.3e} <= {tol:g} over [2, {u_max:g}]",
     )
@@ -315,12 +299,7 @@ def _cmd_omega(args, config: dict[str, str]) -> int:
     if args.csv:
         buchstab.dump_table_csv(table, args.csv)
         print(f"[INFO] wrote {len(table.values)} rows to {args.csv}")
-    cfg = RunConfig(
-        seed=0,
-        workers=1,
-        params={"command": "omega", "u_max": u_max, "step": step, "tol": tol},
-    )
-    _emit_report(results, cfg, args.out)
+    _emit_report(results, {"command": "omega", "u_max": u_max, "step": step, "tol": tol}, args.out)
     return 0 if all_ok else 1
 
 
@@ -352,8 +331,7 @@ def _cmd_regions(args, config: dict[str, str]) -> int:
                 f"point has {len(point)} coordinates; no region with that arity"
             )
         results["membership"] = membership
-    cfg = RunConfig(seed=0, workers=1, params={"command": "regions"})
-    _emit_report(results, cfg, args.out)
+    _emit_report(results, {"command": "regions"}, args.out)
     return 0
 
 

@@ -60,7 +60,6 @@ extensions never divide by zero.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,19 +192,13 @@ class ReciprocalProduct:
 
         |R_4| <= f_hi R^4,  R = sum_k sum_i |a_ki| r_i / L_k,lo,
 
-    with f_hi and L_k,lo the bounds of f and L_k over the box.  The float
-    centre c~ = (lo + hi) * 0.5 lies in the box within ulp(c~_j) of c_j
-    (half an ulp in the normal range; the full ulp also covers a
-    subnormal halving).  From |d_j f| <= f D and |d_i^2 d_j f| <= 6 f D^3
-    with D = sum_k sum_i |a_ki| / L_k,lo,
-
-        |F(c) - F(c~)| <= sum_j ulp(c~_j) f_hi (D + D^3 sum_i r_i^2).
-
-    F(c~) is enclosed from the factor enclosures at c~, the remainder
-    and the offset are summed with upward rounding, and they widen it.
+    with f_hi and L_k,lo the bounds of f and L_k over the box.
+    Round-to-nearest puts each c_j within one float step of
+    c~_j = (lo_j + hi_j) * 0.5, so factor bounds over the centre box
+    [down(c~), up(c~)] enclose F(c), and the remainder alone widens it.
     The average lies in the box's value range, so `average` returns the
     widened enclosure intersected with the interval extension of the
-    same factor bounds, and raises SoundnessError when the two are
+    box's factor bounds, and raises SoundnessError when the two are
     disjoint.
     """
 
@@ -216,8 +209,8 @@ class ReciprocalProduct:
         terms = tuple((const, tuple((i, c) for i, c in enumerate(coeffs) if c)) for const, coeffs in self.factors)
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_arity", len(self.factors[0][1]))
-        # ((i, |a_i|), ...) and sum_i |a_i| of each factor, small integers exact as floats.
-        spans = tuple((tuple((i, abs(c)) for i, c in ts), sum(abs(c) for _, c in ts)) for _, ts in terms)
+        # ((i, |a_i|), ...) of each factor, small integers exact as floats.
+        spans = tuple(tuple((i, abs(c)) for i, c in ts) for _, ts in terms)
         object.__setattr__(self, "_spans", spans)
 
     def _factor_bounds(self, box: Box) -> list[tuple[float, float]]:
@@ -252,15 +245,14 @@ class ReciprocalProduct:
         ls = self._factor_bounds(box)
         f_lo, f_hi = _reciprocal_bounds(ls)
         centre = tuple((lo + hi) * 0.5 for lo, hi in box)
-        at_centre = self._factor_bounds(tuple((c, c) for c in centre))
+        at_centre = self._factor_bounds(tuple((nextafter(c, _DOWN), nextafter(c, _UP)) for c in centre))
         fc_lo, fc_hi = _reciprocal_bounds(at_centre)
         inverses = [(nextafter(1.0 / hi, _DOWN), nextafter(1.0 / lo, _UP)) for lo, hi in at_centre]
         widths = [nextafter(hi - lo, _UP) for lo, hi in box]
 
-        # curv = sum_i (S_i^2 + Q_ii)(c~) r_i^2 / 6 with r_i^2 / 6 = w_i^2 / 24
-        # for the side w_i, the sum of w_i^2 and the sum of ulp(c~_i).
-        curv_lo = curv_hi = sides_sq = ulps = 0.0
-        for i, ((lo, hi), c) in enumerate(zip(box, centre)):
+        # curv = sum_i (S_i^2 + Q_ii)(c) r_i^2 / 6 with r_i^2 / 6 = w_i^2 / 24 for the side w_i.
+        curv_lo = curv_hi = 0.0
+        for i, (lo, hi) in enumerate(box):
             s_lo = s_hi = q_lo = q_hi = 0.0
             for (_, coeffs), (v_lo, v_hi) in zip(self.factors, inverses):
                 a = coeffs[i]
@@ -285,27 +277,17 @@ class ReciprocalProduct:
             rr_hi = nextafter(w_sq / 24.0, _UP)
             curv_lo = nextafter(curv_lo + nextafter(t_lo * rr_lo, _DOWN), _DOWN)
             curv_hi = nextafter(curv_hi + nextafter(t_hi * rr_hi, _UP), _UP)
-            sides_sq = nextafter(sides_sq + w_sq, _UP)
-            ulps = nextafter(ulps + math.ulp(c), _UP)
 
-        # 2 R = sum_k sum_i |a_ki| w_i / L_k,lo and D = sum_k sum_i |a_ki| / L_k,lo.
-        spread = reach = 0.0
-        for (terms, total), (lo, _) in zip(self._spans, ls):
+        # 2 R = sum_k sum_i |a_ki| w_i / L_k,lo, and f_hi R^4 = f_hi (2 R)^4 / 16.
+        spread = 0.0
+        for terms, (lo, _) in zip(self._spans, ls):
             num = 0.0
             for i, a in terms:
                 num = nextafter(num + nextafter(a * widths[i], _UP), _UP)
             spread = nextafter(spread + nextafter(num / lo, _UP), _UP)
-            reach = nextafter(reach + nextafter(total / lo, _UP), _UP)
-        # f_hi R^4 = f_hi (2 R)^4 / 16.
         spread_sq = nextafter(spread * spread, _UP)
-        remainder = nextafter(nextafter(f_hi * nextafter(spread_sq * spread_sq, _UP), _UP) / 16.0, _UP)
-        # sum_j ulp(c~_j) f_hi (D + D^3 sum_i r_i^2), with r_i^2 = w_i^2 / 4.
-        radii_sq = nextafter(sides_sq / 4.0, _UP)
-        cube = nextafter(nextafter(reach * reach, _UP) * reach, _UP)
-        slope = nextafter(reach + nextafter(cube * radii_sq, _UP), _UP)
-        offset = nextafter(nextafter(ulps * f_hi, _UP) * slope, _UP)
+        pad = nextafter(nextafter(f_hi * nextafter(spread_sq * spread_sq, _UP), _UP) / 16.0, _UP)
 
-        pad = nextafter(remainder + offset, _UP)
         mid_lo = nextafter(fc_lo + nextafter(fc_lo * curv_lo, _DOWN), _DOWN)
         mid_hi = nextafter(fc_hi + nextafter(fc_hi * curv_hi, _UP), _UP)
         average = Enclosure(nextafter(mid_lo - pad, _DOWN), nextafter(mid_hi + pad, _UP))
@@ -396,9 +378,6 @@ def loss_c(budget: int = DEFAULT_BUDGETS["c"], tol: float = DEFAULT_TOLS["c"]) -
     return _run("c", budget, tol)
 
 
-_LOSS_FUNCS = {"a3": loss_a3, "b3": loss_b3, "c": loss_c}
-
-
 def loss_mc(name: str, samples: int = 10**7, seed: int = 20240801, workers: int = 1) -> IntegralEstimate:
     """Monte Carlo cross-check of a loss integral (uncertified)."""
     integrand, _, region, box = integration_domain(name)
@@ -420,11 +399,11 @@ def verified_loss(name: str, budget: int | None = None, tol: float | None = None
     budget = DEFAULT_BUDGETS[name] if budget is None else budget
     tol = DEFAULT_TOLS[name] if tol is None else tol
     escalations = 0
-    est = _LOSS_FUNCS[name](budget=budget, tol=tol)
+    est = _run(name, budget, tol)
     while est.exhausted and est.upper > TARGETS[name] and escalations < MAX_ESCALATIONS:
         escalations += 1
         budget *= 10
-        est = _LOSS_FUNCS[name](budget=budget, tol=tol)
+        est = _run(name, budget, tol)
     return est, escalations
 
 

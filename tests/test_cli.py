@@ -179,6 +179,19 @@ class TestHarness:
         assert report["results"]["violations"]["identity"] == 0
         assert report["results"]["totals"]["rho"] == 875
 
+    def test_report_config_holds_only_what_was_read(self, tmp_path, capsys):
+        """Seed and workers reach the report only from verify, which reads them."""
+        out = tmp_path / "harness.json"
+        code, _, _ = run_cli(["--seed", "7", "--workers", "3", "harness", "--x", "10000", "--out", str(out)], capsys)
+        assert code == 0
+        assert json.loads(out.read_text())["config"] == {"command": "harness", "x": 10000}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 5\nu_max = 3\nstep = 0.001\ntol = 1e-5\n")
+        out = tmp_path / "omega.json"
+        code, _, _ = run_cli(["--config", str(cfg), "omega", "--out", str(out)], capsys)
+        assert code == 0
+        assert json.loads(out.read_text())["config"] == {"command": "omega", "u_max": 3.0, "step": 0.001, "tol": 1e-5}
+
     def test_bad_x(self, capsys):
         code, _, stderr = run_cli(["harness", "--x", "12"], capsys)
         assert code == 2

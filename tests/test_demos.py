@@ -34,3 +34,12 @@ def test_sieve_check_exit_status(monkeypatch, capsys):
     monkeypatch.setattr(sh, "window_term", faulty)
     assert demo.main(["--show", "1"]) == 1
     assert "[FAIL] rho never exceeds the prime indicator" in capsys.readouterr().out
+
+
+def test_buchstab_exit_status(capsys):
+    """A table wider than --tol is a [FAIL] verdict and exit status 1."""
+    demo = load_demo("demo_buchstab")
+    assert demo.main(["--step", "1e-3", "--u-max", "3", "--tol", "1e-6"]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+    assert demo.main(["--step", "1e-3", "--u-max", "3", "--tol", "1e-12"]) == 1
+    assert "[FAIL] widest enclosure in the table" in capsys.readouterr().out

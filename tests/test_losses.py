@@ -171,7 +171,7 @@ class TestCertifiedRuns:
         """
         pinned = {
             "a3": (3.222557973576694e-05, 0.00022587314527472324, 265),
-            "b3": (0.00034896600566824195, 0.0005429033977628731, 4509),
+            "b3": (0.00034896600566824206, 0.0005429033977628728, 4509),
         }
         float_route = {
             "a3": (3.2225579735762946e-05, 0.00022587314527473083),
@@ -194,11 +194,15 @@ class TestMeanValueRigor:
     def test_centre_factors_enclose_exact_values(self, monkeypatch):
         """The centre factor enclosures of average contain the exact factor values.
 
-        At the float centre of a leaf, each affine factor of the loss c
-        kernel has an exact rational value.  A round-to-nearest float
-        evaluation misses it on a large share of leaves (the last
-        assertion shows the check has teeth); the factor enclosures that
-        `average` builds at the centre must contain it on every leaf.
+        `average` asks for factor bounds twice: over the leaf, then over
+        the centre box [down(c~), up(c~)] around the float centre
+        c~ = (lo + hi) * 0.5.  That box must contain the exact centre c,
+        and each factor bound the factor's exact rational value at c.
+        A round-to-nearest float evaluation misses that value on a large
+        share of leaves.  On the seeded leaves with sides 2**-k the float
+        centre is exact; on leaves whose endpoints lie an odd number of
+        ulps apart inside one binade lo + hi always rounds, so there
+        c~ != c and only the centre box's width covers the difference.
         """
         import random
 
@@ -212,18 +216,29 @@ class TestMeanValueRigor:
         monkeypatch.setattr(losses.ReciprocalProduct, "_factor_bounds", recording)
         rp = losses.ReciprocalProduct(losses._FACTORS["c"])
         rng = random.Random(20240801)
+        odd_ulps = []
+        for _ in range(500):
+            leaf = []
+            for lo, hi in losses._BOXES["c"]:
+                a = rng.uniform(lo, hi - 1e-6)
+                b = a + (2 * rng.randint(0, 2**30) + 1) * math.ulp(a)
+                assert math.ulp(b) == math.ulp(a)
+                assert Fraction((a + b) * 0.5) != (Fraction(a) + Fraction(b)) / 2
+                leaf.append((a, b))
+            odd_ulps.append(tuple(leaf))
         missed = 0
-        for leaf in seeded_leaves(rng, losses._BOXES["c"], 1000, min_exp=8, max_exp=34):
+        for leaf in seeded_leaves(rng, losses._BOXES["c"], 1000, min_exp=8, max_exp=34) + odd_ulps:
             calls.clear()
             rp.average(leaf)
-            centre_calls = [(box, bounds) for box, bounds in calls if all(lo == hi for lo, hi in box)]
-            assert len(centre_calls) == 1
-            box, bounds = centre_calls[0]
-            centre = tuple(lo for lo, _ in box)
-            assert centre == tuple((lo + hi) * 0.5 for lo, hi in leaf)
+            assert len(calls) == 2 and calls[0][0] == leaf
+            box, bounds = calls[1]
+            float_centre = tuple((lo + hi) * 0.5 for lo, hi in leaf)
+            centre = tuple((Fraction(lo) + Fraction(hi)) / 2 for lo, hi in leaf)
+            for (lo, hi), c in zip(box, centre):
+                assert lo <= c <= hi
             for form, (lo, hi) in zip(rp.factors, bounds):
                 assert lo <= affine_exact(form, centre) <= hi
-            missed += any(Fraction(affine_value(f, centre)) != affine_exact(f, centre) for f in rp.factors)
+            missed += any(Fraction(affine_value(f, float_centre)) != affine_exact(f, centre) for f in rp.factors)
         assert missed >= 200
 
     def test_average_contains_mpmath_box_average(self):
@@ -296,16 +311,19 @@ class TestMeanValueRigor:
         wide, narrow = integrand.average(leaf), integrand.average(half)
         assert wide.hi - wide.lo >= 12 * (narrow.hi - narrow.lo) > 0.0
 
-    def test_offset_covers_float_centre(self, monkeypatch):
-        """average holds with the tightest centre factor bounds floats allow.
+    def test_average_holds_with_tightest_factor_bounds(self, monkeypatch):
+        """average holds when every factor bound is the tightest floats allow.
 
-        Any enclosure of the factors at the float centre c~ is valid
-        input, and with the tightest ones only the centre offset term
-        covers the distance from c~ to the exact centre c.  For
+        Here each `_factor_bounds` call returns the exact corner minimum
+        and maximum of each factor, rounded once outward.  Over the
+        centre box that leaves only its one-step width to cover the
+        distance from the float centre c~ to the exact centre c.  For
         1/(1 - t1 - t2) near the line t1 + t2 = 1 that distance moves the
         value by about 1e-7 relatively; the box average has a closed form
         via G(x) = x log x - x, evaluated in 80-digit mpmath.
         """
+        import itertools
+
         mpmath = pytest.importorskip("mpmath")
         from sievebound.buchstab import _ratio_bounds
 
@@ -314,13 +332,14 @@ class TestMeanValueRigor:
         box = ((0.5 + 3 * u, 0.5 + 6 * u), (t2, t2 + 2 * u))
         (a1, b1), _ = box
         assert Fraction((a1 + b1) * 0.5) != (Fraction(a1) + Fraction(b1)) / 2
-        real = losses.ReciprocalProduct._factor_bounds
 
         def tightest(self, leaf):
-            if not all(lo == hi for lo, hi in leaf):
-                return real(self, leaf)
-            values = (affine_exact(form, [lo for lo, _ in leaf]) for form in self.factors)
-            return [_ratio_bounds(v.numerator, v.denominator) for v in values]
+            out = []
+            for form in self.factors:
+                values = [affine_exact(form, corner) for corner in itertools.product(*leaf)]
+                lo, hi = min(values), max(values)
+                out.append((_ratio_bounds(lo.numerator, lo.denominator)[0], _ratio_bounds(hi.numerator, hi.denominator)[1]))
+            return out
 
         monkeypatch.setattr(losses.ReciprocalProduct, "_factor_bounds", tightest)
         enc = losses.ReciprocalProduct(((1.0, (-1.0, -1.0)),)).average(box)
@@ -338,7 +357,7 @@ class TestMeanValueRigor:
 
         `average` intersects its mean-value enclosure with the interval
         extension of the factor bounds it already holds, so the leaf
-        needs the factor bounds of the box and of its centre only.
+        needs the factor bounds of the box and of its centre box only.
         """
         integrand, _, region, _ = losses.integration_domain("c")
         box = ((0.375, 0.37890625), (0.25, 0.25390625))
@@ -353,7 +372,7 @@ class TestMeanValueRigor:
         monkeypatch.setattr(losses.ReciprocalProduct, "_factor_bounds", recording)
         lo, hi = quadrature._leaf_contribution(integrand, region.fraction(box), box)
         assert len(calls) == 2
-        assert (lo.hex(), hi.hex()) == ("0x1.c5fbb831e6457p-12", "0x1.c5fbcb487d442p-12")
+        assert (lo.hex(), hi.hex()) == ("0x1.c5fbb831e645ap-12", "0x1.c5fbcb487d43fp-12")
 
     def test_average_rejects_disjoint_enclosures(self, monkeypatch):
         """A mean-value enclosure outside the box's value range is a soundness failure."""
