@@ -12,7 +12,7 @@ The Buchstab function omega(u) solves the delay differential equation
      they bracket exp(-euler_gamma), the limit of omega at infinity.
 
 Run with --step to change the grid resolution (default 1e-4).  The
-exit status is 1 when any verdict fails.
+exit status is 1 when any verdict fails, and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import sys
 
 from sievebound import buchstab
 from sievebound.buchstab import OMEGA_LOWER, OMEGA_UPPER
+from sievebound.cli import exit_status
 
 
 def banner(title: str) -> None:
@@ -42,8 +43,10 @@ def main(argv: list[str] | None = None) -> int:
         default=5e-8,
         help="largest tolerated enclosure width; coarser steps need a looser tol",
     )
-    args = parser.parse_args(argv)
+    return exit_status(run, parser.parse_args(argv))
 
+
+def run(args: argparse.Namespace) -> int:
     banner("1. Certified table of omega")
     table = buchstab.build_table(u_max=args.u_max, step=args.step)
     print(f"grid: u_k = 1 + k/{table.grid_den}, {len(table.values)} entries up to u = {table.u_max}")

@@ -20,8 +20,8 @@ three quarters of the density survives.
 
 The full-resolution loss_c run takes a few seconds; pass --quick
 to loosen its gap tolerance and skip the final headline verdict.  The
-exit status is 1 when any verdict fails; a LOOSE quick-mode loss_c is
-not a failure.
+exit status is 1 when any verdict fails, and 2 on a usage error; a
+LOOSE quick-mode loss_c is not a failure.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import argparse
 import sys
 
 from sievebound import losses
+from sievebound.cli import exit_status
 
 
 def banner(title: str) -> None:
@@ -44,8 +45,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true", help="loosen the loss_c tolerance")
     parser.add_argument("--mc-samples", type=int, default=10**6, help="Monte Carlo sample count")
     parser.add_argument("--seed", type=int, default=20240801, help="Monte Carlo seed")
-    args = parser.parse_args(argv)
+    return exit_status(run, parser.parse_args(argv))
 
+
+def run(args: argparse.Namespace) -> int:
     banner("1. Certified sandwiches")
     overrides = {"a3": (2 * 10**4, 5e-4), "b3": (10**5, 5e-4), "c": (10**6, 5e-7)}
     if args.quick:

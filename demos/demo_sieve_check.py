@@ -17,7 +17,7 @@ Everything here is integer arithmetic on one window; there is no
 floating point anywhere in the verdicts.
 
 Run with --x to change the window base (default 10000).  The exit
-status is 1 when any verdict fails.
+status is 1 when any verdict fails, and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import json
 import sys
 
 from sievebound import sieve_harness
+from sievebound.cli import exit_status
 
 
 def banner(title: str) -> None:
@@ -40,8 +41,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--x", type=int, default=10**4, help="window base; window is (x, 2x]")
     parser.add_argument("--show", type=int, default=3, help="how many sample decompositions to print")
-    args = parser.parse_args(argv)
+    return exit_status(run, parser.parse_args(argv))
 
+
+def run(args: argparse.Namespace) -> int:
     ctx = sieve_harness.build_context(args.x)
 
     banner("1. Window and thresholds")

@@ -141,6 +141,8 @@ def _cmd_verify(args, config: dict[str, str]) -> int:
     tol = _resolve("tol", args.tol, config, float, None)
     raw_targets = _resolve("targets", args.targets, config, str, "all")
     wanted = [t.strip() for t in raw_targets.split(",") if t.strip()]
+    if not wanted:
+        raise CliError("no verification targets given")
     if wanted == ["all"]:
         wanted = list(losses.LOSS_NAMES) + ["total"]
     known = set(losses.LOSS_NAMES) | {"total"}
@@ -400,12 +402,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def exit_status(run, *args) -> int:
+    """run(*args) as an exit status: its own result, 1 on a soundness failure, 2 on a usage error.
+
+    Usage and soundness errors print one `error:` line on stderr
+    instead of a traceback.  The demos share this mapping.
+    """
     try:
-        config = _read_config(args.config) if args.config else {}
-        return args.func(args, config)
+        return run(*args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -415,6 +419,15 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _run_command(args) -> int:
+    config = _read_config(args.config) if args.config else {}
+    return args.func(args, config)
+
+
+def main(argv: list[str] | None = None) -> int:
+    return exit_status(_run_command, _build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -18,17 +18,17 @@ rational function of its factor table (`_FACTORS`):
     loss_b3: 1 / (t2 t3 t4 (t1 - t4) (1 - t1 - t2 - t3)),
     loss_c:  1 / (t1 t2 (1 - t1 - t2)).
 
-`check_argument_range` proves that range at the start of every
-`verified_loss` call.  For each argument u = N/D of the argument table
-(`_ARGUMENTS`) it establishes, on region intersect box:
+`check_argument_range` proves that range almost everywhere at the start
+of every `verified_loss` call.  For each argument u = N/D of the
+argument table (`_ARGUMENTS`) it establishes, on region intersect box:
 
-    D > 0:   exact corner range of D over the whole box;
+    D > 0:   D < 0 has exact volume fraction 0 on the box, and D is a
+             kernel factor, which `ReciprocalProduct` checks positive per leaf;
     u >= 1:  the halfspace N - D >= 0 (or > 0) is, coefficient for
              coefficient in exact rationals, a top-level conjunct of the
              region's AndNode;
-    u <= 2:  bisecting the box breadth first, exact classification
-             finds region and N - 2 D > 0 OUTSIDE on every leaf, within
-             RANGE_LEAF_BUDGET classified boxes.
+    u <= 2:  breadth-first bisection bounds the fraction of region and
+             N - 2 D > 0 by 0 on every leaf, within RANGE_LEAF_BUDGET boxes.
 
 It raises SoundnessError otherwise.  Over PAIR_BASE on [3/19, 8/19]^2,
 for example, the argument of loss_c reaches 13/3.  Rigorous runs and
@@ -71,7 +71,7 @@ import numpy as np
 # losses.omega_bound_range: perfbench's traced runs rebind it.
 from .buchstab import _DOWN, _UP, Enclosure, SoundnessError, _down, _up, omega_bound_range  # noqa: F401
 from .quadrature import Integrand, IntegralEstimate, RIGOROUS, _split, integrate_mc, integrate_rigorous
-from .regions import OUTSIDE, REGION_C, REGION_U_A3, REGION_U_B3, AndNode, Box, LinearConstraint, RegionPredicate
+from .regions import REGION_C, REGION_U_A3, REGION_U_B3, AndNode, Box, LinearConstraint, RegionPredicate
 
 __all__ = [
     "TARGETS",
@@ -316,11 +316,10 @@ def _nonnegative_form(con: LinearConstraint) -> tuple[Fraction, tuple[Fraction, 
 
 
 def check_argument_range(region: RegionPredicate, box: Box, arguments) -> tuple[int, ...]:
-    """Prove 1 <= N/D <= 2 on region intersect box for every (N, D) argument.
+    """Prove 1 <= N/D <= 2 almost everywhere on region intersect box for every (N, D) argument.
 
-    Returns the number of boxes classified per argument.  Raises
-    SoundnessError when any of the three steps in the module docstring
-    fails.
+    Returns the boxes visited per argument; raises SoundnessError when
+    any of the three steps in the module docstring fails.
     """
     if not isinstance(region.tree, AndNode):
         raise SoundnessError(f"{region.name}: argument range check needs a top-level AndNode")
@@ -329,8 +328,8 @@ def check_argument_range(region: RegionPredicate, box: Box, arguments) -> tuple[
     scale = tuple(hi - lo for lo, hi in box)
     visited = []
     for k, (num, den) in enumerate(arguments):
-        # -D >= 0 is OUTSIDE only when D > 0 on the whole closed box.
-        if _halfspace(zero, den, 1, ">=").classify(box) != OUTSIDE:
+        # -D > 0 has fraction 0 only when D >= 0 on the whole closed box.
+        if _halfspace(zero, den, 1, ">").fraction_bounds(box) != (0.0, 0.0):
             raise SoundnessError(f"{region.name}: denominator of argument {k} not positive over the box")
         if _nonnegative_form(_halfspace(num, den, 1, ">=")) not in conjuncts:
             raise SoundnessError(f"{region.name}: argument {k} >= 1 is not a top-level constraint")
@@ -341,7 +340,7 @@ def check_argument_range(region: RegionPredicate, box: Box, arguments) -> tuple[
         while queue:
             leaf = queue.popleft()
             count += 1
-            if beyond_two.classify(leaf) == OUTSIDE:
+            if beyond_two.fraction(leaf)[1] == 0.0:
                 continue
             halves = _split(leaf, scale)
             if halves is None or count + len(queue) + 2 > RANGE_LEAF_BUDGET:

@@ -26,15 +26,13 @@ non-strict inequalities are distinguished by point membership but
 deliberately conflated by box tests, since they differ on a
 measure-zero set and every integral is insensitive to it.
 
-`classify` decides a box by the exact corner range of each constraint,
-an integer sum compared with bound * scale: a box that touches a
-halfspace only on its face is MIXED for it.
-
-Each predicate also computes, for a box, certified float bounds on the
-fraction of the box volume satisfying the predicate.  After rescaling
-the box to the unit cube a single linear constraint reads
-sum(b_i * U_i) <= y with b_i > 0 and U uniform, and its fraction is the
-Irwin-Hall distribution function
+Each predicate computes, for a box, certified float bounds on the
+fraction of the box volume satisfying the predicate.  That is the one
+box decision the integrals and `losses.check_argument_range` use: a box
+whose upper bound is 0 meets the region in a set of measure zero.
+After rescaling the box to the unit cube a single linear constraint
+reads sum(b_i * U_i) <= y with b_i > 0 and U uniform, and its fraction
+is the Irwin-Hall distribution function
 
     F(y; b) = (1/m!) * sum over subsets S of (-1)^|S| * max(0, y - b_S)^m
 
@@ -60,8 +58,7 @@ their inside children and the disjunctions without their outside ones
 for bit while visiting only the constraints left open.  The float point
 mask skips, on a box, the constraints whose float comparison the box
 decides for every point in it, strictness and rounding included
-(`LinearConstraint._mask_classify`).  One walk, `_tree_residual`, prunes
-a tree by either leaf test, for `classify` and for the mask.
+(`LinearConstraint._mask_residual`, walked by `_tree_residual`).
 """
 
 from __future__ import annotations
@@ -78,9 +75,6 @@ import numpy as np
 from .buchstab import _DOWN, _UP, _ratio_bounds
 
 __all__ = [
-    "INSIDE",
-    "OUTSIDE",
-    "MIXED",
     "LinearConstraint",
     "AndNode",
     "OrNode",
@@ -102,10 +96,6 @@ __all__ = [
     "WINDOW_HI",
     "B_SECOND_CAP",
 ]
-
-INSIDE = "inside"
-OUTSIDE = "outside"
-MIXED = "mixed"
 
 SIEVE_FLOOR = Fraction(3, 19)
 WINDOW_LO = Fraction(8, 19)
@@ -159,7 +149,7 @@ class LinearConstraint:
     def __post_init__(self) -> None:
         if self.rel not in _COMPARE:
             raise ValueError(f"unknown relation {self.rel!r}")
-        # Integer data for classification: scaled by the lcm of the
+        # Integer data for volume fractions: scaled by the lcm of the
         # denominators, the halfspace reads sum(C_i * t_i) REL B.
         rationals = [Fraction(c) for c in self.coeffs] + [Fraction(self.bound)]
         den = math.lcm(*(q.denominator for q in rationals))
@@ -192,29 +182,8 @@ class LinearConstraint:
             raise ValueError(f"constraint on {len(self.coeffs)} coordinates given a {len(box)}-dimensional box")
         return _grid(box)
 
-    def classify(self, box: Box) -> str:
-        """Three-valued box test, treating strict relations as non-strict."""
-        return self._classify(self._box_grid(box))
-
-    def _classify(self, grid: Grid) -> str:
-        """classify on a box given as its `_grid`: exact integer corner range against the bound."""
-        scale, ends = grid
-        lo = hi = 0
-        for i, c in self._terms:
-            a, b = ends[i]
-            if c > 0:
-                lo += c * a
-                hi += c * b
-            else:
-                lo += c * b
-                hi += c * a
-        bound = self._ibound * scale
-        if self.rel in ("<", "<="):
-            return INSIDE if hi <= bound else OUTSIDE if lo > bound else MIXED
-        return INSIDE if lo >= bound else OUTSIDE if hi < bound else MIXED
-
-    def _mask_classify(self, grid: Grid) -> str:
-        """Three-valued test, over a box given as its `_grid`, of the float comparison in `_tree_mask`.
+    def _mask_residual(self, grid: Grid):
+        """`_TRUE`, `_FALSE` or self: the float comparison in `_tree_mask` over a box given as its `_grid`.
 
         `_tree_mask` compares a float dot product of the point with the
         float coefficients against the float bound, strictness included.
@@ -222,11 +191,11 @@ class LinearConstraint:
         gamma_k * sum|F_i t_i| + k * 2^-1074 of the exact one, for k
         nonzero terms, gamma_k = k u / (1 - k u) and u = 2^-53 (Higham,
         *Accuracy and Stability of Numerical Algorithms*, 2002, sec. 3.1;
-        the second term covers products that underflow).  The verdict is
-        INSIDE or OUTSIDE only when the comparison holds, or fails, at both
-        ends of the exact corner range widened by that error, so it holds
-        for every point of the closed box.  Sums that might overflow are
-        MIXED.
+        the second term covers products that underflow).  The result is
+        `_TRUE` or `_FALSE` only when the comparison holds, or fails, at
+        both ends of the exact corner range widened by that error, so it
+        holds for every point of the closed box.  Sums that might overflow
+        leave the constraint undecided.
         """
         scale, ends = grid
         lo = hi = mag = 0
@@ -237,7 +206,7 @@ class LinearConstraint:
             mag += abs(c) * max(-a, b)
         width = self._fden * scale  # the exact sums are lo / width, hi / width
         if mag >= width << 1023:
-            return MIXED
+            return self
         # Everything times (2^53 - k) * 2^1074 * width, all integers.
         k = len(self._fterms)
         g = ((1 << 53) - k) << 1074
@@ -245,7 +214,7 @@ class LinearConstraint:
         bound = self._fbound * scale * g
         compare = _COMPARE[self.rel]
         at_lo, at_hi = compare(lo * g - err, bound), compare(hi * g + err, bound)
-        return INSIDE if at_lo and at_hi else OUTSIDE if not (at_lo or at_hi) else MIXED
+        return _TRUE if at_lo and at_hi else _FALSE if not (at_lo or at_hi) else self
 
     def fraction(self, box: Box) -> Fraction:
         """Exact volume fraction of the box satisfying the halfspace."""
@@ -325,8 +294,9 @@ def _tree_contains(node, point) -> bool:
     return any(_tree_contains(c, point) for c in node.children)
 
 
-# The residual of a box decided INSIDE or OUTSIDE: the empty conjunction
-# and the empty disjunction, which every walk decides the same way.
+# The residual of a box inside or outside the region: the empty
+# conjunction and the empty disjunction, which every walk decides the
+# same way.
 _TRUE = AndNode(())
 _FALSE = OrNode(())
 
@@ -334,10 +304,11 @@ _FALSE = OrNode(())
 def _pruned(node, kept: list):
     """node with its children replaced by `kept`, their residuals in order.
 
-    No child left means every child was neutral: an AndNode of INSIDE
-    children is `_TRUE`, an OrNode of OUTSIDE children `_FALSE`.  A node
-    that lost no child and whose children are their own residuals is
-    returned as is, so unchanged subtrees are shared, not copied.
+    No child left means every child was neutral: an AndNode whose
+    children all hold on the box is `_TRUE`, an OrNode whose children
+    all fail `_FALSE`.  A node that lost no child and whose children are
+    their own residuals is returned as is, so unchanged subtrees are
+    shared, not copied.
     """
     if not kept:
         return _TRUE if isinstance(node, AndNode) else _FALSE
@@ -400,21 +371,19 @@ def _tree_fraction(node, grid: Grid) -> tuple[float, float, object]:
     return lo, min(hi, 1.0), _pruned(node, kept)
 
 
-def _tree_residual(node, grid: Grid, decide):
-    """The part of the tree that `decide` leaves undecided on a box given as its `_grid`.
+def _tree_residual(node, grid: Grid):
+    """The part of the tree whose float mask a box given as its `_grid` leaves undecided.
 
-    `decide(leaf, grid)` is INSIDE, OUTSIDE or MIXED for each constraint
-    (`LinearConstraint._classify` or `._mask_classify`); AndNode drops
-    INSIDE children and OrNode OUTSIDE ones, as in `_tree_fraction`, and
-    a decided tree is `_TRUE` or `_FALSE`.
+    Each constraint is `LinearConstraint._mask_residual`; AndNode drops
+    its `_TRUE` children and OrNode its `_FALSE` ones, as in
+    `_tree_fraction`, and a decided tree is `_TRUE` or `_FALSE`.
     """
     if isinstance(node, LinearConstraint):
-        verdict = decide(node, grid)
-        return _TRUE if verdict == INSIDE else _FALSE if verdict == OUTSIDE else node
+        return node._mask_residual(grid)
     decisive, neutral = (_FALSE, _TRUE) if isinstance(node, AndNode) else (_TRUE, _FALSE)
     kept = []
     for child in node.children:
-        residual = _tree_residual(child, grid, decide)
+        residual = _tree_residual(child, grid)
         if residual is decisive:
             return decisive
         if residual is not neutral:
@@ -485,15 +454,6 @@ class RegionPredicate:
             raise ValueError(f"{self.name} expects a {self.arity}-dimensional box")
         return _grid(box)
 
-    def classify(self, box: Box) -> str:
-        """INSIDE / OUTSIDE / MIXED over an axis-aligned box, exactly.
-
-        Each constraint is decided by its exact corner range, so a box
-        that touches a halfspace only on its face is MIXED for it.
-        """
-        residual = _tree_residual(self.tree, self._box_grid(box), LinearConstraint._classify)
-        return INSIDE if residual is _TRUE else OUTSIDE if residual is _FALSE else MIXED
-
     def fraction(self, box: Box, within=None) -> FractionBounds:
         """Certified outward float bounds on the satisfied volume fraction of the box.
 
@@ -517,7 +477,7 @@ class RegionPredicate:
             raise ValueError(f"{self.name} expects an (n, {self.arity}) array")
         if box is None:
             return _tree_mask(self.tree, pts)
-        return _tree_mask(_tree_residual(self.tree, self._box_grid(box), LinearConstraint._mask_classify), pts)
+        return _tree_mask(_tree_residual(self.tree, self._box_grid(box)), pts)
 
     def to_json(self) -> dict:
         return {"name": self.name, "arity": self.arity, "tree": _tree_json(self.tree)}

@@ -87,6 +87,15 @@ class TestVerify:
         assert code == 2
         assert "unknown verification targets" in stderr
 
+    def test_empty_targets_is_usage_error(self, tmp_path, capsys):
+        """A target list with no names would certify nothing, so it exits 2, not 0."""
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("targets =\n")
+        for argv in (["verify", "--targets", ","], ["verify", "--targets", " "], ["--config", str(cfg), "verify"]):
+            code, stdout, stderr = run_cli(argv, capsys)
+            assert code == 2 and stdout == ""
+            assert "no verification targets" in stderr
+
     def test_argument_error_is_usage_error(self, capsys):
         code, _, stderr = run_cli(["verify", "--targets", "c", "--budget", "0"], capsys)
         assert code == 2

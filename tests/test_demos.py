@@ -1,11 +1,13 @@
-"""The demos report a failed verdict through their exit status."""
+"""The demos report a failed verdict (1) and a usage error (2) through their exit status."""
 
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
 
+from sievebound import losses
 from sievebound import sieve_harness as sh
+from sievebound.buchstab import SoundnessError
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -43,3 +45,27 @@ def test_buchstab_exit_status(capsys):
     assert "[FAIL]" not in capsys.readouterr().out
     assert demo.main(["--step", "1e-3", "--u-max", "3", "--tol", "1e-12"]) == 1
     assert "[FAIL] widest enclosure in the table" in capsys.readouterr().out
+
+
+def test_usage_errors_exit_two(capsys):
+    """An out-of-range option prints one error line and exits 2, not a traceback with 1."""
+    for name, argv, message in (
+        ("demo_buchstab", ["--u-max", "1.5"], "u_max must lie in [2, 64]"),
+        ("demo_sieve_check", ["--x", "5"], "x must lie in"),
+    ):
+        assert load_demo(name).main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
+def test_losses_exit_status(monkeypatch, capsys):
+    """demo_losses maps a usage error to 2 and a soundness failure to 1."""
+    demo = load_demo("demo_losses")
+    for exc, code in ((ValueError("budget must be at least 1"), 2), (SoundnessError("disjoint enclosures"), 1)):
+
+        def failing(*args, exc=exc, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(losses, "verified_loss", failing)
+        assert demo.main(["--quick"]) == code
+        assert str(exc) in capsys.readouterr().err

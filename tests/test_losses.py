@@ -260,7 +260,7 @@ class TestMeanValueRigor:
         checked = 0
         with mpmath.workdps(40):
             for leaf in leaves:
-                if region.classify(leaf) != "inside":
+                if region.fraction(leaf) != (1.0, 1.0):
                     continue
                 (a1, b1), (a2, b2) = [(mpmath.mpf(lo), mpmath.mpf(hi)) for lo, hi in leaf]
 
@@ -420,6 +420,19 @@ class TestArgumentRange:
         _, arguments, _, _ = losses.integration_domain("c")
         with pytest.raises(SoundnessError, match="<= 2 not certified"):
             losses.check_argument_range(PAIR_BASE, (edge, edge), arguments)
+
+    def test_rejects_denominator_negative_on_the_box(self):
+        """D = 1/5 - t4 changes sign on the a3 box, where t4 runs over [3/19, 4/19]."""
+        _, _, region, box = losses.integration_domain("a3")
+        arguments = ((losses._A3_REST, (Fraction(1, 5), (0, 0, 0, -1))),)
+        with pytest.raises(SoundnessError, match="denominator of argument 0 not positive"):
+            losses.check_argument_range(region, box, arguments)
+
+    def test_denominators_are_kernel_factors(self):
+        """Every D is a kernel factor, so `ReciprocalProduct` checks it positive on each leaf."""
+        for name, arguments in losses._ARGUMENTS.items():
+            for _, den in arguments:
+                assert den in losses._FACTORS[name]
 
     def test_rejects_missing_lower_halfspace(self):
         """Without t1 + 2 t2 < 1 as a conjunct, u >= 1 is not established."""

@@ -20,9 +20,6 @@ import pytest
 from sievebound import regions
 from sievebound.buchstab import _ratio_bounds
 from sievebound.regions import (
-    INSIDE,
-    MIXED,
-    OUTSIDE,
     PAIR_BASE,
     REGION_A,
     REGION_B,
@@ -42,12 +39,30 @@ from sievebound.regions import (
 
 F = Fraction
 
+INSIDE, OUTSIDE, MIXED = "inside", "outside", "mixed"
+
+
+def corner_range(coeffs, box):
+    """Exact (min, max) of sum(coeffs[i] * t_i) over the box, attained at corners."""
+    lo = sum((F(co) * F(a if co > 0 else b) for co, (a, b) in zip(coeffs, box)), F(0))
+    hi = sum((F(co) * F(b if co > 0 else a) for co, (a, b) in zip(coeffs, box)), F(0))
+    return lo, hi
+
+
+def corner_verdict(rel, bound, lo, hi):
+    """Exact corner-range verdict INSIDE / OUTSIDE / MIXED, strict read as non-strict (test oracle).
+
+    A box touching the halfspace only on its face is MIXED.
+    """
+    if rel in ("<", "<="):
+        return INSIDE if hi <= bound else OUTSIDE if lo > bound else MIXED
+    return INSIDE if lo >= bound else OUTSIDE if hi < bound else MIXED
+
 
 def exact_frechet(node, box):
-    """Exact rational Frechet bounds from LinearConstraint.classify and .fraction (test oracle)."""
+    """Exact rational Frechet bounds from LinearConstraint.fraction (test oracle)."""
     if isinstance(node, LinearConstraint):
-        verdict = node.classify(box)
-        f = F(1) if verdict == INSIDE else F(0) if verdict == OUTSIDE else node.fraction(box)
+        f = node.fraction(box)
         return f, f
     parts = [exact_frechet(c, box) for c in node.children]
     if isinstance(node, AndNode):
@@ -60,9 +75,9 @@ def exact_frechet(node, box):
 
 
 def plain_verdict(node, box):
-    """INSIDE / OUTSIDE / MIXED of a tree from LinearConstraint.classify, without pruning (test oracle)."""
+    """INSIDE / OUTSIDE / MIXED of a tree from exact corner ranges, without pruning (test oracle)."""
     if isinstance(node, LinearConstraint):
-        return node.classify(box)
+        return corner_verdict(node.rel, node.bound, *corner_range(node.coeffs, box))
     verdicts = [plain_verdict(c, box) for c in node.children]
     decisive, neutral = (OUTSIDE, INSIDE) if isinstance(node, AndNode) else (INSIDE, OUTSIDE)
     if decisive in verdicts:
@@ -86,7 +101,7 @@ def anisotropic_leaf(rng: random.Random, region, domain):
         mid = 0.5 * (lo + hi)
         halves = [box[:i] + [half] + box[i + 1 :] for half in ((lo, mid), (mid, hi))]
         rng.shuffle(halves)
-        mixed = [h for h in halves if region.classify(tuple(h)) == MIXED]
+        mixed = [h for h in halves if plain_verdict(region.tree, tuple(h)) == MIXED]
         box = (mixed or halves)[0]
     return tuple(box)
 
@@ -114,27 +129,18 @@ class TestLinearConstraint:
         assert c.evaluate((F(1, 8), F(1, 8))) is True  # 3/8 < 1/2
         assert c.evaluate((F(1, 4), F(1, 8))) is False  # 1/2 < 1/2 fails
 
-    def test_classify_matches_corner_logic(self):
-        """Integer grid classification equals exact Fraction corner-range logic.
+    def test_decided_fractions_match_corner_logic(self):
+        """The exact fraction is 1 or 0 exactly where exact corner-range logic decides the box.
 
-        A linear form attains its box extremes at corners.  classify
-        treats strict relations as non-strict (boundary slices carry no
-        volume), so INSIDE for a "below" relation means the exact corner
-        maximum is <= bound, OUTSIDE means the minimum is > bound.  The
-        inputs mix float, non-dyadic Fraction and subnormal endpoints,
-        endpoints near 2**60 and 2**-60, non-integer coefficients, and
-        bounds placed exactly on a corner value for every relation.
+        A linear form attains its box extremes at corners.  Strict and
+        non-strict relations are conflated (boundary slices carry no
+        volume): the fraction is 1 iff the corner range lies in the closed
+        halfspace, and 0 iff it lies outside, or meets the halfspace only
+        where the form equals the bound (a face contact).  The inputs mix
+        float, non-dyadic Fraction and subnormal endpoints, endpoints near
+        2**60 and 2**-60, non-integer coefficients, and bounds placed
+        exactly on a corner value for every relation.
         """
-
-        def corner_range(coeffs, box):
-            lo = sum((F(co) * F(a if co > 0 else b) for co, (a, b) in zip(coeffs, box)), F(0))
-            hi = sum((F(co) * F(b if co > 0 else a) for co, (a, b) in zip(coeffs, box)), F(0))
-            return lo, hi
-
-        def expected(rel, bound, lo, hi):
-            if rel in ("<", "<="):
-                return INSIDE if hi <= bound else OUTSIDE if lo > bound else MIXED
-            return INSIDE if lo >= bound else OUTSIDE if hi < bound else MIXED
 
         def interval(rng, kind):
             if kind == "fraction":
@@ -149,6 +155,7 @@ class TestLinearConstraint:
         rng = random.Random(20240801)
         kinds = ("float", "fraction", "subnormal", "huge", "tiny")
         ties = {rel: 0 for rel in ("<", "<=", ">", ">=")}
+        faces = 0
         for trial in range(2000):
             dims = rng.randint(1, 4)
             coeffs = tuple(rng.randint(-3, 3) for _ in range(dims))
@@ -162,9 +169,18 @@ class TestLinearConstraint:
             for rel in ("<", "<=", ">", ">="):
                 for bound in bounds:
                     c = LinearConstraint(coeffs=coeffs, rel=rel, bound=bound)
-                    assert c.classify(box) == expected(rel, bound, lo, hi), (coeffs, rel, bound, box)
+                    f = c.fraction(box)
+                    if lo == hi == bound:
+                        # The form is constant on the box, at the bound: no volume either way.
+                        assert f in (0, 1)
+                        continue
+                    verdict = corner_verdict(rel, bound, lo, hi)
+                    face = lo != hi and bound == (lo if rel in ("<", "<=") else hi)
+                    assert (f == 1) == (verdict == INSIDE), (coeffs, rel, bound, box)
+                    assert (f == 0) == (verdict == OUTSIDE or face), (coeffs, rel, bound, box)
                     ties[rel] += bound in (lo, hi) and lo != hi
-        assert min(ties.values()) >= 1000
+                    faces += face
+        assert min(ties.values()) >= 1000 and faces >= 4000
 
     def test_invalid_boxes_rejected(self):
         """A lo > hi interval or a NaN or infinite endpoint is a ValueError, not a verdict."""
@@ -178,7 +194,7 @@ class TestLinearConstraint:
             ((0.0, 1.0), (-math.inf, 0.0)),
         ]
         for box in bad:
-            for call in (REGION_A.classify, REGION_A.fraction, c.classify, c.fraction, c.fraction_bounds):
+            for call in (REGION_A.fraction, c.fraction, c.fraction_bounds):
                 with pytest.raises(ValueError):
                     call(box)
 
@@ -305,9 +321,10 @@ class TestRegionMembership:
         inside_box = ((0.20, 0.205), (0.18, 0.185))
         outside_box = ((0.9, 0.95), (0.9, 0.95))
         mixed_box = ((0.1, 0.5), (0.1, 0.5))
-        assert REGION_A.classify(inside_box) == INSIDE
-        assert REGION_A.classify(outside_box) == OUTSIDE
-        assert REGION_A.classify(mixed_box) == MIXED
+        assert REGION_A.fraction(inside_box) == (1.0, 1.0)
+        assert REGION_A.fraction(outside_box) == (0.0, 0.0)
+        lo, hi = REGION_A.fraction(mixed_box)
+        assert 0.0 < hi and lo < 1.0
 
     def test_fraction_bounds_contain_truth(self):
         """Region fraction bounds must bracket sampled frequencies."""
@@ -380,7 +397,7 @@ class TestRegionMembership:
         """A box with more or fewer intervals than coefficients is a ValueError, not a verdict."""
         c = LinearConstraint((1, 1), "<=", F(1, 2))
         for box in (((0.0, 1.0),), ((0.0, 1.0),) * 3):
-            for call in (c.classify, c.fraction, c.fraction_bounds):
+            for call in (c.fraction, c.fraction_bounds):
                 with pytest.raises(ValueError, match="2 coordinates"):
                     call(box)
 
@@ -463,57 +480,29 @@ class TestResiduals:
                         assert region.fraction(child_box, within=child.residual) == child
         assert decided >= 100
 
-    def test_face_contact_is_outside_for_fractions_but_mixed_for_classify(self):
+    def test_face_contact_is_outside_for_fractions(self):
         """A box touching a <= face from outside has fraction (0, 0) and residual _FALSE.
 
-        classify keeps its exact corner semantics and calls the same box
-        MIXED, and the mask on the box still accepts the contact point.
+        The mask on the box still accepts the contact point.
         """
         below = LinearConstraint((1, 1), "<=", F(1, 2))
         box = ((0.25, 0.75), (0.25, 0.5))  # t1 + t2 >= 1/2, equal only at (0.25, 0.25)
         region = regions.RegionPredicate("t1 + t2 <= 1/2", 2, below)
-        assert below.classify(box) == MIXED and region.classify(box) == MIXED
         assert below.fraction(box) == 0 and below.fraction_bounds(box) == (0.0, 0.0)
         bounds = region.fraction(box)
         assert bounds == (0.0, 0.0) and bounds.residual is regions._FALSE
         pts = np.array([[0.25, 0.25], [0.5, 0.25]])
         assert region.mask(pts, box=box).tolist() == region.mask(pts).tolist() == [True, False]
-        # In a conjunction the contact decides the whole box; classify stays MIXED.
+        # In a conjunction the contact decides the whole box.
         both = regions.RegionPredicate("and", 2, AndNode((LinearConstraint((1, 0), ">=", F(0)), below)))
-        assert both.classify(box) == MIXED
         bounds = both.fraction(box)
         assert bounds == (0.0, 0.0) and bounds.residual is regions._FALSE
-
-    def test_classify_matches_a_plain_recursive_verdict(self):
-        """RegionPredicate.classify equals an unpruned recursion over LinearConstraint.classify.
-
-        Seeded boxes over every catalog region: bisection chains from the
-        region's domain (the base square for the pair regions, the loss
-        box for the quadruple ones) and boxes with endpoints at or next
-        to the float region bounds.
-        """
-        from sievebound import losses
-
-        edge = (float(SIEVE_FLOOR), float(WINDOW_LO))
-        domains = {"u_a3": losses._BOXES["a3"], "u_b3": losses._BOXES["b3"]}
-        rng = random.Random(20261019)
-        seen = {INSIDE: 0, OUTSIDE: 0, MIXED: 0}
-        for region in region_catalog().values():
-            domain = domains.get(region.name, (edge,) * 2)
-            boxes = face_boxes(rng, region.arity, 40)
-            for _ in range(30):
-                boxes.extend(bisection_chain(rng, domain, 16)[1::3])
-            for box in boxes:
-                verdict = region.classify(box)
-                assert verdict == plain_verdict(region.tree, box), (region.name, box)
-                seen[verdict] += 1
-        assert min(seen.values()) >= 50
 
     def test_mask_on_a_box_matches_the_full_mask(self):
         """mask(pts, box=b) equals mask(pts) on seeded points of b, faces and corners included.
 
         The face boxes put endpoints at the float region bounds, where the
-        float test and exact classification part ways: t1 < 8/19 holds
+        float test and the exact fractions part ways: t1 < 8/19 holds
         exactly on t1 <= float(8/19) < 8/19 but not in floats at the face.
         """
         rng = random.Random(7)
@@ -526,12 +515,12 @@ class TestResiduals:
             for box in boxes:
                 pts = points_in(npr, box, 300)
                 assert np.array_equal(region.mask(pts, box=box), region.mask(pts))
-                residual = regions._tree_residual(region.tree, regions._grid(box), LinearConstraint._mask_classify)
+                residual = regions._tree_residual(region.tree, regions._grid(box))
                 pruned += residual != region.tree
         assert pruned >= 100
         strict = regions.RegionPredicate("t1 < 8/19", 1, LinearConstraint((1,), "<", WINDOW_LO))
         box = ((0.3, float(WINDOW_LO)),)
-        assert strict.classify(box) == INSIDE
+        assert strict.fraction(box) == (1.0, 1.0)
         pts = np.array([[0.3], [0.35], [float(WINDOW_LO)]])
         assert strict.mask(pts, box=box).tolist() == strict.mask(pts).tolist() == [True, True, False]
         # Below the float bound exactly, but the float sum at the corner rounds onto it.
