@@ -62,7 +62,9 @@ def run(args: argparse.Namespace) -> int:
     print("On [2, 3] integration of the delay equation gives")
     print("  omega(u) = (1 + log(u - 1)) / u")
     print("and on [3, 4] one more integration adds J(u)/u with")
-    print("  J(u) = integral of log(t - 1)/t over [2, u - 1].")
+    print("  J(u) = integral of log(t - 1)/t over [2, u - 1],")
+    print("which is closed form through the dilogarithm Li2(v) = sum v^k/k^2:")
+    print("  J(u) = log(u - 1)^2 / 2 + Li2(1/(u - 1)) - pi^2/12.")
     worst = 0.0
     last = min(2 * table.grid_den, len(table.values) - 1)
     for k in range(table.grid_den, last + 1, max(1, table.grid_den // 50)):

@@ -17,6 +17,14 @@ Closed forms used as independent anchors:
 
 The second form follows from integrating (u omega)' = omega(u - 1) with
 omega(u - 1) = (1 + log(u - 2)) / (u - 1) and substituting t = s - 1.
+J has a closed form through the dilogarithm Li2(v) = sum v^k/k^2:
+
+    J(u) = log(u - 1)^2 / 2 + Li2(1 / (u - 1)) - pi^2 / 12.
+
+With Li2'(v) = -log(1 - v)/v its derivative is log(u - 1)/(u - 1) +
+log((u - 2)/(u - 1))/(u - 1) = log(u - 2)/(u - 1) = J'(u), and J(3) = 0
+since Li2(1/2) = pi^2/12 - log(2)^2/2 (Euler's reflection formula; Lewin,
+Polylogarithms and Associated Functions, 1981).
 
 The piecewise bounds `OMEGA_LOWER` and `OMEGA_UPPER` agree with omega on
 [1, 3), equal the closed form on [3, 4) (sanity-clamped to
@@ -27,10 +35,8 @@ u >= 4, bracketing the asymptotic value exp(-euler_gamma) = 0.56145...
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import numbers
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,20 +63,11 @@ BRANCH_CEILING = 0.5644
 PLATEAU_LOWER = 0.5612
 PLATEAU_UPPER = 0.5617
 
-# Bound on |d/dt (log(t-1)/t)''| over [2, 3] and on |omega''| everywhere
-# past u = 1, used in trapezoid error terms.  On [1, 2], omega'' = 2/u**3
-# with maximum 2 at u = 1.  On [2, 3], differentiating
+# Bound on |omega''| past u = 1, for the trapezoid error term of `build_table`.
+# On [1, 2], omega'' = 2/u**3 with maximum 2 at u = 1.  On [2, 3], differentiating
 # omega'(u) = (omega(u-1) - omega(u))/u termwise and using |omega'| <= 1,
-# |omega| <= 1 gives |omega''| <= (1 + 1)/2 + 0.66/4 < 2; further branches
-# only shrink.  For g(t) = log(t-1)/t on [2, 3],
-# g'' = -(2t-1)/(t**2 (t-1)**2) - 1/((t-1) t**2) + 2 log(t-1)/t**3, whose
-# magnitude peaks at t = 2 with value 1.
+# |omega| <= 1 gives |omega''| <= (1 + 1)/2 + 0.66/4 < 2; further branches only shrink.
 SECOND_DERIVATIVE_BOUND = 2.0
-
-# Panels of the cumulative trapezoid table of J on [3, 4] (h = 2**-17).
-# Its accumulated error bound (u - 3) h^2 / 6 stays within 1e-12 of the
-# (u - 3)^3 / (6 * 8192^2) of an 8192-panel trapezoid over [2, u - 1].
-LOG_INTEGRAL_PANELS = 2**17
 
 # Global Lipschitz constant for omega on [1, u_max]: |omega'| = 1/u**2 <= 1
 # on [1, 2], and |omega'(u)| = |omega(u-1) - omega(u)|/u <= 0.17/2 < 1 past 2.
@@ -205,16 +202,13 @@ def _ratio_bounds(num: int, den: int) -> tuple[float, float]:
     return (f, _up(f)) if side < 0 else (_down(f), f)
 
 
-def _log_bounds(lo: float, hi: float) -> tuple[float, float]:
-    """Bounds on log over [lo, hi], 0 < lo <= hi (see log_enc)."""
-    lo = math.log(lo)
-    hi = math.log(hi)
-    lo -= abs(lo) * 1e-14
-    hi += abs(hi) * 1e-14
+def _log_bound(x: float, side: float) -> float:
+    """Lower (side = _DOWN) or upper (side = _UP) bound on log(x), x > 0 (see log_enc)."""
+    y = math.log(x)
+    y += math.copysign(abs(y) * 1e-14, side)
     for _ in range(4):
-        lo = _down(lo)
-        hi = _up(hi)
-    return lo, hi
+        y = math.nextafter(y, side)
+    return y
 
 
 def log_enc(x: Enclosure) -> Enclosure:
@@ -226,7 +220,19 @@ def log_enc(x: Enclosure) -> Enclosure:
     """
     if x.lo <= 0.0:
         raise ValueError("log requires a strictly positive enclosure")
-    return Enclosure(*_log_bounds(x.lo, x.hi))
+    return Enclosure(_log_bound(x.lo, _DOWN), _log_bound(x.hi, _UP))
+
+
+# Terms of the Li2 series that `_li2_bound` sums.  For 0 < v <= 1/2 the
+# tail is sum_{k > 50} v^k/k^2 <= v^51 / (51^2 (1 - v)) <= 2 v^51 / 51^2,
+# at most LI2_TAIL = 2^-50 / 51^2 < 4e-19.  Its Horner coefficients are
+# 1/k^2 for k = 50, ..., 1, rounded down and up.
+LI2_TERMS = 50
+LI2_TAIL = _up(2.0**-LI2_TERMS / (LI2_TERMS + 1) ** 2)
+_INV_SQUARES_LO, _INV_SQUARES_HI = zip(*(_ratio_bounds(1, k * k) for k in range(LI2_TERMS, 0, -1)))
+
+# pi lies between math.pi and the next float up.
+PI_SQ_OVER_12 = Enclosure(math.pi, _up(math.pi)) * Enclosure(math.pi, _up(math.pi)) / 12.0
 
 
 def _expr_23(u: Enclosure) -> Enclosure:
@@ -234,83 +240,47 @@ def _expr_23(u: Enclosure) -> Enclosure:
     return (1.0 + log_enc(u - 1.0)) / u
 
 
-def _g_bounds(t: float) -> tuple[float, float]:
-    """Bounds on g(t) = log(t - 1)/t at a float t in [2, 3] (t - 1 is exact there)."""
-    lo, hi = _log_bounds(t - 1.0, t - 1.0)
-    return _down(lo / t), _up(hi / t)
+def _li2_bound(v: float, side: float) -> float:
+    """Lower (side = _DOWN) or upper (side = _UP) bound on Li2(v), 0 < v <= 1/2.
 
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    """(s, e) with s = fl(a + b) and a + b = s + e exactly (Knuth's TwoSum)."""
-    s = a + b
-    b_part = s - a
-    return s, (a - (s - b_part)) + (b - b_part)
-
-
-@functools.cache
-def _log_integral_table() -> tuple[array, array]:
-    """Lower and upper bounds on J(3 + k h), k = 0..N, with N = LOG_INTEGRAL_PANELS, h = 1/N.
-
-    Built once, on first use.  Panel k is the trapezoid of the interval
-    values of g(t) = log(t - 1)/t on [2 + (k-1) h, 2 + k h], widened by
-    the trapezoid error bound h^3/12 * max|g''| (max|g''| <= 2 on
-    [2, 3]).  Each side's running sum is a float plus its TwoSum error
-    terms, summed with directed rounding, so an entry carries one
-    outward rounding rather than one per panel.
+    Horner's rule on the first LI2_TERMS terms of sum v^k/k^2, all
+    positive, rounding each step toward side; the upper bound adds LI2_TAIL.
     """
-    n = LOG_INTEGRAL_PANELS
-    h = 1.0 / n
-    pad = _up(_up(h**3) * SECOND_DERIVATIVE_BOUND / 12.0)
-    lows = array("d", [0.0])
-    highs = array("d", [0.0])
-    sum_lo = sum_hi = err_lo = err_hi = 0.0
-    g_prev_lo = g_prev_hi = 0.0  # g(2) = log(1)/2 = 0
-    for k in range(1, n + 1):
-        g_lo, g_hi = _g_bounds(2.0 + k * h)
-        # Multiplying by h/2, a power of two, is exact.
-        sum_lo, err = _two_sum(sum_lo, _down(_down(g_prev_lo + g_lo) * (0.5 * h) - pad))
-        err_lo = _down(err_lo + err)
-        sum_hi, err = _two_sum(sum_hi, _up(_up(g_prev_hi + g_hi) * (0.5 * h) + pad))
-        err_hi = _up(err_hi + err)
-        lows.append(_down(sum_lo + err_lo))
-        highs.append(_up(sum_hi + err_hi))
-        g_prev_lo, g_prev_hi = g_lo, g_hi
-    return lows, highs
+    s = 0.0
+    for c in _INV_SQUARES_HI if side == _UP else _INV_SQUARES_LO:
+        s = math.nextafter(math.nextafter(s + c, side) * v, side)
+    return _up(s + LI2_TAIL) if side == _UP else s
+
+
+def _log_integral_bound(u: float, side: float) -> float:
+    """Lower (side = _DOWN) or upper (side = _UP) bound on J(u), 3 <= u <= 4.
+
+    The dilogarithm form with w = u - 1 (exact): log w >= log 2 > 0 keeps
+    its direction when squared, and 1/w <= 1/2 lets its bound be capped there.
+    """
+    w = u - 1.0
+    log_w = _log_bound(w, side)
+    half_sq = math.nextafter(log_w * log_w, side) * 0.5  # halving is exact
+    li2 = _li2_bound(min(math.nextafter(1.0 / w, side), 0.5), side)
+    pi_term = PI_SQ_OVER_12.lo if side == _UP else PI_SQ_OVER_12.hi
+    return math.nextafter(math.nextafter(half_sq + li2, side) - pi_term, side)
 
 
 def _log_integral(u: float) -> Enclosure:
-    """Enclosure of J(u) = integral of log(t - 1)/t over [2, u - 1], 3 <= u <= 4.
-
-    The table entry at the grid point 3 + k h just below u, plus a
-    trapezoid on the partial panel [2 + k h, u - 1] of width r, widened
-    by its own error bound r^3/12 * max|g''|.
-    """
+    """Enclosure of J(u) = integral of log(t - 1)/t over [2, u - 1], 3 <= u <= 4."""
     if not 3.0 <= u <= 4.0:
         raise ValueError("log integral is defined for u in [3, 4]")
-    lows, highs = _log_integral_table()
-    n = LOG_INTEGRAL_PANELS
-    # u - 3, its scaling by n = 2**17 and r are all exact.
-    x = u - 3.0
-    k = int(x * n)
-    r = x - k / n
-    lo, hi = lows[k], highs[k]
-    if r > 0.0:
-        g0_lo, g0_hi = _g_bounds(2.0 + k / n)
-        g1_lo, g1_hi = _g_bounds(u - 1.0)
-        pad = _up(_up(_up(_up(r * r) * r) * SECOND_DERIVATIVE_BOUND) / 12.0)
-        lo = _down(lo + _down(_down(_down(g0_lo + g1_lo) * (0.5 * r)) - pad))
-        hi = _up(hi + _up(_up(_up(g0_hi + g1_hi) * (0.5 * r)) + pad))
-    return Enclosure(lo, hi)
+    return Enclosure(_log_integral_bound(u, _DOWN), _log_integral_bound(u, _UP))
 
 
 def _branch_34(a: float, b: float) -> Enclosure:
     """Enclosure of the closed form (1 + log(u - 1) + J(u))/u over u in [a, b], 3 <= a <= b <= 4.
 
-    J is nondecreasing (its integrand is nonnegative on [2, 3]), so the
-    table enclosures at the two endpoints bound it over the whole segment.
+    J is nondecreasing (its integrand is nonnegative on [2, 3]), so a
+    lower bound at a and an upper bound at b bound it over the segment.
     """
     seg = Enclosure(a, b)
-    j_range = Enclosure(_log_integral(a).lo, _log_integral(b).hi)
+    j_range = Enclosure(_log_integral_bound(a, _DOWN), _log_integral_bound(b, _UP))
     return _expr_23(seg) + j_range / seg
 
 

@@ -133,6 +133,8 @@ def _verdict(ok: bool, label: str, detail: str) -> bool:
 def _cmd_verify(args, config: dict[str, str]) -> int:
     seed = _resolve("seed", args.seed, config, int, _DEFAULT_SEED)
     workers = _resolve("workers", args.workers, config, int, 1, _ENV_WORKERS)
+    if workers < 1:
+        raise CliError(f"workers must be at least 1, got {workers}")
     mode = _resolve("mode", args.mode, config, str, quadrature.RIGOROUS)
     if mode not in (quadrature.RIGOROUS, quadrature.MONTE_CARLO):
         raise CliError(f"unknown mode {mode!r}")

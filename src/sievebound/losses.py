@@ -335,17 +335,19 @@ def check_argument_range(region: RegionPredicate, box: Box, arguments) -> tuple[
             raise SoundnessError(f"{region.name}: argument {k} >= 1 is not a top-level constraint")
         probe = AndNode(region.tree.children + (_halfspace(num, den, 2, ">"),))
         beyond_two = RegionPredicate(f"{region.name} with argument {k} > 2", region.arity, probe)
-        queue = deque([box])
+        # Each leaf walks only the residual tree its parent left undecided.
+        queue = deque([(box, probe)])
         count = 0
         while queue:
-            leaf = queue.popleft()
+            leaf, residual = queue.popleft()
             count += 1
-            if beyond_two.fraction(leaf)[1] == 0.0:
+            fraction = beyond_two.fraction(leaf, within=residual)
+            if fraction[1] == 0.0:
                 continue
             halves = _split(leaf, scale)
             if halves is None or count + len(queue) + 2 > RANGE_LEAF_BUDGET:
                 raise SoundnessError(f"{region.name}: argument {k} <= 2 not certified in {RANGE_LEAF_BUDGET} boxes")
-            queue.extend(halves)
+            queue.extend((half, fraction.residual) for half in halves)
         visited.append(count)
     return tuple(visited)
 

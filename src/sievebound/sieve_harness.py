@@ -25,7 +25,9 @@ range, by parity or by size, so strict and non-strict agree):
     p <  sqrt(2x)         <=>  p^2 < 2x
     pair buckets          by  (p1 p2)^19 against (2x)^8 and (2x)^11,
                           B/C split by p2^38 against (2x)^9
-    grouping window       prod(T)^19 in [x^8, x^11]  (x-based)
+    grouping window       group_lo <= prod(T) <= group_hi  (x-based), with
+                          group_lo = min{v : v^19 >= x^8} and
+                          group_hi = max{v : v^19 <= x^11}
     spf table             uint16 entries min(spf(m), 65535), and
                           65535 for m = 1; every threshold compared
                           against the table is at most
@@ -42,8 +44,7 @@ x/d < m <= 2x/d into the strided slice of the multiples n = d m.  The
 reversed B chain enumerates (p2, p3, q) with q <= (2x)^(8/19) and
 takes beta = n/(p2 p3 q) as the cofactor; S_B3 and dropped_B3 cap it at
 beta <= (2x - 1) // (p4^2 p2 p3) for each prime p4 | q, and dropped_B3
-tests the grouping window on beta against the integer bounds
-min{v : v^19 >= x^8} and max{v : v^19 <= x^11}.  harness_report builds
+tests the grouping window on beta.  harness_report builds
 each term once and adds it, signed, into every identity residual and
 into rho; decompose is the per-n oracle.
 
@@ -98,6 +99,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .buchstab import SoundnessError
+
 __all__ = [
     "SieveContext",
     "DecompositionRecord",
@@ -114,8 +117,9 @@ X_MAX = 10**6
 _INF = 1 << 62  # sentinel spf for 1: larger than any threshold in range
 SPF_CAP = np.iinfo(np.uint16).max  # spf table entries saturate here
 
-# A window term exceeding this in absolute value is rejected before it
-# is added, so that an int8 sum of at most five terms cannot wrap.
+# A window term exceeding this in absolute value is rejected, as a
+# SoundnessError, before it is added, so that an int8 sum of at most five
+# terms cannot wrap.
 TERM_LIMIT = 25
 
 # Signed terms whose sum is each identity's residual, per n
@@ -174,12 +178,10 @@ class SieveContext:
         self.pow8 = self.twox**8
         self.pow9 = self.twox**9
         self.pow11 = self.twox**11
-        self.x8 = x**8
-        self.x11 = x**11
         self.root2 = math.isqrt(self.twox - 1) + 1  # min{v : v^2 >= 2x}
         self.top8 = _min_root_geq(self.pow8 + 1, 19) - 1  # max{v : v^19 <= (2x)^8}
-        self.group_lo = _min_root_geq(self.x8, 19)  # min{v : v^19 >= x^8}
-        self.group_hi = _min_root_geq(self.x11 + 1, 19) - 1  # max{v : v^19 <= x^11}
+        self.group_lo = _min_root_geq(x**8, 19)  # min{v : v^19 >= x^8}
+        self.group_hi = _min_root_geq(x**11 + 1, 19) - 1  # max{v : v^19 <= x^11}
         self._tuples: dict[str, list[tuple]] | None = None
 
     @property
@@ -266,15 +268,14 @@ TERM_NAMES = tuple(f.name for f in fields(DecompositionRecord) if f.name not in 
 
 
 def _groupable(ctx: SieveContext, parts: tuple[int, ...]) -> bool:
-    """True when some nonempty sub-product lands in [x^(8/19), x^(11/19)]."""
+    """True when some nonempty sub-product lands in [group_lo, group_hi], the grouping window."""
     n_parts = len(parts)
     for mask in range(1, 1 << n_parts):
         prod = 1
         for i in range(n_parts):
             if mask >> i & 1:
                 prod *= parts[i]
-        v = prod**19
-        if ctx.x8 <= v <= ctx.x11:
+        if ctx.group_lo <= prod <= ctx.group_hi:
             return True
     return False
 
@@ -630,7 +631,7 @@ def harness_report(ctx: SieveContext) -> dict:
     for name in TERM_NAMES:
         term = window_term(ctx, name)
         if term.max() > TERM_LIMIT or term.min() < -TERM_LIMIT:
-            raise ValueError(f"window term {name} leaves [-{TERM_LIMIT}, {TERM_LIMIT}]")
+            raise SoundnessError(f"window term {name} leaves [-{TERM_LIMIT}, {TERM_LIMIT}]")
         if name in _TOTALS:
             totals[_TOTALS[name]] = int(term.sum(dtype=np.int64))
         if name == "one_p":

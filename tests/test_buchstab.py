@@ -10,7 +10,10 @@ Frozen reference values and where they come from:
     J(3.5) / 3.5 = 0.013317226773258802 and
     int_2^3 log(t - 1)/t dt = 0.14722067695924124 were frozen from
     high-resolution trapezoid runs with rigorous error padding whose
-    enclosures had width below 2e-10.
+    enclosures had width below 2e-10.  They are now checked against the
+    closed form J(u) = log(u - 1)^2 / 2 + Li2(1/(u - 1)) - pi^2/12 that
+    `_log_integral` encloses, and `mpmath.quad` and `mpmath.polylog`
+    check that enclosure independently.
   * omega(4) = 0.5614582414068379 follows from the closed form above.
 """
 
@@ -19,8 +22,6 @@ from __future__ import annotations
 import csv
 import math
 import random
-import subprocess
-import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -173,14 +174,9 @@ class TestAgainstMpmath:
             assert (enc.hi - enc.lo) - float(hi - lo) <= 3e-14 * scale + 16 * math.ulp(scale)
 
     def test_log_integral_contains_mpmath(self):
-        """J(u) from the cumulative table contains a 30-digit mpmath.quad value.
-
-        Its width stays within 1e-12 of the error bound
-        (u - 3)^3 / (6 * 8192^2) of the 8192-panel trapezoid over
-        [2, u - 1] that the table replaced.
-        """
+        """J(u) from the dilogarithm form contains a 30-digit mpmath.quad value, width <= 1e-13."""
         mpmath = pytest.importorskip("mpmath")
-        n = buchstab.LOG_INTEGRAL_PANELS
+        n = 2**17
         rng = random.Random(20240801)
         us = [3.0, 4.0, 3.5, 3.0 + 1 / n, 3.0 + 2**-40, 4.0 - 2**-50]
         us += [rng.uniform(3.0, 4.0) for _ in range(40)]
@@ -191,7 +187,31 @@ class TestAgainstMpmath:
                 enc = buchstab._log_integral(u)
                 exact = mpmath.quad(lambda t: mpmath.log(t - 1) / t, [2, u - 1])
                 assert mpmath.mpf(enc.lo) <= exact <= mpmath.mpf(enc.hi)
-                assert enc.width <= (u - 3.0) ** 3 / (6.0 * 8192**2) + 1e-12
+                assert enc.width <= 1e-13
+
+    def test_li2_bounds_contain_mpmath(self):
+        """`_li2_bound` brackets mpmath.polylog(2, v) at v = 1/3, 1/2 and seeded points between.
+
+        1/3 is not a float, so its lower bound is taken at the float
+        below it and its upper bound at the float above.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(20240801)
+        with mpmath.workdps(30):
+            cases = [(mpmath.mpf(1) / 3, *buchstab._ratio_bounds(1, 3)), (mpmath.mpf(0.5), 0.5, 0.5)]
+            cases += [(mpmath.mpf(v), v, v) for v in (rng.uniform(1 / 3, 0.5) for _ in range(20))]
+            for v, v_lo, v_hi in cases:
+                lo = buchstab._li2_bound(v_lo, buchstab._DOWN)
+                hi = buchstab._li2_bound(v_hi, buchstab._UP)
+                assert mpmath.mpf(lo) <= mpmath.polylog(2, v) <= mpmath.mpf(hi)
+                assert hi - lo <= 1e-14
+
+    def test_pi_squared_over_12_contains_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        enc = buchstab.PI_SQ_OVER_12
+        with mpmath.workdps(40):
+            assert mpmath.mpf(enc.lo) <= mpmath.pi**2 / 12 <= mpmath.mpf(enc.hi)
+        assert enc.width <= 8 * math.ulp(enc.hi)
 
     def test_table_entries_contain_mpmath(self, table, mpiv):
         """Grid entries on [1, 3] against 1/u and (1 + log(u - 1))/u."""
@@ -234,6 +254,8 @@ class TestTable:
             assert abs(enc.mid - val) <= 1e-6
 
     def test_log_integral_literals(self):
+        """J(3) = 0, since Li2(1/2) = pi^2/12 - log(2)^2/2 cancels the other two terms."""
+        assert buchstab._log_integral(3.0).contains(0.0)
         assert (buchstab._log_integral(3.5) / 3.5).contains(0.013317226773258802)
         # J(4) integrates log(t-1)/t over [2, 3].
         j4 = buchstab._log_integral(4.0)
@@ -343,14 +365,6 @@ class TestPiecewiseBounds:
                 pt = omega_bound(OMEGA_UPPER, u)
                 assert span.hi >= pt.hi - 1e-12
                 assert span.lo <= pt.lo + 1e-12
-
-    def test_log_integral_table_is_lazy(self):
-        """Importing the package builds no J table; the first [3, 4) call does."""
-        code = "import sievebound.cli, sievebound.buchstab as b; print(b._log_integral_table.cache_info().currsize)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0 and proc.stdout.strip() == "0"
-        omega_bound(OMEGA_UPPER, 3.5)
-        assert buchstab._log_integral_table.cache_info().currsize == 1
 
     def test_plateau_beyond_table(self):
         enc = omega_bound(OMEGA_UPPER, 25.0)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from sievebound import cli, losses, regions
+from sievebound import cli, losses, regions, sieve_harness
 from sievebound.buchstab import Enclosure
 
 
@@ -154,6 +154,27 @@ class TestVerify:
         assert code == 0
         assert json.loads(out.read_text())["config"]["workers"] == 4
 
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        """workers < 1 exits 2 in both modes, whether it comes from a flag, a config line or the environment."""
+        cfg = tmp_path / "workers.cfg"
+        cfg.write_text("workers = 0\n")
+        out = tmp_path / "never.json"
+        for argv, env in (
+            (["verify", "--targets", "c", "--workers", "-3"], None),
+            (["--config", str(cfg), "verify", "--targets", "a3"], None),
+            (["--config", str(cfg), "verify", "--mode", "monte_carlo", "--targets", "a3"], None),
+            (["verify", "--targets", "a3"], "0"),
+            (["verify", "--mode", "monte_carlo", "--targets", "a3"], "-1"),
+        ):
+            if env is None:
+                monkeypatch.delenv("SIEVEBOUND_WORKERS", raising=False)
+            else:
+                monkeypatch.setenv("SIEVEBOUND_WORKERS", env)
+            code, stdout, stderr = run_cli(argv + ["--out", str(out)], capsys)
+            assert code == 2 and stdout == "", argv
+            assert "workers must be at least 1" in stderr
+        assert not out.exists()
+
     def test_bad_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "broken.cfg"
         cfg.write_text("this line has no equals\n")
@@ -200,6 +221,13 @@ class TestHarness:
         code, _, _ = run_cli(["--config", str(cfg), "omega", "--out", str(out)], capsys)
         assert code == 0
         assert json.loads(out.read_text())["config"] == {"command": "omega", "u_max": 3.0, "step": 0.001, "tol": 1e-5}
+
+    def test_term_limit_breach_is_soundness_failure(self, capsys, monkeypatch):
+        """A window term outside [-TERM_LIMIT, TERM_LIMIT] is an internal fault: exit 1, not a usage error."""
+        monkeypatch.setattr(sieve_harness, "TERM_LIMIT", 0)
+        code, stdout, stderr = run_cli(["harness", "--x", "10000"], capsys)
+        assert code == 1 and stdout == ""
+        assert "error: soundness failure: window term" in stderr
 
     def test_bad_x(self, capsys):
         code, _, stderr = run_cli(["harness", "--x", "12"], capsys)

@@ -242,7 +242,11 @@ class TestDecompose:
         assert not sh._groupable(ctx, (48,))
         assert sh._groupable(ctx, (48, 3))
         assert not sh._groupable(ctx, (2, 3))
-        assert 48**19 < ctx.x8 <= 50**19 <= ctx.x11
+        x8, x11 = ctx.x**8, ctx.x**11
+        assert 48**19 < x8 <= 50**19 <= x11
+        # group_lo and group_hi are the exact integer 19th-root bounds of the window.
+        assert (ctx.group_lo - 1) ** 19 < x8 <= ctx.group_lo**19
+        assert ctx.group_hi**19 <= x11 < (ctx.group_hi + 1) ** 19
 
 
 @pytest.fixture(scope="module")
