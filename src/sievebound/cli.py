@@ -20,6 +20,7 @@ reads (see _CONFIG_KEYS) is a configuration error.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import os
@@ -84,7 +85,32 @@ def _resolve(
     return default
 
 
-def _round_floats(obj, digits: int = 12):
+# Significant digits of every float in a JSON report.
+_DIGITS = 12
+_FLOOR = decimal.Context(prec=_DIGITS, rounding=decimal.ROUND_FLOOR)
+_CEILING = decimal.Context(prec=_DIGITS, rounding=decimal.ROUND_CEILING)
+
+
+def _low(value: float) -> float:
+    """A certified lower endpoint rounded down to the report's digits.
+
+    Round to nearest is monotone, so the float nearest the rounded-down
+    decimal is still <= value, and `_round_floats` leaves it unchanged.
+    """
+    return float(_FLOOR.plus(decimal.Decimal(value)))
+
+
+def _high(value: float) -> float:
+    """A certified upper endpoint rounded up to the report's digits (see `_low`)."""
+    return float(_CEILING.plus(decimal.Decimal(value)))
+
+
+def _round_floats(obj, digits: int = _DIGITS):
+    """obj with every float rounded to nearest at `digits` significant digits.
+
+    Certified endpoints go through `_low` or `_high` first, so the
+    report never moves them inward.
+    """
     if isinstance(obj, float):
         if not math.isfinite(obj):
             return repr(obj)
@@ -172,8 +198,8 @@ def _cmd_verify(args, config: dict[str, str]) -> int:
                 f"target {target:g} boxes {est.boxes_used}",
             )
             results["losses"][name] = {
-                "lower": est.lower,
-                "upper": est.upper,
+                "lower": _low(est.lower),
+                "upper": _high(est.upper),
                 "target": target,
                 "boxes_used": est.boxes_used,
                 "exhausted": est.exhausted,
@@ -212,9 +238,9 @@ def _cmd_verify(args, config: dict[str, str]) -> int:
                 f"lower {ledger.retained_lower:.9f} > {losses.TARGETS['retained']}",
             )
             results["total"] = {
-                "total_upper": ledger.total_upper,
-                "retained_lower": ledger.retained_lower,
-                "margins": ledger.margins(),
+                "total_upper": _high(ledger.total_upper),
+                "retained_lower": _low(ledger.retained_lower),
+                "margins": {k: _low(v) for k, v in ledger.margins().items()},
                 "pass": ok_total and ok_kept,
             }
         else:
@@ -293,11 +319,11 @@ def _cmd_omega(args, config: dict[str, str]) -> int:
         results["evaluations"].append(
             {
                 "u": u,
-                "lower": enc.lo,
-                "upper": enc.hi,
+                "lower": _low(enc.lo),
+                "upper": _high(enc.hi),
                 "width": enc.width,
-                "bound_low": low.lo,
-                "bound_high": high.hi,
+                "bound_low": _low(low.lo),
+                "bound_high": _high(high.hi),
             }
         )
     if args.csv:

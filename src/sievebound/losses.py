@@ -32,7 +32,11 @@ argument table (`_ARGUMENTS`) it establishes, on region intersect box:
 
 It raises SoundnessError otherwise.  Over PAIR_BASE on [3/19, 8/19]^2,
 for example, the argument of loss_c reaches 13/3.  Rigorous runs and
-Monte Carlo both use the one rational integrand per loss.
+Monte Carlo both use the one rational integrand per loss, a
+`ReciprocalProduct`: its interval extension bounds the value on a leaf,
+a fourth-order mean-value form the average over a leaf inside the
+region, and a second-order form about the exact centroid the average
+over a mixed leaf cut by a single halfspace.
 
 Integration domains are pre-clipped bounding boxes of the regions,
 derived exactly:
@@ -174,8 +178,9 @@ def _reciprocal_bounds(factors: list[tuple[float, float]]) -> tuple[float, float
 class ReciprocalProduct:
     """f(t) = 1 / prod_k L_k(t) with affine factors L_k positive on the box.
 
-    Supplies the certified interval extension and a fourth-order
-    mean-value average enclosure, both computed on float (lo, hi) pairs
+    Supplies the certified interval extension, a fourth-order
+    mean-value average enclosure and a second-order one about a given
+    centroid (`clipped_average`), all computed on float (lo, hi) pairs
     rounded outward after every operation; only the result is an
     Enclosure.  With f = exp(-sum log L_k), S_i = sum_k a_ki / L_k and
     Q_ii = sum_k a_ki^2 / L_k^2, the pure second partials are
@@ -232,6 +237,16 @@ class ReciprocalProduct:
             out.append((lo, hi))
         return out
 
+    def _spread(self, ls: list[tuple[float, float]], widths: list[float]) -> float:
+        """Upper bound on sum_k sum_i |a_ki| w_i / L_k,lo for factor bounds ls and side bounds widths."""
+        spread = 0.0
+        for terms, (lo, _) in zip(self._spans, ls):
+            num = 0.0
+            for i, a in terms:
+                num = nextafter(num + nextafter(a * widths[i], _UP), _UP)
+            spread = nextafter(spread + nextafter(num / lo, _UP), _UP)
+        return spread
+
     def enclosure(self, box: Box) -> Enclosure:
         return Enclosure(*_reciprocal_bounds(self._factor_bounds(box)))
 
@@ -279,12 +294,7 @@ class ReciprocalProduct:
             curv_hi = nextafter(curv_hi + nextafter(t_hi * rr_hi, _UP), _UP)
 
         # 2 R = sum_k sum_i |a_ki| w_i / L_k,lo, and f_hi R^4 = f_hi (2 R)^4 / 16.
-        spread = 0.0
-        for terms, (lo, _) in zip(self._spans, ls):
-            num = 0.0
-            for i, a in terms:
-                num = nextafter(num + nextafter(a * widths[i], _UP), _UP)
-            spread = nextafter(spread + nextafter(num / lo, _UP), _UP)
+        spread = self._spread(ls, widths)
         spread_sq = nextafter(spread * spread, _UP)
         pad = nextafter(nextafter(f_hi * nextafter(spread_sq * spread_sq, _UP), _UP) / 16.0, _UP)
 
@@ -293,10 +303,47 @@ class ReciprocalProduct:
         average = Enclosure(nextafter(mid_lo - pad, _DOWN), nextafter(mid_hi + pad, _UP))
         return average.intersect(Enclosure(f_lo, f_hi))
 
+    def clipped_average(self, box: Box, centre: Box) -> Enclosure:
+        """Certified bounds on the average of f over a convex part P of the box, given a box around its centroid.
+
+        `centre` must contain the exact centroid c of P; the integrator
+        passes the outward float box around the exact rational centroid
+        of box intersect one halfspace.  The second-order form is the
+        argument of `average` one order down.  Along the segment from c
+        to t in P, which stays in P by convexity, g(s) = f(c + s (t - c))
+        has g''/2 = g h_2(-delta_k / L_k) with delta_k = L_k(t) - L_k(c),
+        h_2 the complete homogeneous symmetric polynomial of degree 2 and
+        L_k at the intermediate point, and |h_2(x)| <= (sum_k |x_k|)^2.
+        So f(t) = f(c) + grad f(c) . (t - c) + R_2 with
+
+            |R_2| <= f_hi R^2,  R = sum_k sum_i |a_ki| w_i / L_k,lo,
+
+        for the sides w_i of the box, which bound |t_i - c_i|, and f_hi
+        and L_k,lo the bounds of f and L_k over the box.  The linear term
+        averages to exactly zero over P because c is its centroid, so the
+        average is f(c) + E_P[R_2], and the factor bounds over `centre`
+        enclose f(c).  The average lies in the box's value range, so the
+        padded enclosure is intersected with it; disjoint enclosures
+        raise SoundnessError.
+        """
+        ls = self._factor_bounds(box)
+        f_lo, f_hi = _reciprocal_bounds(ls)
+        fc_lo, fc_hi = _reciprocal_bounds(self._factor_bounds(centre))
+        spread = self._spread(ls, [nextafter(hi - lo, _UP) for lo, hi in box])
+        pad = nextafter(f_hi * nextafter(spread * spread, _UP), _UP)
+        average = Enclosure(nextafter(fc_lo - pad, _DOWN), nextafter(fc_hi + pad, _UP))
+        return average.intersect(Enclosure(f_lo, f_hi))
+
 
 def _integrand(name: str) -> Integrand:
     rp = ReciprocalProduct(_FACTORS[name])
-    return Integrand(len(_BOXES[name]), enclosure=rp.enclosure, value_many=rp.value_many, average=rp.average)
+    return Integrand(
+        len(_BOXES[name]),
+        enclosure=rp.enclosure,
+        value_many=rp.value_many,
+        average=rp.average,
+        clipped_average=rp.clipped_average,
+    )
 
 
 _INTEGRANDS = {name: _integrand(name) for name in LOSS_NAMES}

@@ -14,9 +14,14 @@ inside, 0 is outside, so a leaf that meets the region only in a face
 contact of measure zero contributes exactly zero.  Leaves fully inside
 the region use the integrand's certified average enclosure (a
 mean-value form) instead, which lies inside the box's value range and so
-keeps refinement monotone.  The leaf product is computed on plain floats
-rounded outward after every operation, and the final endpoint sums use
-math.fsum, which is correctly rounded, before one outward rounding step.
+keeps refinement monotone.  A mixed leaf whose residual tree is one
+halfspace, after single-child wrappers, uses the integrand's
+`clipped_average` about the exact rational centroid of box intersect
+halfspace (`LinearConstraint.centroid`, rounded outward to a float box),
+where the linear Taylor term integrates to zero.  The leaf product is
+computed on plain floats rounded outward after every operation, and the
+final endpoint sums use math.fsum, which is correctly rounded, before
+one outward rounding step.
 Each heap entry carries its leaf's residual region tree (the constraints
 the leaf left undecided), and both halves of a split are classified
 against it only, which gives the same fraction bounds as the full tree.
@@ -39,8 +44,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .buchstab import _DOWN, _UP, Enclosure, SoundnessError, _down, _up
-from .regions import Box, RegionPredicate
+from .buchstab import _DOWN, _UP, Enclosure, SoundnessError, _down, _ratio_bounds, _up
+from .regions import Box, RegionPredicate, _single_halfspace
 
 __all__ = [
     "Integrand",
@@ -65,12 +70,19 @@ class Integrand:
                 (tighter than `enclosure` when curvature information is
                 available); must hold for the true mean over the box and
                 lie inside the box's value range, i.e. inside `enclosure`.
+    clipped_average:
+                optional certified bounds on the average of f over
+                box intersect one halfspace, called as
+                clipped_average(box, centre) with `centre` the outward
+                float box around that part's exact centroid; the same
+                containment rules as `average`.
     """
 
     arity: int
     enclosure: Callable[[Box], Enclosure]
     value_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
     average: Optional[Callable[[Box], Enclosure]] = None
+    clipped_average: Optional[Callable[[Box, Box], Enclosure]] = None
 
 
 @dataclass(frozen=True)
@@ -101,7 +113,12 @@ class IntegralEstimate:
 
 
 def _leaf_contribution(f: Integrand, fraction: tuple[float, float], box: Box) -> tuple[float, float]:
-    """Certified bounds on integral(f) over (region intersect box), given the region's fraction bounds on box."""
+    """Certified bounds on integral(f) over (region intersect box), given the region's fraction bounds on box.
+
+    A mixed leaf whose residual tree is one halfspace takes its value
+    bounds from `clipped_average` about the exact centroid of
+    box intersect halfspace, when the integrand has one.
+    """
     fr_lo, fr_hi = fraction
     if not 0.0 <= fr_lo <= fr_hi <= 1.0:
         raise SoundnessError(f"volume fraction bounds [{fr_lo}, {fr_hi}] not inside [0, 1]")
@@ -109,6 +126,9 @@ def _leaf_contribution(f: Integrand, fraction: tuple[float, float], box: Box) ->
         return 0.0, 0.0
     if fr_lo == 1.0 and f.average is not None:
         enc = f.average(box)
+    elif f.clipped_average is not None and (halfspace := _single_halfspace(fraction.residual)):
+        centre = tuple(_ratio_bounds(q.numerator, q.denominator) for q in halfspace.centroid(box))
+        enc = f.clipped_average(box, centre)
     else:
         enc = f.enclosure(box)
     lo = hi = 1.0

@@ -47,7 +47,9 @@ the quotient the exact value lies (`buchstab._ratio_bounds`), so each
 bound is within one ulp of the exact fraction.  Conjunctions and
 disjunctions combine their children's bounds with two-sided Frechet
 bounds in directed rounding, which are exact up to rounding when a
-single child is undecided on the box.
+single child is undecided on the box.  On the same grid the first
+moments of the same corner simplices give the exact centroid of the
+part of a box one halfspace keeps (`LinearConstraint.centroid`).
 
 A constraint decided on a box stays decided on every sub-box, so each
 fraction also returns the box's residual tree: the conjunctions without
@@ -267,6 +269,58 @@ class LinearConstraint:
             num = den - num
         return num, den
 
+    def centroid(self, box: Box) -> tuple[Fraction, ...]:
+        """Exact centroid of box intersect halfspace, for a box the halfspace cuts.
+
+        On `_ratio`'s grid, with the same reflected unit coordinates, the
+        part sum(beta_i U_i) <= Y is an inclusion-exclusion sum of
+        simplices: the subset S contributes the corner simplex of side
+        s = Y - beta_S with sign (-1)^|S|, volume s^m / m! and centroid
+        beta_S + s / (m + 1) in the x_i = beta_i U_i coordinates.  Over
+        the subsets with s > 0, A = sum(+-s^(m+1)), C = sum(+-s^m) and
+        B_j, the part of C from the subsets containing j, give
+        u_j = (A + (m + 1) beta_j B_j) / ((m + 1) beta_j C).  For > and
+        >= the part is the complement, whose volume 1 - V and first
+        moment 1/2 - V u_j give u'_j = (1/2 - V u_j) / (1 - V).  A
+        coordinate the halfspace does not involve keeps the box's exact
+        midpoint.  Raises ValueError unless the fraction is strictly
+        between 0 and 1.
+        """
+        scale, ends = self._box_grid(box)
+        # `_ratio`'s unit form, keeping each term's index and reflection;
+        # `_ratio` keeps its own copy of this loop, which is its hot path.
+        y = self._ibound * scale
+        dims = []
+        for i, c in self._terms:
+            a, b = ends[i]
+            y -= c * a if c > 0 else c * b
+            beta = abs(c) * (b - a)
+            if beta:
+                dims.append((i, beta, c < 0))
+        if not 0 < y < sum(beta for _, beta, _ in dims):
+            raise ValueError("the halfspace does not cut the box")
+        m = len(dims)
+        # (slack Y - B_S, (-1)^|S|, bit mask of S) over the subsets S with positive slack.
+        slacks = [(y, 1, 0)]
+        for j, (_, beta, _) in enumerate(dims):
+            slacks += [(s - beta, -sign, mask | 1 << j) for s, sign, mask in slacks if s > beta]
+        powers = [(sign * s**m, s, mask) for s, sign, mask in slacks]
+        moment = sum(p * s for p, s, _ in powers)
+        total = sum(p for p, _, _ in powers)
+        # box volume times m!, in the same units as total
+        volume = math.factorial(m) * math.prod(beta for _, beta, _ in dims)
+        centre = [Fraction(a + b, 2 * scale) for a, b in ends]
+        for j, (i, beta, reflected) in enumerate(dims):
+            part = sum(p for p, _, mask in powers if mask >> j & 1)
+            num = moment + (m + 1) * beta * part
+            den = (m + 1) * beta * total
+            if self.rel in (">", ">="):
+                # V u_j = num / ((m + 1) beta volume), V = total / volume.
+                num, den = (m + 1) * beta * volume - 2 * num, 2 * (m + 1) * beta * (volume - total)
+            a, b = ends[i]
+            centre[i] = Fraction(b * den - (b - a) * num if reflected else a * den + (b - a) * num, scale * den)
+        return tuple(centre)
+
     def to_json(self) -> dict:
         return {
             "type": "constraint",
@@ -369,6 +423,13 @@ def _tree_fraction(node, grid: Grid) -> tuple[float, float, object]:
             hi = nextafter(hi + c_hi, _UP)
             kept.append(residual)
     return lo, min(hi, 1.0), _pruned(node, kept)
+
+
+def _single_halfspace(tree):
+    """The one LinearConstraint a tree is through single-child AndNode/OrNode wrappers, else None."""
+    while isinstance(tree, (AndNode, OrNode)) and len(tree.children) == 1:
+        tree = tree.children[0]
+    return tree if isinstance(tree, LinearConstraint) else None
 
 
 def _tree_residual(node, grid: Grid):

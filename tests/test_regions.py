@@ -239,6 +239,106 @@ class TestLinearConstraint:
             assert abs(freq - frac) <= 5 * sigma
 
 
+def clip_polygon(poly, coeffs, bound):
+    """The part of a convex polygon with coeffs . p <= bound, in exact Fractions (Sutherland-Hodgman)."""
+    out = []
+    for p, q in zip(poly, poly[1:] + poly[:1]):
+        vp = sum(c * x for c, x in zip(coeffs, p)) - bound
+        vq = sum(c * x for c, x in zip(coeffs, q)) - bound
+        if vp <= 0:
+            out.append(p)
+        if vp * vq < 0:
+            s = vp / (vp - vq)
+            out.append(tuple(x + s * (y - x) for x, y in zip(p, q)))
+    return out
+
+
+def shoelace_centroid(poly):
+    """Exact centroid of a simple polygon from the shoelace sums."""
+    area = cx = cy = F(0)
+    for (x0, y0), (x1, y1) in zip(poly, poly[1:] + poly[:1]):
+        cross = x0 * y1 - x1 * y0
+        area += cross
+        cx += (x0 + x1) * cross
+        cy += (y0 + y1) * cross
+    return cx / (3 * area), cy / (3 * area)
+
+
+def cutting_constraint(rng, box, rel):
+    """A random halfspace through a random point of box; None unless it cuts the box."""
+    coeffs = tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in box)
+    point = [F(rng.uniform(lo, hi)) for lo, hi in box]
+    con = LinearConstraint(coeffs, rel, sum((c * t for c, t in zip(coeffs, point)), F(0)))
+    return con if 0 < con.fraction(box) < 1 else None
+
+
+class TestCentroid:
+    def test_matches_shoelace_in_two_dimensions(self):
+        """centroid equals the exact shoelace centroid of the clipped rectangle, for every relation."""
+        rng = random.Random(20261018)
+        checked = 0
+        while checked < 200:
+            rel = ("<", "<=", ">", ">=")[checked % 4]
+            box = random_box(rng, 2)
+            con = cutting_constraint(rng, box, rel)
+            if con is None:
+                continue
+            (a1, b1), (a2, b2) = (tuple(map(F, iv)) for iv in box)
+            corners = [(a1, a2), (b1, a2), (b1, b2), (a1, b2)]
+            if rel in ("<", "<="):
+                poly = clip_polygon(corners, con.coeffs, con.bound)
+            else:
+                poly = clip_polygon(corners, tuple(-c for c in con.coeffs), -con.bound)
+            assert con.centroid(box) == shoelace_centroid(poly), (box, con)
+            checked += 1
+
+    def test_one_dimensional_closed_form(self):
+        """On an interval the clipped part is an interval, and its centroid is its midpoint."""
+        box = ((0.25, 1.0),)
+        for coeff, bound in ((3, F(2)), (-2, F(-1))):
+            cut = bound / coeff
+            below, above = (F(1, 4), cut), (cut, F(1))
+            low_side, high_side = (below, above) if coeff > 0 else (above, below)
+            for rel in ("<", "<="):
+                assert LinearConstraint((coeff,), rel, bound).centroid(box) == (sum(low_side) / 2,)
+            for rel in (">", ">="):
+                assert LinearConstraint((coeff,), rel, bound).centroid(box) == (sum(high_side) / 2,)
+        # A coordinate the halfspace leaves out keeps the exact box midpoint.
+        assert LinearConstraint((0, 1), "<=", F(1, 2)).centroid(((0.0, 0.5), (0.0, 1.0))) == (F(1, 4), F(1, 4))
+
+    def test_halves_split_the_box_centre(self):
+        """V c + (1 - V) c' is the box centre exactly, for the <= and > halves in 3-D and 4-D.
+
+        A seeded Monte Carlo mean of the <= half agrees with c within 5
+        standard errors in every coordinate.
+        """
+        rng = random.Random(11)
+        npr = np.random.default_rng(11)
+        checked = 0
+        while checked < 40:
+            dims = 3 + checked % 2
+            box = random_box(rng, dims)
+            below = cutting_constraint(rng, box, "<=")
+            if below is None:
+                continue
+            above = LinearConstraint(below.coeffs, ">", below.bound)
+            v = below.fraction(box)
+            mixed = [v * c + (1 - v) * d for c, d in zip(below.centroid(box), above.centroid(box))]
+            assert mixed == [F(lo) / 2 + F(hi) / 2 for lo, hi in box]
+            if checked % 4 == 0:
+                pts = npr.uniform([lo for lo, _ in box], [hi for _, hi in box], size=(200_000, dims))
+                kept = pts[pts @ np.array([float(c) for c in below.coeffs]) <= float(below.bound)]
+                se = kept.std(axis=0) / math.sqrt(len(kept))
+                assert np.all(np.abs(kept.mean(axis=0) - [float(c) for c in below.centroid(box)]) <= 5 * se)
+            checked += 1
+
+    def test_rejects_a_box_the_halfspace_does_not_cut(self):
+        con = LinearConstraint((1, 1), "<=", F(1, 2))
+        for box in (((0.0, 0.25), (0.0, 0.25)), ((0.5, 1.0), (0.5, 1.0)), ((0.25, 0.75), (0.25, 0.5))):
+            with pytest.raises(ValueError, match="does not cut"):
+                con.centroid(box)
+
+
 class TestRegionMembership:
     def test_pair_bucket_examples(self):
         a_pt = (F(2, 10), F(18, 100))
