@@ -23,7 +23,7 @@ import sys
 
 from sievebound import buchstab
 from sievebound.buchstab import OMEGA_LOWER, OMEGA_UPPER
-from sievebound.cli import exit_status
+from sievebound.cli import exit_status, high_text, low_text
 
 
 def banner(title: str) -> None:
@@ -56,7 +56,7 @@ def run(args: argparse.Namespace) -> int:
         if u > table.u_max:
             continue
         enc = buchstab.omega_enclosure(table, u)
-        print(f"  omega({u:3.1f}) in [{enc.lo:.12f}, {enc.hi:.12f}]  width {enc.width:.1e}")
+        print(f"  omega({u:3.1f}) in [{low_text(enc.lo, '.12f')}, {high_text(enc.hi, '.12f')}]  width {enc.width:.1e}")
 
     banner("2. Independent closed forms")
     print("On [2, 3] integration of the delay equation gives")
@@ -91,11 +91,11 @@ def run(args: argparse.Namespace) -> int:
     ok = ok and bracket
     print(f"  [{'PASS' if bracket else 'FAIL'}] plateau constants bracket exp(-euler_gamma)")
     branch = buchstab.branch_expression_range()
-    print(f"  certified range of the [3, 4) branch: [{branch.lo:.6f}, {branch.hi:.6f}]")
+    print(f"  certified range of the [3, 4) branch: [{low_text(branch.lo, '.6f')}, {high_text(branch.hi, '.6f')}]")
     for u in (2.0, 3.0, 3.7, 4.0, 25.0):
         lo = buchstab.omega_bound(OMEGA_LOWER, u)
         hi = buchstab.omega_bound(OMEGA_UPPER, u)
-        print(f"  bounds at u = {u:4.1f}: lower >= {lo.lo:.9f}, upper <= {hi.hi:.9f}")
+        print(f"  bounds at u = {u:4.1f}: lower >= {low_text(lo.lo, '.9f')}, upper <= {high_text(hi.hi, '.9f')}")
     return 0 if ok and narrow else 1
 
 

@@ -30,7 +30,7 @@ import argparse
 import sys
 
 from sievebound import losses
-from sievebound.cli import exit_status
+from sievebound.cli import exit_status, high_text, low_text
 
 
 def banner(title: str) -> None:
@@ -70,7 +70,7 @@ def run(args: argparse.Namespace) -> int:
             verdict = "FAIL"
             ok = False
         print(
-            f"  [{verdict}] loss_{name}: [{est.lower:.10f}, {est.upper:.10f}] "
+            f"  [{verdict}] loss_{name}: [{low_text(est.lower, '.10f')}, {high_text(est.upper, '.10f')}] "
             f"vs target {target} ({est.boxes_used} boxes, {escalations} escalations)"
         )
 
@@ -92,10 +92,10 @@ def run(args: argparse.Namespace) -> int:
         print("  rerun without --quick for the certified budget.")
         return 0 if ok else 1
     ledger = losses.assemble_ledger(runs["a3"], runs["b3"], runs["c"])
-    print(f"  total loss upper bound:   {ledger.total_upper:.9f}  (target < 0.25)")
-    print(f"  retained density lower:   {ledger.retained_lower:.9f}  (target >= 0.75)")
+    print(f"  total loss upper bound:   {high_text(ledger.total_upper, '.9f')}  (target < 0.25)")
+    print(f"  retained density lower:   {low_text(ledger.retained_lower, '.9f')}  (target >= 0.75)")
     for name, margin in ledger.margins().items():
-        print(f"    margin {name:8s} {margin:+.6f}")
+        print(f"    margin {name:8s} {low_text(margin, '+.6f')}")
     within = ledger.all_within()
     print(f"  [{'PASS' if within else 'FAIL'}] every certified bound sits on the right side of its target")
     return 0 if ok and within else 1

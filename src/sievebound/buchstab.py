@@ -37,6 +37,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -392,6 +393,13 @@ def build_table(u_max: float = 8.0, step: float = 1e-4) -> BuchstabTable:
     is advanced with a trapezoid step on the delayed enclosures, widened
     by the trapezoid error bound h^3/12 * max|omega''| <= h^3/6 per step.
     The caller judges max_width against the width it needs.
+
+    The recurrence runs on float lo/hi lists rounded outward after every
+    operation, the same operations `Enclosure` arithmetic would make.
+    Every operand of a product or quotient is positive, so an interval
+    product is lo*lo and hi*hi, and a quotient lo/hi and hi/lo; each new
+    entry is checked to lie in (0, inf), which also proves its dividend
+    was positive, and SoundnessError is raised otherwise.
     """
     if not 0.0 < step <= 1e-3:
         raise ValueError("step must lie in (0, 1e-3]")
@@ -405,16 +413,31 @@ def build_table(u_max: float = 8.0, step: float = 1e-4) -> BuchstabTable:
     if abs(span - last) > 1e-6:
         raise ValueError("u_max - 1 must be a multiple of step")
 
-    h = Enclosure(*_ratio_bounds(1, m))
-    step_pad = _up(_up(h.hi ** 3) * SECOND_DERIVATIVE_BOUND / 12.0)
-    grid = [Enclosure(*_ratio_bounds(m + k, m)) for k in range(last + 1)]
-    values: list[Enclosure] = [1.0 / grid[k] for k in range(min(m, last) + 1)]
+    h_lo, h_hi = _ratio_bounds(1, m)
+    step_pad = _up(_up(h_hi**3) * SECOND_DERIVATIVE_BOUND / 12.0)
+    nextafter = math.nextafter
+    lo: list[float] = []
+    hi: list[float] = []
+    for k in range(min(m, last) + 1):
+        g_lo, g_hi = _ratio_bounds(m + k, m)
+        lo.append(nextafter(1.0 / g_hi, _DOWN))
+        hi.append(nextafter(1.0 / g_lo, _UP))
     for k in range(m, last):
-        delayed = (values[k - m] + values[k - m + 1]) * h * 0.5
-        increment = delayed.widen(step_pad)
-        values.append((values[k] * grid[k] + increment) / grid[k + 1])
-    max_width = max(v.width for v in values)
-    return BuchstabTable(u_max=float(u_max), grid_den=m, values=tuple(values), max_width=max_width)
+        # (values[k - m] + values[k - m + 1]) * h * 0.5, widened by step_pad
+        d_lo = nextafter(nextafter(nextafter(lo[k - m] + lo[k - m + 1], _DOWN) * h_lo, _DOWN) * 0.5, _DOWN)
+        d_hi = nextafter(nextafter(nextafter(hi[k - m] + hi[k - m + 1], _UP) * h_hi, _UP) * 0.5, _UP)
+        # (values[k] * grid[k] + increment) / grid[k + 1]
+        n_lo = nextafter(nextafter(lo[k] * g_lo, _DOWN) + nextafter(d_lo - step_pad, _DOWN), _DOWN)
+        n_hi = nextafter(nextafter(hi[k] * g_hi, _UP) + nextafter(d_hi + step_pad, _UP), _UP)
+        g_lo, g_hi = _ratio_bounds(m + k + 1, m)
+        v_lo = nextafter(n_lo / g_hi, _DOWN)
+        v_hi = nextafter(n_hi / g_lo, _UP)
+        if not (0.0 < v_lo and v_hi < math.inf):
+            raise SoundnessError(f"table entry [{v_lo}, {v_hi}] at u = {(m + k + 1) / m} leaves (0, inf)")
+        lo.append(v_lo)
+        hi.append(v_hi)
+    max_width = max(map(operator.sub, hi, lo))
+    return BuchstabTable(u_max=float(u_max), grid_den=m, values=tuple(map(Enclosure, lo, hi)), max_width=max_width)
 
 
 def omega_enclosure(table: BuchstabTable, u: float) -> Enclosure:

@@ -105,6 +105,32 @@ def _high(value: float) -> float:
     return float(_CEILING.plus(decimal.Decimal(value)))
 
 
+def _directed_text(value: float, spec: str, rounding: str) -> str:
+    """format(value, spec) for a spec ending ".<p>e" or ".<p>f", rounded toward `rounding` at the last printed digit.
+
+    The rounding is exact in `decimal`; the float nearest the rounded
+    decimal prints back as the same digits, since every spec used here
+    prints at most 15 significant digits.
+    """
+    places = int(spec[spec.index(".") + 1 : -1])
+    exact = decimal.Decimal(value)
+    if spec.endswith("e"):
+        rounded = decimal.Context(prec=places + 1, rounding=rounding).plus(exact)
+    else:
+        rounded = exact.quantize(decimal.Decimal(1).scaleb(-places), rounding=rounding)
+    return format(float(rounded), spec)
+
+
+def low_text(value: float, spec: str) -> str:
+    """A certified lower endpoint printed with spec, rounded down (never above the value)."""
+    return _directed_text(value, spec, decimal.ROUND_FLOOR)
+
+
+def high_text(value: float, spec: str) -> str:
+    """A certified upper endpoint printed with spec, rounded up (never below the value)."""
+    return _directed_text(value, spec, decimal.ROUND_CEILING)
+
+
 def _round_floats(obj, digits: int = _DIGITS):
     """obj with every float rounded to nearest at `digits` significant digits.
 
@@ -194,7 +220,7 @@ def _cmd_verify(args, config: dict[str, str]) -> int:
             all_ok &= _verdict(
                 ok,
                 f"loss {name}",
-                f"certified [{est.lower:.9e}, {est.upper:.9e}] "
+                f"certified [{low_text(est.lower, '.9e')}, {high_text(est.upper, '.9e')}] "
                 f"target {target:g} boxes {est.boxes_used}",
             )
             results["losses"][name] = {
@@ -230,12 +256,12 @@ def _cmd_verify(args, config: dict[str, str]) -> int:
             all_ok &= _verdict(
                 ok_total,
                 "total loss",
-                f"upper {ledger.total_upper:.9f} < {losses.TARGETS['total']}",
+                f"upper {high_text(ledger.total_upper, '.9f')} < {losses.TARGETS['total']}",
             )
             all_ok &= _verdict(
                 ok_kept,
                 "retained fraction",
-                f"lower {ledger.retained_lower:.9f} > {losses.TARGETS['retained']}",
+                f"lower {low_text(ledger.retained_lower, '.9f')} > {losses.TARGETS['retained']}",
             )
             results["total"] = {
                 "total_upper": _high(ledger.total_upper),
@@ -312,9 +338,9 @@ def _cmd_omega(args, config: dict[str, str]) -> int:
         low = buchstab.omega_bound(buchstab.OMEGA_LOWER, u)
         high = buchstab.omega_bound(buchstab.OMEGA_UPPER, u)
         print(
-            f"[INFO] omega({u:g}) in [{enc.lo:.12f}, {enc.hi:.12f}] "
+            f"[INFO] omega({u:g}) in [{low_text(enc.lo, '.12f')}, {high_text(enc.hi, '.12f')}] "
             f"width {enc.width:.3e}; piecewise bounds "
-            f"[{low.lo:.7f}, {high.hi:.7f}]"
+            f"[{low_text(low.lo, '.7f')}, {high_text(high.hi, '.7f')}]"
         )
         results["evaluations"].append(
             {

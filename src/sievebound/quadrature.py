@@ -28,9 +28,12 @@ against it only, which gives the same fraction bounds as the full tree.
 
 `integrate_mc` is the unrigorous cross-check: plain uniform sampling over
 the box with the region as indicator, masked on the box's residual (the
-constraints the box does not decide for every sample).  It is
-deterministic for a fixed (seed, workers) pair; the worker count changes
-the stream split, never the statistical meaning.
+constraints the box does not decide for every sample).  Only the
+samples the mask accepts reach the integrand's `value_many`, and the
+estimate is bit for bit that of evaluating every sample and zeroing the
+rejected ones (see `integrate_mc`).  It is deterministic for a fixed
+(seed, workers) pair; the worker count changes the stream split, never
+the statistical meaning.
 """
 
 from __future__ import annotations
@@ -62,9 +65,9 @@ MONTE_CARLO = "monte_carlo"
 class Integrand:
     """A nonnegative integrand with a certified interval extension.
 
-    value_many: vectorized evaluation for an (n, arity) float array; only
-                required for Monte Carlo, and only trusted on points the
-                region mask accepts.
+    value_many: vectorized row-by-row evaluation for an (n, arity) float
+                array; only required for Monte Carlo, which calls it on
+                the rows the region mask accepts.
     enclosure:  certified bounds on {f(t) : t in box}.
     average:    optional certified bounds on the box average of f
                 (tighter than `enclosure` when curvature information is
@@ -263,7 +266,17 @@ def integrate_mc(
 
     Each worker index owns an independent child stream of the seed, and
     its samples are evaluated in fixed-size chunks, so results are
-    bit-reproducible for a fixed (samples, seed, workers) triple.
+    bit-reproducible for a fixed (samples, seed, workers) triple.  A
+    chunk is drawn as `Generator.random` scaled by hi - lo and shifted
+    by lo, which equals `Generator.uniform(lo, hi)`; `region.mask` is
+    called once with the box, and `f.value_many` only on the accepted
+    rows, whose values are scattered into a zero array of one entry per
+    sample.  The BLAS matrix-vector product sums each row the same way
+    whatever other rows it is given, so the estimate equals that of
+    evaluating the whole chunk and zeroing the rejected rows (the tests
+    compare the two), except that numpy takes a one-row product as a
+    dot product, summed in another order: a lone accepted row among
+    several is evaluated with the whole chunk.
     """
     if samples < 10_000:
         raise ValueError("samples must be at least 10000")
@@ -274,9 +287,12 @@ def integrate_mc(
     box = _checked_box(f, region, box)
 
     lows = np.array([lo for lo, _ in box])
-    his = np.array([hi for _, hi in box])
-    volume = float(np.prod(his - lows))
+    spans = np.array([hi for _, hi in box]) - lows
+    volume = float(np.prod(spans))
     counts = [samples // workers + (1 if w < samples % workers else 0) for w in range(workers)]
+    # Every chunk is drawn into one buffer, so the next draw does not
+    # allocate while the previous chunk is still held.
+    buffer = np.empty((min(max(counts), _CHUNK), len(box)))
 
     total = 0.0
     total_sq = 0.0
@@ -289,12 +305,19 @@ def integrate_mc(
             remaining -= n
             # lo + (hi - lo) * U with U <= 1 - 2^-53 never rounds past
             # hi, so every sample lies in the closed box.
-            pts = rng.uniform(lows, his, size=(n, len(box)))
+            pts = rng.random(out=buffer[:n])
+            pts *= spans
+            pts += lows
             mask = region.mask(pts, box=box)
-            vals = np.where(mask, f.value_many(pts), 0.0)
+            keep = np.flatnonzero(mask)
+            vals = np.zeros(n)
+            if len(keep) == 1 < n:
+                vals[keep] = f.value_many(pts)[keep]
+            else:
+                vals[keep] = f.value_many(pts.take(keep, axis=0))
             total += float(vals.sum())
             total_sq += float(np.square(vals).sum())
-            hits += int(mask.sum())
+            hits += len(keep)
 
     if hits == 0:
         warnings.warn("no Monte Carlo sample hit the region; estimate degenerates to zero")

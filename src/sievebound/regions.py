@@ -60,7 +60,9 @@ their inside children and the disjunctions without their outside ones
 for bit while visiting only the constraints left open.  The float point
 mask skips, on a box, the constraints whose float comparison the box
 decides for every point in it, strictness and rounding included
-(`LinearConstraint._mask_residual`, walked by `_tree_residual`).
+(`LinearConstraint._mask_residual`, walked by `_tree_residual`), and
+tests the remaining conjunction most selective child first on the
+points still accepted (`_and_mask`).
 """
 
 from __future__ import annotations
@@ -472,6 +474,38 @@ def _tree_mask(node, pts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _and_mask(children, pts: np.ndarray) -> np.ndarray:
+    """`_tree_mask` of AndNode(children), testing each child only on the rows every earlier one accepted.
+
+    Once fewer than half of the rows in hand survive, they are gathered
+    (`flatnonzero` and `take`, much cheaper than a boolean gather) and
+    the later children see only them; no survivor ends the walk.  A
+    single survivor is not gathered: numpy computes a one-row matrix
+    product as a dot product, which sums in another order than the
+    matrix-vector product of a larger array, so its float test could
+    differ from the full array's.  Otherwise every row keeps its own
+    float comparisons, so for a C-contiguous array, as `integrate_mc`
+    draws, the mask is `_tree_mask`'s bit for bit.
+    """
+    out = np.zeros(len(pts), dtype=bool)
+    rows = None  # positions in the input of the rows in hand; None while all are
+    alive = np.ones(len(pts), dtype=bool)
+    for child in children:
+        alive &= _tree_mask(child, pts)
+        count = int(np.count_nonzero(alive))
+        if count == 0:
+            return out
+        if 1 < count < len(alive) / 2:
+            keep = np.flatnonzero(alive)
+            pts = pts.take(keep, axis=0)
+            rows = keep if rows is None else rows.take(keep)
+            alive = np.ones(count, dtype=bool)
+    if rows is None:
+        return alive
+    out[rows] = alive
+    return out
+
+
 def _tree_json(node) -> dict:
     if isinstance(node, LinearConstraint):
         return node.to_json()
@@ -530,15 +564,23 @@ class RegionPredicate:
         """Vectorized float membership for an (n, arity) array of points.
 
         With a box, which must contain every point (faces included), the
-        constraints whose float test the box decides are skipped; the
-        mask is the same.
+        constraints whose float test the box decides are skipped, and a
+        residual conjunction is walked by `_and_mask`: its children in
+        ascending order of their exact upper volume fraction on the box
+        (the share of uniform samples they can pass), so the most
+        selective test runs first, each on the rows the earlier ones
+        kept.  The mask is the same.
         """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.arity:
             raise ValueError(f"{self.name} expects an (n, {self.arity}) array")
         if box is None:
             return _tree_mask(self.tree, pts)
-        return _tree_mask(_tree_residual(self.tree, self._box_grid(box)), pts)
+        grid = self._box_grid(box)
+        residual = _tree_residual(self.tree, grid)
+        if not isinstance(residual, AndNode):
+            return _tree_mask(residual, pts)
+        return _and_mask(sorted(residual.children, key=lambda c: _tree_fraction(c, grid)[1]), pts)
 
     def to_json(self) -> dict:
         return {"name": self.name, "arity": self.arity, "tree": _tree_json(self.tree)}

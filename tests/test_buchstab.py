@@ -36,6 +36,7 @@ from sievebound.buchstab import (
     OMEGA_UPPER,
     PLATEAU_LOWER,
     PLATEAU_UPPER,
+    SoundnessError,
     branch_expression_range,
     build_table,
     dump_table_csv,
@@ -226,7 +227,47 @@ class TestAgainstMpmath:
             assert table.values[k].lo <= lo and hi <= table.values[k].hi
 
 
+def enclosure_table(u_max: float, step: float) -> tuple[list[Enclosure], float]:
+    """(values, max_width) of `build_table`'s recurrence written in `Enclosure` arithmetic.
+
+    The reference the float lo/hi kernel must match bit for bit: every
+    operation is an `Enclosure` operator, which takes the min and max
+    over all endpoint products and quotients and so assumes no sign.
+    """
+    m = round(1.0 / step)
+    last = round((u_max - 1.0) * m)
+    h = Enclosure(*buchstab._ratio_bounds(1, m))
+    step_pad = buchstab._up(buchstab._up(h.hi**3) * buchstab.SECOND_DERIVATIVE_BOUND / 12.0)
+    grid = [Enclosure(*buchstab._ratio_bounds(m + k, m)) for k in range(last + 1)]
+    values = [1.0 / grid[k] for k in range(min(m, last) + 1)]
+    for k in range(m, last):
+        delayed = (values[k - m] + values[k - m + 1]) * h * 0.5
+        increment = delayed.widen(step_pad)
+        values.append((values[k] * grid[k] + increment) / grid[k + 1])
+    return values, max(v.width for v in values)
+
+
 class TestTable:
+    @pytest.mark.parametrize("u_max, step", [(8.0, 1e-4), (4.0, 1e-3), (2.0, 1e-4)])
+    def test_float_kernel_matches_enclosure_recurrence(self, u_max, step, table):
+        """Every entry and max_width equal the Enclosure recurrence's, bit for bit.
+
+        u_max = 2 runs no recurrence step, only the 1/u seed.
+        """
+        got = table if (u_max, step) == (8.0, 1e-4) else build_table(u_max=u_max, step=step)
+        values, max_width = enclosure_table(u_max, step)
+        assert len(got.values) == len(values) == round((u_max - 1.0) / step) + 1
+        assert [(v.lo.hex(), v.hi.hex()) for v in got.values] == [(v.lo.hex(), v.hi.hex()) for v in values]
+        assert got.max_width.hex() == max_width.hex()
+
+    def test_nonpositive_entry_raises(self, monkeypatch):
+        """A step pad above the trapezoid increment drives the entries down until one leaves (0, inf)."""
+        monkeypatch.setattr(buchstab, "SECOND_DERIVATIVE_BOUND", 1e9)
+        values, _ = enclosure_table(8.0, 1e-3)
+        assert min(v.lo for v in values) < 0.0
+        with pytest.raises(SoundnessError, match=r"leaves \(0, inf\)"):
+            build_table(u_max=8.0, step=1e-3)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             build_table(step=0.01)

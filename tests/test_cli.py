@@ -8,6 +8,7 @@ budgets; the full-budget runs are covered by the acceptance suite.
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -88,6 +89,26 @@ class TestVerify:
         total = results["total"]
         assert ledger.total_upper <= total["total_upper"] and total["retained_lower"] <= ledger.retained_lower
         assert all(total["margins"][key] <= margin for key, margin in ledger.margins().items())
+
+    def test_printed_endpoints_round_outward(self, tmp_path, capsys, verified_c, table):
+        """The stdout lines of verify and omega bracket the certified floats at their printed digits.
+
+        Loss c's upper bound 0.23513326691027386 printed to nearest at
+        ten digits reads 2.351332669e-01, below itself.
+        """
+        assert cli.high_text(0.23513326691027386, ".9e") == "2.351332670e-01"
+        assert cli.low_text(0.23513326691027386, ".9e") == "2.351332669e-01"
+        _, stdout, _ = run_cli(["verify", "--targets", "c", "--out", str(tmp_path / "c.json")], capsys)
+        lower, upper = map(float, re.search(r"certified \[(\S+), (\S+)\]", stdout).groups())
+        est = verified_c[0]
+        assert lower <= est.lower and est.upper <= upper
+        _, stdout, _ = run_cli(["omega", "--at", "3.5", "--out", str(tmp_path / "omega.json")], capsys)
+        match = re.search(r"omega\(3\.5\) in \[(\S+), (\S+)\] .* piecewise bounds \[(\S+), (\S+)\]", stdout)
+        lo, hi, bound_low, bound_high = map(float, match.groups())
+        enc = buchstab.omega_enclosure(table, 3.5)
+        assert lo <= enc.lo and enc.hi <= hi
+        assert bound_low <= buchstab.omega_bound(buchstab.OMEGA_LOWER, 3.5).lo
+        assert buchstab.omega_bound(buchstab.OMEGA_UPPER, 3.5).hi <= bound_high
 
     def test_monte_carlo_mode(self, tmp_path, capsys):
         out = tmp_path / "mc.json"

@@ -17,6 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from sievebound import losses, quadrature
 from sievebound.buchstab import Enclosure, SoundnessError
 from sievebound.quadrature import (
     Integrand,
@@ -206,6 +207,86 @@ class TestMonteCarlo:
         b = integrate_mc(linear_t1(), REGION_A, box, samples=50000, seed=6, workers=2)
         assert (a.lower, a.stderr) == (b.lower, b.stderr)
         assert calls and all(kw == {"box": box} for kw in calls)
+
+
+def full_chunk_mc(f, region, box, samples, seed, workers=1):
+    """(estimate, stderr, hits) of `integrate_mc`'s chunk loop drawn by rng.uniform and evaluated on every row.
+
+    The reference `integrate_mc` must match bit for bit: each chunk is
+    masked on the full tree (`region.mask(pts)`), every row is
+    evaluated, and np.where zeroes the rejected ones.
+    """
+    lows = np.array([lo for lo, _ in box])
+    his = np.array([hi for _, hi in box])
+    volume = float(np.prod(his - lows))
+    counts = [samples // workers + (1 if w < samples % workers else 0) for w in range(workers)]
+    total = total_sq = 0.0
+    hits = 0
+    for w, count in enumerate(counts):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, w)))
+        remaining = count
+        while remaining > 0:
+            n = min(remaining, quadrature._CHUNK)
+            remaining -= n
+            pts = rng.uniform(lows, his, size=(n, len(box)))
+            mask = region.mask(pts)
+            vals = np.where(mask, f.value_many(pts), 0.0)
+            total += float(vals.sum())
+            total_sq += float(np.square(vals).sum())
+            hits += int(mask.sum())
+    mean = total / samples
+    variance = max(total_sq / samples - mean * mean, 0.0)
+    return volume * mean, volume * math.sqrt(variance / samples), hits
+
+
+def same_as_full_chunk(est, reference) -> bool:
+    estimate, stderr, _ = reference
+    return (est.lower.hex(), est.upper.hex(), est.stderr.hex()) == (estimate.hex(), estimate.hex(), stderr.hex())
+
+
+class TestMonteCarloReference:
+    """integrate_mc, which evaluates only the accepted rows, against `full_chunk_mc`."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("name", losses.LOSS_NAMES)
+    def test_losses_match(self, name, workers):
+        f, _, region, box = losses.integration_domain(name)
+        est = integrate_mc(f, region, box, samples=200_000, seed=20240801, workers=workers)
+        reference = full_chunk_mc(f, region, box, 200_000, 20240801, workers)
+        assert same_as_full_chunk(est, reference) and est.boxes_used == 200_000
+        assert reference[2] > 1000
+
+    def test_several_chunks_per_worker(self, monkeypatch):
+        """Small chunks with a ragged last one, on the uneven three-worker split."""
+        monkeypatch.setattr(quadrature, "_CHUNK", 7_000)
+        f, _, region, box = losses.integration_domain("b3")
+        est = integrate_mc(f, region, box, samples=100_001, seed=11, workers=3)
+        assert same_as_full_chunk(est, full_chunk_mc(f, region, box, 100_001, 11, 3))
+
+    def test_lone_accepted_row(self):
+        """One accepted row per chunk gets the value the whole chunk's matrix product gives it.
+
+        numpy takes a one-row matrix product as a dot product, which on
+        some of these seeds sums the row in another order than the
+        matrix-vector product over the chunk.
+        """
+        coeffs = np.array([0.7, -1.3, 2.9, 0.45])
+        f = Integrand(arity=4, enclosure=lambda box: Enclosure(0.0, 6.0), value_many=lambda pts: 1.0 + pts @ coeffs)
+        box = ((0.0, 1.0),) * 4
+        for seed in range(12):
+            top = np.random.default_rng(np.random.SeedSequence((seed, 0))).random((10_000, 4))[:, 0].max()
+            region = RegionPredicate("top row", 4, AndNode((LinearConstraint((1, 0, 0, 0), ">=", Fraction(top)),)))
+            est = integrate_mc(f, region, box, samples=10_000, seed=seed)
+            reference = full_chunk_mc(f, region, box, 10_000, seed)
+            assert reference[2] == 1 and same_as_full_chunk(est, reference)
+
+    def test_zero_hits(self):
+        """A box the region meets only in a corner: the walk ends after its one child, and the warning fires."""
+        box = ((0.25, 1.0), (0.25, 1.0))
+        with pytest.warns(UserWarning, match="hit the region"):
+            est = integrate_mc(linear_t1(), halfspace_region(), box, samples=20_000, seed=8, workers=3)
+        reference = full_chunk_mc(linear_t1(), halfspace_region(), box, 20_000, 8, 3)
+        assert reference[2] == 0 and same_as_full_chunk(est, reference) and est.lower == 0.0
 
 
 INVALID_BOXES = {

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 
 from sievebound import regions
 from sievebound.buchstab import _ratio_bounds
+from sievebound.losses import integration_domain
 from sievebound.regions import (
     PAIR_BASE,
     REGION_A,
@@ -631,6 +633,118 @@ class TestResiduals:
         box = ((0.1, 0.2), (0.1, t2))
         pts = np.array([[0.1, 0.1], [0.2, t2]])
         assert pair.mask(pts, box=box).tolist() == pair.mask(pts).tolist() == [True, False]
+
+
+# A box to sample each catalog region in: the loss boxes for the three
+# loss regions, and one box around the pair base for the others.
+PAIR_BOX = ((0.15, 0.43), (0.15, 0.43))
+SAMPLING_BOXES = {region.name: integration_domain(name)[3] for name, region in (
+    ("a3", REGION_U_A3), ("b3", REGION_U_B3), ("c", REGION_C))}
+
+
+def sampling_box(region):
+    return SAMPLING_BOXES.get(region.name, PAIR_BOX)
+
+
+def walk(monkeypatch, region, pts, box):
+    """(region.mask(pts, box=box), the row count each top-level child of the residual was tested on, in order)."""
+    rows = []
+    real = regions._tree_mask
+
+    def spy(node, array):
+        if sys._getframe(1).f_code is regions._and_mask.__code__:
+            rows.append(len(array))
+        return real(node, array)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(regions, "_tree_mask", spy)
+        mask = region.mask(pts, box=box)
+    assert mask.dtype == bool and mask.shape == (len(pts),)
+    assert np.array_equal(mask, regions._tree_mask(region.tree, pts))
+    return mask, rows
+
+
+def first_child(region, box):
+    """The residual child the mask walk tests first on box: the smallest exact upper fraction."""
+    grid = regions._grid(box)
+    residual = regions._tree_residual(region.tree, grid)
+    return min(residual.children, key=lambda c: regions._tree_fraction(c, grid)[1])
+
+
+class TestMaskWalk:
+    """mask(pts, box=b) walks the residual conjunction most selective child first, gathering survivors.
+
+    Each case compares against the plain full-tree `_tree_mask` (inside
+    `walk`) and observes the rows each child was tested on.
+    """
+
+    def test_matches_the_full_tree_on_sampling_boxes(self, monkeypatch):
+        """Seeded, face and corner points of each region's sampling box; the sparse loss regions gather."""
+        npr = np.random.default_rng(20261018)
+        for region in region_catalog().values():
+            pts = points_in(npr, sampling_box(region), 20000)
+            mask, rows = walk(monkeypatch, region, pts, sampling_box(region))
+            assert rows[0] == len(pts) and rows == sorted(rows, reverse=True)
+            if region in (REGION_U_A3, REGION_U_B3):
+                assert mask.mean() < 0.05 and rows[-1] < 0.1 * len(pts)
+
+    def test_early_exit_when_every_row_is_rejected(self, monkeypatch):
+        """Rows the first child rejects end the walk after that child."""
+        npr = np.random.default_rng(3)
+        for region in (REGION_U_A3, REGION_U_B3, REGION_C):
+            box = sampling_box(region)
+            pts = points_in(npr, box, 5000)
+            pts = pts[~regions._tree_mask(first_child(region, box), pts)]
+            mask, rows = walk(monkeypatch, region, pts, box)
+            assert len(pts) > 100 and not mask.any() and rows == [len(pts)]
+
+    def test_single_survivor_is_not_gathered(self, monkeypatch):
+        """One accepted row among rejected ones keeps every row in hand to the end."""
+        npr = np.random.default_rng(4)
+        for region in (REGION_U_A3, REGION_U_B3, REGION_C):
+            box = sampling_box(region)
+            pts = points_in(npr, box, 5000)
+            inside = pts[regions._tree_mask(region.tree, pts)][:1]
+            rejected = pts[~regions._tree_mask(first_child(region, box), pts)]
+            pts = np.vstack([rejected[:500], inside, rejected[500:1000]])
+            mask, rows = walk(monkeypatch, region, pts, box)
+            assert np.flatnonzero(mask).tolist() == [500]
+            assert rows == [len(pts)] * len(rows) and len(rows) > 1
+
+    def test_no_rejected_row(self, monkeypatch):
+        """Rows inside the region are tested by every child, none gathered."""
+        npr = np.random.default_rng(5)
+        for region in region_catalog().values():
+            box = sampling_box(region)
+            pts = points_in(npr, box, 20000)
+            pts = pts[regions._tree_mask(region.tree, pts)]
+            mask, rows = walk(monkeypatch, region, pts, box)
+            assert len(pts) > 20 and mask.all() and rows == [len(pts)] * len(rows)
+
+    def test_zero_rows(self, monkeypatch):
+        for region in region_catalog().values():
+            mask, _ = walk(monkeypatch, region, np.empty((0, region.arity)), sampling_box(region))
+            assert mask.shape == (0,)
+
+    def test_residual_root_not_a_conjunction(self, monkeypatch):
+        """A disjunction, a bare halfspace and a box the float test decides inside or outside."""
+        npr = np.random.default_rng(6)
+        box = PAIR_BOX
+        pair_sum = (1, 1)
+        clause = regions.OrNode((LinearConstraint(pair_sum, "<", WINDOW_LO), LinearConstraint(pair_sum, ">", WINDOW_HI)))
+        halfspace = LinearConstraint((1, 2), "<", F(1))
+        for tree in (clause, halfspace):
+            assert regions._tree_residual(tree, regions._grid(box)) is tree
+            region = regions.RegionPredicate("root", 2, tree)
+            mask, rows = walk(monkeypatch, region, points_in(npr, box, 2000), box)
+            assert 0 < mask.sum() < len(mask) and rows == []
+        for box, decided in (
+            (((0.36, 0.38), (0.25, 0.27)), regions._TRUE),
+            (((0.16, 0.2), (0.16, 0.2)), regions._FALSE),
+        ):
+            assert regions._tree_residual(REGION_C.tree, regions._grid(box)) is decided
+            mask, _ = walk(monkeypatch, REGION_C, points_in(npr, box, 500), box)
+            assert mask.all() if decided is regions._TRUE else not mask.any()
 
 
 class TestFeasibility:
