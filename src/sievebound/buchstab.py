@@ -74,6 +74,9 @@ SECOND_DERIVATIVE_BOUND = 2.0
 # on [1, 2], and |omega'(u)| = |omega(u-1) - omega(u)|/u <= 0.17/2 < 1 past 2.
 LIPSCHITZ_BOUND = 1.0
 
+# Bound on |omega'| over [3, 4], the gap fill of `branch_expression_range`.
+BRANCH_DERIVATIVE_BOUND = 0.022
+
 
 # Rounding directions for math.nextafter in the float-pair kernels.
 _DOWN = -math.inf
@@ -339,12 +342,13 @@ def branch_expression_range(step: float = 2e-4) -> Enclosure:
 
     Encloses the closed form at each grid point 3 + k * step
     (`_branch_34`) and fills the gaps between grid points with the
-    derivative bound |omega'| <= 0.022 on [3, 4].  There
-    omega'(u) = (omega(u-1) - omega(u))/u with u >= 3, omega(u-1) in
-    [0.5, 0.5672] (omega peaks at about 0.56714 near u = 2.7632) and
-    omega(u) in [BRANCH_FLOOR, BRANCH_CEILING] = [0.5607, 0.5644], so
-    |omega'| <= (0.5644 - 0.5)/3, the larger of the two gaps.  That band
-    is what the range certifies, so a range leaving it raises
+    derivative bound |omega'| <= BRANCH_DERIVATIVE_BOUND = 0.022 on
+    [3, 4].  There omega'(u) = (omega(u-1) - omega(u))/u with u >= 3,
+    omega(u-1) in [0.5, 0.5672] (omega peaks at about 0.56714 near
+    u = 2.7632) and omega(u) in [BRANCH_FLOOR, BRANCH_CEILING] =
+    [0.5607, 0.5644], so |omega'| <= (0.5644 - 0.5)/3, the larger of the
+    two gaps; the tests also derive the bound from the certified table.
+    That band is what the range certifies, so a range leaving it raises
     SoundnessError.
     """
     if not 0.0 < step <= 1e-3:
@@ -358,7 +362,7 @@ def branch_expression_range(step: float = 2e-4) -> Enclosure:
         expr = _branch_34(*_ratio_bounds(3 * m + k, m))
         lo_min = min(lo_min, expr.lo)
         hi_max = max(hi_max, expr.hi)
-    fill = _up(0.022 * step * 0.5)
+    fill = _up(BRANCH_DERIVATIVE_BOUND * step * 0.5)
     out = Enclosure(_down(lo_min - fill), _up(hi_max + fill))
     if not BRANCH_FLOOR <= out.lo <= out.hi <= BRANCH_CEILING:
         raise SoundnessError(f"branch range [{out.lo}, {out.hi}] leaves [{BRANCH_FLOOR}, {BRANCH_CEILING}]")

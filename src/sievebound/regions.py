@@ -569,18 +569,39 @@ class RegionPredicate:
         ascending order of their exact upper volume fraction on the box
         (the share of uniform samples they can pass), so the most
         selective test runs first, each on the rows the earlier ones
-        kept.  The mask is the same.
+        kept.  The mask is the same.  That plan depends on the box alone
+        and is kept on the instance for the last box it was built for,
+        keyed by the box's endpoints, so `integrate_mc`, which masks
+        block after block in one box, builds it once.
         """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.arity:
             raise ValueError(f"{self.name} expects an (n, {self.arity}) array")
         if box is None:
             return _tree_mask(self.tree, pts)
-        grid = self._box_grid(box)
+        plan = self._mask_plan(box)
+        if isinstance(plan, tuple):
+            return _and_mask(plan, pts)
+        return _tree_mask(plan, pts)
+
+    def _mask_plan(self, box: Box):
+        """The residual tree of the box, or its conjunction's children in `_and_mask` order, memoised per box.
+
+        The memo is one (box, plan) pair replaced whole, so callers
+        sharing the region each get the plan of their own box.
+        """
+        key = tuple(tuple(iv) for iv in box)
+        memo = self.__dict__.get("_plan")
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        grid = self._box_grid(key)
         residual = _tree_residual(self.tree, grid)
-        if not isinstance(residual, AndNode):
-            return _tree_mask(residual, pts)
-        return _and_mask(sorted(residual.children, key=lambda c: _tree_fraction(c, grid)[1]), pts)
+        if isinstance(residual, AndNode):
+            plan = tuple(sorted(residual.children, key=lambda c: _tree_fraction(c, grid)[1]))
+        else:
+            plan = residual
+        object.__setattr__(self, "_plan", (key, plan))
+        return plan
 
     def to_json(self) -> dict:
         return {"name": self.name, "arity": self.arity, "tree": _tree_json(self.tree)}

@@ -357,6 +357,49 @@ class TestTable:
         assert float(lo2) <= 0.5 <= float(hi2)
 
 
+def derivative_bound(table, lo: float, hi: float) -> float:
+    """A certified bound on |omega'| over [lo, hi], grid points of `table` past 2, derived from the table.
+
+    There omega'(u) = (omega(u - 1) - omega(u)) / u.  Over each grid cell
+    [u_k, u_k + h] both omegas are enclosed by `omega_enclosure` at the
+    float midpoint of their cell, widened by LIPSCHITZ_BOUND * h, which
+    covers the cell's exact points, and u by the cell's exact endpoints
+    rounded outward.
+    """
+    m = table.grid_den
+    first, last = round((lo - 1.0) * m), round((hi - 1.0) * m)
+    pad = buchstab._up(buchstab.LIPSCHITZ_BOUND / m)
+    # omega over the cells first - m, ..., last - 1: the delayed cells, then the cells of [lo, hi]
+    omega = [omega_enclosure(table, (m + k + 0.5) / m).widen(pad) for k in range(first - m, last)]
+    worst = 0.0
+    for k in range(first, last):
+        u = Enclosure(buchstab._ratio_bounds(m + k, m)[0], buchstab._ratio_bounds(m + k + 1, m)[1])
+        slope = (omega[k - first] - omega[k - first + m]) / u
+        worst = max(worst, -slope.lo, slope.hi)
+    return worst
+
+
+class TestDerivativeConstants:
+    """The derivative bounds `branch_expression_range` and `omega_enclosure` assume, checked on the certified table.
+
+    The cell enclosures themselves widen by LIPSCHITZ_BOUND, so its check
+    is a continuation argument: omega' is continuous past 2, and the
+    bound derived from the constant, about 1/4 at u = 2, stays far
+    inside it.
+    """
+
+    def test_branch_fill_bound(self, table):
+        """|omega'| <= 0.022 on [3, 4], the fill between `branch_expression_range`'s grid points."""
+        bound = derivative_bound(table, 3.0, 4.0)
+        assert bound <= buchstab.BRANCH_DERIVATIVE_BOUND == 0.022
+        assert bound >= ((1 + math.log(2)) / 3 - 0.5) / 3  # |omega'(3)| = (omega(3) - omega(2)) / 3
+
+    def test_lipschitz_bound(self, table):
+        """|omega'| <= LIPSCHITZ_BOUND on [2, u_max]; on [1, 2] it is 1/u**2 <= 1."""
+        bound = derivative_bound(table, 2.0, table.u_max)
+        assert 0.25 <= bound <= buchstab.LIPSCHITZ_BOUND
+
+
 class TestPiecewiseBounds:
     def test_branch_expression_range(self):
         """The [3, 4) expression range sits inside the certified band.

@@ -263,22 +263,53 @@ class TestMonteCarloReference:
         est = integrate_mc(f, region, box, samples=100_001, seed=11, workers=3)
         assert same_as_full_chunk(est, full_chunk_mc(f, region, box, 100_001, 11, 3))
 
-    def test_lone_accepted_row(self):
-        """One accepted row per chunk gets the value the whole chunk's matrix product gives it.
+    def test_lone_accepted_row(self, monkeypatch):
+        """One accepted row per chunk gets the value the whole block's matrix product gives it.
 
         numpy takes a one-row matrix product as a dot product, which on
         some of these seeds sums the row in another order than the
-        matrix-vector product over the chunk.
+        matrix-vector product over the chunk.  The chunk is one block,
+        and then blocks of 999 rows, with the row in a block after the
+        first on every seed.
         """
         coeffs = np.array([0.7, -1.3, 2.9, 0.45])
         f = Integrand(arity=4, enclosure=lambda box: Enclosure(0.0, 6.0), value_many=lambda pts: 1.0 + pts @ coeffs)
         box = ((0.0, 1.0),) * 4
         for seed in range(12):
-            top = np.random.default_rng(np.random.SeedSequence((seed, 0))).random((10_000, 4))[:, 0].max()
-            region = RegionPredicate("top row", 4, AndNode((LinearConstraint((1, 0, 0, 0), ">=", Fraction(top)),)))
-            est = integrate_mc(f, region, box, samples=10_000, seed=seed)
+            column = np.random.default_rng(np.random.SeedSequence((seed, 0))).random((10_000, 4))[:, 0]
+            region = RegionPredicate("top row", 4, AndNode((LinearConstraint((1, 0, 0, 0), ">=", Fraction(column.max())),)))
             reference = full_chunk_mc(f, region, box, 10_000, seed)
-            assert reference[2] == 1 and same_as_full_chunk(est, reference)
+            assert reference[2] == 1 and column.argmax() >= 999
+            for block in (quadrature._BLOCK, 999):
+                with monkeypatch.context() as patch:
+                    patch.setattr(quadrature, "_BLOCK", block)
+                    est = integrate_mc(f, region, box, samples=10_000, seed=seed)
+                assert same_as_full_chunk(est, reference)
+
+    @pytest.mark.parametrize("workers, samples", [(1, 24_001), (3, 30_005)])
+    @pytest.mark.parametrize("block", [1_000, 2_333])
+    def test_block_boundaries(self, monkeypatch, block, workers, samples):
+        """Blocks inside chunks, ragged last blocks and a one-row remainder joined to the block before it.
+
+        With `_CHUNK` = 7,000 every full chunk is three blocks of 2,333
+        and one row, and the last chunks of 3,001 and 3,002 rows end one
+        row or two past a multiple of 1,000.  No block is one row, and
+        every case has a block of `_BLOCK` + 1 rows.
+        """
+        monkeypatch.setattr(quadrature, "_CHUNK", 7_000)
+        monkeypatch.setattr(quadrature, "_BLOCK", block)
+        f, _, region, box = losses.integration_domain("b3")
+        rows = []
+
+        def mask(pts, box):
+            rows.append(len(pts))
+            return region.mask(pts, box=box)
+
+        stub = SimpleNamespace(arity=region.arity, mask=mask)
+        est = integrate_mc(f, stub, box, samples=samples, seed=13, workers=workers)
+        reference = full_chunk_mc(f, region, box, samples, 13, workers)
+        assert same_as_full_chunk(est, reference) and reference[2] > 100
+        assert sum(rows) == samples and min(rows) > 1 and max(rows) == block + 1
 
     def test_zero_hits(self):
         """A box the region meets only in a corner: the walk ends after its one child, and the warning fires."""

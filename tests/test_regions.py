@@ -10,17 +10,20 @@ uniform coordinates):
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sievebound import regions
+from sievebound import quadrature, regions
 from sievebound.buchstab import _ratio_bounds
-from sievebound.losses import integration_domain
+from sievebound.losses import LOSS_NAMES, integration_domain
+from sievebound.quadrature import integrate_mc
 from sievebound.regions import (
     PAIR_BASE,
     REGION_A,
@@ -745,6 +748,58 @@ class TestMaskWalk:
             assert regions._tree_residual(REGION_C.tree, regions._grid(box)) is decided
             mask, _ = walk(monkeypatch, REGION_C, points_in(npr, box, 500), box)
             assert mask.all() if decided is regions._TRUE else not mask.any()
+
+
+class TestMaskMemo:
+    """mask(pts, box=b) keeps the plan of the last box it was given; another box replaces it."""
+
+    def test_alternating_boxes(self):
+        """Two nested boxes, each with its own points, and no box, in turn; a box given as lists hits the memo.
+
+        The inner box decides more constraints than the outer one on
+        several regions, so its plan would misjudge the outer points.
+        """
+        npr = np.random.default_rng(7)
+        differ = 0
+        for catalogued in region_catalog().values():
+            region = dataclasses.replace(catalogued)
+            outer = sampling_box(region)
+            inner = tuple((lo, (lo + hi) / 2) for lo, hi in outer)
+            cases = {"outer": (outer, points_in(npr, outer, 5000)), "inner": (inner, points_in(npr, inner, 5000))}
+            cases["lists"] = ([list(iv) for iv in outer], cases["outer"][1])
+            cases["none"] = (None, cases["outer"][1])
+            for key in ("inner", "outer", "none", "inner", "lists", "outer", "inner", "none", "outer"):
+                box, pts = cases[key]
+                assert np.array_equal(region.mask(pts, box=box), regions._tree_mask(region.tree, pts))
+            grids = (regions._grid(outer), regions._grid(inner))
+            differ += regions._tree_residual(region.tree, grids[0]) != regions._tree_residual(region.tree, grids[1])
+        assert differ >= 3
+
+    def test_plan_built_once_per_integrate_mc_call(self, monkeypatch):
+        """Several workers, chunks and blocks in one box build the box's residual once, and a second call not again."""
+        monkeypatch.setattr(quadrature, "_CHUNK", 7_000)
+        monkeypatch.setattr(quadrature, "_BLOCK", 1_000)
+        real = regions._tree_residual
+        for name in LOSS_NAMES:
+            f, _, catalogued, box = integration_domain(name)
+            region = dataclasses.replace(catalogued)
+            built, masked = [], []
+
+            def spy(node, grid):
+                if node is region.tree:
+                    built.append(grid)
+                return real(node, grid)
+
+            def mask(pts, box):
+                masked.append(len(pts))
+                return region.mask(pts, box=box)
+
+            monkeypatch.setattr(regions, "_tree_residual", spy)
+            stub = SimpleNamespace(arity=region.arity, mask=mask)
+            first = integrate_mc(f, stub, box, samples=30_005, seed=1, workers=3)
+            assert len(built) == 1 and len(masked) == 32
+            second = integrate_mc(f, stub, box, samples=30_005, seed=1, workers=3)
+            assert len(built) == 1 and first == second
 
 
 class TestFeasibility:
