@@ -64,10 +64,11 @@ BRANCH_CEILING = 0.5644
 PLATEAU_LOWER = 0.5612
 PLATEAU_UPPER = 0.5617
 
-# Bound on |omega''| past u = 1, for the trapezoid error term of `build_table`.
-# On [1, 2], omega'' = 2/u**3 with maximum 2 at u = 1.  On [2, 3], differentiating
-# omega'(u) = (omega(u-1) - omega(u))/u termwise and using |omega'| <= 1,
-# |omega| <= 1 gives |omega''| <= (1 + 1)/2 + 0.66/4 < 2; further branches only shrink.
+# Bound on |omega''| over [1, u_max - 1], the delayed arguments of the trapezoid
+# steps of `build_table`.  On [1, 2], omega'' = 2/u**3 with maximum 2 at u = 1.
+# Past 2, omega'' = (omega'(u-1) - 2 omega'(u))/u; bounded per grid cell from the
+# certified table it stays below 0.7501 (tests/test_buchstab.py).  omega' jumps at
+# u = 2, so omega(s-1) has a kink at s = 3, which is always a grid node.
 SECOND_DERIVATIVE_BOUND = 2.0
 
 # Global Lipschitz constant for omega on [1, u_max]: |omega'| = 1/u**2 <= 1

@@ -317,7 +317,7 @@ def _cmd_omega(args, config: dict[str, str]) -> int:
     u_max = _resolve("u_max", args.u_max, config, float, 8.0)
     step = _resolve("step", args.step, config, float, 1e-4)
     tol = _resolve("tol", args.tol, config, float, 5e-8)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise CliError("tol must be positive")
     table = buchstab.build_table(u_max=u_max, step=step)
     all_ok = _verdict(

@@ -28,16 +28,12 @@ against it only, which gives the same fraction bounds as the full tree.
 
 `integrate_mc` is the unrigorous cross-check: plain uniform sampling over
 the box with the region as indicator, masked on the box's residual (the
-constraints the box does not decide for every sample).  Only the
-samples the mask accepts reach the integrand's `value_many`, and the
-estimate is bit for bit that of evaluating every sample and zeroing the
-rejected ones (see `integrate_mc`).  Samples are summed in chunks of
-`_CHUNK` values but drawn, scaled, masked and evaluated in blocks of
-`_BLOCK` rows, small enough to stay in cache; the blocks continue the
-chunk's random stream and every sample keeps its own float operations,
-so the block size does not change a bit of the estimate.  It is
-deterministic for a fixed (seed, workers) pair; the worker count
-changes the stream split, never the statistical meaning.
+constraints the box does not decide for every sample).  Samples are
+drawn, scaled, masked and summed in blocks of `_BLOCK` rows, small
+enough to stay in cache, and only the rows the mask accepts reach the
+integrand's `value_many`.  The estimate is deterministic for a fixed
+(samples, seed, workers) triple and the constant `_BLOCK`; the worker
+count changes the stream split, never the statistical meaning.
 """
 
 from __future__ import annotations
@@ -255,9 +251,8 @@ def integrate_rigorous(
     )
 
 
-_CHUNK = 1 << 19
-# Rows drawn, scaled, masked and evaluated at a time inside a chunk: at
-# d = 4 a block is 2 MB, which stays in a core's L2 cache.
+# Rows drawn, scaled, masked, evaluated and summed at a time: at d = 4 a
+# block is 2 MB, which stays in a core's L2 cache.
 _BLOCK = 1 << 16
 # Floats per row of the view the scale and shift of a block run on.
 _TILE = 512
@@ -273,26 +268,16 @@ def integrate_mc(
 ) -> IntegralEstimate:
     """Plain Monte Carlo estimate of integral(f over region intersect box).
 
-    Each worker index owns an independent child stream of the seed, and
-    its samples are summed in chunks of `_CHUNK` values, so results are
-    bit-reproducible for a fixed (samples, seed, workers) triple.  A
-    chunk is drawn, scaled, masked and evaluated in blocks of `_BLOCK`
-    rows, drawn one after another from the stream into one buffer, so
-    it holds the samples of one draw.  A block is `Generator.random`
-    scaled by hi - lo and shifted by lo, which equals
-    `Generator.uniform(lo, hi)`; whole groups of rows are scaled as rows
-    of up to `_TILE` floats against the tiled spans and lows, the same
-    elementwise operations as the broadcast left for the last few rows.
-    `region.mask` is called once per block with the box, and
-    `f.value_many` only on the accepted rows, whose values are scattered
-    into the chunk's zero array of one entry per sample.  The BLAS
-    matrix-vector product sums each row the same way whatever other
-    rows it is given, so the estimate equals that of evaluating the
-    whole chunk and zeroing the rejected rows (the tests compare the
-    two), except that numpy takes a one-row product as a dot product,
-    summed in another order: a one-row remainder joins the block before
-    it, and a lone accepted row among several is evaluated with its
-    whole block.
+    Each worker index owns an independent child stream of the seed,
+    drawn in blocks of `_BLOCK` rows into one reused buffer, so results
+    are bit-reproducible for a fixed (samples, seed, workers) triple.  A
+    block is `Generator.random` scaled by hi - lo and shifted by lo,
+    which equals `Generator.uniform(lo, hi)`; whole groups of rows are
+    scaled as rows of up to `_TILE` floats against the tiled spans and
+    lows, the same elementwise operations as the broadcast left for the
+    last few rows.  `region.mask` is called once per block with the box,
+    `f.value_many` on the accepted rows only, and their values and
+    squares are summed per block into the running totals.
     """
     if samples < 10_000:
         raise ValueError("samples must be at least 10000")
@@ -309,42 +294,28 @@ def integrate_mc(
     group = max(_TILE // d, 1)  # rows per tiled row
     tiled_spans, tiled_lows = np.tile(spans, group), np.tile(lows, group)
     counts = [samples // workers + (1 if w < samples % workers else 0) for w in range(workers)]
-    buffer = np.empty((min(max(counts), _BLOCK + 1), d))
+    buffer = np.empty((min(max(counts), _BLOCK), d))
 
     total = 0.0
     total_sq = 0.0
     hits = 0
     for w, count in enumerate(counts):
         rng = np.random.default_rng(np.random.SeedSequence((seed, w)))
-        remaining = count
-        while remaining > 0:
-            n = min(remaining, _CHUNK)
-            remaining -= n
-            vals = np.zeros(n)
-            start = 0
-            while start < n:
-                m = min(n - start, _BLOCK)
-                if n - start - m == 1:
-                    m += 1
-                # lo + (hi - lo) * U with U <= 1 - 2^-53 never rounds
-                # past hi, so every sample lies in the closed box.
-                pts = rng.random(out=buffer[:m])
-                tiled = m // group * group
-                body = pts[:tiled].reshape(-1, group * d)
-                body *= tiled_spans
-                body += tiled_lows
-                pts[tiled:] *= spans
-                pts[tiled:] += lows
-                keep = np.flatnonzero(region.mask(pts, box=box))
-                block = vals[start : start + m]
-                if len(keep) == 1 < m:
-                    block[keep] = f.value_many(pts)[keep]
-                else:
-                    block[keep] = f.value_many(pts.take(keep, axis=0))
-                hits += len(keep)
-                start += m
+        for start in range(0, count, _BLOCK):
+            m = min(count - start, _BLOCK)
+            # lo + (hi - lo) * U with U <= 1 - 2^-53 never rounds
+            # past hi, so every sample lies in the closed box.
+            pts = rng.random(out=buffer[:m])
+            tiled = m // group * group
+            body = pts[:tiled].reshape(-1, group * d)
+            body *= tiled_spans
+            body += tiled_lows
+            pts[tiled:] *= spans
+            pts[tiled:] += lows
+            vals = f.value_many(np.compress(region.mask(pts, box=box), pts, axis=0))
             total += float(vals.sum())
             total_sq += float(np.square(vals).sum())
+            hits += len(vals)
 
     if hits == 0:
         warnings.warn("no Monte Carlo sample hit the region; estimate degenerates to zero")

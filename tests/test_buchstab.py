@@ -357,8 +357,13 @@ class TestTable:
         assert float(lo2) <= 0.5 <= float(hi2)
 
 
-def derivative_bound(table, lo: float, hi: float) -> float:
-    """A certified bound on |omega'| over [lo, hi], grid points of `table` past 2, derived from the table.
+def grid_cell(m: int, k: int) -> Enclosure:
+    """The grid cell [u_k, u_{k+1}] = [1 + k/m, 1 + (k + 1)/m], its exact endpoints rounded outward."""
+    return Enclosure(buchstab._ratio_bounds(m + k, m)[0], buchstab._ratio_bounds(m + k + 1, m)[1])
+
+
+def derivative_cells(table, lo: float, hi: float) -> list[Enclosure]:
+    """Certified enclosures of omega' over the grid cells of [lo, hi], grid points of `table` past 2.
 
     There omega'(u) = (omega(u - 1) - omega(u)) / u.  Over each grid cell
     [u_k, u_k + h] both omegas are enclosed by `omega_enclosure` at the
@@ -371,12 +376,12 @@ def derivative_bound(table, lo: float, hi: float) -> float:
     pad = buchstab._up(buchstab.LIPSCHITZ_BOUND / m)
     # omega over the cells first - m, ..., last - 1: the delayed cells, then the cells of [lo, hi]
     omega = [omega_enclosure(table, (m + k + 0.5) / m).widen(pad) for k in range(first - m, last)]
-    worst = 0.0
-    for k in range(first, last):
-        u = Enclosure(buchstab._ratio_bounds(m + k, m)[0], buchstab._ratio_bounds(m + k + 1, m)[1])
-        slope = (omega[k - first] - omega[k - first + m]) / u
-        worst = max(worst, -slope.lo, slope.hi)
-    return worst
+    return [(omega[k - first] - omega[k - first + m]) / grid_cell(m, k) for k in range(first, last)]
+
+
+def derivative_bound(table, lo: float, hi: float) -> float:
+    """A certified bound on |omega'| over [lo, hi], grid points of `table` past 2, from `derivative_cells`."""
+    return max(max(-slope.lo, slope.hi) for slope in derivative_cells(table, lo, hi))
 
 
 class TestDerivativeConstants:
@@ -398,6 +403,48 @@ class TestDerivativeConstants:
         """|omega'| <= LIPSCHITZ_BOUND on [2, u_max]; on [1, 2] it is 1/u**2 <= 1."""
         bound = derivative_bound(table, 2.0, table.u_max)
         assert 0.25 <= bound <= buchstab.LIPSCHITZ_BOUND
+
+    def test_second_derivative_bound(self, table):
+        """|omega''| <= SECOND_DERIVATIVE_BOUND on [1, u_max - 1], the delayed arguments of `build_table`'s trapezoid steps.
+
+        On [1, 2], omega'' = 2/u**3 decreases from 2 at u = 1.  Past 2,
+        omega'' = (omega'(u - 1) - 2 omega'(u)) / u, with omega' enclosed
+        per grid cell: -1/u**2 over the cells of [1, 2], `derivative_cells`
+        past 2.  omega''(2+) = (-1 - 2/4)/2 = -3/4, and the bound past 2
+        stays below the 2 that u = 1 attains.
+        """
+        m = table.grid_den
+        slopes = [-(1 / (grid_cell(m, k) * grid_cell(m, k))) for k in range(m)]
+        slopes += derivative_cells(table, 2.0, table.u_max - 1.0)
+        past_two = 0.0
+        for k in range(m, len(slopes)):
+            curvature = (slopes[k - m] - 2 * slopes[k]) / grid_cell(m, k)
+            past_two = max(past_two, -curvature.lo, curvature.hi)
+        assert 0.75 <= past_two < 2 / 1**3 == buchstab.SECOND_DERIVATIVE_BOUND
+
+    def test_delay_kink_on_grid(self):
+        """u = 3 is a node of every grid `build_table` accepts that reaches it.
+
+        omega' jumps at u = 2, so the trapezoid integrand omega(s - 1)
+        has a kink at s = 3; the step error bound h^3/12 * max|omega''|
+        holds only where each step's integrand is smooth, so s = 3 must
+        end a step.  The node is index 2m, where the table encloses
+        omega(3) = (1 + log 2)/3.
+        """
+        reaching = 0
+        for step in (1e-3, 5e-4, 3e-4, 2.5e-4, 1 / 1024, 1 / 3000):
+            for u_max in (2.5, 3.0, 3.5, 4.0):
+                try:
+                    table = build_table(u_max=u_max, step=step)
+                except ValueError:
+                    continue
+                m = table.grid_den
+                if u_max < 3.0:
+                    assert len(table.values) - 1 < 2 * m
+                    continue
+                reaching += 1
+                assert table.values[2 * m].contains((1 + math.log(2)) / 3)
+        assert reaching == 15
 
 
 class TestPiecewiseBounds:

@@ -322,6 +322,17 @@ class TestOmega:
         results = json.loads(out.read_text())["results"]
         assert results["max_width"] > results["tol"] == 1e-12
 
+    def test_nan_tol_is_usage_error(self, tmp_path, capsys):
+        """A NaN tol, from the flag or from a config line, exits 2 before any table is built or report written."""
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("tol = nan\n")
+        out = tmp_path / "never.json"
+        for argv in (["omega", "--tol", "nan"], ["--config", str(cfg), "omega"]):
+            code, stdout, stderr = run_cli(argv + ["--u-max", "3", "--out", str(out)], capsys)
+            assert code == 2 and stdout == "", argv
+            assert "tol must be positive" in stderr
+        assert not out.exists()
+
 
 class TestRegions:
     def test_point_membership(self, tmp_path, capsys):

@@ -209,12 +209,13 @@ class TestMonteCarlo:
         assert calls and all(kw == {"box": box} for kw in calls)
 
 
-def full_chunk_mc(f, region, box, samples, seed, workers=1):
-    """(estimate, stderr, hits) of `integrate_mc`'s chunk loop drawn by rng.uniform and evaluated on every row.
+def per_block_mc(f, region, box, samples, seed, workers=1):
+    """(estimate, stderr, hits) of `integrate_mc`'s block loop drawn by rng.uniform and masked on the full tree.
 
-    The reference `integrate_mc` must match bit for bit: each chunk is
-    masked on the full tree (`region.mask(pts)`), every row is
-    evaluated, and np.where zeroes the rejected ones.
+    The reference `integrate_mc` must match bit for bit: each block of
+    `_BLOCK` rows is drawn by `rng.uniform`, masked on the full tree
+    (`region.mask(pts)`), and `value_many` evaluates the accepted rows,
+    whose values and squares are summed per block.
     """
     lows = np.array([lo for lo, _ in box])
     his = np.array([hi for _, hi in box])
@@ -224,53 +225,50 @@ def full_chunk_mc(f, region, box, samples, seed, workers=1):
     hits = 0
     for w, count in enumerate(counts):
         rng = np.random.default_rng(np.random.SeedSequence((seed, w)))
-        remaining = count
-        while remaining > 0:
-            n = min(remaining, quadrature._CHUNK)
-            remaining -= n
-            pts = rng.uniform(lows, his, size=(n, len(box)))
-            mask = region.mask(pts)
-            vals = np.where(mask, f.value_many(pts), 0.0)
+        for start in range(0, count, quadrature._BLOCK):
+            pts = rng.uniform(lows, his, size=(min(count - start, quadrature._BLOCK), len(box)))
+            vals = f.value_many(pts[region.mask(pts)])
             total += float(vals.sum())
             total_sq += float(np.square(vals).sum())
-            hits += int(mask.sum())
+            hits += len(vals)
     mean = total / samples
     variance = max(total_sq / samples - mean * mean, 0.0)
     return volume * mean, volume * math.sqrt(variance / samples), hits
 
 
-def same_as_full_chunk(est, reference) -> bool:
+def same_as_reference(est, reference) -> bool:
     estimate, stderr, _ = reference
     return (est.lower.hex(), est.upper.hex(), est.stderr.hex()) == (estimate.hex(), estimate.hex(), stderr.hex())
 
 
 class TestMonteCarloReference:
-    """integrate_mc, which evaluates only the accepted rows, against `full_chunk_mc`."""
+    """integrate_mc, which evaluates only the accepted rows, against `per_block_mc`."""
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("name", losses.LOSS_NAMES)
     def test_losses_match(self, name, workers):
         f, _, region, box = losses.integration_domain(name)
         est = integrate_mc(f, region, box, samples=200_000, seed=20240801, workers=workers)
-        reference = full_chunk_mc(f, region, box, 200_000, 20240801, workers)
-        assert same_as_full_chunk(est, reference) and est.boxes_used == 200_000
+        reference = per_block_mc(f, region, box, 200_000, 20240801, workers)
+        assert same_as_reference(est, reference) and est.boxes_used == 200_000
         assert reference[2] > 1000
 
     def test_several_chunks_per_worker(self, monkeypatch):
-        """Small chunks with a ragged last one, on the uneven three-worker split."""
-        monkeypatch.setattr(quadrature, "_CHUNK", 7_000)
+        """Blocks of 7,000 samples with a ragged last one, on the uneven three-worker split."""
+        monkeypatch.setattr(quadrature, "_BLOCK", 7_000)
         f, _, region, box = losses.integration_domain("b3")
         est = integrate_mc(f, region, box, samples=100_001, seed=11, workers=3)
-        assert same_as_full_chunk(est, full_chunk_mc(f, region, box, 100_001, 11, 3))
+        assert same_as_reference(est, per_block_mc(f, region, box, 100_001, 11, 3))
 
     def test_lone_accepted_row(self, monkeypatch):
-        """One accepted row per chunk gets the value the whole block's matrix product gives it.
+        """A block with one accepted row evaluates that row alone, as the reference does.
 
         numpy takes a one-row matrix product as a dot product, which on
-        some of these seeds sums the row in another order than the
-        matrix-vector product over the chunk.  The chunk is one block,
-        and then blocks of 999 rows, with the row in a block after the
-        first on every seed.
+        some of these seeds sums the row in another order than a
+        matrix-vector product over more rows.  The samples are one
+        block, and then blocks of 999 rows, with the row in a block
+        after the first on every seed; every other block sums to zero,
+        so the estimate does not depend on the block size.
         """
         coeffs = np.array([0.7, -1.3, 2.9, 0.45])
         f = Integrand(arity=4, enclosure=lambda box: Enclosure(0.0, 6.0), value_many=lambda pts: 1.0 + pts @ coeffs)
@@ -278,25 +276,24 @@ class TestMonteCarloReference:
         for seed in range(12):
             column = np.random.default_rng(np.random.SeedSequence((seed, 0))).random((10_000, 4))[:, 0]
             region = RegionPredicate("top row", 4, AndNode((LinearConstraint((1, 0, 0, 0), ">=", Fraction(column.max())),)))
-            reference = full_chunk_mc(f, region, box, 10_000, seed)
+            reference = per_block_mc(f, region, box, 10_000, seed)
             assert reference[2] == 1 and column.argmax() >= 999
             for block in (quadrature._BLOCK, 999):
                 with monkeypatch.context() as patch:
                     patch.setattr(quadrature, "_BLOCK", block)
                     est = integrate_mc(f, region, box, samples=10_000, seed=seed)
-                assert same_as_full_chunk(est, reference)
+                assert same_as_reference(est, reference)
 
-    @pytest.mark.parametrize("workers, samples", [(1, 24_001), (3, 30_005)])
-    @pytest.mark.parametrize("block", [1_000, 2_333])
+    @pytest.mark.parametrize("workers, samples", [(1, 24_001), (3, 30_005), (2, 2 * ((1 << 16) + 1))])
+    @pytest.mark.parametrize("block", [1_000, 2_333, 1 << 16])
     def test_block_boundaries(self, monkeypatch, block, workers, samples):
-        """Blocks inside chunks, ragged last blocks and a one-row remainder joined to the block before it.
+        """Full blocks, ragged last blocks and one-row last blocks, in order, per worker.
 
-        With `_CHUNK` = 7,000 every full chunk is three blocks of 2,333
-        and one row, and the last chunks of 3,001 and 3,002 rows end one
-        row or two past a multiple of 1,000.  No block is one row, and
-        every case has a block of `_BLOCK` + 1 rows.
+        At `_BLOCK` = 1,000 one worker's 24,001 samples and the third
+        worker's 10,001 of 30,005 end in a one-row block, and at the
+        real `_BLOCK` = 2^16 so do both workers' 65,537; the other cases
+        end in a ragged block or fit in one.
         """
-        monkeypatch.setattr(quadrature, "_CHUNK", 7_000)
         monkeypatch.setattr(quadrature, "_BLOCK", block)
         f, _, region, box = losses.integration_domain("b3")
         rows = []
@@ -307,17 +304,19 @@ class TestMonteCarloReference:
 
         stub = SimpleNamespace(arity=region.arity, mask=mask)
         est = integrate_mc(f, stub, box, samples=samples, seed=13, workers=workers)
-        reference = full_chunk_mc(f, region, box, samples, 13, workers)
-        assert same_as_full_chunk(est, reference) and reference[2] > 100
-        assert sum(rows) == samples and min(rows) > 1 and max(rows) == block + 1
+        reference = per_block_mc(f, region, box, samples, 13, workers)
+        assert same_as_reference(est, reference) and reference[2] > 100
+        counts = [samples // workers + (1 if w < samples % workers else 0) for w in range(workers)]
+        assert rows == [min(block, count - start) for count in counts for start in range(0, count, block)]
+        assert sum(rows) == samples
 
     def test_zero_hits(self):
         """A box the region meets only in a corner: the walk ends after its one child, and the warning fires."""
         box = ((0.25, 1.0), (0.25, 1.0))
         with pytest.warns(UserWarning, match="hit the region"):
             est = integrate_mc(linear_t1(), halfspace_region(), box, samples=20_000, seed=8, workers=3)
-        reference = full_chunk_mc(linear_t1(), halfspace_region(), box, 20_000, 8, 3)
-        assert reference[2] == 0 and same_as_full_chunk(est, reference) and est.lower == 0.0
+        reference = per_block_mc(linear_t1(), halfspace_region(), box, 20_000, 8, 3)
+        assert reference[2] == 0 and same_as_reference(est, reference) and est.lower == 0.0
 
 
 INVALID_BOXES = {

@@ -776,8 +776,7 @@ class TestMaskMemo:
         assert differ >= 3
 
     def test_plan_built_once_per_integrate_mc_call(self, monkeypatch):
-        """Several workers, chunks and blocks in one box build the box's residual once, and a second call not again."""
-        monkeypatch.setattr(quadrature, "_CHUNK", 7_000)
+        """Several workers and blocks in one box build the box's residual once, and a second call not again."""
         monkeypatch.setattr(quadrature, "_BLOCK", 1_000)
         real = regions._tree_residual
         for name in LOSS_NAMES:
@@ -797,7 +796,7 @@ class TestMaskMemo:
             monkeypatch.setattr(regions, "_tree_residual", spy)
             stub = SimpleNamespace(arity=region.arity, mask=mask)
             first = integrate_mc(f, stub, box, samples=30_005, seed=1, workers=3)
-            assert len(built) == 1 and len(masked) == 32
+            assert len(built) == 1 and len(masked) == 33
             second = integrate_mc(f, stub, box, samples=30_005, seed=1, workers=3)
             assert len(built) == 1 and first == second
 
