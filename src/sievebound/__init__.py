@@ -11,124 +11,9 @@ The package has three layers:
   * an exact integer harness that re-derives every decomposition
     identity termwise on a dyadic window (sieve_harness).
 
-The command line front end lives in sievebound.cli.
+The command line front end lives in sievebound.cli.  The package
+namespace holds only __version__: import every other name from its
+module, as in `from sievebound import losses`.
 """
 
-from .buchstab import (
-    BRANCH_CEILING,
-    BRANCH_FLOOR,
-    PLATEAU_LOWER,
-    PLATEAU_UPPER,
-    BuchstabTable,
-    SoundnessError,
-    Enclosure,
-    OMEGA_LOWER,
-    OMEGA_UPPER,
-    build_table,
-    dump_table_csv,
-    omega_bound,
-    omega_bound_range,
-    omega_enclosure,
-)
-from .losses import (
-    DEFAULT_BUDGETS,
-    DEFAULT_TOLS,
-    LOSS_NAMES,
-    LossLedger,
-    TARGETS,
-    assemble_ledger,
-    integration_domain,
-    loss_a3,
-    loss_b3,
-    loss_c,
-    loss_mc,
-    verified_loss,
-)
-from .quadrature import (
-    Integrand,
-    IntegralEstimate,
-    MONTE_CARLO,
-    RIGOROUS,
-    integrate_mc,
-    integrate_rigorous,
-)
-from .regions import (
-    PAIR_BASE,
-    REGION_A,
-    REGION_B,
-    REGION_C,
-    REGION_U_A3,
-    REGION_U_B3,
-    RegionPredicate,
-    TYPE_II_STRIP,
-    catalog_json,
-    region_catalog,
-    type_i_feasible,
-    type_ii_feasible,
-)
-from .sieve_harness import (
-    DecompositionRecord,
-    SieveContext,
-    build_context,
-    decompose,
-    harness_report,
-    psi,
-    window_term,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BRANCH_CEILING",
-    "BRANCH_FLOOR",
-    "BuchstabTable",
-    "DEFAULT_BUDGETS",
-    "DEFAULT_TOLS",
-    "DecompositionRecord",
-    "Enclosure",
-    "Integrand",
-    "IntegralEstimate",
-    "LOSS_NAMES",
-    "LossLedger",
-    "MONTE_CARLO",
-    "OMEGA_LOWER",
-    "OMEGA_UPPER",
-    "PAIR_BASE",
-    "PLATEAU_LOWER",
-    "PLATEAU_UPPER",
-    "REGION_A",
-    "REGION_B",
-    "REGION_C",
-    "REGION_U_A3",
-    "REGION_U_B3",
-    "RIGOROUS",
-    "RegionPredicate",
-    "SieveContext",
-    "SoundnessError",
-    "TARGETS",
-    "TYPE_II_STRIP",
-    "assemble_ledger",
-    "build_context",
-    "build_table",
-    "catalog_json",
-    "decompose",
-    "dump_table_csv",
-    "harness_report",
-    "integrate_mc",
-    "integrate_rigorous",
-    "integration_domain",
-    "loss_a3",
-    "loss_b3",
-    "loss_c",
-    "loss_mc",
-    "omega_bound",
-    "omega_bound_range",
-    "omega_enclosure",
-    "psi",
-    "region_catalog",
-    "type_i_feasible",
-    "type_ii_feasible",
-    "verified_loss",
-    "window_term",
-    "__version__",
-]

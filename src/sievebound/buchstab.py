@@ -338,6 +338,16 @@ def omega_bound(bound: PiecewiseBound, u: float) -> Enclosure:
     return omega_bound_range(bound, Enclosure(u))
 
 
+def _grid_den(step: float) -> int:
+    """The grid denominator m = round(1/step) of a step in (0, 1e-3] that divides 1 to float precision."""
+    if not 0.0 < step <= 1e-3:
+        raise ValueError("step must lie in (0, 1e-3]")
+    m = round(1.0 / step)
+    if abs(m * step - 1.0) > 1e-9:
+        raise ValueError("step must divide 1 to float precision")
+    return m
+
+
 def branch_expression_range(step: float = 2e-4) -> Enclosure:
     """Certified range of the closed-form branch over [3, 4].
 
@@ -352,11 +362,7 @@ def branch_expression_range(step: float = 2e-4) -> Enclosure:
     That band is what the range certifies, so a range leaving it raises
     SoundnessError.
     """
-    if not 0.0 < step <= 1e-3:
-        raise ValueError("step must lie in (0, 1e-3]")
-    m = round(1.0 / step)
-    if abs(m * step - 1.0) > 1e-9:
-        raise ValueError("step must divide 1 to float precision")
+    m = _grid_den(step)
     lo_min = math.inf
     hi_max = -math.inf
     for k in range(m + 1):
@@ -406,13 +412,9 @@ def build_table(u_max: float = 8.0, step: float = 1e-4) -> BuchstabTable:
     entry is checked to lie in (0, inf), which also proves its dividend
     was positive, and SoundnessError is raised otherwise.
     """
-    if not 0.0 < step <= 1e-3:
-        raise ValueError("step must lie in (0, 1e-3]")
+    m = _grid_den(step)
     if not 2.0 <= u_max <= 64.0:
         raise ValueError("u_max must lie in [2, 64]")
-    m = round(1.0 / step)
-    if abs(m * step - 1.0) > 1e-9:
-        raise ValueError("step must divide 1 to float precision")
     span = (u_max - 1.0) * m
     last = round(span)
     if abs(span - last) > 1e-6:

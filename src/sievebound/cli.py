@@ -87,8 +87,6 @@ def _resolve(
 
 # Significant digits of every float in a JSON report.
 _DIGITS = 12
-_FLOOR = decimal.Context(prec=_DIGITS, rounding=decimal.ROUND_FLOOR)
-_CEILING = decimal.Context(prec=_DIGITS, rounding=decimal.ROUND_CEILING)
 
 
 def _low(value: float) -> float:
@@ -97,12 +95,12 @@ def _low(value: float) -> float:
     Round to nearest is monotone, so the float nearest the rounded-down
     decimal is still <= value, and `_round_floats` leaves it unchanged.
     """
-    return float(_FLOOR.plus(decimal.Decimal(value)))
+    return float(_directed_text(value, f".{_DIGITS - 1}e", decimal.ROUND_FLOOR))
 
 
 def _high(value: float) -> float:
     """A certified upper endpoint rounded up to the report's digits (see `_low`)."""
-    return float(_CEILING.plus(decimal.Decimal(value)))
+    return float(_directed_text(value, f".{_DIGITS - 1}e", decimal.ROUND_CEILING))
 
 
 def _directed_text(value: float, spec: str, rounding: str) -> str:
@@ -168,8 +166,11 @@ def _emit_report(results: dict, config: dict, out_path: str | None) -> None:
     }
     text = json.dumps(_round_floats(report), indent=2, sort_keys=True)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write report {out_path}: {exc}") from exc
     else:
         print(text)
 
@@ -353,7 +354,10 @@ def _cmd_omega(args, config: dict[str, str]) -> int:
             }
         )
     if args.csv:
-        buchstab.dump_table_csv(table, args.csv)
+        try:
+            buchstab.dump_table_csv(table, args.csv)
+        except OSError as exc:
+            raise CliError(f"cannot write table {args.csv}: {exc}") from exc
         print(f"[INFO] wrote {len(table.values)} rows to {args.csv}")
     _emit_report(results, {"command": "omega", "u_max": u_max, "step": step, "tol": tol}, args.out)
     return 0 if all_ok else 1

@@ -31,7 +31,9 @@ argument table (`_ARGUMENTS`) it establishes, on region intersect box:
              N - 2 D > 0 by 0 on every leaf, within RANGE_LEAF_BUDGET boxes.
 
 It raises SoundnessError otherwise.  Over PAIR_BASE on [3/19, 8/19]^2,
-for example, the argument of loss_c reaches 13/3.  Rigorous runs and
+for example, the argument of loss_c reaches 13/3.  So `verified_loss`
+is the one certified entry for a loss: a sandwich integrated without
+that check bounds the rational kernel, not the loss.  Rigorous runs and
 Monte Carlo both use the one rational integrand per loss, a
 `ReciprocalProduct`: its interval extension bounds the value on a leaf,
 a fourth-order mean-value form the average over a leaf inside the
@@ -83,9 +85,6 @@ __all__ = [
     "LossLedger",
     "check_argument_range",
     "integration_domain",
-    "loss_a3",
-    "loss_b3",
-    "loss_c",
     "loss_mc",
     "verified_loss",
     "assemble_ledger",
@@ -409,21 +408,6 @@ def integration_domain(name: str) -> tuple[Integrand, tuple, RegionPredicate, Bo
 def _run(name: str, budget: int, tol: float) -> IntegralEstimate:
     integrand, _, region, box = integration_domain(name)
     return integrate_rigorous(integrand, region, box, budget=budget, tol=tol)
-
-
-def loss_a3(budget: int = DEFAULT_BUDGETS["a3"], tol: float = DEFAULT_TOLS["a3"]) -> IntegralEstimate:
-    """Certified sandwich for the first discard integral (four variables)."""
-    return _run("a3", budget, tol)
-
-
-def loss_b3(budget: int = DEFAULT_BUDGETS["b3"], tol: float = DEFAULT_TOLS["b3"]) -> IntegralEstimate:
-    """Certified sandwich for the reversed-roles discard integral (four variables)."""
-    return _run("b3", budget, tol)
-
-
-def loss_c(budget: int = DEFAULT_BUDGETS["c"], tol: float = DEFAULT_TOLS["c"]) -> IntegralEstimate:
-    """Certified sandwich for the dominant two-variable discard integral."""
-    return _run("c", budget, tol)
 
 
 def loss_mc(name: str, samples: int = 10**7, seed: int = 20240801, workers: int = 1) -> IntegralEstimate:

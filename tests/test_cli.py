@@ -311,6 +311,13 @@ class TestOmega:
         code, _, stderr = run_cli(["omega", "--step", "0.5"], capsys)
         assert code == 2
 
+    def test_unwritable_csv_is_usage_error(self, tmp_path, capsys):
+        """A --csv path in a missing directory exits 2 with one error line, not a traceback and exit 1."""
+        csv_path = tmp_path / "missing" / "table.csv"
+        code, _, stderr = run_cli(["omega", "--u-max", "3", "--step", "1e-3", "--csv", str(csv_path)], capsys)
+        assert code == 2
+        assert stderr.startswith("error: cannot write table") and stderr.count("\n") == 1
+
     def test_too_wide_table_fails_verdict(self, tmp_path, capsys):
         out = tmp_path / "omega.json"
         code, stdout, stderr = run_cli(
@@ -362,6 +369,13 @@ class TestRegions:
         report = json.loads(out.read_text())
         names = {entry["name"] for entry in report["results"]["catalog"]["regions"]}
         assert "u_b3" in names
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        """An --out path in a missing directory exits 2 with one error line, not a traceback and exit 1."""
+        out = tmp_path / "missing" / "regions.json"
+        code, stdout, stderr = run_cli(["regions", "--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error: cannot write report") and stderr.count("\n") == 1
 
     def test_arity_mismatch_point(self, capsys):
         code, _, stderr = run_cli(["regions", "--point", "0.2,0.2,0.2"], capsys)

@@ -176,8 +176,8 @@ class TestCertifiedRuns:
             assert escalations == 0 and not est.exhausted
 
     def test_determinism(self):
-        a = losses.loss_a3(budget=2000, tol=1e-9)
-        b = losses.loss_a3(budget=2000, tol=1e-9)
+        a = losses._run("a3", budget=2000, tol=1e-9)
+        b = losses._run("a3", budget=2000, tol=1e-9)
         assert (a.lower, a.upper, a.boxes_used) == (b.lower, b.upper, b.boxes_used)
 
 
