@@ -249,26 +249,22 @@ def _cmd_verify(args, config: dict[str, str]) -> int:
 
     if "total" in wanted:
         if mode == quadrature.RIGOROUS:
-            ledger = losses.assemble_ledger(
-                estimates["a3"], estimates["b3"], estimates["c"]
-            )
-            ok_total = ledger.total_upper < losses.TARGETS["total"]
-            ok_kept = ledger.retained_lower > losses.TARGETS["retained"]
+            ledger = losses.assemble_ledger(*(estimates[n] for n in losses.LOSS_NAMES))
             all_ok &= _verdict(
-                ok_total,
+                ledger.all_within("total"),
                 "total loss",
                 f"upper {high_text(ledger.total_upper, '.9f')} < {losses.TARGETS['total']}",
             )
             all_ok &= _verdict(
-                ok_kept,
+                ledger.all_within("retained"),
                 "retained fraction",
-                f"lower {low_text(ledger.retained_lower, '.9f')} > {losses.TARGETS['retained']}",
+                f"lower {low_text(ledger.retained_lower, '.9f')} >= {losses.TARGETS['retained']}",
             )
             results["total"] = {
                 "total_upper": _high(ledger.total_upper),
                 "retained_lower": _low(ledger.retained_lower),
                 "margins": {k: _low(v) for k, v in ledger.margins().items()},
-                "pass": ok_total and ok_kept,
+                "pass": ledger.all_within("total", "retained"),
             }
         else:
             total = sum(results["losses"][n]["estimate"] for n in losses.LOSS_NAMES)
@@ -481,6 +477,11 @@ def exit_status(run, *args) -> int:
 
 def _run_command(args) -> int:
     config = _read_config(args.config) if args.config else {}
+    # Checked before any work, so no verdict line precedes a bad path; the final writes keep their own checks.
+    for what, path in (("report", args.out), ("table", getattr(args, "csv", None))):
+        parent = os.path.dirname(os.path.abspath(path or "."))
+        if path and not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+            raise CliError(f"cannot write {what} {path}: {parent} is not a writable directory")
     return args.func(args, config)
 
 

@@ -216,6 +216,13 @@ class TestVerify:
             assert "workers must be at least 1" in stderr
         assert not out.exists()
 
+    def test_missing_out_dir_fails_before_any_work(self, tmp_path, capsys):
+        """A missing --out directory exits 2 before the loss is certified, so no verdict line is printed."""
+        out = tmp_path / "missing" / "v.json"
+        code, stdout, stderr = run_cli(["verify", "--targets", "c", "--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error: cannot write report") and stderr.count("\n") == 1
+
     def test_bad_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "broken.cfg"
         cfg.write_text("this line has no equals\n")
@@ -270,6 +277,12 @@ class TestHarness:
         assert code == 1 and stdout == ""
         assert "error: soundness failure: window term" in stderr
 
+    def test_missing_out_dir_fails_before_the_scan(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "h.json"
+        code, stdout, stderr = run_cli(["harness", "--x", "10000", "--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error: cannot write report")
+
     def test_bad_x(self, capsys):
         code, _, stderr = run_cli(["harness", "--x", "12"], capsys)
         assert code == 2
@@ -317,6 +330,15 @@ class TestOmega:
         code, _, stderr = run_cli(["omega", "--u-max", "3", "--step", "1e-3", "--csv", str(csv_path)], capsys)
         assert code == 2
         assert stderr.startswith("error: cannot write table") and stderr.count("\n") == 1
+
+    def test_missing_csv_dir_fails_before_the_table(self, tmp_path, capsys):
+        """The --csv directory is checked before the table is built and judged."""
+        csv_path = tmp_path / "missing" / "t.csv"
+        code, stdout, _ = run_cli(
+            ["omega", "--u-max", "3", "--step", "1e-3", "--tol", "2e-7", "--csv", str(csv_path)], capsys
+        )
+        assert code == 2
+        assert "[PASS] table enclosure width" not in stdout and stdout == ""
 
     def test_too_wide_table_fails_verdict(self, tmp_path, capsys):
         out = tmp_path / "omega.json"

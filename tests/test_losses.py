@@ -505,11 +505,24 @@ class TestClippedAverage:
 
 class TestArgumentRange:
     def test_check_passes_for_every_loss(self):
+        counts = {}
         for name in losses.LOSS_NAMES:
             _, arguments, region, box = losses.integration_domain(name)
-            visited = losses.check_argument_range(region, box, arguments)
-            assert len(visited) == len(arguments)
-            assert max(visited) <= 32
+            counts[name] = losses.check_argument_range(region, box, arguments)
+        assert counts == {"a3": (1,), "b3": (1, 7), "c": (13,)}
+
+    def test_proof_bypasses_the_traced_name(self, monkeypatch):
+        """The range proof calls quadrature.integrate_rigorous, so a wrapper on the losses name sees loss runs only."""
+        real = losses.integrate_rigorous
+        seen = []
+
+        def watching(f, region, *args, **kwargs):
+            seen.append(region.name)
+            return real(f, region, *args, **kwargs)
+
+        monkeypatch.setattr(losses, "integrate_rigorous", watching)
+        losses.verified_loss("c", tol=1e-3)
+        assert seen == ["region_c"]
 
     def test_rejects_c_over_pair_base(self):
         """Over the whole base pair square the loss c argument reaches 13/3."""
@@ -601,6 +614,23 @@ class TestLedger:
         margins = ledger.margins()
         assert set(margins) >= {"a3", "b3", "c", "total"}
         assert all(m > 0 for m in margins.values())
+
+    def test_verdict_rule_at_the_edges(self):
+        """Total must stay strictly below 0.25; retained may equal 0.75; a loss may equal its target."""
+        ests = {name: IntegralEstimate(lower=0.0, upper=losses.TARGETS[name], boxes_used=1, mode=RIGOROUS)
+                for name in losses.LOSS_NAMES}
+        ledger = losses.LossLedger(
+            loss_a3=ests["a3"],
+            loss_b3=ests["b3"],
+            loss_c=ests["c"],
+            total_upper=0.25,
+            retained_lower=0.75,
+            targets=dict(losses.TARGETS),
+        )
+        assert not ledger.all_within("total")
+        assert ledger.all_within("retained")
+        assert ledger.all_within("a3", "b3", "c", "retained")
+        assert not ledger.all_within()
 
     def test_ledger_refuses_monte_carlo(self):
         fake = IntegralEstimate(
