@@ -30,6 +30,21 @@ The piecewise bounds `OMEGA_LOWER` and `OMEGA_UPPER` agree with omega on
 [1, 3), equal the closed form on [3, 4) (sanity-clamped to
 [0.5607, 0.5644]), and flatten to the constants 0.5612 and 0.5617 for
 u >= 4, bracketing the asymptotic value exp(-euler_gamma) = 0.56145...
+
+`build_table` and `branch_expression_range` are numpy array kernels.
+They make the same IEEE operations in the same order as `Enclosure`
+arithmetic point by point, with np.nextafter for every outward
+rounding, so each result is bit-identical to the scalar form (the
+tests keep that form as their oracle).  Points are processed in chunks
+of at most min(m, 1024) rows, m the grid denominator, which bounds the
+temporaries.  Exact grid bounds 1 + k/m come from `_grid_bounds`, a
+vectorised `_ratio_bounds` whose side test is Dekker's exact product.
+Logs stay math.log, one element at a time, because np.log is another
+implementation whose last ulp can differ from the libm that
+`_log_bound`'s allowance was argued for.  Only the table recurrence
+v_{k+1} = (v_k g_k + e_k) / g_{k+1} stays a scalar loop, since each
+entry needs the one before it; its delayed increments e_k read entries
+m steps back and are computed for a whole chunk at once.
 """
 
 from __future__ import annotations
@@ -37,9 +52,10 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 __all__ = [
     "SoundnessError",
@@ -79,9 +95,11 @@ LIPSCHITZ_BOUND = 1.0
 BRANCH_DERIVATIVE_BOUND = 0.022
 
 
-# Rounding directions for math.nextafter in the float-pair kernels.
+# Rounding directions for math.nextafter and np.nextafter in the float-pair
+# and array kernels; _OUTWARD rounds a (lo, hi) pair outward.
 _DOWN = -math.inf
 _UP = math.inf
+_OUTWARD = np.array([_DOWN, _UP])
 
 
 def _down(v: float) -> float:
@@ -207,12 +225,51 @@ def _ratio_bounds(num: int, den: int) -> tuple[float, float]:
     return (f, _up(f)) if side < 0 else (_down(f), f)
 
 
-def _log_bound(x: float, side: float) -> float:
-    """Lower (side = _DOWN) or upper (side = _UP) bound on log(x), x > 0 (see log_enc)."""
-    y = math.log(x)
-    y += math.copysign(abs(y) * 1e-14, side)
+# Veltkamp's splitting factor 2^27 + 1: x * _SPLIT splits a float into
+# two halves of at most 26 bits each, whose products are exact.
+_SPLIT = 134217729.0
+
+
+def _split(x):
+    c = x * _SPLIT
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _grid_bounds(num: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise `_ratio_bounds(num, den)` for integers 0 < num, den < 2^53 (arrays lo, hi).
+
+    Both are exact floats, so f = num / den is the same correctly rounded
+    division, and the side test needs the sign of f * den - num.
+    Dekker's TwoProduct gives f * den = p + e exactly, with p = fl(f * den)
+    (no overflow or underflow at these magnitudes); p - num is exact by
+    Sterbenz's lemma, p lying within a few ulps of num; and a float sum
+    of two floats has the sign of their exact sum, so (p - num) + e has
+    the sign of f - num/den.
+    """
+    if not (0 < num.min() and num.max() < 2**53 and 0 < den < 2**53):
+        raise ValueError("grid numerators and denominator must lie in (0, 2^53)")
+    n = num.astype(float)
+    d = float(den)
+    f = n / d
+    p = f * d
+    f_hi, f_lo = _split(f)
+    d_hi, d_lo = _split(d)
+    side = (p - n) + (((f_hi * d_hi - p) + f_hi * d_lo + f_lo * d_hi) + f_lo * d_lo)
+    return np.where(side > 0.0, np.nextafter(f, _DOWN), f), np.where(side < 0.0, np.nextafter(f, _UP), f)
+
+
+def _log_bound(x: np.ndarray, side) -> np.ndarray:
+    """Lower (side = _DOWN) or upper (side = _UP) bounds on log(x), x > 0, elementwise (see log_enc).
+
+    side is one direction or an array of them.  Each log is math.log of
+    one element: np.log is another implementation, whose last ulp can
+    differ from the libm the allowance below was argued for.
+    """
+    y = np.fromiter(map(math.log, x.tolist()), float, len(x))
+    y += np.copysign(np.abs(y) * 1e-14, side)
     for _ in range(4):
-        y = math.nextafter(y, side)
+        y = np.nextafter(y, side)
     return y
 
 
@@ -225,7 +282,7 @@ def log_enc(x: Enclosure) -> Enclosure:
     """
     if x.lo <= 0.0:
         raise ValueError("log requires a strictly positive enclosure")
-    return Enclosure(_log_bound(x.lo, _DOWN), _log_bound(x.hi, _UP))
+    return Enclosure(*_log_bound(np.array([x.lo, x.hi]), _OUTWARD).tolist())
 
 
 # Terms of the Li2 series that `_li2_bound` sums.  For 0 < v <= 1/2 the
@@ -245,48 +302,74 @@ def _expr_23(u: Enclosure) -> Enclosure:
     return (1.0 + log_enc(u - 1.0)) / u
 
 
-def _li2_bound(v: float, side: float) -> float:
-    """Lower (side = _DOWN) or upper (side = _UP) bound on Li2(v), 0 < v <= 1/2.
+def _li2_bound(v: np.ndarray, side: float) -> np.ndarray:
+    """Lower (side = _DOWN) or upper (side = _UP) bounds on Li2(v), 0 < v <= 1/2, elementwise.
 
     Horner's rule on the first LI2_TERMS terms of sum v^k/k^2, all
     positive, rounding each step toward side; the upper bound adds LI2_TAIL.
     """
     s = 0.0
     for c in _INV_SQUARES_HI if side == _UP else _INV_SQUARES_LO:
-        s = math.nextafter(math.nextafter(s + c, side) * v, side)
-    return _up(s + LI2_TAIL) if side == _UP else s
+        s = np.nextafter(np.nextafter(s + c, side) * v, side)
+    return np.nextafter(s + LI2_TAIL, _UP) if side == _UP else s
 
 
-def _log_integral_bound(u: float, side: float) -> float:
-    """Lower (side = _DOWN) or upper (side = _UP) bound on J(u), 3 <= u <= 4.
+def _log_integral_bound(u: np.ndarray, side: float) -> np.ndarray:
+    """Lower (side = _DOWN) or upper (side = _UP) bounds on J(u), 3 <= u <= 4, elementwise.
 
     The dilogarithm form with w = u - 1 (exact): log w >= log 2 > 0 keeps
     its direction when squared, and 1/w <= 1/2 lets its bound be capped there.
     """
     w = u - 1.0
     log_w = _log_bound(w, side)
-    half_sq = math.nextafter(log_w * log_w, side) * 0.5  # halving is exact
-    li2 = _li2_bound(min(math.nextafter(1.0 / w, side), 0.5), side)
+    half_sq = np.nextafter(log_w * log_w, side) * 0.5  # halving is exact
+    li2 = _li2_bound(np.minimum(np.nextafter(1.0 / w, side), 0.5), side)
     pi_term = PI_SQ_OVER_12.lo if side == _UP else PI_SQ_OVER_12.hi
-    return math.nextafter(math.nextafter(half_sq + li2, side) - pi_term, side)
+    return np.nextafter(np.nextafter(half_sq + li2, side) - pi_term, side)
 
 
 def _log_integral(u: float) -> Enclosure:
     """Enclosure of J(u) = integral of log(t - 1)/t over [2, u - 1], 3 <= u <= 4."""
     if not 3.0 <= u <= 4.0:
         raise ValueError("log integral is defined for u in [3, 4]")
-    return Enclosure(_log_integral_bound(u, _DOWN), _log_integral_bound(u, _UP))
+    point = np.array([u])
+    return Enclosure(_log_integral_bound(point, _DOWN).item(), _log_integral_bound(point, _UP).item())
+
+
+def _quotient(n_lo: np.ndarray, n_hi: np.ndarray, d_lo: np.ndarray, d_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise `Enclosure` quotient [n_lo, n_hi] / [d_lo, d_hi] for d_lo > 0: all four endpoint quotients."""
+    q = (n_lo / d_lo, n_lo / d_hi, n_hi / d_lo, n_hi / d_hi)
+    lo = np.minimum(np.minimum(q[0], q[1]), np.minimum(q[2], q[3]))
+    hi = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
+    return np.nextafter(lo, _DOWN), np.nextafter(hi, _UP)
+
+
+def _branch_bounds(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise enclosures (lo, hi) of the closed form (1 + log(u - 1) + J(u))/u over u in [a, b], 3 <= a <= b <= 4.
+
+    The `Enclosure` operations of (1 + log_enc(seg - 1.0)) / seg + J / seg
+    on seg = [a, b], in the same order, so each pair equals that
+    expression's endpoints bit for bit.  J is nondecreasing (its
+    integrand is nonnegative on [2, 3]), so a lower bound at a and an
+    upper bound at b bound it over the segment.  Every operation keeps a
+    non-finite operand non-finite, so the one check at the end raises
+    where an intermediate `Enclosure` would have.
+    """
+    log_lo = _log_bound(np.nextafter(a - 1.0, _DOWN), _DOWN)
+    log_hi = _log_bound(np.nextafter(b - 1.0, _UP), _UP)
+    expr_lo, expr_hi = _quotient(np.nextafter(log_lo + 1.0, _DOWN), np.nextafter(log_hi + 1.0, _UP), a, b)
+    j_lo, j_hi = _quotient(_log_integral_bound(a, _DOWN), _log_integral_bound(b, _UP), a, b)
+    lo = np.nextafter(expr_lo + j_lo, _DOWN)
+    hi = np.nextafter(expr_hi + j_hi, _UP)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("enclosure endpoints must be finite")
+    return lo, hi
 
 
 def _branch_34(a: float, b: float) -> Enclosure:
-    """Enclosure of the closed form (1 + log(u - 1) + J(u))/u over u in [a, b], 3 <= a <= b <= 4.
-
-    J is nondecreasing (its integrand is nonnegative on [2, 3]), so a
-    lower bound at a and an upper bound at b bound it over the segment.
-    """
-    seg = Enclosure(a, b)
-    j_range = Enclosure(_log_integral_bound(a, _DOWN), _log_integral_bound(b, _UP))
-    return _expr_23(seg) + j_range / seg
+    """Enclosure of the closed form (1 + log(u - 1) + J(u))/u over u in [a, b], 3 <= a <= b <= 4."""
+    lo, hi = _branch_bounds(np.array([a]), np.array([b]))
+    return Enclosure(lo.item(), hi.item())
 
 
 @dataclass(frozen=True, slots=True)
@@ -348,11 +431,28 @@ def _grid_den(step: float) -> int:
     return m
 
 
+# Rows per chunk of the array kernels `branch_expression_range` and
+# `build_table`, at most the grid denominator m: a chunk of table steps
+# reads the entries m steps back, which are all known when the chunk
+# starts only if it has at most m rows.  Chunks of 1024 rows keep each
+# temporary at 8 KB, so the kernels' peak memory stays the scalar loop's.
+_CHUNK = 1024
+
+
+def _chunks(start: int, stop: int, m: int):
+    """(first, end) of consecutive chunks of at most min(m, _CHUNK) indices covering range(start, stop)."""
+    size = min(m, _CHUNK)
+    for first in range(start, stop, size):
+        yield first, min(first + size, stop)
+
+
 def branch_expression_range(step: float = 2e-4) -> Enclosure:
     """Certified range of the closed-form branch over [3, 4].
 
     Encloses the closed form at each grid point 3 + k * step
-    (`_branch_34`) and fills the gaps between grid points with the
+    (`_branch_bounds` on the exact grid bounds from `_grid_bounds`, a
+    chunk of at most min(m, 1024) points per call, with their logs from
+    math.log per element) and fills the gaps between grid points with the
     derivative bound |omega'| <= BRANCH_DERIVATIVE_BOUND = 0.022 on
     [3, 4].  There omega'(u) = (omega(u-1) - omega(u))/u with u >= 3,
     omega(u-1) in [0.5, 0.5672] (omega peaks at about 0.56714 near
@@ -365,10 +465,10 @@ def branch_expression_range(step: float = 2e-4) -> Enclosure:
     m = _grid_den(step)
     lo_min = math.inf
     hi_max = -math.inf
-    for k in range(m + 1):
-        expr = _branch_34(*_ratio_bounds(3 * m + k, m))
-        lo_min = min(lo_min, expr.lo)
-        hi_max = max(hi_max, expr.hi)
+    for start, stop in _chunks(0, m + 1, m):
+        lo, hi = _branch_bounds(*_grid_bounds(np.arange(3 * m + start, 3 * m + stop), m))
+        lo_min = min(lo_min, lo.min().item())
+        hi_max = max(hi_max, hi.max().item())
     fill = _up(BRANCH_DERIVATIVE_BOUND * step * 0.5)
     out = Enclosure(_down(lo_min - fill), _up(hi_max + fill))
     if not BRANCH_FLOOR <= out.lo <= out.hi <= BRANCH_CEILING:
@@ -405,12 +505,19 @@ def build_table(u_max: float = 8.0, step: float = 1e-4) -> BuchstabTable:
     by the trapezoid error bound h^3/12 * max|omega''| <= h^3/6 per step.
     The caller judges max_width against the width it needs.
 
-    The recurrence runs on float lo/hi lists rounded outward after every
+    The recurrence runs on float lo/hi arrays rounded outward after every
     operation, the same operations `Enclosure` arithmetic would make.
     Every operand of a product or quotient is positive, so an interval
     product is lo*lo and hi*hi, and a quotient lo/hi and hi/lo; each new
     entry is checked to lie in (0, inf), which also proves its dividend
     was positive, and SoundnessError is raised otherwise.
+
+    Steps run in chunks of at most min(m, 1024).  Within a chunk the grid
+    bounds (`_grid_bounds`, exact) and the widened trapezoid increments
+    e_k are arrays: e_k reads entries k - m and k - m + 1, all known
+    before a chunk of at most m steps starts.  Only the recurrence
+    v_{k+1} = down(down(down(v_k * g_k) + e_k) / g_{k+1}) (and its upper
+    twin) stays a scalar loop, as each entry needs the one before.
     """
     m = _grid_den(step)
     if not 2.0 <= u_max <= 64.0:
@@ -422,29 +529,42 @@ def build_table(u_max: float = 8.0, step: float = 1e-4) -> BuchstabTable:
 
     h_lo, h_hi = _ratio_bounds(1, m)
     step_pad = _up(_up(h_hi**3) * SECOND_DERIVATIVE_BOUND / 12.0)
+    lo = np.empty(last + 1)
+    hi = np.empty(last + 1)
+    for start, stop in _chunks(0, min(m, last) + 1, m):
+        g_lo, g_hi = _grid_bounds(np.arange(m + start, m + stop), m)
+        lo[start:stop] = np.nextafter(1.0 / g_hi, _DOWN)
+        hi[start:stop] = np.nextafter(1.0 / g_lo, _UP)
     nextafter = math.nextafter
-    lo: list[float] = []
-    hi: list[float] = []
-    for k in range(min(m, last) + 1):
-        g_lo, g_hi = _ratio_bounds(m + k, m)
-        lo.append(nextafter(1.0 / g_hi, _DOWN))
-        hi.append(nextafter(1.0 / g_lo, _UP))
-    for k in range(m, last):
+    for start, stop in _chunks(m, last, m):
+        # Steps k = start, ..., stop - 1 make entries start + 1, ..., stop.
         # (values[k - m] + values[k - m + 1]) * h * 0.5, widened by step_pad
-        d_lo = nextafter(nextafter(nextafter(lo[k - m] + lo[k - m + 1], _DOWN) * h_lo, _DOWN) * 0.5, _DOWN)
-        d_hi = nextafter(nextafter(nextafter(hi[k - m] + hi[k - m + 1], _UP) * h_hi, _UP) * 0.5, _UP)
-        # (values[k] * grid[k] + increment) / grid[k + 1]
-        n_lo = nextafter(nextafter(lo[k] * g_lo, _DOWN) + nextafter(d_lo - step_pad, _DOWN), _DOWN)
-        n_hi = nextafter(nextafter(hi[k] * g_hi, _UP) + nextafter(d_hi + step_pad, _UP), _UP)
-        g_lo, g_hi = _ratio_bounds(m + k + 1, m)
-        v_lo = nextafter(n_lo / g_hi, _DOWN)
-        v_hi = nextafter(n_hi / g_lo, _UP)
-        if not (0.0 < v_lo and v_hi < math.inf):
-            raise SoundnessError(f"table entry [{v_lo}, {v_hi}] at u = {(m + k + 1) / m} leaves (0, inf)")
-        lo.append(v_lo)
-        hi.append(v_hi)
-    max_width = max(map(operator.sub, hi, lo))
-    return BuchstabTable(u_max=float(u_max), grid_den=m, values=tuple(map(Enclosure, lo, hi)), max_width=max_width)
+        a, b = start - m, stop - m
+        d_lo = np.nextafter(np.nextafter(np.nextafter(lo[a:b] + lo[a + 1 : b + 1], _DOWN) * h_lo, _DOWN) * 0.5, _DOWN)
+        d_hi = np.nextafter(np.nextafter(np.nextafter(hi[a:b] + hi[a + 1 : b + 1], _UP) * h_hi, _UP) * 0.5, _UP)
+        e_lo = np.nextafter(d_lo - step_pad, _DOWN).tolist()
+        e_hi = np.nextafter(d_hi + step_pad, _UP).tolist()
+        g_lo, g_hi = (g.tolist() for g in _grid_bounds(np.arange(m + start, m + stop + 1), m))
+        v_lo, v_hi = lo[start].item(), hi[start].item()
+        out_lo: list[float] = []
+        out_hi: list[float] = []
+        for el, eh, gl, gh, gl_next, gh_next in zip(e_lo, e_hi, g_lo, g_hi, g_lo[1:], g_hi[1:]):
+            # (values[k] * grid[k] + increment) / grid[k + 1]
+            v_lo = nextafter(nextafter(nextafter(v_lo * gl, _DOWN) + el, _DOWN) / gh_next, _DOWN)
+            v_hi = nextafter(nextafter(nextafter(v_hi * gh, _UP) + eh, _UP) / gl_next, _UP)
+            if not (0.0 < v_lo and v_hi < math.inf):
+                k = start + len(out_lo) + 1
+                raise SoundnessError(f"table entry [{v_lo}, {v_hi}] at u = {(m + k) / m} leaves (0, inf)")
+            out_lo.append(v_lo)
+            out_hi.append(v_hi)
+        lo[start + 1 : stop + 1] = out_lo
+        hi[start + 1 : stop + 1] = out_hi
+    return BuchstabTable(
+        u_max=float(u_max),
+        grid_den=m,
+        values=tuple(map(Enclosure, lo.tolist(), hi.tolist())),
+        max_width=(hi - lo).max().item(),
+    )
 
 
 def omega_enclosure(table: BuchstabTable, u: float) -> Enclosure:
@@ -454,7 +574,8 @@ def omega_enclosure(table: BuchstabTable, u: float) -> Enclosure:
     that grid enclosure widened by the Lipschitz bound times the exact
     distance from u to the grid point (distances computed in rational
     arithmetic, so index rounding cannot leak).  The two enclosures are
-    intersected; at a grid point this collapses to the table entry.
+    intersected.  At a grid point, where the exact distance is 0, the
+    result is the table entry itself.
     """
     if not 1.0 <= u <= table.u_max:
         raise ValueError(f"u = {u} outside table domain [1, {table.u_max}]")
@@ -465,6 +586,8 @@ def omega_enclosure(table: BuchstabTable, u: float) -> Enclosure:
     out = None
     for idx in (k, k + 1):
         dist = abs(scaled - (m + idx)) / m
+        if dist == 0:
+            return table.values[idx]
         pad = _up(float(dist) * LIPSCHITZ_BOUND)
         candidate = table.values[idx].widen(pad)
         out = candidate if out is None else out.intersect(candidate)

@@ -15,6 +15,11 @@ Frozen reference values and where they come from:
     `_log_integral` encloses, and `mpmath.quad` and `mpmath.polylog`
     check that enclosure independently.
   * omega(4) = 0.5614582414068379 follows from the closed form above.
+
+The `scalar_*` functions are the one-point Python-float forms of the
+array kernels (`_log_bound`, `_li2_bound`, `_log_integral_bound`,
+`_branch_bounds`), kept as their bit-for-bit oracle, as is
+`enclosure_table` for `build_table`.
 """
 
 from __future__ import annotations
@@ -22,9 +27,11 @@ from __future__ import annotations
 import csv
 import math
 import random
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sievebound import buchstab
@@ -247,12 +254,137 @@ def enclosure_table(u_max: float, step: float) -> tuple[list[Enclosure], float]:
     return values, max(v.width for v in values)
 
 
+def scalar_log_bound(x: float, side: float) -> float:
+    """`buchstab._log_bound` for one float: math.log, the 1e-14 relative allowance, four ulps toward side."""
+    y = math.log(x)
+    y += math.copysign(abs(y) * 1e-14, side)
+    for _ in range(4):
+        y = math.nextafter(y, side)
+    return y
+
+
+def scalar_li2_bound(v: float, side: float) -> float:
+    """`buchstab._li2_bound` for one float, Horner's rule on Python floats."""
+    s = 0.0
+    for c in buchstab._INV_SQUARES_HI if side == buchstab._UP else buchstab._INV_SQUARES_LO:
+        s = math.nextafter(math.nextafter(s + c, side) * v, side)
+    return buchstab._up(s + buchstab.LI2_TAIL) if side == buchstab._UP else s
+
+
+def scalar_log_integral_bound(u: float, side: float) -> float:
+    """`buchstab._log_integral_bound` for one float."""
+    w = u - 1.0
+    log_w = scalar_log_bound(w, side)
+    half_sq = math.nextafter(log_w * log_w, side) * 0.5
+    li2 = scalar_li2_bound(min(math.nextafter(1.0 / w, side), 0.5), side)
+    pi_term = buchstab.PI_SQ_OVER_12.lo if side == buchstab._UP else buchstab.PI_SQ_OVER_12.hi
+    return math.nextafter(math.nextafter(half_sq + li2, side) - pi_term, side)
+
+
+def scalar_log_enc(x: Enclosure) -> Enclosure:
+    return Enclosure(scalar_log_bound(x.lo, buchstab._DOWN), scalar_log_bound(x.hi, buchstab._UP))
+
+
+def scalar_branch_34(a: float, b: float) -> Enclosure:
+    """The closed form (1 + log(u - 1) + J(u))/u over [a, b] in `Enclosure` arithmetic, one point at a time.
+
+    The reference the array kernel `buchstab._branch_bounds` must match
+    bit for bit; every intermediate is an `Enclosure`, which checks it.
+    """
+    seg = Enclosure(a, b)
+    j_range = Enclosure(scalar_log_integral_bound(a, buchstab._DOWN), scalar_log_integral_bound(b, buchstab._UP))
+    return (1.0 + scalar_log_enc(seg - 1.0)) / seg + j_range / seg
+
+
+def hexes(pairs) -> list[tuple[str, str]]:
+    return [(float(lo).hex(), float(hi).hex()) for lo, hi in pairs]
+
+
+class TestArrayKernels:
+    """The numpy kernels against the scalar oracles above, hex for hex."""
+
+    @pytest.mark.parametrize("step", [1e-3, 2e-4, 1 / 1024])
+    def test_branch_points_match_scalar_oracle(self, step, monkeypatch):
+        """Every grid point's branch enclosure, and the chunked range built from them, whose chunks cover each point once."""
+        m = round(1.0 / step)
+        grid = buchstab._grid_bounds(np.arange(3 * m, 4 * m + 1), m)
+        lo, hi = buchstab._branch_bounds(*grid)
+        expected = [scalar_branch_34(*buchstab._ratio_bounds(3 * m + k, m)) for k in range(m + 1)]
+        assert hexes(zip(lo.tolist(), hi.tolist())) == hexes((e.lo, e.hi) for e in expected)
+        fill = buchstab._up(buchstab.BRANCH_DERIVATIVE_BOUND * step * 0.5)
+        lo_min = min(e.lo for e in expected)
+        hi_max = max(e.hi for e in expected)
+        chunks = []
+        kernel = buchstab._branch_bounds
+        monkeypatch.setattr(buchstab, "_branch_bounds", lambda a, b: chunks.append((a, b)) or kernel(a, b))
+        rng = branch_expression_range(step)
+        assert max(len(a) for a, _ in chunks) <= buchstab._CHUNK
+        assert np.array_equal(np.concatenate([a for a, _ in chunks]), grid[0])
+        assert np.array_equal(np.concatenate([b for _, b in chunks]), grid[1])
+        assert hexes([(rng.lo, rng.hi)]) == hexes([(buchstab._down(lo_min - fill), buchstab._up(hi_max + fill))])
+
+    def test_scalar_entry_points_match_scalar_oracle(self):
+        """`_log_integral`, `log_enc` and `_branch_34` (used by `omega_bound_range`) at seeded points."""
+        rng = random.Random(20240801)
+        for _ in range(200):
+            a = rng.uniform(3.0, 4.0)
+            b = rng.choice((a, rng.uniform(a, 4.0)))
+            got = (buchstab._log_integral(a), log_enc(Enclosure(a - 2.5, b)), buchstab._branch_34(a, b))
+            expected = (
+                Enclosure(scalar_log_integral_bound(a, buchstab._DOWN), scalar_log_integral_bound(a, buchstab._UP)),
+                scalar_log_enc(Enclosure(a - 2.5, b)),
+                scalar_branch_34(a, b),
+            )
+            assert all(type(e.lo) is float and type(e.hi) is float for e in got)
+            assert hexes((e.lo, e.hi) for e in got) == hexes((e.lo, e.hi) for e in expected)
+
+    @pytest.mark.parametrize("m", [1000, 1024, 3000, 10**4, 2**26 + 1, 10**12 + 39])
+    def test_grid_bounds_match_ratio_bounds(self, m):
+        """`_grid_bounds(num, m)` equals `_ratio_bounds(num, m)` on the grid [m, 64 m] of u in [1, 64].
+
+        The whole grid up to m = 10^4; past that its first and last 2^13
+        points and 2^13 seeded ones.
+        """
+        if m <= 10**4:
+            nums = list(range(m, 64 * m + 1))
+        else:
+            rng = random.Random(m)
+            nums = list(range(m, m + 2**13)) + list(range(64 * m - 2**13, 64 * m + 1))
+            nums += [rng.randint(m, 64 * m) for _ in range(2**13)]
+        lo, hi = buchstab._grid_bounds(np.array(nums), m)
+        # Positive floats: equal as floats means equal bit for bit.
+        assert list(zip(lo.tolist(), hi.tolist())) == [buchstab._ratio_bounds(n, m) for n in nums]
+
+    def test_grid_bounds_reject_inexact_integers(self):
+        """Past 2^53 an integer is no longer an exact float, so the side test would be unsound."""
+        with pytest.raises(ValueError, match="2\\^53"):
+            buchstab._grid_bounds(np.array([3, 2**53]), 7)
+        with pytest.raises(ValueError, match="2\\^53"):
+            buchstab._grid_bounds(np.array([0, 1]), 7)
+
+    def test_non_finite_value_raises(self, monkeypatch):
+        """A non-finite value inside a kernel raises ValueError as the scalar path did, with no RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            monkeypatch.setattr(buchstab, "LI2_TAIL", math.inf)
+            with pytest.raises(ValueError, match="finite"):
+                branch_expression_range(1e-3)
+            with pytest.raises(ValueError, match="finite"):
+                buchstab._log_integral(3.5)
+            monkeypatch.setattr(buchstab, "SECOND_DERIVATIVE_BOUND", math.inf)
+            with pytest.raises(SoundnessError, match=r"leaves \(0, inf\)"):
+                build_table(u_max=3.0, step=1e-3)
+
+
 class TestTable:
-    @pytest.mark.parametrize("u_max, step", [(8.0, 1e-4), (4.0, 1e-3), (2.0, 1e-4)])
+    @pytest.mark.parametrize(
+        "u_max, step", [(8.0, 1e-4), (4.0, 1e-3), (2.0, 1e-4), (8.0, 1 / 1024), (3.5, 1 / 3000)]
+    )
     def test_float_kernel_matches_enclosure_recurrence(self, u_max, step, table):
         """Every entry and max_width equal the Enclosure recurrence's, bit for bit.
 
-        u_max = 2 runs no recurrence step, only the 1/u seed.
+        u_max = 2 runs no recurrence step, only the 1/u seed.  m = 3000
+        exceeds the kernel's chunk of 1024 rows, so its chunks are ragged.
         """
         got = table if (u_max, step) == (8.0, 1e-4) else build_table(u_max=u_max, step=step)
         values, max_width = enclosure_table(u_max, step)
@@ -278,6 +410,14 @@ class TestTable:
         with pytest.raises(ValueError):
             build_table(u_max=3.00005, step=1e-3)
         assert build_table(u_max=3.0, step=1e-3).max_width > 1e-13
+
+    def test_grid_point_is_table_entry(self):
+        """At a float grid point the exact distance is 0, so the enclosure is the entry itself, unwidened."""
+        table = build_table(u_max=4.0, step=1e-3)
+        for j in range(25):
+            got = omega_enclosure(table, 1.0 + j / 8)
+            entry = table.values[125 * j]
+            assert (got.lo.hex(), got.hi.hex()) == (entry.lo.hex(), entry.hi.hex())
 
     def test_omega_at_two(self, table):
         """omega(2) = 1/2 exactly, from the [1, 2] branch omega = 1/u."""
