@@ -353,7 +353,9 @@ def _branch_bounds(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     integrand is nonnegative on [2, 3]), so a lower bound at a and an
     upper bound at b bound it over the segment.  Every operation keeps a
     non-finite operand non-finite, so the one check at the end raises
-    where an intermediate `Enclosure` would have.
+    where an intermediate `Enclosure` would have.  The inputs are finite
+    points of [3, 4], so a non-finite result is an internal fault and
+    raises SoundnessError.
     """
     log_lo = _log_bound(np.nextafter(a - 1.0, _DOWN), _DOWN)
     log_hi = _log_bound(np.nextafter(b - 1.0, _UP), _UP)
@@ -362,7 +364,7 @@ def _branch_bounds(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     lo = np.nextafter(expr_lo + j_lo, _DOWN)
     hi = np.nextafter(expr_hi + j_hi, _UP)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        raise ValueError("enclosure endpoints must be finite")
+        raise SoundnessError("enclosure endpoints must be finite")
     return lo, hi
 
 
@@ -422,9 +424,13 @@ def omega_bound(bound: PiecewiseBound, u: float) -> Enclosure:
 
 
 def _grid_den(step: float) -> int:
-    """The grid denominator m = round(1/step) of a step in (0, 1e-3] that divides 1 to float precision."""
-    if not 0.0 < step <= 1e-3:
-        raise ValueError("step must lie in (0, 1e-3]")
+    """The grid denominator m = round(1/step) of a step in [1e-5, 1e-3] that divides 1 to float precision.
+
+    The floor keeps every grid small (at most 6.3e6 rows at u_max = 64)
+    and is checked before anything is allocated.
+    """
+    if not 1e-5 <= step <= 1e-3:
+        raise ValueError("step must lie in [1e-5, 1e-3]")
     m = round(1.0 / step)
     if abs(m * step - 1.0) > 1e-9:
         raise ValueError("step must divide 1 to float precision")

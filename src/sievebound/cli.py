@@ -195,7 +195,8 @@ def _cmd_verify(args, config: dict[str, str]) -> int:
     budget = _resolve("budget", args.budget, config, int, None)
     tol = _resolve("tol", args.tol, config, float, None)
     raw_targets = _resolve("targets", args.targets, config, str, "all")
-    wanted = [t.strip() for t in raw_targets.split(",") if t.strip()]
+    # Repeated targets run once, in first-seen order.
+    wanted = list(dict.fromkeys(t.strip() for t in raw_targets.split(",") if t.strip()))
     if not wanted:
         raise CliError("no verification targets given")
     if wanted == ["all"]:

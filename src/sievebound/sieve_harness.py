@@ -35,16 +35,19 @@ range, by parity or by size, so strict and non-strict agree):
                           stays exact, and spf_of maps a capped entry
                           back to m, a prime since 2x < 65536^2
 
-Two evaluation routes share these realizations.  decompose factors one
-n and walks its prime tuples.  window_term computes one term on the
-whole window: it enumerates the prime tuples d of the term (every cap
-and bucket test once per tuple, in exact integers), and for each adds
+Two evaluation routes share these realizations.  decompose evaluates
+one n: each term adds psi(n/d, w) over the term's prime tuples d of n,
+with w the term's threshold, and the reversed B chain adds
+psi(beta, p3) over the divisors beta of n/(p2 p3), with
+q = n/(beta p2 p3).  window_term computes one term on the whole
+window: it enumerates the prime tuples d of the term (every cap and
+bucket test once per tuple, in exact integers), and for each adds
 [spf(m) >= threshold] over the contiguous cofactor range
 x/d < m <= 2x/d into the strided slice of the multiples n = d m.  The
 reversed B chain enumerates (p2, p3, q) with q <= (2x)^(8/19) and
-takes beta = n/(p2 p3 q) as the cofactor; S_B3 and dropped_B3 cap it at
-beta <= (2x - 1) // (p4^2 p2 p3) for each prime p4 | q, and dropped_B3
-tests the grouping window on beta.  harness_report builds
+takes beta = n/(p2 p3 q) as the cofactor; S_B3 and dropped_B3 cap it
+at beta <= (2x - 1) // (p4^2 p2 p3) for each prime p4 | q, and
+dropped_B3 tests the grouping window on beta.  harness_report builds
 each term once and adds it, signed, into every identity residual and
 into rho; decompose is the per-n oracle.
 
@@ -280,175 +283,97 @@ def _groupable(ctx: SieveContext, parts: tuple[int, ...]) -> bool:
     return False
 
 
-def _beta_splits(
-    items: list[tuple[int, int]], p3: int
-) -> Iterator[tuple[int, int, int]]:
-    """Yield (beta, q, spf_q) over divisors beta of prod(items) with factors >= p3.
-
-    items is the ascending remaining factorization; primes below p3 are
-    forced into q.  spf_q is the smallest prime actually present in q,
-    or the infinite sentinel for q = 1.
-    """
-    low: list[tuple[int, int]] = []
-    high: list[tuple[int, int]] = []
-    for p, e in items:
-        (low if p < p3 else high).append((p, e))
-    q_low = 1
-    for p, e in low:
-        q_low *= p**e
-    spf_low = low[0][0] if low else _INF
-
-    def rec(idx: int, beta: int, q_high: int, spf_high: int) -> Iterator[tuple[int, int, int]]:
-        if idx == len(high):
-            yield beta, q_low * q_high, min(spf_low, spf_high)
-            return
-        p, e = high[idx]
-        pk = 1
-        for take in range(e + 1):
-            keep = e - take
-            yield from rec(
-                idx + 1,
-                beta * pk,
-                q_high * p**keep,
-                spf_high if keep == 0 else min(spf_high, p),
-            )
-            pk *= p
-
-    # spf_high accumulates the smallest high prime left in q; high is
-    # ascending so min() is equivalent to first-kept, kept simple.
-    yield from rec(0, 1, 1, _INF)
+def _divisors(ctx: SieveContext, m: int) -> list[int]:
+    """Every divisor of m, 1 and m included."""
+    divs = [1]
+    for p, e in _factorize(ctx, m):
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return divs
 
 
 def decompose(ctx: SieveContext, n: int) -> DecompositionRecord:
-    """Evaluate every decomposition term for one integer, exactly."""
+    """Evaluate every decomposition term for one integer, exactly.
+
+    Each term counts the prime tuples d of n that pass its caps and
+    bucket tests, weighted by psi(n/d, w) with w the term's threshold.
+    The reversed B chain runs over (p2, p3), over the divisors beta of
+    n/(p2 p3) with psi(beta, p3), and over the primes p4 of
+    q = n/(beta p2 p3): the module docstring's sum of psi(beta, p3).
+    """
     if not ctx.x < n <= ctx.twox:
         raise ValueError(f"n = {n} outside the window ({ctx.x}, {ctx.twox}]")
-    fac = _factorize(ctx, n)
-    spf_n = fac[0][0]
-    twox = ctx.twox
-    cz = ctx.cut
-
-    def cof_spf(used: dict[int, int]) -> int:
-        for p, e in fac:
-            if e - used.get(p, 0) > 0:
-                return p
-        return _INF
+    twox, cz = ctx.twox, ctx.cut
+    qual = [p for p, _ in _factorize(ctx, n) if p >= cz]  # ascending
 
     terms = dict.fromkeys(TERM_NAMES, 0)
-    terms["one_p"] = 1 if spf_n * spf_n >= twox else 0
-    terms["s1"] = 1 if spf_n >= cz else 0
-
-    qual = [p for p, _ in fac if p >= cz]
-    a_pairs: list[tuple[int, int]] = []
-    b_pairs: list[tuple[int, int]] = []
-
+    terms["one_p"] = psi(ctx, n, ctx.root2)
+    terms["s1"] = psi(ctx, n, cz)
     for p in qual:
         if p**19 <= ctx.pow8:
-            if cof_spf({p: 1}) >= cz:
-                terms["s2"] += 1
+            terms["s2"] += psi(ctx, n // p, cz)
         elif p * p < twox:
-            if cof_spf({p: 1}) >= p:
-                terms["s3"] += 1
+            terms["s3"] += psi(ctx, n // p, p)
 
     for p1 in qual:
         if p1**19 > ctx.pow8:
-            continue
+            break
         for p2 in qual:
-            if p2 >= p1:
-                continue
-            if p1 * p2 * p2 >= twox:
-                continue
-            pair_pow = (p1 * p2) ** 19
+            if p2 >= p1 or p1 * p2 * p2 >= twox:
+                break
+            d = p1 * p2
+            pair_pow = d**19
             if pair_pow < ctx.pow8:
                 bucket = "s_a"
-                a_pairs.append((p1, p2))
             elif pair_pow <= ctx.pow11:
                 bucket = "s_type2"
             else:
                 p2_split = p2**38
-                if p2_split < ctx.pow9:
-                    bucket = "s_b"
-                    b_pairs.append((p1, p2))
-                elif p2_split > ctx.pow9:
-                    bucket = "s_c"
-                else:
+                if p2_split == ctx.pow9:
                     raise AssertionError("impossible equality p2^38 = (2x)^9")
-            if cof_spf({p1: 1, p2: 1}) >= p2:
-                terms["s4"] += 1
-                terms[bucket] += 1
-
-    # A-side chain: two further Buchstab steps over each admissible pair.
-    for p1, p2 in a_pairs:
-        if cof_spf({p1: 1, p2: 1}) >= cz:
-            terms["s_a1"] += 1
-        for p3 in qual:
-            if not p3 < p2:
+                bucket = "s_b" if p2_split < ctx.pow9 else "s_c"
+            weight = psi(ctx, n // d, p2)
+            terms["s4"] += weight
+            terms[bucket] += weight
+            if bucket == "s_b":
+                terms["s_b1"] += psi(ctx, n // d, cz)
+            if bucket != "s_a":
                 continue
-            if p1 * p2 * p3 * p3 >= twox:
-                continue
-            used3 = {p1: 1, p2: 1, p3: 1}
-            if cof_spf(used3) >= cz:
-                terms["s_a2"] += 1
-            for p4 in qual:
-                if not p4 < p3:
-                    continue
-                if p1 * p2 * p3 * p4 * p4 >= twox:
-                    continue
-                used4 = {p1: 1, p2: 1, p3: 1, p4: 1}
-                if cof_spf(used4) >= p4:
-                    terms["s_a3"] += 1
-                    if not _groupable(ctx, (p1, p2, p3)) and not _groupable(
-                        ctx, (p1, p2, p3, p4)
-                    ):
-                        terms["dropped_a3"] += 1
+            # A-side chain: two further Buchstab steps over the pair.
+            terms["s_a1"] += psi(ctx, n // d, cz)
+            for p3 in qual:
+                if p3 >= p2 or d * p3 * p3 >= twox:
+                    break
+                terms["s_a2"] += psi(ctx, n // (d * p3), cz)
+                for p4 in qual:
+                    if p4 >= p3 or d * p3 * p4 * p4 >= twox:
+                        break
+                    if psi(ctx, n // (d * p3 * p4), p4):
+                        terms["s_a3"] += 1
+                        if not _groupable(ctx, (p1, p2, p3)) and not _groupable(ctx, (p1, p2, p3, p4)):
+                            terms["dropped_a3"] += 1
 
-    for p1, p2 in b_pairs:
-        if cof_spf({p1: 1, p2: 1}) >= cz:
-            terms["s_b1"] += 1
-
-    # Reversed B-side chain, enumerated over (p2, p3, beta) with
-    # q = n / (beta p2 p3); the forward pair prime p1 reappears as q.
+    # Reversed B-side chain: the forward pair prime p1 reappears as q.
     for p2 in qual:
         if p2**38 >= ctx.pow9:
-            continue
+            break
         for p3 in qual:
-            if not p3 < p2:
-                continue
-            consumed = {p2: 1, p3: 1}
-            items = [
-                (p, e - consumed.get(p, 0)) for p, e in fac if e - consumed.get(p, 0) > 0
-            ]
-            for beta, q, spf_q in _beta_splits(items, p3):
-                if q <= p2:
+            if p3 >= p2:
+                break
+            for beta in _divisors(ctx, n // (p2 * p3)):
+                if not psi(ctx, beta, p3):
                     continue
-                if q**19 > ctx.pow8:
+                q = n // (beta * p2 * p3)
+                if q <= p2 or q**19 > ctx.pow8 or (q * p2) ** 19 <= ctx.pow11:
                     continue
-                if (q * p2) ** 19 <= ctx.pow11:
+                if q * p2 * p2 >= twox or q * p2 * p3 * p3 >= twox:
                     continue
-                if q * p2 * p2 >= twox:
-                    continue
-                if q * p2 * p3 * p3 >= twox:
-                    continue
-                if spf_q >= cz:
-                    terms["s_b2"] += 1
-                qq = q
-                while qq > 1:
-                    p4 = ctx.spf_of(qq)
-                    e4 = 0
-                    while qq % p4 == 0:
-                        qq //= p4
-                        e4 += 1
-                    if p4 < cz:
+                terms["s_b2"] += psi(ctx, q, cz)
+                for p4, _ in _factorize(ctx, q):
+                    if p4 < cz or p4 * p4 * beta * p2 * p3 >= twox:
                         continue
-                    if p4 * p4 * beta * p2 * p3 >= twox:
-                        continue
-                    rest = q // p4
-                    spf_rest = ctx.spf_of(rest) if e4 == 1 else min(ctx.spf_of(rest), p4)
-                    if spf_rest >= p4:
+                    if psi(ctx, q // p4, p4):
                         terms["s_b3"] += 1
-                        if not _groupable(ctx, (q, p2, p3)) and not _groupable(
-                            ctx, (beta, p2, p3, p4)
-                        ):
+                        if not _groupable(ctx, (q, p2, p3)) and not _groupable(ctx, (beta, p2, p3, p4)):
                             terms["dropped_b3"] += 1
 
     rho = sum(sign * terms[name] for name, sign in _RHO)

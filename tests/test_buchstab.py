@@ -363,11 +363,11 @@ class TestArrayKernels:
             buchstab._grid_bounds(np.array([0, 1]), 7)
 
     def test_non_finite_value_raises(self, monkeypatch):
-        """A non-finite value inside a kernel raises ValueError as the scalar path did, with no RuntimeWarning."""
+        """A non-finite value inside a kernel raises, with no RuntimeWarning; in the branch range it is a SoundnessError."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             monkeypatch.setattr(buchstab, "LI2_TAIL", math.inf)
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(SoundnessError, match="finite"):
                 branch_expression_range(1e-3)
             with pytest.raises(ValueError, match="finite"):
                 buchstab._log_integral(3.5)
@@ -409,6 +409,8 @@ class TestTable:
             build_table(u_max=100.0)
         with pytest.raises(ValueError):
             build_table(u_max=3.00005, step=1e-3)
+        with pytest.raises(ValueError, match=r"\[1e-5, 1e-3\]"):
+            buchstab._grid_den(1e-6)
         assert build_table(u_max=3.0, step=1e-3).max_width > 1e-13
 
     def test_grid_point_is_table_entry(self):

@@ -8,6 +8,7 @@ budgets; the full-budget runs are covered by the acceptance suite.
 from __future__ import annotations
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -122,6 +123,18 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["config"]["seed"] == 7
         assert report["results"]["losses"]["a3"]["samples"] == 50000
+
+    def test_repeated_target_runs_once(self, tmp_path, capsys):
+        out = tmp_path / "repeat.json"
+        code, stdout, _ = run_cli(
+            ["verify", "--targets", "a3,a3", "--budget", "4000", "--tol", "5e-4", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert stdout.count("loss a3") == 1
+        report = json.loads(out.read_text())
+        assert report["config"]["targets"] == ["a3"]
+        assert list(report["results"]["losses"]) == ["a3"]
 
     def test_unknown_target_is_usage_error(self, capsys):
         code, _, stderr = run_cli(["verify", "--targets", "bogus"], capsys)
@@ -323,6 +336,20 @@ class TestOmega:
     def test_bad_step(self, capsys):
         code, _, stderr = run_cli(["omega", "--step", "0.5"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("step", ["1e-12", "1e-300", "1e-308", "5e-324"])
+    def test_tiny_step_is_usage_error(self, step, capsys):
+        """A step below 1e-5 exits 2 with one error line before any table is allocated."""
+        code, stdout, stderr = run_cli(["omega", "--step", step], capsys)
+        assert code == 2 and stdout == ""
+        assert stderr == "error: step must lie in [1e-5, 1e-3]\n"
+
+    def test_non_finite_branch_value_is_soundness_failure(self, capsys, monkeypatch):
+        """A non-finite value inside the [3, 4] branch kernel is an internal fault: exit 1, not a usage error."""
+        monkeypatch.setattr(buchstab, "LI2_TAIL", math.inf)
+        code, _, stderr = run_cli(["omega", "--u-max", "4", "--at", "3.5"], capsys)
+        assert code == 1
+        assert stderr == "error: soundness failure: enclosure endpoints must be finite\n"
 
     def test_unwritable_csv_is_usage_error(self, tmp_path, capsys):
         """A --csv path in a missing directory exits 2 with one error line, not a traceback and exit 1."""

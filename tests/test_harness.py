@@ -205,14 +205,17 @@ class TestDecompose:
                 sc,
             ), n
 
-    def test_reversal_against_forward_route(self, ctx):
+    @pytest.mark.parametrize("window", ["ctx", "ctx_1e6"])
+    def test_reversal_against_forward_route(self, window, request):
         """s_b2 - s_b3 equals the forward middle sum over (p1, p2, p3).
 
         The reversed enumeration indexes the same terms by the cofactor
         decomposition n = q beta p2 p3; computing the middle Buchstab
         sum forwards, with psi weights on beta, must give the identical
-        per-n difference.
+        per-n difference.  The x = 10^6 window is where S_B3 and
+        dropped_B3 are richest.
         """
+        ctx = request.getfixturevalue(window)
         twox = 2 * ctx.x
         rng = random.Random(53)
         for n in rng.sample(range(ctx.x + 1, twox + 1), 400):
