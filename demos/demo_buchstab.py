@@ -49,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
 def run(args: argparse.Namespace) -> int:
     banner("1. Certified table of omega")
     table = buchstab.build_table(u_max=args.u_max, step=args.step)
-    print(f"grid: u_k = 1 + k/{table.grid_den}, {len(table.values)} entries up to u = {table.u_max}")
+    print(f"grid: u_k = 1 + k/{table.grid_den}, {len(table.lo)} entries up to u = {table.u_max}")
     narrow = table.max_width <= args.tol
     print(f"[{'PASS' if narrow else 'FAIL'}] widest enclosure in the table: {table.max_width:.3e} <= {args.tol:g}")
     for u in (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 6.0, 8.0):
@@ -66,11 +66,11 @@ def run(args: argparse.Namespace) -> int:
     print("which is closed form through the dilogarithm Li2(v) = sum v^k/k^2:")
     print("  J(u) = log(u - 1)^2 / 2 + Li2(1/(u - 1)) - pi^2/12.")
     worst = 0.0
-    last = min(2 * table.grid_den, len(table.values) - 1)
+    last = min(2 * table.grid_den, len(table.lo) - 1)
     for k in range(table.grid_den, last + 1, max(1, table.grid_den // 50)):
         u = 1.0 + k / table.grid_den
         closed = (1.0 + math.log(u - 1.0)) / u
-        enc = table.values[k]
+        enc = buchstab.Enclosure(table.lo[k], table.hi[k])
         worst = max(worst, abs(enc.mid - closed))
         if not enc.contains(closed):
             print(f"  [FAIL] closed form escapes the enclosure at u = {u}")

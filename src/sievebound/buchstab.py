@@ -31,20 +31,15 @@ The piecewise bounds `OMEGA_LOWER` and `OMEGA_UPPER` agree with omega on
 [0.5607, 0.5644]), and flatten to the constants 0.5612 and 0.5617 for
 u >= 4, bracketing the asymptotic value exp(-euler_gamma) = 0.56145...
 
-`build_table` and `branch_expression_range` are numpy array kernels.
-They make the same IEEE operations in the same order as `Enclosure`
-arithmetic point by point, with np.nextafter for every outward
-rounding, so each result is bit-identical to the scalar form (the
-tests keep that form as their oracle).  Points are processed in chunks
-of at most min(m, 1024) rows, m the grid denominator, which bounds the
-temporaries.  Exact grid bounds 1 + k/m come from `_grid_bounds`, a
-vectorised `_ratio_bounds` whose side test is Dekker's exact product.
-Logs stay math.log, one element at a time, because np.log is another
-implementation whose last ulp can differ from the libm that
-`_log_bound`'s allowance was argued for.  Only the table recurrence
-v_{k+1} = (v_k g_k + e_k) / g_{k+1} stays a scalar loop, since each
-entry needs the one before it; its delayed increments e_k read entries
-m steps back and are computed for a whole chunk at once.
+The table, the branch range and the closed forms are numpy kernels on
+float (lo, hi) endpoint arrays.  They make the same IEEE operations in
+the same order as `Enclosure` arithmetic, with np.nextafter for every
+outward rounding, so each result is bit-identical to the scalar form
+the tests keep as their oracle.  A kernel call covers at most one grid
+period of m + 1 points (m <= 10^5, so each temporary stays below 1 MB),
+with exact grid bounds 1 + k/m from `_grid_bounds` and logs from
+math.log per element.  Only the table recurrence stays a scalar loop,
+and an `Enclosure` is built only where a caller reads one value.
 """
 
 from __future__ import annotations
@@ -60,7 +55,6 @@ import numpy as np
 __all__ = [
     "SoundnessError",
     "Enclosure",
-    "log_enc",
     "PiecewiseBound",
     "OMEGA_LOWER",
     "OMEGA_UPPER",
@@ -96,10 +90,9 @@ BRANCH_DERIVATIVE_BOUND = 0.022
 
 
 # Rounding directions for math.nextafter and np.nextafter in the float-pair
-# and array kernels; _OUTWARD rounds a (lo, hi) pair outward.
+# and array kernels.
 _DOWN = -math.inf
 _UP = math.inf
-_OUTWARD = np.array([_DOWN, _UP])
 
 
 def _down(v: float) -> float:
@@ -259,30 +252,19 @@ def _grid_bounds(num: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray]:
     return np.where(side > 0.0, np.nextafter(f, _DOWN), f), np.where(side < 0.0, np.nextafter(f, _UP), f)
 
 
-def _log_bound(x: np.ndarray, side) -> np.ndarray:
-    """Lower (side = _DOWN) or upper (side = _UP) bounds on log(x), x > 0, elementwise (see log_enc).
+def _log_bound(x: np.ndarray, side: float) -> np.ndarray:
+    """Lower (side = _DOWN) or upper (side = _UP) bounds on log(x), x > 0, elementwise.
 
-    side is one direction or an array of them.  Each log is math.log of
-    one element: np.log is another implementation, whose last ulp can
-    differ from the libm the allowance below was argued for.
+    math.log is not directed-rounded, so its value moves toward side by
+    a 1e-14 relative allowance plus four ulps, far above the worst
+    observed libm error.  np.log is another implementation, whose last
+    ulp can differ from the libm that allowance was argued for.
     """
     y = np.fromiter(map(math.log, x.tolist()), float, len(x))
     y += np.copysign(np.abs(y) * 1e-14, side)
     for _ in range(4):
         y = np.nextafter(y, side)
     return y
-
-
-def log_enc(x: Enclosure) -> Enclosure:
-    """Enclosure of log over a positive interval.
-
-    math.log is not directed-rounded, so beyond the monotone endpoint
-    evaluation the result is widened by four ulps plus a 1e-14 relative
-    allowance, far above the worst observed libm error.
-    """
-    if x.lo <= 0.0:
-        raise ValueError("log requires a strictly positive enclosure")
-    return Enclosure(*_log_bound(np.array([x.lo, x.hi]), _OUTWARD).tolist())
 
 
 # Terms of the Li2 series that `_li2_bound` sums.  For 0 < v <= 1/2 the
@@ -295,11 +277,6 @@ _INV_SQUARES_LO, _INV_SQUARES_HI = zip(*(_ratio_bounds(1, k * k) for k in range(
 
 # pi lies between math.pi and the next float up.
 PI_SQ_OVER_12 = Enclosure(math.pi, _up(math.pi)) * Enclosure(math.pi, _up(math.pi)) / 12.0
-
-
-def _expr_23(u: Enclosure) -> Enclosure:
-    """Interval evaluation of (1 + log(u - 1)) / u, the closed form on [2, 3]."""
-    return (1.0 + log_enc(u - 1.0)) / u
 
 
 def _li2_bound(v: np.ndarray, side: float) -> np.ndarray:
@@ -328,14 +305,6 @@ def _log_integral_bound(u: np.ndarray, side: float) -> np.ndarray:
     return np.nextafter(np.nextafter(half_sq + li2, side) - pi_term, side)
 
 
-def _log_integral(u: float) -> Enclosure:
-    """Enclosure of J(u) = integral of log(t - 1)/t over [2, u - 1], 3 <= u <= 4."""
-    if not 3.0 <= u <= 4.0:
-        raise ValueError("log integral is defined for u in [3, 4]")
-    point = np.array([u])
-    return Enclosure(_log_integral_bound(point, _DOWN).item(), _log_integral_bound(point, _UP).item())
-
-
 def _quotient(n_lo: np.ndarray, n_hi: np.ndarray, d_lo: np.ndarray, d_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise `Enclosure` quotient [n_lo, n_hi] / [d_lo, d_hi] for d_lo > 0: all four endpoint quotients."""
     q = (n_lo / d_lo, n_lo / d_hi, n_hi / d_lo, n_hi / d_hi)
@@ -344,22 +313,28 @@ def _quotient(n_lo: np.ndarray, n_hi: np.ndarray, d_lo: np.ndarray, d_hi: np.nda
     return np.nextafter(lo, _DOWN), np.nextafter(hi, _UP)
 
 
-def _branch_bounds(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise enclosures (lo, hi) of the closed form (1 + log(u - 1) + J(u))/u over u in [a, b], 3 <= a <= b <= 4.
+def _expr_bounds(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise enclosures (lo, hi) of the closed form (1 + log(u - 1))/u over u in [a, b], 2 <= a <= b.
 
-    The `Enclosure` operations of (1 + log_enc(seg - 1.0)) / seg + J / seg
-    on seg = [a, b], in the same order, so each pair equals that
-    expression's endpoints bit for bit.  J is nondecreasing (its
-    integrand is nonnegative on [2, 3]), so a lower bound at a and an
-    upper bound at b bound it over the segment.  Every operation keeps a
-    non-finite operand non-finite, so the one check at the end raises
-    where an intermediate `Enclosure` would have.  The inputs are finite
-    points of [3, 4], so a non-finite result is an internal fault and
-    raises SoundnessError.
+    The `Enclosure` operations of (1 + log(seg - 1.0)) / seg on
+    seg = [a, b], in the same order, so bit for bit the same endpoints.
     """
     log_lo = _log_bound(np.nextafter(a - 1.0, _DOWN), _DOWN)
     log_hi = _log_bound(np.nextafter(b - 1.0, _UP), _UP)
-    expr_lo, expr_hi = _quotient(np.nextafter(log_lo + 1.0, _DOWN), np.nextafter(log_hi + 1.0, _UP), a, b)
+    return _quotient(np.nextafter(log_lo + 1.0, _DOWN), np.nextafter(log_hi + 1.0, _UP), a, b)
+
+
+def _branch_bounds(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise enclosures (lo, hi) of the closed form (1 + log(u - 1) + J(u))/u over u in [a, b], 3 <= a <= b <= 4.
+
+    `_expr_bounds` + J / seg on seg = [a, b] in `Enclosure` operations,
+    bit for bit.  J is nondecreasing (its integrand is nonnegative on
+    [2, 3]), so bounds at a and at b bound it over the segment.  A
+    non-finite value stays non-finite through every operation; on finite
+    inputs it is an internal fault, so the one check at the end raises
+    SoundnessError.
+    """
+    expr_lo, expr_hi = _expr_bounds(a, b)
     j_lo, j_hi = _quotient(_log_integral_bound(a, _DOWN), _log_integral_bound(b, _UP), a, b)
     lo = np.nextafter(expr_lo + j_lo, _DOWN)
     hi = np.nextafter(expr_hi + j_hi, _UP)
@@ -368,9 +343,9 @@ def _branch_bounds(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return lo, hi
 
 
-def _branch_34(a: float, b: float) -> Enclosure:
-    """Enclosure of the closed form (1 + log(u - 1) + J(u))/u over u in [a, b], 3 <= a <= b <= 4."""
-    lo, hi = _branch_bounds(np.array([a]), np.array([b]))
+def _at(kernel, a: float, b: float) -> Enclosure:
+    """The Enclosure an elementwise kernel gives over the one segment [a, b]."""
+    lo, hi = kernel(np.array([a]), np.array([b]))
     return Enclosure(lo.item(), hi.item())
 
 
@@ -394,21 +369,22 @@ def omega_bound_range(bound: PiecewiseBound, u: Enclosure) -> Enclosure:
     """Enclosure of {bound(t) : t in u}, for u inside [1, +inf).
 
     The interval is split at the branch knots 2, 3 and 4; each piece is
-    evaluated with interval arithmetic and the pieces are hulled.  The
-    [3, 4) piece is intersected with the sanity window
-    [0.5607, 0.5644], which provably contains the closed form there.
+    enclosed with outward rounding (1/u on [1, 2), the kernels
+    `_expr_bounds` on [2, 3] and `_branch_bounds` on [3, 4]) and the
+    pieces are hulled.  The [3, 4) piece is intersected with the sanity
+    window [0.5607, 0.5644], which provably contains the closed form there.
     """
     if u.lo < 1.0:
         raise ValueError("piecewise bounds are defined for u >= 1")
     pieces: list[Enclosure] = []
     if u.lo < 2.0:
-        pieces.append(1.0 / Enclosure(u.lo, min(u.hi, 2.0)))
+        pieces.append(Enclosure(_down(1.0 / min(u.hi, 2.0)), _up(1.0 / u.lo)))
     # The closed forms agree at the knots, so each right-hand branch is
     # taken closed on the left; degenerate knot inputs stay covered.
     if u.hi >= 2.0 and u.lo < 3.0:
-        pieces.append(_expr_23(Enclosure(max(u.lo, 2.0), min(u.hi, 3.0))))
+        pieces.append(_at(_expr_bounds, max(u.lo, 2.0), min(u.hi, 3.0)))
     if u.hi >= 3.0 and u.lo < 4.0:
-        piece = _branch_34(max(u.lo, 3.0), min(u.hi, 4.0))
+        piece = _at(_branch_bounds, max(u.lo, 3.0), min(u.hi, 4.0))
         pieces.append(piece.intersect(Enclosure(BRANCH_FLOOR, BRANCH_CEILING)))
     if u.hi >= 4.0:
         pieces.append(Enclosure(bound.plateau))
@@ -437,28 +413,13 @@ def _grid_den(step: float) -> int:
     return m
 
 
-# Rows per chunk of the array kernels `branch_expression_range` and
-# `build_table`, at most the grid denominator m: a chunk of table steps
-# reads the entries m steps back, which are all known when the chunk
-# starts only if it has at most m rows.  Chunks of 1024 rows keep each
-# temporary at 8 KB, so the kernels' peak memory stays the scalar loop's.
-_CHUNK = 1024
-
-
-def _chunks(start: int, stop: int, m: int):
-    """(first, end) of consecutive chunks of at most min(m, _CHUNK) indices covering range(start, stop)."""
-    size = min(m, _CHUNK)
-    for first in range(start, stop, size):
-        yield first, min(first + size, stop)
-
-
 def branch_expression_range(step: float = 2e-4) -> Enclosure:
     """Certified range of the closed-form branch over [3, 4].
 
     Encloses the closed form at each grid point 3 + k * step
-    (`_branch_bounds` on the exact grid bounds from `_grid_bounds`, a
-    chunk of at most min(m, 1024) points per call, with their logs from
-    math.log per element) and fills the gaps between grid points with the
+    (one `_branch_bounds` call on the exact grid bounds of all m + 1
+    points from `_grid_bounds`, with their logs from math.log per
+    element) and fills the gaps between grid points with the
     derivative bound |omega'| <= BRANCH_DERIVATIVE_BOUND = 0.022 on
     [3, 4].  There omega'(u) = (omega(u-1) - omega(u))/u with u >= 3,
     omega(u-1) in [0.5, 0.5672] (omega peaks at about 0.56714 near
@@ -469,14 +430,9 @@ def branch_expression_range(step: float = 2e-4) -> Enclosure:
     SoundnessError.
     """
     m = _grid_den(step)
-    lo_min = math.inf
-    hi_max = -math.inf
-    for start, stop in _chunks(0, m + 1, m):
-        lo, hi = _branch_bounds(*_grid_bounds(np.arange(3 * m + start, 3 * m + stop), m))
-        lo_min = min(lo_min, lo.min().item())
-        hi_max = max(hi_max, hi.max().item())
+    lo, hi = _branch_bounds(*_grid_bounds(np.arange(3 * m, 4 * m + 1), m))
     fill = _up(BRANCH_DERIVATIVE_BOUND * step * 0.5)
-    out = Enclosure(_down(lo_min - fill), _up(hi_max + fill))
+    out = Enclosure(_down(lo.min().item() - fill), _up(hi.max().item() + fill))
     if not BRANCH_FLOOR <= out.lo <= out.hi <= BRANCH_CEILING:
         raise SoundnessError(f"branch range [{out.lo}, {out.hi}] leaves [{BRANCH_FLOOR}, {BRANCH_CEILING}]")
     return out
@@ -486,13 +442,15 @@ def branch_expression_range(step: float = 2e-4) -> Enclosure:
 class BuchstabTable:
     """Certified table of omega on the rational grid u_k = 1 + k/grid_den.
 
-    values[k] encloses omega(1 + k/grid_den); the final index corresponds
-    to u_max.  max_width is the largest enclosure width in the table.
+    lo[k] <= omega(1 + k/grid_den) <= hi[k]; the final index corresponds
+    to u_max.  max_width is the largest hi[k] - lo[k].  The endpoints
+    are tuples of floats, so two tables compare with ==.
     """
 
     u_max: float
     grid_den: int
-    values: tuple[Enclosure, ...]
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
     max_width: float
 
 
@@ -511,19 +469,14 @@ def build_table(u_max: float = 8.0, step: float = 1e-4) -> BuchstabTable:
     by the trapezoid error bound h^3/12 * max|omega''| <= h^3/6 per step.
     The caller judges max_width against the width it needs.
 
-    The recurrence runs on float lo/hi arrays rounded outward after every
-    operation, the same operations `Enclosure` arithmetic would make.
-    Every operand of a product or quotient is positive, so an interval
-    product is lo*lo and hi*hi, and a quotient lo/hi and hi/lo; each new
-    entry is checked to lie in (0, inf), which also proves its dividend
-    was positive, and SoundnessError is raised otherwise.
-
-    Steps run in chunks of at most min(m, 1024).  Within a chunk the grid
-    bounds (`_grid_bounds`, exact) and the widened trapezoid increments
-    e_k are arrays: e_k reads entries k - m and k - m + 1, all known
-    before a chunk of at most m steps starts.  Only the recurrence
-    v_{k+1} = down(down(down(v_k * g_k) + e_k) / g_{k+1}) (and its upper
-    twin) stays a scalar loop, as each entry needs the one before.
+    It runs on float lo/hi arrays in `Enclosure`'s operations, one grid
+    period of m steps at a time: a period's grid bounds (exact) and
+    widened increments e_k, which read entries k - m and k - m + 1, are
+    arrays, and only v_{k+1} = down(down(down(v_k * g_k) + e_k) / g_{k+1})
+    and its upper twin loop over scalars.  Operands are taken positive,
+    so a product is lo*lo and hi*hi, a quotient lo/hi and hi/lo.  One
+    check of every entry, finite with 0 < lo <= hi, proves that (a
+    positive quotient had a positive dividend) or raises SoundnessError.
     """
     m = _grid_den(step)
     if not 2.0 <= u_max <= 64.0:
@@ -537,14 +490,14 @@ def build_table(u_max: float = 8.0, step: float = 1e-4) -> BuchstabTable:
     step_pad = _up(_up(h_hi**3) * SECOND_DERIVATIVE_BOUND / 12.0)
     lo = np.empty(last + 1)
     hi = np.empty(last + 1)
-    for start, stop in _chunks(0, min(m, last) + 1, m):
-        g_lo, g_hi = _grid_bounds(np.arange(m + start, m + stop), m)
-        lo[start:stop] = np.nextafter(1.0 / g_hi, _DOWN)
-        hi[start:stop] = np.nextafter(1.0 / g_lo, _UP)
+    g_lo, g_hi = _grid_bounds(np.arange(m, 2 * m + 1), m)
+    lo[: m + 1] = np.nextafter(1.0 / g_hi, _DOWN)
+    hi[: m + 1] = np.nextafter(1.0 / g_lo, _UP)
     nextafter = math.nextafter
-    for start, stop in _chunks(m, last, m):
+    for start in range(m, last, m):
         # Steps k = start, ..., stop - 1 make entries start + 1, ..., stop.
-        # (values[k - m] + values[k - m + 1]) * h * 0.5, widened by step_pad
+        # e_k = (v_{k-m} + v_{k-m+1}) * h * 0.5, widened by step_pad
+        stop = min(start + m, last)
         a, b = start - m, stop - m
         d_lo = np.nextafter(np.nextafter(np.nextafter(lo[a:b] + lo[a + 1 : b + 1], _DOWN) * h_lo, _DOWN) * 0.5, _DOWN)
         d_hi = np.nextafter(np.nextafter(np.nextafter(hi[a:b] + hi[a + 1 : b + 1], _UP) * h_hi, _UP) * 0.5, _UP)
@@ -555,20 +508,22 @@ def build_table(u_max: float = 8.0, step: float = 1e-4) -> BuchstabTable:
         out_lo: list[float] = []
         out_hi: list[float] = []
         for el, eh, gl, gh, gl_next, gh_next in zip(e_lo, e_hi, g_lo, g_hi, g_lo[1:], g_hi[1:]):
-            # (values[k] * grid[k] + increment) / grid[k + 1]
+            # v_{k+1} = (v_k * g_k + e_k) / g_{k+1}
             v_lo = nextafter(nextafter(nextafter(v_lo * gl, _DOWN) + el, _DOWN) / gh_next, _DOWN)
             v_hi = nextafter(nextafter(nextafter(v_hi * gh, _UP) + eh, _UP) / gl_next, _UP)
-            if not (0.0 < v_lo and v_hi < math.inf):
-                k = start + len(out_lo) + 1
-                raise SoundnessError(f"table entry [{v_lo}, {v_hi}] at u = {(m + k) / m} leaves (0, inf)")
             out_lo.append(v_lo)
             out_hi.append(v_hi)
         lo[start + 1 : stop + 1] = out_lo
         hi[start + 1 : stop + 1] = out_hi
+    ok = (0.0 < lo) & (lo <= hi) & (hi < math.inf)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise SoundnessError(f"table entry [{lo[k]}, {hi[k]}] at u = {(m + k) / m} is empty or leaves (0, inf)")
     return BuchstabTable(
         u_max=float(u_max),
         grid_den=m,
-        values=tuple(map(Enclosure, lo.tolist(), hi.tolist())),
+        lo=tuple(lo.tolist()),
+        hi=tuple(hi.tolist()),
         max_width=(hi - lo).max().item(),
     )
 
@@ -586,25 +541,26 @@ def omega_enclosure(table: BuchstabTable, u: float) -> Enclosure:
     if not 1.0 <= u <= table.u_max:
         raise ValueError(f"u = {u} outside table domain [1, {table.u_max}]")
     m = table.grid_den
-    last = len(table.values) - 1
+    last = len(table.lo) - 1
     scaled = Fraction(u) * m
     k = min(max(int(scaled) - m, 0), last - 1)
     out = None
     for idx in (k, k + 1):
+        entry = Enclosure(table.lo[idx], table.hi[idx])
         dist = abs(scaled - (m + idx)) / m
         if dist == 0:
-            return table.values[idx]
-        pad = _up(float(dist) * LIPSCHITZ_BOUND)
-        candidate = table.values[idx].widen(pad)
+            return entry
+        candidate = entry.widen(_up(float(dist) * LIPSCHITZ_BOUND))
         out = candidate if out is None else out.intersect(candidate)
     return out
 
 
 def dump_table_csv(table: BuchstabTable, path: str) -> int:
     """Write the table as rows (u, lo, hi) and return the row count."""
+    m = table.grid_den
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["u", "lo", "hi"])
-        for k, enc in enumerate(table.values):
-            writer.writerow([repr((table.grid_den + k) / table.grid_den), repr(enc.lo), repr(enc.hi)])
-    return len(table.values)
+        for k, (lo, hi) in enumerate(zip(table.lo, table.hi)):
+            writer.writerow([repr((m + k) / m), repr(lo), repr(hi)])
+    return len(table.lo)

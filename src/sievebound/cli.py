@@ -317,6 +317,9 @@ def _cmd_omega(args, config: dict[str, str]) -> int:
     tol = _resolve("tol", args.tol, config, float, 5e-8)
     if not tol > 0.0:
         raise CliError("tol must be positive")
+    for u in args.at or []:
+        if not 1.0 <= u <= u_max:
+            raise CliError(f"u = {u} outside table domain [1, {u_max}]")
     table = buchstab.build_table(u_max=u_max, step=step)
     all_ok = _verdict(
         table.max_width <= tol,
@@ -327,7 +330,7 @@ def _cmd_omega(args, config: dict[str, str]) -> int:
         "u_max": u_max,
         "step": step,
         "tol": tol,
-        "rows": len(table.values),
+        "rows": len(table.lo),
         "max_width": table.max_width,
         "evaluations": [],
     }
@@ -355,7 +358,7 @@ def _cmd_omega(args, config: dict[str, str]) -> int:
             buchstab.dump_table_csv(table, args.csv)
         except OSError as exc:
             raise CliError(f"cannot write table {args.csv}: {exc}") from exc
-        print(f"[INFO] wrote {len(table.values)} rows to {args.csv}")
+        print(f"[INFO] wrote {len(table.lo)} rows to {args.csv}")
     _emit_report(results, {"command": "omega", "u_max": u_max, "step": step, "tol": tol}, args.out)
     return 0 if all_ok else 1
 

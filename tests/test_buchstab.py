@@ -12,14 +12,15 @@ Frozen reference values and where they come from:
     high-resolution trapezoid runs with rigorous error padding whose
     enclosures had width below 2e-10.  They are now checked against the
     closed form J(u) = log(u - 1)^2 / 2 + Li2(1/(u - 1)) - pi^2/12 that
-    `_log_integral` encloses, and `mpmath.quad` and `mpmath.polylog`
-    check that enclosure independently.
+    `_log_integral_bound` encloses, and `mpmath.quad` and
+    `mpmath.polylog` check that enclosure independently.
   * omega(4) = 0.5614582414068379 follows from the closed form above.
 
 The `scalar_*` functions are the one-point Python-float forms of the
 array kernels (`_log_bound`, `_li2_bound`, `_log_integral_bound`,
-`_branch_bounds`), kept as their bit-for-bit oracle, as is
-`enclosure_table` for `build_table`.
+`_expr_bounds`, `_branch_bounds`), kept as their bit-for-bit oracle,
+as are `enclosure_table` for `build_table` and `scalar_bound_range`
+for `omega_bound_range`.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from sievebound.buchstab import (
     branch_expression_range,
     build_table,
     dump_table_csv,
-    log_enc,
     omega_bound,
     omega_bound_range,
     omega_enclosure,
@@ -56,6 +56,19 @@ from sievebound.buchstab import (
 
 def closed_form_23(u: float) -> float:
     return (1.0 + math.log(u - 1.0)) / u
+
+
+def log_enclosure(a: float, b: float) -> Enclosure:
+    """log over [a, b] from `_log_bound`'s lower bound at a and upper bound at b."""
+    return Enclosure(buchstab._log_bound(np.array([a]), buchstab._DOWN).item(),
+                     buchstab._log_bound(np.array([b]), buchstab._UP).item())
+
+
+def log_integral(u: float) -> Enclosure:
+    """J(u), 3 <= u <= 4, from `_log_integral_bound` at the one point u."""
+    point = np.array([u])
+    return Enclosure(buchstab._log_integral_bound(point, buchstab._DOWN).item(),
+                     buchstab._log_integral_bound(point, buchstab._UP).item())
 
 
 class TestEnclosure:
@@ -111,10 +124,11 @@ class TestEnclosure:
             Enclosure(0.0, 1.0).intersect(Enclosure(2.0, 3.0))
 
     def test_log_contains(self):
+        """`_log_bound` brackets math.log at seeded points."""
         rng = random.Random(7)
         for _ in range(500):
             v = rng.uniform(1e-6, 50.0)
-            assert log_enc(Enclosure(v)).contains(math.log(v))
+            assert log_enclosure(v, v).contains(math.log(v))
 
     def test_coerce_encloses_exact_rationals(self):
         """Non-float operands are enclosed outward, never rounded to a point."""
@@ -170,12 +184,13 @@ def mp_endpoints(mpmath, interval):
 class TestAgainstMpmath:
     """Independent interval oracle: mpmath.iv at 113 bits of precision."""
 
-    def test_log_enc_contains_mpmath(self, mpiv):
+    def test_log_bound_contains_mpmath(self, mpiv):
+        """`_log_bound` at the ends of [a, b] brackets mpmath's interval log, at most a little wider."""
         rng = random.Random(20240801)
         for _ in range(500):
             a = 10.0 ** rng.uniform(-3.0, 3.0)
             b = min(a * (1.0 + rng.choice((0.0, 1e-9, 1e-3, 1.0)) * rng.random()), 1e3)
-            enc = log_enc(Enclosure(a, b))
+            enc = log_enclosure(a, b)
             lo, hi = mp_endpoints(mpiv, mpiv.iv.log(mpiv.iv.mpf([a, b])))
             assert enc.lo <= lo and hi <= enc.hi
             scale = max(abs(enc.lo), abs(enc.hi))
@@ -192,7 +207,7 @@ class TestAgainstMpmath:
         us += [3.0 + rng.randrange(n) / n for _ in range(10)]
         with mpmath.workdps(30):
             for u in us:
-                enc = buchstab._log_integral(u)
+                enc = log_integral(u)
                 exact = mpmath.quad(lambda t: mpmath.log(t - 1) / t, [2, u - 1])
                 assert mpmath.mpf(enc.lo) <= exact <= mpmath.mpf(enc.hi)
                 assert enc.width <= 1e-13
@@ -231,7 +246,7 @@ class TestAgainstMpmath:
             u = iv.mpf(m + k) / m
             exact = 1 / u if k <= m else (1 + iv.log(u - 1)) / u
             lo, hi = mp_endpoints(mpiv, exact)
-            assert table.values[k].lo <= lo and hi <= table.values[k].hi
+            assert table.lo[k] <= lo and hi <= table.hi[k]
 
 
 def enclosure_table(u_max: float, step: float) -> tuple[list[Enclosure], float]:
@@ -296,6 +311,24 @@ def scalar_branch_34(a: float, b: float) -> Enclosure:
     return (1.0 + scalar_log_enc(seg - 1.0)) / seg + j_range / seg
 
 
+def scalar_bound_range(bound, a: float, b: float) -> Enclosure:
+    """`omega_bound_range(bound, Enclosure(a, b))` with each piece in `Enclosure` arithmetic, hulled."""
+    pieces = []
+    if a < 2.0:
+        pieces.append(1.0 / Enclosure(a, min(b, 2.0)))
+    if b >= 2.0 and a < 3.0:
+        seg = Enclosure(max(a, 2.0), min(b, 3.0))
+        pieces.append((1.0 + scalar_log_enc(seg - 1.0)) / seg)
+    if b >= 3.0 and a < 4.0:
+        pieces.append(scalar_branch_34(max(a, 3.0), min(b, 4.0)).intersect(Enclosure(BRANCH_FLOOR, BRANCH_CEILING)))
+    if b >= 4.0:
+        pieces.append(Enclosure(bound.plateau))
+    out = pieces[0]
+    for piece in pieces[1:]:
+        out = out.hull(piece)
+    return out
+
+
 def hexes(pairs) -> list[tuple[str, str]]:
     return [(float(lo).hex(), float(hi).hex()) for lo, hi in pairs]
 
@@ -305,7 +338,7 @@ class TestArrayKernels:
 
     @pytest.mark.parametrize("step", [1e-3, 2e-4, 1 / 1024])
     def test_branch_points_match_scalar_oracle(self, step, monkeypatch):
-        """Every grid point's branch enclosure, and the chunked range built from them, whose chunks cover each point once."""
+        """Every grid point's branch enclosure, and the range built from them by one kernel call over all m + 1 points."""
         m = round(1.0 / step)
         grid = buchstab._grid_bounds(np.arange(3 * m, 4 * m + 1), m)
         lo, hi = buchstab._branch_bounds(*grid)
@@ -318,23 +351,28 @@ class TestArrayKernels:
         kernel = buchstab._branch_bounds
         monkeypatch.setattr(buchstab, "_branch_bounds", lambda a, b: chunks.append((a, b)) or kernel(a, b))
         rng = branch_expression_range(step)
-        assert max(len(a) for a, _ in chunks) <= buchstab._CHUNK
-        assert np.array_equal(np.concatenate([a for a, _ in chunks]), grid[0])
-        assert np.array_equal(np.concatenate([b for _, b in chunks]), grid[1])
+        assert len(chunks) == 1
+        assert np.array_equal(chunks[0][0], grid[0]) and np.array_equal(chunks[0][1], grid[1])
         assert hexes([(rng.lo, rng.hi)]) == hexes([(buchstab._down(lo_min - fill), buchstab._up(hi_max + fill))])
 
-    def test_scalar_entry_points_match_scalar_oracle(self):
-        """`_log_integral`, `log_enc` and `_branch_34` (used by `omega_bound_range`) at seeded points."""
+    def test_omega_bound_range_matches_scalar_oracle(self):
+        """`omega_bound_range`, both bounds, against `scalar_bound_range` at seeded intervals.
+
+        Intervals inside [1, 2), [2, 3] and [3, 4], points among them,
+        the knots themselves, and intervals that span one or more knots.
+        """
         rng = random.Random(20240801)
+        cases = [(k, k) for k in (1.0, 2.0, 3.0, 4.0)]
+        for lo, hi in ((1.0, 2.0), (2.0, 3.0), (3.0, 4.0)):
+            for _ in range(100):
+                a = rng.uniform(lo, hi)
+                cases.append((a, rng.choice((a, rng.uniform(a, hi)))))
         for _ in range(200):
-            a = rng.uniform(3.0, 4.0)
-            b = rng.choice((a, rng.uniform(a, 4.0)))
-            got = (buchstab._log_integral(a), log_enc(Enclosure(a - 2.5, b)), buchstab._branch_34(a, b))
-            expected = (
-                Enclosure(scalar_log_integral_bound(a, buchstab._DOWN), scalar_log_integral_bound(a, buchstab._UP)),
-                scalar_log_enc(Enclosure(a - 2.5, b)),
-                scalar_branch_34(a, b),
-            )
+            knot = rng.choice((2.0, 3.0, 4.0))
+            cases.append((rng.uniform(1.0, knot), rng.uniform(knot, 5.0)))
+        for bound in (OMEGA_LOWER, OMEGA_UPPER):
+            got = [omega_bound_range(bound, Enclosure(a, b)) for a, b in cases]
+            expected = [scalar_bound_range(bound, a, b) for a, b in cases]
             assert all(type(e.lo) is float and type(e.hi) is float for e in got)
             assert hexes((e.lo, e.hi) for e in got) == hexes((e.lo, e.hi) for e in expected)
 
@@ -369,8 +407,8 @@ class TestArrayKernels:
             monkeypatch.setattr(buchstab, "LI2_TAIL", math.inf)
             with pytest.raises(SoundnessError, match="finite"):
                 branch_expression_range(1e-3)
-            with pytest.raises(ValueError, match="finite"):
-                buchstab._log_integral(3.5)
+            with pytest.raises(SoundnessError, match="finite"):
+                omega_bound(OMEGA_UPPER, 3.5)
             monkeypatch.setattr(buchstab, "SECOND_DERIVATIVE_BOUND", math.inf)
             with pytest.raises(SoundnessError, match=r"leaves \(0, inf\)"):
                 build_table(u_max=3.0, step=1e-3)
@@ -380,16 +418,24 @@ class TestTable:
     @pytest.mark.parametrize(
         "u_max, step", [(8.0, 1e-4), (4.0, 1e-3), (2.0, 1e-4), (8.0, 1 / 1024), (3.5, 1 / 3000)]
     )
-    def test_float_kernel_matches_enclosure_recurrence(self, u_max, step, table):
+    def test_float_kernel_matches_enclosure_recurrence(self, u_max, step, monkeypatch):
         """Every entry and max_width equal the Enclosure recurrence's, bit for bit.
 
-        u_max = 2 runs no recurrence step, only the 1/u seed.  m = 3000
-        exceeds the kernel's chunk of 1024 rows, so its chunks are ragged.
+        The kernel runs one grid period at a time: the seed's m + 1 grid
+        points, then at most m steps per block, so each step's delayed
+        entries are known before its block starts.  u_max = 2 runs no
+        recurrence step, only the 1/u seed; u_max = 3.5 at m = 3000 ends
+        in half a period.
         """
-        got = table if (u_max, step) == (8.0, 1e-4) else build_table(u_max=u_max, step=step)
+        m, last = round(1.0 / step), round((u_max - 1.0) / step)
+        blocks = []
+        kernel = buchstab._grid_bounds
+        monkeypatch.setattr(buchstab, "_grid_bounds", lambda num, den: blocks.append((num[0].item(), len(num))) or kernel(num, den))
+        got = build_table(u_max=u_max, step=step)
+        assert blocks == [(m, m + 1)] + [(m + start, min(m, last - start) + 1) for start in range(m, last, m)]
         values, max_width = enclosure_table(u_max, step)
-        assert len(got.values) == len(values) == round((u_max - 1.0) / step) + 1
-        assert [(v.lo.hex(), v.hi.hex()) for v in got.values] == [(v.lo.hex(), v.hi.hex()) for v in values]
+        assert len(got.lo) == len(got.hi) == len(values) == last + 1
+        assert hexes(zip(got.lo, got.hi)) == hexes((v.lo, v.hi) for v in values)
         assert got.max_width.hex() == max_width.hex()
 
     def test_nonpositive_entry_raises(self, monkeypatch):
@@ -399,6 +445,18 @@ class TestTable:
         assert min(v.lo for v in values) < 0.0
         with pytest.raises(SoundnessError, match=r"leaves \(0, inf\)"):
             build_table(u_max=8.0, step=1e-3)
+
+    def test_inverted_entry_raises(self, monkeypatch):
+        """An entry with lo > hi is a SoundnessError, not a usage error; here the grid bounds come back swapped and apart."""
+        kernel = buchstab._grid_bounds
+
+        def inverted(num, den):
+            lo, hi = kernel(num, den)
+            return hi * 1.001, lo
+
+        monkeypatch.setattr(buchstab, "_grid_bounds", inverted)
+        with pytest.raises(SoundnessError, match="empty or leaves"):
+            build_table(u_max=3.0, step=1e-3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -418,8 +476,7 @@ class TestTable:
         table = build_table(u_max=4.0, step=1e-3)
         for j in range(25):
             got = omega_enclosure(table, 1.0 + j / 8)
-            entry = table.values[125 * j]
-            assert (got.lo.hex(), got.hi.hex()) == (entry.lo.hex(), entry.hi.hex())
+            assert (got.lo.hex(), got.hi.hex()) == (table.lo[125 * j].hex(), table.hi[125 * j].hex())
 
     def test_omega_at_two(self, table):
         """omega(2) = 1/2 exactly, from the [1, 2] branch omega = 1/u."""
@@ -438,10 +495,10 @@ class TestTable:
 
     def test_log_integral_literals(self):
         """J(3) = 0, since Li2(1/2) = pi^2/12 - log(2)^2/2 cancels the other two terms."""
-        assert buchstab._log_integral(3.0).contains(0.0)
-        assert (buchstab._log_integral(3.5) / 3.5).contains(0.013317226773258802)
+        assert log_integral(3.0).contains(0.0)
+        assert (log_integral(3.5) / 3.5).contains(0.013317226773258802)
         # J(4) integrates log(t-1)/t over [2, 3].
-        j4 = buchstab._log_integral(4.0)
+        j4 = log_integral(4.0)
         assert j4.contains(0.14722067695924124)
         assert j4.width <= 1e-8
 
@@ -461,10 +518,10 @@ class TestTable:
 
     def test_plateau_range(self, table):
         """Every table entry with u >= 4 lies in the plateau band."""
-        start = 3 * table.grid_den  # values[k] holds u = 1 + k/grid_den
+        start = 3 * table.grid_den  # entry k holds u = 1 + k/grid_den
         band = Enclosure(PLATEAU_LOWER, PLATEAU_UPPER)
-        lo = min(e.lo for e in table.values[start:])
-        hi = max(e.hi for e in table.values[start:])
+        lo = min(table.lo[start:])
+        hi = max(table.hi[start:])
         assert band.lo <= lo + 1e-7 and hi - 1e-7 <= band.hi
         # The plateau constants straddle the limiting value e^{-gamma}.
         limit = math.exp(-0.5772156649015329)
@@ -490,8 +547,8 @@ class TestTable:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["u", "lo", "hi"]
-        assert count == len(table.values)
-        assert len(rows) == len(table.values) + 1
+        assert count == len(table.lo)
+        assert len(rows) == len(table.lo) + 1
         u0, lo0, hi0 = rows[1]
         assert float(u0) == 1.0 and float(lo0) <= 1.0 <= float(hi0)
         u2, lo2, hi2 = rows[1 + table.grid_den]
@@ -582,10 +639,10 @@ class TestDerivativeConstants:
                     continue
                 m = table.grid_den
                 if u_max < 3.0:
-                    assert len(table.values) - 1 < 2 * m
+                    assert len(table.lo) - 1 < 2 * m
                     continue
                 reaching += 1
-                assert table.values[2 * m].contains((1 + math.log(2)) / 3)
+                assert table.lo[2 * m] <= (1 + math.log(2)) / 3 <= table.hi[2 * m]
         assert reaching == 15
 
 

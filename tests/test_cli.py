@@ -351,6 +351,28 @@ class TestOmega:
         assert code == 1
         assert stderr == "error: soundness failure: enclosure endpoints must be finite\n"
 
+    @pytest.mark.parametrize("at", ["--at=nan", "--at=inf", "--at=-inf", "--at=0.5", "--at=5"])
+    def test_at_outside_table_fails_before_the_table(self, at, tmp_path, capsys):
+        """An --at outside [1, u_max] exits 2 before the table is built and judged: no verdict line, no report."""
+        out = tmp_path / "omega.json"
+        code, stdout, stderr = run_cli(["omega", "--u-max", "4", at, "--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert stderr == f"error: u = {float(at[5:])} outside table domain [1, 4.0]\n"
+        assert not out.exists()
+
+    def test_inverted_table_entry_is_soundness_failure(self, capsys, monkeypatch):
+        """A table entry with lo > hi is an internal fault: exit 1, not the usage error an Enclosure's ValueError gave."""
+        kernel = buchstab._grid_bounds
+
+        def inverted(num, den):
+            lo, hi = kernel(num, den)
+            return hi * 1.001, lo
+
+        monkeypatch.setattr(buchstab, "_grid_bounds", inverted)
+        code, stdout, stderr = run_cli(["omega", "--u-max", "3", "--step", "1e-3"], capsys)
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: soundness failure: table entry [") and stderr.count("\n") == 1
+
     def test_unwritable_csv_is_usage_error(self, tmp_path, capsys):
         """A --csv path in a missing directory exits 2 with one error line, not a traceback and exit 1."""
         csv_path = tmp_path / "missing" / "table.csv"
