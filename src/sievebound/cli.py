@@ -11,10 +11,7 @@ Exit codes: 0 all requested verdicts pass, 1 at least one verdict
 fails or a certified computation hits a soundness failure, 2 usage or
 configuration error.
 
-Parameter precedence, highest first: command line flag, config file
-entry (--config, "key = value" lines, # comments), environment
-(SIEVEBOUND_WORKERS), built-in default.  A config key that no command
-reads (see _CONFIG_KEYS) is a configuration error.
+Every setting comes from its flag on the subcommand that reads it.
 """
 
 from __future__ import annotations
@@ -33,56 +30,8 @@ import numpy as np
 from . import __version__
 from . import buchstab, losses, quadrature, regions, sieve_harness
 
-_ENV_WORKERS = "SIEVEBOUND_WORKERS"
-_DEFAULT_SEED = 20240801
-# Every key some command resolves from a config file.
-_CONFIG_KEYS = frozenset({"seed", "workers", "mode", "samples", "budget", "tol", "targets", "x", "u_max", "step"})
-
-
 class CliError(Exception):
     """Usage or configuration problem; maps to exit code 2."""
-
-
-def _read_config(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise CliError(f"{path}:{lineno}: expected 'key = value'")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key not in _CONFIG_KEYS:
-                    raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
-                out[key] = value
-    except OSError as exc:
-        raise CliError(f"cannot read config file {path}: {exc}") from exc
-    return out
-
-
-def _resolve(
-    name: str,
-    flag_value,
-    config: dict[str, str],
-    caster,
-    default,
-    env_var: str | None = None,
-):
-    if flag_value is not None:
-        return flag_value
-    if name in config:
-        try:
-            return caster(config[name])
-        except ValueError as exc:
-            raise CliError(f"config key {name}: {exc}") from exc
-    if env_var and env_var in os.environ:
-        try:
-            return caster(os.environ[env_var])
-        except ValueError as exc:
-            raise CliError(f"environment {env_var}: {exc}") from exc
-    return default
 
 
 # Significant digits of every float in a JSON report.
@@ -183,20 +132,11 @@ def _verdict(ok: bool, label: str, detail: str) -> bool:
 # ----------------------------------------------------------------- verify
 
 
-def _cmd_verify(args, config: dict[str, str]) -> int:
-    seed = _resolve("seed", args.seed, config, int, _DEFAULT_SEED)
-    workers = _resolve("workers", args.workers, config, int, 1, _ENV_WORKERS)
-    if workers < 1:
-        raise CliError(f"workers must be at least 1, got {workers}")
-    mode = _resolve("mode", args.mode, config, str, quadrature.RIGOROUS)
-    if mode not in (quadrature.RIGOROUS, quadrature.MONTE_CARLO):
-        raise CliError(f"unknown mode {mode!r}")
-    samples = _resolve("samples", args.samples, config, int, 10**6)
-    budget = _resolve("budget", args.budget, config, int, None)
-    tol = _resolve("tol", args.tol, config, float, None)
-    raw_targets = _resolve("targets", args.targets, config, str, "all")
+def _cmd_verify(args) -> int:
+    if args.workers < 1:
+        raise CliError(f"workers must be at least 1, got {args.workers}")
     # Repeated targets run once, in first-seen order.
-    wanted = list(dict.fromkeys(t.strip() for t in raw_targets.split(",") if t.strip()))
+    wanted = list(dict.fromkeys(t.strip() for t in args.targets.split(",") if t.strip()))
     if not wanted:
         raise CliError("no verification targets given")
     if wanted == ["all"]:
@@ -210,14 +150,14 @@ def _cmd_verify(args, config: dict[str, str]) -> int:
     if "total" in wanted:
         loss_names = list(losses.LOSS_NAMES)
 
-    results: dict = {"mode": mode, "losses": {}}
+    results: dict = {"mode": args.mode, "losses": {}}
     all_ok = True
     estimates: dict[str, quadrature.IntegralEstimate] = {}
 
     for name in loss_names:
         target = losses.TARGETS[name]
-        if mode == quadrature.RIGOROUS:
-            est, escalations = losses.verified_loss(name, budget=budget, tol=tol)
+        if args.mode == quadrature.RIGOROUS:
+            est, escalations = losses.verified_loss(name, budget=args.budget, tol=args.tol)
             ok = est.upper <= target
             all_ok &= _verdict(
                 ok,
@@ -236,7 +176,7 @@ def _cmd_verify(args, config: dict[str, str]) -> int:
             }
             estimates[name] = est
         else:
-            est = losses.loss_mc(name, samples=samples, seed=seed, workers=workers)
+            est = losses.loss_mc(name, samples=args.samples, seed=args.seed, workers=args.workers)
             print(
                 f"[INFO] loss {name}: estimate {est.midpoint:.9e} "
                 f"stderr {est.stderr:.3e} target {target:g} (not a certificate)"
@@ -249,7 +189,7 @@ def _cmd_verify(args, config: dict[str, str]) -> int:
             }
 
     if "total" in wanted:
-        if mode == quadrature.RIGOROUS:
+        if args.mode == quadrature.RIGOROUS:
             ledger = losses.assemble_ledger(*(estimates[n] for n in losses.LOSS_NAMES))
             all_ok &= _verdict(
                 ledger.all_within("total"),
@@ -274,62 +214,58 @@ def _cmd_verify(args, config: dict[str, str]) -> int:
 
     cfg = {
         "command": "verify",
-        "seed": seed,
-        "workers": workers,
-        "mode": mode,
+        "seed": args.seed,
+        "workers": args.workers,
+        "mode": args.mode,
         "targets": wanted,
-        "budget": budget,
-        "tol": tol,
-        "samples": samples if mode == quadrature.MONTE_CARLO else None,
+        "budget": args.budget,
+        "tol": args.tol,
+        "samples": args.samples if args.mode == quadrature.MONTE_CARLO else None,
     }
     _emit_report(results, cfg, args.out)
-    return 0 if (all_ok or mode == quadrature.MONTE_CARLO) else 1
+    return 0 if (all_ok or args.mode == quadrature.MONTE_CARLO) else 1
 
 
 # ----------------------------------------------------------------- harness
 
 
-def _cmd_harness(args, config: dict[str, str]) -> int:
-    x = _resolve("x", args.x, config, int, 10**5)
-    ctx = sieve_harness.build_context(x)
+def _cmd_harness(args) -> int:
+    ctx = sieve_harness.build_context(args.x)
     report = sieve_harness.harness_report(ctx)
     ok_id = report["violations"]["identity"] == 0
     ok_min = report["violations"]["minorant"] == 0
     ok_sup = report["violations"]["support"] == 0
     all_ok = True
-    all_ok &= _verdict(ok_id, "harness identities", f"x={x} violations {report['violations']['identity_detail']}")
-    all_ok &= _verdict(ok_min, "harness minorant", f"x={x} violations {report['violations']['minorant']}")
-    all_ok &= _verdict(ok_sup, "harness support", f"x={x} violations {report['violations']['support']}")
+    all_ok &= _verdict(ok_id, "harness identities", f"x={args.x} violations {report['violations']['identity_detail']}")
+    all_ok &= _verdict(ok_min, "harness minorant", f"x={args.x} violations {report['violations']['minorant']}")
+    all_ok &= _verdict(ok_sup, "harness support", f"x={args.x} violations {report['violations']['support']}")
     print(
-        f"[INFO] window ({x}, {2*x}]: sum rho {report['totals']['rho']}, "
+        f"[INFO] window ({args.x}, {2 * args.x}]: sum rho {report['totals']['rho']}, "
         f"primes {report['totals']['primes']}, scaled ratio {report['ratios']['window_log']:.6f}"
     )
-    _emit_report(report, {"command": "harness", "x": x}, args.out)
+    _emit_report(report, {"command": "harness", "x": args.x}, args.out)
     return 0 if all_ok else 1
 
 
 # ----------------------------------------------------------------- omega
 
 
-def _cmd_omega(args, config: dict[str, str]) -> int:
-    u_max = _resolve("u_max", args.u_max, config, float, 8.0)
-    step = _resolve("step", args.step, config, float, 1e-4)
-    tol = _resolve("tol", args.tol, config, float, 5e-8)
-    if not tol > 0.0:
+def _cmd_omega(args) -> int:
+    if not args.tol > 0.0:
         raise CliError("tol must be positive")
     for u in args.at or []:
-        if not 1.0 <= u <= u_max:
-            raise CliError(f"u = {u} outside table domain [1, {u_max}]")
-    table = buchstab.build_table(u_max=u_max, step=step)
+        if not 1.0 <= u <= args.u_max:
+            raise CliError(f"u = {u} outside table domain [1, {args.u_max}]")
+    table = buchstab.build_table(u_max=args.u_max, step=args.step)
     all_ok = _verdict(
-        table.max_width <= tol,
+        table.max_width <= args.tol,
         "table enclosure width",
-        f"max width {table.max_width:.3e} <= {tol:g} over [2, {u_max:g}]",
+        f"max width {table.max_width:.3e} <= {args.tol:g} over [2, {args.u_max:g}]",
     )
     results: dict = {
-        "u_max": u_max,
-        "step": step,
-        "tol": tol,
+        "u_max": args.u_max,
+        "step": args.step,
+        "tol": args.tol,
         "rows": len(table.lo),
         "max_width": table.max_width,
         "evaluations": [],
@@ -359,7 +295,7 @@ def _cmd_omega(args, config: dict[str, str]) -> int:
         except OSError as exc:
             raise CliError(f"cannot write table {args.csv}: {exc}") from exc
         print(f"[INFO] wrote {len(table.lo)} rows to {args.csv}")
-    _emit_report(results, {"command": "omega", "u_max": u_max, "step": step, "tol": tol}, args.out)
+    _emit_report(results, {"command": "omega", "u_max": args.u_max, "step": args.step, "tol": args.tol}, args.out)
     return 0 if all_ok else 1
 
 
@@ -373,7 +309,7 @@ def _parse_point(text: str) -> tuple[Fraction, ...]:
         raise CliError(f"cannot parse point {text!r}: {exc}") from exc
 
 
-def _cmd_regions(args, config: dict[str, str]) -> int:
+def _cmd_regions(args) -> int:
     catalog = regions.region_catalog()
     results: dict = {"regions": {name: reg.arity for name, reg in catalog.items()}}
     if args.catalog:
@@ -398,52 +334,38 @@ def _cmd_regions(args, config: dict[str, str]) -> int:
 # ----------------------------------------------------------------- parser
 
 
-def _add_common(parser: argparse.ArgumentParser, root: bool) -> None:
-    # The common flags live on the root parser and on every subparser so
-    # they may appear on either side of the subcommand.  The subparser
-    # copies default to SUPPRESS: argparse subparsers share the root
-    # namespace, and a plain default would clobber a value parsed before
-    # the subcommand.
-    default = None if root else argparse.SUPPRESS
-    parser.add_argument("--config", default=default, help="key = value configuration file")
-    parser.add_argument("--seed", type=int, default=default, help="base random seed")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=default,
-        help="Monte Carlo RNG stream count; the streams run one after another",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sievebound",
         description="Certified bounds for a prime-indicator minorant construction.",
     )
-    _add_common(parser, root=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="certify loss integrals against targets")
-    _add_common(p_verify, root=False)
-    p_verify.add_argument("--targets", help="comma list from a3,b3,c,total or 'all'")
-    p_verify.add_argument("--mode", choices=[quadrature.RIGOROUS, quadrature.MONTE_CARLO])
+    p_verify.add_argument("--targets", default="all", help="comma list from a3,b3,c,total or 'all'")
+    p_verify.add_argument("--mode", choices=[quadrature.RIGOROUS, quadrature.MONTE_CARLO], default=quadrature.RIGOROUS)
     p_verify.add_argument("--budget", type=int, help="box budget override")
     p_verify.add_argument("--tol", type=float, help="gap tolerance override")
-    p_verify.add_argument("--samples", type=int, help="Monte Carlo sample count")
+    p_verify.add_argument("--samples", type=int, default=10**6, help="Monte Carlo sample count")
+    p_verify.add_argument("--seed", type=int, default=20240801, help="base random seed")
+    p_verify.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="Monte Carlo RNG stream count, at most --samples; the streams run one after another",
+    )
     p_verify.add_argument("--out", help="write the JSON report to this path")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_harness = sub.add_parser("harness", help="exact integer scan of (x, 2x]")
-    _add_common(p_harness, root=False)
-    p_harness.add_argument("--x", type=int, help="window base (default 100000)")
+    p_harness.add_argument("--x", type=int, default=10**5, help="window base (default 100000)")
     p_harness.add_argument("--out", help="write the JSON report to this path")
     p_harness.set_defaults(func=_cmd_harness)
 
     p_omega = sub.add_parser("omega", help="build the Buchstab table")
-    _add_common(p_omega, root=False)
-    p_omega.add_argument("--u-max", dest="u_max", type=float, help="table endpoint")
-    p_omega.add_argument("--step", type=float, help="grid spacing")
-    p_omega.add_argument("--tol", type=float, help="enclosure width tolerance")
+    p_omega.add_argument("--u-max", dest="u_max", type=float, default=8.0, help="table endpoint")
+    p_omega.add_argument("--step", type=float, default=1e-4, help="grid spacing")
+    p_omega.add_argument("--tol", type=float, default=5e-8, help="enclosure width tolerance")
     p_omega.add_argument(
         "--at", type=float, action="append", help="evaluate an enclosure at u (repeatable)"
     )
@@ -452,7 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_omega.set_defaults(func=_cmd_omega)
 
     p_regions = sub.add_parser("regions", help="inspect the region catalog")
-    _add_common(p_regions, root=False)
     p_regions.add_argument("--catalog", action="store_true", help="include full JSON catalog")
     p_regions.add_argument("--point", help="comma separated exponents, e.g. 0.21,0.205")
     p_regions.add_argument("--out", help="write the JSON report to this path")
@@ -480,13 +401,12 @@ def exit_status(run, *args) -> int:
 
 
 def _run_command(args) -> int:
-    config = _read_config(args.config) if args.config else {}
     # Checked before any work, so no verdict line precedes a bad path; the final writes keep their own checks.
     for what, path in (("report", args.out), ("table", getattr(args, "csv", None))):
         parent = os.path.dirname(os.path.abspath(path or "."))
         if path and not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
             raise CliError(f"cannot write {what} {path}: {parent} is not a writable directory")
-    return args.func(args, config)
+    return args.func(args)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -283,6 +283,9 @@ def integrate_mc(
         raise ValueError("samples must be at least 10000")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    # Checked before the per-worker counts and streams are built.
+    if workers > samples:
+        raise ValueError(f"workers must not exceed samples, got {workers} > {samples}")
     if f.value_many is None:
         raise TypeError("integrand lacks a vectorized value_many, required for Monte Carlo")
     box = _checked_box(f, region, box)

@@ -283,6 +283,20 @@ def _groupable(ctx: SieveContext, parts: tuple[int, ...]) -> bool:
     return False
 
 
+def _pair_bucket(ctx: SieveContext, p1: int, p2: int) -> str:
+    """The bucket term of the prime pair p2 < p1: s_a, s_type2, s_b or s_c."""
+    pair_pow = (p1 * p2) ** 19
+    if pair_pow < ctx.pow8:
+        return "s_a"
+    if pair_pow <= ctx.pow11:
+        return "s_type2"
+    p2_split = p2**38
+    if p2_split == ctx.pow9:
+        # Then 2x = t^38 and p2 = t^9 for an integer t, which no prime p2 is.
+        raise SoundnessError("impossible equality p2^38 = (2x)^9")
+    return "s_b" if p2_split < ctx.pow9 else "s_c"
+
+
 def _divisors(ctx: SieveContext, m: int) -> list[int]:
     """Every divisor of m, 1 and m included."""
     divs = [1]
@@ -321,16 +335,7 @@ def decompose(ctx: SieveContext, n: int) -> DecompositionRecord:
             if p2 >= p1 or p1 * p2 * p2 >= twox:
                 break
             d = p1 * p2
-            pair_pow = d**19
-            if pair_pow < ctx.pow8:
-                bucket = "s_a"
-            elif pair_pow <= ctx.pow11:
-                bucket = "s_type2"
-            else:
-                p2_split = p2**38
-                if p2_split == ctx.pow9:
-                    raise AssertionError("impossible equality p2^38 = (2x)^9")
-                bucket = "s_b" if p2_split < ctx.pow9 else "s_c"
+            bucket = _pair_bucket(ctx, p1, p2)
             weight = psi(ctx, n // d, p2)
             terms["s4"] += weight
             terms[bucket] += weight
@@ -426,16 +431,7 @@ def _pair_chain(ctx: SieveContext, primes: list[int]) -> Iterator[tuple]:
             if p2 >= p1 or p1 * p2 * p2 >= twox:
                 break
             d = p1 * p2
-            pair_pow = d**19
-            if pair_pow < ctx.pow8:
-                bucket = "s_a"
-            elif pair_pow <= ctx.pow11:
-                bucket = "s_type2"
-            else:
-                p2_split = p2**38
-                if p2_split == ctx.pow9:
-                    raise AssertionError("impossible equality p2^38 = (2x)^9")
-                bucket = "s_b" if p2_split < ctx.pow9 else "s_c"
+            bucket = _pair_bucket(ctx, p1, p2)
             yield "s4", d, p2, None, None
             yield bucket, d, p2, None, None
             if bucket == "s_b":

@@ -114,7 +114,7 @@ class TestVerify:
     def test_monte_carlo_mode(self, tmp_path, capsys):
         out = tmp_path / "mc.json"
         code, stdout, _ = run_cli(
-            ["--seed", "7", "--workers", "2", "verify", "--mode", "monte_carlo",
+            ["verify", "--seed", "7", "--workers", "2", "--mode", "monte_carlo",
              "--samples", "50000", "--targets", "a3", "--out", str(out)],
             capsys,
         )
@@ -141,11 +141,9 @@ class TestVerify:
         assert code == 2
         assert "unknown verification targets" in stderr
 
-    def test_empty_targets_is_usage_error(self, tmp_path, capsys):
+    def test_empty_targets_is_usage_error(self, capsys):
         """A target list with no names would certify nothing, so it exits 2, not 0."""
-        cfg = tmp_path / "empty.cfg"
-        cfg.write_text("targets =\n")
-        for argv in (["verify", "--targets", ","], ["verify", "--targets", " "], ["--config", str(cfg), "verify"]):
+        for argv in (["verify", "--targets", ","], ["verify", "--targets", " "]):
             code, stdout, stderr = run_cli(argv, capsys)
             assert code == 2 and stdout == ""
             assert "no verification targets" in stderr
@@ -178,26 +176,8 @@ class TestVerify:
         assert "error: soundness failure:" in stderr
         assert expected in stderr
 
-    def test_config_file_precedence(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("budget = 4000\ntol = 5e-4\ntargets = a3\n")
-        out = tmp_path / "cfg.json"
-        code, _, _ = run_cli(
-            ["--config", str(cfg), "verify", "--out", str(out)], capsys
-        )
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert report["config"]["budget"] == 4000
-        # A flag must override the file.
-        out2 = tmp_path / "cfg2.json"
-        code, _, _ = run_cli(
-            ["--config", str(cfg), "verify", "--budget", "5000", "--out", str(out2)],
-            capsys,
-        )
-        assert code == 0
-        assert json.loads(out2.read_text())["config"]["budget"] == 5000
-
-    def test_workers_env(self, tmp_path, capsys, monkeypatch):
+    def test_environment_sets_no_workers(self, tmp_path, capsys, monkeypatch):
+        """SIEVEBOUND_WORKERS is not a setting: the worker count comes from --workers alone."""
         monkeypatch.setenv("SIEVEBOUND_WORKERS", "4")
         out = tmp_path / "env.json"
         code, _, _ = run_cli(
@@ -206,27 +186,30 @@ class TestVerify:
             capsys,
         )
         assert code == 0
-        assert json.loads(out.read_text())["config"]["workers"] == 4
+        assert json.loads(out.read_text())["config"]["workers"] == 1
 
-    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        """workers < 1 exits 2 in both modes, whether it comes from a flag, a config line or the environment."""
-        cfg = tmp_path / "workers.cfg"
-        cfg.write_text("workers = 0\n")
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys):
+        """workers < 1 exits 2 in both modes."""
         out = tmp_path / "never.json"
-        for argv, env in (
-            (["verify", "--targets", "c", "--workers", "-3"], None),
-            (["--config", str(cfg), "verify", "--targets", "a3"], None),
-            (["--config", str(cfg), "verify", "--mode", "monte_carlo", "--targets", "a3"], None),
-            (["verify", "--targets", "a3"], "0"),
-            (["verify", "--mode", "monte_carlo", "--targets", "a3"], "-1"),
+        for argv in (
+            ["verify", "--targets", "c", "--workers", "-3"],
+            ["verify", "--mode", "monte_carlo", "--targets", "a3", "--workers", "0"],
         ):
-            if env is None:
-                monkeypatch.delenv("SIEVEBOUND_WORKERS", raising=False)
-            else:
-                monkeypatch.setenv("SIEVEBOUND_WORKERS", env)
             code, stdout, stderr = run_cli(argv + ["--out", str(out)], capsys)
             assert code == 2 and stdout == "", argv
             assert "workers must be at least 1" in stderr
+        assert not out.exists()
+
+    def test_workers_above_samples_is_usage_error(self, tmp_path, capsys):
+        """More RNG streams than samples exits 2 before any stream is built or verdict printed."""
+        out = tmp_path / "never.json"
+        code, stdout, stderr = run_cli(
+            ["verify", "--mode", "monte_carlo", "--samples", "10000", "--workers", "10001",
+             "--targets", "a3", "--out", str(out)],
+            capsys,
+        )
+        assert code == 2 and stdout == ""
+        assert stderr == "error: workers must not exceed samples, got 10001 > 10000\n"
         assert not out.exists()
 
     def test_missing_out_dir_fails_before_any_work(self, tmp_path, capsys):
@@ -235,28 +218,6 @@ class TestVerify:
         code, stdout, stderr = run_cli(["verify", "--targets", "c", "--out", str(out)], capsys)
         assert code == 2 and stdout == ""
         assert stderr.startswith("error: cannot write report") and stderr.count("\n") == 1
-
-    def test_bad_config_line(self, tmp_path, capsys):
-        cfg = tmp_path / "broken.cfg"
-        cfg.write_text("this line has no equals\n")
-        code, _, stderr = run_cli(["--config", str(cfg), "verify"], capsys)
-        assert code == 2
-        assert "expected 'key = value'" in stderr
-
-    def test_unknown_config_key(self, tmp_path, capsys):
-        """A key no command reads is rejected by name, not run at the defaults."""
-        cfg = tmp_path / "typo.cfg"
-        cfg.write_text("tolerance = 1e-3\n")
-        code, _, stderr = run_cli(["--config", str(cfg), "verify"], capsys)
-        assert code == 2
-        assert "unknown config key 'tolerance'" in stderr
-
-    def test_missing_config_file(self, capsys):
-        code, _, stderr = run_cli(
-            ["--config", "/nonexistent/path.cfg", "verify"], capsys
-        )
-        assert code == 2
-        assert "cannot read config file" in stderr
 
 
 class TestHarness:
@@ -273,13 +234,11 @@ class TestHarness:
     def test_report_config_holds_only_what_was_read(self, tmp_path, capsys):
         """Seed and workers reach the report only from verify, which reads them."""
         out = tmp_path / "harness.json"
-        code, _, _ = run_cli(["--seed", "7", "--workers", "3", "harness", "--x", "10000", "--out", str(out)], capsys)
+        code, _, _ = run_cli(["harness", "--x", "10000", "--out", str(out)], capsys)
         assert code == 0
         assert json.loads(out.read_text())["config"] == {"command": "harness", "x": 10000}
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 5\nu_max = 3\nstep = 0.001\ntol = 1e-5\n")
         out = tmp_path / "omega.json"
-        code, _, _ = run_cli(["--config", str(cfg), "omega", "--out", str(out)], capsys)
+        code, _, _ = run_cli(["omega", "--u-max", "3", "--step", "0.001", "--tol", "1e-5", "--out", str(out)], capsys)
         assert code == 0
         assert json.loads(out.read_text())["config"] == {"command": "omega", "u_max": 3.0, "step": 0.001, "tol": 1e-5}
 
@@ -401,14 +360,11 @@ class TestOmega:
         assert results["max_width"] > results["tol"] == 1e-12
 
     def test_nan_tol_is_usage_error(self, tmp_path, capsys):
-        """A NaN tol, from the flag or from a config line, exits 2 before any table is built or report written."""
-        cfg = tmp_path / "nan.cfg"
-        cfg.write_text("tol = nan\n")
+        """A NaN tol exits 2 before any table is built or report written."""
         out = tmp_path / "never.json"
-        for argv in (["omega", "--tol", "nan"], ["--config", str(cfg), "omega"]):
-            code, stdout, stderr = run_cli(argv + ["--u-max", "3", "--out", str(out)], capsys)
-            assert code == 2 and stdout == "", argv
-            assert "tol must be positive" in stderr
+        code, stdout, stderr = run_cli(["omega", "--tol", "nan", "--u-max", "3", "--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert "tol must be positive" in stderr
         assert not out.exists()
 
 
@@ -455,6 +411,25 @@ class TestRegions:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--config", "run.cfg", "verify"],
+            ["--seed", "7", "verify"],
+            ["--workers", "2", "verify"],
+            ["harness", "--x", "10000", "--workers", "3"],
+            ["omega", "--seed", "7"],
+            ["regions", "--workers", "2"],
+        ],
+        ids=["config", "root-seed", "root-workers", "harness-workers", "omega-seed", "regions-workers"],
+    )
+    def test_flag_off_its_subcommand_is_usage_error(self, argv, capsys):
+        """Each flag is read on the one subcommand it belongs to; argparse exits 2 on any other placement."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "sievebound", "regions", "--point", "0.35,0.25"],

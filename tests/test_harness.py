@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from sievebound import sieve_harness as sh
+from sievebound.buchstab import SoundnessError
 
 _BIG = 1 << 62
 
@@ -342,6 +343,18 @@ class TestWindowScan:
         assert violations["identity"] == 1
         assert report["clean"] is False
         assert report["totals"]["rho"] == 875 - sh.decompose(ctx, bad_rho).rho + 2
+
+    def test_impossible_pair_split_is_soundness_failure(self):
+        """p2^38 = (2x)^9 holds for no prime p2; forced on a reached pair, both routes raise SoundnessError."""
+        ctx = sh.build_context(10**4)
+        p1, p2, n = 61, 7, 61 * 7 * 24
+        assert (p1 * p2) ** 19 > ctx.pow11 and p1**19 <= ctx.pow8 and p1 * p2 * p2 < ctx.twox
+        assert [p for p, _ in trial_factor(n) if p >= ctx.cut] == [p2, p1] and ctx.x < n <= ctx.twox
+        ctx.pow9 = p2**38
+        with pytest.raises(SoundnessError, match="impossible equality"):
+            sh.decompose(ctx, n)
+        with pytest.raises(SoundnessError, match="impossible equality"):
+            sh.harness_report(ctx)
 
     def test_fold_rejects_wide_term(self, ctx, monkeypatch):
         """A term above TERM_LIMIT could wrap the int8 residual; the fold refuses it."""

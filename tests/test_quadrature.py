@@ -193,6 +193,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             integrate_mc(constant_one(), halfspace_region(), UNIT_SQUARE, samples=100, seed=1)
 
+    def test_workers_at_most_samples(self):
+        """A worker owns at least one sample, so samples + 1 workers is refused before any stream is built."""
+        with pytest.raises(ValueError, match="workers must not exceed samples"):
+            integrate_mc(constant_one(), halfspace_region(), UNIT_SQUARE, samples=10000, seed=1, workers=10001)
+
     def test_region_stub_with_only_a_mask(self):
         """A region exposing only arity and a forwarding mask gives the same estimate; it is given the box."""
         calls = []
