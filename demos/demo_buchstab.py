@@ -24,6 +24,7 @@ import sys
 from sievebound import buchstab
 from sievebound.buchstab import OMEGA_LOWER, OMEGA_UPPER
 from sievebound.cli import exit_status, high_text, low_text
+from sievebound.interval import Enclosure
 
 
 def banner(title: str) -> None:
@@ -70,7 +71,7 @@ def run(args: argparse.Namespace) -> int:
     for k in range(table.grid_den, last + 1, max(1, table.grid_den // 50)):
         u = 1.0 + k / table.grid_den
         closed = (1.0 + math.log(u - 1.0)) / u
-        enc = buchstab.Enclosure(table.lo[k], table.hi[k])
+        enc = Enclosure(table.lo[k], table.hi[k])
         worst = max(worst, abs(enc.mid - closed))
         if not enc.contains(closed):
             print(f"  [FAIL] closed form escapes the enclosure at u = {u}")

@@ -1,9 +1,12 @@
 """Certified numerics for a prime-indicator minorant built from sieve weights.
 
-The package has three layers:
+The package has four layers:
 
-  * interval tools: directed-rounding enclosures, a rigorous Buchstab
-    table, and piecewise bounds for the Buchstab function (buchstab);
+  * interval arithmetic at the bottom: outward-rounded float
+    enclosures and the soundness exception every certified
+    computation raises (interval);
+  * the Buchstab function: a rigorous table and piecewise bounds
+    (buchstab);
   * exact geometry: rational halfspace trees for the exponent regions,
     exact integer Irwin-Hall volume fractions rounded outward once, and
     verified adaptive integration of the three loss integrals against

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from . import buchstab, losses, quadrature, regions, sieve_harness
+from . import buchstab, interval, losses, quadrature, regions, sieve_harness
 
 class CliError(Exception):
     """Usage or configuration problem; maps to exit code 2."""
@@ -133,8 +133,6 @@ def _verdict(ok: bool, label: str, detail: str) -> bool:
 
 
 def _cmd_verify(args) -> int:
-    if args.workers < 1:
-        raise CliError(f"workers must be at least 1, got {args.workers}")
     # Repeated targets run once, in first-seen order.
     wanted = list(dict.fromkeys(t.strip() for t in args.targets.split(",") if t.strip()))
     if not wanted:
@@ -176,7 +174,7 @@ def _cmd_verify(args) -> int:
             }
             estimates[name] = est
         else:
-            est = losses.loss_mc(name, samples=args.samples, seed=args.seed, workers=args.workers)
+            est = losses.loss_mc(name, samples=args.samples, seed=args.seed)
             print(
                 f"[INFO] loss {name}: estimate {est.midpoint:.9e} "
                 f"stderr {est.stderr:.3e} target {target:g} (not a certificate)"
@@ -212,18 +210,18 @@ def _cmd_verify(args) -> int:
             print(f"[INFO] total loss estimate {total:.9f} (not a certificate)")
             results["total"] = {"estimate": total}
 
+    monte_carlo = args.mode == quadrature.MONTE_CARLO
     cfg = {
         "command": "verify",
-        "seed": args.seed,
-        "workers": args.workers,
+        "seed": args.seed if monte_carlo else None,
         "mode": args.mode,
         "targets": wanted,
         "budget": args.budget,
         "tol": args.tol,
-        "samples": args.samples if args.mode == quadrature.MONTE_CARLO else None,
+        "samples": args.samples if monte_carlo else None,
     }
     _emit_report(results, cfg, args.out)
-    return 0 if (all_ok or args.mode == quadrature.MONTE_CARLO) else 1
+    return 0 if (all_ok or monte_carlo) else 1
 
 
 # ----------------------------------------------------------------- harness
@@ -347,13 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--budget", type=int, help="box budget override")
     p_verify.add_argument("--tol", type=float, help="gap tolerance override")
     p_verify.add_argument("--samples", type=int, default=10**6, help="Monte Carlo sample count")
-    p_verify.add_argument("--seed", type=int, default=20240801, help="base random seed")
-    p_verify.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="Monte Carlo RNG stream count, at most --samples; the streams run one after another",
-    )
+    p_verify.add_argument("--seed", type=int, default=losses.MC_SEED, help="Monte Carlo seed")
     p_verify.add_argument("--out", help="write the JSON report to this path")
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -392,7 +384,7 @@ def exit_status(run, *args) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except buchstab.SoundnessError as exc:
+    except interval.SoundnessError as exc:
         print(f"error: soundness failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, TypeError) as exc:

@@ -74,7 +74,8 @@ import numpy as np
 
 # omega_bound_range is unused here but stays importable as
 # losses.omega_bound_range: perfbench's traced runs rebind it.
-from .buchstab import _DOWN, _UP, Enclosure, SoundnessError, _down, _up, omega_bound_range  # noqa: F401
+from .buchstab import omega_bound_range  # noqa: F401
+from .interval import _DOWN, _UP, Enclosure, SoundnessError, _down, _up
 from . import quadrature
 from .quadrature import Integrand, IntegralEstimate, RIGOROUS, integrate_mc, integrate_rigorous
 from .regions import REGION_C, REGION_U_A3, REGION_U_B3, AndNode, Box, LinearConstraint, RegionPredicate
@@ -107,6 +108,9 @@ DEFAULT_BUDGETS = {"a3": 10**7, "b3": 10**7, "c": 10**6}
 DEFAULT_TOLS = {"a3": 2e-5, "b3": 5e-5, "c": 5e-7}
 MAX_ESCALATIONS = 2
 RANGE_LEAF_BUDGET = 256
+
+# Default base seed of every Monte Carlo cross-check.
+MC_SEED = 20240801
 
 _F = Fraction
 
@@ -403,7 +407,7 @@ def _run(name: str, budget: int, tol: float) -> IntegralEstimate:
     return integrate_rigorous(integrand, region, box, budget=budget, tol=tol)
 
 
-def loss_mc(name: str, samples: int = 10**7, seed: int = 20240801, workers: int = 1) -> IntegralEstimate:
+def loss_mc(name: str, samples: int = 10**7, seed: int = MC_SEED, workers: int = 1) -> IntegralEstimate:
     """Monte Carlo cross-check of a loss integral (uncertified)."""
     integrand, _, region, box = integration_domain(name)
     return integrate_mc(integrand, region, box, samples=samples, seed=seed, workers=workers)

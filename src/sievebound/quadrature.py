@@ -47,7 +47,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .buchstab import _DOWN, _UP, Enclosure, SoundnessError, _down, _ratio_bounds, _up
+from .interval import _DOWN, _UP, Enclosure, SoundnessError, _down, _ratio_bounds, _up
 from .regions import Box, RegionPredicate, _single_halfspace
 
 __all__ = [

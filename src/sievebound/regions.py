@@ -43,7 +43,7 @@ y - b_S > 0 are enumerated).  A constraint is decided on a box by that
 ratio alone: 1 is inside, 0 is outside, which counts a face contact of
 measure zero as outside, and any other value is rounded to floats once,
 by one correctly rounded division and an integer check of which side of
-the quotient the exact value lies (`buchstab._ratio_bounds`), so each
+the quotient the exact value lies (`interval._ratio_bounds`), so each
 bound is within one ulp of the exact fraction.  Conjunctions and
 disjunctions combine their children's bounds with two-sided Frechet
 bounds in directed rounding, which are exact up to rounding when a
@@ -76,7 +76,7 @@ from math import nextafter
 
 import numpy as np
 
-from .buchstab import _DOWN, _UP, _ratio_bounds
+from .interval import _DOWN, _UP, _ratio_bounds
 
 __all__ = [
     "LinearConstraint",

@@ -102,7 +102,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .buchstab import SoundnessError
+from .interval import SoundnessError
 
 __all__ = [
     "SieveContext",

@@ -79,7 +79,7 @@ def ledger(verified_a3, verified_b3, verified_c) -> losses.LossLedger:
 @pytest.fixture(scope="session")
 def mc_estimates():
     return {
-        name: losses.loss_mc(name, samples=10**7, seed=20240801, workers=1)
+        name: losses.loss_mc(name, samples=10**7, seed=losses.MC_SEED, workers=1)
         for name in losses.LOSS_NAMES
     }
 

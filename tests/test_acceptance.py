@@ -39,6 +39,7 @@ import numpy as np
 
 import conftest
 from sievebound import buchstab, losses, regions
+from sievebound.interval import Enclosure
 
 _SEED = 20240801
 
@@ -101,7 +102,7 @@ def test_combined_budget(acceptance, ledger):
 
 def test_buchstab_table(acceptance, table):
     m = table.grid_den
-    at_two = buchstab.Enclosure(table.lo[m], table.hi[m])
+    at_two = Enclosure(table.lo[m], table.hi[m])
     ok_two = at_two.contains(0.5) and at_two.width <= 1e-8
 
     worst_dev = 0.0
@@ -109,7 +110,7 @@ def test_buchstab_table(acceptance, table):
     for k in range(m, 2 * m + 1):
         u = 1.0 + k / m
         closed = (1.0 + math.log(u - 1.0)) / u
-        enc = buchstab.Enclosure(table.lo[k], table.hi[k])
+        enc = Enclosure(table.lo[k], table.hi[k])
         worst_dev = max(worst_dev, abs(enc.mid - closed))
         if not enc.contains(closed) or abs(enc.mid - closed) > 1e-6:
             ok_closed = False

@@ -35,16 +35,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sievebound import buchstab
+from sievebound import buchstab, interval
 from sievebound.buchstab import (
     BRANCH_CEILING,
     BRANCH_FLOOR,
-    Enclosure,
     OMEGA_LOWER,
     OMEGA_UPPER,
     PLATEAU_LOWER,
     PLATEAU_UPPER,
-    SoundnessError,
     branch_expression_range,
     build_table,
     dump_table_csv,
@@ -52,6 +50,7 @@ from sievebound.buchstab import (
     omega_bound_range,
     omega_enclosure,
 )
+from sievebound.interval import Enclosure, SoundnessError
 
 
 def closed_form_23(u: float) -> float:
@@ -60,15 +59,15 @@ def closed_form_23(u: float) -> float:
 
 def log_enclosure(a: float, b: float) -> Enclosure:
     """log over [a, b] from `_log_bound`'s lower bound at a and upper bound at b."""
-    return Enclosure(buchstab._log_bound(np.array([a]), buchstab._DOWN).item(),
-                     buchstab._log_bound(np.array([b]), buchstab._UP).item())
+    return Enclosure(buchstab._log_bound(np.array([a]), interval._DOWN).item(),
+                     buchstab._log_bound(np.array([b]), interval._UP).item())
 
 
 def log_integral(u: float) -> Enclosure:
     """J(u), 3 <= u <= 4, from `_log_integral_bound` at the one point u."""
     point = np.array([u])
-    return Enclosure(buchstab._log_integral_bound(point, buchstab._DOWN).item(),
-                     buchstab._log_integral_bound(point, buchstab._UP).item())
+    return Enclosure(buchstab._log_integral_bound(point, interval._DOWN).item(),
+                     buchstab._log_integral_bound(point, interval._UP).item())
 
 
 class TestEnclosure:
@@ -157,7 +156,7 @@ class TestEnclosure:
             cases.append((rng.randint(-den, den) * rng.choice((1, 3, 2**40)), den))
         for num, den in cases:
             q = Fraction(num, den)
-            lo, hi = buchstab._ratio_bounds(num, den)
+            lo, hi = interval._ratio_bounds(num, den)
             assert Enclosure._coerce(q) == Enclosure(lo, hi)
             assert Fraction(lo) <= q <= Fraction(hi)
             if Fraction(lo) == q or Fraction(hi) == q:
@@ -221,11 +220,11 @@ class TestAgainstMpmath:
         mpmath = pytest.importorskip("mpmath")
         rng = random.Random(20240801)
         with mpmath.workdps(30):
-            cases = [(mpmath.mpf(1) / 3, *buchstab._ratio_bounds(1, 3)), (mpmath.mpf(0.5), 0.5, 0.5)]
+            cases = [(mpmath.mpf(1) / 3, *interval._ratio_bounds(1, 3)), (mpmath.mpf(0.5), 0.5, 0.5)]
             cases += [(mpmath.mpf(v), v, v) for v in (rng.uniform(1 / 3, 0.5) for _ in range(20))]
             for v, v_lo, v_hi in cases:
-                lo = buchstab._li2_bound(v_lo, buchstab._DOWN)
-                hi = buchstab._li2_bound(v_hi, buchstab._UP)
+                lo = buchstab._li2_bound(v_lo, interval._DOWN)
+                hi = buchstab._li2_bound(v_hi, interval._UP)
                 assert mpmath.mpf(lo) <= mpmath.polylog(2, v) <= mpmath.mpf(hi)
                 assert hi - lo <= 1e-14
 
@@ -258,9 +257,9 @@ def enclosure_table(u_max: float, step: float) -> tuple[list[Enclosure], float]:
     """
     m = round(1.0 / step)
     last = round((u_max - 1.0) * m)
-    h = Enclosure(*buchstab._ratio_bounds(1, m))
-    step_pad = buchstab._up(buchstab._up(h.hi**3) * buchstab.SECOND_DERIVATIVE_BOUND / 12.0)
-    grid = [Enclosure(*buchstab._ratio_bounds(m + k, m)) for k in range(last + 1)]
+    h = Enclosure(*interval._ratio_bounds(1, m))
+    step_pad = interval._up(interval._up(h.hi**3) * buchstab.SECOND_DERIVATIVE_BOUND / 12.0)
+    grid = [Enclosure(*interval._ratio_bounds(m + k, m)) for k in range(last + 1)]
     values = [1.0 / grid[k] for k in range(min(m, last) + 1)]
     for k in range(m, last):
         delayed = (values[k - m] + values[k - m + 1]) * h * 0.5
@@ -281,9 +280,9 @@ def scalar_log_bound(x: float, side: float) -> float:
 def scalar_li2_bound(v: float, side: float) -> float:
     """`buchstab._li2_bound` for one float, Horner's rule on Python floats."""
     s = 0.0
-    for c in buchstab._INV_SQUARES_HI if side == buchstab._UP else buchstab._INV_SQUARES_LO:
+    for c in buchstab._INV_SQUARES_HI if side == interval._UP else buchstab._INV_SQUARES_LO:
         s = math.nextafter(math.nextafter(s + c, side) * v, side)
-    return buchstab._up(s + buchstab.LI2_TAIL) if side == buchstab._UP else s
+    return interval._up(s + buchstab.LI2_TAIL) if side == interval._UP else s
 
 
 def scalar_log_integral_bound(u: float, side: float) -> float:
@@ -292,12 +291,12 @@ def scalar_log_integral_bound(u: float, side: float) -> float:
     log_w = scalar_log_bound(w, side)
     half_sq = math.nextafter(log_w * log_w, side) * 0.5
     li2 = scalar_li2_bound(min(math.nextafter(1.0 / w, side), 0.5), side)
-    pi_term = buchstab.PI_SQ_OVER_12.lo if side == buchstab._UP else buchstab.PI_SQ_OVER_12.hi
+    pi_term = buchstab.PI_SQ_OVER_12.lo if side == interval._UP else buchstab.PI_SQ_OVER_12.hi
     return math.nextafter(math.nextafter(half_sq + li2, side) - pi_term, side)
 
 
 def scalar_log_enc(x: Enclosure) -> Enclosure:
-    return Enclosure(scalar_log_bound(x.lo, buchstab._DOWN), scalar_log_bound(x.hi, buchstab._UP))
+    return Enclosure(scalar_log_bound(x.lo, interval._DOWN), scalar_log_bound(x.hi, interval._UP))
 
 
 def scalar_branch_34(a: float, b: float) -> Enclosure:
@@ -307,7 +306,7 @@ def scalar_branch_34(a: float, b: float) -> Enclosure:
     bit for bit; every intermediate is an `Enclosure`, which checks it.
     """
     seg = Enclosure(a, b)
-    j_range = Enclosure(scalar_log_integral_bound(a, buchstab._DOWN), scalar_log_integral_bound(b, buchstab._UP))
+    j_range = Enclosure(scalar_log_integral_bound(a, interval._DOWN), scalar_log_integral_bound(b, interval._UP))
     return (1.0 + scalar_log_enc(seg - 1.0)) / seg + j_range / seg
 
 
@@ -342,9 +341,9 @@ class TestArrayKernels:
         m = round(1.0 / step)
         grid = buchstab._grid_bounds(np.arange(3 * m, 4 * m + 1), m)
         lo, hi = buchstab._branch_bounds(*grid)
-        expected = [scalar_branch_34(*buchstab._ratio_bounds(3 * m + k, m)) for k in range(m + 1)]
+        expected = [scalar_branch_34(*interval._ratio_bounds(3 * m + k, m)) for k in range(m + 1)]
         assert hexes(zip(lo.tolist(), hi.tolist())) == hexes((e.lo, e.hi) for e in expected)
-        fill = buchstab._up(buchstab.BRANCH_DERIVATIVE_BOUND * step * 0.5)
+        fill = interval._up(buchstab.BRANCH_DERIVATIVE_BOUND * step * 0.5)
         lo_min = min(e.lo for e in expected)
         hi_max = max(e.hi for e in expected)
         chunks = []
@@ -353,7 +352,7 @@ class TestArrayKernels:
         rng = branch_expression_range(step)
         assert len(chunks) == 1
         assert np.array_equal(chunks[0][0], grid[0]) and np.array_equal(chunks[0][1], grid[1])
-        assert hexes([(rng.lo, rng.hi)]) == hexes([(buchstab._down(lo_min - fill), buchstab._up(hi_max + fill))])
+        assert hexes([(rng.lo, rng.hi)]) == hexes([(interval._down(lo_min - fill), interval._up(hi_max + fill))])
 
     def test_omega_bound_range_matches_scalar_oracle(self):
         """`omega_bound_range`, both bounds, against `scalar_bound_range` at seeded intervals.
@@ -391,7 +390,7 @@ class TestArrayKernels:
             nums += [rng.randint(m, 64 * m) for _ in range(2**13)]
         lo, hi = buchstab._grid_bounds(np.array(nums), m)
         # Positive floats: equal as floats means equal bit for bit.
-        assert list(zip(lo.tolist(), hi.tolist())) == [buchstab._ratio_bounds(n, m) for n in nums]
+        assert list(zip(lo.tolist(), hi.tolist())) == [interval._ratio_bounds(n, m) for n in nums]
 
     def test_grid_bounds_reject_inexact_integers(self):
         """Past 2^53 an integer is no longer an exact float, so the side test would be unsound."""
@@ -558,7 +557,7 @@ class TestTable:
 
 def grid_cell(m: int, k: int) -> Enclosure:
     """The grid cell [u_k, u_{k+1}] = [1 + k/m, 1 + (k + 1)/m], its exact endpoints rounded outward."""
-    return Enclosure(buchstab._ratio_bounds(m + k, m)[0], buchstab._ratio_bounds(m + k + 1, m)[1])
+    return Enclosure(interval._ratio_bounds(m + k, m)[0], interval._ratio_bounds(m + k + 1, m)[1])
 
 
 def derivative_cells(table, lo: float, hi: float) -> list[Enclosure]:
@@ -572,7 +571,7 @@ def derivative_cells(table, lo: float, hi: float) -> list[Enclosure]:
     """
     m = table.grid_den
     first, last = round((lo - 1.0) * m), round((hi - 1.0) * m)
-    pad = buchstab._up(buchstab.LIPSCHITZ_BOUND / m)
+    pad = interval._up(buchstab.LIPSCHITZ_BOUND / m)
     # omega over the cells first - m, ..., last - 1: the delayed cells, then the cells of [lo, hi]
     omega = [omega_enclosure(table, (m + k + 0.5) / m).widen(pad) for k in range(first - m, last)]
     return [(omega[k - first] - omega[k - first + m]) / grid_cell(m, k) for k in range(first, last)]
@@ -661,7 +660,7 @@ class TestPiecewiseBounds:
     def test_branch_range_outside_its_band_raises(self, monkeypatch):
         """The derivative fill assumes omega stays in the band, so a range leaving it is a SoundnessError."""
         monkeypatch.setattr(buchstab, "BRANCH_CEILING", 0.5643)
-        with pytest.raises(buchstab.SoundnessError, match="leaves"):
+        with pytest.raises(interval.SoundnessError, match="leaves"):
             branch_expression_range(1e-3)
 
     def test_bounds_sandwich_table(self, table):

@@ -7,6 +7,7 @@ budgets; the full-budget runs are covered by the acceptance suite.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import re
@@ -17,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from sievebound import buchstab, cli, losses, regions, sieve_harness
-from sievebound.buchstab import Enclosure
+from sievebound.interval import Enclosure
 
 
 def run_cli(args, capsys):
@@ -114,15 +115,42 @@ class TestVerify:
     def test_monte_carlo_mode(self, tmp_path, capsys):
         out = tmp_path / "mc.json"
         code, stdout, _ = run_cli(
-            ["verify", "--seed", "7", "--workers", "2", "--mode", "monte_carlo",
+            ["verify", "--seed", "7", "--mode", "monte_carlo",
              "--samples", "50000", "--targets", "a3", "--out", str(out)],
             capsys,
         )
         assert code == 0
         assert "[INFO] loss a3" in stdout
         report = json.loads(out.read_text())
-        assert report["config"]["seed"] == 7
+        assert report["config"] == {"command": "verify", "seed": 7, "mode": "monte_carlo", "targets": ["a3"],
+                                    "budget": None, "tol": None, "samples": 50000}
         assert report["results"]["losses"]["a3"]["samples"] == 50000
+        expected = losses.loss_mc("a3", samples=50000, seed=7).midpoint
+        assert report["results"]["losses"]["a3"]["estimate"] == cli._round_floats(expected)
+
+    def test_rigorous_run_records_no_monte_carlo_settings(self, tmp_path, capsys):
+        """A rigorous run reads neither seed nor samples, so its config records both as null."""
+        out = tmp_path / "rigorous.json"
+        code, _, _ = run_cli(
+            ["verify", "--targets", "a3", "--budget", "4000", "--tol", "5e-4", "--seed", "-1", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["config"] == {"command": "verify", "seed": None, "mode": "rigorous",
+                                                         "targets": ["a3"], "budget": 4000, "tol": 5e-4,
+                                                         "samples": None}
+
+    def test_monte_carlo_seed_defaults_to_library_seed(self):
+        """verify --seed and loss_mc share one default, losses.MC_SEED."""
+        assert cli._build_parser().parse_args(["verify"]).seed == losses.MC_SEED
+        assert inspect.signature(losses.loss_mc).parameters["seed"].default == losses.MC_SEED
+
+    def test_workers_is_not_an_option(self, capsys):
+        """The Monte Carlo stream count is a library parameter only; verify --workers is a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--mode", "monte_carlo", "--workers", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_repeated_target_runs_once(self, tmp_path, capsys):
         out = tmp_path / "repeat.json"
@@ -176,42 +204,6 @@ class TestVerify:
         assert "error: soundness failure:" in stderr
         assert expected in stderr
 
-    def test_environment_sets_no_workers(self, tmp_path, capsys, monkeypatch):
-        """SIEVEBOUND_WORKERS is not a setting: the worker count comes from --workers alone."""
-        monkeypatch.setenv("SIEVEBOUND_WORKERS", "4")
-        out = tmp_path / "env.json"
-        code, _, _ = run_cli(
-            ["verify", "--mode", "monte_carlo", "--samples", "30000",
-             "--targets", "a3", "--out", str(out)],
-            capsys,
-        )
-        assert code == 0
-        assert json.loads(out.read_text())["config"]["workers"] == 1
-
-    def test_workers_below_one_is_usage_error(self, tmp_path, capsys):
-        """workers < 1 exits 2 in both modes."""
-        out = tmp_path / "never.json"
-        for argv in (
-            ["verify", "--targets", "c", "--workers", "-3"],
-            ["verify", "--mode", "monte_carlo", "--targets", "a3", "--workers", "0"],
-        ):
-            code, stdout, stderr = run_cli(argv + ["--out", str(out)], capsys)
-            assert code == 2 and stdout == "", argv
-            assert "workers must be at least 1" in stderr
-        assert not out.exists()
-
-    def test_workers_above_samples_is_usage_error(self, tmp_path, capsys):
-        """More RNG streams than samples exits 2 before any stream is built or verdict printed."""
-        out = tmp_path / "never.json"
-        code, stdout, stderr = run_cli(
-            ["verify", "--mode", "monte_carlo", "--samples", "10000", "--workers", "10001",
-             "--targets", "a3", "--out", str(out)],
-            capsys,
-        )
-        assert code == 2 and stdout == ""
-        assert stderr == "error: workers must not exceed samples, got 10001 > 10000\n"
-        assert not out.exists()
-
     def test_missing_out_dir_fails_before_any_work(self, tmp_path, capsys):
         """A missing --out directory exits 2 before the loss is certified, so no verdict line is printed."""
         out = tmp_path / "missing" / "v.json"
@@ -232,7 +224,7 @@ class TestHarness:
         assert report["results"]["totals"]["rho"] == 875
 
     def test_report_config_holds_only_what_was_read(self, tmp_path, capsys):
-        """Seed and workers reach the report only from verify, which reads them."""
+        """The seed reaches the report only from verify, which reads it."""
         out = tmp_path / "harness.json"
         code, _, _ = run_cli(["harness", "--x", "10000", "--out", str(out)], capsys)
         assert code == 0

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from sievebound import losses
 from sievebound import sieve_harness as sh
-from sievebound.buchstab import SoundnessError
+from sievebound.interval import SoundnessError
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 

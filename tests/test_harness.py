@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from sievebound import sieve_harness as sh
-from sievebound.buchstab import SoundnessError
+from sievebound.interval import SoundnessError
 
 _BIG = 1 << 62
 

@@ -29,7 +29,8 @@ from fractions import Fraction
 import pytest
 
 from sievebound import losses, quadrature, regions
-from sievebound.buchstab import OMEGA_UPPER, Enclosure, SoundnessError, omega_bound
+from sievebound.buchstab import OMEGA_UPPER, omega_bound
+from sievebound.interval import Enclosure, SoundnessError
 from sievebound.quadrature import MONTE_CARLO, RIGOROUS, IntegralEstimate
 from sievebound.regions import PAIR_BASE, AndNode, LinearConstraint, RegionPredicate
 
@@ -316,7 +317,7 @@ class TestMeanValueRigor:
         import itertools
 
         mpmath = pytest.importorskip("mpmath")
-        from sievebound.buchstab import _ratio_bounds
+        from sievebound.interval import _ratio_bounds
 
         u = 2.0**-53
         t2 = 0.5 - 2.0**-30
@@ -631,6 +632,18 @@ class TestLedger:
         assert ledger.all_within("retained")
         assert ledger.all_within("a3", "b3", "c", "retained")
         assert not ledger.all_within()
+
+    def test_ledger_bounds_hold_in_exact_arithmetic(self):
+        """On seeded float uppers, total_upper is at least their exact sum and retained_lower at most 1 - total_upper."""
+        import random
+
+        rng = random.Random(20240801)
+        for _ in range(300):
+            a, b, c = (IntegralEstimate(lower=0.0, upper=rng.uniform(0.0, scale), boxes_used=1, mode=RIGOROUS)
+                       for scale in (1e-3, 2e-2, 0.25))
+            ledger = losses.assemble_ledger(a, b, c)
+            assert Fraction(a.upper) + Fraction(b.upper) + Fraction(c.upper) <= Fraction(ledger.total_upper)
+            assert Fraction(ledger.retained_lower) <= 1 - Fraction(ledger.total_upper)
 
     def test_ledger_refuses_monte_carlo(self):
         fake = IntegralEstimate(

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from sievebound import losses, quadrature
-from sievebound.buchstab import Enclosure, SoundnessError
+from sievebound.interval import Enclosure, SoundnessError
 from sievebound.quadrature import (
     Integrand,
     MONTE_CARLO,

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from sievebound import quadrature, regions
-from sievebound.buchstab import _ratio_bounds
+from sievebound.interval import _ratio_bounds
 from sievebound.losses import LOSS_NAMES, integration_domain
 from sievebound.quadrature import integrate_mc
 from sievebound.regions import (
@@ -474,6 +474,23 @@ class TestRegionMembership:
                 assert (hi - lo) - float(exact_hi - exact_lo) <= 1e-14
                 mixed += 0.0 < hi and lo < 1.0
         assert mixed >= 200
+
+    def test_disjunction_of_two_undecided_children_contains_exact_sum(self):
+        """The window clause t1 + t2 outside [8/19, 11/19] on the base square: the upper bound is the rounded-up sum.
+
+        Neither child is decided on the box, so the disjunction's upper
+        bound 0.08 + 0.5 = 0.58 rests on rounding the sum of the
+        children's upper bounds up; taking their maximum would give 0.5.
+        """
+        edge = (float(SIEVE_FLOOR), float(WINDOW_LO))
+        box = (edge, edge)
+        pair_sum = (1, 1)
+        clause = regions.OrNode((LinearConstraint(pair_sum, "<", WINDOW_LO), LinearConstraint(pair_sum, ">", WINDOW_HI)))
+        lo, hi = regions.RegionPredicate("window clause", 2, clause).fraction(box)
+        exact_lo, exact_hi = exact_frechet(clause, box)
+        assert 0 < exact_lo < exact_hi < 1
+        assert lo <= exact_lo and exact_hi <= hi
+        assert hi - float(exact_hi) <= 1e-15
 
     def test_fraction_fallback_for_inexact_coefficient(self):
         """A coefficient that is not a float gets the exact fraction, rounded outward once."""
