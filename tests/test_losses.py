@@ -168,8 +168,8 @@ class TestCertifiedRuns:
     def test_quadruple_sandwiches_pinned(self):
         """verified_loss for a3 and b3 at tol 2e-4 reproduces its sandwich and box count exactly."""
         pinned = {
-            "a3": (3.222557973576694e-05, 0.00022587314527472324, 265),
-            "b3": (0.00034921334546382315, 0.0005432000362475886, 4159),
+            "a3": (3.403860186771818e-05, 0.00022691977429907255, 263),
+            "b3": (0.00035707470947351745, 0.0005510705984144662, 3521),
         }
         for name, expected in pinned.items():
             est, escalations = losses.verified_loss(name, tol=2e-4)

@@ -11,6 +11,7 @@ uniform coordinates):
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import random
 import sys
@@ -816,6 +817,159 @@ class TestMaskMemo:
             assert len(built) == 1 and len(masked) == 33
             second = integrate_mc(f, stub, box, samples=30_005, seed=1, workers=3)
             assert len(built) == 1 and first == second
+
+
+_SINGLES = [({i: 1}, F(0)) for i in range(4)]
+# The window groups of the quadruple builders; t0 = 1 - t1 - t2 - t3.
+WINDOW_GROUPS = {
+    "u_a3": [_SINGLES],
+    "u_b3": [_SINGLES[:3], [({0: -1, 1: -1, 2: -1}, F(1))] + _SINGLES[1:]],
+}
+
+
+def unpruned_window_clauses(groups):
+    """One window clause per (coeffs, const) of every subset sum, nothing else dropped (test oracle)."""
+    clauses = {}
+    for group in groups:
+        for r in range(1, len(group) + 1):
+            for subset in itertools.combinations(group, r):
+                coeffs = [F(0)] * 4
+                const = F(0)
+                for cmap, c0 in subset:
+                    const += c0
+                    for i, c in cmap.items():
+                        coeffs[i] += c
+                low = LinearConstraint(tuple(coeffs), "<", WINDOW_LO - const)
+                high = LinearConstraint(tuple(coeffs), ">", WINDOW_HI - const)
+                clauses.setdefault((tuple(coeffs), const), regions.OrNode((low, high)))
+    return list(clauses.values())
+
+
+def window_parts(region):
+    """(conjuncts, kept window clauses, unpruned window clauses) of a quadruple region."""
+    conjuncts = [c for c in region.tree.children if isinstance(c, LinearConstraint)]
+    kept = [c for c in region.tree.children if not isinstance(c, LinearConstraint)]
+    assert region.tree.children == tuple(conjuncts + kept)
+    return conjuncts, kept, unpruned_window_clauses(WINDOW_GROUPS[region.name])
+
+
+def avoided(clause):
+    """(c, lo, hi): the clause states c.t < lo or c.t > hi."""
+    low, high = clause.children
+    assert low.coeffs == high.coeffs and (low.rel, high.rel) == ("<", ">") and low.bound < high.bound
+    return low.coeffs, low.bound, high.bound
+
+
+def canonical_key(clause):
+    """avoided(clause) with the first nonzero coefficient made positive."""
+    c, lo, hi = avoided(clause)
+    return (c, lo, hi) if next(x for x in c if x) > 0 else (tuple(-x for x in c), -hi, -lo)
+
+
+def implies_clause(con, c, lo, hi) -> bool:
+    """Whether the halfspace con keeps c.t out of [lo, hi], strictness kept, exactly."""
+    if con.coeffs == tuple(-x for x in c):
+        flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[con.rel]
+        con = LinearConstraint(c, flipped, -con.bound)
+    if con.coeffs != c:
+        return False
+    return {
+        "<": con.bound <= lo,
+        "<=": con.bound < lo,
+        ">": con.bound >= hi,
+        ">=": con.bound > hi,
+    }[con.rel]
+
+
+def rational_points(rng: random.Random, box, count: int):
+    """Seeded points of a box with rational coordinates k / 10^6 of its sides."""
+    return [
+        tuple(lo + (hi - lo) * F(rng.randrange(10**6 + 1), 10**6) for lo, hi in box)
+        for _ in range(count)
+    ]
+
+
+def on_hyperplane(rng: random.Random, point, coeffs, value):
+    """point moved along one coordinate with a nonzero coefficient onto coeffs.t = value, exactly."""
+    j = rng.choice([i for i, c in enumerate(coeffs) if c])
+    rest = sum((c * t for i, (c, t) in enumerate(zip(coeffs, point)) if i != j), F(0))
+    return point[:j] + ((value - rest) / coeffs[j],) + point[j + 1 :]
+
+
+class TestWindowClauses:
+    """The quadruple trees emit each window clause once and drop the clauses a conjunct settles.
+
+    The oracle is the unpruned clause list, one clause per (coeffs,
+    const) of every subset sum, rebuilt here from the builders' groups.
+    """
+
+    @pytest.mark.parametrize("region, children, twins, implied", [
+        (REGION_U_A3, 25, 0, 2),
+        (REGION_U_B3, 24, 2, 5),
+    ], ids=["u_a3", "u_b3"])
+    def test_every_dropped_clause_is_a_twin_or_implied(self, region, children, twins, implied):
+        """Each dropped clause is the cofactor twin of a kept clause or settled by a conjunct, in exact rationals.
+
+        u_b3 drops four cofactor twins; two of them twin a clause that is
+        itself settled by a conjunct (t1 and t1 + t2), so they count as
+        settled here, since a conjunct with the negated coefficients
+        settles them too.
+        """
+        conjuncts, kept, unpruned = window_parts(region)
+        assert len(region.tree.children) == children
+        assert all(clause in unpruned for clause in kept)
+        found = {"twin": 0, "implied": 0}
+        for clause in unpruned:
+            if clause in kept:
+                continue
+            c, lo, hi = avoided(clause)
+            # c.t < lo or c.t > hi is -c.t > -lo or -c.t < -hi: the kept clause avoiding [-hi, -lo] with -c.
+            if any(avoided(k) == (tuple(-x for x in c), -hi, -lo) for k in kept):
+                found["twin"] += 1
+            else:
+                assert any(implies_clause(con, c, lo, hi) for con in conjuncts), clause
+                found["implied"] += 1
+        assert found == {"twin": twins, "implied": implied}
+
+    @pytest.mark.parametrize("region", [REGION_U_A3, REGION_U_B3], ids=["u_a3", "u_b3"])
+    def test_kept_clauses_have_distinct_canonical_keys(self, region):
+        _, kept, _ = window_parts(region)
+        keys = [canonical_key(clause) for clause in kept]
+        assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("name", ["a3", "b3"])
+    def test_contains_agrees_with_the_unpruned_tree(self, name):
+        """Seeded rational points of the loss box, and points exactly on each dropped clause's hyperplanes."""
+        from sievebound import losses
+
+        region = losses._REGIONS[name]
+        conjuncts, kept, unpruned = window_parts(region)
+        old = regions.RegionPredicate(region.name, 4, AndNode(tuple(conjuncts + unpruned)))
+        rng = random.Random(20240801)
+        points = rational_points(rng, losses._BOXES_EXACT[name], 3000)
+        members = [p for p in points if region.contains(p)]
+        for clause in unpruned:
+            if clause not in kept:
+                c, lo, hi = avoided(clause)
+                base = members[:20] + points[:20]
+                points += [on_hyperplane(rng, p, c, value) for p in base for value in (lo, hi)]
+        assert len(members) >= 30
+        assert len(points) >= 3000 + 80 * (len(unpruned) - len(kept))
+        for point in points:
+            assert region.contains(point) == old.contains(point)
+
+    @pytest.mark.parametrize("name", ["a3", "b3"])
+    def test_monte_carlo_is_bit_identical_to_the_unpruned_tree(self, monkeypatch, name):
+        from sievebound import losses
+
+        region = losses._REGIONS[name]
+        conjuncts, _, unpruned = window_parts(region)
+        new = losses.loss_mc(name, samples=10**6, seed=7, workers=2)
+        old_region = regions.RegionPredicate(region.name, 4, AndNode(tuple(conjuncts + unpruned)))
+        monkeypatch.setitem(losses._REGIONS, name, old_region)
+        old = losses.loss_mc(name, samples=10**6, seed=7, workers=2)
+        assert (new.lower.hex(), new.stderr.hex()) == (old.lower.hex(), old.stderr.hex())
+        assert new == old
 
 
 class TestFeasibility:
