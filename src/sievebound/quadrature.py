@@ -17,8 +17,10 @@ mean-value form) instead, which lies inside the box's value range and so
 keeps refinement monotone.  A mixed leaf whose residual tree is one
 halfspace, after single-child wrappers, uses the integrand's
 `clipped_average` about the exact rational centroid of box intersect
-halfspace (`LinearConstraint.centroid`, rounded outward to a float box),
-where the linear Taylor term integrates to zero.  The leaf product is
+halfspace, where the linear Taylor term integrates to zero.  The
+centroid comes as integer ratios on the grid the fraction bounds were
+computed on (`LinearConstraint._centroid` of `FractionBounds.grid`), and
+each coordinate is rounded outward to floats once.  The leaf product is
 computed on plain floats rounded outward after every operation, and the
 final endpoint sums use math.fsum, which is correctly rounded, before
 one outward rounding step.
@@ -130,7 +132,7 @@ def _leaf_contribution(f: Integrand, fraction: tuple[float, float], box: Box) ->
     if fr_lo == 1.0 and f.average is not None:
         enc = f.average(box)
     elif f.clipped_average is not None and (halfspace := _single_halfspace(fraction.residual)):
-        centre = tuple(_ratio_bounds(q.numerator, q.denominator) for q in halfspace.centroid(box))
+        centre = tuple(_ratio_bounds(num, den) for num, den in halfspace._centroid(fraction.grid))
         enc = f.clipped_average(box, centre)
     else:
         enc = f.enclosure(box)

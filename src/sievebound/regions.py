@@ -29,11 +29,14 @@ boxes, not the 8,359 and 38,161 of the trees with every subset clause.
 Point membership runs in exact `Fraction` arithmetic, float inputs
 converted exactly.  Box tests are exact integer arithmetic: each
 constraint is scaled to integer coefficients and bound once, and each
-box is put once on a common integer grid (`_grid`: every float, int or
-Fraction endpoint is A / scale for one integer scale).  Strict and
-non-strict inequalities are distinguished by point membership but
-deliberately conflated by box tests, since they differ on a
-measure-zero set and every integral is insensitive to it.
+box is put on a common integer grid (`_grid`: every float, int or
+Fraction endpoint is A / scale for one integer scale).
+`RegionPredicate.fraction` derives that grid from the last box's,
+converting only the intervals that differ (`_regrid`; the second half
+of a split differs from the first in one), and returns it with the
+bounds.  Strict and non-strict inequalities are distinguished by point
+membership but deliberately conflated by box tests, since they differ
+on a measure-zero set and every integral is insensitive to it.
 
 Each predicate computes, for a box, certified float bounds on the
 fraction of the box volume satisfying the predicate.  That is the one
@@ -58,7 +61,8 @@ disjunctions combine their children's bounds with two-sided Frechet
 bounds in directed rounding, which are exact up to rounding when a
 single child is undecided on the box.  On the same grid the first
 moments of the same corner simplices give the exact centroid of the
-part of a box one halfspace keeps (`LinearConstraint.centroid`).
+part of a box one halfspace keeps, as unreduced integer ratios
+(`LinearConstraint._centroid`; `centroid` gives it as Fractions).
 
 A constraint decided on a box stays decided on every sub-box, so each
 fraction also returns the box's residual tree: the conjunctions without
@@ -127,8 +131,8 @@ Grid = tuple[int, tuple[tuple[int, int], ...]]
 def _grid(box: Box) -> Grid:
     """The box on a common integer grid, exactly; float, int and Fraction endpoints.
 
-    Raises ValueError for a NaN or infinite endpoint and for an interval
-    with lo > hi.
+    The scale is the lcm of the endpoint denominators.  Raises ValueError
+    for a NaN or infinite endpoint and for an interval with lo > hi.
     """
     try:
         ratios = [(lo.as_integer_ratio(), hi.as_integer_ratio()) for lo, hi in box]
@@ -139,6 +143,62 @@ def _grid(box: Box) -> Grid:
     if any(a > b for a, b in ends):
         raise ValueError("box interval with lo > hi")
     return scale, ends
+
+
+def _regrid(box: Box, last_box: Box, last_grid: Grid) -> Grid:
+    """`_grid(box)`, derived from the grid of another box of the same dimension.
+
+    Only the intervals that differ from `last_box`'s are converted; an
+    equal interval is the same rationals, and `last_box` passed `_grid`'s
+    checks.  While the scale and every new denominator are powers of
+    two, as for float endpoints, their lcm is the largest of them, and
+    the kept ends move to it by an exact integer factor.  Unless a new
+    denominator is that largest one, the largest power of two that
+    divides the scale and every end is then divided out.  Either way the
+    scale is `_grid`'s, the largest denominator of the box.  Any other
+    denominator, and any interval `_grid` rejects (a NaN or infinite
+    endpoint, lo > hi), gives `_grid(box)` afresh, which raises for the
+    latter.
+    """
+    scale, ends = last_grid
+    if scale & (scale - 1):
+        return _grid(box)
+    need = 1  # the largest new denominator
+    changed = []
+    for i, (iv, old) in enumerate(zip(box, last_box)):
+        if iv != old:
+            try:
+                lo, hi = iv
+                (a, da), (b, db) = lo.as_integer_ratio(), hi.as_integer_ratio()
+            except (OverflowError, ValueError):
+                return _grid(box)
+            if da & (da - 1) or db & (db - 1):
+                return _grid(box)
+            need = max(need, da, db)
+            changed.append((i, a, da, b, db))
+    if not changed:
+        return last_grid
+    if need > scale:
+        top, factor = need, need // scale
+        ends = [(a * factor, b * factor) for a, b in ends]
+    else:
+        top = scale
+        ends = list(ends)
+    for i, a, da, b, db in changed:
+        lo, hi = a * (top // da), b * (top // db)
+        if lo > hi:
+            return _grid(box)
+        ends[i] = (lo, hi)
+    if need < top:
+        # The end that needed the scale may be gone: the lowest set bit of
+        # scale | every end is the largest common power of two.
+        bits = top
+        for a, b in ends:
+            bits |= a | b
+        shift = (bits & -bits).bit_length() - 1
+        if shift:
+            return top >> shift, tuple((a >> shift, b >> shift) for a, b in ends)
+    return top, tuple(ends)
 
 
 def _as_fraction(value) -> Fraction:
@@ -281,7 +341,11 @@ class LinearConstraint:
         return num, den
 
     def centroid(self, box: Box) -> tuple[Fraction, ...]:
-        """Exact centroid of box intersect halfspace, for a box the halfspace cuts.
+        """Exact centroid of box intersect halfspace, for a box the halfspace cuts (see `_centroid`)."""
+        return tuple(Fraction(num, den) for num, den in self._centroid(self._box_grid(box)))
+
+    def _centroid(self, grid: Grid) -> tuple[tuple[int, int], ...]:
+        """The exact centroid of a box given as its `_grid` intersect halfspace, as (numerator, denominator > 0) pairs.
 
         On `_ratio`'s grid, with the same reflected unit coordinates, the
         part sum(beta_i U_i) <= Y is an inclusion-exclusion sum of
@@ -295,9 +359,10 @@ class LinearConstraint:
         moment 1/2 - V u_j give u'_j = (1/2 - V u_j) / (1 - V).  A
         coordinate the halfspace does not involve keeps the box's exact
         midpoint.  Raises ValueError unless the fraction is strictly
-        between 0 and 1.
+        between 0 and 1.  The pairs are not reduced: the integrator rounds
+        them to floats at once, which needs no gcd.
         """
-        scale, ends = self._box_grid(box)
+        scale, ends = grid
         # `_ratio`'s unit form, keeping each term's index and reflection;
         # `_ratio` keeps its own copy of this loop, which is its hot path.
         y = self._ibound * scale
@@ -320,7 +385,7 @@ class LinearConstraint:
         total = sum(p for p, _, _ in powers)
         # box volume times m!, in the same units as total
         volume = math.factorial(m) * math.prod(beta for _, beta, _ in dims)
-        centre = [Fraction(a + b, 2 * scale) for a, b in ends]
+        centre = [(a + b, 2 * scale) for a, b in ends]
         for j, (i, beta, reflected) in enumerate(dims):
             part = sum(p for p, _, mask in powers if mask >> j & 1)
             num = moment + (m + 1) * beta * part
@@ -329,7 +394,7 @@ class LinearConstraint:
                 # V u_j = num / ((m + 1) beta volume), V = total / volume.
                 num, den = (m + 1) * beta * volume - 2 * num, 2 * (m + 1) * beta * (volume - total)
             a, b = ends[i]
-            centre[i] = Fraction(b * den - (b - a) * num if reflected else a * den + (b - a) * num, scale * den)
+            centre[i] = (b * den - (b - a) * num if reflected else a * den + (b - a) * num, scale * den)
         return tuple(centre)
 
     def to_json(self) -> dict:
@@ -523,16 +588,18 @@ def _tree_json(node) -> dict:
 
 
 class FractionBounds(tuple):
-    """(lo, hi) volume-fraction bounds of a box, with the box's residual region tree.
+    """(lo, hi) volume-fraction bounds of a box, with the box's residual region tree and its `_grid`.
 
     `residual` is the part of the tree the box leaves undecided (see
     `_tree_fraction`); walked on any sub-box it gives the same bounds as
-    the full tree.
+    the full tree.  `grid` is the box on the integer grid the bounds
+    were computed on, which `LinearConstraint._centroid` takes as is.
     """
 
-    def __new__(cls, lo: float, hi: float, residual):
+    def __new__(cls, lo: float, hi: float, residual, grid: Grid):
         bounds = super().__new__(cls, (lo, hi))
         bounds.residual = residual
+        bounds.grid = grid
         return bounds
 
 
@@ -552,22 +619,34 @@ class RegionPredicate:
         return _tree_contains(self.tree, point)
 
     def _box_grid(self, box: Box) -> Grid:
-        """`_grid` of a box, which must have `arity` intervals."""
-        box = tuple(tuple(iv) for iv in box)
+        """`_grid` of a box, which must have `arity` intervals, derived from the last box's.
+
+        The last box and its grid are kept on the instance as one pair
+        replaced whole, so callers sharing the region each derive from a
+        consistent pair, and `_regrid` converts only the intervals that
+        differ: of the two halves of a split, the second differs from
+        the first in one.
+        """
+        box = tuple(map(tuple, box))
         if len(box) != self.arity:
             raise ValueError(f"{self.name} expects a {self.arity}-dimensional box")
-        return _grid(box)
+        last = self.__dict__.get("_last")
+        grid = _grid(box) if last is None else _regrid(box, *last)
+        object.__setattr__(self, "_last", (box, grid))
+        return grid
 
     def fraction(self, box: Box, within=None) -> FractionBounds:
         """Certified outward float bounds on the satisfied volume fraction of the box.
 
         The result unpacks as (lo, hi) and carries the box's residual
-        tree.  `within` is the tree to walk: by default the full tree,
-        or the residual of a box that contains this one, which gives
-        the same bounds with only the constraints that box left open.
+        tree and grid.  `within` is the tree to walk: by default the full
+        tree, or the residual of a box that contains this one, which
+        gives the same bounds with only the constraints that box left
+        open.
         """
         tree = self.tree if within is None else within
-        return FractionBounds(*_tree_fraction(tree, self._box_grid(box)))
+        grid = self._box_grid(box)
+        return FractionBounds(*_tree_fraction(tree, grid), grid)
 
     def mask(self, pts: np.ndarray, box: Box | None = None) -> np.ndarray:
         """Vectorized float membership for an (n, arity) array of points.

@@ -6,13 +6,14 @@ Run from the repository root:
     python tests/mutation_check.py M1 M9      # the named ones
 
 Each mutant is a (file, old, new) replacement that drops one outward
-rounding or combines one bound wrongly.  For each, the script copies
-`src/`, `tests/` and `pyproject.toml` to a temporary directory outside
-the tree, replaces `old` by `new` there, and runs only the tests that
-should catch the mutant, with the bit pins deselected: a test that
-pins exact output bits fails on any change, sound or not, so it shows
-nothing about soundness.  The unmutated copy runs the same selections
-first and must pass them.
+rounding, combines one bound wrongly, weakens one soundness check, or
+puts a wrong integer into a derived box grid or an exact centroid.
+For each, the script copies `src/`, `tests/` and `pyproject.toml` to a
+temporary directory outside the tree, replaces `old` by `new` there,
+and runs only the tests that should catch the mutant, with the bit
+pins deselected: a test that pins exact output bits fails on any
+change, sound or not, so it shows nothing about soundness.  The
+unmutated copy runs the same selections first and must pass them.
 
 Exit status 1 if an `old` text is missing or not unique, if the
 unmutated copy fails, or if a mutant survives (its tests pass).  The
@@ -34,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 BIT_PINS = (
     "tests/test_losses.py::TestCertifiedRuns::test_quadruple_sandwiches_pinned",
+    "tests/test_losses.py::TestCertifiedRuns::test_default_sandwiches_pinned",
     "tests/test_losses.py::TestMeanValueRigor::test_inside_leaf_asks_integrand_once",
 )
 
@@ -82,6 +84,36 @@ MUTANTS = {
         "hi = nextafter(hi + c_hi, _UP)",
         "hi = max(hi, c_hi)",
         ("tests/test_regions.py::TestRegionMembership",),
+    ),
+    "M11": (
+        "src/sievebound/losses.py",
+        "if not lo > 0.0:",
+        "if False:",
+        ("tests/test_losses.py::TestMeanValueRigor::test_nonpositive_factor_is_a_soundness_failure",),
+    ),
+    "M12": (
+        "src/sievebound/interval.py",
+        'raise SoundnessError(f"disjoint enclosures',
+        'raise ValueError(f"disjoint enclosures',
+        ("tests/test_losses.py::TestMeanValueRigor::test_average_rejects_disjoint_enclosures",),
+    ),
+    "M13": (
+        "src/sievebound/losses.py",
+        "if volume.upper != 0.0:",
+        "if volume.lower != 0.0:",
+        ("tests/test_losses.py::TestArgumentRange",),
+    ),
+    "M14": (
+        "src/sievebound/regions.py",
+        "ends[i] = (lo, hi)",
+        "ends[i] = ends[i]",
+        ("tests/test_regions.py::TestGridMemo",),
+    ),
+    "M15": (
+        "src/sievebound/regions.py",
+        "b * den - (b - a) * num if reflected",
+        "a * den - (b - a) * num if reflected",
+        REPLAY,
     ),
 }
 

@@ -7,6 +7,8 @@ the same float inputs and checks lo <= exact <= hi at every step:
     Frechet bounds of their children's float bounds;
   * `ReciprocalProduct.enclosure`, against the exact 1 / prod L_k;
   * the leaf product of `quadrature._leaf_contribution`;
+  * the centre boxes of `clipped_average` and `average`, against the
+    exact centroid or midpoint and the exact factor values there;
   * the final `fsum` ends of `integrate_rigorous`, against the exact
     sums of its final leaves' contributions.
 
@@ -33,7 +35,7 @@ from types import SimpleNamespace
 import pytest
 
 from test_losses import seeded_leaves
-from test_regions import anisotropic_leaf
+from test_regions import anisotropic_leaf, clip_polygon, shoelace_centroid
 
 from sievebound import losses, quadrature, regions
 from sievebound.interval import _DOWN, _UP
@@ -207,6 +209,82 @@ def test_leaf_product_contains_exact_product(name):
         assert F(lo) <= max(F(v_lo) * F(max(enc.lo, 0.0)), F(0))
         assert F(v_hi) * F(max(enc.hi, 0.0)) <= F(hi)
     assert nonzero >= 100
+
+
+def routed_leaves(name, count, seed, budget=3000):
+    """Seeded leaves of a short refinement of a loss, by the centre route `_leaf_contribution` takes.
+
+    "inside": (leaf, bounds) with fraction bounds (1, 1), which take
+    `average`; "halfspace": mixed leaves whose residual tree is one
+    halfspace, which take `clipped_average`.  At most `count` of each.
+    """
+    integrand, _, region, box = losses.integration_domain(name)
+    routes = {"inside": [], "halfspace": []}
+
+    def fraction(leaf, within=None):
+        bounds = region.fraction(leaf, within=within)
+        if bounds[0] == 1.0:
+            routes["inside"].append((leaf, bounds))
+        elif bounds[1] != 0.0 and regions._single_halfspace(bounds.residual) is not None:
+            routes["halfspace"].append((leaf, bounds))
+        return bounds
+
+    quadrature.integrate_rigorous(integrand, SimpleNamespace(arity=region.arity, fraction=fraction), box,
+                                  budget=budget, tol=1e-12)
+    rng = random.Random(seed)
+    return {route: rng.sample(found, min(count, len(found))) for route, found in routes.items()}
+
+
+def exact_centroid(halfspace, leaf) -> tuple[Fraction, ...]:
+    """The centroid of leaf intersect halfspace: from the shoelace sums in 2-D, else `LinearConstraint.centroid`."""
+    if len(leaf) != 2:
+        return halfspace.centroid(leaf)
+    (a1, b1), (a2, b2) = (tuple(map(F, iv)) for iv in leaf)
+    corners = [(a1, a2), (b1, a2), (b1, b2), (a1, b2)]
+    if halfspace.rel in ("<", "<="):
+        return shoelace_centroid(clip_polygon(corners, halfspace.coeffs, halfspace.bound))
+    return shoelace_centroid(clip_polygon(corners, tuple(-c for c in halfspace.coeffs), -halfspace.bound))
+
+
+@pytest.mark.parametrize("name", losses.LOSS_NAMES)
+def test_centre_boxes_contain_exact_centres(monkeypatch, name):
+    """The centre box of each mean-value route contains the exact centre, and its factor bounds each exact L_k there.
+
+    On single-halfspace leaves the centre is the exact centroid of leaf
+    intersect halfspace, on c from the shoelace sums of the clipped
+    rectangle, and the centre box is the one `clipped_average` is given;
+    on inside leaves it is the exact midpoint of the leaf, and the centre
+    box the one `average` builds.  Both are the second `_factor_bounds`
+    call of the leaf, after the leaf itself.  This early a3 and b3 have
+    only a few inside leaves.
+    """
+    integrand, _, region, _ = losses.integration_domain(name)
+    routes = routed_leaves(name, 150, seed=20261019)
+    calls = []
+    factor_bounds = losses.ReciprocalProduct._factor_bounds
+
+    def recording(self, box):
+        bounds = factor_bounds(self, box)
+        calls.append((self, box, bounds))
+        return bounds
+
+    monkeypatch.setattr(losses.ReciprocalProduct, "_factor_bounds", recording)
+    for route, cases in routes.items():
+        for leaf, bounds in cases:
+            calls.clear()
+            quadrature._leaf_contribution(integrand, bounds, leaf)
+            (_, first, _), (rp, centre_box, factors) = calls
+            assert first == leaf
+            if route == "inside":
+                centre = [(F(lo) + F(hi)) / 2 for lo, hi in leaf]
+            else:
+                centre = exact_centroid(regions._single_halfspace(bounds.residual), leaf)
+            assert all(F(lo) <= c <= F(hi) for c, (lo, hi) in zip(centre, centre_box, strict=True))
+            for (const, coeffs), (lo, hi) in zip(rp.factors, factors, strict=True):
+                value = F(const) + sum((F(a) * c for a, c in zip(coeffs, centre)), F(0))
+                assert F(lo) <= value <= F(hi)
+    assert len(routes["halfspace"]) >= 75
+    assert len(routes["inside"]) >= (150 if name == "c" else 5)
 
 
 def final_leaves(monkeypatch, name, budget):

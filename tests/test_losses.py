@@ -176,6 +176,17 @@ class TestCertifiedRuns:
             assert (est.lower, est.upper, est.boxes_used) == expected
             assert escalations == 0 and not est.exhausted
 
+    def test_default_sandwiches_pinned(self, verified_a3, verified_b3, verified_c):
+        """verified_loss at the default tols reproduces each sandwich and box count exactly."""
+        pinned = {
+            "a3": (8.044106760784005e-05, 9.983846635363869e-05, 5835),
+            "b3": (0.0004225614845194179, 0.0004710597879232577, 22479),
+            "c": (0.23513278232045112, 0.23513326691027386, 5627),
+        }
+        for (est, escalations), name in ((verified_a3, "a3"), (verified_b3, "b3"), (verified_c, "c")):
+            assert (est.lower, est.upper, est.boxes_used) == pinned[name]
+            assert escalations == 0 and not est.exhausted
+
     def test_determinism(self):
         a = losses._run("a3", budget=2000, tol=1e-9)
         b = losses._run("a3", budget=2000, tol=1e-9)
@@ -366,6 +377,19 @@ class TestMeanValueRigor:
         assert len(calls) == 2
         assert (lo.hex(), hi.hex()) == ("0x1.c5fbb831e645ap-12", "0x1.c5fbcb487d43fp-12")
 
+    def test_nonpositive_factor_is_a_soundness_failure(self):
+        """A kernel factor whose lower bound is not positive on the box raises SoundnessError in every route.
+
+        On this box t1 + t2 reaches 1, where the factor 1 - t1 - t2 of
+        the loss c kernel vanishes.
+        """
+        rp = losses.ReciprocalProduct(losses._FACTORS["c"])
+        box = ((0.375, 0.5), (0.25, 0.5))
+        centre = ((0.4, 0.4), (0.3, 0.3))
+        for route in (rp.enclosure, rp.average, lambda leaf: rp.clipped_average(leaf, centre)):
+            with pytest.raises(SoundnessError, match="affine factor not positive"):
+                route(box)
+
     def test_average_rejects_disjoint_enclosures(self, monkeypatch):
         """A mean-value enclosure outside the box's value range is a soundness failure."""
         rp = losses.ReciprocalProduct(losses._FACTORS["c"])
@@ -531,6 +555,32 @@ class TestArgumentRange:
         _, arguments, _, _ = losses.integration_domain("c")
         with pytest.raises(SoundnessError, match="<= 2 not certified"):
             losses.check_argument_range(PAIR_BASE, (edge, edge), arguments)
+
+    def test_rejects_a_sliver_beyond_two(self, monkeypatch):
+        """u > 2 on a set too thin for any leaf to lie inside it is still rejected.
+
+        With t2 > 9/38 weakened to t2 > 4/19 - 2^-30, the loss c argument
+        (1 - t1 - t2) / t2 exceeds 2 on a triangle of area 2^-60 below
+        (7/19, 4/19).  So the range run's lower end stays 0 and only its
+        upper end shows the set.
+        """
+        edge = (float(Fraction(3, 19)), float(Fraction(8, 19)))
+        _, arguments, region, _ = losses.integration_domain("c")
+        cap = LinearConstraint((0, 1), ">", Fraction(4, 19) - Fraction(1, 2**30))
+        children = tuple(cap if c == LinearConstraint((0, 1), ">", regions.B_SECOND_CAP) else c
+                         for c in region.tree.children)
+        assert cap in children
+        sliver = RegionPredicate("sliver_c", 2, AndNode(children))
+        real, runs = quadrature.integrate_rigorous, []
+
+        def recording(*args, **kwargs):
+            runs.append(real(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(quadrature, "integrate_rigorous", recording)
+        with pytest.raises(SoundnessError, match="<= 2 not certified"):
+            losses.check_argument_range(sliver, (edge, edge), arguments)
+        assert runs[-1].lower == 0.0 < runs[-1].upper
 
     def test_rejects_denominator_negative_on_the_box(self):
         """D = 1/5 - t4 changes sign on the a3 box, where t4 runs over [3/19, 4/19]."""
