@@ -29,14 +29,12 @@ boxes, not the 8,359 and 38,161 of the trees with every subset clause.
 Point membership runs in exact `Fraction` arithmetic, float inputs
 converted exactly.  Box tests are exact integer arithmetic: each
 constraint is scaled to integer coefficients and bound once, and each
-box is put on a common integer grid (`_grid`: every float, int or
-Fraction endpoint is A / scale for one integer scale).
-`RegionPredicate.fraction` derives that grid from the last box's,
-converting only the intervals that differ (`_regrid`; the second half
-of a split differs from the first in one), and returns it with the
-bounds.  Strict and non-strict inequalities are distinguished by point
-membership but deliberately conflated by box tests, since they differ
-on a measure-zero set and every integral is insensitive to it.
+box is put once on a common integer grid (`_grid`: every float, int or
+Fraction endpoint is A / scale for one integer scale), which
+`RegionPredicate.fraction` returns with the bounds.  Strict and
+non-strict inequalities are distinguished by point membership but
+deliberately conflated by box tests, since they differ on a
+measure-zero set and every integral is insensitive to it.
 
 Each predicate computes, for a box, certified float bounds on the
 fraction of the box volume satisfying the predicate.  That is the one
@@ -131,8 +129,8 @@ Grid = tuple[int, tuple[tuple[int, int], ...]]
 def _grid(box: Box) -> Grid:
     """The box on a common integer grid, exactly; float, int and Fraction endpoints.
 
-    The scale is the lcm of the endpoint denominators.  Raises ValueError
-    for a NaN or infinite endpoint and for an interval with lo > hi.
+    Raises ValueError for a NaN or infinite endpoint and for an interval
+    with lo > hi.
     """
     try:
         ratios = [(lo.as_integer_ratio(), hi.as_integer_ratio()) for lo, hi in box]
@@ -143,62 +141,6 @@ def _grid(box: Box) -> Grid:
     if any(a > b for a, b in ends):
         raise ValueError("box interval with lo > hi")
     return scale, ends
-
-
-def _regrid(box: Box, last_box: Box, last_grid: Grid) -> Grid:
-    """`_grid(box)`, derived from the grid of another box of the same dimension.
-
-    Only the intervals that differ from `last_box`'s are converted; an
-    equal interval is the same rationals, and `last_box` passed `_grid`'s
-    checks.  While the scale and every new denominator are powers of
-    two, as for float endpoints, their lcm is the largest of them, and
-    the kept ends move to it by an exact integer factor.  Unless a new
-    denominator is that largest one, the largest power of two that
-    divides the scale and every end is then divided out.  Either way the
-    scale is `_grid`'s, the largest denominator of the box.  Any other
-    denominator, and any interval `_grid` rejects (a NaN or infinite
-    endpoint, lo > hi), gives `_grid(box)` afresh, which raises for the
-    latter.
-    """
-    scale, ends = last_grid
-    if scale & (scale - 1):
-        return _grid(box)
-    need = 1  # the largest new denominator
-    changed = []
-    for i, (iv, old) in enumerate(zip(box, last_box)):
-        if iv != old:
-            try:
-                lo, hi = iv
-                (a, da), (b, db) = lo.as_integer_ratio(), hi.as_integer_ratio()
-            except (OverflowError, ValueError):
-                return _grid(box)
-            if da & (da - 1) or db & (db - 1):
-                return _grid(box)
-            need = max(need, da, db)
-            changed.append((i, a, da, b, db))
-    if not changed:
-        return last_grid
-    if need > scale:
-        top, factor = need, need // scale
-        ends = [(a * factor, b * factor) for a, b in ends]
-    else:
-        top = scale
-        ends = list(ends)
-    for i, a, da, b, db in changed:
-        lo, hi = a * (top // da), b * (top // db)
-        if lo > hi:
-            return _grid(box)
-        ends[i] = (lo, hi)
-    if need < top:
-        # The end that needed the scale may be gone: the lowest set bit of
-        # scale | every end is the largest common power of two.
-        bits = top
-        for a, b in ends:
-            bits |= a | b
-        shift = (bits & -bits).bit_length() - 1
-        if shift:
-            return top >> shift, tuple((a >> shift, b >> shift) for a, b in ends)
-    return top, tuple(ends)
 
 
 def _as_fraction(value) -> Fraction:
@@ -619,21 +561,11 @@ class RegionPredicate:
         return _tree_contains(self.tree, point)
 
     def _box_grid(self, box: Box) -> Grid:
-        """`_grid` of a box, which must have `arity` intervals, derived from the last box's.
-
-        The last box and its grid are kept on the instance as one pair
-        replaced whole, so callers sharing the region each derive from a
-        consistent pair, and `_regrid` converts only the intervals that
-        differ: of the two halves of a split, the second differs from
-        the first in one.
-        """
-        box = tuple(map(tuple, box))
+        """`_grid` of a box, which must have `arity` intervals."""
+        box = tuple(tuple(iv) for iv in box)
         if len(box) != self.arity:
             raise ValueError(f"{self.name} expects a {self.arity}-dimensional box")
-        last = self.__dict__.get("_last")
-        grid = _grid(box) if last is None else _regrid(box, *last)
-        object.__setattr__(self, "_last", (box, grid))
-        return grid
+        return _grid(box)
 
     def fraction(self, box: Box, within=None) -> FractionBounds:
         """Certified outward float bounds on the satisfied volume fraction of the box.

@@ -236,9 +236,20 @@ def routed_leaves(name, count, seed, budget=3000):
 
 
 def exact_centroid(halfspace, leaf) -> tuple[Fraction, ...]:
-    """The centroid of leaf intersect halfspace: from the shoelace sums in 2-D, else `LinearConstraint.centroid`."""
+    """The centroid of leaf intersect halfspace: from the shoelace sums in 2-D, else `LinearConstraint.centroid`.
+
+    In 4-D the centroid c comes from the code under test, so it is first
+    checked against the other side of the halfspace: with V the exact
+    fraction and c' the other side's centroid, V c + (1 - V) c' must be
+    the leaf's exact midpoint.
+    """
     if len(leaf) != 2:
-        return halfspace.centroid(leaf)
+        centroid = halfspace.centroid(leaf)
+        other = LinearConstraint(halfspace.coeffs, "<=" if halfspace.rel in (">", ">=") else ">", halfspace.bound)
+        v = halfspace.fraction(leaf)
+        mixed = [v * c + (1 - v) * d for c, d in zip(centroid, other.centroid(leaf), strict=True)]
+        assert mixed == [(F(lo) + F(hi)) / 2 for lo, hi in leaf]
+        return centroid
     (a1, b1), (a2, b2) = (tuple(map(F, iv)) for iv in leaf)
     corners = [(a1, a2), (b1, a2), (b1, b2), (a1, b2)]
     if halfspace.rel in ("<", "<="):
@@ -251,8 +262,9 @@ def test_centre_boxes_contain_exact_centres(monkeypatch, name):
     """The centre box of each mean-value route contains the exact centre, and its factor bounds each exact L_k there.
 
     On single-halfspace leaves the centre is the exact centroid of leaf
-    intersect halfspace, on c from the shoelace sums of the clipped
-    rectangle, and the centre box is the one `clipped_average` is given;
+    intersect halfspace (`exact_centroid`: on c from the shoelace sums of
+    the clipped rectangle, on a3 and b3 checked against the other side's
+    centroid), and the centre box is the one `clipped_average` is given;
     on inside leaves it is the exact midpoint of the leaf, and the centre
     box the one `average` builds.  Both are the second `_factor_bounds`
     call of the leaf, after the leaf itself.  This early a3 and b3 have

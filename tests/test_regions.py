@@ -124,17 +124,6 @@ class TestConstants:
         assert regions.B_SECOND_CAP == F(9, 38)
 
 
-# Each box has one invalid interval, next to (0.0, 1.0).
-INVALID_BOXES = (
-    ((0.5, 0.25), (0.0, 1.0)),
-    ((0.0, 1.0), (F(1, 3), F(1, 4))),
-    ((math.nan, 0.5), (0.0, 1.0)),
-    ((0.0, 1.0), (0.0, math.nan)),
-    ((0.0, math.inf), (0.0, 1.0)),
-    ((0.0, 1.0), (-math.inf, 0.0)),
-)
-
-
 class TestLinearConstraint:
     def test_evaluate_exact(self):
         c = LinearConstraint(coeffs=(1, 2), rel="<", bound=F(1, 2))
@@ -197,7 +186,15 @@ class TestLinearConstraint:
     def test_invalid_boxes_rejected(self):
         """A lo > hi interval or a NaN or infinite endpoint is a ValueError, not a verdict."""
         c = LinearConstraint((1, 1), "<=", F(1, 2))
-        for box in INVALID_BOXES:
+        bad = [
+            ((0.5, 0.25), (0.0, 1.0)),
+            ((0.0, 1.0), (F(1, 3), F(1, 4))),
+            ((math.nan, 0.5), (0.0, 1.0)),
+            ((0.0, 1.0), (0.0, math.nan)),
+            ((0.0, math.inf), (0.0, 1.0)),
+            ((0.0, 1.0), (-math.inf, 0.0)),
+        ]
+        for box in bad:
             for call in (REGION_A.fraction, c.fraction, c.fraction_bounds):
                 with pytest.raises(ValueError):
                     call(box)
@@ -815,75 +812,6 @@ class TestMaskMemo:
             assert len(built) == 1 and len(masked) == 33
             second = integrate_mc(f, stub, box, samples=30_005, seed=1, workers=3)
             assert len(built) == 1 and first == second
-
-
-class TestGridMemo:
-    """fraction(box) derives the box's integer grid from the last box's; no sequence of boxes shows it."""
-
-    def test_seeded_sequence_matches_fresh_predicates(self):
-        """Sibling halves, unrelated boxes, int, Fraction, list and tiny endpoints and invalid boxes, in a seeded order.
-
-        Every result equals a fresh predicate's in bounds, bit for bit,
-        and residual, and carries `_grid(box)` itself: the same scale, so
-        the same rationals.  Each invalid box comes right after a valid
-        call and shares all but one interval with it, or is one of the
-        boxes of `test_invalid_boxes_rejected`; it raises ValueError, and
-        the calls after it stay right.
-        """
-        rng = random.Random(20261019)
-        kinds = ("halves", "halves", "halves", "unrelated", "int", "fraction", "lists", "tiny", "invalid")
-        invalid = 0
-        for catalogued in region_catalog().values():
-            region = dataclasses.replace(catalogued)
-            domain = sampling_box(region)
-
-            def check(box, within=None):
-                got = region.fraction(box, within=within)
-                fresh = regions.RegionPredicate(region.name, region.arity, region.tree).fraction(box, within=within)
-                assert [x.hex() for x in got] == [x.hex() for x in fresh]
-                assert got.residual == fresh.residual
-                assert got.grid == regions._grid(tuple(tuple(iv) for iv in box))
-                return got
-
-            box = domain
-            last = check(box)
-            for _ in range(120):
-                kind = rng.choice(kinds)
-                i = rng.randrange(region.arity)
-                if kind == "halves":
-                    lo, hi = box[i]
-                    mid = 0.5 * (lo + hi)
-                    halves = [box[:i] + (half,) + box[i + 1 :] for half in ((lo, mid), (mid, hi))]
-                    results = [check(half, within=last.residual) for half in halves]
-                    k = rng.randrange(2)
-                    box, last = halves[k], results[k]
-                elif kind == "unrelated":
-                    box = tuple(tuple(sorted(rng.uniform(a, b) for _ in range(2))) for a, b in domain)
-                    last = check(box)
-                elif kind == "int":
-                    check(box[:i] + ((0, 1),) + box[i + 1 :])
-                    box = tuple((0, rng.randint(1, 2)) for _ in domain)
-                    last = check(box)
-                elif kind == "fraction":
-                    lo, hi = box[i]
-                    exact = (F(lo), F(hi))
-                    check(box[:i] + (exact,) + box[i + 1 :])
-                    check(box[:i] + ((F(1, 3), F(2, 5)),) + box[i + 1 :])
-                    last = check(box)
-                elif kind == "lists":
-                    last = check([list(iv) for iv in box])
-                elif kind == "tiny":
-                    check(box[:i] + ((2.0**-1000, 0.5),) + box[i + 1 :])
-                    last = check(box)
-                else:
-                    listed = rng.choice(INVALID_BOXES)
-                    interval = next(iv for iv in listed if iv != (0.0, 1.0))
-                    bad = [box[:i] + (interval,) + box[i + 1 :]] + [listed] * (region.arity == 2)
-                    for box_bad in bad:
-                        with pytest.raises(ValueError):
-                            region.fraction(box_bad)
-                        invalid += 1
-        assert invalid >= 50
 
 
 _SINGLES = [({i: 1}, F(0)) for i in range(4)]
