@@ -33,9 +33,16 @@ the box with the region as indicator, masked on the box's residual (the
 constraints the box does not decide for every sample).  Samples are
 drawn, scaled, masked and summed in blocks of `_BLOCK` rows, small
 enough to stay in cache, and only the rows the mask accepts reach the
-integrand's `value_many`.  The estimate is deterministic for a fixed
-(samples, seed, workers) triple and the constant `_BLOCK`; the worker
-count changes the stream split, never the statistical meaning.
+integrand's `value_many`.  The samples are split into `workers`
+independent streams of the seed.  Stream 0 runs in the calling process;
+with workers > 1 each other stream runs in a child process made by
+fork, which sends back its per-block sums over a pipe.  The caller adds
+every block in stream order, then block order, as one process running
+the streams in turn would, so the estimate is bit-identical for a fixed
+(samples, seed, workers) triple and the constant `_BLOCK`, wherever each
+stream ran; the worker count changes the stream split, never the
+statistical meaning.  fork copies only the calling thread, so it is
+unsafe in a process with other live threads; the package starts none.
 """
 
 from __future__ import annotations
@@ -258,6 +265,8 @@ def integrate_rigorous(
 _BLOCK = 1 << 16
 # Floats per row of the view the scale and shift of a block run on.
 _TILE = 512
+# Most Monte Carlo streams one call runs, each past the first in its own process.
+MAX_WORKERS = 32
 
 
 def integrate_mc(
@@ -271,23 +280,36 @@ def integrate_mc(
     """Plain Monte Carlo estimate of integral(f over region intersect box).
 
     Each worker index owns an independent child stream of the seed,
-    drawn in blocks of `_BLOCK` rows into one reused buffer, so results
-    are bit-reproducible for a fixed (samples, seed, workers) triple.  A
+    drawn in blocks of `_BLOCK` rows into one reused buffer per stream,
+    so results are bit-reproducible for a fixed (samples, seed, workers)
+    triple.  A
     block is `Generator.random` scaled by hi - lo and shifted by lo,
     which equals `Generator.uniform(lo, hi)`; whole groups of rows are
     scaled as rows of up to `_TILE` floats against the tiled spans and
     lows, the same elementwise operations as the broadcast left for the
     last few rows.  `region.mask` is called once per block with the box,
-    `f.value_many` on the accepted rows only, and their values and
-    squares are summed per block into the running totals.
+    `f.value_many` on the accepted rows only, and each block yields the
+    sum of its values, the sum of their squares and its hit count.
+
+    Stream 0 runs in the calling process.  With workers > 1 each stream
+    1 ... workers - 1 runs in a forked child (`_run_streams`), which
+    sends its per-block triples back over a pipe.  The totals add every
+    block in stream order, then block order, exactly as one process
+    running the streams in turn would, so the estimate does not depend
+    on where a stream ran.  A child's exception is raised again in the
+    caller, and no child outlives the call.  fork copies only the
+    calling thread, so it is unsafe in a process with other live
+    threads; the package starts none.
     """
     if samples < 10_000:
         raise ValueError("samples must be at least 10000")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    # Checked before the per-worker counts and streams are built.
+    # Checked before the per-worker counts, streams and processes are built.
     if workers > samples:
         raise ValueError(f"workers must not exceed samples, got {workers} > {samples}")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must not exceed {MAX_WORKERS}, got {workers}")
     if f.value_many is None:
         raise TypeError("integrand lacks a vectorized value_many, required for Monte Carlo")
     box = _checked_box(f, region, box)
@@ -299,13 +321,13 @@ def integrate_mc(
     group = max(_TILE // d, 1)  # rows per tiled row
     tiled_spans, tiled_lows = np.tile(spans, group), np.tile(lows, group)
     counts = [samples // workers + (1 if w < samples % workers else 0) for w in range(workers)]
-    buffer = np.empty((min(max(counts), _BLOCK), d))
 
-    total = 0.0
-    total_sq = 0.0
-    hits = 0
-    for w, count in enumerate(counts):
+    def stream(w: int) -> list[tuple[float, float, int]]:
+        """(sum, sum of squares, hits) of each block of stream w, in order."""
+        count = counts[w]
         rng = np.random.default_rng(np.random.SeedSequence((seed, w)))
+        buffer = np.empty((min(count, _BLOCK), d))
+        triples = []
         for start in range(0, count, _BLOCK):
             m = min(count - start, _BLOCK)
             # lo + (hi - lo) * U with U <= 1 - 2^-53 never rounds
@@ -318,9 +340,17 @@ def integrate_mc(
             pts[tiled:] *= spans
             pts[tiled:] += lows
             vals = f.value_many(np.compress(region.mask(pts, box=box), pts, axis=0))
-            total += float(vals.sum())
-            total_sq += float(np.square(vals).sum())
-            hits += len(vals)
+            triples.append((float(vals.sum()), float(np.square(vals).sum()), len(vals)))
+        return triples
+
+    total = 0.0
+    total_sq = 0.0
+    hits = 0
+    for triples in _run_streams(stream, workers):
+        for block_sum, block_sq, block_hits in triples:
+            total += block_sum
+            total_sq += block_sq
+            hits += block_hits
 
     if hits == 0:
         warnings.warn("no Monte Carlo sample hit the region; estimate degenerates to zero")
@@ -335,3 +365,59 @@ def integrate_mc(
         mode=MONTE_CARLO,
         stderr=stderr,
     )
+
+
+def _run_streams(stream: Callable[[int], list], workers: int) -> list[list]:
+    """[stream(0), ..., stream(workers - 1)]: stream 0 here, every other one in a forked child.
+
+    Each child runs its stream and sends the result, or the exception
+    it raised, over a one-way pipe.  The target is a closure, which
+    fork does not pickle, so the children see the caller's objects as
+    they are, monkeypatched module constants included.  multiprocessing
+    is imported only here, so a serial run never loads it.
+    """
+    if workers == 1:
+        return [stream(0)]
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    children = []
+    received = False
+    try:
+        for w in range(1, workers):
+            reader, writer = context.Pipe(duplex=False)
+
+            def run(w=w, writer=writer):
+                try:
+                    outcome = (True, stream(w))
+                except Exception as exc:  # sent to the parent, which raises it again
+                    outcome = (False, exc)
+                try:
+                    writer.send(outcome)
+                except Exception as exc:  # an exception that does not pickle
+                    writer.send((False, RuntimeError(f"Monte Carlo stream {w} failed: {outcome[1]!r} ({exc})")))
+
+            child = context.Process(target=run, name=f"sievebound-mc-{w}", daemon=True)
+            child.start()
+            # The parent keeps the reading end only, so a child that dies
+            # without sending ends the parent's recv with EOFError.
+            writer.close()
+            children.append((child, reader))
+        results = [stream(0)]
+        for w, (child, reader) in enumerate(children, start=1):
+            try:
+                ok, value = reader.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"Monte Carlo stream {w} exited with code {child.exitcode} before sending a result") from None
+            if not ok:
+                raise value
+            results.append(value)
+        received = True
+        return results
+    finally:
+        for child, reader in children:
+            if not received:
+                child.terminate()
+            child.join()
+            reader.close()

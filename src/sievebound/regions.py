@@ -153,6 +153,14 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def _integer_ratio(value) -> tuple[int, int]:
+    """(numerator, positive denominator) of `_as_fraction(value)`, without building a Fraction."""
+    if isinstance(value, float):
+        return value.as_integer_ratio()
+    value = _as_fraction(value)
+    return value.numerator, value.denominator
+
+
 @dataclass(frozen=True)
 class LinearConstraint:
     """Exact halfspace sum(coeffs[i] * t_i) REL bound with REL in <, <=, >, >=."""
@@ -793,8 +801,8 @@ def catalog_json() -> dict:
     return {"regions": [r.to_json() for r in region_catalog().values()]}
 
 
-def _exact_values(ts) -> list[Fraction]:
-    values = [_as_fraction(t) for t in ts]
+def _exact_values(ts, exact=_as_fraction) -> list:
+    values = [exact(t) for t in ts]
     if len(values) > MAX_SUBSET_ARITY:
         raise ValueError(f"subset scans support at most {MAX_SUBSET_ARITY} exponents")
     return values
@@ -803,15 +811,24 @@ def _exact_values(ts) -> list[Fraction]:
 def type_ii_feasible(ts) -> bool:
     """True when some nonempty subset of the exponents sums into [8/19, 11/19].
 
-    Exact: float inputs are converted to rationals without rounding.
-    The empty collection is infeasible.
+    Exact: float inputs are converted to rationals without rounding,
+    and every value and window end is scaled to an integer on their
+    common denominator.  One walk extends the subset sums so far by
+    each value in turn, which visits every nonempty subset once, and
+    returns at the first sum inside the window.  The empty collection
+    is infeasible.
     """
-    values = _exact_values(ts)
-    for r in range(1, len(values) + 1):
-        for subset in itertools.combinations(values, r):
-            total = sum(subset, Fraction(0))
-            if WINDOW_LO <= total <= WINDOW_HI:
+    ratios = _exact_values(ts, _integer_ratio)
+    den = math.lcm(WINDOW_LO.denominator, WINDOW_HI.denominator, *(d for _, d in ratios))
+    lo, hi = (end.numerator * (den // end.denominator) for end in (WINDOW_LO, WINDOW_HI))
+    sums = [0]
+    for num, d in ratios:
+        step = num * (den // d)
+        extended = [total + step for total in sums]
+        for total in extended:
+            if lo <= total <= hi:
                 return True
+        sums += extended
     return False
 
 

@@ -6,8 +6,9 @@ Run from the repository root:
     python tests/mutation_check.py M1 M9      # the named ones
 
 Each mutant is a (file, old, new) replacement that drops one outward
-rounding, combines one bound wrongly, weakens one soundness check, or
-puts a wrong integer into an exact centroid.  For each, the script
+rounding, combines one bound wrongly, weakens one soundness check,
+reports a soundness failure as a usage error, drops one pre-check of an
+output path, or puts a wrong integer into an exact centroid.  For each, the script
 copies `src/`, `tests/` and `pyproject.toml` to a temporary directory
 outside the tree, replaces `old` by `new` there, and runs only the
 tests that should catch the mutant, with the bit pins deselected: a
@@ -108,6 +109,24 @@ MUTANTS = {
         "b * den - (b - a) * num if reflected",
         "a * den - (b - a) * num if reflected",
         REPLAY,
+    ),
+    "M15": (
+        "src/sievebound/buchstab.py",
+        'raise SoundnessError(f"table entry',
+        'raise ValueError(f"table entry',
+        (
+            "tests/test_buchstab.py::TestTable::test_inverted_entry_raises",
+            "tests/test_buchstab.py::TestTable::test_nonpositive_entry_raises",
+        ),
+    ),
+    "M16": (
+        "src/sievebound/cli.py",
+        'for what, path in (("report", args.out), ',
+        'for what, path in (("report", None), ',
+        (
+            "tests/test_cli.py::TestVerify::test_missing_out_dir_fails_before_any_work",
+            "tests/test_cli.py::TestHarness::test_missing_out_dir_fails_before_the_scan",
+        ),
     ),
 }
 

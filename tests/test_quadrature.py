@@ -198,6 +198,69 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="workers must not exceed samples"):
             integrate_mc(constant_one(), halfspace_region(), UNIT_SQUARE, samples=10000, seed=1, workers=10001)
 
+    def test_worker_cap(self, monkeypatch):
+        """MAX_WORKERS + 1 workers is refused before any stream or process is made."""
+        import multiprocessing
+
+        contexts = []
+        monkeypatch.setattr(multiprocessing, "get_context", lambda *args: contexts.append(args))
+        workers = quadrature.MAX_WORKERS + 1
+        with pytest.raises(ValueError, match=f"workers must not exceed {quadrature.MAX_WORKERS}"):
+            integrate_mc(constant_one(), halfspace_region(), UNIT_SQUARE, samples=10000, seed=1, workers=workers)
+        assert contexts == [] and multiprocessing.active_children() == []
+
+    def test_child_stream_exception_reaches_the_caller(self):
+        """An exception raised only inside a child stream is raised again by the caller, and no child is left."""
+        import multiprocessing
+        import os
+
+        parent = os.getpid()
+
+        def value_many(pts):
+            if os.getpid() != parent:
+                raise FloatingPointError("raised in a child stream")
+            return np.ones(len(pts))
+
+        f = Integrand(arity=2, enclosure=lambda box: Enclosure(1.0), value_many=value_many)
+        with pytest.raises(FloatingPointError, match="raised in a child stream"):
+            integrate_mc(f, halfspace_region(), UNIT_SQUARE, samples=30000, seed=1, workers=3)
+        assert multiprocessing.active_children() == []
+
+    def test_child_exception_that_does_not_pickle(self):
+        """A child exception that cannot cross the pipe arrives as a RuntimeError that names it."""
+        import os
+
+        class Unpicklable(Exception):
+            pass
+
+        parent = os.getpid()
+
+        def value_many(pts):
+            if os.getpid() != parent:
+                raise Unpicklable("local class")
+            return np.ones(len(pts))
+
+        f = Integrand(arity=2, enclosure=lambda box: Enclosure(1.0), value_many=value_many)
+        with pytest.raises(RuntimeError, match=r"stream 1 failed: Unpicklable\('local class'\)"):
+            integrate_mc(f, halfspace_region(), UNIT_SQUARE, samples=20000, seed=1, workers=2)
+
+    def test_child_stream_that_exits_without_a_result(self):
+        """A child that ends before sending its stream is a RuntimeError naming its exit code, and no child is left."""
+        import multiprocessing
+        import os
+
+        parent = os.getpid()
+
+        def value_many(pts):
+            if os.getpid() != parent:
+                os._exit(3)
+            return np.ones(len(pts))
+
+        f = Integrand(arity=2, enclosure=lambda box: Enclosure(1.0), value_many=value_many)
+        with pytest.raises(RuntimeError, match="stream 1 exited with code 3 before sending a result"):
+            integrate_mc(f, halfspace_region(), UNIT_SQUARE, samples=20000, seed=1, workers=2)
+        assert multiprocessing.active_children() == []
+
     def test_region_stub_with_only_a_mask(self):
         """A region exposing only arity and a forwarding mask gives the same estimate; it is given the box."""
         calls = []
@@ -297,7 +360,10 @@ class TestMonteCarloReference:
         At `_BLOCK` = 1,000 one worker's 24,001 samples and the third
         worker's 10,001 of 30,005 end in a one-row block, and at the
         real `_BLOCK` = 2^16 so do both workers' 65,537; the other cases
-        end in a ragged block or fit in one.
+        end in a ragged block or fit in one.  The stub sees stream 0's
+        blocks, which run in this process; the other streams run in
+        child processes, and the bit-for-bit match with `per_block_mc`
+        covers their blocks.
         """
         monkeypatch.setattr(quadrature, "_BLOCK", block)
         f, _, region, box = losses.integration_domain("b3")
@@ -311,9 +377,9 @@ class TestMonteCarloReference:
         est = integrate_mc(f, stub, box, samples=samples, seed=13, workers=workers)
         reference = per_block_mc(f, region, box, samples, 13, workers)
         assert same_as_reference(est, reference) and reference[2] > 100
-        counts = [samples // workers + (1 if w < samples % workers else 0) for w in range(workers)]
-        assert rows == [min(block, count - start) for count in counts for start in range(0, count, block)]
-        assert sum(rows) == samples
+        first = samples // workers + (1 if samples % workers else 0)
+        assert rows == [min(block, first - start) for start in range(0, first, block)]
+        assert sum(rows) == first
 
     def test_zero_hits(self):
         """A box the region meets only in a corner: the walk ends after its one child, and the warning fires."""

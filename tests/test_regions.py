@@ -789,7 +789,11 @@ class TestMaskMemo:
         assert differ >= 3
 
     def test_plan_built_once_per_integrate_mc_call(self, monkeypatch):
-        """Several workers and blocks in one box build the box's residual once, and a second call not again."""
+        """Several blocks in one box build the box's residual once, and a second call not again.
+
+        The spies see stream 0, which runs in this process: 11 blocks of
+        its 10,002 samples.  Streams 1 and 2 run in child processes.
+        """
         monkeypatch.setattr(quadrature, "_BLOCK", 1_000)
         real = regions._tree_residual
         for name in LOSS_NAMES:
@@ -809,7 +813,7 @@ class TestMaskMemo:
             monkeypatch.setattr(regions, "_tree_residual", spy)
             stub = SimpleNamespace(arity=region.arity, mask=mask)
             first = integrate_mc(f, stub, box, samples=30_005, seed=1, workers=3)
-            assert len(built) == 1 and len(masked) == 33
+            assert len(built) == 1 and len(masked) == 11
             second = integrate_mc(f, stub, box, samples=30_005, seed=1, workers=3)
             assert len(built) == 1 and first == second
 
@@ -967,7 +971,44 @@ class TestWindowClauses:
         assert new == old
 
 
+def combinations_type_ii_feasible(ts) -> bool:
+    """Some nonempty subset sums into [8/19, 11/19], summed in Fractions subset by subset (test oracle)."""
+    values = regions._exact_values(ts)
+    for r in range(1, len(values) + 1):
+        for subset in itertools.combinations(values, r):
+            if WINDOW_LO <= sum(subset, F(0)) <= WINDOW_HI:
+                return True
+    return False
+
+
 class TestFeasibility:
+    def test_type_ii_matches_combinations_oracle(self):
+        """The integer subset-sum walk agrees with the Fraction oracle on seeded sets and on window-edge sums."""
+        rng = random.Random(20240802)
+        cases = []
+        for _ in range(1500):
+            size = rng.randint(0, regions.MAX_SUBSET_ARITY)
+            cases.append([rng.random() * rng.choice((0.3, 1.0)) for _ in range(size)])
+            cases.append([F(rng.randint(0, 600), rng.choice((1000, 19, 38, 7 * 19))) for _ in range(size)])
+        edge = 0
+        for _ in range(500):
+            end = rng.choice((WINDOW_LO, WINDOW_HI))
+            cut = F(rng.random()) * end
+            nudge = rng.choice((0, 0, F(1, 10**30), -F(1, 10**30)))
+            others = [F(rng.randint(600, 1000), 1000) for _ in range(rng.randint(0, 3))]
+            ts = [cut, end - cut + nudge] + others
+            rng.shuffle(ts)
+            edge += nudge == 0
+            cases.append(ts)
+        feasible = 0
+        for ts in cases:
+            expected = combinations_type_ii_feasible(ts)
+            assert type_ii_feasible(ts) == expected, ts
+            feasible += expected
+        assert 500 < feasible < len(cases) - 500 and edge > 100
+        assert type_ii_feasible([F(3, 19), F(5, 19), F(9, 10)]) and type_ii_feasible([F(11, 19), F(7, 10)])
+        assert not type_ii_feasible([F(11, 19) + F(1, 10**30)]) and not type_ii_feasible([F(8, 19) - F(1, 10**30)])
+
     def test_type_ii_examples(self):
         assert type_ii_feasible([F(8, 19)])
         assert type_ii_feasible([F(3, 10), F(2, 10)])
