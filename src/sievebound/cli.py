@@ -171,6 +171,8 @@ def _cmd_verify(args) -> int:
                 "exhausted": est.exhausted,
                 "escalations": escalations,
                 "pass": ok,
+                "leaves": dict(zip(quadrature.LEAF_CLASSES, est.leaves)),
+                "gaps": {k: _high(g) for k, g in zip(quadrature.LEAF_CLASSES, est.gaps)},
             }
             estimates[name] = est
         else:

@@ -37,8 +37,8 @@ that check bounds the rational kernel, not the loss.  Rigorous runs and
 Monte Carlo both use the one rational integrand per loss, a
 `ReciprocalProduct`: its interval extension bounds the value on a leaf,
 a fourth-order mean-value form the average over a leaf inside the
-region, and a second-order form about the exact centroid the average
-over a mixed leaf cut by a single halfspace.
+region, and a third-order form about the exact centroid, with the exact
+covariance, the average over a mixed leaf cut by a single halfspace.
 
 Integration domains are pre-clipped bounding boxes of the regions,
 derived exactly:
@@ -182,14 +182,15 @@ class ReciprocalProduct:
     """f(t) = 1 / prod_k L_k(t) with affine factors L_k positive on the box.
 
     Supplies the certified interval extension, a fourth-order
-    mean-value average enclosure and a second-order one about a given
-    centroid (`clipped_average`), all computed on float (lo, hi) pairs
-    rounded outward after every operation; only the result is an
-    Enclosure.  With f = exp(-sum log L_k), S_i = sum_k a_ki / L_k and
-    Q_ii = sum_k a_ki^2 / L_k^2, the pure second partials are
-    d_i^2 f = f (S_i^2 + Q_ii).  Expanding f to fourth order about the
-    exact centre c of a box with half-widths r, the odd terms and the
-    mixed second-order terms average to zero and E[d_i^2] = r_i^2 / 3, so
+    mean-value average enclosure and a third-order one about a given
+    centroid and covariance (`clipped_average`), all computed on float
+    (lo, hi) pairs rounded outward after every operation; only the
+    result is an Enclosure.  With f = exp(-sum log L_k),
+    S_i = sum_k a_ki / L_k and Q_ii = sum_k a_ki^2 / L_k^2, the pure
+    second partials are d_i^2 f = f (S_i^2 + Q_ii).  Expanding f to
+    fourth order about the exact centre c of a box with half-widths r,
+    the odd terms and the mixed second-order terms average to zero and
+    E[d_i^2] = r_i^2 / 3, so
 
         avg = F(c) + E[R_4],  F(x) = f(x) (1 + sum_i (S_i^2 + Q_ii)(x) r_i^2 / 6).
 
@@ -250,6 +251,43 @@ class ReciprocalProduct:
             spread = nextafter(spread + nextafter(num / lo, _UP), _UP)
         return spread
 
+    def _centre_slopes(self, at_centre: list[tuple[float, float]]) -> tuple[list[dict], list[tuple[float, float]]]:
+        """(x, slopes) from the factor bounds over a centre box around c.
+
+        x[i][k] bounds a_ki / L_k(c) for each factor k with a_ki != 0, in
+        factor order, and slopes[i] bounds S_i(c) = sum_k x[i][k].
+        """
+        x = [{} for _ in range(self._arity)]
+        for k, ((_, terms), (lo, hi)) in enumerate(zip(self._terms, at_centre)):
+            v_lo, v_hi = nextafter(1.0 / hi, _DOWN), nextafter(1.0 / lo, _UP)
+            for i, a in terms:
+                if a > 0.0:
+                    x[i][k] = nextafter(a * v_lo, _DOWN), nextafter(a * v_hi, _UP)
+                else:
+                    x[i][k] = nextafter(a * v_hi, _DOWN), nextafter(a * v_lo, _UP)
+        slopes = []
+        for row in x:
+            s_lo = s_hi = 0.0
+            for x_lo, x_hi in row.values():
+                s_lo = nextafter(s_lo + x_lo, _DOWN)
+                s_hi = nextafter(s_hi + x_hi, _UP)
+            slopes.append((s_lo, s_hi))
+        return x, slopes
+
+    @staticmethod
+    def _hessian_entry(x: list[dict], slopes: list[tuple[float, float]], i: int, j: int) -> tuple[float, float]:
+        """Bounds on (S_i S_j + Q_ij)(c) = d_i d_j f / f at c, Q_ij = sum_k x[i][k] x[j][k] (see `_centre_slopes`)."""
+        ss_lo, ss_hi = _mul(*slopes[i], *slopes[j])
+        if i == j:
+            ss_lo = max(ss_lo, 0.0)
+        q_lo = q_hi = 0.0
+        for k, (a_lo, a_hi) in x[i].items():
+            if k in x[j]:
+                p_lo, p_hi = _mul(a_lo, a_hi, *x[j][k])
+                q_lo = nextafter(q_lo + p_lo, _DOWN)
+                q_hi = nextafter(q_hi + p_hi, _UP)
+        return nextafter(ss_lo + q_lo, _DOWN), nextafter(ss_hi + q_hi, _UP)
+
     def enclosure(self, box: Box) -> Enclosure:
         return Enclosure(*_reciprocal_bounds(self._factor_bounds(box)))
 
@@ -265,30 +303,13 @@ class ReciprocalProduct:
         centre = tuple((lo + hi) * 0.5 for lo, hi in box)
         at_centre = self._factor_bounds(tuple((nextafter(c, _DOWN), nextafter(c, _UP)) for c in centre))
         fc_lo, fc_hi = _reciprocal_bounds(at_centre)
-        inverses = [(nextafter(1.0 / hi, _DOWN), nextafter(1.0 / lo, _UP)) for lo, hi in at_centre]
+        x, slopes = self._centre_slopes(at_centre)
         widths = [nextafter(hi - lo, _UP) for lo, hi in box]
 
         # curv = sum_i (S_i^2 + Q_ii)(c) r_i^2 / 6 with r_i^2 / 6 = w_i^2 / 24 for the side w_i.
         curv_lo = curv_hi = 0.0
         for i, (lo, hi) in enumerate(box):
-            s_lo = s_hi = q_lo = q_hi = 0.0
-            for (_, coeffs), (v_lo, v_hi) in zip(self.factors, inverses):
-                a = coeffs[i]
-                if a > 0.0:
-                    x_lo, x_hi = nextafter(a * v_lo, _DOWN), nextafter(a * v_hi, _UP)
-                    sq_lo, sq_hi = x_lo * x_lo, x_hi * x_hi
-                elif a < 0.0:
-                    x_lo, x_hi = nextafter(a * v_hi, _DOWN), nextafter(a * v_lo, _UP)
-                    sq_lo, sq_hi = x_hi * x_hi, x_lo * x_lo
-                else:
-                    continue
-                s_lo = nextafter(s_lo + x_lo, _DOWN)
-                s_hi = nextafter(s_hi + x_hi, _UP)
-                q_lo = nextafter(q_lo + nextafter(sq_lo, _DOWN), _DOWN)
-                q_hi = nextafter(q_hi + nextafter(sq_hi, _UP), _UP)
-            ss_lo, ss_hi = _mul(s_lo, s_hi, s_lo, s_hi)
-            t_lo = nextafter(max(ss_lo, 0.0) + q_lo, _DOWN)
-            t_hi = nextafter(ss_hi + q_hi, _UP)
+            t_lo, t_hi = self._hessian_entry(x, slopes, i, i)
             w_lo = nextafter(hi - lo, _DOWN)
             w_sq = nextafter(widths[i] * widths[i], _UP)
             rr_lo = nextafter(nextafter(w_lo * w_lo, _DOWN) / 24.0, _DOWN)
@@ -306,36 +327,72 @@ class ReciprocalProduct:
         average = Enclosure(nextafter(mid_lo - pad, _DOWN), nextafter(mid_hi + pad, _UP))
         return average.intersect(Enclosure(f_lo, f_hi))
 
-    def clipped_average(self, box: Box, centre: Box) -> Enclosure:
-        """Certified bounds on the average of f over a convex part P of the box, given a box around its centroid.
+    def clipped_average(self, box: Box, centre: Box, cov: dict[tuple[int, int], tuple[float, float]]) -> Enclosure:
+        """Certified bounds on the average of f over a convex part P of the box, given its centroid and covariance.
 
-        `centre` must contain the exact centroid c of P; the integrator
-        passes the outward float box around the exact rational centroid
-        of box intersect one halfspace.  The second-order form is the
-        argument of `average` one order down.  Along the segment from c
-        to t in P, which stays in P by convexity, g(s) = f(c + s (t - c))
-        has g''/2 = g h_2(-delta_k / L_k) with delta_k = L_k(t) - L_k(c),
-        h_2 the complete homogeneous symmetric polynomial of degree 2 and
-        L_k at the intermediate point, and |h_2(x)| <= (sum_k |x_k|)^2.
-        So f(t) = f(c) + grad f(c) . (t - c) + R_2 with
+        `centre` must contain the exact centroid c of P, and cov[i, j]
+        the exact covariance E_P[(t_i - c_i)(t_j - c_j)] for each i <= j
+        it lists; an entry it leaves out must be exactly zero.  The
+        integrator passes the outward float bounds of the exact rational
+        moments of box intersect one halfspace.  The third-order form is
+        the argument of `average` one order down.  Along the segment from
+        c to t in P, which stays in P by convexity, g(s) = f(c + s (t - c))
+        has g'''/3! = g h_3(-delta_k / L_k) with delta_k = L_k(t) - L_k(c),
+        h_3 the complete homogeneous symmetric polynomial of degree 3 and
+        L_k at the intermediate point, and |h_3(x)| <= (sum_k |x_k|)^3.
+        The Hessian of f is f (S_i S_j + Q_ij) with S_i = sum_k a_ki / L_k
+        and Q_ij = sum_k a_ki a_kj / L_k^2.  So
 
-            |R_2| <= f_hi R^2,  R = sum_k sum_i |a_ki| w_i / L_k,lo,
+            f(t) = f(c) + grad f(c) . (t - c)
+                   + f(c) sum_ij (S_i S_j + Q_ij)(c) (t_i - c_i)(t_j - c_j) / 2 + R_3,
+            |R_3| <= f_hi R^3,  R = sum_k sum_i |a_ki| rho_i / L_k,lo,
 
-        for the sides w_i of the box, which bound |t_i - c_i|, and f_hi
-        and L_k,lo the bounds of f and L_k over the box.  The linear term
-        averages to exactly zero over P because c is its centroid, so the
-        average is f(c) + E_P[R_2], and the factor bounds over `centre`
-        enclose f(c).  The average lies in the box's value range, so the
-        padded enclosure is intersected with it; disjoint enclosures
-        raise SoundnessError.
+        where rho_i = max(c_i - lo_i, hi_i - c_i) bounds |t_i - c_i| (the
+        distance from the centre box to the farther face), and f_hi and
+        L_k,lo are the bounds of f and L_k over the box.  The linear term
+        averages to exactly zero over P because c is its centroid, so
+
+            avg = f(c) (1 + sum_ij (S_i S_j + Q_ij)(c) Cov_ij / 2) + E_P[R_3],
+
+        with every value at c bounded over `centre`.  The same argument
+        one order down gives avg = f(c) + E_P[R_2], |R_2| <= f_hi R^2,
+        which is tighter on coarse leaves; the result is the intersection
+        of both forms with the box's value range, in which the average
+        lies.  Disjoint enclosures raise SoundnessError.
         """
         ls = self._factor_bounds(box)
         f_lo, f_hi = _reciprocal_bounds(ls)
-        fc_lo, fc_hi = _reciprocal_bounds(self._factor_bounds(centre))
-        spread = self._spread(ls, [nextafter(hi - lo, _UP) for lo, hi in box])
-        pad = nextafter(f_hi * nextafter(spread * spread, _UP), _UP)
-        average = Enclosure(nextafter(fc_lo - pad, _DOWN), nextafter(fc_hi + pad, _UP))
-        return average.intersect(Enclosure(f_lo, f_hi))
+        at_centre = self._factor_bounds(centre)
+        fc_lo, fc_hi = _reciprocal_bounds(at_centre)
+        x, slopes = self._centre_slopes(at_centre)
+
+        # total = sum_ij (S_i S_j + Q_ij) Cov_ij, each off-diagonal entry counted twice.
+        total_lo = total_hi = 0.0
+        for (i, j), (c_lo, c_hi) in cov.items():
+            if i != j:
+                c_lo, c_hi = 2.0 * c_lo, 2.0 * c_hi  # exact
+            t_lo, t_hi = _mul(*self._hessian_entry(x, slopes, i, j), c_lo, c_hi)
+            total_lo, total_hi = nextafter(total_lo + t_lo, _DOWN), nextafter(total_hi + t_hi, _UP)
+        curv_lo, curv_hi = nextafter(0.5 * total_lo, _DOWN), nextafter(0.5 * total_hi, _UP)
+        shift_lo, shift_hi = _mul(fc_lo, fc_hi, curv_lo, curv_hi)
+
+        rho = [nextafter(max(c_hi - lo, hi - c_lo), _UP) for (lo, hi), (c_lo, c_hi) in zip(box, centre)]
+        spread = self._spread(ls, rho)
+        square_pad = nextafter(f_hi * nextafter(spread * spread, _UP), _UP)
+        cube_pad = nextafter(square_pad * spread, _UP)
+        lo = max(
+            nextafter(nextafter(fc_lo + shift_lo, _DOWN) - cube_pad, _DOWN),
+            nextafter(fc_lo - square_pad, _DOWN),
+            f_lo,
+        )
+        hi = min(
+            nextafter(nextafter(fc_hi + shift_hi, _UP) + cube_pad, _UP),
+            nextafter(fc_hi + square_pad, _UP),
+            f_hi,
+        )
+        if lo > hi:
+            raise SoundnessError(f"disjoint enclosures: clipped average bounds [{lo}, {hi}]")
+        return Enclosure(lo, hi)
 
 
 def _integrand(name: str) -> Integrand:

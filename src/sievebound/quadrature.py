@@ -17,13 +17,15 @@ mean-value form) instead, which lies inside the box's value range and so
 keeps refinement monotone.  A mixed leaf whose residual tree is one
 halfspace, after single-child wrappers, uses the integrand's
 `clipped_average` about the exact rational centroid of box intersect
-halfspace, where the linear Taylor term integrates to zero.  The
-centroid comes as integer ratios on the grid the fraction bounds were
-computed on (`LinearConstraint._centroid` of `FractionBounds.grid`), and
-each coordinate is rounded outward to floats once.  The leaf product is
-computed on plain floats rounded outward after every operation, and the
-final endpoint sums use math.fsum, which is correctly rounded, before
-one outward rounding step.
+halfspace, where the linear Taylor term integrates to zero and the
+quadratic one averages to the Hessian against the part's exact
+covariance, which leaves a cubic remainder.  The centroid and the
+covariance come as integer ratios on the grid the fraction bounds were
+computed on (`LinearConstraint._moments` of `FractionBounds.grid`), and
+each coordinate and covariance entry is rounded outward to floats once.
+The leaf product is computed on plain floats rounded outward after
+every operation, and the final endpoint sums use math.fsum, which is
+correctly rounded, before one outward rounding step.
 Each heap entry carries its leaf's residual region tree (the constraints
 the leaf left undecided), and both halves of a split are classified
 against it only, which gives the same fraction bounds as the full tree.
@@ -57,17 +59,25 @@ from typing import Callable, Optional
 import numpy as np
 
 from .interval import _DOWN, _UP, Enclosure, SoundnessError, _down, _ratio_bounds, _up
-from .regions import Box, RegionPredicate, _single_halfspace
+from .regions import _TRUE, Box, RegionPredicate, _single_halfspace
 
 __all__ = [
     "Integrand",
     "IntegralEstimate",
+    "LEAF_CLASSES",
     "integrate_rigorous",
     "integrate_mc",
 ]
 
 RIGOROUS = "rigorous"
 MONTE_CARLO = "monte_carlo"
+
+# The classes of a rigorous run's final leaves, in the order of
+# `IntegralEstimate.leaves` and `IntegralEstimate.gaps`: open leaves
+# inside the region, open mixed leaves whose residual tree is one
+# halfspace, other open mixed leaves, and the leaves that carry no gap
+# (outside the region or decided exactly) or could not be split.
+LEAF_CLASSES = ("inside", "single_halfspace", "multi", "settled")
 
 
 @dataclass(frozen=True)
@@ -85,9 +95,11 @@ class Integrand:
     clipped_average:
                 optional certified bounds on the average of f over
                 box intersect one halfspace, called as
-                clipped_average(box, centre) with `centre` the outward
-                float box around that part's exact centroid; the same
-                containment rules as `average`.
+                clipped_average(box, centre, cov) with `centre` the
+                outward float box around that part's exact centroid and
+                cov the outward float bounds of its exact covariance,
+                keyed (i, j) with i <= j, an entry left out being exactly
+                zero; the same containment rules as `average`.
     """
 
     arity: int
@@ -105,7 +117,11 @@ class IntegralEstimate:
     is zero.  In Monte Carlo mode lower == upper == point estimate and
     stderr is the estimated standard error; nothing is certified.
     exhausted marks a rigorous run that hit its box budget before
-    reaching the requested gap.
+    reaching the requested gap.  A rigorous run also counts its final
+    leaves, (boxes_used + 1) / 2 of them, by the classes of
+    `LEAF_CLASSES` (`leaves`), and adds up the float gap hi - lo of each
+    class's leaf contributions (`gaps`, a diagnostic, not certified);
+    both are empty in Monte Carlo mode.
     """
 
     lower: float
@@ -114,6 +130,8 @@ class IntegralEstimate:
     mode: str
     stderr: float = 0.0
     exhausted: bool = False
+    leaves: tuple[int, ...] = ()
+    gaps: tuple[float, ...] = ()
 
     @property
     def width(self) -> float:
@@ -128,8 +146,8 @@ def _leaf_contribution(f: Integrand, fraction: tuple[float, float], box: Box) ->
     """Certified bounds on integral(f) over (region intersect box), given the region's fraction bounds on box.
 
     A mixed leaf whose residual tree is one halfspace takes its value
-    bounds from `clipped_average` about the exact centroid of
-    box intersect halfspace, when the integrand has one.
+    bounds from `clipped_average` about the exact centroid and
+    covariance of box intersect halfspace, when the integrand has one.
     """
     fr_lo, fr_hi = fraction
     if not 0.0 <= fr_lo <= fr_hi <= 1.0:
@@ -139,8 +157,9 @@ def _leaf_contribution(f: Integrand, fraction: tuple[float, float], box: Box) ->
     if fr_lo == 1.0 and f.average is not None:
         enc = f.average(box)
     elif f.clipped_average is not None and (halfspace := _single_halfspace(fraction.residual)):
-        centre = tuple(_ratio_bounds(num, den) for num, den in halfspace._centroid(fraction.grid))
-        enc = f.clipped_average(box, centre)
+        centroid, covariance = halfspace._moments(fraction.grid)
+        centre = tuple(_ratio_bounds(num, den) for num, den in centroid)
+        enc = f.clipped_average(box, centre, {ij: _ratio_bounds(num, den) for ij, (num, den) in covariance.items()})
     else:
         enc = f.enclosure(box)
     lo = hi = 1.0
@@ -202,7 +221,8 @@ def integrate_rigorous(
 
     Refines the leaf with the largest lower/upper contribution gap until
     the total gap falls below tol or `budget` boxes have been evaluated.
-    Deterministic: the refinement order depends only on the arguments.
+    Deterministic: the refinement order depends only on the arguments,
+    and so do the leaf counts and gaps by class on the result.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -214,15 +234,20 @@ def integrate_rigorous(
     stop_tol = 0.97 * tol
     settled_lo: list[float] = []
     settled_hi: list[float] = []
+    # Final leaves outside the heap: those admitted with no gap, and those
+    # popped but too small to split, whose gaps are kept.
+    settled = 0
+    settled_gaps: list[float] = []
     # Heap entries: (-gap, seq, leaf, lo, hi, the leaf's residual region tree).
     heap: list[tuple[float, int, Box, float, float, object]] = []
     seq = 0
 
     def admit(leaf: Box, fraction) -> float:
-        nonlocal seq
+        nonlocal seq, settled
         lo_c, hi_c = _leaf_contribution(f, fraction, leaf)
         gap = hi_c - lo_c
         if gap <= 0.0:
+            settled += 1
             if hi_c != 0.0 or lo_c != 0.0:
                 settled_lo.append(lo_c)
                 settled_hi.append(hi_c)
@@ -239,6 +264,8 @@ def integrate_rigorous(
         if parts is None:
             settled_lo.append(lo_c)
             settled_hi.append(hi_c)
+            settled += 1
+            settled_gaps.append(hi_c - lo_c)
             continue
         boxes_used += 2
         approx_gap -= hi_c - lo_c
@@ -251,12 +278,19 @@ def integrate_rigorous(
     high_sum = math.fsum(highs)
     # A zero sum of nonnegative leaf uppers is exact; no outward round.
     upper = _up(high_sum) if high_sum != 0.0 else 0.0
+    # Open leaves by class: the residual of an inside leaf is the empty conjunction.
+    gaps: list[list[float]] = [[], [], [], settled_gaps]
+    for _, _, _, lo_c, hi_c, residual in heap:
+        k = 0 if residual == _TRUE else 1 if _single_halfspace(residual) else 2
+        gaps[k].append(hi_c - lo_c)
     return IntegralEstimate(
         lower=lower,
         upper=upper,
         boxes_used=boxes_used,
         mode=RIGOROUS,
         exhausted=bool(upper - lower > tol),
+        leaves=(len(gaps[0]), len(gaps[1]), len(gaps[2]), settled),
+        gaps=tuple(math.fsum(g) for g in gaps),
     )
 
 

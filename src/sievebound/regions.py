@@ -23,8 +23,10 @@ does, since 8/19 + 11/19 = 1.  A clause that a conjunct on the same
 form already settles (t1 + t2 < 8/19 in u_a3, t1 + t2 > 11/19 in u_b3)
 is left out.  The sets are unchanged; u_a3 has 25 conjuncts and u_b3
 24.  Every clause left open on a box costs the Frechet lower bound its
-missing mass, so the default a3 and b3 runs need 5,835 and 22,479
-boxes, not the 8,359 and 38,161 of the trees with every subset clause.
+missing mass, so with the second-order clipped average the default a3
+and b3 runs needed 5,835 and 22,479 boxes (5,279 and 18,199 with the
+third-order one), not the 8,359 and 38,161 of the trees with every
+subset clause.
 
 Point membership runs in exact `Fraction` arithmetic, float inputs
 converted exactly.  Box tests are exact integer arithmetic: each
@@ -57,10 +59,11 @@ the quotient the exact value lies (`interval._ratio_bounds`), so each
 bound is within one ulp of the exact fraction.  Conjunctions and
 disjunctions combine their children's bounds with two-sided Frechet
 bounds in directed rounding, which are exact up to rounding when a
-single child is undecided on the box.  On the same grid the first
-moments of the same corner simplices give the exact centroid of the
-part of a box one halfspace keeps, as unreduced integer ratios
-(`LinearConstraint._centroid`; `centroid` gives it as Fractions).
+single child is undecided on the box.  On the same grid the first and
+second moments of the same corner simplices give the exact centroid and
+covariance of the part of a box one halfspace keeps, as unreduced
+integer ratios (`LinearConstraint._moments`; `centroid` gives the
+centroid as Fractions).
 
 A constraint decided on a box stays decided on every sub-box, so each
 fraction also returns the box's residual tree: the conjunctions without
@@ -291,29 +294,38 @@ class LinearConstraint:
         return num, den
 
     def centroid(self, box: Box) -> tuple[Fraction, ...]:
-        """Exact centroid of box intersect halfspace, for a box the halfspace cuts (see `_centroid`)."""
-        return tuple(Fraction(num, den) for num, den in self._centroid(self._box_grid(box)))
+        """Exact centroid of box intersect halfspace, for a box the halfspace cuts (see `_moments`)."""
+        return tuple(Fraction(num, den) for num, den in self._moments(self._box_grid(box))[0])
 
-    def _centroid(self, grid: Grid) -> tuple[tuple[int, int], ...]:
-        """The exact centroid of a box given as its `_grid` intersect halfspace, as (numerator, denominator > 0) pairs.
+    def _moments(self, grid: Grid) -> tuple[tuple[tuple[int, int], ...], dict[tuple[int, int], tuple[int, int]]]:
+        """(centroid, covariance) of a box given as its `_grid` intersect halfspace, as (num, den > 0) pairs.
 
         On `_ratio`'s grid, with the same reflected unit coordinates, the
-        part sum(beta_i U_i) <= Y is an inclusion-exclusion sum of
-        simplices: the subset S contributes the corner simplex of side
-        s = Y - beta_S with sign (-1)^|S|, volume s^m / m! and centroid
-        beta_S + s / (m + 1) in the x_i = beta_i U_i coordinates.  Over
-        the subsets with s > 0, A = sum(+-s^(m+1)), C = sum(+-s^m) and
-        B_j, the part of C from the subsets containing j, give
-        u_j = (A + (m + 1) beta_j B_j) / ((m + 1) beta_j C).  For > and
-        >= the part is the complement, whose volume 1 - V and first
-        moment 1/2 - V u_j give u'_j = (1/2 - V u_j) / (1 - V).  A
-        coordinate the halfspace does not involve keeps the box's exact
-        midpoint.  Raises ValueError unless the fraction is strictly
-        between 0 and 1.  The pairs are not reduced: the integrator rounds
-        them to floats at once, which needs no gcd.
+        part sum(x_j) <= Y of the box 0 <= x_j <= beta_j (x_j = beta_j U_j)
+        is an inclusion-exclusion sum of simplices: the subset S
+        contributes, with sign (-1)^|S|, the corner simplex of side
+        s = Y - beta_S at the vertex v (v_j = beta_j for j in S, else 0).
+        With y = x - v, that simplex has volume s^m / m!,
+        integral(y_j) = s^(m+1) / (m+1)! and
+        integral(y_j y_k) = (1 + [j = k]) s^(m+2) / (m+2)!, so every raw
+        moment of the part, times (m+2)!, is an integer sum over the
+        subsets with s > 0.  For > and >= the part is the complement,
+        whose moments are the box's (volume B = prod(beta_j), first
+        moments B beta_j / 2, second B beta_j^2 / 3 and
+        B beta_j beta_k / 4) minus the part's.  The centroid and the
+        covariance (M2 M0 - M1_j M1_k) / M0^2 then map back to t, where
+        t_i moves by -+1 / (|c_i| scale) per unit of x_j.
+
+        A coordinate the halfspace does not involve keeps the box's exact
+        midpoint, variance w^2 / 12 for its side w, and zero covariance
+        with every other coordinate; the covariance dict holds the
+        entries (i, k), i <= k, that are not zero for that reason.
+        Raises ValueError unless the fraction is strictly between 0 and
+        1.  The pairs are not reduced: the integrator rounds them to
+        floats at once, which needs no gcd.
         """
         scale, ends = grid
-        # `_ratio`'s unit form, keeping each term's index and reflection;
+        # `_ratio`'s unit form, keeping each term's index and coefficient;
         # `_ratio` keeps its own copy of this loop, which is its hot path.
         y = self._ibound * scale
         dims = []
@@ -322,30 +334,71 @@ class LinearConstraint:
             y -= c * a if c > 0 else c * b
             beta = abs(c) * (b - a)
             if beta:
-                dims.append((i, beta, c < 0))
-        if not 0 < y < sum(beta for _, beta, _ in dims):
+                dims.append((i, c, beta))
+        betas = [beta for _, _, beta in dims]
+        if not 0 < y < sum(betas):
             raise ValueError("the halfspace does not cut the box")
         m = len(dims)
         # (slack Y - B_S, (-1)^|S|, bit mask of S) over the subsets S with positive slack.
         slacks = [(y, 1, 0)]
-        for j, (_, beta, _) in enumerate(dims):
+        for j, beta in enumerate(betas):
             slacks += [(s - beta, -sign, mask | 1 << j) for s, sign, mask in slacks if s > beta]
-        powers = [(sign * s**m, s, mask) for s, sign, mask in slacks]
-        moment = sum(p * s for p, s, _ in powers)
-        total = sum(p for p, _, _ in powers)
-        # box volume times m!, in the same units as total
-        volume = math.factorial(m) * math.prod(beta for _, beta, _ in dims)
+        # Signed sums over the subsets of w0 = (-1)^|S| s^m, w1 = w0 s and
+        # w2 = w1 s (z), of w0 and w1 over the subsets holding j (one0, one1),
+        # and of w0 over those holding both j and k of a pair j < k (two0).
+        pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
+        z0 = z1 = z2 = 0
+        one0, one1 = [0] * m, [0] * m
+        two0 = [0] * len(pairs)
+        for s, sign, mask in slacks:
+            w0 = sign * s**m
+            w1 = w0 * s
+            z0 += w0
+            z1 += w1
+            z2 += w1 * s
+            if mask:
+                for j in range(m):
+                    if mask >> j & 1:
+                        one0[j] += w0
+                        one1[j] += w1
+                for p, (j, k) in enumerate(pairs):
+                    if mask >> j & mask >> k & 1:
+                        two0[p] += w0
+        # The part's raw moments times (m + 2)!: the vertex v of S has
+        # v_j = beta_j for j in S, so the sums over S of v_j w and v_j v_k w0
+        # are beta_j one and beta_j beta_k two0.  For > and >= (the complement)
+        # every moment is 12 times the box's minus 12 times the part's.
+        n1, n2 = m + 2, (m + 2) * (m + 1)
+        mom0 = n2 * z0
+        complement = self.rel in (">", ">=")
+        if complement:
+            whole = math.factorial(m + 2) * math.prod(betas)
+            mom0 = 12 * (whole - mom0)
         centre = [(a + b, 2 * scale) for a, b in ends]
-        for j, (i, beta, reflected) in enumerate(dims):
-            part = sum(p for p, _, mask in powers if mask >> j & 1)
-            num = moment + (m + 1) * beta * part
-            den = (m + 1) * beta * total
-            if self.rel in (">", ">="):
-                # V u_j = num / ((m + 1) beta volume), V = total / volume.
-                num, den = (m + 1) * beta * volume - 2 * num, 2 * (m + 1) * beta * (volume - total)
+        covariance = {(i, i): ((b - a) ** 2, 12 * scale * scale) for i, (a, b) in enumerate(ends)}
+        # Covariances in x over mom0^2, and t_i moves by 1 / (|c_i| scale) per unit of x_j.
+        norm = (mom0 * scale) ** 2
+        mom1 = []
+        for j, (i, c, beta) in enumerate(dims):
+            num = n1 * z1 + n2 * beta * one0[j]
+            square = 2 * z2 + 2 * n1 * beta * one1[j] + n2 * beta * beta * one0[j]
+            if complement:
+                num = 6 * whole * beta - 12 * num
+                square = 4 * whole * beta * beta - 12 * square
+            mom1.append(num)
+            # The unit coordinate u_i = num / den of the centroid.
+            den = beta * mom0
             a, b = ends[i]
-            centre[i] = (b * den - (b - a) * num if reflected else a * den + (b - a) * num, scale * den)
-        return tuple(centre)
+            centre[i] = (b * den - (b - a) * num if c < 0 else a * den + (b - a) * num, scale * den)
+            covariance[i, i] = (square * mom0 - num * num, c * c * norm)
+        for p, (j, k) in enumerate(pairs):
+            (i, c, beta), (i2, c2, beta2) = dims[j], dims[k]
+            cross = z2 + n1 * (beta * one1[j] + beta2 * one1[k]) + n2 * beta * beta2 * two0[p]
+            if complement:
+                cross = 3 * whole * beta * beta2 - 12 * cross
+            num = cross * mom0 - mom1[j] * mom1[k]
+            covariance[i, i2] = (num if (c < 0) == (c2 < 0) else -num, abs(c * c2) * norm)
+        return tuple(centre), covariance
 
     def to_json(self) -> dict:
         return {
@@ -543,7 +596,7 @@ class FractionBounds(tuple):
     `residual` is the part of the tree the box leaves undecided (see
     `_tree_fraction`); walked on any sub-box it gives the same bounds as
     the full tree.  `grid` is the box on the integer grid the bounds
-    were computed on, which `LinearConstraint._centroid` takes as is.
+    were computed on, which `LinearConstraint._moments` takes as is.
     """
 
     def __new__(cls, lo: float, hi: float, residual, grid: Grid):

@@ -25,6 +25,8 @@ range, by parity or by size, so strict and non-strict agree):
     p <  sqrt(2x)         <=>  p^2 < 2x
     pair buckets          by  (p1 p2)^19 against (2x)^8 and (2x)^11,
                           B/C split by p2^38 against (2x)^9
+    q p2 > (2x)^(11/19)   <=>  q p2 > TOP11, TOP11 = max{v : v^19 <= (2x)^11}
+                          (the reversal chain's first q for each p2)
     grouping window       group_lo <= prod(T) <= group_hi  (x-based), with
                           group_lo = min{v : v^19 >= x^8} and
                           group_hi = max{v : v^19 <= x^11}
@@ -183,6 +185,7 @@ class SieveContext:
         self.pow11 = self.twox**11
         self.root2 = math.isqrt(self.twox - 1) + 1  # min{v : v^2 >= 2x}
         self.top8 = _min_root_geq(self.pow8 + 1, 19) - 1  # max{v : v^19 <= (2x)^8}
+        self.top11 = _min_root_geq(self.pow11 + 1, 19) - 1  # max{v : v^19 <= (2x)^11}
         self.group_lo = _min_root_geq(x**8, 19)  # min{v : v^19 >= x^8}
         self.group_hi = _min_root_geq(x**11 + 1, 19) - 1  # max{v : v^19 <= x^11}
         self._tuples: dict[str, list[tuple]] | None = None
@@ -452,22 +455,35 @@ def _pair_chain(ctx: SieveContext, primes: list[int]) -> Iterator[tuple]:
 
 
 def _reversal_chain(ctx: SieveContext, primes: list[int]) -> Iterator[tuple]:
+    """The reversed B chain's tuples, for p2 ascending, then p3, then q.
+
+    q runs over p2 < q <= TOP8 with (q p2)^19 > (2x)^11, that is
+    q > TOP11 // p2, and q p2^2 < 2x; each q's test [spf(q) >= CZ] and
+    its primes p4 (CZ <= p4, spf(q / p4) >= p4) are computed once per
+    call, which `_term_tuples` makes once per context.
+    """
     twox, cz = ctx.twox, ctx.cut
+    factors: dict[int, tuple[bool, list[int]]] = {}
     for p2 in primes:
         if p2**38 >= ctx.pow9:
             break
+        qs = []
+        for q in range(max(p2 + 1, ctx.top11 // p2 + 1), ctx.top8 + 1):
+            if q * p2 * p2 >= twox:
+                break
+            if q not in factors:
+                p4s = [p4 for p4, _ in _factorize(ctx, q) if p4 >= cz and ctx.spf_of(q // p4) >= p4]
+                factors[q] = ctx.spf_of(q) >= cz, p4s
+            qs.append((q, *factors[q]))
         for p3 in primes:
             if p3 >= p2:
                 break
-            for q in range(p2 + 1, ctx.top8 + 1):
-                if (q * p2) ** 19 <= ctx.pow11:
-                    continue
-                if q * p2 * p2 >= twox or q * p2 * p3 * p3 >= twox:
+            for q, rough, p4s in qs:
+                if q * p2 * p3 * p3 >= twox:
                     break
                 d = q * p2 * p3
-                if ctx.spf_of(q) >= cz:
+                if rough:
                     yield "s_b2", d, p3, None, None
-                p4s = [p4 for p4, _ in _factorize(ctx, q) if p4 >= cz and ctx.spf_of(q // p4) >= p4]
                 if not p4s:
                     continue
                 ungroupable = not _groupable(ctx, (q, p2, p3))

@@ -8,7 +8,8 @@ Run from the repository root:
 Each mutant is a (file, old, new) replacement that drops one outward
 rounding, combines one bound wrongly, weakens one soundness check,
 reports a soundness failure as a usage error, drops one pre-check of an
-output path, or puts a wrong integer into an exact centroid.  For each, the script
+output path, puts wrong integers into exact moments, or drops or
+doubles one term of the clipped mean-value form.  For each, the script
 copies `src/`, `tests/` and `pyproject.toml` to a temporary directory
 outside the tree, replaces `old` by `new` there, and runs only the
 tests that should catch the mutant, with the bit pins deselected: a
@@ -41,6 +42,7 @@ BIT_PINS = (
 )
 
 REPLAY = ("tests/test_exact_replay.py",)
+CLIPPED_MPMATH = "tests/test_losses.py::TestClippedAverage::test_c_contribution_contains_mpmath_integral"
 
 # name: (file, old, new, test selections that must fail)
 MUTANTS = {
@@ -106,8 +108,8 @@ MUTANTS = {
     ),
     "M14": (
         "src/sievebound/regions.py",
-        "b * den - (b - a) * num if reflected",
-        "a * den - (b - a) * num if reflected",
+        "b * den - (b - a) * num if c < 0",
+        "a * den - (b - a) * num if c < 0",
         REPLAY,
     ),
     "M15": (
@@ -127,6 +129,24 @@ MUTANTS = {
             "tests/test_cli.py::TestVerify::test_missing_out_dir_fails_before_any_work",
             "tests/test_cli.py::TestHarness::test_missing_out_dir_fails_before_the_scan",
         ),
+    ),
+    "M17": (
+        "src/sievebound/losses.py",
+        "cube_pad = nextafter(square_pad * spread, _UP)",
+        "cube_pad = 0.0",
+        (CLIPPED_MPMATH,),
+    ),
+    "M18": (
+        "src/sievebound/losses.py",
+        "curv_lo, curv_hi = nextafter(0.5 * total_lo, _DOWN), nextafter(0.5 * total_hi, _UP)",
+        "curv_lo, curv_hi = total_lo, total_hi",
+        (CLIPPED_MPMATH,),
+    ),
+    "M19": (
+        "src/sievebound/regions.py",
+        'complement = self.rel in (">", ">=")',
+        "complement = False",
+        REPLAY,
     ),
 }
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from sievebound import buchstab, cli, losses, regions, sieve_harness
+from sievebound import buchstab, cli, losses, quadrature, regions, sieve_harness
 from sievebound.interval import Enclosure
 
 
@@ -43,6 +43,11 @@ class TestVerify:
         assert report["results"]["losses"]["a3"]["upper"] <= 0.000829
         assert report["results"]["losses"]["a3"]["exhausted"] is False
         assert report["config"]["targets"] == ["a3"]
+        est, _ = losses.verified_loss("a3", budget=4000, tol=5e-4)
+        entry = report["results"]["losses"]["a3"]
+        assert entry["leaves"] == dict(zip(quadrature.LEAF_CLASSES, est.leaves))
+        assert sum(entry["leaves"].values()) == (entry["boxes_used"] + 1) // 2
+        assert all(entry["gaps"][k] >= g for k, g in zip(quadrature.LEAF_CLASSES, est.gaps))
 
     def test_exhausted_budget_reported(self, tmp_path, capsys):
         """A run that hits its (escalated) box budget before the tol says so."""

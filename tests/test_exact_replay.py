@@ -8,7 +8,9 @@ the same float inputs and checks lo <= exact <= hi at every step:
   * `ReciprocalProduct.enclosure`, against the exact 1 / prod L_k;
   * the leaf product of `quadrature._leaf_contribution`;
   * the centre boxes of `clipped_average` and `average`, against the
-    exact centroid or midpoint and the exact factor values there;
+    exact centroid or midpoint and the exact factor values there, and
+    the covariance bounds of `clipped_average` against the exact
+    covariance;
   * the final `fsum` ends of `integrate_rigorous`, against the exact
     sums of its final leaves' contributions.
 
@@ -35,7 +37,14 @@ from types import SimpleNamespace
 import pytest
 
 from test_losses import seeded_leaves
-from test_regions import anisotropic_leaf, clip_polygon, shoelace_centroid
+from test_regions import (
+    anisotropic_leaf,
+    box_second_moments,
+    clip_polygon,
+    full_covariance,
+    raw_second_moments,
+    shoelace_moments,
+)
 
 from sievebound import losses, quadrature, regions
 from sievebound.interval import _DOWN, _UP
@@ -235,26 +244,60 @@ def routed_leaves(name, count, seed, budget=3000):
     return {route: rng.sample(found, min(count, len(found))) for route, found in routes.items()}
 
 
-def exact_centroid(halfspace, leaf) -> tuple[Fraction, ...]:
-    """The centroid of leaf intersect halfspace: from the shoelace sums in 2-D, else `LinearConstraint.centroid`.
+def exact_moments(halfspace, leaf) -> tuple[tuple[Fraction, ...], dict]:
+    """Centroid and covariance (every (i, j), i <= j) of leaf intersect halfspace.
 
-    In 4-D the centroid c comes from the code under test, so it is first
-    checked against the other side of the halfspace: with V the exact
-    fraction and c' the other side's centroid, V c + (1 - V) c' must be
-    the leaf's exact midpoint.
+    In 2-D they come from the shoelace sums of the clipped rectangle.
+    In 4-D they come from the code under test, so they are first checked
+    against the other side of the halfspace: with V the exact fraction
+    and c', M' the other side's centroid and raw second moments
+    E[t_i t_j], V c + (1 - V) c' must be the leaf's exact midpoint and
+    V M + (1 - V) M' the leaf's exact raw second moments.
     """
     if len(leaf) != 2:
-        centroid = halfspace.centroid(leaf)
         other = LinearConstraint(halfspace.coeffs, "<=" if halfspace.rel in (">", ">=") else ">", halfspace.bound)
         v = halfspace.fraction(leaf)
+        centroid = halfspace.centroid(leaf)
         mixed = [v * c + (1 - v) * d for c, d in zip(centroid, other.centroid(leaf), strict=True)]
         assert mixed == [(F(lo) + F(hi)) / 2 for lo, hi in leaf]
-        return centroid
+        part, rest = raw_second_moments(halfspace, leaf), raw_second_moments(other, leaf)
+        assert {ij: v * m + (1 - v) * rest[ij] for ij, m in part.items()} == box_second_moments(leaf)
+        return centroid, full_covariance(halfspace, leaf)
     (a1, b1), (a2, b2) = (tuple(map(F, iv)) for iv in leaf)
     corners = [(a1, a2), (b1, a2), (b1, b2), (a1, b2)]
     if halfspace.rel in ("<", "<="):
-        return shoelace_centroid(clip_polygon(corners, halfspace.coeffs, halfspace.bound))
-    return shoelace_centroid(clip_polygon(corners, tuple(-c for c in halfspace.coeffs), -halfspace.bound))
+        return shoelace_moments(clip_polygon(corners, halfspace.coeffs, halfspace.bound))
+    return shoelace_moments(clip_polygon(corners, tuple(-c for c in halfspace.coeffs), -halfspace.bound))
+
+
+def cutting_halfspaces(node, leaf) -> dict:
+    """The distinct halfspaces of a region tree whose exact fraction on the leaf is strictly between 0 and 1."""
+    if isinstance(node, LinearConstraint):
+        return {node: None} if 0 < node.fraction(leaf) < 1 else {}
+    found = {}
+    for child in node.children:
+        found.update(cutting_halfspaces(child, leaf))
+    return found
+
+
+@pytest.mark.parametrize("name", losses.LOSS_NAMES)
+def test_moments_match_exact_moments(name):
+    """On seeded leaves, `_moments` of every region halfspace that cuts the leaf equals `exact_moments`.
+
+    The leaves are 60 of `mixed_leaves` (the `anisotropic_leaf` ones
+    first) and 60 `seeded_leaves` sub-boxes, small and coarse.  On c the
+    oracle is the shoelace sums; on a3 and b3 `exact_moments` checks the
+    centroid and raw second moments of both sides against the leaf's.
+    """
+    region = losses.integration_domain(name)[2]
+    checked = 0
+    for leaf in list(mixed_leaves(name))[:60] + leaves_of(name, 60, 9):
+        for halfspace in cutting_halfspaces(region.tree, leaf):
+            centroid, covariance = exact_moments(halfspace, leaf)
+            assert halfspace.centroid(leaf) == centroid
+            assert full_covariance(halfspace, leaf) == covariance
+            checked += 1
+    assert checked >= 60
 
 
 @pytest.mark.parametrize("name", losses.LOSS_NAMES)
@@ -262,16 +305,18 @@ def test_centre_boxes_contain_exact_centres(monkeypatch, name):
     """The centre box of each mean-value route contains the exact centre, and its factor bounds each exact L_k there.
 
     On single-halfspace leaves the centre is the exact centroid of leaf
-    intersect halfspace (`exact_centroid`: on c from the shoelace sums of
+    intersect halfspace (`exact_moments`: on c from the shoelace sums of
     the clipped rectangle, on a3 and b3 checked against the other side's
-    centroid), and the centre box is the one `clipped_average` is given;
-    on inside leaves it is the exact midpoint of the leaf, and the centre
-    box the one `average` builds.  Both are the second `_factor_bounds`
-    call of the leaf, after the leaf itself.  This early a3 and b3 have
-    only a few inside leaves.
+    moments), and the centre box is the one `clipped_average` is given;
+    its covariance bounds contain the exact covariance, and every entry
+    they leave out is exactly zero.  On inside leaves the centre is the
+    exact midpoint of the leaf, and the centre box the one `average`
+    builds.  Both are the second `_factor_bounds` call of the leaf, after
+    the leaf itself.  This early (4,000 boxes) a3 and b3 have only a few
+    inside leaves.
     """
     integrand, _, region, _ = losses.integration_domain(name)
-    routes = routed_leaves(name, 150, seed=20261019)
+    routes = routed_leaves(name, 150, seed=20261019, budget=4000)
     calls = []
     factor_bounds = losses.ReciprocalProduct._factor_bounds
 
@@ -280,17 +325,30 @@ def test_centre_boxes_contain_exact_centres(monkeypatch, name):
         calls.append((self, box, bounds))
         return bounds
 
+    covariances = []
+
+    def clipped_average(box, centre, cov):
+        covariances.append(cov)
+        return integrand.clipped_average(box, centre, cov)
+
+    watched = dataclasses.replace(integrand, clipped_average=clipped_average)
     monkeypatch.setattr(losses.ReciprocalProduct, "_factor_bounds", recording)
     for route, cases in routes.items():
         for leaf, bounds in cases:
             calls.clear()
-            quadrature._leaf_contribution(integrand, bounds, leaf)
+            covariances.clear()
+            quadrature._leaf_contribution(watched, bounds, leaf)
             (_, first, _), (rp, centre_box, factors) = calls
             assert first == leaf
             if route == "inside":
                 centre = [(F(lo) + F(hi)) / 2 for lo, hi in leaf]
+                assert not covariances
             else:
-                centre = exact_centroid(regions._single_halfspace(bounds.residual), leaf)
+                centre, covariance = exact_moments(regions._single_halfspace(bounds.residual), leaf)
+                (cov,) = covariances
+                for ij, exact in covariance.items():
+                    lo, hi = cov.get(ij, (0.0, 0.0))
+                    assert F(lo) <= exact <= F(hi), (leaf, ij)
             assert all(F(lo) <= c <= F(hi) for c, (lo, hi) in zip(centre, centre_box, strict=True))
             for (const, coeffs), (lo, hi) in zip(rp.factors, factors, strict=True):
                 value = F(const) + sum((F(a) * c for a, c in zip(coeffs, centre)), F(0))

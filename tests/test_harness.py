@@ -443,3 +443,45 @@ class TestWindowTerms:
     def test_unknown_term(self, ctx):
         with pytest.raises(ValueError):
             sh.window_term(ctx, "rho")
+
+
+def reference_reversal_chain(ctx, primes):
+    """The reversed B chain as first written: every q from p2 + 1 with a 19th-power test, factored per (p2, p3, q)."""
+    twox, cz = ctx.twox, ctx.cut
+    for p2 in primes:
+        if p2**38 >= ctx.pow9:
+            break
+        for p3 in primes:
+            if p3 >= p2:
+                break
+            for q in range(p2 + 1, ctx.top8 + 1):
+                if (q * p2) ** 19 <= ctx.pow11:
+                    continue
+                if q * p2 * p2 >= twox or q * p2 * p3 * p3 >= twox:
+                    break
+                d = q * p2 * p3
+                if ctx.spf_of(q) >= cz:
+                    yield "s_b2", d, p3, None, None
+                p4s = [p4 for p4, _ in sh._factorize(ctx, q) if p4 >= cz and ctx.spf_of(q // p4) >= p4]
+                if not p4s:
+                    continue
+                ungroupable = not sh._groupable(ctx, (q, p2, p3))
+                for p4 in p4s:
+                    cap = (twox - 1) // (p4 * p4 * p2 * p3)
+                    yield "s_b3", d, p3, cap, None
+                    if ungroupable:
+                        yield "dropped_b3", d, p3, cap, (p2, p3, p4)
+
+
+class TestReversalChain:
+    def test_top11_is_the_largest_19th_root(self, ctx, ctx_1e5, ctx_1e6):
+        for window in (ctx, ctx_1e5, ctx_1e6):
+            assert window.top11**19 <= window.pow11 < (window.top11 + 1) ** 19
+
+    def test_matches_reference_generator(self, ctx, ctx_1e5, ctx_1e6):
+        """The tuples equal the reference generator's, in order, at x = 10^4, 10^5 and 10^6."""
+        for window in (ctx, ctx_1e5, ctx_1e6):
+            primes = sh._sieve_primes(window)
+            tuples = list(sh._reversal_chain(window, primes))
+            assert tuples == list(reference_reversal_chain(window, primes))
+            assert {name for name, *_ in tuples} == {"s_b2", "s_b3", "dropped_b3"}

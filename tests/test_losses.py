@@ -169,7 +169,7 @@ class TestCertifiedRuns:
         """verified_loss for a3 and b3 at tol 2e-4 reproduces its sandwich and box count exactly."""
         pinned = {
             "a3": (3.403860186771818e-05, 0.00022691977429907255, 263),
-            "b3": (0.00035707470947351745, 0.0005510705984144662, 3521),
+            "b3": (0.0003594172515086806, 0.0005532884170260673, 3307),
         }
         for name, expected in pinned.items():
             est, escalations = losses.verified_loss(name, tol=2e-4)
@@ -179,9 +179,9 @@ class TestCertifiedRuns:
     def test_default_sandwiches_pinned(self, verified_a3, verified_b3, verified_c):
         """verified_loss at the default tols reproduces each sandwich and box count exactly."""
         pinned = {
-            "a3": (8.044106760784005e-05, 9.983846635363869e-05, 5835),
-            "b3": (0.0004225614845194179, 0.0004710597879232577, 22479),
-            "c": (0.23513278232045112, 0.23513326691027386, 5627),
+            "a3": (8.057939158992267e-05, 9.997761039415701e-05, 5279),
+            "b3": (0.00042261801739026657, 0.00047110626762052155, 18199),
+            "c": (0.23513278527001114, 0.23513327025426806, 1673),
         }
         for (est, escalations), name in ((verified_a3, "a3"), (verified_b3, "b3"), (verified_c, "c")):
             assert (est.lower, est.upper, est.boxes_used) == pinned[name]
@@ -386,7 +386,7 @@ class TestMeanValueRigor:
         rp = losses.ReciprocalProduct(losses._FACTORS["c"])
         box = ((0.375, 0.5), (0.25, 0.5))
         centre = ((0.4, 0.4), (0.3, 0.3))
-        for route in (rp.enclosure, rp.average, lambda leaf: rp.clipped_average(leaf, centre)):
+        for route in (rp.enclosure, rp.average, lambda leaf: rp.clipped_average(leaf, centre, {})):
             with pytest.raises(SoundnessError, match="affine factor not positive"):
                 route(box)
 
@@ -501,20 +501,24 @@ class TestClippedAverage:
                 ratios.append((old_hi - old_lo) / (hi - lo))
             assert sorted(ratios)[len(ratios) // 2] >= 1.5, name
 
-    def test_c_contribution_contains_mpmath_integral(self):
+    def test_c_contribution_contains_mpmath_integral(self, verified_c):
         """The centroid-route contribution of a c leaf contains the 30-digit clipped integral.
 
-        The leaves come from a refinement as deep as the default-tol run,
-        where the quadratic pad is far below the linear term, so a box
-        midpoint in place of the exact centroid fails this test.
+        The leaves come from the default-tol run's refinement (its box
+        count) and from one 3.6 times deeper.  On such leaves the cubic
+        pad is far below the linear term and below the covariance term,
+        so a box midpoint in place of the exact centroid, or a dropped or
+        doubled covariance term, fails this test.
         """
         mpmath = pytest.importorskip("mpmath")
         integrand = losses.integration_domain("c")[0]
+        default = verified_c[0].boxes_used
         with mpmath.workdps(30):
-            for leaf, bounds, halfspace in single_halfspace_leaves("c", 12, seed=7, budget=6000):
-                lo, hi = quadrature._leaf_contribution(integrand, bounds, leaf)
-                exact = clipped_c_integral(mpmath, halfspace, leaf)
-                assert mpmath.mpf(lo) <= exact <= mpmath.mpf(hi), (leaf, halfspace)
+            for budget, seed in ((default, 5), (6000, 7)):
+                for leaf, bounds, halfspace in single_halfspace_leaves("c", 12, seed=seed, budget=budget):
+                    lo, hi = quadrature._leaf_contribution(integrand, bounds, leaf)
+                    exact = clipped_c_integral(mpmath, halfspace, leaf)
+                    assert mpmath.mpf(lo) <= exact <= mpmath.mpf(hi), (leaf, halfspace)
 
     def test_rejects_disjoint_enclosures(self, monkeypatch):
         """A centroid value outside the box's value range is a soundness failure."""
@@ -525,7 +529,7 @@ class TestClippedAverage:
         ranges = iter([(1.0, 2.0), (5.0, 6.0)])
         monkeypatch.setattr(losses, "_reciprocal_bounds", lambda factors: next(ranges))
         with pytest.raises(SoundnessError, match="disjoint enclosures"):
-            rp.clipped_average(box, centre)
+            rp.clipped_average(box, centre, {})
 
 
 class TestArgumentRange:
@@ -626,9 +630,9 @@ class TestVerifiedLoss:
     def test_no_escalation_after_converged_run(self, monkeypatch):
         """A run that reached tol is not repeated with a larger budget.
 
-        With budget 200 the first c run is exhausted; the escalated run
-        reaches tol 1e-3 and still misses the target, and a further
-        escalation would only repeat it box for box.
+        With budget 100 the first c run is exhausted; the escalated run
+        reaches tol 1e-3 (in 145 boxes) and still misses the target, and
+        a further escalation would only repeat it box for box.
         """
         real = losses.integrate_rigorous
         runs = []
@@ -639,7 +643,7 @@ class TestVerifiedLoss:
             return est
 
         monkeypatch.setattr(losses, "integrate_rigorous", counting)
-        est, escalations = losses.verified_loss("c", budget=200, tol=1e-3)
+        est, escalations = losses.verified_loss("c", budget=100, tol=1e-3)
         assert len(runs) == 2
         assert escalations == 1
         assert runs[0].exhausted and not runs[1].exhausted

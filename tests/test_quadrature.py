@@ -17,9 +17,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sievebound import losses, quadrature
+from sievebound import losses, quadrature, regions
 from sievebound.interval import Enclosure, SoundnessError
 from sievebound.quadrature import (
+    LEAF_CLASSES,
     Integrand,
     MONTE_CARLO,
     RIGOROUS,
@@ -150,6 +151,56 @@ class TestRigorous:
         assert (a.lower, a.upper, a.boxes_used, a.exhausted) == (b.lower, b.upper, b.boxes_used, b.exhausted)
         assert len(calls) == b.boxes_used
         assert calls[0] == {} and all(set(kw) == {"within"} for kw in calls[1:])
+
+
+class TestLeafCounters:
+    @pytest.mark.parametrize("name, budget", [("c", 401), ("c", 1201), ("a3", 2001), ("b3", 2001)])
+    def test_counts_and_gaps_match_the_final_leaves(self, monkeypatch, name, budget):
+        """`leaves` and `gaps` equal a recount of a short loss run's final leaves.
+
+        Every admitted leaf's fraction bounds and contribution are
+        recorded, and the final leaves are those never split.  A leaf
+        with no gap is settled; an open one is inside when its lower
+        fraction bound is 1, single-halfspace when its residual tree is
+        one halfspace, else multi.
+        """
+        admitted = {}
+        split = set()
+        contribution, halve = quadrature._leaf_contribution, quadrature._split
+
+        def recording_contribution(f, fraction, leaf):
+            admitted[leaf] = fraction, contribution(f, fraction, leaf)
+            return admitted[leaf][1]
+
+        def recording_split(leaf, scale):
+            parts = halve(leaf, scale)
+            if parts is not None:
+                split.add(leaf)
+            return parts
+
+        monkeypatch.setattr(quadrature, "_leaf_contribution", recording_contribution)
+        monkeypatch.setattr(quadrature, "_split", recording_split)
+        est = losses._run(name, budget=budget, tol=1e-12)
+        gaps = {k: [] for k in LEAF_CLASSES}
+        for leaf, (fraction, (lo, hi)) in admitted.items():
+            if leaf in split:
+                continue
+            if hi - lo <= 0.0:
+                gaps["settled"].append(0.0)
+            elif fraction[0] == 1.0:
+                gaps["inside"].append(hi - lo)
+            elif regions._single_halfspace(fraction.residual) is not None:
+                gaps["single_halfspace"].append(hi - lo)
+            else:
+                gaps["multi"].append(hi - lo)
+        assert est.leaves == tuple(len(gaps[k]) for k in LEAF_CLASSES)
+        assert est.gaps == tuple(math.fsum(gaps[k]) for k in LEAF_CLASSES)
+        assert sum(est.leaves) == (est.boxes_used + 1) // 2 == len(admitted) - len(split)
+        assert all(est.leaves)
+
+    def test_monte_carlo_has_no_leaves(self):
+        est = integrate_mc(constant_one(), halfspace_region(), UNIT_SQUARE, samples=10_000, seed=1)
+        assert est.leaves == () and est.gaps == ()
 
 
 class TestMonteCarlo:

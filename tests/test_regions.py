@@ -254,15 +254,30 @@ def clip_polygon(poly, coeffs, bound):
     return out
 
 
-def shoelace_centroid(poly):
-    """Exact centroid of a simple polygon from the shoelace sums."""
-    area = cx = cy = F(0)
+def shoelace_moments(poly):
+    """Exact centroid and covariance {(0, 0), (0, 1), (1, 1)} of a simple polygon from the shoelace sums.
+
+    With cross = x0 y1 - x1 y0 per edge, twice the area is sum(cross),
+    and 6, 12, 12 and 24 times the integrals of x, x^2, y^2 and x y are
+    the sums of cross times (x0 + x1), (x0^2 + x0 x1 + x1^2), the same
+    in y, and (x0 y1 + 2 x0 y0 + 2 x1 y1 + x1 y0).
+    """
+    area = cx = cy = cxx = cyy = cxy = F(0)
     for (x0, y0), (x1, y1) in zip(poly, poly[1:] + poly[:1]):
         cross = x0 * y1 - x1 * y0
         area += cross
         cx += (x0 + x1) * cross
         cy += (y0 + y1) * cross
-    return cx / (3 * area), cy / (3 * area)
+        cxx += (x0 * x0 + x0 * x1 + x1 * x1) * cross
+        cyy += (y0 * y0 + y0 * y1 + y1 * y1) * cross
+        cxy += (x0 * y1 + 2 * x0 * y0 + 2 * x1 * y1 + x1 * y0) * cross
+    mx, my = cx / (3 * area), cy / (3 * area)
+    covariance = {
+        (0, 0): cxx / (6 * area) - mx * mx,
+        (0, 1): cxy / (12 * area) - mx * my,
+        (1, 1): cyy / (6 * area) - my * my,
+    }
+    return (mx, my), covariance
 
 
 def cutting_constraint(rng, box, rel):
@@ -273,16 +288,50 @@ def cutting_constraint(rng, box, rel):
     return con if 0 < con.fraction(box) < 1 else None
 
 
+def covariance(con, box) -> dict:
+    """The covariance entries (i, j), i <= j, of `LinearConstraint._moments`, as Fractions."""
+    return {ij: F(num, den) for ij, (num, den) in con._moments(con._box_grid(box))[1].items()}
+
+
+def full_covariance(con, box) -> dict:
+    """`covariance` with the entries it leaves out (exact zeros) filled in."""
+    cov = covariance(con, box)
+    return {(i, j): cov.get((i, j), F(0)) for i in range(len(box)) for j in range(i, len(box))}
+
+
+def raw_second_moments(con, box) -> dict:
+    """E[t_i t_j] over box intersect halfspace, for i <= j, from its centroid and covariance."""
+    c = con.centroid(box)
+    return {(i, j): v + c[i] * c[j] for (i, j), v in full_covariance(con, box).items()}
+
+
+def box_second_moments(box) -> dict:
+    """E[t_i t_j] over the whole box, for i <= j: (a^2 + a b + b^2) / 3 on the diagonal, midpoint products off it."""
+    exact = [tuple(map(F, iv)) for iv in box]
+    return {
+        (i, j): (a * a + a * b + b * b) / 3 if i == j else (a + b) * (c + d) / 4
+        for i, (a, b) in enumerate(exact)
+        for j, (c, d) in enumerate(exact)
+        if i <= j
+    }
+
+
 class TestCentroid:
     def test_matches_shoelace_in_two_dimensions(self):
-        """centroid equals the exact shoelace centroid of the clipped rectangle, for every relation."""
+        """centroid and covariance equal the exact shoelace moments of the clipped rectangle, for every relation.
+
+        A quarter of the halfspaces involve one coordinate only, whose
+        covariance with the other is exactly zero.
+        """
         rng = random.Random(20261018)
         checked = 0
         while checked < 200:
             rel = ("<", "<=", ">", ">=")[checked % 4]
             box = random_box(rng, 2)
             con = cutting_constraint(rng, box, rel)
-            if con is None:
+            if con is not None and rng.random() < 0.25:
+                con = LinearConstraint((con.coeffs[0], F(0)), rel, con.coeffs[0] * F(rng.uniform(*box[0])))
+            if con is None or not 0 < con.fraction(box) < 1:
                 continue
             (a1, b1), (a2, b2) = (tuple(map(F, iv)) for iv in box)
             corners = [(a1, a2), (b1, a2), (b1, b2), (a1, b2)]
@@ -290,28 +339,35 @@ class TestCentroid:
                 poly = clip_polygon(corners, con.coeffs, con.bound)
             else:
                 poly = clip_polygon(corners, tuple(-c for c in con.coeffs), -con.bound)
-            assert con.centroid(box) == shoelace_centroid(poly), (box, con)
+            centroid, covariance = shoelace_moments(poly)
+            assert con.centroid(box) == centroid, (box, con)
+            assert full_covariance(con, box) == covariance, (box, con)
             checked += 1
 
     def test_one_dimensional_closed_form(self):
-        """On an interval the clipped part is an interval, and its centroid is its midpoint."""
+        """On an interval the clipped part is an interval: its centroid is its midpoint, its variance length^2 / 12."""
         box = ((0.25, 1.0),)
         for coeff, bound in ((3, F(2)), (-2, F(-1))):
             cut = bound / coeff
             below, above = (F(1, 4), cut), (cut, F(1))
             low_side, high_side = (below, above) if coeff > 0 else (above, below)
-            for rel in ("<", "<="):
-                assert LinearConstraint((coeff,), rel, bound).centroid(box) == (sum(low_side) / 2,)
-            for rel in (">", ">="):
-                assert LinearConstraint((coeff,), rel, bound).centroid(box) == (sum(high_side) / 2,)
-        # A coordinate the halfspace leaves out keeps the exact box midpoint.
-        assert LinearConstraint((0, 1), "<=", F(1, 2)).centroid(((0.0, 0.5), (0.0, 1.0))) == (F(1, 4), F(1, 4))
+            for rels, (a, b) in ((("<", "<="), low_side), ((">", ">="), high_side)):
+                for rel in rels:
+                    con = LinearConstraint((coeff,), rel, bound)
+                    assert con.centroid(box) == ((a + b) / 2,)
+                    assert covariance(con, box) == {(0, 0): (b - a) ** 2 / 12}
+        # A coordinate the halfspace leaves out keeps the exact box midpoint and
+        # variance, and has no covariance entry.
+        con = LinearConstraint((0, 1), "<=", F(1, 2))
+        assert con.centroid(((0.0, 0.5), (0.0, 1.0))) == (F(1, 4), F(1, 4))
+        assert covariance(con, ((0.0, 0.5), (0.0, 1.0))) == {(0, 0): F(1, 48), (1, 1): F(1, 48)}
 
     def test_halves_split_the_box_centre(self):
         """V c + (1 - V) c' is the box centre exactly, for the <= and > halves in 3-D and 4-D.
 
-        A seeded Monte Carlo mean of the <= half agrees with c within 5
-        standard errors in every coordinate.
+        The same holds for the raw second moments E[t_i t_j]: V M + (1 - V) M'
+        is the box's.  A seeded Monte Carlo mean of the <= half agrees with
+        c within 5 standard errors in every coordinate.
         """
         rng = random.Random(11)
         npr = np.random.default_rng(11)
@@ -326,6 +382,9 @@ class TestCentroid:
             v = below.fraction(box)
             mixed = [v * c + (1 - v) * d for c, d in zip(below.centroid(box), above.centroid(box))]
             assert mixed == [F(lo) / 2 + F(hi) / 2 for lo, hi in box]
+            whole = box_second_moments(box)
+            part, rest = raw_second_moments(below, box), raw_second_moments(above, box)
+            assert {ij: v * part[ij] + (1 - v) * rest[ij] for ij in whole} == whole
             if checked % 4 == 0:
                 pts = npr.uniform([lo for lo, _ in box], [hi for _, hi in box], size=(200_000, dims))
                 kept = pts[pts @ np.array([float(c) for c in below.coeffs]) <= float(below.bound)]
