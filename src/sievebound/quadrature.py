@@ -29,6 +29,14 @@ correctly rounded, before one outward rounding step.
 Each heap entry carries its leaf's residual region tree (the constraints
 the leaf left undecided), and both halves of a split are classified
 against it only, which gives the same fraction bounds as the full tree.
+The same residual picks the axis the leaf is halved on (`_split`): axis
+i scores the leaf's side w_i times the sum, over the residual's
+constraints a.t REL b, of |a_i| / ||a||_1, the share of each open
+hyperplane's thickness across the leaf that halving i removes.  Ties,
+and inside leaves, whose residual holds no constraint, halve the widest
+side relative to the domain box, lowest index first.  An axis whose
+midpoint rounds onto an end gives way to the next-ranked one; a leaf on
+which no axis halves is settled with its gap.
 
 `integrate_mc` is the unrigorous cross-check: plain uniform sampling over
 the box with the region as indicator, masked on the box's residual (the
@@ -59,7 +67,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .interval import _DOWN, _UP, Enclosure, SoundnessError, _down, _ratio_bounds, _up
-from .regions import _TRUE, Box, RegionPredicate, _single_halfspace
+from .regions import _TRUE, Box, LinearConstraint, RegionPredicate, _single_halfspace
 
 __all__ = [
     "Integrand",
@@ -175,16 +183,36 @@ def _leaf_contribution(f: Integrand, fraction: tuple[float, float], box: Box) ->
     return max(lo, 0.0), hi
 
 
-def _split(box: Box, scale: tuple[float, ...]) -> Optional[tuple[Box, Box]]:
-    widths = [(hi - lo) / s for (lo, hi), s in zip(box, scale)]
-    dim = max(range(len(box)), key=lambda i: (widths[i], -i))
-    lo, hi = box[dim]
-    mid = 0.5 * (lo + hi)
-    if not lo < mid < hi:
-        return None
-    left = tuple(box[:dim]) + ((lo, mid),) + tuple(box[dim + 1 :])
-    right = tuple(box[:dim]) + ((mid, hi),) + tuple(box[dim + 1 :])
-    return left, right
+def _open_weights(tree, scores: list[float]) -> None:
+    """Add each LinearConstraint of the tree, in walk order, to scores: coordinate i gains |a_i| / ||a||_1."""
+    if isinstance(tree, LinearConstraint):
+        for i, w in tree._weights:
+            scores[i] += w
+    else:
+        for child in tree.children:
+            _open_weights(child, scores)
+
+
+def _split(box: Box, scale: tuple[float, ...], residual) -> Optional[tuple[Box, Box]]:
+    """The two halves of box across the axis that most thins its open halfspaces, or None if no axis halves.
+
+    Axis i scores (hi_i - lo_i) * sum over the residual's constraints of
+    |a_i| / ||a||_1: each open hyperplane's thickness across the box is
+    sum |a_i| (hi_i - lo_i) / ||a||_1, and halving axis i removes half
+    of its term.  Ties, and a residual with no constraint (an inside
+    leaf), fall back to the widest side relative to `scale`, lowest
+    index first.  An axis whose midpoint rounds onto an end gives way to
+    the next-ranked one.
+    """
+    scores = [0.0] * len(box)
+    _open_weights(residual, scores)
+    keys = [((hi - lo) * w, (hi - lo) / s, -i) for i, ((lo, hi), s, w) in enumerate(zip(box, scale, scores))]
+    for dim in sorted(range(len(box)), key=keys.__getitem__, reverse=True):
+        lo, hi = box[dim]
+        mid = 0.5 * (lo + hi)
+        if lo < mid < hi:
+            return box[:dim] + ((lo, mid),) + box[dim + 1 :], box[:dim] + ((mid, hi),) + box[dim + 1 :]
+    return None
 
 
 def _checked_box(f: Integrand, region: RegionPredicate, box: Box) -> Box:
@@ -221,6 +249,9 @@ def integrate_rigorous(
 
     Refines the leaf with the largest lower/upper contribution gap until
     the total gap falls below tol or `budget` boxes have been evaluated.
+    Each refinement halves the leaf across the axis that most thins the
+    halfspaces its residual tree leaves open (`_split`), and a leaf with
+    none open across its widest side relative to `box`.
     Deterministic: the refinement order depends only on the arguments,
     and so do the leaf counts and gaps by class on the result.
     """
@@ -260,7 +291,7 @@ def integrate_rigorous(
     approx_gap = admit(box, region.fraction(box))
     while heap and boxes_used + 2 <= budget and approx_gap > stop_tol:
         _, _, leaf, lo_c, hi_c, residual = heapq.heappop(heap)
-        parts = _split(leaf, scale)
+        parts = _split(leaf, scale, residual)
         if parts is None:
             settled_lo.append(lo_c)
             settled_hi.append(hi_c)

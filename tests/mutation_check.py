@@ -8,13 +8,15 @@ Run from the repository root:
 Each mutant is a (file, old, new) replacement that drops one outward
 rounding, combines one bound wrongly, weakens one soundness check,
 reports a soundness failure as a usage error, drops one pre-check of an
-output path, puts wrong integers into exact moments, or drops or
-doubles one term of the clipped mean-value form.  For each, the script
+output path, puts wrong integers into exact moments, drops or doubles
+one term of the clipped mean-value form, or (H mutants) blinds the
+sieve harness's support check.  For each, the script
 copies `src/`, `tests/` and `pyproject.toml` to a temporary directory
 outside the tree, replaces `old` by `new` there, and runs only the
 tests that should catch the mutant, with the bit pins deselected: a
-test that pins exact output bits fails on any change, sound or not, so
-it shows nothing about soundness.  The unmutated copy runs the same
+test that pins exact output bits, or the harness's frozen window
+totals, fails on any change, sound or not, so it shows nothing about
+soundness.  The unmutated copy runs the same
 selections first and must pass them.
 
 Exit status 1 if an `old` text is missing or not unique, if the
@@ -39,10 +41,13 @@ BIT_PINS = (
     "tests/test_losses.py::TestCertifiedRuns::test_quadruple_sandwiches_pinned",
     "tests/test_losses.py::TestCertifiedRuns::test_default_sandwiches_pinned",
     "tests/test_losses.py::TestMeanValueRigor::test_inside_leaf_asks_integrand_once",
+    "tests/test_harness.py::TestWindowScan::test_frozen_window_totals",
+    "tests/test_harness.py::TestWindowScan::test_frozen_1e6_totals",
 )
 
 REPLAY = ("tests/test_exact_replay.py",)
 CLIPPED_MPMATH = "tests/test_losses.py::TestClippedAverage::test_c_contribution_contains_mpmath_integral"
+HARNESS = ("tests/test_harness.py",)
 
 # name: (file, old, new, test selections that must fail)
 MUTANTS = {
@@ -147,6 +152,18 @@ MUTANTS = {
         'complement = self.rel in (">", ">=")',
         "complement = False",
         REPLAY,
+    ),
+    "H2": (
+        "src/sievebound/sieve_harness.py",
+        "(ctx.spf[ctx.x + 1 :] < ctx.cut)",
+        "(ctx.spf[ctx.x + 1 :] < 2)",
+        HARNESS,
+    ),
+    "H3": (
+        "src/sievebound/sieve_harness.py",
+        '"clean": identity_total == 0 and minorant == 0 and support == 0,',
+        '"clean": identity_total == 0 and minorant == 0,',
+        HARNESS,
     ),
 }
 

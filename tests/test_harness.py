@@ -344,6 +344,24 @@ class TestWindowScan:
         assert report["clean"] is False
         assert report["totals"]["rho"] == 875 - sh.decompose(ctx, bad_rho).rho + 2
 
+    def test_support_fault_counted(self, ctx, monkeypatch):
+        """rho = -1 at an n with spf(n) < z is one support violation and nothing else.
+
+        Adding 1 to dropped_a3 at the even n = 10010 lowers its rho from
+        0 to -1: below 1_p, so no minorant violation, and in no identity
+        fold, so every identity residual stays 0.
+        """
+        bad = 10010
+        assert ctx.spf[bad] < ctx.cut and sh.decompose(ctx, bad).rho == 0
+        monkeypatch.setattr(sh, "window_term", _faulty_window_term({"dropped_a3": (bad, 1)}))
+        report = sh.harness_report(ctx)
+        violations = report["violations"]
+        assert violations["support"] == 1
+        assert violations["minorant"] == 0
+        assert violations["identity"] == 0
+        assert report["clean"] is False
+        assert report["totals"]["rho"] == 875 - 1
+
     def test_impossible_pair_split_is_soundness_failure(self):
         """p2^38 = (2x)^9 holds for no prime p2; forced on a reached pair, both routes raise SoundnessError."""
         ctx = sh.build_context(10**4)

@@ -168,23 +168,25 @@ class TestCertifiedRuns:
     def test_quadruple_sandwiches_pinned(self):
         """verified_loss for a3 and b3 at tol 2e-4 reproduces its sandwich and box count exactly."""
         pinned = {
-            "a3": (3.403860186771818e-05, 0.00022691977429907255, 263),
-            "b3": (0.0003594172515086806, 0.0005532884170260673, 3307),
+            "a3": (3.1538531857303616e-05, 0.00022327276438467535, 163),
+            "b3": (0.0003657692306635659, 0.000559626076943666, 2595),
         }
         for name, expected in pinned.items():
             est, escalations = losses.verified_loss(name, tol=2e-4)
             assert (est.lower, est.upper, est.boxes_used) == expected
+            assert est.lower <= FROZEN[name] <= est.upper
             assert escalations == 0 and not est.exhausted
 
     def test_default_sandwiches_pinned(self, verified_a3, verified_b3, verified_c):
         """verified_loss at the default tols reproduces each sandwich and box count exactly."""
         pinned = {
-            "a3": (8.057939158992267e-05, 9.997761039415701e-05, 5279),
-            "b3": (0.00042261801739026657, 0.00047110626762052155, 18199),
-            "c": (0.23513278527001114, 0.23513327025426806, 1673),
+            "a3": (8.08218344772464e-05, 0.000100221042537715, 3003),
+            "b3": (0.0004240487698109228, 0.0004725469312057937, 11709),
+            "c": (0.23513278570556775, 0.23513326930666545, 1523),
         }
         for (est, escalations), name in ((verified_a3, "a3"), (verified_b3, "b3"), (verified_c, "c")):
             assert (est.lower, est.upper, est.boxes_used) == pinned[name]
+            assert est.lower <= FROZEN[name] <= est.upper
             assert escalations == 0 and not est.exhausted
 
     def test_determinism(self):
@@ -560,17 +562,16 @@ class TestArgumentRange:
         with pytest.raises(SoundnessError, match="<= 2 not certified"):
             losses.check_argument_range(PAIR_BASE, (edge, edge), arguments)
 
-    def test_rejects_a_sliver_beyond_two(self, monkeypatch):
-        """u > 2 on a set too thin for any leaf to lie inside it is still rejected.
+    @staticmethod
+    def sliver_run(monkeypatch, depth):
+        """The last range run of `check_argument_range` on c with t2 > 9/38 weakened to t2 > 4/19 - 2^-depth, which must reject it.
 
-        With t2 > 9/38 weakened to t2 > 4/19 - 2^-30, the loss c argument
-        (1 - t1 - t2) / t2 exceeds 2 on a triangle of area 2^-60 below
-        (7/19, 4/19).  So the range run's lower end stays 0 and only its
-        upper end shows the set.
+        Below (7/19, 4/19) the loss c argument (1 - t1 - t2) / t2 then
+        exceeds 2 on a triangle of area about 2^(-2 depth).
         """
         edge = (float(Fraction(3, 19)), float(Fraction(8, 19)))
         _, arguments, region, _ = losses.integration_domain("c")
-        cap = LinearConstraint((0, 1), ">", Fraction(4, 19) - Fraction(1, 2**30))
+        cap = LinearConstraint((0, 1), ">", Fraction(4, 19) - Fraction(1, 2**depth))
         children = tuple(cap if c == LinearConstraint((0, 1), ">", regions.B_SECOND_CAP) else c
                          for c in region.tree.children)
         assert cap in children
@@ -584,7 +585,21 @@ class TestArgumentRange:
         monkeypatch.setattr(quadrature, "integrate_rigorous", recording)
         with pytest.raises(SoundnessError, match="<= 2 not certified"):
             losses.check_argument_range(sliver, (edge, edge), arguments)
-        assert runs[-1].lower == 0.0 < runs[-1].upper
+        return runs[-1]
+
+    def test_rejects_a_sliver_beyond_two(self, monkeypatch):
+        """u > 2 on a triangle of area 2^-60 is rejected."""
+        run = self.sliver_run(monkeypatch, 30)
+        assert 0.0 < run.upper
+
+    def test_rejects_a_thinner_sliver_by_its_upper_end(self, monkeypatch):
+        """u > 2 on a set too thin for any leaf to lie inside it is still rejected.
+
+        On the triangle of area 2^-80 the range run's lower end stays 0,
+        so only its upper end shows the set.
+        """
+        run = self.sliver_run(monkeypatch, 40)
+        assert run.lower == 0.0 < run.upper
 
     def test_rejects_denominator_negative_on_the_box(self):
         """D = 1/5 - t4 changes sign on the a3 box, where t4 runs over [3/19, 4/19]."""

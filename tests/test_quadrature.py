@@ -27,7 +27,7 @@ from sievebound.quadrature import (
     integrate_mc,
     integrate_rigorous,
 )
-from sievebound.regions import REGION_A, AndNode, LinearConstraint, RegionPredicate
+from sievebound.regions import REGION_A, AndNode, LinearConstraint, OrNode, RegionPredicate
 
 
 def halfspace_region() -> RegionPredicate:
@@ -44,10 +44,12 @@ def constant_one() -> Integrand:
 
 
 def linear_t1() -> Integrand:
+    """f(t) = t1; its box average is the midpoint of t1's side, rounded outward and kept inside the side."""
     return Integrand(
         arity=2,
         enclosure=lambda box: Enclosure(box[0][0], box[0][1]),
         value_many=lambda pts: pts[:, 0].copy(),
+        average=lambda box: ((Enclosure(box[0][0]) + box[0][1]) * 0.5).intersect(Enclosure(*box[0])),
     )
 
 
@@ -153,6 +155,64 @@ class TestRigorous:
         assert calls[0] == {} and all(set(kw) == {"within"} for kw in calls[1:])
 
 
+def split_axis(box, scale, residual):
+    """The one axis on which `_split`'s halves differ from box, checked to be its halves there."""
+    left, right = quadrature._split(box, scale, residual)
+    (dim,) = [i for i, (a, b) in enumerate(zip(left, right)) if a != b]
+    lo, hi = box[dim]
+    assert left[dim] == (lo, 0.5 * (lo + hi)) and right[dim] == (0.5 * (lo + hi), hi)
+    assert left[:dim] + left[dim + 1 :] == box[:dim] + box[dim + 1 :] == right[:dim] + right[dim + 1 :]
+    return dim
+
+
+class TestSplit:
+    """`_split` halves the axis that most thins the leaf's open halfspaces."""
+
+    def test_open_halfspace_picks_its_own_axes(self):
+        """A residual halfspace in t1 and t2 alone is split across, even when t3 is the widest relative side.
+
+        Scores are side times weight: 0.1 * 1/3 for t1 and 0.1 * 2/3 for
+        t2, and 0 for t3 and t4, which the halfspace leaves out.
+        """
+        box = ((0.0, 0.1), (0.0, 0.1), (0.0, 0.5), (0.0, 0.1))
+        scale = (1.0, 1.0, 1.0, 1.0)
+        residual = AndNode((LinearConstraint((1, -2, 0, 0), "<", Fraction(1, 20)),))
+        assert split_axis(box, scale, regions._TRUE) == 2
+        assert split_axis(box, scale, residual) == 1
+        # A wider t1 side outweighs t2's larger coefficient: 0.3 * 1/3 > 0.1 * 2/3.
+        wide_t1 = ((0.0, 0.3),) + box[1:]
+        assert split_axis(wide_t1, scale, residual) == 0
+
+    def test_weights_add_over_open_constraints(self):
+        """Each open constraint adds its own shares: two t3 clauses outweigh one t1 + t2 clause."""
+        box = ((0.0, 0.25), (0.0, 0.25), (0.0, 0.125), (0.0, 0.25))
+        third = LinearConstraint((0, 0, 1, 0), ">", Fraction(1, 16))
+        pair = LinearConstraint((1, 1, 0, 0), "<", Fraction(1, 4))
+        assert split_axis(box, (1.0,) * 4, OrNode((pair, third))) == 0
+        assert split_axis(box, (1.0,) * 4, OrNode((pair, AndNode((third, third))))) == 2
+
+    def test_inside_leaf_splits_its_widest_relative_side(self):
+        """With no open constraint the widest side relative to the domain box is halved, the lowest index on a tie."""
+        box = ((0.0, 0.5), (0.0, 0.25), (0.0, 0.25))
+        assert split_axis(box, (1.0, 1.0, 1.0), regions._TRUE) == 0
+        assert split_axis(box, (1.0, 0.25, 1.0), regions._TRUE) == 1
+        assert split_axis(box, (1.0, 0.5, 0.5), regions._TRUE) == 0
+
+    def test_tied_scores_fall_back_to_the_relative_side(self):
+        """t1 + t2 on a square scores both axes alike, so the widest relative side decides."""
+        box = ((0.0, 0.5), (0.0, 0.5))
+        residual = LinearConstraint((1, 1), "<=", Fraction(1, 2))
+        assert split_axis(box, (1.0, 1.0), residual) == 0
+        assert split_axis(box, (1.0, 0.5), residual) == 1
+
+    def test_unhalvable_top_axis_gives_way_to_the_next(self):
+        """A top-ranked side of two adjacent floats cannot be halved, so the next-ranked axis is, and the leaf is not settled."""
+        one_ulp = (1.0, math.nextafter(1.0, 2.0))
+        residual = LinearConstraint((1, 0), "<", 1 + Fraction(1, 2**53))
+        assert split_axis((one_ulp, (0.0, 1.0)), (1.0, 1.0), residual) == 1
+        assert quadrature._split((one_ulp, one_ulp), (1.0, 1.0), residual) is None
+
+
 class TestLeafCounters:
     @pytest.mark.parametrize("name, budget", [("c", 401), ("c", 1201), ("a3", 2001), ("b3", 2001)])
     def test_counts_and_gaps_match_the_final_leaves(self, monkeypatch, name, budget):
@@ -172,8 +232,8 @@ class TestLeafCounters:
             admitted[leaf] = fraction, contribution(f, fraction, leaf)
             return admitted[leaf][1]
 
-        def recording_split(leaf, scale):
-            parts = halve(leaf, scale)
+        def recording_split(leaf, scale, residual):
+            parts = halve(leaf, scale, residual)
             if parts is not None:
                 split.add(leaf)
             return parts
