@@ -25,10 +25,10 @@ import platform
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
-from . import buchstab, interval, losses, quadrature, regions, sieve_harness
+# The certified path only: numpy, buchstab and the sieve harness load in
+# the subcommands and Monte Carlo code that use them.
+from . import interval, losses, quadrature, regions
 
 class CliError(Exception):
     """Usage or configuration problem; maps to exit code 2."""
@@ -98,9 +98,10 @@ def _round_floats(obj, digits: int = _DIGITS):
 
 
 def _environment() -> dict:
+    """The interpreter and platform; numpy's version only if this process loaded it, else None."""
     return {
         "python": platform.python_version(),
-        "numpy": np.__version__,
+        "numpy": getattr(sys.modules.get("numpy"), "__version__", None),
         "platform": platform.platform(),
     }
 
@@ -230,6 +231,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_harness(args) -> int:
+    from . import sieve_harness
+
     ctx = sieve_harness.build_context(args.x)
     report = sieve_harness.harness_report(ctx)
     ok_id = report["violations"]["identity"] == 0
@@ -251,6 +254,8 @@ def _cmd_harness(args) -> int:
 
 
 def _cmd_omega(args) -> int:
+    from . import buchstab
+
     if not args.tol > 0.0:
         raise CliError("tol must be positive")
     for u in args.at or []:

@@ -69,16 +69,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import nextafter
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-# omega_bound_range is unused here but stays importable as
-# losses.omega_bound_range: perfbench's traced runs rebind it.
-from .buchstab import omega_bound_range  # noqa: F401
 from .interval import _DOWN, _UP, Enclosure, SoundnessError, _down, _up
 from . import quadrature
 from .quadrature import Integrand, IntegralEstimate, RIGOROUS, integrate_mc, integrate_rigorous
 from .regions import REGION_C, REGION_U_A3, REGION_U_B3, AndNode, Box, LinearConstraint, RegionPredicate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TARGETS",
@@ -155,6 +154,8 @@ _ARGUMENTS = {
 
 
 def _affine_many(form: AffineForm, pts: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     const, coeffs = form
     return const + pts @ np.array(coeffs)
 
@@ -292,6 +293,8 @@ class ReciprocalProduct:
         return Enclosure(*_reciprocal_bounds(self._factor_bounds(box)))
 
     def value_many(self, pts: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         prod = np.ones(len(pts))
         for form in self.factors:
             prod *= _affine_many(form, pts)
@@ -540,3 +543,17 @@ def assemble_ledger(a3: IntegralEstimate, b3: IntegralEstimate, c: IntegralEstim
         retained_lower=retained_lower,
         targets=dict(TARGETS),
     )
+
+
+def __getattr__(name: str):
+    """`losses.omega_bound_range`, loaded from buchstab on first access (PEP 562).
+
+    Nothing here calls it; perfbench's traced runs read and rebind it.
+    Resolving it lazily keeps buchstab out of every process that only
+    certifies the losses.
+    """
+    if name == "omega_bound_range":
+        from .buchstab import omega_bound_range
+
+        return omega_bound_range
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -53,6 +53,10 @@ the streams in turn would, so the estimate is bit-identical for a fixed
 stream ran; the worker count changes the stream split, never the
 statistical meaning.  fork copies only the calling thread, so it is
 unsafe in a process with other live threads; the package starts none.
+numpy is imported inside `integrate_mc`, the float mask
+(`RegionPredicate.mask`) and the integrand's `value_many`, and
+multiprocessing inside `_run_streams`, so the rigorous route loads
+neither.
 """
 
 from __future__ import annotations
@@ -62,12 +66,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from math import nextafter
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .interval import _DOWN, _UP, Enclosure, SoundnessError, _down, _ratio_bounds, _up
 from .regions import _TRUE, Box, LinearConstraint, RegionPredicate, _single_halfspace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Integrand",
@@ -378,6 +383,8 @@ def integrate_mc(
     if f.value_many is None:
         raise TypeError("integrand lacks a vectorized value_many, required for Monte Carlo")
     box = _checked_box(f, region, box)
+
+    import numpy as np
 
     d = len(box)
     lows = np.array([lo for lo, _ in box])

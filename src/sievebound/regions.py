@@ -88,10 +88,12 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import nextafter
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .interval import _DOWN, _UP, _ratio_bounds
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "LinearConstraint",
@@ -198,10 +200,12 @@ class LinearConstraint:
         object.__setattr__(self, "_fden", fden)
         # The float test itself: the one nonzero column times its
         # coefficient, or a dot product with every float coefficient.
-        fcoeffs = [float(c) for c in self.coeffs]
+        # `_tree_mask` makes the array, so building a constraint needs
+        # no numpy.
+        fcoeffs = tuple(float(c) for c in self.coeffs)
         nonzero = [(i, c) for i, c in enumerate(fcoeffs) if c]
         column = nonzero[0] if len(nonzero) == 1 else None
-        object.__setattr__(self, "_mask_data", (column, np.array(fcoeffs), float(self.bound)))
+        object.__setattr__(self, "_mask_data", (column, fcoeffs, float(self.bound)))
 
     def evaluate(self, point) -> bool:
         total = sum((c * _as_fraction(t) for c, t in zip(self.coeffs, point, strict=True)), Fraction(0))
@@ -537,10 +541,12 @@ def _tree_residual(node, grid: Grid):
 
 
 def _tree_mask(node, pts: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     if isinstance(node, LinearConstraint):
         column, coeffs, bound = node._mask_data
         if column is None:
-            return _COMPARE[node.rel](pts @ coeffs, bound)
+            return _COMPARE[node.rel](pts @ np.array(coeffs), bound)
         # At finite points zero coefficients add exact zeros to a dot
         # product, so the single column gives the same sums.
         i, c = column
@@ -569,6 +575,8 @@ def _and_mask(children, pts: np.ndarray) -> np.ndarray:
     float comparisons, so for a C-contiguous array, as `integrate_mc`
     draws, the mask is `_tree_mask`'s bit for bit.
     """
+    import numpy as np
+
     out = np.zeros(len(pts), dtype=bool)
     rows = None  # positions in the input of the rows in hand; None while all are
     alive = np.ones(len(pts), dtype=bool)
@@ -660,6 +668,8 @@ class RegionPredicate:
         keyed by the box's endpoints, so `integrate_mc`, which masks
         block after block in one box, builds it once.
         """
+        import numpy as np
+
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.arity:
             raise ValueError(f"{self.name} expects an (n, {self.arity}) array")

@@ -9,8 +9,10 @@ Each mutant is a (file, old, new) replacement that drops one outward
 rounding, combines one bound wrongly, weakens one soundness check,
 reports a soundness failure as a usage error, drops one pre-check of an
 output path, puts wrong integers into exact moments, drops or doubles
-one term of the clipped mean-value form, or (H mutants) blinds the
-sieve harness's support check.  For each, the script
+one term of the clipped mean-value form, or (H mutants) breaks the
+sieve harness: blinds its support check, flips a sign in an identity
+or in rho, drops the term bound, weakens a reversal-chain weight or
+corrupts the spf entry of 1.  For each, the script
 copies `src/`, `tests/` and `pyproject.toml` to a temporary directory
 outside the tree, replaces `old` by `new` there, and runs only the
 tests that should catch the mutant, with the bit pins deselected: a
@@ -163,6 +165,36 @@ MUTANTS = {
         "src/sievebound/sieve_harness.py",
         '"clean": identity_total == 0 and minorant == 0 and support == 0,',
         '"clean": identity_total == 0 and minorant == 0,',
+        HARNESS,
+    ),
+    "H7": (
+        "src/sievebound/sieve_harness.py",
+        '("s1", -1), ("s2", 1), ("s3", 1)',
+        '("s1", -1), ("s2", -1), ("s3", 1)',
+        HARNESS,
+    ),
+    "H8": (
+        "src/sievebound/sieve_harness.py",
+        '_RHO = (("one_p", 1), ("s_c", -1),',
+        '_RHO = (("one_p", 1), ("s_c", 1),',
+        HARNESS,
+    ),
+    "H9": (
+        "src/sievebound/sieve_harness.py",
+        "if term.max() > TERM_LIMIT or term.min() < -TERM_LIMIT:",
+        "if False:",
+        HARNESS,
+    ),
+    "H10": (
+        "src/sievebound/sieve_harness.py",
+        "if not psi(ctx, beta, p3):",
+        "if not psi(ctx, beta, cz):",
+        HARNESS,
+    ),
+    "H11": (
+        "src/sievebound/sieve_harness.py",
+        "spf[1] = SPF_CAP",
+        "spf[1] = 1",
         HARNESS,
     ),
 }

@@ -1,8 +1,9 @@
 """Tests for the command line interface.
 
-Runs go through cli.main(argv) in-process except for one subprocess
-check of the module entry point.  Heavy verification paths use tiny
-budgets; the full-budget runs are covered by the acceptance suite.
+Runs go through cli.main(argv) in-process except for subprocess checks
+of the module entry point and of the numpy version a report records.
+Heavy verification paths use tiny budgets; the full-budget runs are
+covered by the acceptance suite.
 """
 
 from __future__ import annotations
@@ -436,3 +437,26 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "region_c: inside" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "argv, loads_numpy",
+        [
+            (["--targets", "a3", "--budget", "4000", "--tol", "5e-4"], False),
+            (["--mode", "monte_carlo", "--samples", "10000", "--targets", "a3"], True),
+        ],
+        ids=["rigorous", "monte-carlo"],
+    )
+    def test_environment_records_numpy_only_when_loaded(self, argv, loads_numpy, tmp_path):
+        """A report's environment.numpy is the version when the process loaded numpy, null when it did not."""
+        import numpy
+
+        out = tmp_path / "report.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sievebound", "verify", *argv, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        recorded = json.loads(out.read_text())["environment"]["numpy"]
+        assert recorded == (numpy.__version__ if loads_numpy else None)
