@@ -26,8 +26,9 @@ is left out.  The sets are unchanged; u_a3 has 25 conjuncts and u_b3
 missing mass, so with the second-order clipped average the default a3
 and b3 runs needed 5,835 and 22,479 boxes (5,279 and 18,199 with the
 third-order one, 3,003 and 11,709 with each leaf also halved across its
-open halfspaces), not the 8,359 and 38,161 of the trees with every
-subset clause.
+open halfspaces, 2,993 and 11,577 with the mean-value remainders bounded
+by h_n of the per-factor spreads), not the 8,359 and 38,161 of the trees
+with every subset clause.
 
 Point membership runs in exact `Fraction` arithmetic, float inputs
 converted exactly.  Box tests are exact integer arithmetic: each
@@ -609,10 +610,11 @@ class FractionBounds(tuple):
     `residual` is the part of the tree the box leaves undecided (see
     `_tree_fraction`); walked on any sub-box it gives the same bounds as
     the full tree.  `grid` is the box on the integer grid the bounds
-    were computed on, which `LinearConstraint._moments` takes as is.
+    were computed on, which `LinearConstraint._moments` takes as is, or
+    None when a decided residual was walked and no grid was built.
     """
 
-    def __new__(cls, lo: float, hi: float, residual, grid: Grid):
+    def __new__(cls, lo: float, hi: float, residual, grid: Grid | None):
         bounds = super().__new__(cls, (lo, hi))
         bounds.residual = residual
         bounds.grid = grid
@@ -634,12 +636,17 @@ class RegionPredicate:
             raise ValueError(f"{self.name} expects {self.arity} coordinates, got {len(point)}")
         return _tree_contains(self.tree, point)
 
-    def _box_grid(self, box: Box) -> Grid:
-        """`_grid` of a box, which must have `arity` intervals."""
+    def _box_grid(self, box: Box, build: bool = True) -> Grid | None:
+        """`_grid` of a box, which must have `arity` intervals; with build false, only its checks, and None."""
         box = tuple(tuple(iv) for iv in box)
         if len(box) != self.arity:
             raise ValueError(f"{self.name} expects a {self.arity}-dimensional box")
-        return _grid(box)
+        if build:
+            return _grid(box)
+        # Each chain fails exactly where `_grid` raises: a NaN or infinite end, or lo > hi.
+        if not all(-math.inf < lo <= hi < math.inf for lo, hi in box):
+            _grid(box)
+        return None
 
     def fraction(self, box: Box, within=None) -> FractionBounds:
         """Certified outward float bounds on the satisfied volume fraction of the box.
@@ -648,10 +655,11 @@ class RegionPredicate:
         tree and grid.  `within` is the tree to walk: by default the full
         tree, or the residual of a box that contains this one, which
         gives the same bounds with only the constraints that box left
-        open.
+        open.  A decided tree (`_TRUE` or `_FALSE`) reads no grid, so its
+        result carries None.
         """
         tree = self.tree if within is None else within
-        grid = self._box_grid(box)
+        grid = self._box_grid(box, build=tree is not _TRUE and tree is not _FALSE)
         return FractionBounds(*_tree_fraction(tree, grid), grid)
 
     def mask(self, pts: np.ndarray, box: Box | None = None) -> np.ndarray:

@@ -9,10 +9,11 @@ Each mutant is a (file, old, new) replacement that drops one outward
 rounding, combines one bound wrongly, weakens one soundness check,
 reports a soundness failure as a usage error, drops one pre-check of an
 output path, puts wrong integers into exact moments, drops or doubles
-one term of the clipped mean-value form, or (H mutants) breaks the
-sieve harness: blinds its support check, flips a sign in an identity
-or in rho, drops the term bound, weakens a reversal-chain weight or
-corrupts the spf entry of 1.  For each, the script
+one term of a mean-value form, takes a max for a sum in the remainder's
+complete symmetric polynomial, or (H mutants) breaks the sieve harness:
+blinds its support check, flips a sign in an identity or in rho, drops
+the term bound, weakens a reversal-chain weight, corrupts the spf entry
+of 1 or moves a root threshold by one.  For each, the script
 copies `src/`, `tests/` and `pyproject.toml` to a temporary directory
 outside the tree, replaces `old` by `new` there, and runs only the
 tests that should catch the mutant, with the bit pins deselected: a
@@ -139,7 +140,7 @@ MUTANTS = {
     ),
     "M17": (
         "src/sievebound/losses.py",
-        "cube_pad = nextafter(square_pad * spread, _UP)",
+        "cube_pad = nextafter(f_hi * h[3], _UP)",
         "cube_pad = 0.0",
         (CLIPPED_MPMATH,),
     ),
@@ -154,6 +155,18 @@ MUTANTS = {
         'complement = self.rel in (">", ">=")',
         "complement = False",
         REPLAY,
+    ),
+    "M20": (
+        "src/sievebound/losses.py",
+        "pad = nextafter(nextafter(f_hi * h4, _UP) / 16.0, _UP)",
+        "pad = 0.0",
+        ("tests/test_losses.py::TestMeanValueRigor::test_average_contains_mpmath_box_average",),
+    ),
+    "M21": (
+        "src/sievebound/losses.py",
+        "h[m] = nextafter(h[m] + nextafter(rho * h[m - 1], _UP), _UP)",
+        "h[m] = nextafter(max(h[m], nextafter(rho * h[m - 1], _UP)), _UP)",
+        ("tests/test_exact_replay.py::test_complete_lies_between_exact_h_and_power_of_sum",),
     ),
     "H2": (
         "src/sievebound/sieve_harness.py",
@@ -195,6 +208,24 @@ MUTANTS = {
         "src/sievebound/sieve_harness.py",
         "spf[1] = SPF_CAP",
         "spf[1] = 1",
+        HARNESS,
+    ),
+    "H12": (
+        "src/sievebound/sieve_harness.py",
+        "self.root2 = math.isqrt(self.twox - 1) + 1",
+        "self.root2 = math.isqrt(self.twox - 1)",
+        HARNESS,
+    ),
+    "H13": (
+        "src/sievebound/sieve_harness.py",
+        "self.top8 = _min_root_geq(self.pow8 + 1, 19) - 1",
+        "self.top8 = _min_root_geq(self.pow8 + 1, 19)",
+        HARNESS,
+    ),
+    "H14": (
+        "src/sievebound/sieve_harness.py",
+        "self.top11 = _min_root_geq(self.pow11 + 1, 19) - 1",
+        "self.top11 = _min_root_geq(self.pow11 + 1, 19)",
         HARNESS,
     ),
 }

@@ -12,7 +12,10 @@ the same float inputs and checks lo <= exact <= hi at every step:
     the covariance bounds of `clipped_average` against the exact
     covariance;
   * the final `fsum` ends of `integrate_rigorous`, against the exact
-    sums of its final leaves' contributions.
+    sums of its final leaves' contributions;
+  * the per-factor spreads of the mean-value remainders and their
+    complete homogeneous symmetric polynomials (`losses._complete`),
+    against the exact h_n and the n-th power bound they replaced.
 
 Where a step's result is not observable, the replay recomputes it with
 the kernel's own float operation and checks that float against the
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -391,3 +395,29 @@ def test_rigorous_sums_contain_exact_leaf_sums(monkeypatch, name):
         assert F(est.lower) <= exact_lo and exact_hi <= F(est.upper)
         assert F(est.upper) - exact_hi <= 2 * F(math.ulp(est.upper))
         assert exact_lo - F(est.lower) <= 2 * F(math.ulp(est.lower))
+
+
+@pytest.mark.parametrize("name", losses.LOSS_NAMES)
+def test_complete_lies_between_exact_h_and_power_of_sum(name):
+    """The remainder spreads bound their exact values, and `_complete` lies between exact h_n and (sum rho)^n.
+
+    On seeded leaves of each loss box, with the side bounds `average`
+    uses, each spread from `_factor_spreads` is at least the exact
+    sum_i |a_ki| w_i / L_k,lo of its float inputs.  For n = 2, 3, 4, the
+    orders the pads use, `_complete`'s float h_n is at least the exact
+    h_n of those spreads, a sum over the multisets of n factors, and at
+    most the exact (sum_k rho_k)^n, so the pad is never looser than the
+    n-th power bound it replaced.
+    """
+    rp = losses.ReciprocalProduct(losses._FACTORS[name])
+    for leaf in leaves_of(name, 300, 9):
+        ls = rp._factor_bounds(leaf)
+        widths = [nextafter(hi - lo, _UP) for lo, hi in leaf]
+        rhos = rp._factor_spreads(ls, widths)
+        for (_, coeffs), (l_lo, _), rho in zip(rp.factors, ls, rhos, strict=True):
+            assert F(rho) >= sum((abs(F(a)) * F(w) for a, w in zip(coeffs, widths)), F(0)) / F(l_lo)
+        h = losses._complete(rhos, 4)
+        exact = [F(rho) for rho in rhos]
+        for n in (2, 3, 4):
+            h_n = sum((math.prod(ms, start=F(1)) for ms in itertools.combinations_with_replacement(exact, n)), F(0))
+            assert h_n <= F(h[n]) <= sum(exact, F(0)) ** n, (leaf, n)

@@ -657,6 +657,33 @@ class TestResiduals:
                         assert region.fraction(child_box, within=child.residual) == child
         assert decided >= 100
 
+    def test_decided_tree_builds_no_grid(self):
+        """Walking `_TRUE` or `_FALSE` gives its bounds with no grid, and still rejects a bad box.
+
+        Only a single-halfspace leaf reads `FractionBounds.grid`, so a
+        decided leaf is spared the exact grid; the box is checked as
+        `_grid` would check it.
+        """
+        box = ((0.36, 0.38), (0.25, 0.27))
+        bad = [
+            box[:1],
+            box + ((0.0, 1.0),),
+            ((0.38, 0.36), (0.25, 0.27)),
+            ((0.36, 0.38), (F(1, 3), F(1, 4))),
+            ((math.nan, 0.38), (0.25, 0.27)),
+            ((0.36, 0.38), (0.25, math.nan)),
+            ((0.36, math.inf), (0.25, 0.27)),
+            ((-math.inf, 0.38), (0.25, 0.27)),
+        ]
+        assert REGION_C.fraction(box).grid is not None
+        for tree, bounds in ((regions._TRUE, (1.0, 1.0)), (regions._FALSE, (0.0, 0.0))):
+            got = REGION_C.fraction(box, within=tree)
+            assert got == bounds and got.residual is tree and got.grid is None
+            assert REGION_C.fraction(((F(9, 25), 0.38), (1, 1)), within=tree) == bounds
+            for leaf in bad:
+                with pytest.raises(ValueError):
+                    REGION_C.fraction(leaf, within=tree)
+
     def test_face_contact_is_outside_for_fractions(self):
         """A box touching a <= face from outside has fraction (0, 0) and residual _FALSE.
 
