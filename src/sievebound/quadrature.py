@@ -29,6 +29,9 @@ correctly rounded, before one outward rounding step.
 Each heap entry carries its leaf's residual region tree (the constraints
 the leaf left undecided), and both halves of a split are classified
 against it only, which gives the same fraction bounds as the full tree.
+Each leaf also carries its exact integer grid: the root is wrapped once
+as a `regions.GridBox`, and `regions._halves` derives each half's grid
+from its parent's, so no leaf's grid is rebuilt from its float ends.
 The same residual picks the axis the leaf is halved on (`_split`): axis
 i scores the leaf's side w_i times the sum, over the residual's
 constraints a.t REL b, of |a_i| / ||a||_1, the share of each open
@@ -69,7 +72,7 @@ from math import nextafter
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .interval import _DOWN, _UP, Enclosure, SoundnessError, _down, _ratio_bounds, _up
-from .regions import _TRUE, Box, LinearConstraint, RegionPredicate, _single_halfspace
+from .regions import _TRUE, Box, GridBox, LinearConstraint, RegionPredicate, _halves, _single_halfspace
 
 if TYPE_CHECKING:
     import numpy as np
@@ -198,7 +201,7 @@ def _open_weights(tree, scores: list[float]) -> None:
             _open_weights(child, scores)
 
 
-def _split(box: Box, scale: tuple[float, ...], residual) -> Optional[tuple[Box, Box]]:
+def _split(box: GridBox, scale: tuple[float, ...], residual) -> Optional[tuple[GridBox, GridBox]]:
     """The two halves of box across the axis that most thins its open halfspaces, or None if no axis halves.
 
     Axis i scores (hi_i - lo_i) * sum over the residual's constraints of
@@ -207,7 +210,7 @@ def _split(box: Box, scale: tuple[float, ...], residual) -> Optional[tuple[Box, 
     of its term.  Ties, and a residual with no constraint (an inside
     leaf), fall back to the widest side relative to `scale`, lowest
     index first.  An axis whose midpoint rounds onto an end gives way to
-    the next-ranked one.
+    the next-ranked one.  Each half carries its grid (`regions._halves`).
     """
     scores = [0.0] * len(box)
     _open_weights(residual, scores)
@@ -216,7 +219,7 @@ def _split(box: Box, scale: tuple[float, ...], residual) -> Optional[tuple[Box, 
         lo, hi = box[dim]
         mid = 0.5 * (lo + hi)
         if lo < mid < hi:
-            return box[:dim] + ((lo, mid),) + box[dim + 1 :], box[:dim] + ((mid, hi),) + box[dim + 1 :]
+            return _halves(box, dim, mid)
     return None
 
 
@@ -264,7 +267,7 @@ def integrate_rigorous(
         raise ValueError("budget must be at least 1")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    box = _checked_box(f, region, box)
+    box = GridBox(_checked_box(f, region, box))
 
     scale = tuple(hi - lo for lo, hi in box)
     stop_tol = 0.97 * tol

@@ -33,12 +33,16 @@ with every subset clause.
 Point membership runs in exact `Fraction` arithmetic, float inputs
 converted exactly.  Box tests are exact integer arithmetic: each
 constraint is scaled to integer coefficients and bound once, and each
-box is put once on a common integer grid (`_grid`: every float, int or
-Fraction endpoint is A / scale for one integer scale), which
-`RegionPredicate.fraction` returns with the bounds.  Strict and
-non-strict inequalities are distinguished by point membership but
-deliberately conflated by box tests, since they differ on a
-measure-zero set and every integral is insensitive to it.
+box is on a common integer grid (`_grid`: every float, int or Fraction
+endpoint is A / scale for one integer scale), which
+`RegionPredicate.fraction` returns with the bounds.  A `GridBox`
+carries its grid, and the halves of one (`_halves`) derive theirs from
+it at the split: one `as_integer_ratio` of the midpoint, and a rescale
+of the parent's integers only when the midpoint's denominator does not
+divide the parent's scale.  Strict and non-strict inequalities are
+distinguished by point membership but deliberately conflated by box
+tests, since they differ on a measure-zero set and every integral is
+insensitive to it.
 
 Each predicate computes, for a box, certified float bounds on the
 fraction of the box volume satisfying the predicate.  That is the one
@@ -52,20 +56,22 @@ is the Irwin-Hall distribution function
 
 divided by the product of the b_i.  F is homogeneous of degree 0 in
 (y, b), so on the box's integer grid y and the b_i are integers and F
-is an exact integer ratio (`LinearConstraint._ratio`; only subsets with
-y - b_S > 0 are enumerated).  A constraint is decided on a box by that
-ratio alone: 1 is inside, 0 is outside, which counts a face contact of
-measure zero as outside, and any other value is rounded to floats once,
-by one correctly rounded division and an integer check of which side of
-the quotient the exact value lies (`interval._ratio_bounds`), so each
-bound is within one ulp of the exact fraction.  Conjunctions and
-disjunctions combine their children's bounds with two-sided Frechet
-bounds in directed rounding, which are exact up to rounding when a
-single child is undecided on the box.  On the same grid the first and
-second moments of the same corner simplices give the exact centroid and
-covariance of the part of a box one halfspace keeps, as unreduced
-integer ratios (`LinearConstraint._moments`; `centroid` gives the
-centroid as Fractions).
+is an exact integer ratio (`LinearConstraint._ratio`).  With one, two
+or three open terms (b_i > 0) the sum is written out, linear, quadratic
+or cubic, with nested tests for the subsets whose slack y - b_S is
+positive; with four or more a walk lists those subsets.  A constraint
+is decided on a box by that ratio alone: 1 is inside, 0 is outside,
+which counts a face contact of measure zero as outside, and any other
+value is rounded to floats once, by one correctly rounded division and
+an integer check of which side of the quotient the exact value lies
+(`interval._ratio_bounds`), so each bound is within one ulp of the exact
+fraction.  Conjunctions and disjunctions combine their children's
+bounds with two-sided Frechet bounds in directed rounding, which are
+exact up to rounding when a single child is undecided on the box.  On
+the same grid the first and second moments of the same corner simplices
+give the exact centroid and covariance of the part of a box one
+halfspace keeps, as unreduced integer ratios (`LinearConstraint._moments`;
+`centroid` gives the centroid as Fractions).
 
 A constraint decided on a box stays decided on every sub-box, so each
 fraction also returns the box's residual tree: the conjunctions without
@@ -102,6 +108,7 @@ __all__ = [
     "OrNode",
     "RegionPredicate",
     "FractionBounds",
+    "GridBox",
     "PAIR_BASE",
     "REGION_A",
     "REGION_B",
@@ -148,6 +155,43 @@ def _grid(box: Box) -> Grid:
     if any(a > b for a, b in ends):
         raise ValueError("box interval with lo > hi")
     return scale, ends
+
+
+class GridBox(tuple):
+    """A box of float intervals that carries its `_grid` (by default built from the box).
+
+    `RegionPredicate.fraction` reads the carried grid instead of
+    building one, and `_halves` derives each half's grid from it.
+    """
+
+    def __new__(cls, box: Box, grid: Grid | None = None):
+        leaf = super().__new__(cls, box)
+        leaf.grid = _grid(leaf) if grid is None else grid
+        return leaf
+
+
+def _halves(box: GridBox, dim: int, mid: float) -> tuple[GridBox, GridBox]:
+    """box halved on axis dim at mid, lo < mid < hi, each half carrying a grid derived from box's.
+
+    The parent's grid holds every endpoint but mid, so a half's grid is
+    the parent's with mid's integer on the split axis: mid = N / D
+    exactly, and the parent's scale is rescaled to a multiple of D only
+    when it is not one already.  Each half is the same rational box as
+    its own `_grid`, possibly on a larger scale.
+    """
+    lo, hi = box[dim]
+    left = box[:dim] + ((lo, mid),) + box[dim + 1 :]
+    right = box[:dim] + ((mid, hi),) + box[dim + 1 :]
+    scale, ends = box.grid
+    num, den = mid.as_integer_ratio()
+    if scale % den:
+        k = den // math.gcd(scale, den)
+        scale *= k
+        ends = tuple((a * k, b * k) for a, b in ends)
+    m = num * (scale // den)
+    a, b = ends[dim]
+    head, tail = ends[:dim], ends[dim + 1 :]
+    return GridBox(left, (scale, head + ((a, m),) + tail)), GridBox(right, (scale, head + ((m, b),) + tail))
 
 
 def _as_fraction(value) -> Fraction:
@@ -271,8 +315,11 @@ class LinearConstraint:
         P(sum c_i T_i <= bound) are integers; F is homogeneous of degree
         0 in (Y, B), so the integer data give the same value as the
         rescaled rational data.  Only subsets S with Y - B_S > 0 are
-        enumerated: supersets of the others contribute zero.  The
-        relations > and >= take the complement.
+        enumerated: supersets of the others contribute zero.  One, two
+        and three open terms (B_i > 0) take the written-out sums, which
+        add the same integers over the same subsets as the walk that
+        more terms take, and so return the same pair.  The relations >
+        and >= take the complement.
         """
         scale, ends = grid
         y = self._ibound * scale
@@ -285,14 +332,45 @@ class LinearConstraint:
             beta = abs(c) * (b - a)
             if beta:
                 betas.append(beta)
-        if not betas:
+        m = len(betas)
+        if not m:
             num, den = int(y >= 0), 1
         elif y <= 0:
             num, den = 0, 1
         elif y >= sum(betas):
             num, den = 1, 1
+        elif m == 1:
+            num, den = y, betas[0]
+        elif m == 2:
+            # 0 < Y < P + Q, so the subset {P, Q} has no positive slack.
+            p, q = betas
+            num = y * y
+            if y > p:
+                num -= (y - p) ** 2
+            if y > q:
+                num -= (y - q) ** 2
+            den = 2 * p * q
+        elif m == 3:
+            # Each pair's slack is tested inside its first member's; the
+            # subset {P, Q, R} has no positive slack.
+            p, q, r = betas
+            num = y**3
+            sp = y - p
+            if sp > 0:
+                num -= sp**3
+                if sp > q:
+                    num += (sp - q) ** 3
+                if sp > r:
+                    num += (sp - r) ** 3
+            sq = y - q
+            if sq > 0:
+                num -= sq**3
+                if sq > r:
+                    num += (sq - r) ** 3
+            if y > r:
+                num -= (y - r) ** 3
+            den = 6 * p * q * r
         else:
-            m = len(betas)
             # (slack Y - B_S, (-1)^|S|) over the subsets S with positive slack.
             slacks = [(y, 1)]
             for beta in betas:
@@ -655,11 +733,15 @@ class RegionPredicate:
         tree and grid.  `within` is the tree to walk: by default the full
         tree, or the residual of a box that contains this one, which
         gives the same bounds with only the constraints that box left
-        open.  A decided tree (`_TRUE` or `_FALSE`) reads no grid, so its
-        result carries None.
+        open.  A `GridBox` passes its carried grid; for any other box a
+        decided tree (`_TRUE` or `_FALSE`) reads no grid, so its result
+        carries None.
         """
         tree = self.tree if within is None else within
-        grid = self._box_grid(box, build=tree is not _TRUE and tree is not _FALSE)
+        if isinstance(box, GridBox) and len(box) == self.arity:
+            grid = box.grid
+        else:
+            grid = self._box_grid(box, build=tree is not _TRUE and tree is not _FALSE)
         return FractionBounds(*_tree_fraction(tree, grid), grid)
 
     def mask(self, pts: np.ndarray, box: Box | None = None) -> np.ndarray:

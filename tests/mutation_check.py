@@ -10,7 +10,10 @@ rounding, combines one bound wrongly, weakens one soundness check,
 reports a soundness failure as a usage error, drops one pre-check of an
 output path, puts wrong integers into exact moments, drops or doubles
 one term of a mean-value form, takes a max for a sum in the remainder's
-complete symmetric polynomial, or (H mutants) breaks the sieve harness:
+complete symmetric polynomial, drops an overlap term of the three-term
+Irwin-Hall kernel (M22) or flips the sign of a corner term of the
+two-term one (M23), keeps the parent's endpoint on the split axis in a
+half's carried grid (M24), or (H mutants) breaks the sieve harness:
 blinds its support check, flips a sign in an identity or in rho, drops
 the term bound, weakens a reversal-chain weight, corrupts the spf entry
 of 1 or moves a root threshold by one.  For each, the script
@@ -51,6 +54,7 @@ BIT_PINS = (
 REPLAY = ("tests/test_exact_replay.py",)
 CLIPPED_MPMATH = "tests/test_losses.py::TestClippedAverage::test_c_contribution_contains_mpmath_integral"
 HARNESS = ("tests/test_harness.py",)
+IRWIN_HALL = "tests/test_exact_replay.py::test_ratio_equals_irwin_hall_over_all_subsets"
 
 # name: (file, old, new, test selections that must fail)
 MUTANTS = {
@@ -167,6 +171,24 @@ MUTANTS = {
         "h[m] = nextafter(h[m] + nextafter(rho * h[m - 1], _UP), _UP)",
         "h[m] = nextafter(max(h[m], nextafter(rho * h[m - 1], _UP)), _UP)",
         ("tests/test_exact_replay.py::test_complete_lies_between_exact_h_and_power_of_sum",),
+    ),
+    "M22": (
+        "src/sievebound/regions.py",
+        "num += (sq - r) ** 3",
+        "pass",
+        (IRWIN_HALL,),
+    ),
+    "M23": (
+        "src/sievebound/regions.py",
+        "num -= (y - p) ** 2",
+        "num += (y - p) ** 2",
+        (IRWIN_HALL,),
+    ),
+    "M24": (
+        "src/sievebound/regions.py",
+        "(scale, head + ((a, m),) + tail)",
+        "(scale, head + ((a, b),) + tail)",
+        ("tests/test_exact_replay.py::test_carried_grids_match_fresh_grids",),
     ),
     "H2": (
         "src/sievebound/sieve_harness.py",

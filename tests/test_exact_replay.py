@@ -3,6 +3,12 @@
 Each test recomputes one float kernel step by step in `Fraction`s from
 the same float inputs and checks lo <= exact <= hi at every step:
 
+  * `LinearConstraint._ratio`, whose integer kernels for one to three
+    open terms and subset walk for more must equal the Irwin-Hall
+    fraction summed in `Fraction`s over every subset;
+  * the grids that `integrate_rigorous`'s leaves carry, against the
+    `_grid` of each leaf, and the fraction bounds computed on them
+    against those of a freshly built grid;
   * the And/Or nodes of `regions._tree_fraction`, against the exact
     Frechet bounds of their children's float bounds;
   * `ReciprocalProduct.enclosure`, against the exact 1 / prod L_k;
@@ -55,6 +61,129 @@ from sievebound.interval import _DOWN, _UP
 from sievebound.regions import AndNode, LinearConstraint
 
 F = Fraction
+
+
+def irwin_hall_fraction(con, box) -> Fraction:
+    """Exact volume fraction of box satisfying con, from the Irwin-Hall distribution function over all 2^m subsets.
+
+    With T_i = a_i + (b_i - a_i) U_i, and U_i -> 1 - U_i where
+    c_i < 0, sum(c_i T_i) <= bound reads sum(beta_i U_i) <= y with
+    beta_i = |c_i| (b_i - a_i) > 0 over the open terms, whose
+    probability is sum over S of (-1)^|S| max(0, y - beta_S)^m, over
+    m! prod(beta_i).  No open term leaves the point test y >= 0.  The
+    relations > and >= take the complement.
+    """
+    y = F(con.bound)
+    betas = []
+    for c, (a, b) in zip(con.coeffs, box, strict=True):
+        c, a, b = F(c), F(a), F(b)
+        y -= c * (a if c > 0 else b)
+        if c and b > a:
+            betas.append(abs(c) * (b - a))
+    m = len(betas)
+    if m:
+        total = sum(
+            (
+                (-1) ** r * max(y - sum(subset, F(0)), F(0)) ** m
+                for r in range(m + 1)
+                for subset in itertools.combinations(betas, r)
+            ),
+            F(0),
+        )
+        below = total / (math.factorial(m) * math.prod(betas))
+    else:
+        below = F(int(y >= 0))
+    return 1 - below if con.rel in (">", ">=") else below
+
+
+def oracle_case(rng: random.Random):
+    """(constraint, box, open-term count) with seeded integer coefficients of both signs, zeros and zero-width sides.
+
+    Endpoints are floats or fractions with small denominators.  The
+    bound is the constraint's value at a point of the box, so most cases
+    cut the box, or lies beyond the corner range, which decides it.
+    """
+    dims = rng.randint(1, 4)
+    coeffs = [rng.randint(-3, 3) for _ in range(dims)]
+    if not any(coeffs):
+        coeffs[rng.randrange(dims)] = rng.choice((-1, 1))
+    box = []
+    for _ in range(dims):
+        if rng.random() < 0.5:
+            a = rng.uniform(-1.0, 1.0)
+            b = a if rng.random() < 0.15 else a + rng.uniform(0.0, 1.0)
+        else:
+            den = rng.randint(1, 12)
+            a = F(rng.randint(-den, den), den)
+            b = a if rng.random() < 0.15 else a + F(rng.randint(1, 2 * den), den)
+        box.append((a, b))
+    box = tuple(box)
+    point = [F(a) + (F(b) - F(a)) * F(rng.randint(0, 16), 16) for a, b in box]
+    bound = sum((F(c) * t for c, t in zip(coeffs, point)), F(0))
+    if rng.random() < 0.2:
+        bound += rng.choice((-1, 1)) * sum((abs(c) * (F(b) - F(a)) for c, (a, b) in zip(coeffs, box)), F(1))
+    con = LinearConstraint(tuple(coeffs), rng.choice(("<", "<=", ">", ">=")), bound)
+    open_terms = sum(1 for c, (a, b) in zip(coeffs, box) if c and b != a)
+    return con, box, open_terms
+
+
+def test_ratio_equals_irwin_hall_over_all_subsets():
+    """`LinearConstraint.fraction` is the exact Irwin-Hall fraction on 3,000 seeded boxes of one to four dimensions.
+
+    Every relation, coefficients of both signs and zero, zero-width
+    sides and decided boxes occur; each open-term count from one to four
+    has at least 100 boxes the constraint cuts, so the one-, two- and
+    three-term kernels and the subset walk all run, and the float bounds
+    contain the exact fraction.
+    """
+    rng = random.Random(20261020)
+    cut = [0] * 5
+    decided = 0
+    for _ in range(3000):
+        con, box, open_terms = oracle_case(rng)
+        exact = irwin_hall_fraction(con, box)
+        assert con.fraction(box) == exact, (con, box)
+        lo, hi = con.fraction_bounds(box)
+        assert F(lo) <= exact <= F(hi)
+        if 0 < exact < 1:
+            cut[open_terms] += 1
+        else:
+            decided += 1
+    assert min(cut[1:]) >= 100 and decided >= 300, (cut, decided)
+
+
+def test_carried_grids_match_fresh_grids():
+    """Every box a short a3, b3 and c run hands `fraction` carries its exact `_grid`, and the bounds match a fresh grid's.
+
+    The carried grid is compared as rationals, since a half keeps its
+    parent's scale when that is a multiple of the split point's
+    denominator.  The bounds, residual and moments computed on the
+    carried grid equal those of the same box as a plain tuple, whose
+    grid `fraction` builds afresh.
+    """
+    for name, budget in (("a3", 1500), ("b3", 1500), ("c", 1200)):
+        integrand, _, region, box = losses.integration_domain(name)
+        seen = []
+
+        def fraction(leaf, within=None):
+            bounds = region.fraction(leaf, within=within)
+            seen.append((leaf, within, bounds))
+            return bounds
+
+        est = quadrature.integrate_rigorous(integrand, SimpleNamespace(arity=region.arity, fraction=fraction), box,
+                                            budget=budget, tol=1e-12)
+        assert len(seen) == est.boxes_used
+        for leaf, within, bounds in seen:
+            scale, ends = leaf.grid
+            assert [(F(a, scale), F(b, scale)) for a, b in ends] == [(F(a), F(b)) for a, b in leaf]
+            fresh = region.fraction(tuple(leaf), within=within)
+            assert (bounds[0], bounds[1], bounds.residual) == (fresh[0], fresh[1], fresh.residual)
+            halfspace = regions._single_halfspace(bounds.residual)
+            if bounds[1] != 0.0 and bounds[0] != 1.0 and halfspace is not None:
+                carried, rebuilt = halfspace._moments(bounds.grid), halfspace._moments(regions._grid(leaf))
+                assert all(F(*p) == F(*q) for p, q in zip(carried[0], rebuilt[0], strict=True))
+                assert carried[1].keys() == rebuilt[1].keys()
+                assert all(F(*carried[1][ij]) == F(*rebuilt[1][ij]) for ij in carried[1])
 
 
 def replay_tree(node, grid) -> tuple[float, float]:

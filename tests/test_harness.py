@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sievebound import sieve_harness as sh
 from sievebound.interval import SoundnessError
+from sievebound.regions import REGION_A, REGION_B, REGION_C, TYPE_II_STRIP
 
 _BIG = 1 << 62
 
@@ -503,3 +506,61 @@ class TestReversalChain:
             tuples = list(sh._reversal_chain(window, primes))
             assert tuples == list(reference_reversal_chain(window, primes))
             assert {name for name, *_ in tuples} == {"s_b2", "s_b3", "dropped_b3"}
+
+
+_RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def conjunct_at_primes(con, primes, base: int) -> bool:
+    """A region constraint at t_i = log p_i / log base, decided exactly in integers.
+
+    sum(a_i t_i) REL b is sum(A_i log p_i) REL B log(base) with A_i and
+    B the coefficients and bound times the lcm of their denominators,
+    that is prod p_i^A_i REL base^B, with each negative power moved to
+    the other side.
+    """
+    den = math.lcm(*(Fraction(c).denominator for c in con.coeffs), con.bound.denominator)
+    left = right = 1
+    for c, p in zip(con.coeffs, primes, strict=True):
+        power = int(c * den)
+        if power > 0:
+            left *= p**power
+        else:
+            right *= p**-power
+    power = int(con.bound * den)
+    if power > 0:
+        right *= base**power
+    else:
+        left *= base**-power
+    return _RELATIONS[con.rel](left, right)
+
+
+class TestPairBucketsMatchRegions:
+    @pytest.mark.parametrize("x", [10**4, 10**5])
+    def test_every_chain_pair_lies_in_its_bucket_region(self, monkeypatch, x):
+        """`_pair_bucket` puts each prime pair the pair chain reaches in the region whose conjuncts it meets at log base 2x.
+
+        Every top-level conjunct of REGION_A, TYPE_II_STRIP, REGION_B and
+        REGION_C is decided exactly at t_i = log p_i / log 2x, and the
+        pair must meet every conjunct of its bucket's region and fail at
+        least one of each other region's.
+        """
+        regions = {"s_a": REGION_A, "s_type2": TYPE_II_STRIP, "s_b": REGION_B, "s_c": REGION_C}
+        ctx = sh.build_context(x)
+        pairs = []
+        bucket_of = sh._pair_bucket
+
+        def recording_bucket(ctx, p1, p2):
+            pairs.append((p1, p2, bucket_of(ctx, p1, p2)))
+            return pairs[-1][2]
+
+        monkeypatch.setattr(sh, "_pair_bucket", recording_bucket)
+        tuples = list(sh._pair_chain(ctx, sh._sieve_primes(ctx)))
+        assert len(pairs) == sum(1 for name, *_ in tuples if name == "s4")
+        for p1, p2, bucket in pairs:
+            inside = {
+                name: all(conjunct_at_primes(con, (p1, p2), ctx.twox) for con in region.tree.children)
+                for name, region in regions.items()
+            }
+            assert inside == {name: name == bucket for name in regions}, (p1, p2, bucket)
+        assert {bucket for *_, bucket in pairs} == set(regions)

@@ -157,7 +157,7 @@ class TestRigorous:
 
 def split_axis(box, scale, residual):
     """The one axis on which `_split`'s halves differ from box, checked to be its halves there."""
-    left, right = quadrature._split(box, scale, residual)
+    left, right = quadrature._split(regions.GridBox(box), scale, residual)
     (dim,) = [i for i, (a, b) in enumerate(zip(left, right)) if a != b]
     lo, hi = box[dim]
     assert left[dim] == (lo, 0.5 * (lo + hi)) and right[dim] == (0.5 * (lo + hi), hi)

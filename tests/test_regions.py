@@ -684,6 +684,35 @@ class TestResiduals:
                 with pytest.raises(ValueError):
                     REGION_C.fraction(leaf, within=tree)
 
+    def test_halves_derive_their_grids_from_the_parent(self):
+        """Each half of a `GridBox` carries its exact grid, rescaled when the split point's denominator needs it.
+
+        (0, 1) x (1/2, 3/4) is on scale 4, so its split at 1/8 rescales
+        to 8; a Fraction box on scale 3 split at 1/2 rescales to 6.
+        Along seeded bisection chains each half's grid is its own box
+        exactly, and `fraction` on the carried grid equals `fraction` on
+        the plain box.
+        """
+        root = regions.GridBox(((0.0, 1.0), (0.5, 0.75)))
+        assert root.grid == (4, ((0, 4), (2, 3)))
+        left, right = regions._halves(regions._halves(root, 0, 0.25)[0], 0, 0.125)
+        assert (left, right) == (((0.0, 0.125), (0.5, 0.75)), ((0.125, 0.25), (0.5, 0.75)))
+        assert left.grid == (8, ((0, 1), (4, 6))) and right.grid == (8, ((1, 2), (4, 6)))
+        thirds = regions._halves(regions.GridBox(((F(1, 3), F(2, 3)), (0.0, 1.0))), 0, F(1, 2))
+        assert [half.grid for half in thirds] == [(6, ((2, 3), (0, 6))), (6, ((3, 4), (0, 6)))]
+        rng = random.Random(20261020)
+        for region in (REGION_C, REGION_U_B3):
+            for _ in range(20):
+                box = regions.GridBox(((0.1, 0.45),) * region.arity)
+                for _ in range(20):
+                    i = rng.randrange(region.arity)
+                    lo, hi = box[i]
+                    box = rng.choice(regions._halves(box, i, 0.5 * (lo + hi)))
+                    scale, ends = box.grid
+                    assert [(F(a, scale), F(b, scale)) for a, b in ends] == [(F(a), F(b)) for a, b in box]
+                    carried, fresh = region.fraction(box), region.fraction(tuple(box))
+                    assert carried == fresh and carried.residual == fresh.residual
+
     def test_face_contact_is_outside_for_fractions(self):
         """A box touching a <= face from outside has fraction (0, 0) and residual _FALSE.
 
