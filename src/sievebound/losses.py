@@ -38,7 +38,8 @@ Monte Carlo both use the one rational integrand per loss, a
 `ReciprocalProduct`: its interval extension bounds the value on a leaf,
 a fourth-order mean-value form the average over a leaf inside the
 region, and a third-order form about the exact centroid, with the exact
-covariance, the average over a mixed leaf cut by a single halfspace.
+covariance, the average over a mixed leaf cut by a single halfspace,
+each in one pass over tables of the factors (`ReciprocalProduct._walk`).
 
 Integration domains are pre-clipped bounding boxes of the regions,
 derived exactly:
@@ -68,7 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import nextafter
+from math import inf as _INF, nextafter
 from typing import TYPE_CHECKING
 
 from .interval import _DOWN, _UP, Enclosure, SoundnessError, _down, _up
@@ -160,28 +161,6 @@ def _affine_many(form: AffineForm, pts: np.ndarray) -> np.ndarray:
     return const + pts @ np.array(coeffs)
 
 
-def _mul(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
-    """Outward-rounded interval product [alo, ahi] * [blo, bhi]; a NaN product makes both ends NaN."""
-    p, q, r, s = alo * blo, alo * bhi, ahi * blo, ahi * bhi
-    probe = p + q + r + s
-    if probe != probe:
-        return probe, probe
-    return nextafter(min(p, q, r, s), _DOWN), nextafter(max(p, q, r, s), _UP)
-
-
-def _complete(rhos: list[float], n: int) -> list[float]:
-    """Upper bounds [h_0, ..., h_n] on the complete homogeneous symmetric polynomials of nonnegative rhos.
-
-    Taking the variables in turn, h_m(.., rho) = h_m(..) + rho h_{m-1}(.., rho).
-    Every term is nonnegative, so rounding each step up bounds the exact value.
-    """
-    h = [1.0] + [0.0] * n
-    for rho in rhos:
-        for m in range(1, n + 1):
-            h[m] = nextafter(h[m] + nextafter(rho * h[m - 1], _UP), _UP)
-    return h
-
-
 def _reciprocal_bounds(factors: list[tuple[float, float]]) -> tuple[float, float]:
     """Outward bounds on 1 / prod of positive factor bounds."""
     p_lo = p_hi = 1.0
@@ -200,8 +179,8 @@ class ReciprocalProduct:
     centroid and covariance (`clipped_average`), all computed on float
     (lo, hi) pairs rounded outward after every operation; only the
     result is an Enclosure.  With f = exp(-sum log L_k),
-    S_i = sum_k a_ki / L_k and Q_ii = sum_k a_ki^2 / L_k^2, the pure
-    second partials are d_i^2 f = f (S_i^2 + Q_ii).  Expanding f to
+    S_i = sum_k a_ki / L_k and Q_ij = sum_k a_ki a_kj / L_k^2, the
+    second partials are d_i d_j f = f (S_i S_j + Q_ij).  Expanding f to
     fourth order about the exact centre c of a box with half-widths r,
     the odd terms and the mixed second-order terms average to zero and
     E[d_i^2] = r_i^2 / 3, so
@@ -228,6 +207,12 @@ class ReciprocalProduct:
     widened enclosure intersected with the interval extension of the
     box's factor bounds, and raises SoundnessError when the two are
     disjoint.
+
+    Each mean-value form takes the factor bounds over the box and its
+    centre box from `_factor_bounds`, then makes one pass (`_walk`) over
+    a table of the factors built once.  Every interval product is
+    written out from its four end products; a NaN among them makes both
+    ends NaN.
     """
 
     factors: tuple[AffineForm, ...]
@@ -235,11 +220,20 @@ class ReciprocalProduct:
     def __post_init__(self) -> None:
         # (const, ((i, a_i), ...)) over the nonzero coefficients of each factor.
         terms = tuple((const, tuple((i, c) for i, c in enumerate(coeffs) if c)) for const, coeffs in self.factors)
+        arity = len(self.factors[0][1])
         object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_arity", len(self.factors[0][1]))
-        # ((i, |a_i|), ...) of each factor, small integers exact as floats.
-        spans = tuple(tuple((i, abs(c)) for i, c in ts) for _, ts in terms)
-        object.__setattr__(self, "_spans", spans)
+        object.__setattr__(self, "_arity", arity)
+        # The position of each entry Q_ij, i <= j, that `clipped_average` sums; `average` needs Q_ii alone, at i.
+        full = {ij: e for e, ij in enumerate((i, j) for i in range(arity) for j in range(i, arity))}
+        object.__setattr__(self, "_entries", full)
+        # `_walk`'s tables: per factor, its terms (i, a_i, |a_i|, position of Q_ii), and (t, u, position of Q_ij)
+        # for each pair of its terms t < u on axes i < j that has a position.
+        for name, index in (("_diagonal", {(i, i): i for i in range(arity)}), ("_full", full)):
+            object.__setattr__(self, name, tuple((
+                tuple((i, a, abs(a), index[i, i]) for i, a in ts),
+                tuple((t, u, index[ts[t][0], ts[u][0]]) for t in range(len(ts)) for u in range(t + 1, len(ts))
+                      if (ts[t][0], ts[u][0]) in index),
+            ) for _, ts in terms))
 
     def _factor_bounds(self, box: Box) -> list[tuple[float, float]]:
         if len(box) != self._arity:
@@ -260,52 +254,51 @@ class ReciprocalProduct:
             out.append((lo, hi))
         return out
 
-    def _factor_spreads(self, ls: list[tuple[float, float]], widths: list[float]) -> list[float]:
-        """Upper bounds on sum_i |a_ki| w_i / L_k,lo, one per factor k, for factor bounds ls and side bounds widths."""
-        spreads = []
-        for terms, (lo, _) in zip(self._spans, ls):
-            num = 0.0
-            for i, a in terms:
-                num = nextafter(num + nextafter(a * widths[i], _UP), _UP)
-            spreads.append(nextafter(num / lo, _UP))
-        return spreads
+    def _walk(self, ls: list[tuple[float, float]], at_centre: list[tuple[float, float]], sides: list[float], table, size: int):
+        """One pass over a factor table, given factor bounds ls over the box and at_centre over a centre box.
 
-    def _centre_slopes(self, at_centre: list[tuple[float, float]]) -> tuple[list[dict], list[tuple[float, float]]]:
-        """(x, slopes) from the factor bounds over a centre box around c.
-
-        x[i][k] bounds a_ki / L_k(c) for each factor k with a_ki != 0, in
-        factor order, and slopes[i] bounds S_i(c) = sum_k x[i][k].
+        Returns the bounds of f over the box and at the centre; the lower and upper bounds of each
+        S_i = sum_k x_ki and of the size entries Q_ij = sum_k x_ki x_kj the table lists, x_ki = a_ki / L_k
+        at the centre; the spreads rho_k = sum_i |a_ki| sides_i / L_k,lo; and (h_0, ..., h_4) of the
+        spreads, by h_m(.., rho) = h_m(..) + rho h_{m-1}(.., rho) with every term nonnegative and rounded up.
         """
-        x = [{} for _ in range(self._arity)]
-        for k, ((_, terms), (lo, hi)) in enumerate(zip(self._terms, at_centre)):
-            v_lo, v_hi = nextafter(1.0 / hi, _DOWN), nextafter(1.0 / lo, _UP)
-            for i, a in terms:
+        p_lo = p_hi = c_lo = c_hi = 1.0
+        s_lo, s_hi = [0.0] * self._arity, [0.0] * self._arity
+        q_lo, q_hi = [0.0] * size, [0.0] * size
+        spreads = []
+        h1 = h2 = h3 = h4 = 0.0
+        for (lo, hi), (l_lo, l_hi), (terms, pairs) in zip(ls, at_centre, table):
+            p_lo, p_hi = nextafter(p_lo * lo, _DOWN), nextafter(p_hi * hi, _UP)
+            c_lo, c_hi = nextafter(c_lo * l_lo, _DOWN), nextafter(c_hi * l_hi, _UP)
+            v_lo, v_hi = nextafter(1.0 / l_hi, _DOWN), nextafter(1.0 / l_lo, _UP)
+            xs, num = [], 0.0
+            for i, a, span, e in terms:
                 if a > 0.0:
-                    x[i][k] = nextafter(a * v_lo, _DOWN), nextafter(a * v_hi, _UP)
+                    x_lo, x_hi = nextafter(a * v_lo, _DOWN), nextafter(a * v_hi, _UP)
                 else:
-                    x[i][k] = nextafter(a * v_hi, _DOWN), nextafter(a * v_lo, _UP)
-        slopes = []
-        for row in x:
-            s_lo = s_hi = 0.0
-            for x_lo, x_hi in row.values():
-                s_lo = nextafter(s_lo + x_lo, _DOWN)
-                s_hi = nextafter(s_hi + x_hi, _UP)
-            slopes.append((s_lo, s_hi))
-        return x, slopes
-
-    @staticmethod
-    def _hessian_entry(x: list[dict], slopes: list[tuple[float, float]], i: int, j: int) -> tuple[float, float]:
-        """Bounds on (S_i S_j + Q_ij)(c) = d_i d_j f / f at c, Q_ij = sum_k x[i][k] x[j][k] (see `_centre_slopes`)."""
-        ss_lo, ss_hi = _mul(*slopes[i], *slopes[j])
-        if i == j:
-            ss_lo = max(ss_lo, 0.0)
-        q_lo = q_hi = 0.0
-        for k, (a_lo, a_hi) in x[i].items():
-            if k in x[j]:
-                p_lo, p_hi = _mul(a_lo, a_hi, *x[j][k])
-                q_lo = nextafter(q_lo + p_lo, _DOWN)
-                q_hi = nextafter(q_hi + p_hi, _UP)
-        return nextafter(ss_lo + q_lo, _DOWN), nextafter(ss_hi + q_hi, _UP)
+                    x_lo, x_hi = nextafter(a * v_hi, _DOWN), nextafter(a * v_lo, _UP)
+                s_lo[i], s_hi[i] = nextafter(s_lo[i] + x_lo, _DOWN), nextafter(s_hi[i] + x_hi, _UP)
+                # x_ki^2: x_lo x_hi never exceeds the larger square, and is the least product only when negative.
+                p, q, s = x_lo * x_lo, x_lo * x_hi, x_hi * x_hi
+                ok = (probe := p + q + q + s) == probe
+                q_lo[e] = nextafter(q_lo[e] + nextafter(q if q < 0.0 else p if p < s else s, _DOWN), _DOWN) if ok else probe
+                q_hi[e] = nextafter(q_hi[e] + nextafter(p if p > s else s, _UP), _UP) if ok else probe
+                num = nextafter(num + nextafter(span * sides[i], _UP), _UP)
+                xs.append((x_lo, x_hi))
+            for t, u, e in pairs:
+                (a_lo, a_hi), (b_lo, b_hi) = xs[t], xs[u]
+                p, q, r, s = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi
+                ok = (probe := p + q + r + s) == probe
+                q_lo[e] = nextafter(q_lo[e] + nextafter(min(p, q, r, s), _DOWN), _DOWN) if ok else probe
+                q_hi[e] = nextafter(q_hi[e] + nextafter(max(p, q, r, s), _UP), _UP) if ok else probe
+            rho = nextafter(num / lo, _UP)
+            spreads.append(rho)
+            h1 = nextafter(h1 + nextafter(rho, _UP), _UP)
+            h2 = nextafter(h2 + nextafter(rho * h1, _UP), _UP)
+            h3 = nextafter(h3 + nextafter(rho * h2, _UP), _UP)
+            h4 = nextafter(h4 + nextafter(rho * h3, _UP), _UP)
+        return (nextafter(1.0 / p_hi, _DOWN), nextafter(1.0 / p_lo, _UP), nextafter(1.0 / c_hi, _DOWN),
+                nextafter(1.0 / c_lo, _UP), s_lo, s_hi, q_lo, q_hi, spreads, (1.0, h1, h2, h3, h4))
 
     def enclosure(self, box: Box) -> Enclosure:
         return Enclosure(*_reciprocal_bounds(self._factor_bounds(box)))
@@ -320,33 +313,35 @@ class ReciprocalProduct:
 
     def average(self, box: Box) -> Enclosure:
         ls = self._factor_bounds(box)
-        f_lo, f_hi = _reciprocal_bounds(ls)
-        centre = tuple((lo + hi) * 0.5 for lo, hi in box)
-        at_centre = self._factor_bounds(tuple((nextafter(c, _DOWN), nextafter(c, _UP)) for c in centre))
-        fc_lo, fc_hi = _reciprocal_bounds(at_centre)
-        x, slopes = self._centre_slopes(at_centre)
+        at_centre = self._factor_bounds([(nextafter(c := (lo + hi) * 0.5, _DOWN), nextafter(c, _UP)) for lo, hi in box])
         widths = [nextafter(hi - lo, _UP) for lo, hi in box]
+        f_lo, f_hi, fc_lo, fc_hi, s_lo, s_hi, q_lo, q_hi, _, h = self._walk(ls, at_centre, widths, self._diagonal, self._arity)
 
         # curv = sum_i (S_i^2 + Q_ii)(c) r_i^2 / 6 with r_i^2 / 6 = w_i^2 / 24 for the side w_i.
         curv_lo = curv_hi = 0.0
-        for i, (lo, hi) in enumerate(box):
-            t_lo, t_hi = self._hessian_entry(x, slopes, i, i)
+        for (lo, hi), w, a_lo, a_hi, b_lo, b_hi in zip(box, widths, s_lo, s_hi, q_lo, q_hi):
+            # S_i^2 as the x_ki^2 of `_walk`, raised to 0.
+            p, q, s = a_lo * a_lo, a_lo * a_hi, a_hi * a_hi
+            ok = (probe := p + q + q + s) == probe
+            t_lo = nextafter(max(nextafter(q if q < 0.0 else p if p < s else s, _DOWN), 0.0) + b_lo, _DOWN) if ok else probe
+            t_hi = nextafter(nextafter(p if p > s else s, _UP) + b_hi, _UP) if ok else probe
             w_lo = nextafter(hi - lo, _DOWN)
-            w_sq = nextafter(widths[i] * widths[i], _UP)
             rr_lo = nextafter(nextafter(w_lo * w_lo, _DOWN) / 24.0, _DOWN)
-            rr_hi = nextafter(w_sq / 24.0, _UP)
+            rr_hi = nextafter(nextafter(w * w, _UP) / 24.0, _UP)
             curv_lo = nextafter(curv_lo + nextafter(t_lo * rr_lo, _DOWN), _DOWN)
             curv_hi = nextafter(curv_hi + nextafter(t_hi * rr_hi, _UP), _UP)
 
         # rho_k is half the full-width spread s_k, and h_4 is homogeneous of degree 4:
         # f_hi h_4(rho) = f_hi h_4(s) / 16.
-        h4 = _complete(self._factor_spreads(ls, widths), 4)[4]
-        pad = nextafter(nextafter(f_hi * h4, _UP) / 16.0, _UP)
-
+        pad = nextafter(nextafter(f_hi * h[4], _UP) / 16.0, _UP)
         mid_lo = nextafter(fc_lo + nextafter(fc_lo * curv_lo, _DOWN), _DOWN)
         mid_hi = nextafter(fc_hi + nextafter(fc_hi * curv_hi, _UP), _UP)
-        average = Enclosure(nextafter(mid_lo - pad, _DOWN), nextafter(mid_hi + pad, _UP))
-        return average.intersect(Enclosure(f_lo, f_hi))
+        a_lo, a_hi = nextafter(mid_lo - pad, _DOWN), nextafter(mid_hi + pad, _UP)
+        lo, hi = max(a_lo, f_lo), min(a_hi, f_hi)
+        if not (-_INF < a_lo <= a_hi < _INF and -_INF < f_lo <= f_hi < _INF and lo <= hi):
+            # A non-finite, empty or disjoint pair, for which Enclosure raises.
+            return Enclosure(a_lo, a_hi).intersect(Enclosure(f_lo, f_hi))
+        return Enclosure(lo, hi)
 
     def clipped_average(self, box: Box, centre: Box, cov: dict[tuple[int, int], tuple[float, float]]) -> Enclosure:
         """Certified bounds on the average of f over a convex part P of the box, given its centroid and covariance.
@@ -361,8 +356,7 @@ class ReciprocalProduct:
         has g'''/3! = g h_3(-delta_k / L_k) with delta_k = L_k(t) - L_k(c),
         h_3 the complete homogeneous symmetric polynomial of degree 3 and
         L_k at the intermediate point, and |h_3(x)| <= h_3(rho) as in the
-        class docstring.  The Hessian of f is f (S_i S_j + Q_ij) with
-        S_i = sum_k a_ki / L_k and Q_ij = sum_k a_ki a_kj / L_k^2.  So
+        class docstring.  The Hessian of f is f (S_i S_j + Q_ij).  So
 
             f(t) = f(c) + grad f(c) . (t - c)
                    + f(c) sum_ij (S_i S_j + Q_ij)(c) (t_i - c_i)(t_j - c_j) / 2 + R_3,
@@ -382,35 +376,35 @@ class ReciprocalProduct:
         lies.  Disjoint enclosures raise SoundnessError.
         """
         ls = self._factor_bounds(box)
-        f_lo, f_hi = _reciprocal_bounds(ls)
         at_centre = self._factor_bounds(centre)
-        fc_lo, fc_hi = _reciprocal_bounds(at_centre)
-        x, slopes = self._centre_slopes(at_centre)
+        reach = [nextafter(max(c_hi - lo, hi - c_lo), _UP) for (lo, hi), (c_lo, c_hi) in zip(box, centre)]
+        f_lo, f_hi, fc_lo, fc_hi, s_lo, s_hi, q_lo, q_hi, _, h = self._walk(ls, at_centre, reach, self._full, len(self._entries))
 
         # total = sum_ij (S_i S_j + Q_ij) Cov_ij, each off-diagonal entry counted twice.
         total_lo = total_hi = 0.0
         for (i, j), (c_lo, c_hi) in cov.items():
-            if i != j:
+            e = self._entries[i, j]
+            p, q, r, s = s_lo[i] * s_lo[j], s_lo[i] * s_hi[j], s_hi[i] * s_lo[j], s_hi[i] * s_hi[j]
+            ok = (probe := p + q + r + s) == probe
+            ss_lo, ss_hi = (nextafter(min(p, q, r, s), _DOWN), nextafter(max(p, q, r, s), _UP)) if ok else (probe, probe)
+            if i == j:
+                ss_lo = max(ss_lo, 0.0)
+            else:
                 c_lo, c_hi = 2.0 * c_lo, 2.0 * c_hi  # exact
-            t_lo, t_hi = _mul(*self._hessian_entry(x, slopes, i, j), c_lo, c_hi)
-            total_lo, total_hi = nextafter(total_lo + t_lo, _DOWN), nextafter(total_hi + t_hi, _UP)
+            t_lo, t_hi = nextafter(ss_lo + q_lo[e], _DOWN), nextafter(ss_hi + q_hi[e], _UP)
+            p, q, r, s = t_lo * c_lo, t_lo * c_hi, t_hi * c_lo, t_hi * c_hi
+            ok = (probe := p + q + r + s) == probe
+            total_lo = nextafter(total_lo + nextafter(min(p, q, r, s), _DOWN), _DOWN) if ok else probe
+            total_hi = nextafter(total_hi + nextafter(max(p, q, r, s), _UP), _UP) if ok else probe
         curv_lo, curv_hi = nextafter(0.5 * total_lo, _DOWN), nextafter(0.5 * total_hi, _UP)
-        shift_lo, shift_hi = _mul(fc_lo, fc_hi, curv_lo, curv_hi)
+        p, q, r, s = fc_lo * curv_lo, fc_lo * curv_hi, fc_hi * curv_lo, fc_hi * curv_hi
+        ok = (probe := p + q + r + s) == probe
+        shift_lo, shift_hi = (nextafter(min(p, q, r, s), _DOWN), nextafter(max(p, q, r, s), _UP)) if ok else (probe, probe)
 
-        reach = [nextafter(max(c_hi - lo, hi - c_lo), _UP) for (lo, hi), (c_lo, c_hi) in zip(box, centre)]
-        h = _complete(self._factor_spreads(ls, reach), 3)
         square_pad = nextafter(f_hi * h[2], _UP)
         cube_pad = nextafter(f_hi * h[3], _UP)
-        lo = max(
-            nextafter(nextafter(fc_lo + shift_lo, _DOWN) - cube_pad, _DOWN),
-            nextafter(fc_lo - square_pad, _DOWN),
-            f_lo,
-        )
-        hi = min(
-            nextafter(nextafter(fc_hi + shift_hi, _UP) + cube_pad, _UP),
-            nextafter(fc_hi + square_pad, _UP),
-            f_hi,
-        )
+        lo = max(nextafter(nextafter(fc_lo + shift_lo, _DOWN) - cube_pad, _DOWN), nextafter(fc_lo - square_pad, _DOWN), f_lo)
+        hi = min(nextafter(nextafter(fc_hi + shift_hi, _UP) + cube_pad, _UP), nextafter(fc_hi + square_pad, _UP), f_hi)
         if lo > hi:
             raise SoundnessError(f"disjoint enclosures: clipped average bounds [{lo}, {hi}]")
         return Enclosure(lo, hi)

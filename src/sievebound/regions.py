@@ -427,31 +427,37 @@ class LinearConstraint:
         if not 0 < y < sum(betas):
             raise ValueError("the halfspace does not cut the box")
         m = len(dims)
-        # (slack Y - B_S, (-1)^|S|, bit mask of S) over the subsets S with positive slack.
-        slacks = [(y, 1, 0)]
-        for j, beta in enumerate(betas):
-            slacks += [(s - beta, -sign, mask | 1 << j) for s, sign, mask in slacks if s > beta]
-        # Signed sums over the subsets of w0 = (-1)^|S| s^m, w1 = w0 s and
-        # w2 = w1 s (z), of w0 and w1 over the subsets holding j (one0, one1),
+        # Signed sums over the subsets S with positive slack s = Y - B_S of w0 = (-1)^|S| s^m,
+        # w1 = w0 s and w2 = w1 s (z), of w0 and w1 over the subsets holding j (one0, one1),
         # and of w0 over those holding both j and k of a pair j < k (two0).
         pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
-        z0 = z1 = z2 = 0
-        one0, one1 = [0] * m, [0] * m
-        two0 = [0] * len(pairs)
-        for s, sign, mask in slacks:
-            w0 = sign * s**m
-            w1 = w0 * s
-            z0 += w0
-            z1 += w1
-            z2 += w1 * s
-            if mask:
-                for j in range(m):
-                    if mask >> j & 1:
-                        one0[j] += w0
-                        one1[j] += w1
-                for p, (j, k) in enumerate(pairs):
-                    if mask >> j & mask >> k & 1:
-                        two0[p] += w0
+        one0, one1, two0 = [0] * m, [0] * m, [0] * len(pairs)
+        if m <= 2:
+            # Written out: Y < B_1 + ... + B_m leaves the empty subset and some singletons.
+            z0, z1, z2 = y**m, y ** (m + 1), y ** (m + 2)
+            for j, beta in enumerate(betas):
+                if y > beta:
+                    one0[j] = w0 = -((y - beta) ** m)
+                    one1[j] = w1 = w0 * (y - beta)
+                    z0, z1, z2 = z0 + w0, z1 + w1, z2 + w1 * (y - beta)
+        else:
+            # (slack Y - B_S, (-1)^|S|, bit mask of S) over the subsets S with positive slack.
+            slacks = [(y, 1, 0)]
+            for j, beta in enumerate(betas):
+                slacks += [(s - beta, -sign, mask | 1 << j) for s, sign, mask in slacks if s > beta]
+            z0 = z1 = z2 = 0
+            for s, sign, mask in slacks:
+                w0 = sign * s**m
+                w1 = w0 * s
+                z0, z1, z2 = z0 + w0, z1 + w1, z2 + w1 * s
+                if mask:
+                    for j in range(m):
+                        if mask >> j & 1:
+                            one0[j] += w0
+                            one1[j] += w1
+                    for p, (j, k) in enumerate(pairs):
+                        if mask >> j & mask >> k & 1:
+                            two0[p] += w0
         # The part's raw moments times (m + 2)!: the vertex v of S has
         # v_j = beta_j for j in S, so the sums over S of v_j w and v_j v_k w0
         # are beta_j one and beta_j beta_k two0.  For > and >= (the complement)

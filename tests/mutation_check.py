@@ -13,7 +13,10 @@ one term of a mean-value form, takes a max for a sum in the remainder's
 complete symmetric polynomial, drops an overlap term of the three-term
 Irwin-Hall kernel (M22) or flips the sign of a corner term of the
 two-term one (M23), keeps the parent's endpoint on the split axis in a
-half's carried grid (M24), or (H mutants) breaks the sieve harness:
+half's carried grid (M24), takes the wrong reciprocal end for a negative
+coefficient (M25) or sums a diagonal Hessian entry unrounded (M26) in
+the mean-value pass, flips the sign of a corner term of the two-term
+moments (M27), or (H mutants) breaks the sieve harness:
 blinds its support check, flips a sign in an identity or in rho, drops
 the term bound, weakens a reversal-chain weight, corrupts the spf entry
 of 1 or moves a root threshold by one.  For each, the script
@@ -55,6 +58,8 @@ REPLAY = ("tests/test_exact_replay.py",)
 CLIPPED_MPMATH = "tests/test_losses.py::TestClippedAverage::test_c_contribution_contains_mpmath_integral"
 HARNESS = ("tests/test_harness.py",)
 IRWIN_HALL = "tests/test_exact_replay.py::test_ratio_equals_irwin_hall_over_all_subsets"
+WALK = "tests/test_exact_replay.py::test_walk_contains_exact_slopes_and_hessian_entries"
+MOMENTS = "tests/test_exact_replay.py::test_moments_match_exact_moments"
 
 # name: (file, old, new, test selections that must fail)
 MUTANTS = {
@@ -162,14 +167,14 @@ MUTANTS = {
     ),
     "M20": (
         "src/sievebound/losses.py",
-        "pad = nextafter(nextafter(f_hi * h4, _UP) / 16.0, _UP)",
+        "pad = nextafter(nextafter(f_hi * h[4], _UP) / 16.0, _UP)",
         "pad = 0.0",
         ("tests/test_losses.py::TestMeanValueRigor::test_average_contains_mpmath_box_average",),
     ),
     "M21": (
         "src/sievebound/losses.py",
-        "h[m] = nextafter(h[m] + nextafter(rho * h[m - 1], _UP), _UP)",
-        "h[m] = nextafter(max(h[m], nextafter(rho * h[m - 1], _UP)), _UP)",
+        "h2 = nextafter(h2 + nextafter(rho * h1, _UP), _UP)",
+        "h2 = nextafter(max(h2, nextafter(rho * h1, _UP)), _UP)",
         ("tests/test_exact_replay.py::test_complete_lies_between_exact_h_and_power_of_sum",),
     ),
     "M22": (
@@ -189,6 +194,24 @@ MUTANTS = {
         "(scale, head + ((a, m),) + tail)",
         "(scale, head + ((a, b),) + tail)",
         ("tests/test_exact_replay.py::test_carried_grids_match_fresh_grids",),
+    ),
+    "M25": (
+        "src/sievebound/losses.py",
+        "x_lo, x_hi = nextafter(a * v_hi, _DOWN), nextafter(a * v_lo, _UP)",
+        "x_lo, x_hi = nextafter(a * v_lo, _DOWN), nextafter(a * v_hi, _UP)",
+        (WALK,),
+    ),
+    "M26": (
+        "src/sievebound/losses.py",
+        "q_lo[e] = nextafter(q_lo[e] + nextafter(q if q < 0.0 else p if p < s else s, _DOWN), _DOWN) if ok",
+        "q_lo[e] = q_lo[e] + nextafter(q if q < 0.0 else p if p < s else s, _DOWN) if ok",
+        (WALK,),
+    ),
+    "M27": (
+        "src/sievebound/regions.py",
+        "one0[j] = w0 = -((y - beta) ** m)",
+        "one0[j] = w0 = (y - beta) ** m",
+        (MOMENTS,),
     ),
     "H2": (
         "src/sievebound/sieve_harness.py",

@@ -20,8 +20,11 @@ the same float inputs and checks lo <= exact <= hi at every step:
   * the final `fsum` ends of `integrate_rigorous`, against the exact
     sums of its final leaves' contributions;
   * the per-factor spreads of the mean-value remainders and their
-    complete homogeneous symmetric polynomials (`losses._complete`),
-    against the exact h_n and the n-th power bound they replaced.
+    complete homogeneous symmetric polynomials, as the one pass of
+    `ReciprocalProduct._walk` returns them, against the exact h_n and
+    the n-th power bound they replaced;
+  * the slopes S_i and Hessian entries Q_ij of that pass, against the
+    exact sums of their float steps and the exact values at the centre.
 
 Where a step's result is not observable, the replay recomputes it with
 the kernel's own float operation and checks that float against the
@@ -471,6 +474,7 @@ def test_centre_boxes_contain_exact_centres(monkeypatch, name):
             calls.clear()
             covariances.clear()
             quadrature._leaf_contribution(watched, bounds, leaf)
+            assert len(calls) == 2
             (_, first, _), (rp, centre_box, factors) = calls
             assert first == leaf
             if route == "inside":
@@ -526,27 +530,88 @@ def test_rigorous_sums_contain_exact_leaf_sums(monkeypatch, name):
         assert exact_lo - F(est.lower) <= 2 * F(math.ulp(est.lower))
 
 
-@pytest.mark.parametrize("name", losses.LOSS_NAMES)
-def test_complete_lies_between_exact_h_and_power_of_sum(name):
-    """The remainder spreads bound their exact values, and `_complete` lies between exact h_n and (sum rho)^n.
+def walked(monkeypatch, name, count, seed):
+    """(rp, ls, at_centre, sides, table, result) of each `_walk` that `average` and `clipped_average` run on seeded leaves.
 
-    On seeded leaves of each loss box, with the side bounds `average`
-    uses, each spread from `_factor_spreads` is at least the exact
-    sum_i |a_ki| w_i / L_k,lo of its float inputs.  For n = 2, 3, 4, the
-    orders the pads use, `_complete`'s float h_n is at least the exact
-    h_n of those spreads, a sum over the multisets of n factors, and at
-    most the exact (sum_k rho_k)^n, so the pad is never looser than the
-    n-th power bound it replaced.
+    Each leaf goes through `average` and through `clipped_average` about
+    its float midpoint's centre box, with no covariance.
     """
     rp = losses.ReciprocalProduct(losses._FACTORS[name])
-    for leaf in leaves_of(name, 300, 9):
-        ls = rp._factor_bounds(leaf)
-        widths = [nextafter(hi - lo, _UP) for lo, hi in leaf]
-        rhos = rp._factor_spreads(ls, widths)
+    walk, runs = losses.ReciprocalProduct._walk, []
+
+    def recording(self, ls, at_centre, sides, table, size):
+        runs.append((self, ls, at_centre, sides, table, walk(self, ls, at_centre, sides, table, size)))
+        return runs[-1][-1]
+
+    monkeypatch.setattr(losses.ReciprocalProduct, "_walk", recording)
+    for leaf in leaves_of(name, count, seed):
+        rp.average(leaf)
+        rp.clipped_average(leaf, [(nextafter(c := (lo + hi) * 0.5, _DOWN), nextafter(c, _UP)) for lo, hi in leaf], {})
+    assert len(runs) == 2 * count
+    return runs
+
+
+@pytest.mark.parametrize("name", losses.LOSS_NAMES)
+def test_complete_lies_between_exact_h_and_power_of_sum(monkeypatch, name):
+    """The remainder spreads bound their exact values, and the h_n of `_walk` lie between exact h_n and (sum rho)^n.
+
+    On seeded leaves of each loss box, with the side bounds each form
+    passes, each spread that `_walk` returns is at least the exact
+    sum_i |a_ki| w_i / L_k,lo of its float inputs.  For n = 2, 3, 4, the
+    orders the pads use, its float h_n is at least the exact h_n of
+    those spreads, a sum over the multisets of n factors, and at most
+    the exact (sum_k rho_k)^n, so the pad is never looser than the n-th
+    power bound it replaced.
+    """
+    for rp, ls, _, sides, _, result in walked(monkeypatch, name, 300, 9):
+        *_, rhos, h = result
         for (_, coeffs), (l_lo, _), rho in zip(rp.factors, ls, rhos, strict=True):
-            assert F(rho) >= sum((abs(F(a)) * F(w) for a, w in zip(coeffs, widths)), F(0)) / F(l_lo)
-        h = losses._complete(rhos, 4)
+            assert F(rho) >= sum((abs(F(a)) * F(w) for a, w in zip(coeffs, sides)), F(0)) / F(l_lo)
         exact = [F(rho) for rho in rhos]
         for n in (2, 3, 4):
             h_n = sum((math.prod(ms, start=F(1)) for ms in itertools.combinations_with_replacement(exact, n)), F(0))
-            assert h_n <= F(h[n]) <= sum(exact, F(0)) ** n, (leaf, n)
+            assert h_n <= F(h[n]) <= sum(exact, F(0)) ** n, (ls, n)
+
+
+def interval_product(a, b) -> tuple[Fraction, Fraction]:
+    """Exact least and greatest end products of two float intervals."""
+    products = [F(x) * F(y) for x in a for y in b]
+    return min(products), max(products)
+
+
+@pytest.mark.parametrize("name", losses.LOSS_NAMES)
+def test_walk_contains_exact_slopes_and_hessian_entries(monkeypatch, name):
+    """The slopes S_i and entries Q_ij of `_walk` contain their exact values, each step checked exactly.
+
+    At the centre of every walk, each x_ki = a_ki / L_k, with L_k
+    anywhere in its centre bounds, lies in the kernel's float bounds,
+    recomputed here with the kernel's own operations.  Each S_i bound
+    then holds the exact sum of those x bounds, and each Q_ij bound the
+    exact sum of the rounded bounds of the products x_ki x_kj, which in
+    turn hold the exact end products.  So S_i and Q_ij hold their exact
+    values at every point of the centre box, the exact centre included.
+    """
+    for rp, _, at_centre, _, table, result in walked(monkeypatch, name, 150, 13):
+        s_lo, s_hi, q_lo, q_hi = result[4:8]
+        entries = rp._entries if table is rp._full else {(i, i): i for i in range(rp._arity)}
+        x = [{} for _ in range(rp._arity)]
+        for k, ((_, coeffs), (l_lo, l_hi)) in enumerate(zip(rp.factors, at_centre, strict=True)):
+            v_lo, v_hi = nextafter(1.0 / l_hi, _DOWN), nextafter(1.0 / l_lo, _UP)
+            assert F(v_lo) <= 1 / F(l_hi) and 1 / F(l_lo) <= F(v_hi)
+            for i, a in enumerate(coeffs):
+                if a:
+                    ends = (a * v_lo, a * v_hi) if a > 0 else (a * v_hi, a * v_lo)
+                    x[i][k] = nextafter(ends[0], _DOWN), nextafter(ends[1], _UP)
+                    exact = sorted(F(a) / F(l) for l in (l_lo, l_hi))
+                    assert F(x[i][k][0]) <= exact[0] and exact[1] <= F(x[i][k][1])
+        for i, row in enumerate(x):
+            assert F(s_lo[i]) <= sum((F(lo) for lo, _ in row.values()), F(0))
+            assert sum((F(hi) for _, hi in row.values()), F(0)) <= F(s_hi[i])
+        for (i, j), e in entries.items():
+            bound_lo = bound_hi = F(0)
+            for k in x[i].keys() & x[j].keys():
+                p_lo, p_hi = interval_product(x[i][k], x[j][k])
+                lo, hi = nextafter(float(p_lo), _DOWN), nextafter(float(p_hi), _UP)
+                assert F(lo) <= p_lo and p_hi <= F(hi)
+                bound_lo, bound_hi = bound_lo + F(lo), bound_hi + F(hi)
+            assert F(q_lo[e]) <= bound_lo and bound_hi <= F(q_hi[e]), (i, j)

@@ -23,10 +23,13 @@ Oracles:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
 import pytest
+
+import reference_kernels
 
 from sievebound import losses, quadrature, regions
 from sievebound.buchstab import OMEGA_UPPER, omega_bound
@@ -195,6 +198,20 @@ class TestCertifiedRuns:
         assert (a.lower, a.upper, a.boxes_used) == (b.lower, b.upper, b.boxes_used)
 
 
+def disjoint_factor_bounds(calls):
+    """A `_factor_bounds` stand-in for the loss c kernel: f in [1, 2] over the box, then f = 5 at the centre.
+
+    Each call appends its box to calls.
+    """
+    bounds = iter([[(1.0, 1.0), (1.0, 1.0), (0.5, 1.0)], [(1.0, 1.0), (1.0, 1.0), (0.2, 0.2)]])
+
+    def factor_bounds(self, box):
+        calls.append(box)
+        return next(bounds)
+
+    return factor_bounds
+
+
 class TestMeanValueRigor:
     def test_centre_factors_enclose_exact_values(self, monkeypatch):
         """The centre factor enclosures of average contain the exact factor values.
@@ -338,7 +355,10 @@ class TestMeanValueRigor:
         (a1, b1), _ = box
         assert Fraction((a1 + b1) * 0.5) != (Fraction(a1) + Fraction(b1)) / 2
 
+        calls = []
+
         def tightest(self, leaf):
+            calls.append(leaf)
             out = []
             for form in self.factors:
                 values = [affine_exact(form, corner) for corner in itertools.product(*leaf)]
@@ -348,6 +368,7 @@ class TestMeanValueRigor:
 
         monkeypatch.setattr(losses.ReciprocalProduct, "_factor_bounds", tightest)
         enc = losses.ReciprocalProduct(((1.0, (-1.0, -1.0)),)).average(box)
+        assert len(calls) == 2 and calls[0] == box
         with mpmath.workdps(80):
             (a1, b1), (a2, b2) = [(mpmath.mpf(lo), mpmath.mpf(hi)) for lo, hi in box]
 
@@ -399,11 +420,11 @@ class TestMeanValueRigor:
         """A mean-value enclosure outside the box's value range is a soundness failure."""
         rp = losses.ReciprocalProduct(losses._FACTORS["c"])
         box = ((0.375, 0.37890625), (0.25, 0.25390625))
-        # The box's value range first, then the centre value far above it.
-        ranges = iter([(1.0, 2.0), (5.0, 6.0)])
-        monkeypatch.setattr(losses, "_reciprocal_bounds", lambda factors: next(ranges))
+        calls = []
+        monkeypatch.setattr(losses.ReciprocalProduct, "_factor_bounds", disjoint_factor_bounds(calls))
         with pytest.raises(SoundnessError, match="disjoint enclosures"):
             rp.average(box)
+        assert len(calls) == 2
 
     def test_enclosure_constructions_per_leaf(self, monkeypatch):
         """The leaf kernel builds at most four Enclosure objects per box."""
@@ -420,11 +441,24 @@ class TestMeanValueRigor:
         assert len(calls) <= 4 * est.boxes_used
 
     def test_nan_propagates_through_min_max_helpers(self):
+        """A NaN end product makes both ends of an interval product NaN, and the forms raise for it.
+
+        `reference_kernels.mul` is the interval product the fused forms
+        write out.  A covariance bound of [-inf, inf] makes an end
+        product of S_i S_j + Q_ij with it NaN (inf - inf in the probe),
+        which neither min nor max would pass on from every position.
+        """
         nan = math.nan
-        assert all(math.isnan(v) for v in losses._mul(0.0, 1.0, 2.0, math.inf))
-        assert all(math.isnan(v) for v in losses._mul(1.0, 2.0, nan, 3.0))
-        lo, hi = losses._mul(-1.0, 2.0, -3.0, 0.5)
+        assert all(math.isnan(v) for v in reference_kernels.mul(0.0, 1.0, 2.0, math.inf))
+        assert all(math.isnan(v) for v in reference_kernels.mul(1.0, 2.0, nan, 3.0))
+        lo, hi = reference_kernels.mul(-1.0, 2.0, -3.0, 0.5)
         assert lo <= -6.0 and 3.0 <= hi
+        rp = losses.ReciprocalProduct(losses._FACTORS["c"])
+        box = ((0.375, 0.37890625), (0.25, 0.25390625))
+        centre = ((0.376, 0.376), (0.252, 0.252))
+        for route in (rp.clipped_average, functools.partial(reference_kernels.clipped_average, rp)):
+            with pytest.raises(ValueError, match="enclosure endpoints must be finite"):
+                route(box, centre, {(0, 1): (-math.inf, math.inf)})
 
 
 def single_halfspace_leaves(name, count, seed, budget=3000):
@@ -530,11 +564,11 @@ class TestClippedAverage:
         rp = losses.ReciprocalProduct(losses._FACTORS["c"])
         box = ((0.375, 0.37890625), (0.25, 0.25390625))
         centre = ((0.376, 0.376), (0.252, 0.252))
-        # The box's value range first, then the centroid value far above it.
-        ranges = iter([(1.0, 2.0), (5.0, 6.0)])
-        monkeypatch.setattr(losses, "_reciprocal_bounds", lambda factors: next(ranges))
+        calls = []
+        monkeypatch.setattr(losses.ReciprocalProduct, "_factor_bounds", disjoint_factor_bounds(calls))
         with pytest.raises(SoundnessError, match="disjoint enclosures"):
             rp.clipped_average(box, centre, {})
+        assert len(calls) == 2
 
 
 class TestArgumentRange:
