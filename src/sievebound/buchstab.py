@@ -39,8 +39,8 @@ period of m + 1 points (m <= 10^5, so each temporary stays below 1 MB),
 with exact grid bounds 1 + k/m from `_grid_bounds` and logs from
 math.log per element.  Only the table recurrence stays a scalar loop,
 and an `Enclosure` is built only where a caller reads one value.
-`omega_bound_range` needs one segment per branch, and runs the same
-kernels on Python floats for it (`_at`), with the same bits.
+`omega_bound_range` needs one segment per branch, and runs it through
+the same kernels as one-element arrays (`_at`).
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -124,30 +123,7 @@ def _grid_bounds(num: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray]:
     return np.where(side > 0.0, np.nextafter(f, _DOWN), f), np.where(side < 0.0, np.nextafter(f, _UP), f)
 
 
-# The elementwise operations the kernels below make, on float arrays and,
-# for the one segment of `_at`, on Python floats: the same IEEE operations
-# either way, so the same bits.  Logs are math.log per element in both.
-_ARRAYS = SimpleNamespace(
-    nextafter=np.nextafter,
-    minimum=np.minimum,
-    maximum=np.maximum,
-    copysign=np.copysign,
-    abs=np.abs,
-    log=lambda x: np.fromiter(map(math.log, x.tolist()), float, len(x)),
-    finite=lambda x: bool(np.isfinite(x).all()),
-)
-_FLOATS = SimpleNamespace(
-    nextafter=math.nextafter,
-    minimum=min,
-    maximum=max,
-    copysign=math.copysign,
-    abs=abs,
-    log=math.log,
-    finite=math.isfinite,
-)
-
-
-def _log_bound(x: np.ndarray, side: float, xp=_ARRAYS) -> np.ndarray:
+def _log_bound(x: np.ndarray, side: float) -> np.ndarray:
     """Lower (side = _DOWN) or upper (side = _UP) bounds on log(x), x > 0, elementwise.
 
     math.log is not directed-rounded, so its value moves toward side by
@@ -155,10 +131,10 @@ def _log_bound(x: np.ndarray, side: float, xp=_ARRAYS) -> np.ndarray:
     observed libm error.  np.log is another implementation, whose last
     ulp can differ from the libm that allowance was argued for.
     """
-    y = xp.log(x)
-    y += xp.copysign(xp.abs(y) * 1e-14, side)
+    y = np.fromiter(map(math.log, x.tolist()), float, len(x))
+    y += np.copysign(np.abs(y) * 1e-14, side)
     for _ in range(4):
-        y = xp.nextafter(y, side)
+        y = np.nextafter(y, side)
     return y
 
 
@@ -174,7 +150,7 @@ _INV_SQUARES_LO, _INV_SQUARES_HI = zip(*(_ratio_bounds(1, k * k) for k in range(
 PI_SQ_OVER_12 = Enclosure(math.pi, _up(math.pi)) * Enclosure(math.pi, _up(math.pi)) / 12.0
 
 
-def _li2_bound(v: np.ndarray, side: float, xp=_ARRAYS) -> np.ndarray:
+def _li2_bound(v: np.ndarray, side: float) -> np.ndarray:
     """Lower (side = _DOWN) or upper (side = _UP) bounds on Li2(v), 0 < v <= 1/2, elementwise.
 
     Horner's rule on the first LI2_TERMS terms of sum v^k/k^2, all
@@ -182,44 +158,44 @@ def _li2_bound(v: np.ndarray, side: float, xp=_ARRAYS) -> np.ndarray:
     """
     s = 0.0
     for c in _INV_SQUARES_HI if side == _UP else _INV_SQUARES_LO:
-        s = xp.nextafter(xp.nextafter(s + c, side) * v, side)
-    return xp.nextafter(s + LI2_TAIL, _UP) if side == _UP else s
+        s = np.nextafter(np.nextafter(s + c, side) * v, side)
+    return np.nextafter(s + LI2_TAIL, _UP) if side == _UP else s
 
 
-def _log_integral_bound(u: np.ndarray, side: float, xp=_ARRAYS) -> np.ndarray:
+def _log_integral_bound(u: np.ndarray, side: float) -> np.ndarray:
     """Lower (side = _DOWN) or upper (side = _UP) bounds on J(u), 3 <= u <= 4, elementwise.
 
     The dilogarithm form with w = u - 1 (exact): log w >= log 2 > 0 keeps
     its direction when squared, and 1/w <= 1/2 lets its bound be capped there.
     """
     w = u - 1.0
-    log_w = _log_bound(w, side, xp)
-    half_sq = xp.nextafter(log_w * log_w, side) * 0.5  # halving is exact
-    li2 = _li2_bound(xp.minimum(xp.nextafter(1.0 / w, side), 0.5), side, xp)
+    log_w = _log_bound(w, side)
+    half_sq = np.nextafter(log_w * log_w, side) * 0.5  # halving is exact
+    li2 = _li2_bound(np.minimum(np.nextafter(1.0 / w, side), 0.5), side)
     pi_term = PI_SQ_OVER_12.lo if side == _UP else PI_SQ_OVER_12.hi
-    return xp.nextafter(xp.nextafter(half_sq + li2, side) - pi_term, side)
+    return np.nextafter(np.nextafter(half_sq + li2, side) - pi_term, side)
 
 
-def _quotient(n_lo: np.ndarray, n_hi: np.ndarray, d_lo: np.ndarray, d_hi: np.ndarray, xp=_ARRAYS) -> tuple[np.ndarray, np.ndarray]:
+def _quotient(n_lo: np.ndarray, n_hi: np.ndarray, d_lo: np.ndarray, d_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise `Enclosure` quotient [n_lo, n_hi] / [d_lo, d_hi] for d_lo > 0: all four endpoint quotients."""
     q = (n_lo / d_lo, n_lo / d_hi, n_hi / d_lo, n_hi / d_hi)
-    lo = xp.minimum(xp.minimum(q[0], q[1]), xp.minimum(q[2], q[3]))
-    hi = xp.maximum(xp.maximum(q[0], q[1]), xp.maximum(q[2], q[3]))
-    return xp.nextafter(lo, _DOWN), xp.nextafter(hi, _UP)
+    lo = np.minimum(np.minimum(q[0], q[1]), np.minimum(q[2], q[3]))
+    hi = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
+    return np.nextafter(lo, _DOWN), np.nextafter(hi, _UP)
 
 
-def _expr_bounds(a: np.ndarray, b: np.ndarray, xp=_ARRAYS) -> tuple[np.ndarray, np.ndarray]:
+def _expr_bounds(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise enclosures (lo, hi) of the closed form (1 + log(u - 1))/u over u in [a, b], 2 <= a <= b.
 
     The `Enclosure` operations of (1 + log(seg - 1.0)) / seg on
     seg = [a, b], in the same order, so bit for bit the same endpoints.
     """
-    log_lo = _log_bound(xp.nextafter(a - 1.0, _DOWN), _DOWN, xp)
-    log_hi = _log_bound(xp.nextafter(b - 1.0, _UP), _UP, xp)
-    return _quotient(xp.nextafter(log_lo + 1.0, _DOWN), xp.nextafter(log_hi + 1.0, _UP), a, b, xp)
+    log_lo = _log_bound(np.nextafter(a - 1.0, _DOWN), _DOWN)
+    log_hi = _log_bound(np.nextafter(b - 1.0, _UP), _UP)
+    return _quotient(np.nextafter(log_lo + 1.0, _DOWN), np.nextafter(log_hi + 1.0, _UP), a, b)
 
 
-def _branch_bounds(a: np.ndarray, b: np.ndarray, xp=_ARRAYS) -> tuple[np.ndarray, np.ndarray]:
+def _branch_bounds(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise enclosures (lo, hi) of the closed form (1 + log(u - 1) + J(u))/u over u in [a, b], 3 <= a <= b <= 4.
 
     `_expr_bounds` + J / seg on seg = [a, b] in `Enclosure` operations,
@@ -229,18 +205,19 @@ def _branch_bounds(a: np.ndarray, b: np.ndarray, xp=_ARRAYS) -> tuple[np.ndarray
     inputs it is an internal fault, so the one check at the end raises
     SoundnessError.
     """
-    expr_lo, expr_hi = _expr_bounds(a, b, xp)
-    j_lo, j_hi = _quotient(_log_integral_bound(a, _DOWN, xp), _log_integral_bound(b, _UP, xp), a, b, xp)
-    lo = xp.nextafter(expr_lo + j_lo, _DOWN)
-    hi = xp.nextafter(expr_hi + j_hi, _UP)
-    if not (xp.finite(lo) and xp.finite(hi)):
+    expr_lo, expr_hi = _expr_bounds(a, b)
+    j_lo, j_hi = _quotient(_log_integral_bound(a, _DOWN), _log_integral_bound(b, _UP), a, b)
+    lo = np.nextafter(expr_lo + j_lo, _DOWN)
+    hi = np.nextafter(expr_hi + j_hi, _UP)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise SoundnessError("enclosure endpoints must be finite")
     return lo, hi
 
 
 def _at(kernel, a: float, b: float) -> Enclosure:
-    """The Enclosure an elementwise kernel gives over the one segment [a, b], computed on Python floats."""
-    return Enclosure(*kernel(a, b, _FLOATS))
+    """The Enclosure an elementwise kernel gives over the one segment [a, b]."""
+    lo, hi = kernel(np.array([a]), np.array([b]))
+    return Enclosure(lo.item(), hi.item())
 
 
 @dataclass(frozen=True, slots=True)

@@ -402,8 +402,12 @@ def exit_status(run, *args) -> int:
 def _run_command(args) -> int:
     # Checked before any work, so no verdict line precedes a bad path; the final writes keep their own checks.
     for what, path in (("report", args.out), ("table", getattr(args, "csv", None))):
-        parent = os.path.dirname(os.path.abspath(path or "."))
-        if path and not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        if not path:
+            continue
+        if os.path.isdir(path):
+            raise CliError(f"cannot write {what} {path}: it is a directory")
+        parent = os.path.dirname(os.path.abspath(path))
+        if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
             raise CliError(f"cannot write {what} {path}: {parent} is not a writable directory")
     return args.func(args)
 

@@ -20,9 +20,10 @@ halfspace, after single-child wrappers, uses the integrand's
 halfspace, where the linear Taylor term integrates to zero and the
 quadratic one averages to the Hessian against the part's exact
 covariance, which leaves a cubic remainder.  The centroid and the
-covariance come as integer ratios on the grid the fraction bounds were
-computed on (`LinearConstraint._moments` of `FractionBounds.grid`), and
-each coordinate and covariance entry is rounded outward to floats once.
+covariance come as integer ratios on the grid the leaf carries
+(`LinearConstraint._moments` of `GridBox.grid`, the grid its fraction
+bounds were computed on), and each coordinate and covariance entry is
+rounded outward to floats once.
 The leaf product is computed on plain floats rounded outward after
 every operation, and the final endpoint sums use math.fsum, which is
 correctly rounded, before one outward rounding step.
@@ -158,7 +159,7 @@ class IntegralEstimate:
         return 0.5 * (self.lower + self.upper)
 
 
-def _leaf_contribution(f: Integrand, fraction: tuple[float, float], box: Box) -> tuple[float, float]:
+def _leaf_contribution(f: Integrand, fraction: tuple[float, float], box: GridBox) -> tuple[float, float]:
     """Certified bounds on integral(f) over (region intersect box), given the region's fraction bounds on box.
 
     A mixed leaf whose residual tree is one halfspace takes its value
@@ -173,7 +174,7 @@ def _leaf_contribution(f: Integrand, fraction: tuple[float, float], box: Box) ->
     if fr_lo == 1.0 and f.average is not None:
         enc = f.average(box)
     elif f.clipped_average is not None and (halfspace := _single_halfspace(fraction.residual)):
-        centroid, covariance = halfspace._moments(fraction.grid)
+        centroid, covariance = halfspace._moments(box.grid)
         centre = tuple(_ratio_bounds(num, den) for num, den in centroid)
         enc = f.clipped_average(box, centre, {ij: _ratio_bounds(num, den) for ij, (num, den) in covariance.items()})
     else:
@@ -273,20 +274,17 @@ def integrate_rigorous(
     stop_tol = 0.97 * tol
     settled_lo: list[float] = []
     settled_hi: list[float] = []
-    # Final leaves outside the heap: those admitted with no gap, and those
-    # popped but too small to split, whose gaps are kept.
-    settled = 0
+    # Gaps of the leaves popped but too small to split.
     settled_gaps: list[float] = []
     # Heap entries: (-gap, seq, leaf, lo, hi, the leaf's residual region tree).
     heap: list[tuple[float, int, Box, float, float, object]] = []
     seq = 0
 
-    def admit(leaf: Box, fraction) -> float:
-        nonlocal seq, settled
+    def admit(leaf: GridBox, fraction) -> float:
+        nonlocal seq
         lo_c, hi_c = _leaf_contribution(f, fraction, leaf)
         gap = hi_c - lo_c
         if gap <= 0.0:
-            settled += 1
             if hi_c != 0.0 or lo_c != 0.0:
                 settled_lo.append(lo_c)
                 settled_hi.append(hi_c)
@@ -303,7 +301,6 @@ def integrate_rigorous(
         if parts is None:
             settled_lo.append(lo_c)
             settled_hi.append(hi_c)
-            settled += 1
             settled_gaps.append(hi_c - lo_c)
             continue
         boxes_used += 2
@@ -328,7 +325,9 @@ def integrate_rigorous(
         boxes_used=boxes_used,
         mode=RIGOROUS,
         exhausted=bool(upper - lower > tol),
-        leaves=(len(gaps[0]), len(gaps[1]), len(gaps[2]), settled),
+        # Every split turns one leaf into two, so the run ends with
+        # (boxes_used + 1) / 2 leaves; those off the heap are settled.
+        leaves=(len(gaps[0]), len(gaps[1]), len(gaps[2]), (boxes_used + 1) // 2 - len(heap)),
         gaps=tuple(math.fsum(g) for g in gaps),
     )
 

@@ -34,10 +34,10 @@ Point membership runs in exact `Fraction` arithmetic, float inputs
 converted exactly.  Box tests are exact integer arithmetic: each
 constraint is scaled to integer coefficients and bound once, and each
 box is on a common integer grid (`_grid`: every float, int or Fraction
-endpoint is A / scale for one integer scale), which
-`RegionPredicate.fraction` returns with the bounds.  A `GridBox`
-carries its grid, and the halves of one (`_halves`) derive theirs from
-it at the split: one `as_integer_ratio` of the midpoint, and a rescale
+endpoint is A / scale for one integer scale).  A `GridBox` carries
+its grid, which every box test reads instead of building one
+(`_box_grid`), and the halves of one (`_halves`) derive theirs from it
+at the split: one `as_integer_ratio` of the midpoint, and a rescale
 of the parent's integers only when the midpoint's denominator does not
 divide the parent's scale.  Strict and non-strict inequalities are
 distinguished by point membership but deliberately conflated by box
@@ -160,8 +160,9 @@ def _grid(box: Box) -> Grid:
 class GridBox(tuple):
     """A box of float intervals that carries its `_grid` (by default built from the box).
 
-    `RegionPredicate.fraction` reads the carried grid instead of
-    building one, and `_halves` derives each half's grid from it.
+    The box tests read the carried grid instead of building one
+    (`_box_grid`), `quadrature._leaf_contribution` takes the moments of
+    a leaf on it, and `_halves` derives each half's grid from it.
     """
 
     def __new__(cls, box: Box, grid: Grid | None = None):
@@ -192,6 +193,13 @@ def _halves(box: GridBox, dim: int, mid: float) -> tuple[GridBox, GridBox]:
     a, b = ends[dim]
     head, tail = ends[:dim], ends[dim + 1 :]
     return GridBox(left, (scale, head + ((a, m),) + tail)), GridBox(right, (scale, head + ((m, b),) + tail))
+
+
+def _box_grid(box: Box, arity: int) -> Grid:
+    """The grid a `GridBox` carries, or `_grid(box)`, for a box that must have `arity` intervals."""
+    if len(box) != arity:
+        raise ValueError(f"expected a box on {arity} coordinates, got {len(box)} intervals")
+    return box.grid if isinstance(box, GridBox) else _grid(box)
 
 
 def _as_fraction(value) -> Fraction:
@@ -256,12 +264,6 @@ class LinearConstraint:
         total = sum((c * _as_fraction(t) for c, t in zip(self.coeffs, point, strict=True)), Fraction(0))
         return _COMPARE[self.rel](total, self.bound)
 
-    def _box_grid(self, box: Box) -> Grid:
-        """`_grid` of a box, which must have one interval per coefficient."""
-        if len(box) != len(self.coeffs):
-            raise ValueError(f"constraint on {len(self.coeffs)} coordinates given a {len(box)}-dimensional box")
-        return _grid(box)
-
     def _mask_residual(self, grid: Grid):
         """`_TRUE`, `_FALSE` or self: the float comparison in `_tree_mask` over a box given as its `_grid`.
 
@@ -298,7 +300,7 @@ class LinearConstraint:
 
     def fraction(self, box: Box) -> Fraction:
         """Exact volume fraction of the box satisfying the halfspace."""
-        return Fraction(*self._ratio(self._box_grid(box)))
+        return Fraction(*self._ratio(_box_grid(box, len(self.coeffs))))
 
     def fraction_bounds(self, box: Box) -> tuple[float, float]:
         """Float bounds on the volume fraction of the box satisfying the halfspace.
@@ -306,7 +308,7 @@ class LinearConstraint:
         The exact fraction rounded outward once: (f, f) when it is a
         float, otherwise the two floats adjacent to it.
         """
-        return _ratio_bounds(*self._ratio(self._box_grid(box)))
+        return _ratio_bounds(*self._ratio(_box_grid(box, len(self.coeffs))))
 
     def _ratio(self, grid: Grid) -> tuple[int, int]:
         """The exact volume fraction as (numerator, denominator > 0), in Irwin-Hall form.
@@ -383,7 +385,7 @@ class LinearConstraint:
 
     def centroid(self, box: Box) -> tuple[Fraction, ...]:
         """Exact centroid of box intersect halfspace, for a box the halfspace cuts (see `_moments`)."""
-        return tuple(Fraction(num, den) for num, den in self._moments(self._box_grid(box))[0])
+        return tuple(Fraction(num, den) for num, den in self._moments(_box_grid(box, len(self.coeffs)))[0])
 
     def _moments(self, grid: Grid) -> tuple[tuple[tuple[int, int], ...], dict[tuple[int, int], tuple[int, int]]]:
         """(centroid, covariance) of a box given as its `_grid` intersect halfspace, as (num, den > 0) pairs.
@@ -689,19 +691,16 @@ def _tree_json(node) -> dict:
 
 
 class FractionBounds(tuple):
-    """(lo, hi) volume-fraction bounds of a box, with the box's residual region tree and its `_grid`.
+    """(lo, hi) volume-fraction bounds of a box, with the box's residual region tree.
 
     `residual` is the part of the tree the box leaves undecided (see
     `_tree_fraction`); walked on any sub-box it gives the same bounds as
-    the full tree.  `grid` is the box on the integer grid the bounds
-    were computed on, which `LinearConstraint._moments` takes as is, or
-    None when a decided residual was walked and no grid was built.
+    the full tree.
     """
 
-    def __new__(cls, lo: float, hi: float, residual, grid: Grid | None):
+    def __new__(cls, lo: float, hi: float, residual):
         bounds = super().__new__(cls, (lo, hi))
         bounds.residual = residual
-        bounds.grid = grid
         return bounds
 
 
@@ -720,35 +719,17 @@ class RegionPredicate:
             raise ValueError(f"{self.name} expects {self.arity} coordinates, got {len(point)}")
         return _tree_contains(self.tree, point)
 
-    def _box_grid(self, box: Box, build: bool = True) -> Grid | None:
-        """`_grid` of a box, which must have `arity` intervals; with build false, only its checks, and None."""
-        box = tuple(tuple(iv) for iv in box)
-        if len(box) != self.arity:
-            raise ValueError(f"{self.name} expects a {self.arity}-dimensional box")
-        if build:
-            return _grid(box)
-        # Each chain fails exactly where `_grid` raises: a NaN or infinite end, or lo > hi.
-        if not all(-math.inf < lo <= hi < math.inf for lo, hi in box):
-            _grid(box)
-        return None
-
     def fraction(self, box: Box, within=None) -> FractionBounds:
         """Certified outward float bounds on the satisfied volume fraction of the box.
 
         The result unpacks as (lo, hi) and carries the box's residual
-        tree and grid.  `within` is the tree to walk: by default the full
-        tree, or the residual of a box that contains this one, which
-        gives the same bounds with only the constraints that box left
-        open.  A `GridBox` passes its carried grid; for any other box a
-        decided tree (`_TRUE` or `_FALSE`) reads no grid, so its result
-        carries None.
+        tree.  `within` is the tree to walk: by default the full tree, or
+        the residual of a box that contains this one, which gives the
+        same bounds with only the constraints that box left open.  A
+        `GridBox` passes its carried grid.
         """
         tree = self.tree if within is None else within
-        if isinstance(box, GridBox) and len(box) == self.arity:
-            grid = box.grid
-        else:
-            grid = self._box_grid(box, build=tree is not _TRUE and tree is not _FALSE)
-        return FractionBounds(*_tree_fraction(tree, grid), grid)
+        return FractionBounds(*_tree_fraction(tree, _box_grid(box, self.arity)))
 
     def mask(self, pts: np.ndarray, box: Box | None = None) -> np.ndarray:
         """Vectorized float membership for an (n, arity) array of points.
@@ -786,7 +767,7 @@ class RegionPredicate:
         memo = self.__dict__.get("_plan")
         if memo is not None and memo[0] == key:
             return memo[1]
-        grid = self._box_grid(key)
+        grid = _box_grid(key, self.arity)
         residual = _tree_residual(self.tree, grid)
         if isinstance(residual, AndNode):
             plan = tuple(sorted(residual.children, key=lambda c: _tree_fraction(c, grid)[1]))

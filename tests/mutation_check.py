@@ -16,7 +16,8 @@ two-term one (M23), keeps the parent's endpoint on the split axis in a
 half's carried grid (M24), takes the wrong reciprocal end for a negative
 coefficient (M25) or sums a diagonal Hessian entry unrounded (M26) in
 the mean-value pass, flips the sign of a corner term of the two-term
-moments (M27), or (H mutants) breaks the sieve harness:
+moments (M27), drops the outward rounding of the Buchstab kernels'
+interval quotient (M28), or (H mutants) breaks the sieve harness:
 blinds its support check, flips a sign in an identity or in rho, drops
 the term bound, weakens a reversal-chain weight, corrupts the spf entry
 of 1 or moves a root threshold by one.  For each, the script
@@ -144,6 +145,7 @@ MUTANTS = {
         'for what, path in (("report", None), ',
         (
             "tests/test_cli.py::TestVerify::test_missing_out_dir_fails_before_any_work",
+            "tests/test_cli.py::TestVerify::test_directory_out_path_fails_before_any_work",
             "tests/test_cli.py::TestHarness::test_missing_out_dir_fails_before_the_scan",
         ),
     ),
@@ -212,6 +214,15 @@ MUTANTS = {
         "one0[j] = w0 = -((y - beta) ** m)",
         "one0[j] = w0 = (y - beta) ** m",
         (MOMENTS,),
+    ),
+    "M28": (
+        "src/sievebound/buchstab.py",
+        "return np.nextafter(lo, _DOWN), np.nextafter(hi, _UP)",
+        "return lo, hi",
+        (
+            "tests/test_buchstab.py::TestArrayKernels::test_omega_bound_range_matches_scalar_oracle",
+            "tests/test_buchstab.py::TestArrayKernels::test_branch_points_match_scalar_oracle",
+        ),
     ),
     "H2": (
         "src/sievebound/sieve_harness.py",

@@ -354,23 +354,6 @@ class TestArrayKernels:
         assert np.array_equal(chunks[0][0], grid[0]) and np.array_equal(chunks[0][1], grid[1])
         assert hexes([(rng.lo, rng.hi)]) == hexes([(interval._down(lo_min - fill), interval._up(hi_max + fill))])
 
-    def test_one_segment_on_floats_matches_array_kernel(self):
-        """`_at` runs each kernel on Python floats and gets the one-element array kernel's bits.
-
-        400 seeded segments [a, b] inside [2, 3] for `_expr_bounds` and
-        inside [3, 4] for `_branch_bounds`, with points and the knots
-        among them.
-        """
-        rng = random.Random(20261020)
-        for k in range(400):
-            kernel, (lo, hi) = (buchstab._expr_bounds, (2.0, 3.0)) if k % 2 else (buchstab._branch_bounds, (3.0, 4.0))
-            a = rng.choice((lo, hi, rng.uniform(lo, hi)))
-            b = rng.choice((a, hi, rng.uniform(a, hi)))
-            array_lo, array_hi = kernel(np.array([a]), np.array([b]))
-            enc = buchstab._at(kernel, a, b)
-            assert type(enc.lo) is float and type(enc.hi) is float
-            assert hexes([(enc.lo, enc.hi)]) == hexes([(array_lo.item(), array_hi.item())]), (a, b)
-
     def test_omega_bound_range_matches_scalar_oracle(self):
         """`omega_bound_range`, both bounds, against `scalar_bound_range` at seeded intervals.
 

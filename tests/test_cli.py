@@ -217,6 +217,34 @@ class TestVerify:
         assert code == 2 and stdout == ""
         assert stderr.startswith("error: cannot write report") and stderr.count("\n") == 1
 
+    def test_directory_out_path_fails_before_any_work(self, tmp_path, capsys):
+        """An --out or --csv path that is a directory exits 2 before any work, so no verdict line is printed."""
+        for argv, what in (
+            (["verify", "--targets", "c", "--out", str(tmp_path)], "report"),
+            (["regions", "--out", str(tmp_path)], "report"),
+            (["omega", "--u-max", "3", "--step", "1e-3", "--csv", str(tmp_path)], "table"),
+        ):
+            code, stdout, stderr = run_cli(argv, capsys)
+            assert code == 2 and stdout == ""
+            assert stderr == f"error: cannot write {what} {tmp_path}: it is a directory\n"
+
+    def test_monte_carlo_total(self, tmp_path, capsys):
+        """A Monte Carlo total runs the three losses and reports the sum of their estimates, certifying nothing."""
+        out = tmp_path / "total.json"
+        code, stdout, _ = run_cli(
+            ["verify", "--mode", "monte_carlo", "--samples", "10000", "--targets", "total", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        estimates = [losses.loss_mc(name, samples=10000, seed=losses.MC_SEED).midpoint for name in losses.LOSS_NAMES]
+        total = sum(estimates)
+        assert f"[INFO] total loss estimate {total:.9f} (not a certificate)\n" in stdout
+        assert "[PASS]" not in stdout and "[FAIL]" not in stdout
+        results = json.loads(out.read_text())["results"]
+        assert list(results["losses"]) == list(losses.LOSS_NAMES)
+        assert [results["losses"][name]["estimate"] for name in losses.LOSS_NAMES] == cli._round_floats(estimates)
+        assert results["total"] == {"estimate": cli._round_floats(total)}
+
 
 class TestHarness:
     def test_harness_subcommand(self, tmp_path, capsys):

@@ -183,7 +183,7 @@ def test_carried_grids_match_fresh_grids():
             assert (bounds[0], bounds[1], bounds.residual) == (fresh[0], fresh[1], fresh.residual)
             halfspace = regions._single_halfspace(bounds.residual)
             if bounds[1] != 0.0 and bounds[0] != 1.0 and halfspace is not None:
-                carried, rebuilt = halfspace._moments(bounds.grid), halfspace._moments(regions._grid(leaf))
+                carried, rebuilt = halfspace._moments(leaf.grid), halfspace._moments(regions._grid(leaf))
                 assert all(F(*p) == F(*q) for p, q in zip(carried[0], rebuilt[0], strict=True))
                 assert carried[1].keys() == rebuilt[1].keys()
                 assert all(F(*carried[1][ij]) == F(*rebuilt[1][ij]) for ij in carried[1])
@@ -330,7 +330,7 @@ def test_leaf_product_contains_exact_product(name):
     integrand, _, region, _ = losses.integration_domain(name)
     leaves = list(mixed_leaves(name)) + leaves_of(name, 200, 8)
     nonzero = 0
-    for leaf in leaves:
+    for leaf in map(regions.GridBox, leaves):
         fraction = region.fraction(leaf)
         f, seen = recording(integrand)
         lo, hi = quadrature._leaf_contribution(f, fraction, leaf)

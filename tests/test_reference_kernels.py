@@ -71,8 +71,8 @@ def test_run_leaves_match_reference(name, budget):
         bounds = region.fraction(leaf, within=within)
         halfspace = regions._single_halfspace(bounds.residual)
         if halfspace is not None and bounds[0] != 1.0 and bounds[1] != 0.0:
-            moments = halfspace._moments(bounds.grid)
-            reference = reference_kernels.moments(halfspace, bounds.grid)
+            moments = halfspace._moments(leaf.grid)
+            reference = reference_kernels.moments(halfspace, leaf.grid)
             assert moments == reference and list(moments[1]) == list(reference[1]), leaf
         return bounds
 

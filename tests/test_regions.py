@@ -290,7 +290,7 @@ def cutting_constraint(rng, box, rel):
 
 def covariance(con, box) -> dict:
     """The covariance entries (i, j), i <= j, of `LinearConstraint._moments`, as Fractions."""
-    return {ij: F(num, den) for ij, (num, den) in con._moments(con._box_grid(box))[1].items()}
+    return {ij: F(num, den) for ij, (num, den) in con._moments(regions._grid(box))[1].items()}
 
 
 def full_covariance(con, box) -> dict:
@@ -657,12 +657,11 @@ class TestResiduals:
                         assert region.fraction(child_box, within=child.residual) == child
         assert decided >= 100
 
-    def test_decided_tree_builds_no_grid(self):
-        """Walking `_TRUE` or `_FALSE` gives its bounds with no grid, and still rejects a bad box.
+    def test_decided_tree_gives_its_bounds_and_rejects_bad_boxes(self):
+        """Walking `_TRUE` or `_FALSE` gives its bounds and residual, and still rejects a bad box.
 
-        Only a single-halfspace leaf reads `FractionBounds.grid`, so a
-        decided leaf is spared the exact grid; the box is checked as
-        `_grid` would check it.
+        The box is checked as every box test checks it: its dimension, a NaN or
+        infinite end, and an interval with lo > hi.
         """
         box = ((0.36, 0.38), (0.25, 0.27))
         bad = [
@@ -675,10 +674,9 @@ class TestResiduals:
             ((0.36, math.inf), (0.25, 0.27)),
             ((-math.inf, 0.38), (0.25, 0.27)),
         ]
-        assert REGION_C.fraction(box).grid is not None
         for tree, bounds in ((regions._TRUE, (1.0, 1.0)), (regions._FALSE, (0.0, 0.0))):
             got = REGION_C.fraction(box, within=tree)
-            assert got == bounds and got.residual is tree and got.grid is None
+            assert got == bounds and got.residual is tree
             assert REGION_C.fraction(((F(9, 25), 0.38), (1, 1)), within=tree) == bounds
             for leaf in bad:
                 with pytest.raises(ValueError):
