@@ -219,8 +219,8 @@ def _cmd_verify(args) -> int:
         "seed": args.seed if monte_carlo else None,
         "mode": args.mode,
         "targets": wanted,
-        "budget": args.budget,
-        "tol": args.tol,
+        "budget": None if monte_carlo else args.budget,
+        "tol": None if monte_carlo else args.tol,
         "samples": args.samples if monte_carlo else None,
     }
     _emit_report(results, cfg, args.out)

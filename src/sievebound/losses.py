@@ -154,13 +154,6 @@ _ARGUMENTS = {
 }
 
 
-def _affine_many(form: AffineForm, pts: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    const, coeffs = form
-    return const + pts @ np.array(coeffs)
-
-
 def _reciprocal_bounds(factors: list[tuple[float, float]]) -> tuple[float, float]:
     """Outward bounds on 1 / prod of positive factor bounds."""
     p_lo = p_hi = 1.0
@@ -307,8 +300,8 @@ class ReciprocalProduct:
         import numpy as np
 
         prod = np.ones(len(pts))
-        for form in self.factors:
-            prod *= _affine_many(form, pts)
+        for const, coeffs in self.factors:
+            prod *= const + pts @ np.array(coeffs)
         return 1.0 / prod
 
     def average(self, box: Box) -> Enclosure:
@@ -369,10 +362,8 @@ class ReciprocalProduct:
 
             avg = f(c) (1 + sum_ij (S_i S_j + Q_ij)(c) Cov_ij / 2) + E_P[R_3],
 
-        with every value at c bounded over `centre`.  The same argument
-        one order down gives avg = f(c) + E_P[R_2], |R_2| <= f_hi h_2(rho),
-        which is tighter on coarse leaves; the result is the intersection
-        of both forms with the box's value range, in which the average
+        with every value at c bounded over `centre`.  The result is that
+        form intersected with the box's value range, in which the average
         lies.  Disjoint enclosures raise SoundnessError.
         """
         ls = self._factor_bounds(box)
@@ -401,10 +392,9 @@ class ReciprocalProduct:
         ok = (probe := p + q + r + s) == probe
         shift_lo, shift_hi = (nextafter(min(p, q, r, s), _DOWN), nextafter(max(p, q, r, s), _UP)) if ok else (probe, probe)
 
-        square_pad = nextafter(f_hi * h[2], _UP)
         cube_pad = nextafter(f_hi * h[3], _UP)
-        lo = max(nextafter(nextafter(fc_lo + shift_lo, _DOWN) - cube_pad, _DOWN), nextafter(fc_lo - square_pad, _DOWN), f_lo)
-        hi = min(nextafter(nextafter(fc_hi + shift_hi, _UP) + cube_pad, _UP), nextafter(fc_hi + square_pad, _UP), f_hi)
+        lo = max(nextafter(nextafter(fc_lo + shift_lo, _DOWN) - cube_pad, _DOWN), f_lo)
+        hi = min(nextafter(nextafter(fc_hi + shift_hi, _UP) + cube_pad, _UP), f_hi)
         if lo > hi:
             raise SoundnessError(f"disjoint enclosures: clipped average bounds [{lo}, {hi}]")
         return Enclosure(lo, hi)

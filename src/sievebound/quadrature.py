@@ -165,6 +165,9 @@ def _leaf_contribution(f: Integrand, fraction: tuple[float, float], box: GridBox
     A mixed leaf whose residual tree is one halfspace takes its value
     bounds from `clipped_average` about the exact centroid and
     covariance of box intersect halfspace, when the integrand has one.
+    A leaf outside the region gives (0.0, 0.0); any other gives
+    hi > lo, with hi at least the smallest subnormal, since every
+    product is rounded outward by `nextafter`.
     """
     fr_lo, fr_hi = fraction
     if not 0.0 <= fr_lo <= fr_hi <= 1.0:
@@ -283,12 +286,9 @@ def integrate_rigorous(
     def admit(leaf: GridBox, fraction) -> float:
         nonlocal seq
         lo_c, hi_c = _leaf_contribution(f, fraction, leaf)
-        gap = hi_c - lo_c
-        if gap <= 0.0:
-            if hi_c != 0.0 or lo_c != 0.0:
-                settled_lo.append(lo_c)
-                settled_hi.append(hi_c)
+        if hi_c == 0.0:
             return 0.0
+        gap = hi_c - lo_c
         heapq.heappush(heap, (-gap, seq, leaf, lo_c, hi_c, fraction.residual))
         seq += 1
         return gap

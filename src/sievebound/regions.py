@@ -80,11 +80,15 @@ their inside children and the disjunctions without their outside ones
 *Applied Interval Analysis*, 2001).  Walked on a sub-box
 (`fraction(box, within=residual)`), it gives the full tree's bounds bit
 for bit while visiting only the constraints left open.  The float point
-mask skips, on a box, the constraints whose float comparison the box
-decides for every point in it, strictness and rounding included
-(`LinearConstraint._mask_residual`, walked by `_tree_residual`), and
-tests the remaining conjunction most selective child first on the
-points still accepted (`_and_mask`).
+mask keeps one float form per constraint, its coefficients and bound
+rounded to floats (`_mask_data`), and tests it as one dot product per
+point.  One walk (`_tree_mask`) serves the full tree and a box's plan,
+and every conjunction in it tests each child only on the points still
+accepted (`_and_mask`).  On a box the plan skips the constraints whose
+float comparison the box decides for every point in it, strictness and
+rounding included (`LinearConstraint._mask_residual`, walked by
+`_tree_residual`), and orders the remaining conjunction most selective
+child first.
 """
 
 from __future__ import annotations
@@ -242,23 +246,10 @@ class LinearConstraint:
         # `quadrature._split` sums over a leaf's open constraints.
         norm = sum(abs(c) for _, c in self._terms)
         object.__setattr__(self, "_weights", tuple((i, abs(c) / norm) for i, c in self._terms))
-        # The same for the float halfspace that `_tree_mask` tests, with
-        # coefficients and bound rounded to floats: sum(F_i * t_i) REL FB
-        # scaled by `_fden`.
-        floats = [float(q).as_integer_ratio() for q in rationals]
-        fden = math.lcm(*(d for _, d in floats))
-        *fscaled, fbound = (n * (fden // d) for n, d in floats)
-        object.__setattr__(self, "_fterms", tuple((i, c) for i, c in enumerate(fscaled) if c))
-        object.__setattr__(self, "_fbound", fbound)
-        object.__setattr__(self, "_fden", fden)
-        # The float test itself: the one nonzero column times its
-        # coefficient, or a dot product with every float coefficient.
-        # `_tree_mask` makes the array, so building a constraint needs
-        # no numpy.
-        fcoeffs = tuple(float(c) for c in self.coeffs)
-        nonzero = [(i, c) for i, c in enumerate(fcoeffs) if c]
-        column = nonzero[0] if len(nonzero) == 1 else None
-        object.__setattr__(self, "_mask_data", (column, fcoeffs, float(self.bound)))
+        # The float halfspace that `_tree_mask` tests, sum(F_i * t_i) REL FB
+        # with coefficients and bound rounded to floats.  `_tree_mask`
+        # makes the array, so building a constraint needs no numpy.
+        object.__setattr__(self, "_mask_data", (tuple(float(c) for c in self.coeffs), float(self.bound)))
 
     def evaluate(self, point) -> bool:
         total = sum((c * _as_fraction(t) for c, t in zip(self.coeffs, point, strict=True)), Fraction(0))
@@ -267,33 +258,39 @@ class LinearConstraint:
     def _mask_residual(self, grid: Grid):
         """`_TRUE`, `_FALSE` or self: the float comparison in `_tree_mask` over a box given as its `_grid`.
 
-        `_tree_mask` compares a float dot product of the point with the
-        float coefficients against the float bound, strictness included.
-        In any summation order that product lies within
-        gamma_k * sum|F_i t_i| + k * 2^-1074 of the exact one, for k
-        nonzero terms, gamma_k = k u / (1 - k u) and u = 2^-53 (Higham,
+        `_tree_mask` compares the float dot product of the point with the
+        float coefficients of `_mask_data` against its float bound,
+        strictness included.  In any summation order that product lies
+        within gamma_k * sum|F_i t_i| + k * 2^-1074 of the exact one, for
+        k nonzero terms, gamma_k = k u / (1 - k u) and u = 2^-53 (Higham,
         *Accuracy and Stability of Numerical Algorithms*, 2002, sec. 3.1;
-        the second term covers products that underflow).  The result is
-        `_TRUE` or `_FALSE` only when the comparison holds, or fails, at
-        both ends of the exact corner range widened by that error, so it
-        holds for every point of the closed box.  Sums that might overflow
-        leave the constraint undecided.
+        the second term covers products that underflow), which is checked
+        in integers on the float data's common denominator.  The result
+        is `_TRUE` or `_FALSE` only when the comparison holds, or fails,
+        at both ends of the exact corner range widened by that error, so
+        it holds for every point of the closed box.  Sums that might
+        overflow leave the constraint undecided.
         """
         scale, ends = grid
+        coeffs, bound = self._mask_data
+        floats = [q.as_integer_ratio() for q in (*coeffs, bound)]
+        fden = math.lcm(*(d for _, d in floats))
+        *scaled, fbound = (n * (fden // d) for n, d in floats)
+        terms = [(i, c) for i, c in enumerate(scaled) if c]
         lo = hi = mag = 0
-        for i, c in self._fterms:
+        for i, c in terms:
             a, b = ends[i]
             lo += c * (a if c > 0 else b)
             hi += c * (b if c > 0 else a)
             mag += abs(c) * max(-a, b)
-        width = self._fden * scale  # the exact sums are lo / width, hi / width
+        width = fden * scale  # the exact sums are lo / width, hi / width
         if mag >= width << 1023:
             return self
         # Everything times (2^53 - k) * 2^1074 * width, all integers.
-        k = len(self._fterms)
+        k = len(terms)
         g = ((1 << 53) - k) << 1074
         err = (k * mag << 1074) + k * width * ((1 << 53) - k)
-        bound = self._fbound * scale * g
+        bound = fbound * scale * g
         compare = _COMPARE[self.rel]
         at_lo, at_hi = compare(lo * g - err, bound), compare(hi * g + err, bound)
         return _TRUE if at_lo and at_hi else _FALSE if not (at_lo or at_hi) else self
@@ -628,29 +625,28 @@ def _tree_residual(node, grid: Grid):
 
 
 def _tree_mask(node, pts: np.ndarray) -> np.ndarray:
+    """Float membership of the rows of a C-contiguous (n, arity) array in the tree.
+
+    A constraint is the one float test `pts @ F REL FB` on its
+    `_mask_data` for every row; a zero coefficient adds an exact zero
+    at a finite point.  An AndNode is walked by `_and_mask`, an OrNode
+    is the union of its children's masks.
+    """
     import numpy as np
 
     if isinstance(node, LinearConstraint):
-        column, coeffs, bound = node._mask_data
-        if column is None:
-            return _COMPARE[node.rel](pts @ np.array(coeffs), bound)
-        # At finite points zero coefficients add exact zeros to a dot
-        # product, so the single column gives the same sums.
-        i, c = column
-        return _COMPARE[node.rel](pts[:, i] * c, bound)
+        coeffs, bound = node._mask_data
+        return _COMPARE[node.rel](pts @ np.array(coeffs), bound)
     if isinstance(node, AndNode):
-        out = np.ones(len(pts), dtype=bool)
-        for c in node.children:
-            out &= _tree_mask(c, pts)
-        return out
+        return _and_mask(node, pts)
     out = np.zeros(len(pts), dtype=bool)
     for c in node.children:
         out |= _tree_mask(c, pts)
     return out
 
 
-def _and_mask(children, pts: np.ndarray) -> np.ndarray:
-    """`_tree_mask` of AndNode(children), testing each child only on the rows every earlier one accepted.
+def _and_mask(node: AndNode, pts: np.ndarray) -> np.ndarray:
+    """`_tree_mask` of a conjunction, testing each child, in order, only on the rows every earlier one accepted.
 
     Once fewer than half of the rows in hand survive, they are gathered
     (`flatnonzero` and `take`, much cheaper than a boolean gather) and
@@ -659,15 +655,16 @@ def _and_mask(children, pts: np.ndarray) -> np.ndarray:
     product as a dot product, which sums in another order than the
     matrix-vector product of a larger array, so its float test could
     differ from the full array's.  Otherwise every row keeps its own
-    float comparisons, so for a C-contiguous array, as `integrate_mc`
-    draws, the mask is `_tree_mask`'s bit for bit.
+    float comparisons, so for a C-contiguous array, as
+    `RegionPredicate.mask` passes, the mask is that of every child
+    tested on every row, bit for bit.
     """
     import numpy as np
 
     out = np.zeros(len(pts), dtype=bool)
     rows = None  # positions in the input of the rows in hand; None while all are
     alive = np.ones(len(pts), dtype=bool)
-    for child in children:
+    for child in node.children:
         alive &= _tree_mask(child, pts)
         count = int(np.count_nonzero(alive))
         if count == 0:
@@ -732,47 +729,45 @@ class RegionPredicate:
         return FractionBounds(*_tree_fraction(tree, _box_grid(box, self.arity)))
 
     def mask(self, pts: np.ndarray, box: Box | None = None) -> np.ndarray:
-        """Vectorized float membership for an (n, arity) array of points.
+        """Vectorized float membership for an (n, arity) array of finite points.
 
-        With a box, which must contain every point (faces included), the
-        constraints whose float test the box decides are skipped, and a
-        residual conjunction is walked by `_and_mask`: its children in
-        ascending order of their exact upper volume fraction on the box
-        (the share of uniform samples they can pass), so the most
-        selective test runs first, each on the rows the earlier ones
-        kept.  The mask is the same.  That plan depends on the box alone
-        and is kept on the instance for the last box it was built for,
-        keyed by the box's endpoints, so `integrate_mc`, which masks
-        block after block in one box, builds it once.
+        The points are taken as one C-contiguous float array, so the
+        mask does not depend on the input's layout.  A row with a NaN or
+        infinite coordinate may be rejected by any constraint, even one
+        whose coefficient on that coordinate is zero (0 * inf is NaN).  With a box, which
+        must contain every point (faces included), `_tree_mask` walks
+        the box's plan (`_mask_plan`) instead of the full tree; the mask
+        is the same.
         """
         import numpy as np
 
-        pts = np.asarray(pts, dtype=float)
+        pts = np.ascontiguousarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.arity:
             raise ValueError(f"{self.name} expects an (n, {self.arity}) array")
-        if box is None:
-            return _tree_mask(self.tree, pts)
-        plan = self._mask_plan(box)
-        if isinstance(plan, tuple):
-            return _and_mask(plan, pts)
-        return _tree_mask(plan, pts)
+        return _tree_mask(self.tree if box is None else self._mask_plan(box), pts)
 
     def _mask_plan(self, box: Box):
-        """The residual tree of the box, or its conjunction's children in `_and_mask` order, memoised per box.
+        """The residual tree of the box, a conjunction's children sorted for `_and_mask`, memoised per box.
 
-        The memo is one (box, plan) pair replaced whole, so callers
-        sharing the region each get the plan of their own box.
+        A residual conjunction becomes an AndNode of its children in
+        ascending order of their exact upper volume fraction on the box
+        (the share of uniform samples they can pass), so the most
+        selective test runs first, each on the rows the earlier ones
+        kept.  The plan depends on the box alone and is kept on the
+        instance for the last box it was built for, keyed by the box's
+        endpoints, so `integrate_mc`, which masks block after block in
+        one box, builds it once.  The memo is one (box, plan) pair
+        replaced whole, so callers sharing the region each get the plan
+        of their own box.
         """
         key = tuple(tuple(iv) for iv in box)
         memo = self.__dict__.get("_plan")
         if memo is not None and memo[0] == key:
             return memo[1]
         grid = _box_grid(key, self.arity)
-        residual = _tree_residual(self.tree, grid)
-        if isinstance(residual, AndNode):
-            plan = tuple(sorted(residual.children, key=lambda c: _tree_fraction(c, grid)[1]))
-        else:
-            plan = residual
+        plan = _tree_residual(self.tree, grid)
+        if isinstance(plan, AndNode):
+            plan = AndNode(tuple(sorted(plan.children, key=lambda c: _tree_fraction(c, grid)[1])))
         object.__setattr__(self, "_plan", (key, plan))
         return plan
 

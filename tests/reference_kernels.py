@@ -10,14 +10,22 @@ so the tests expect bit-identical results and the same exceptions from
 both (`test_reference_kernels.py`).  They read the kernel's factor bounds
 through `ReciprocalProduct._factor_bounds`, so a test that patches that
 seam changes both alike.
+
+`plain_mask` is the float point mask without its conjunction walk: every
+constraint of a region tree tested on every row, the oracle for
+`RegionPredicate.mask` (`test_regions.py`).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from math import nextafter
 
+import numpy as np
+
 from sievebound.interval import _DOWN, _UP, Enclosure, SoundnessError
+from sievebound.regions import AndNode, LinearConstraint
 
 
 def mul(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
@@ -138,18 +146,9 @@ def clipped_average(rp, box, centre, cov) -> Enclosure:
     shift_lo, shift_hi = mul(fc_lo, fc_hi, curv_lo, curv_hi)
     reach = [nextafter(max(c_hi - lo, hi - c_lo), _UP) for (lo, hi), (c_lo, c_hi) in zip(box, centre)]
     h = complete(factor_spreads(rp, ls, reach), 3)
-    square_pad = nextafter(f_hi * h[2], _UP)
     cube_pad = nextafter(f_hi * h[3], _UP)
-    lo = max(
-        nextafter(nextafter(fc_lo + shift_lo, _DOWN) - cube_pad, _DOWN),
-        nextafter(fc_lo - square_pad, _DOWN),
-        f_lo,
-    )
-    hi = min(
-        nextafter(nextafter(fc_hi + shift_hi, _UP) + cube_pad, _UP),
-        nextafter(fc_hi + square_pad, _UP),
-        f_hi,
-    )
+    lo = max(nextafter(nextafter(fc_lo + shift_lo, _DOWN) - cube_pad, _DOWN), f_lo)
+    hi = min(nextafter(nextafter(fc_hi + shift_hi, _UP) + cube_pad, _UP), f_hi)
     if lo > hi:
         raise SoundnessError(f"disjoint enclosures: clipped average bounds [{lo}, {hi}]")
     return Enclosure(lo, hi)
@@ -220,3 +219,22 @@ def moments(con, grid):
         num = cross * mom0 - mom1[j] * mom1[k]
         covariance[i, i2] = (num if (c < 0) == (c2 < 0) else -num, abs(c * c2) * norm)
     return tuple(centre), covariance
+
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def plain_mask(node, pts: np.ndarray) -> np.ndarray:
+    """Float membership of the rows of a C-contiguous array in a region tree, every child tested on every row.
+
+    A constraint compares the dot product of each row with its
+    coefficients rounded to floats against its bound rounded to a float.
+    """
+    if isinstance(node, LinearConstraint):
+        return _COMPARE[node.rel](pts @ np.array([float(c) for c in node.coeffs]), float(node.bound))
+    conjunction = isinstance(node, AndNode)
+    out = np.full(len(pts), conjunction)
+    for child in node.children:
+        mask = plain_mask(child, pts)
+        out = out & mask if conjunction else out | mask
+    return out

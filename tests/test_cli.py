@@ -119,10 +119,11 @@ class TestVerify:
         assert buchstab.omega_bound(buchstab.OMEGA_UPPER, 3.5).hi <= bound_high
 
     def test_monte_carlo_mode(self, tmp_path, capsys):
+        """A Monte Carlo run reads neither budget nor tol, so its config records both as null."""
         out = tmp_path / "mc.json"
         code, stdout, _ = run_cli(
-            ["verify", "--seed", "7", "--mode", "monte_carlo",
-             "--samples", "50000", "--targets", "a3", "--out", str(out)],
+            ["verify", "--seed", "7", "--mode", "monte_carlo", "--samples", "50000",
+             "--targets", "a3", "--budget", "7", "--tol", "0.5", "--out", str(out)],
             capsys,
         )
         assert code == 0

@@ -155,6 +155,42 @@ class TestRigorous:
         assert calls[0] == {} and all(set(kw) == {"within"} for kw in calls[1:])
 
 
+def test_leaf_contribution_has_a_gap_unless_outside():
+    """Every leaf not outside its region gives hi > lo, so only an outside leaf, (0, 0), carries no gap.
+
+    Seeded boxes with ordinary, tiny and subnormal sides, fraction
+    bounds with hi > 0 down to the smallest subnormal, and enclosures
+    that are zero, negative, straddle zero or lie near overflow; a
+    fraction of (1, 1) takes the integrand's average, the rest its
+    enclosure.
+    """
+    rng = np.random.default_rng(20261020)
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    encs = [Enclosure(0.0), Enclosure(-2.0, -1.0), Enclosure(-1.0, 3.0), Enclosure(-huge, 0.0),
+            Enclosure(1e308, huge), Enclosure(huge), Enclosure(tiny), Enclosure(0.5, 2.0)]
+    fractions = [(0.0, tiny), (tiny, tiny), (0.0, 1.0), (0.25, 0.25), (0.5, math.nextafter(0.5, 1.0)), (1.0, 1.0)]
+    checked = 0
+    for _ in range(300):
+        box = []
+        for _ in range(int(rng.integers(1, 5))):
+            lo = float(rng.choice([0.0, tiny, rng.uniform(0.0, 1.0), rng.uniform(0.0, 1e-300)]))
+            kind = rng.integers(3)
+            side = float(rng.uniform(1e-3, 1.0)) if kind == 0 else float(rng.uniform(0.0, 1e-200)) if kind == 1 else 0.0
+            hi = max(lo + side, math.nextafter(lo, math.inf))
+            box.append((lo, hi))
+        box = regions.GridBox(tuple(box))
+        for enc in encs:
+            f = Integrand(arity=len(box), enclosure=lambda b, e=enc: e, average=lambda b, e=enc: e)
+            for fr_lo, fr_hi in fractions:
+                fraction = regions.FractionBounds(fr_lo, fr_hi, regions._TRUE)
+                lo, hi = quadrature._leaf_contribution(f, fraction, box)
+                assert hi > lo >= 0.0 and hi >= tiny, (box, enc, fr_lo, fr_hi)
+                checked += 1
+    outside = regions.FractionBounds(0.0, 0.0, regions._FALSE)
+    assert quadrature._leaf_contribution(constant_one(), outside, regions.GridBox(UNIT_SQUARE)) == (0.0, 0.0)
+    assert checked == 300 * len(encs) * len(fractions)
+
+
 def split_axis(box, scale, residual):
     """The one axis on which `_split`'s halves differ from box, checked to be its halves there."""
     left, right = quadrature._split(regions.GridBox(box), scale, residual)

@@ -21,6 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from reference_kernels import plain_mask
 from sievebound import quadrature, regions
 from sievebound.interval import _ratio_bounds
 from sievebound.losses import LOSS_NAMES, integration_domain
@@ -444,28 +445,6 @@ class TestRegionMembership:
             for i in range(0, 400, 7):
                 assert bool(mask[i]) == region.contains(tuple(pts[i]))
 
-    def test_single_term_mask_matches_dot_product(self):
-        """A one-term constraint's mask equals the float dot product with every coefficient."""
-        import operator
-
-        compare = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-        rng = np.random.default_rng(5)
-        pts = rng.uniform(0.0, 0.7, size=(5000, 4))
-        extra = [LinearConstraint((0, 0, F(-1), 0), "<", F(-1, 5)), LinearConstraint((0, 2, 0, 0), ">=", F(3, 7))]
-        stack = [region.tree for region in region_catalog().values() if region.arity == 4] + extra
-        checked = 0
-        while stack:
-            node = stack.pop()
-            if not isinstance(node, LinearConstraint):
-                stack.extend(node.children)
-                continue
-            if sum(1 for c in node.coeffs if c) != 1:
-                continue
-            dot = pts @ np.array([float(c) for c in node.coeffs])
-            assert np.array_equal(regions._tree_mask(node, pts), compare[node.rel](dot, float(node.bound)))
-            checked += 1
-        assert checked >= 10
-
     def test_u_a3_avoids_type_ii(self):
         """Members of the deep A region never admit a type-II grouping."""
         npr = np.random.default_rng(3)
@@ -730,7 +709,7 @@ class TestResiduals:
         assert bounds == (0.0, 0.0) and bounds.residual is regions._FALSE
 
     def test_mask_on_a_box_matches_the_full_mask(self):
-        """mask(pts, box=b) equals mask(pts) on seeded points of b, faces and corners included.
+        """mask(pts, box=b) and mask(pts) equal the plain mask on seeded points of b, faces and corners included.
 
         The face boxes put endpoints at the float region bounds, where the
         float test and the exact fractions part ways: t1 < 8/19 holds
@@ -745,7 +724,8 @@ class TestResiduals:
                 boxes.extend(bisection_chain(rng, ((0.1, 0.45),) * region.arity, 10)[2::4])
             for box in boxes:
                 pts = points_in(npr, box, 300)
-                assert np.array_equal(region.mask(pts, box=box), region.mask(pts))
+                plain = plain_mask(region.tree, pts)
+                assert np.array_equal(region.mask(pts, box=box), plain) and np.array_equal(region.mask(pts), plain)
                 residual = regions._tree_residual(region.tree, regions._grid(box))
                 pruned += residual != region.tree
         assert pruned >= 100
@@ -762,6 +742,26 @@ class TestResiduals:
         box = ((0.1, 0.2), (0.1, t2))
         pts = np.array([[0.1, 0.1], [0.2, t2]])
         assert pair.mask(pts, box=box).tolist() == pair.mask(pts).tolist() == [True, False]
+
+    def test_strided_inputs_mask_as_their_contiguous_copies(self):
+        """Fortran-ordered and column-sliced points give the masks of their C-contiguous copies.
+
+        With and without a box, on seeded, face and corner points of
+        each region's sampling box and of bisected sub-boxes; the loss
+        regions' sparse masks gather rows inside the walk.
+        """
+        rng = random.Random(11)
+        npr = np.random.default_rng(11)
+        for region in region_catalog().values():
+            for box in bisection_chain(rng, sampling_box(region), 6)[::3]:
+                pts = points_in(npr, box, 4000)
+                wide = np.hstack([pts, npr.uniform(0.0, 1.0, size=(len(pts), 2))])[:, :region.arity]
+                for strided in (np.asfortranarray(pts), wide, np.asfortranarray(wide)):
+                    assert not strided.flags.c_contiguous
+                    copy = np.ascontiguousarray(strided)
+                    assert np.array_equal(region.mask(strided, box=box), region.mask(copy, box=box))
+                    assert np.array_equal(region.mask(strided), region.mask(copy))
+                assert np.array_equal(region.mask(pts), plain_mask(region.tree, pts))
 
 
 # A box to sample each catalog region in: the loss boxes for the three
@@ -789,7 +789,7 @@ def walk(monkeypatch, region, pts, box):
         patch.setattr(regions, "_tree_mask", spy)
         mask = region.mask(pts, box=box)
     assert mask.dtype == bool and mask.shape == (len(pts),)
-    assert np.array_equal(mask, regions._tree_mask(region.tree, pts))
+    assert np.array_equal(mask, plain_mask(region.tree, pts))
     return mask, rows
 
 
@@ -803,8 +803,9 @@ def first_child(region, box):
 class TestMaskWalk:
     """mask(pts, box=b) walks the residual conjunction most selective child first, gathering survivors.
 
-    Each case compares against the plain full-tree `_tree_mask` (inside
-    `walk`) and observes the rows each child was tested on.
+    Each case compares against `plain_mask`, which tests every
+    constraint on every row (inside `walk`), and observes the rows each
+    child was tested on.
     """
 
     def test_matches_the_full_tree_on_sampling_boxes(self, monkeypatch):
@@ -823,7 +824,7 @@ class TestMaskWalk:
         for region in (REGION_U_A3, REGION_U_B3, REGION_C):
             box = sampling_box(region)
             pts = points_in(npr, box, 5000)
-            pts = pts[~regions._tree_mask(first_child(region, box), pts)]
+            pts = pts[~plain_mask(first_child(region, box), pts)]
             mask, rows = walk(monkeypatch, region, pts, box)
             assert len(pts) > 100 and not mask.any() and rows == [len(pts)]
 
@@ -833,8 +834,8 @@ class TestMaskWalk:
         for region in (REGION_U_A3, REGION_U_B3, REGION_C):
             box = sampling_box(region)
             pts = points_in(npr, box, 5000)
-            inside = pts[regions._tree_mask(region.tree, pts)][:1]
-            rejected = pts[~regions._tree_mask(first_child(region, box), pts)]
+            inside = pts[plain_mask(region.tree, pts)][:1]
+            rejected = pts[~plain_mask(first_child(region, box), pts)]
             pts = np.vstack([rejected[:500], inside, rejected[500:1000]])
             mask, rows = walk(monkeypatch, region, pts, box)
             assert np.flatnonzero(mask).tolist() == [500]
@@ -846,7 +847,7 @@ class TestMaskWalk:
         for region in region_catalog().values():
             box = sampling_box(region)
             pts = points_in(npr, box, 20000)
-            pts = pts[regions._tree_mask(region.tree, pts)]
+            pts = pts[plain_mask(region.tree, pts)]
             mask, rows = walk(monkeypatch, region, pts, box)
             assert len(pts) > 20 and mask.all() and rows == [len(pts)] * len(rows)
 
@@ -896,7 +897,7 @@ class TestMaskMemo:
             cases["none"] = (None, cases["outer"][1])
             for key in ("inner", "outer", "none", "inner", "lists", "outer", "inner", "none", "outer"):
                 box, pts = cases[key]
-                assert np.array_equal(region.mask(pts, box=box), regions._tree_mask(region.tree, pts))
+                assert np.array_equal(region.mask(pts, box=box), plain_mask(region.tree, pts))
             grids = (regions._grid(outer), regions._grid(inner))
             differ += regions._tree_residual(region.tree, grids[0]) != regions._tree_residual(region.tree, grids[1])
         assert differ >= 3
