@@ -37,10 +37,23 @@ outward rounding, so each result is bit-identical to the scalar form
 the tests keep as their oracle.  A kernel call covers at most one grid
 period of m + 1 points (m <= 10^5, so each temporary stays below 1 MB),
 with exact grid bounds 1 + k/m from `_grid_bounds` and logs from
-math.log per element.  Only the table recurrence stays a scalar loop,
-and an `Enclosure` is built only where a caller reads one value.
-`omega_bound_range` needs one segment per branch, and runs it through
-the same kernels as one-element arrays (`_at`).
+math.log per element.  An `Enclosure` is built only where a caller
+reads one value.  `omega_bound_range` needs one segment per branch, and
+runs it through the same kernels as one-element arrays (`_at`).
+
+The table carries w = u * omega(u) rather than omega, since
+(u omega)' = omega(u - 1) makes its step w_{k+1} = w_k + e_k, with e_k
+the widened trapezoid increment.  Each e_k is rounded outward once onto
+the fixed-point grid 2^-FIXED_BITS, and the increments are added as
+int64 prefix sums (`_prefix_sums`), exact while every partial sum stays
+within 2^62 in magnitude, a bound checked each grid period.
+FIXED_BITS = 56 follows from the domain: u <= u_max <= 64 and omega <= 1
+(1/u on [1, 2], at most 0.5672 past 2) give 0 < w <= 64 = 2^6, so a
+sound table's sums stay below 2^62, half the int64 range.  That leaves
+room for the outward widening, and every such sum converts to a float
+and back exactly (2^62 is a float, and int64 -> float rounding is
+monotone).  One bit more would leave no headroom near w = 64; each bit
+fewer doubles the rounding of an increment, 2^-56 ~ 1.4e-17 per step.
 """
 
 from __future__ import annotations
@@ -87,6 +100,12 @@ LIPSCHITZ_BOUND = 1.0
 
 # Bound on |omega'| over [3, 4], the gap fill of `branch_expression_range`.
 BRANCH_DERIVATIVE_BOUND = 0.022
+
+
+# The fixed-point grid 2^-FIXED_BITS of the table's prefix sums of u * omega(u),
+# and the bound on their magnitude (module docstring).
+FIXED_BITS = 56
+_FIXED_LIMIT = 2**62
 
 
 # Veltkamp's splitting factor 2^27 + 1: x * _SPLIT splits a float into
@@ -309,20 +328,60 @@ def branch_expression_range(step: float = 2e-4) -> Enclosure:
     return out
 
 
+def _prefix_sums(w_lo: int, w_hi: int, e_lo: np.ndarray, e_hi: np.ndarray):
+    """Fixed-point bounds on the running sums w + e_0 + ... + e_i, or None if they could overflow.
+
+    w lies in [w_lo, w_hi] 2^-FIXED_BITS (integers) and each e_i in
+    [e_lo[i], e_hi[i]] (floats).  Each increment is rounded outward onto
+    the grid 2^-FIXED_BITS (multiplying by a power of two is exact), so
+    the int64 prefix sums (sum_lo, sum_hi) bound the exact ones: sum_lo[i]
+    <= (w + e_0 + ... + e_i) 2^FIXED_BITS <= sum_hi[i].  They are exact
+    integer additions when n increments of magnitude at most p after a
+    start of magnitude at most c satisfy c + n p <= 2^62, checked in
+    Python integers first; a NaN or infinite increment fails the same
+    check, so None means the table has left (0, inf).
+    """
+    steps_lo = np.floor(e_lo * 2.0**FIXED_BITS)
+    steps_hi = np.ceil(e_hi * 2.0**FIXED_BITS)
+    peak = np.maximum(np.abs(steps_lo), np.abs(steps_hi)).max()
+    if not (peak <= _FIXED_LIMIT and max(abs(w_lo), abs(w_hi)) + len(steps_lo) * int(peak) <= _FIXED_LIMIT):
+        return None
+    return np.cumsum(steps_lo.astype(np.int64)) + w_lo, np.cumsum(steps_hi.astype(np.int64)) + w_hi
+
+
+def _fixed_to_float(sums: np.ndarray, side: float) -> np.ndarray:
+    """The tightest float bounds on sums * 2^-FIXED_BITS on side (_DOWN or _UP), for |sums| <= 2^62.
+
+    int64 -> float rounds to nearest, so where the float converts back
+    to an integer on the inward side it steps one float outward; scaling
+    by the power of two 2^-FIXED_BITS is then exact.
+    """
+    f = sums.astype(float)
+    back = f.astype(np.int64)
+    f = np.where(back > sums if side == _DOWN else back < sums, np.nextafter(f, side), f)
+    return f * 2.0**-FIXED_BITS
+
+
 @dataclass(frozen=True, slots=True)
 class BuchstabTable:
     """Certified table of omega on the rational grid u_k = 1 + k/grid_den.
 
     lo[k] <= omega(1 + k/grid_den) <= hi[k]; the final index corresponds
     to u_max.  max_width is the largest hi[k] - lo[k].  The endpoints
-    are tuples of floats, so two tables compare with ==.
+    are read-only float64 buffers (memoryviews of format "d"): an index
+    gives a Python float, a slice another buffer, and len and iteration
+    work as on a tuple.  Two tables compare with ==, endpoint by
+    endpoint.  A table neither hashes nor pickles, as a float64
+    memoryview does neither.
     """
 
     u_max: float
     grid_den: int
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
+    lo: memoryview
+    hi: memoryview
     max_width: float
+
+    __hash__ = None
 
 
 def build_table(u_max: float = 8.0, step: float = 1e-4) -> BuchstabTable:
@@ -330,24 +389,26 @@ def build_table(u_max: float = 8.0, step: float = 1e-4) -> BuchstabTable:
 
     The grid is u_k = 1 + k/m with m = round(1/step), so the unit delay
     in (u omega)' = omega(u - 1) aligns exactly with the grid.  For
-    k <= m the closed form omega = 1/u seeds the table.  Past that, the
-    integral form
+    k <= m the closed form omega = 1/u seeds the table, and w = u omega
+    is exactly 1.  Past that, the integral form
 
-        u_{k+1} omega(u_{k+1}) = u_k omega(u_k)
-                                 + integral of omega(s - 1) over [u_k, u_{k+1}]
+        w_{k+1} = w_k + integral of omega(s - 1) over [u_k, u_{k+1}]
 
     is advanced with a trapezoid step on the delayed enclosures, widened
     by the trapezoid error bound h^3/12 * max|omega''| <= h^3/6 per step.
     The caller judges max_width against the width it needs.
 
-    It runs on float lo/hi arrays in `Enclosure`'s operations, one grid
-    period of m steps at a time: a period's grid bounds (exact) and
-    widened increments e_k, which read entries k - m and k - m + 1, are
-    arrays, and only v_{k+1} = down(down(down(v_k * g_k) + e_k) / g_{k+1})
-    and its upper twin loop over scalars.  Operands are taken positive,
-    so a product is lo*lo and hi*hi, a quotient lo/hi and hi/lo.  One
-    check of every entry, finite with 0 < lo <= hi, proves that (a
-    positive quotient had a positive dividend) or raises SoundnessError.
+    It runs on float lo/hi arrays, one grid period of m steps at a time:
+    the period's widened increments e_k, which read entries k - m and
+    k - m + 1 of earlier periods, are computed in `Enclosure`'s
+    operations; `_prefix_sums` adds them to w exactly in fixed point,
+    or the period raises SoundnessError; `_fixed_to_float` turns the sums
+    into outward floats; and omega_{k+1} = w_{k+1} / u_{k+1} divides them
+    by the exact grid bounds, rounding outward.  Operands are taken
+    positive, so a product is lo*lo and hi*hi, a quotient lo/hi and
+    hi/lo.  One check of every entry, finite with 0 < lo <= hi, proves
+    that (a positive quotient had a positive dividend) or raises
+    SoundnessError.
     """
     m = _grid_den(step)
     if not 2.0 <= u_max <= 64.0:
@@ -364,39 +425,32 @@ def build_table(u_max: float = 8.0, step: float = 1e-4) -> BuchstabTable:
     g_lo, g_hi = _grid_bounds(np.arange(m, 2 * m + 1), m)
     lo[: m + 1] = np.nextafter(1.0 / g_hi, _DOWN)
     hi[: m + 1] = np.nextafter(1.0 / g_lo, _UP)
-    nextafter = math.nextafter
+    w_lo = w_hi = 1 << FIXED_BITS
     for start in range(m, last, m):
         # Steps k = start, ..., stop - 1 make entries start + 1, ..., stop.
-        # e_k = (v_{k-m} + v_{k-m+1}) * h * 0.5, widened by step_pad
+        # e_k = (omega_{k-m} + omega_{k-m+1}) * h * 0.5, widened by step_pad
         stop = min(start + m, last)
         a, b = start - m, stop - m
         d_lo = np.nextafter(np.nextafter(np.nextafter(lo[a:b] + lo[a + 1 : b + 1], _DOWN) * h_lo, _DOWN) * 0.5, _DOWN)
         d_hi = np.nextafter(np.nextafter(np.nextafter(hi[a:b] + hi[a + 1 : b + 1], _UP) * h_hi, _UP) * 0.5, _UP)
-        e_lo = np.nextafter(d_lo - step_pad, _DOWN).tolist()
-        e_hi = np.nextafter(d_hi + step_pad, _UP).tolist()
-        g_lo, g_hi = (g.tolist() for g in _grid_bounds(np.arange(m + start, m + stop + 1), m))
-        v_lo, v_hi = lo[start].item(), hi[start].item()
-        out_lo: list[float] = []
-        out_hi: list[float] = []
-        for el, eh, gl, gh, gl_next, gh_next in zip(e_lo, e_hi, g_lo, g_hi, g_lo[1:], g_hi[1:]):
-            # v_{k+1} = (v_k * g_k + e_k) / g_{k+1}
-            v_lo = nextafter(nextafter(nextafter(v_lo * gl, _DOWN) + el, _DOWN) / gh_next, _DOWN)
-            v_hi = nextafter(nextafter(nextafter(v_hi * gh, _UP) + eh, _UP) / gl_next, _UP)
-            out_lo.append(v_lo)
-            out_hi.append(v_hi)
-        lo[start + 1 : stop + 1] = out_lo
-        hi[start + 1 : stop + 1] = out_hi
+        sums = _prefix_sums(w_lo, w_hi, np.nextafter(d_lo - step_pad, _DOWN), np.nextafter(d_hi + step_pad, _UP))
+        if sums is None:
+            raise SoundnessError(
+                f"increments past u = {(m + start) / m} are not finite or overflow int64, so the table leaves (0, inf)"
+            )
+        sum_lo, sum_hi = sums
+        w_lo, w_hi = sum_lo[-1].item(), sum_hi[-1].item()
+        # omega_{k+1} = w_{k+1} / u_{k+1}
+        g_lo, g_hi = _grid_bounds(np.arange(m + start + 1, m + stop + 1), m)
+        lo[start + 1 : stop + 1] = np.nextafter(_fixed_to_float(sum_lo, _DOWN) / g_hi, _DOWN)
+        hi[start + 1 : stop + 1] = np.nextafter(_fixed_to_float(sum_hi, _UP) / g_lo, _UP)
     ok = (0.0 < lo) & (lo <= hi) & (hi < math.inf)
     if not ok.all():
         k = int(np.argmin(ok))
         raise SoundnessError(f"table entry [{lo[k]}, {hi[k]}] at u = {(m + k) / m} is empty or leaves (0, inf)")
-    return BuchstabTable(
-        u_max=float(u_max),
-        grid_den=m,
-        lo=tuple(lo.tolist()),
-        hi=tuple(hi.tolist()),
-        max_width=(hi - lo).max().item(),
-    )
+    width = (hi - lo).max().item()
+    lo.flags.writeable = hi.flags.writeable = False
+    return BuchstabTable(u_max=float(u_max), grid_den=m, lo=memoryview(lo), hi=memoryview(hi), max_width=width)
 
 
 def omega_enclosure(table: BuchstabTable, u: float) -> Enclosure:

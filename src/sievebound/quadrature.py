@@ -123,7 +123,7 @@ class Integrand:
     enclosure: Callable[[Box], Enclosure]
     value_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
     average: Optional[Callable[[Box], Enclosure]] = None
-    clipped_average: Optional[Callable[[Box, Box], Enclosure]] = None
+    clipped_average: Optional[Callable[[Box, Box, dict[tuple[int, int], tuple[float, float]]], Enclosure]] = None
 
 
 @dataclass(frozen=True)

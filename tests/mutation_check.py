@@ -17,10 +17,13 @@ half's carried grid (M24), takes the wrong reciprocal end for a negative
 coefficient (M25) or sums a diagonal Hessian entry unrounded (M26) in
 the mean-value pass, flips the sign of a corner term of the two-term
 moments (M27), drops the outward rounding of the Buchstab kernels'
-interval quotient (M28), or (H mutants) breaks the sieve harness:
-blinds its support check, flips a sign in an identity or in rho, drops
-the term bound, weakens a reversal-chain weight, corrupts the spf entry
-of 1 or moves a root threshold by one.  For each, the script
+interval quotient (M28), rounds the Buchstab table's lower increments
+up onto its fixed-point grid (M29), drops the outward step of its
+int64 -> float conversion (M30) or the bound on its int64 partial
+sums (M31), or (H mutants) breaks the sieve harness: blinds its support
+check, flips a sign in an identity or in rho, drops the term bound,
+weakens a reversal-chain weight, corrupts the spf entry of 1 or moves a
+root threshold by one.  For each, the script
 copies `src/`, `tests/` and `pyproject.toml` to a temporary directory
 outside the tree, replaces `old` by `new` there, and runs only the
 tests that should catch the mutant, with the bit pins deselected: a
@@ -61,6 +64,7 @@ HARNESS = ("tests/test_harness.py",)
 IRWIN_HALL = "tests/test_exact_replay.py::test_ratio_equals_irwin_hall_over_all_subsets"
 WALK = "tests/test_exact_replay.py::test_walk_contains_exact_slopes_and_hessian_entries"
 MOMENTS = "tests/test_exact_replay.py::test_moments_match_exact_moments"
+PREFIX_SUMS = "tests/test_buchstab.py::TestTable::test_prefix_sums_contain_exact_sums"
 
 # name: (file, old, new, test selections that must fail)
 MUTANTS = {
@@ -223,6 +227,24 @@ MUTANTS = {
             "tests/test_buchstab.py::TestArrayKernels::test_omega_bound_range_matches_scalar_oracle",
             "tests/test_buchstab.py::TestArrayKernels::test_branch_points_match_scalar_oracle",
         ),
+    ),
+    "M29": (
+        "src/sievebound/buchstab.py",
+        "steps_lo = np.floor(e_lo * 2.0**FIXED_BITS)",
+        "steps_lo = np.ceil(e_lo * 2.0**FIXED_BITS)",
+        (PREFIX_SUMS,),
+    ),
+    "M30": (
+        "src/sievebound/buchstab.py",
+        "f = np.where(back > sums if side == _DOWN else back < sums, np.nextafter(f, side), f)",
+        "pass",
+        (PREFIX_SUMS,),
+    ),
+    "M31": (
+        "src/sievebound/buchstab.py",
+        "if not (peak <= _FIXED_LIMIT and max(abs(w_lo), abs(w_hi)) + len(steps_lo) * int(peak) <= _FIXED_LIMIT):",
+        "if not peak <= _FIXED_LIMIT:",
+        ("tests/test_buchstab.py::TestTable::test_prefix_sum_overflow_raises",),
     ),
     "H2": (
         "src/sievebound/sieve_harness.py",

@@ -19,8 +19,10 @@ Frozen reference values and where they come from:
 The `scalar_*` functions are the one-point Python-float forms of the
 array kernels (`_log_bound`, `_li2_bound`, `_log_integral_bound`,
 `_expr_bounds`, `_branch_bounds`), kept as their bit-for-bit oracle,
-as are `enclosure_table` for `build_table` and `scalar_bound_range`
-for `omega_bound_range`.
+as are `prefix_sum_table` for `build_table` and `scalar_bound_range`
+for `omega_bound_range`.  `enclosure_table`, the older recurrence that
+rescales omega through u at every step, stays as an independent
+cross-check of the table.
 """
 
 from __future__ import annotations
@@ -236,7 +238,14 @@ class TestAgainstMpmath:
         assert enc.width <= 8 * math.ulp(enc.hi)
 
     def test_table_entries_contain_mpmath(self, table, mpiv):
-        """Grid entries on [1, 3] against 1/u and (1 + log(u - 1))/u."""
+        """Grid entries on [1, 3] against 1/u and (1 + log(u - 1))/u, and on [3, 4] against the dilogarithm form.
+
+        On [3, 4], omega(u) = (1 + L + L^2/2 + Li2(1/(u - 1)) - pi^2/12)/u
+        with L = log(u - 1), past the kink of the delayed integrand at
+        u = 3; mpmath has no interval dilogarithm, so it is a 113-bit
+        point value, whose error (about 1e-33) is far below the
+        entries' widths.
+        """
         iv = mpiv.iv
         m = table.grid_den
         rng = random.Random(20240801)
@@ -246,14 +255,25 @@ class TestAgainstMpmath:
             exact = 1 / u if k <= m else (1 + iv.log(u - 1)) / u
             lo, hi = mp_endpoints(mpiv, exact)
             assert table.lo[k] <= lo and hi <= table.hi[k]
+        mp = mpiv.mp
+        with mp.workprec(113):
+            for k in [2 * m, 3 * m] + rng.sample(range(2 * m + 1, 3 * m), 300):
+                u = mp.mpf(m + k) / m
+                log_w = mp.log(u - 1)
+                exact = (1 + log_w + log_w**2 / 2 + mp.polylog(2, 1 / (u - 1)) - mp.pi**2 / 12) / u
+                assert table.lo[k] <= exact <= table.hi[k]
+
+
+FIXED = 2**buchstab.FIXED_BITS
 
 
 def enclosure_table(u_max: float, step: float) -> tuple[list[Enclosure], float]:
-    """(values, max_width) of `build_table`'s recurrence written in `Enclosure` arithmetic.
+    """(values, max_width) of the step-by-step recurrence omega_{k+1} = (omega_k u_k + e_k) / u_{k+1} in `Enclosure` arithmetic.
 
-    The reference the float lo/hi kernel must match bit for bit: every
-    operation is an `Enclosure` operator, which takes the min and max
-    over all endpoint products and quotients and so assumes no sign.
+    An independent certified table: it carries omega, not u omega, so
+    every step multiplies and divides by a grid enclosure and widens.
+    Every operation is an `Enclosure` operator, which takes the min and
+    max over all endpoint products and quotients and so assumes no sign.
     """
     m = round(1.0 / step)
     last = round((u_max - 1.0) * m)
@@ -265,6 +285,32 @@ def enclosure_table(u_max: float, step: float) -> tuple[list[Enclosure], float]:
         delayed = (values[k - m] + values[k - m + 1]) * h * 0.5
         increment = delayed.widen(step_pad)
         values.append((values[k] * grid[k] + increment) / grid[k + 1])
+    return values, max(v.width for v in values)
+
+
+def prefix_sum_table(u_max: float, step: float) -> tuple[list[Enclosure], float]:
+    """(values, max_width) of `build_table`'s prefix-sum recurrence, one step at a time.
+
+    The reference the float lo/hi kernel must match bit for bit.  The
+    increment e_k is `enclosure_table`'s `Enclosure`; its ends are
+    rounded outward onto the grid 2^-FIXED_BITS and added to w = u omega
+    (1 at u = 2) in Python integers; w's float bounds are the floats
+    around that exact rational (`_ratio_bounds`), and omega is their
+    `Enclosure` quotient by the grid point.
+    """
+    m = round(1.0 / step)
+    last = round((u_max - 1.0) * m)
+    h = Enclosure(*interval._ratio_bounds(1, m))
+    step_pad = interval._up(interval._up(h.hi**3) * buchstab.SECOND_DERIVATIVE_BOUND / 12.0)
+    grid = [Enclosure(*interval._ratio_bounds(m + k, m)) for k in range(last + 1)]
+    values = [1.0 / grid[k] for k in range(min(m, last) + 1)]
+    w_lo = w_hi = FIXED
+    for k in range(m, last):
+        increment = ((values[k - m] + values[k - m + 1]) * h * 0.5).widen(step_pad)
+        w_lo += math.floor(increment.lo * FIXED)
+        w_hi += math.ceil(increment.hi * FIXED)
+        w = Enclosure(interval._ratio_bounds(w_lo, FIXED)[0], interval._ratio_bounds(w_hi, FIXED)[1])
+        values.append(w / grid[k + 1])
     return values, max(v.width for v in values)
 
 
@@ -418,24 +464,86 @@ class TestTable:
         "u_max, step", [(8.0, 1e-4), (4.0, 1e-3), (2.0, 1e-4), (8.0, 1 / 1024), (3.5, 1 / 3000)]
     )
     def test_float_kernel_matches_enclosure_recurrence(self, u_max, step, monkeypatch):
-        """Every entry and max_width equal the Enclosure recurrence's, bit for bit.
+        """Every entry and max_width equal `prefix_sum_table`'s, bit for bit, and overlap `enclosure_table`'s, no wider.
 
         The kernel runs one grid period at a time: the seed's m + 1 grid
-        points, then at most m steps per block, so each step's delayed
-        entries are known before its block starts.  u_max = 2 runs no
-        recurrence step, only the 1/u seed; u_max = 3.5 at m = 3000 ends
-        in half a period.
+        points, then the grid bounds of the at most m entries a block
+        makes, so each step's delayed entries are known before its block
+        starts.  u_max = 2 runs no recurrence step, only the 1/u seed;
+        u_max = 3.5 at m = 3000 ends in half a period.
         """
         m, last = round(1.0 / step), round((u_max - 1.0) / step)
         blocks = []
         kernel = buchstab._grid_bounds
         monkeypatch.setattr(buchstab, "_grid_bounds", lambda num, den: blocks.append((num[0].item(), len(num))) or kernel(num, den))
         got = build_table(u_max=u_max, step=step)
-        assert blocks == [(m, m + 1)] + [(m + start, min(m, last - start) + 1) for start in range(m, last, m)]
-        values, max_width = enclosure_table(u_max, step)
+        assert blocks == [(m, m + 1)] + [(m + start + 1, min(m, last - start)) for start in range(m, last, m)]
+        values, max_width = prefix_sum_table(u_max, step)
         assert len(got.lo) == len(got.hi) == len(values) == last + 1
         assert hexes(zip(got.lo, got.hi)) == hexes((v.lo, v.hi) for v in values)
         assert got.max_width.hex() == max_width.hex()
+        old, old_width = enclosure_table(u_max, step)
+        assert all(max(lo, v.lo) <= min(hi, v.hi) for lo, hi, v in zip(got.lo, got.hi, old))
+        assert got.max_width <= old_width
+
+    def test_largest_grid(self):
+        """u_max = 64 at the default step, 630,001 rows: every entry inside (0, inf), no wider than the step-by-step recurrence's 1.0784313553280356e-08."""
+        table = build_table(u_max=64.0, step=1e-4)
+        lo, hi = np.asarray(table.lo), np.asarray(table.hi)
+        assert len(lo) == 630_001
+        assert (0.0 < lo).all() and (lo <= hi).all() and (hi < math.inf).all()
+        assert table.max_width <= 1.0784313553280356e-08
+
+    def test_prefix_sums_contain_exact_sums(self):
+        """`_prefix_sums` then `_fixed_to_float` bound the exact running sums, within the grid and one float.
+
+        Off-grid increments with a small start keep every sum below 2^53,
+        where int64 -> float is exact, so only the rounding of the
+        increments moves a sum; increments on the grid 2^-FIXED_BITS
+        after a start of 1 make exact sums above 2^53, so only the
+        conversion to float moves one.
+        """
+        rng = random.Random(20240801)
+        off_grid = [rng.uniform(1e-6, 1e-4) for _ in range(1000)]
+        on_grid = [rng.randrange(2**40, 2**42) / FIXED for _ in range(1000)]
+        for start, steps in ((2**20, off_grid), (FIXED, on_grid)):
+            e = np.array(steps)
+            sum_lo, sum_hi = buchstab._prefix_sums(start, start, e, e)
+            lo = buchstab._fixed_to_float(sum_lo, interval._DOWN).tolist()
+            hi = buchstab._fixed_to_float(sum_hi, interval._UP).tolist()
+            exact = Fraction(start, FIXED)
+            for i, step in enumerate(steps):
+                exact += Fraction(step)
+                assert Fraction(lo[i]) <= exact <= Fraction(hi[i])
+                assert Fraction(hi[i]) - Fraction(lo[i]) <= Fraction(2 * (i + 1), FIXED) + 2 * Fraction(math.ulp(hi[i]))
+
+    def test_prefix_sum_overflow_raises(self, monkeypatch):
+        """Increments whose int64 prefix sums would wrap raise SoundnessError before they are added.
+
+        A step pad of 1 makes each increment about 2^56 in fixed point, so
+        128 of them pass 2^63, where np.cumsum wraps without a warning.
+        """
+        assert np.cumsum(np.full(128, 2**56, dtype=np.int64))[-1] < 0
+        monkeypatch.setattr(buchstab, "SECOND_DERIVATIVE_BOUND", 12.0 / interval._ratio_bounds(1, 1000)[1] ** 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SoundnessError, match=r"overflow int64, so the table leaves \(0, inf\)"):
+                build_table(u_max=3.0, step=1e-3)
+
+    def test_storage(self):
+        """The endpoints are read-only float64 buffers: float items, buffer slices, equal tables compare equal, none hashes."""
+        table = build_table(u_max=3.0, step=1e-3)
+        again = build_table(u_max=3.0, step=1e-3)
+        assert table == again and table is not again
+        assert table != build_table(u_max=3.0, step=5e-4)
+        for ends in (table.lo, table.hi):
+            assert type(ends) is memoryview and ends.readonly and ends.format == "d"
+            assert type(ends[7]) is float and ends[7] == list(ends)[7]
+            assert ends[1000:1002].tolist() == [ends[1000], ends[1001]]
+            with pytest.raises(TypeError):
+                ends[0] = 0.0
+        with pytest.raises(TypeError):
+            hash(table)
 
     def test_nonpositive_entry_raises(self, monkeypatch):
         """A step pad above the trapezoid increment drives the entries down until one leaves (0, inf)."""
