@@ -134,12 +134,12 @@ def _verdict(ok: bool, label: str, detail: str) -> bool:
 
 
 def _cmd_verify(args) -> int:
-    # Repeated targets run once, in first-seen order.
-    wanted = list(dict.fromkeys(t.strip() for t in args.targets.split(",") if t.strip()))
+    # "all" stands for every target where it appears; repeated targets run once, in first-seen order.
+    named = [t.strip() for t in args.targets.split(",") if t.strip()]
+    expanded = (t for name in named for t in ([*losses.LOSS_NAMES, "total"] if name == "all" else [name]))
+    wanted = list(dict.fromkeys(expanded))
     if not wanted:
         raise CliError("no verification targets given")
-    if wanted == ["all"]:
-        wanted = list(losses.LOSS_NAMES) + ["total"]
     known = set(losses.LOSS_NAMES) | {"total"}
     unknown = [t for t in wanted if t not in known]
     if unknown:

@@ -50,8 +50,10 @@ derived exactly:
         2 t3 > 11/19 - t2 > 7/19; the usual floors elsewhere);
     u_b3 box:     t1 in [7/19, 8/19],   t2 in [3/19, 9/38],
                   t3 in [3/19, 4/19],   t4 in [3/19, 4/19]
-       (the windows force t1 + t3 > 11/19 and t3 < 8/19 - t2, so
-        11/19 - t1 < 8/19 - t2 with t2 > 11/19 - t1 gives t1 > 7/19;
+       (the set's windows force t1 + t3 > 11/19 and t3 < 8/19 - t2,
+        the first by a clause of the tree and the second by what the
+        tree implies (see `regions`), so 11/19 - t1 < 8/19 - t2 with
+        t2 > 11/19 - t1 gives t1 > 7/19;
         t3 < (1 - t1 - t2)/2 < 4/19; t4 < t1/2 < 4/19);
     region_c box: t1 in [11/38, 8/19],  t2 in [9/38, 8/19]
        (2 t1 > t1 + t2 > 11/19).

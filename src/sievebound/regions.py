@@ -15,20 +15,20 @@ into three subregions by the pair sum t1 + t2:
 
 and two four-variable refinements (u_a3, u_b3) whose extra clauses state
 that no nonempty subset of designated exponents has sum inside the
-groupable window [8/19, 11/19].  Each such clause is emitted once per
-canonical form (`_window_avoidance`).  In u_b3 the sum of the cofactor
-exponent t0 = 1 - t1 - t2 - t3 and any subset of {t2, t3} is 1 minus a
-sum over {t1, t2, t3}, and it avoids the window exactly when that sum
-does, since 8/19 + 11/19 = 1.  A clause that a conjunct on the same
-form already settles (t1 + t2 < 8/19 in u_a3, t1 + t2 > 11/19 in u_b3)
-is left out.  The sets are unchanged; u_a3 has 25 conjuncts and u_b3
-24.  Every clause left open on a box costs the Frechet lower bound its
-missing mass, so with the second-order clipped average the default a3
-and b3 runs needed 5,835 and 22,479 boxes (5,279 and 18,199 with the
-third-order one, 3,003 and 11,709 with each leaf also halved across its
-open halfspaces, 2,993 and 11,577 with the mean-value remainders bounded
-by h_n of the per-factor spreads), not the 8,359 and 38,161 of the trees
-with every subset clause.
+groupable window [8/19, 11/19]: each is an OrNode c.t + const < 8/19 or
+c.t + const > 11/19 (`_window_clause`).  Only the clauses that nothing
+else in the tree implies are written: t2 + t3 + t4 of the 15 subset
+sums of u_a3, and t1 + t3, t0 + t3 + t4 and t2 + t3 + t4 of the 19 of
+u_b3, where t0 = 1 - t1 - t2 - t3 is the cofactor exponent.  Every other
+subset clause holds wherever the conjuncts and the kept clauses do,
+strictness included, which exact Fourier-Motzkin elimination proves in
+the tests (`TestWindowClauses` in tests/test_regions.py).  The sets are
+those of the trees with every subset clause; u_a3 has 13 children and
+u_b3 15.  Every clause left open on a box costs the Frechet lower bound
+its missing mass, so the default a3 and b3 runs need 2,791 and 10,943
+boxes, against 2,993 and 11,577 with every clause that no single
+conjunct settles (25 and 24 children) and 8,359 and 38,161, under the
+second-order clipped average, with every subset clause.
 
 Point membership runs in exact `Fraction` arithmetic, float inputs
 converted exactly.  Box tests are exact integer arithmetic: each
@@ -93,7 +93,6 @@ child first.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -123,7 +122,6 @@ __all__ = [
     "region_catalog",
     "catalog_json",
     "type_ii_feasible",
-    "type_i_feasible",
     "SIEVE_FLOOR",
     "WINDOW_LO",
     "WINDOW_HI",
@@ -792,69 +790,9 @@ def _base_constraints(arity: int) -> list[LinearConstraint]:
     ]
 
 
-_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
-def _sign(coeffs) -> int:
-    """-1 when the first nonzero coefficient is negative, else 1."""
-    return -1 if next((c for c in coeffs if c), 0) < 0 else 1
-
-
-def _settles(rel: str, bound: Fraction, lo: Fraction, hi: Fraction) -> bool:
-    """Whether form REL bound keeps the form out of the closed interval [lo, hi]."""
-    if rel in ("<", "<="):
-        return bound < lo or (bound == lo and rel == "<")
-    return bound > hi or (bound == hi and rel == ">")
-
-
-def _window_avoidance(
-    arity: int, groups: list[list[tuple[dict[int, int], Fraction]]], conjuncts: list[LinearConstraint]
-) -> list[OrNode]:
-    """Or-clauses stating every listed affine sum avoids [8/19, 11/19], each emitted once.
-
-    Each group lists affine forms (coeff_map, const); for each nonempty
-    subset of a group the summed form c.t + const must fall below 8/19
-    or above 11/19, that is c.t must avoid [8/19 - const, 11/19 - const].
-    A clause is keyed by its canonical form: c with its first nonzero
-    coefficient made positive (c and the interval negated otherwise),
-    and the interval.  Since 8/19 + 11/19 = 1, the form 1 - f avoids
-    the window exactly when f does, so a form and its cofactor twin
-    (t0 = 1 - t1 - t2 - t3 against t1 + t2 + t3, say) share a key and
-    give one clause, in the orientation met first.  A clause is also
-    left out when one of `conjuncts`, the other children of the
-    clauses' AndNode, has the same canonical coefficients and already
-    keeps the form below or above that interval, compared exactly with
-    strictness kept.  Either way the conjunction is the same set.
-    """
-    # The (rel, bound) of each conjunct, per canonical coefficient vector.
-    sides: dict[tuple, list[tuple[str, Fraction]]] = {}
-    for con in conjuncts:
-        if _sign(con.coeffs) > 0:
-            sides.setdefault(con.coeffs, []).append((con.rel, con.bound))
-        else:
-            sides.setdefault(tuple(-c for c in con.coeffs), []).append((_FLIP[con.rel], -con.bound))
-    clauses: dict[tuple, OrNode] = {}
-    for group in groups:
-        for r in range(1, len(group) + 1):
-            for subset in itertools.combinations(group, r):
-                coeffs = [Fraction(0)] * arity
-                const = Fraction(0)
-                for cmap, c0 in subset:
-                    const += c0
-                    for idx, c in cmap.items():
-                        coeffs[idx] += c
-                low, high = WINDOW_LO - const, WINDOW_HI - const
-                if _sign(coeffs) > 0:
-                    canonical, lo, hi = tuple(coeffs), low, high
-                else:
-                    canonical, lo, hi = tuple(-c for c in coeffs), -high, -low
-                key = (canonical, lo, hi)
-                if key in clauses or any(_settles(rel, b, lo, hi) for rel, b in sides.get(canonical, ())):
-                    continue
-                clauses[key] = OrNode(
-                    (LinearConstraint(tuple(coeffs), "<", low), LinearConstraint(tuple(coeffs), ">", high))
-                )
-    return list(clauses.values())
+def _window_clause(arity: int, coeff_map: dict[int, int], const: Fraction | int) -> OrNode:
+    """The clause c.t + const < 8/19 or c.t + const > 11/19: that affine sum avoids the window."""
+    return OrNode((_lc(arity, coeff_map, "<", WINDOW_LO - const), _lc(arity, coeff_map, ">", WINDOW_HI - const)))
 
 
 def _build_pair_regions() -> dict[str, RegionPredicate]:
@@ -890,10 +828,9 @@ def _build_u_a3() -> RegionPredicate:
             _lc(arity, {0: 1, 1: 1, 2: 1, 3: 2}, "<", Fraction(1)),
         ]
     )
-    # No grouping window may capture any subset of {t1,t2,t3} or of
-    # {t1,t2,t3,t4}; the latter family subsumes the former.
-    group = [({i: 1}, Fraction(0)) for i in range(4)]
-    cons.extend(_window_avoidance(arity, [group], cons))
+    # No grouping window may capture any subset sum of {t1,t2,t3,t4}; the
+    # conjuncts and this clause imply every other subset's clause.
+    cons.append(_window_clause(arity, {1: 1, 2: 1, 3: 1}, 0))
     return RegionPredicate("u_a3", arity, AndNode(tuple(cons)))
 
 
@@ -912,11 +849,12 @@ def _build_u_b3() -> RegionPredicate:
         ]
     )
     # Windows over subsets of {t1,t2,t3} and of {t0,t2,t3,t4}, where
-    # t0 = 1 - t1 - t2 - t3 is the exponent of the leftover cofactor.
-    t0 = ({0: -1, 1: -1, 2: -1}, Fraction(1))
-    group_a = [({0: 1}, Fraction(0)), ({1: 1}, Fraction(0)), ({2: 1}, Fraction(0))]
-    group_b = [t0, ({1: 1}, Fraction(0)), ({2: 1}, Fraction(0)), ({3: 1}, Fraction(0))]
-    cons.extend(_window_avoidance(arity, [group_a, group_b], cons))
+    # t0 = 1 - t1 - t2 - t3 is the exponent of the leftover cofactor; the
+    # conjuncts and the clauses on t1 + t3, t0 + t3 + t4 and t2 + t3 + t4
+    # imply every other subset's clause.
+    cons.append(_window_clause(arity, {0: 1, 2: 1}, 0))
+    cons.append(_window_clause(arity, {0: -1, 1: -1, 3: 1}, 1))
+    cons.append(_window_clause(arity, {1: 1, 2: 1, 3: 1}, 0))
     return RegionPredicate("u_b3", arity, AndNode(tuple(cons)))
 
 
@@ -969,20 +907,4 @@ def type_ii_feasible(ts) -> bool:
             if lo <= total <= hi:
                 return True
         sums += extended
-    return False
-
-
-def type_i_feasible(ts) -> bool:
-    """True when the exponents split into halves with sums <= 8/19 and <= 9/38.
-
-    Every exponent must land in one of the two halves.  The empty
-    collection is feasible (both sums are zero).
-    """
-    values = _exact_values(ts)
-    n = len(values)
-    total = sum(values, Fraction(0))
-    for mask in range(1 << n):
-        first = sum((values[i] for i in range(n) if mask >> i & 1), Fraction(0))
-        if first <= WINDOW_LO and total - first <= B_SECOND_CAP:
-            return True
     return False

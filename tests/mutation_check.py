@@ -20,10 +20,12 @@ moments (M27), drops the outward rounding of the Buchstab kernels'
 interval quotient (M28), rounds the Buchstab table's lower increments
 up onto its fixed-point grid (M29), drops the outward step of its
 int64 -> float conversion (M30) or the bound on its int64 partial
-sums (M31), or (H mutants) breaks the sieve harness: blinds its support
-check, flips a sign in an identity or in rho, drops the term bound,
-weakens a reversal-chain weight, corrupts the spf entry of 1 or moves a
-root threshold by one.  For each, the script
+sums (M31), writes a wrong window clause into u_a3 (t2 + t3 for
+t2 + t3 + t4, M32) or u_b3 (the cofactor clause t0 + t3 + t4 without
+its constant 1, M33), or (H mutants) breaks the sieve harness: blinds
+its support check, flips a sign in an identity or in rho, drops the
+term bound, weakens a reversal-chain weight, corrupts the spf entry of
+1 or moves a root threshold by one.  For each, the script
 copies `src/`, `tests/` and `pyproject.toml` to a temporary directory
 outside the tree, replaces `old` by `new` there, and runs only the
 tests that should catch the mutant, with the bit pins deselected: a
@@ -65,6 +67,7 @@ IRWIN_HALL = "tests/test_exact_replay.py::test_ratio_equals_irwin_hall_over_all_
 WALK = "tests/test_exact_replay.py::test_walk_contains_exact_slopes_and_hessian_entries"
 MOMENTS = "tests/test_exact_replay.py::test_moments_match_exact_moments"
 PREFIX_SUMS = "tests/test_buchstab.py::TestTable::test_prefix_sums_contain_exact_sums"
+WINDOW_CLAUSES = "tests/test_regions.py::TestWindowClauses"
 
 # name: (file, old, new, test selections that must fail)
 MUTANTS = {
@@ -245,6 +248,18 @@ MUTANTS = {
         "if not (peak <= _FIXED_LIMIT and max(abs(w_lo), abs(w_hi)) + len(steps_lo) * int(peak) <= _FIXED_LIMIT):",
         "if not peak <= _FIXED_LIMIT:",
         ("tests/test_buchstab.py::TestTable::test_prefix_sum_overflow_raises",),
+    ),
+    "M32": (
+        "src/sievebound/regions.py",
+        "cons.append(_window_clause(arity, {1: 1, 2: 1, 3: 1}, 0))\n    return RegionPredicate(\"u_a3\"",
+        "cons.append(_window_clause(arity, {1: 1, 2: 1}, 0))\n    return RegionPredicate(\"u_a3\"",
+        (WINDOW_CLAUSES,),
+    ),
+    "M33": (
+        "src/sievebound/regions.py",
+        "_window_clause(arity, {0: -1, 1: -1, 3: 1}, 1)",
+        "_window_clause(arity, {0: -1, 1: -1, 3: 1}, 0)",
+        (WINDOW_CLAUSES,),
     ),
     "H2": (
         "src/sievebound/sieve_harness.py",

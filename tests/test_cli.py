@@ -171,6 +171,24 @@ class TestVerify:
         assert report["config"]["targets"] == ["a3"]
         assert list(report["results"]["losses"]) == ["a3"]
 
+    @pytest.mark.parametrize("targets, expected", [
+        ("all,c", ["a3", "b3", "c", "total"]),
+        ("c,all", ["c", "a3", "b3", "total"]),
+    ])
+    def test_all_expands_in_place(self, tmp_path, capsys, targets, expected):
+        """all in a target list stands for a3,b3,c,total where it stands; repeats run once."""
+        out = tmp_path / "all.json"
+        code, stdout, _ = run_cli(
+            ["verify", "--mode", "monte_carlo", "--samples", "10000", "--targets", targets, "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert stdout.count("loss c:") == 1
+        report = json.loads(out.read_text())
+        assert report["config"]["targets"] == expected
+        assert list(report["results"]["losses"]) == ["a3", "b3", "c"]
+        assert "estimate" in report["results"]["total"]
+
     def test_unknown_target_is_usage_error(self, capsys):
         code, _, stderr = run_cli(["verify", "--targets", "bogus"], capsys)
         assert code == 2

@@ -171,8 +171,8 @@ class TestCertifiedRuns:
     def test_quadruple_sandwiches_pinned(self):
         """verified_loss for a3 and b3 at tol 2e-4 reproduces its sandwich and box count exactly."""
         pinned = {
-            "a3": (3.1538531857303616e-05, 0.00022327276438467535, 163),
-            "b3": (0.0003657176626490642, 0.0005596667037632483, 2589),
+            "a3": (3.066813752622932e-05, 0.0002244599355266971, 163),
+            "b3": (0.00036955488518486927, 0.0005635098408569506, 2623),
         }
         for name, expected in pinned.items():
             est, escalations = losses.verified_loss(name, tol=2e-4)
@@ -183,8 +183,8 @@ class TestCertifiedRuns:
     def test_default_sandwiches_pinned(self, verified_a3, verified_b3, verified_c):
         """verified_loss at the default tols reproduces each sandwich and box count exactly."""
         pinned = {
-            "a3": (8.084206926389546e-05, 0.00010023079697521783, 2993),
-            "b3": (0.00042391086437325586, 0.0004724011406733349, 11577),
+            "a3": (8.113680695623833e-05, 0.00010053136120418594, 2791),
+            "b3": (0.0004247807200031967, 0.0004732740970894079, 10943),
             "c": (0.23513278363494686, 0.2351332678835934, 1009),
         }
         for (est, escalations), name in ((verified_a3, "a3"), (verified_b3, "b3"), (verified_c, "c")):

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from reference_kernels import plain_mask
-from sievebound import quadrature, regions
+from sievebound import losses, quadrature, regions
 from sievebound.interval import _ratio_bounds
 from sievebound.losses import LOSS_NAMES, integration_domain
 from sievebound.quadrature import integrate_mc
@@ -40,7 +40,6 @@ from sievebound.regions import (
     AndNode,
     LinearConstraint,
     region_catalog,
-    type_i_feasible,
     type_ii_feasible,
 )
 
@@ -490,8 +489,6 @@ class TestRegionMembership:
         rounded outward once and the Frechet combination once per child,
         so the float bounds are wider than the exact ones by at most 1e-14.
         """
-        from sievebound import losses
-
         edge = (float(SIEVE_FLOOR), float(WINDOW_LO))
         cases = [(r, ((edge,) * 2 if r.arity == 2 else None)) for r in region_catalog().values()]
         cases = [(r, d if d is not None else losses._BOXES["a3" if r.name == "u_a3" else "b3"]) for r, d in cases]
@@ -979,19 +976,67 @@ def canonical_key(clause):
     return (c, lo, hi) if next(x for x in c if x) > 0 else (tuple(-x for x in c), -hi, -lo)
 
 
-def implies_clause(con, c, lo, hi) -> bool:
-    """Whether the halfspace con keeps c.t out of [lo, hi], strictness kept, exactly."""
-    if con.coeffs == tuple(-x for x in c):
-        flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[con.rel]
-        con = LinearConstraint(c, flipped, -con.bound)
-    if con.coeffs != c:
-        return False
-    return {
-        "<": con.bound <= lo,
-        "<=": con.bound < lo,
-        ">": con.bound >= hi,
-        ">=": con.bound > hi,
-    }[con.rel]
+def rows(cons):
+    """The halfspaces as rows (a, b, strict), each a.t < b (strict) or a.t <= b."""
+    out = []
+    for con in cons:
+        sign = 1 if con.rel in ("<", "<=") else -1
+        out.append((tuple(sign * F(c) for c in con.coeffs), sign * F(con.bound), con.rel in ("<", ">")))
+    return out
+
+
+def slab(clause):
+    """The rows of the closed slab lo <= c.t <= hi that the clause c.t < lo or c.t > hi excludes."""
+    c, lo, hi = avoided(clause)
+    return [(tuple(-x for x in c), -lo, False), (c, hi, False)]
+
+
+def fourier_motzkin_empty(system) -> bool:
+    """Whether the rows (a, b, strict) have no common real solution, decided exactly (test oracle).
+
+    Fourier-Motzkin elimination in Fractions (Schrijver, *Theory of
+    Linear and Integer Programming*, 1986, sec. 12.2) with strictness
+    carried: each coordinate in turn is eliminated by adding every row
+    with a positive coefficient on it to every row with a negative one,
+    both scaled to coefficient 1 and -1, and the sum is strict when
+    either row is.  Each row is scaled so that its first nonzero
+    coefficient is 1 or -1 and only the tightest row per coefficient
+    vector is kept (the smaller bound; at equal bounds, a strict one).
+    A row with no coefficient left reads 0 < b or 0 <= b, so the system
+    is empty exactly when some such row has b < 0, or b = 0 and is strict.
+    """
+
+    def tighten(system):
+        """The tightest (b, strict) per scaled coefficient vector, or None once a row without one fails."""
+        tightest = {}
+        for a, b, strict in system:
+            k = next((abs(x) for x in a if x), None)
+            if k is None:
+                if b < 0 or (b == 0 and strict):
+                    return None
+                continue
+            a, b = tuple(x / k for x in a), b / k
+            if a not in tightest or (b, not strict) < (tightest[a][0], not tightest[a][1]):
+                tightest[a] = (b, strict)
+        return tightest
+
+    for j in range(len(system[0][0])):
+        tightest = tighten(system)
+        if tightest is None:
+            return True
+        system = [(a, b, s) for a, (b, s) in tightest.items() if not a[j]]
+        pos = [(a, b, s) for a, (b, s) in tightest.items() if a[j] > 0]
+        neg = [(a, b, s) for a, (b, s) in tightest.items() if a[j] < 0]
+        for (a, b, s), (a2, b2, s2) in itertools.product(pos, neg):
+            p, q = a[j], -a2[j]
+            system.append((tuple(x / p + y / q for x, y in zip(a, a2)), b / p + b2 / q, s or s2))
+    return tighten(system) is None
+
+
+def branch_systems(conjuncts, clauses):
+    """The rows of the conjuncts with one branch of every clause, for every choice of branches."""
+    for branches in itertools.product(*(clause.children for clause in clauses)):
+        yield rows(conjuncts + list(branches))
 
 
 def rational_points(rng: random.Random, box, count: int):
@@ -1010,39 +1055,51 @@ def on_hyperplane(rng: random.Random, point, coeffs, value):
 
 
 class TestWindowClauses:
-    """The quadruple trees emit each window clause once and drop the clauses a conjunct settles.
+    """The quadruple trees keep only the window clauses that nothing else in the tree implies.
 
     The oracle is the unpruned clause list, one clause per (coeffs,
     const) of every subset sum, rebuilt here from the builders' groups.
     """
 
-    @pytest.mark.parametrize("region, children, twins, implied", [
-        (REGION_U_A3, 25, 0, 2),
-        (REGION_U_B3, 24, 2, 5),
-    ], ids=["u_a3", "u_b3"])
-    def test_every_dropped_clause_is_a_twin_or_implied(self, region, children, twins, implied):
-        """Each dropped clause is the cofactor twin of a kept clause or settled by a conjunct, in exact rationals.
+    def test_elimination_decides_small_systems(self):
+        """t < 0 < t and t < 0 <= t are empty, t <= 0 <= t is not, and strictness carries through a sum."""
+        lt, le = (lambda a, b: (a, F(b), True)), (lambda a, b: (a, F(b), False))
+        assert fourier_motzkin_empty([lt((1,), 0), lt((-1,), 0)])
+        assert fourier_motzkin_empty([lt((1,), 0), le((-1,), 0)])
+        assert not fourier_motzkin_empty([le((1,), 0), le((-1,), 0)])
+        # t1 + t2 <= 1, t1 >= 1/2, t2 >= 1/2 is the one point (1/2, 1/2); t2 > 1/2 empties it.
+        corner = [le((1, 1), 1), le((-1, 0), F(-1, 2))]
+        assert not fourier_motzkin_empty(corner + [le((0, -1), F(-1, 2))])
+        assert fourier_motzkin_empty(corner + [lt((0, -1), F(-1, 2))])
 
-        u_b3 drops four cofactor twins; two of them twin a clause that is
-        itself settled by a conjunct (t1 and t1 + t2), so they count as
-        settled here, since a conjunct with the negated coefficients
-        settles them too.
+    @pytest.mark.parametrize("region, children, subset_clauses", [
+        (REGION_U_A3, 13, 15),
+        (REGION_U_B3, 15, 19),
+    ], ids=["u_a3", "u_b3"])
+    def test_every_dropped_clause_is_implied(self, region, children, subset_clauses):
+        """Each unpruned clause not in the tree holds wherever the conjuncts and the kept clauses do, exactly.
+
+        Its closed slab lo <= c.t <= hi meets the conjuncts and one branch
+        of every kept clause in no real point, for every choice of
+        branches, strictness kept, so the tree is the unpruned tree's
+        set; a clause a single conjunct settles, or the cofactor twin of
+        a kept one, is a special case.
         """
         conjuncts, kept, unpruned = window_parts(region)
-        assert len(region.tree.children) == children
+        assert (len(region.tree.children), len(unpruned)) == (children, subset_clauses)
         assert all(clause in unpruned for clause in kept)
-        found = {"twin": 0, "implied": 0}
         for clause in unpruned:
-            if clause in kept:
-                continue
-            c, lo, hi = avoided(clause)
-            # c.t < lo or c.t > hi is -c.t > -lo or -c.t < -hi: the kept clause avoiding [-hi, -lo] with -c.
-            if any(avoided(k) == (tuple(-x for x in c), -hi, -lo) for k in kept):
-                found["twin"] += 1
-            else:
-                assert any(implies_clause(con, c, lo, hi) for con in conjuncts), clause
-                found["implied"] += 1
-        assert found == {"twin": twins, "implied": implied}
+            if clause not in kept:
+                for system in branch_systems(conjuncts, kept):
+                    assert fourier_motzkin_empty(system + slab(clause)), clause
+
+    @pytest.mark.parametrize("region", [REGION_U_A3, REGION_U_B3], ids=["u_a3", "u_b3"])
+    def test_no_kept_clause_is_implied_by_the_others(self, region):
+        """For each kept clause some choice of branches of the others meets its slab: dropping it changes the set."""
+        conjuncts, kept, _ = window_parts(region)
+        for clause in kept:
+            others = [k for k in kept if k is not clause]
+            assert not all(fourier_motzkin_empty(system + slab(clause)) for system in branch_systems(conjuncts, others))
 
     @pytest.mark.parametrize("region", [REGION_U_A3, REGION_U_B3], ids=["u_a3", "u_b3"])
     def test_kept_clauses_have_distinct_canonical_keys(self, region):
@@ -1053,8 +1110,6 @@ class TestWindowClauses:
     @pytest.mark.parametrize("name", ["a3", "b3"])
     def test_contains_agrees_with_the_unpruned_tree(self, name):
         """Seeded rational points of the loss box, and points exactly on each dropped clause's hyperplanes."""
-        from sievebound import losses
-
         region = losses._REGIONS[name]
         conjuncts, kept, unpruned = window_parts(region)
         old = regions.RegionPredicate(region.name, 4, AndNode(tuple(conjuncts + unpruned)))
@@ -1073,8 +1128,6 @@ class TestWindowClauses:
 
     @pytest.mark.parametrize("name", ["a3", "b3"])
     def test_monte_carlo_is_bit_identical_to_the_unpruned_tree(self, monkeypatch, name):
-        from sievebound import losses
-
         region = losses._REGIONS[name]
         conjuncts, _, unpruned = window_parts(region)
         new = losses.loss_mc(name, samples=10**6, seed=7, workers=2)
@@ -1083,6 +1136,35 @@ class TestWindowClauses:
         old = losses.loss_mc(name, samples=10**6, seed=7, workers=2)
         assert (new.lower.hex(), new.stderr.hex()) == (old.lower.hex(), old.stderr.hex())
         assert new == old
+
+
+class TestArgumentRangeByElimination:
+    """A second route to `losses.check_argument_range`: 1 <= N/D <= 2 on each loss region, by exact elimination.
+
+    For each argument (N, D) of each loss, D <= 0 and N - D < 0 each meet
+    the region's conjuncts in no real point, and N - 2 D > 0 meets the
+    conjuncts and one branch of every window clause in none, for every
+    choice of branches.  The runtime check proves the same on the loss
+    box by exact corner ranges, a conjunct match and refinement.
+    """
+
+    def test_every_argument_lies_in_one_to_two(self):
+        needs_clause = []
+        for name in LOSS_NAMES:
+            _, arguments, region, _ = integration_domain(name)
+            conjuncts = [c for c in region.tree.children if isinstance(c, LinearConstraint)]
+            clauses = [c for c in region.tree.children if not isinstance(c, LinearConstraint)]
+            zero = (0, (0,) * region.arity)
+            for k, (num, den) in enumerate(arguments):
+                assert fourier_motzkin_empty(rows(conjuncts + [losses._halfspace(zero, den, 1, ">=")])), (name, k)
+                assert fourier_motzkin_empty(rows(conjuncts + [losses._halfspace(num, den, 1, "<")])), (name, k)
+                beyond_two = rows([losses._halfspace(num, den, 2, ">")])
+                for system in branch_systems(conjuncts, clauses):
+                    assert fourier_motzkin_empty(system + beyond_two), (name, k)
+                if not fourier_motzkin_empty(rows(conjuncts) + beyond_two):
+                    needs_clause.append((name, k))
+        # Only a3's u <= 2 rests on a window clause: both branches of t2 + t3 + t4 prove it.
+        assert needs_clause == [("a3", 0)]
 
 
 def combinations_type_ii_feasible(ts) -> bool:
@@ -1143,24 +1225,3 @@ class TestFeasibility:
             extra = F(rng.randint(0, 1000), 1000)
             if type_ii_feasible(ts):
                 assert type_ii_feasible(ts + [extra])
-
-    def test_type_i_examples(self):
-        assert type_i_feasible([])
-        assert type_i_feasible([F(42, 100)])
-        assert type_i_feasible([F(40, 100), F(22, 100)])
-        assert not type_i_feasible([F(43, 100), F(24, 100)])
-
-    def test_type_i_partition_definition(self):
-        """Brute-force bipartition agreement on random small sets."""
-        rng = random.Random(5)
-        for _ in range(500):
-            size = rng.randint(0, 6)
-            ts = [F(rng.randint(0, 600), 1000) for _ in range(size)]
-            expected = False
-            for mask in range(1 << size):
-                s1 = sum((t for i, t in enumerate(ts) if mask >> i & 1), F(0))
-                s2 = sum((t for i, t in enumerate(ts) if not mask >> i & 1), F(0))
-                if s1 <= WINDOW_LO and s2 <= regions.B_SECOND_CAP:
-                    expected = True
-                    break
-            assert type_i_feasible(ts) == expected
