@@ -39,7 +39,7 @@ Monte Carlo both use the one rational integrand per loss, a
 a fourth-order mean-value form the average over a leaf inside the
 region, and a third-order form about the exact centroid, with the exact
 covariance, the average over a mixed leaf cut by a single halfspace,
-each in one pass over tables of the factors (`ReciprocalProduct._walk`).
+each in one pass over one table of the factors (`ReciprocalProduct._walk`).
 
 Integration domains are pre-clipped bounding boxes of the regions,
 derived exactly:
@@ -58,9 +58,9 @@ derived exactly:
     region_c box: t1 in [11/38, 8/19],  t2 in [9/38, 8/19]
        (2 t1 > t1 + t2 > 11/19).
 
-That each box covers its region is the one step the code does not
-check.  It rests on the derivations above and on a sampled test
-(`test_boxes_cover_regions`).  The boxes are not tight: on region_c,
+That each box covers its region is proved in the tests, not at run
+time: exact elimination finds no point of the region beyond any face
+(`TestLossBoxesByElimination`).  The boxes are not tight: on region_c,
 t2 < t1 and t1 + 2 t2 < 1 give t2 < 1/3, yet its box runs to 8/19.  On
 these boxes every affine factor is bounded away from zero (for
 example 1 - t1 - t2 - t3 - t4 >= 8/57 on the u_a3 box), so the interval
@@ -156,13 +156,18 @@ _ARGUMENTS = {
 }
 
 
-def _reciprocal_bounds(factors: list[tuple[float, float]]) -> tuple[float, float]:
-    """Outward bounds on 1 / prod of positive factor bounds."""
-    p_lo = p_hi = 1.0
-    for lo, hi in factors:
-        p_lo = nextafter(p_lo * lo, _DOWN)
-        p_hi = nextafter(p_hi * hi, _UP)
-    return nextafter(1.0 / p_hi, _DOWN), nextafter(1.0 / p_lo, _UP)
+def _intersect_range(a_lo: float, a_hi: float, f_lo: float, f_hi: float) -> Enclosure:
+    """Mean-value bounds [a_lo, a_hi] on an average intersected with the value range [f_lo, f_hi] it lies in.
+
+    A non-finite or empty mean-value pair (an overflowed remainder, say) raises SoundnessError, and so does a
+    disjoint pair, through `Enclosure.intersect`.
+    """
+    lo, hi = max(a_lo, f_lo), min(a_hi, f_hi)
+    if -_INF < a_lo <= a_hi < _INF and -_INF < f_lo <= f_hi < _INF and lo <= hi:
+        return Enclosure(lo, hi)
+    if not -_INF < a_lo <= a_hi < _INF:
+        raise SoundnessError(f"mean-value bounds [{a_lo}, {a_hi}] not finite and ordered")
+    return Enclosure(a_lo, a_hi).intersect(Enclosure(f_lo, f_hi))
 
 
 @dataclass(frozen=True)
@@ -198,16 +203,15 @@ class ReciprocalProduct:
     Round-to-nearest puts each c_j within one float step of
     c~_j = (lo_j + hi_j) * 0.5, so factor bounds over the centre box
     [down(c~), up(c~)] enclose F(c), and the remainder alone widens it.
-    The average lies in the box's value range, so `average` returns the
-    widened enclosure intersected with the interval extension of the
-    box's factor bounds, and raises SoundnessError when the two are
-    disjoint.
+    The average lies in the box's value range, so both forms end in
+    `_intersect_range`, which intersects the widened enclosure with the
+    interval extension of the box's factor bounds.
 
-    Each mean-value form takes the factor bounds over the box and its
-    centre box from `_factor_bounds`, then makes one pass (`_walk`) over
-    a table of the factors built once.  Every interval product is
-    written out from its four end products; a NaN among them makes both
-    ends NaN.
+    Both forms make one pass (`_walk`) over one table of the factors,
+    built once, from the factor bounds over the box and a centre box;
+    it yields every Q_ij, of which `average` reads the Q_ii.  Every
+    interval product is written out from its four end products; a NaN
+    among them makes both ends NaN.
     """
 
     factors: tuple[AffineForm, ...]
@@ -218,17 +222,16 @@ class ReciprocalProduct:
         arity = len(self.factors[0][1])
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_arity", arity)
-        # The position of each entry Q_ij, i <= j, that `clipped_average` sums; `average` needs Q_ii alone, at i.
-        full = {ij: e for e, ij in enumerate((i, j) for i in range(arity) for j in range(i, arity))}
-        object.__setattr__(self, "_entries", full)
-        # `_walk`'s tables: per factor, its terms (i, a_i, |a_i|, position of Q_ii), and (t, u, position of Q_ij)
-        # for each pair of its terms t < u on axes i < j that has a position.
-        for name, index in (("_diagonal", {(i, i): i for i in range(arity)}), ("_full", full)):
-            object.__setattr__(self, name, tuple((
-                tuple((i, a, abs(a), index[i, i]) for i, a in ts),
-                tuple((t, u, index[ts[t][0], ts[u][0]]) for t in range(len(ts)) for u in range(t + 1, len(ts))
-                      if (ts[t][0], ts[u][0]) in index),
-            ) for _, ts in terms))
+        # The position of each entry Q_ij, i <= j: Q_ii at i, then the pairs i < j.
+        pairs = ((i, j) for i in range(arity) for j in range(i + 1, arity))
+        entries = {(i, i): i for i in range(arity)} | {ij: e for e, ij in enumerate(pairs, arity)}
+        object.__setattr__(self, "_entries", entries)
+        # `_walk`'s table: per factor, its terms (i, a_i, |a_i|), and (t, u, position of Q_ij)
+        # for each pair of its terms t < u, on axes i < j.
+        object.__setattr__(self, "_table", tuple((
+            tuple((i, a, abs(a)) for i, a in ts),
+            tuple((t, u, entries[ts[t][0], ts[u][0]]) for t in range(len(ts)) for u in range(t + 1, len(ts))),
+        ) for _, ts in terms))
 
     def _factor_bounds(self, box: Box) -> list[tuple[float, float]]:
         if len(box) != self._arity:
@@ -249,25 +252,26 @@ class ReciprocalProduct:
             out.append((lo, hi))
         return out
 
-    def _walk(self, ls: list[tuple[float, float]], at_centre: list[tuple[float, float]], sides: list[float], table, size: int):
-        """One pass over a factor table, given factor bounds ls over the box and at_centre over a centre box.
+    def _walk(self, box: Box, centre: Box, sides: list[float]):
+        """One pass over the factor table, with the factor bounds over the box and over the centre box.
 
         Returns the bounds of f over the box and at the centre; the lower and upper bounds of each
-        S_i = sum_k x_ki and of the size entries Q_ij = sum_k x_ki x_kj the table lists, x_ki = a_ki / L_k
+        S_i = sum_k x_ki and of each Q_ij = sum_k x_ki x_kj, at its position in `_entries`, x_ki = a_ki / L_k
         at the centre; the spreads rho_k = sum_i |a_ki| sides_i / L_k,lo; and (h_0, ..., h_4) of the
         spreads, by h_m(.., rho) = h_m(..) + rho h_{m-1}(.., rho) with every term nonnegative and rounded up.
         """
+        ls, at_centre = self._factor_bounds(box), self._factor_bounds(centre)
         p_lo = p_hi = c_lo = c_hi = 1.0
         s_lo, s_hi = [0.0] * self._arity, [0.0] * self._arity
-        q_lo, q_hi = [0.0] * size, [0.0] * size
+        q_lo, q_hi = [0.0] * len(self._entries), [0.0] * len(self._entries)
         spreads = []
         h1 = h2 = h3 = h4 = 0.0
-        for (lo, hi), (l_lo, l_hi), (terms, pairs) in zip(ls, at_centre, table):
+        for (lo, hi), (l_lo, l_hi), (terms, pairs) in zip(ls, at_centre, self._table):
             p_lo, p_hi = nextafter(p_lo * lo, _DOWN), nextafter(p_hi * hi, _UP)
             c_lo, c_hi = nextafter(c_lo * l_lo, _DOWN), nextafter(c_hi * l_hi, _UP)
             v_lo, v_hi = nextafter(1.0 / l_hi, _DOWN), nextafter(1.0 / l_lo, _UP)
             xs, num = [], 0.0
-            for i, a, span, e in terms:
+            for i, a, span in terms:
                 if a > 0.0:
                     x_lo, x_hi = nextafter(a * v_lo, _DOWN), nextafter(a * v_hi, _UP)
                 else:
@@ -276,8 +280,8 @@ class ReciprocalProduct:
                 # x_ki^2: x_lo x_hi never exceeds the larger square, and is the least product only when negative.
                 p, q, s = x_lo * x_lo, x_lo * x_hi, x_hi * x_hi
                 ok = (probe := p + q + q + s) == probe
-                q_lo[e] = nextafter(q_lo[e] + nextafter(q if q < 0.0 else p if p < s else s, _DOWN), _DOWN) if ok else probe
-                q_hi[e] = nextafter(q_hi[e] + nextafter(p if p > s else s, _UP), _UP) if ok else probe
+                q_lo[i] = nextafter(q_lo[i] + nextafter(q if q < 0.0 else p if p < s else s, _DOWN), _DOWN) if ok else probe
+                q_hi[i] = nextafter(q_hi[i] + nextafter(p if p > s else s, _UP), _UP) if ok else probe
                 num = nextafter(num + nextafter(span * sides[i], _UP), _UP)
                 xs.append((x_lo, x_hi))
             for t, u, e in pairs:
@@ -296,7 +300,12 @@ class ReciprocalProduct:
                 nextafter(1.0 / c_lo, _UP), s_lo, s_hi, q_lo, q_hi, spreads, (1.0, h1, h2, h3, h4))
 
     def enclosure(self, box: Box) -> Enclosure:
-        return Enclosure(*_reciprocal_bounds(self._factor_bounds(box)))
+        """Outward bounds on 1 / prod of the factor bounds over the box."""
+        p_lo = p_hi = 1.0
+        for lo, hi in self._factor_bounds(box):
+            p_lo = nextafter(p_lo * lo, _DOWN)
+            p_hi = nextafter(p_hi * hi, _UP)
+        return Enclosure(nextafter(1.0 / p_hi, _DOWN), nextafter(1.0 / p_lo, _UP))
 
     def value_many(self, pts: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -307,10 +316,9 @@ class ReciprocalProduct:
         return 1.0 / prod
 
     def average(self, box: Box) -> Enclosure:
-        ls = self._factor_bounds(box)
-        at_centre = self._factor_bounds([(nextafter(c := (lo + hi) * 0.5, _DOWN), nextafter(c, _UP)) for lo, hi in box])
+        centre = [(nextafter(c := (lo + hi) * 0.5, _DOWN), nextafter(c, _UP)) for lo, hi in box]
         widths = [nextafter(hi - lo, _UP) for lo, hi in box]
-        f_lo, f_hi, fc_lo, fc_hi, s_lo, s_hi, q_lo, q_hi, _, h = self._walk(ls, at_centre, widths, self._diagonal, self._arity)
+        f_lo, f_hi, fc_lo, fc_hi, s_lo, s_hi, q_lo, q_hi, _, h = self._walk(box, centre, widths)
 
         # curv = sum_i (S_i^2 + Q_ii)(c) r_i^2 / 6 with r_i^2 / 6 = w_i^2 / 24 for the side w_i.
         curv_lo = curv_hi = 0.0
@@ -331,12 +339,7 @@ class ReciprocalProduct:
         pad = nextafter(nextafter(f_hi * h[4], _UP) / 16.0, _UP)
         mid_lo = nextafter(fc_lo + nextafter(fc_lo * curv_lo, _DOWN), _DOWN)
         mid_hi = nextafter(fc_hi + nextafter(fc_hi * curv_hi, _UP), _UP)
-        a_lo, a_hi = nextafter(mid_lo - pad, _DOWN), nextafter(mid_hi + pad, _UP)
-        lo, hi = max(a_lo, f_lo), min(a_hi, f_hi)
-        if not (-_INF < a_lo <= a_hi < _INF and -_INF < f_lo <= f_hi < _INF and lo <= hi):
-            # A non-finite, empty or disjoint pair, for which Enclosure raises.
-            return Enclosure(a_lo, a_hi).intersect(Enclosure(f_lo, f_hi))
-        return Enclosure(lo, hi)
+        return _intersect_range(nextafter(mid_lo - pad, _DOWN), nextafter(mid_hi + pad, _UP), f_lo, f_hi)
 
     def clipped_average(self, box: Box, centre: Box, cov: dict[tuple[int, int], tuple[float, float]]) -> Enclosure:
         """Certified bounds on the average of f over a convex part P of the box, given its centroid and covariance.
@@ -366,12 +369,10 @@ class ReciprocalProduct:
 
         with every value at c bounded over `centre`.  The result is that
         form intersected with the box's value range, in which the average
-        lies.  Disjoint enclosures raise SoundnessError.
+        lies (`_intersect_range`).
         """
-        ls = self._factor_bounds(box)
-        at_centre = self._factor_bounds(centre)
         reach = [nextafter(max(c_hi - lo, hi - c_lo), _UP) for (lo, hi), (c_lo, c_hi) in zip(box, centre)]
-        f_lo, f_hi, fc_lo, fc_hi, s_lo, s_hi, q_lo, q_hi, _, h = self._walk(ls, at_centre, reach, self._full, len(self._entries))
+        f_lo, f_hi, fc_lo, fc_hi, s_lo, s_hi, q_lo, q_hi, _, h = self._walk(box, centre, reach)
 
         # total = sum_ij (S_i S_j + Q_ij) Cov_ij, each off-diagonal entry counted twice.
         total_lo = total_hi = 0.0
@@ -395,11 +396,9 @@ class ReciprocalProduct:
         shift_lo, shift_hi = (nextafter(min(p, q, r, s), _DOWN), nextafter(max(p, q, r, s), _UP)) if ok else (probe, probe)
 
         cube_pad = nextafter(f_hi * h[3], _UP)
-        lo = max(nextafter(nextafter(fc_lo + shift_lo, _DOWN) - cube_pad, _DOWN), f_lo)
-        hi = min(nextafter(nextafter(fc_hi + shift_hi, _UP) + cube_pad, _UP), f_hi)
-        if lo > hi:
-            raise SoundnessError(f"disjoint enclosures: clipped average bounds [{lo}, {hi}]")
-        return Enclosure(lo, hi)
+        a_lo = nextafter(nextafter(fc_lo + shift_lo, _DOWN) - cube_pad, _DOWN)
+        a_hi = nextafter(nextafter(fc_hi + shift_hi, _UP) + cube_pad, _UP)
+        return _intersect_range(a_lo, a_hi, f_lo, f_hi)
 
 
 def _integrand(name: str) -> Integrand:

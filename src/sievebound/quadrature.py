@@ -277,8 +277,6 @@ def integrate_rigorous(
     stop_tol = 0.97 * tol
     settled_lo: list[float] = []
     settled_hi: list[float] = []
-    # Gaps of the leaves popped but too small to split.
-    settled_gaps: list[float] = []
     # Heap entries: (-gap, seq, leaf, lo, hi, the leaf's residual region tree).
     heap: list[tuple[float, int, Box, float, float, object]] = []
     seq = 0
@@ -301,7 +299,6 @@ def integrate_rigorous(
         if parts is None:
             settled_lo.append(lo_c)
             settled_hi.append(hi_c)
-            settled_gaps.append(hi_c - lo_c)
             continue
         boxes_used += 2
         approx_gap -= hi_c - lo_c
@@ -314,8 +311,8 @@ def integrate_rigorous(
     high_sum = math.fsum(highs)
     # A zero sum of nonnegative leaf uppers is exact; no outward round.
     upper = _up(high_sum) if high_sum != 0.0 else 0.0
-    # Open leaves by class: the residual of an inside leaf is the empty conjunction.
-    gaps: list[list[float]] = [[], [], [], settled_gaps]
+    # Gaps by class: the settled leaves, then the open ones by residual (an inside leaf's is the empty conjunction).
+    gaps: list[list[float]] = [[], [], [], [hi - lo for lo, hi in zip(settled_lo, settled_hi)]]
     for _, _, _, lo_c, hi_c, residual in heap:
         k = 0 if residual == _TRUE else 1 if _single_halfspace(residual) else 2
         gaps[k].append(hi_c - lo_c)
@@ -378,8 +375,6 @@ def integrate_mc(
     if workers < 1:
         raise ValueError("workers must be at least 1")
     # Checked before the per-worker counts, streams and processes are built.
-    if workers > samples:
-        raise ValueError(f"workers must not exceed samples, got {workers} > {samples}")
     if workers > MAX_WORKERS:
         raise ValueError(f"workers must not exceed {MAX_WORKERS}, got {workers}")
     if f.value_many is None:

@@ -25,10 +25,8 @@ strictness included, which exact Fourier-Motzkin elimination proves in
 the tests (`TestWindowClauses` in tests/test_regions.py).  The sets are
 those of the trees with every subset clause; u_a3 has 13 children and
 u_b3 15.  Every clause left open on a box costs the Frechet lower bound
-its missing mass, so the default a3 and b3 runs need 2,791 and 10,943
-boxes, against 2,993 and 11,577 with every clause that no single
-conjunct settles (25 and 24 children) and 8,359 and 38,161, under the
-second-order clipped average, with every subset clause.
+its missing mass, so the fewer clauses the tree holds, the fewer boxes
+a run needs.
 
 Point membership runs in exact `Fraction` arithmetic, float inputs
 converted exactly.  Box tests are exact integer arithmetic: each

@@ -22,7 +22,9 @@ up onto its fixed-point grid (M29), drops the outward step of its
 int64 -> float conversion (M30) or the bound on its int64 partial
 sums (M31), writes a wrong window clause into u_a3 (t2 + t3 for
 t2 + t3 + t4, M32) or u_b3 (the cofactor clause t0 + t3 + t4 without
-its constant 1, M33), or (H mutants) breaks the sieve harness: blinds
+its constant 1, M33), cuts a sliver of u_a3 off its bounding box (t1
+from 111/570 for 11/57, M34), reports an overflowed mean-value form as
+a usage error (M35), or (H mutants) breaks the sieve harness: blinds
 its support check, flips a sign in an identity or in rho, drops the
 term bound, weakens a reversal-chain weight, corrupts the spf entry of
 1 or moves a root threshold by one.  For each, the script
@@ -91,8 +93,8 @@ MUTANTS = {
     ),
     "M4": (
         "src/sievebound/losses.py",
-        "return nextafter(1.0 / p_hi, _DOWN), nextafter(1.0 / p_lo, _UP)",
-        "return 1.0 / p_hi, 1.0 / p_lo",
+        "return Enclosure(nextafter(1.0 / p_hi, _DOWN), nextafter(1.0 / p_lo, _UP))",
+        "return Enclosure(1.0 / p_hi, 1.0 / p_lo)",
         REPLAY,
     ),
     "M5": (
@@ -212,8 +214,8 @@ MUTANTS = {
     ),
     "M26": (
         "src/sievebound/losses.py",
-        "q_lo[e] = nextafter(q_lo[e] + nextafter(q if q < 0.0 else p if p < s else s, _DOWN), _DOWN) if ok",
-        "q_lo[e] = q_lo[e] + nextafter(q if q < 0.0 else p if p < s else s, _DOWN) if ok",
+        "q_lo[i] = nextafter(q_lo[i] + nextafter(q if q < 0.0 else p if p < s else s, _DOWN), _DOWN) if ok",
+        "q_lo[i] = q_lo[i] + nextafter(q if q < 0.0 else p if p < s else s, _DOWN) if ok",
         (WALK,),
     ),
     "M27": (
@@ -260,6 +262,18 @@ MUTANTS = {
         "_window_clause(arity, {0: -1, 1: -1, 3: 1}, 1)",
         "_window_clause(arity, {0: -1, 1: -1, 3: 1}, 0)",
         (WINDOW_CLAUSES,),
+    ),
+    "M34": (
+        "src/sievebound/losses.py",
+        "(_F(11, 57), _F(13, 57))",
+        "(_F(111, 570), _F(13, 57))",
+        ("tests/test_regions.py::TestLossBoxesByElimination",),
+    ),
+    "M35": (
+        "src/sievebound/losses.py",
+        'raise SoundnessError(f"mean-value bounds',
+        'raise ValueError(f"mean-value bounds',
+        ("tests/test_cli.py::TestVerify::test_overflowed_remainder_exits_one",),
     ),
     "H2": (
         "src/sievebound/sieve_harness.py",

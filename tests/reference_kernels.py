@@ -103,6 +103,13 @@ def hessian_entry(x: list[dict], slopes: list[tuple[float, float]], i: int, j: i
     return nextafter(ss_lo + q_lo, _DOWN), nextafter(ss_hi + q_hi, _UP)
 
 
+def within_range(a_lo: float, a_hi: float, f_lo: float, f_hi: float) -> Enclosure:
+    """Mean-value bounds, checked finite and ordered, intersected with the value range [f_lo, f_hi]."""
+    if not (math.isfinite(a_lo) and math.isfinite(a_hi) and a_lo <= a_hi):
+        raise SoundnessError(f"mean-value bounds [{a_lo}, {a_hi}] not finite and ordered")
+    return Enclosure(a_lo, a_hi).intersect(Enclosure(f_lo, f_hi))
+
+
 def average(rp, box) -> Enclosure:
     """`ReciprocalProduct.average`, step by step."""
     ls = rp._factor_bounds(box)
@@ -125,8 +132,7 @@ def average(rp, box) -> Enclosure:
     pad = nextafter(nextafter(f_hi * h4, _UP) / 16.0, _UP)
     mid_lo = nextafter(fc_lo + nextafter(fc_lo * curv_lo, _DOWN), _DOWN)
     mid_hi = nextafter(fc_hi + nextafter(fc_hi * curv_hi, _UP), _UP)
-    mean = Enclosure(nextafter(mid_lo - pad, _DOWN), nextafter(mid_hi + pad, _UP))
-    return mean.intersect(Enclosure(f_lo, f_hi))
+    return within_range(nextafter(mid_lo - pad, _DOWN), nextafter(mid_hi + pad, _UP), f_lo, f_hi)
 
 
 def clipped_average(rp, box, centre, cov) -> Enclosure:
@@ -147,11 +153,9 @@ def clipped_average(rp, box, centre, cov) -> Enclosure:
     reach = [nextafter(max(c_hi - lo, hi - c_lo), _UP) for (lo, hi), (c_lo, c_hi) in zip(box, centre)]
     h = complete(factor_spreads(rp, ls, reach), 3)
     cube_pad = nextafter(f_hi * h[3], _UP)
-    lo = max(nextafter(nextafter(fc_lo + shift_lo, _DOWN) - cube_pad, _DOWN), f_lo)
-    hi = min(nextafter(nextafter(fc_hi + shift_hi, _UP) + cube_pad, _UP), f_hi)
-    if lo > hi:
-        raise SoundnessError(f"disjoint enclosures: clipped average bounds [{lo}, {hi}]")
-    return Enclosure(lo, hi)
+    a_lo = nextafter(nextafter(fc_lo + shift_lo, _DOWN) - cube_pad, _DOWN)
+    a_hi = nextafter(nextafter(fc_hi + shift_hi, _UP) + cube_pad, _UP)
+    return within_range(a_lo, a_hi, f_lo, f_hi)
 
 
 def moments(con, grid):

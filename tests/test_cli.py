@@ -229,6 +229,20 @@ class TestVerify:
         assert "error: soundness failure:" in stderr
         assert expected in stderr
 
+    def test_overflowed_remainder_exits_one(self, capsys, monkeypatch):
+        """An infinite remainder in a mean-value form is a soundness failure: exit 1, one error line, no verdict."""
+        walk = losses.ReciprocalProduct._walk
+
+        def overflowed(self, *args):
+            *head, h = walk(self, *args)
+            return (*head, h[:4] + (math.inf,))
+
+        monkeypatch.setattr(losses.ReciprocalProduct, "_walk", overflowed)
+        code, stdout, stderr = run_cli(["verify", "--targets", "c", "--budget", "50", "--tol", "1e-3"], capsys)
+        assert code == 1
+        assert stderr.startswith("error: soundness failure: mean-value bounds [") and stderr.count("\n") == 1
+        assert "[PASS]" not in stdout and "[FAIL]" not in stdout
+
     def test_missing_out_dir_fails_before_any_work(self, tmp_path, capsys):
         """A missing --out directory exits 2 before the loss is certified, so no verdict line is printed."""
         out = tmp_path / "missing" / "v.json"

@@ -531,16 +531,19 @@ def test_rigorous_sums_contain_exact_leaf_sums(monkeypatch, name):
 
 
 def walked(monkeypatch, name, count, seed):
-    """(rp, ls, at_centre, sides, table, result) of each `_walk` that `average` and `clipped_average` run on seeded leaves.
+    """(rp, ls, at_centre, sides, result) of each `_walk` that `average` and `clipped_average` run on seeded leaves.
 
-    Each leaf goes through `average` and through `clipped_average` about
-    its float midpoint's centre box, with no covariance.
+    ls and at_centre are the factor bounds over the walk's box and its
+    centre box.  Each leaf goes through `average` and through
+    `clipped_average` about its float midpoint's centre box, with no
+    covariance.
     """
     rp = losses.ReciprocalProduct(losses._FACTORS[name])
     walk, runs = losses.ReciprocalProduct._walk, []
 
-    def recording(self, ls, at_centre, sides, table, size):
-        runs.append((self, ls, at_centre, sides, table, walk(self, ls, at_centre, sides, table, size)))
+    def recording(self, box, centre, sides):
+        ls, at_centre = self._factor_bounds(box), self._factor_bounds(centre)
+        runs.append((self, ls, at_centre, sides, walk(self, box, centre, sides)))
         return runs[-1][-1]
 
     monkeypatch.setattr(losses.ReciprocalProduct, "_walk", recording)
@@ -563,7 +566,7 @@ def test_complete_lies_between_exact_h_and_power_of_sum(monkeypatch, name):
     the exact (sum_k rho_k)^n, so the pad is never looser than the n-th
     power bound it replaced.
     """
-    for rp, ls, _, sides, _, result in walked(monkeypatch, name, 300, 9):
+    for rp, ls, _, sides, result in walked(monkeypatch, name, 300, 9):
         *_, rhos, h = result
         for (_, coeffs), (l_lo, _), rho in zip(rp.factors, ls, rhos, strict=True):
             assert F(rho) >= sum((abs(F(a)) * F(w) for a, w in zip(coeffs, sides)), F(0)) / F(l_lo)
@@ -591,9 +594,9 @@ def test_walk_contains_exact_slopes_and_hessian_entries(monkeypatch, name):
     turn hold the exact end products.  So S_i and Q_ij hold their exact
     values at every point of the centre box, the exact centre included.
     """
-    for rp, _, at_centre, _, table, result in walked(monkeypatch, name, 150, 13):
+    for rp, _, at_centre, _, result in walked(monkeypatch, name, 150, 13):
         s_lo, s_hi, q_lo, q_hi = result[4:8]
-        entries = rp._entries if table is rp._full else {(i, i): i for i in range(rp._arity)}
+        entries = rp._entries
         x = [{} for _ in range(rp._arity)]
         for k, ((_, coeffs), (l_lo, l_hi)) in enumerate(zip(rp.factors, at_centre, strict=True)):
             v_lo, v_hi = nextafter(1.0 / l_hi, _DOWN), nextafter(1.0 / l_lo, _UP)

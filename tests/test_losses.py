@@ -127,20 +127,6 @@ class TestOracles:
                     kernel = kernel * omega_bound(OMEGA_UPPER, u)
                 assert value == pytest.approx(kernel.mid, rel=1e-12)
 
-    def test_boxes_cover_regions(self):
-        """No region mass may leak outside the pre-clipped boxes."""
-        import numpy as np
-
-        rng = np.random.default_rng(20240801)
-        for name in losses.LOSS_NAMES:
-            _, _, region, box = losses.integration_domain(name)
-            pts = rng.uniform(0.0, 0.75, size=(200000, region.arity))
-            inside = region.mask(pts)
-            lows = np.array([lo for lo, _ in box]) - 1e-12
-            his = np.array([hi for _, hi in box]) + 1e-12
-            in_box = ((pts >= lows) & (pts <= his)).all(axis=1)
-            assert not (inside & ~in_box).any()
-
 
 class TestCertifiedRuns:
     def test_coarse_sandwiches_contain_frozen(self):
@@ -441,12 +427,13 @@ class TestMeanValueRigor:
         assert len(calls) <= 4 * est.boxes_used
 
     def test_nan_propagates_through_min_max_helpers(self):
-        """A NaN end product makes both ends of an interval product NaN, and the forms raise for it.
+        """A NaN end product makes both ends of an interval product NaN, and the forms raise SoundnessError for it.
 
         `reference_kernels.mul` is the interval product the fused forms
         write out.  A covariance bound of [-inf, inf] makes an end
         product of S_i S_j + Q_ij with it NaN (inf - inf in the probe),
-        which neither min nor max would pass on from every position.
+        which neither min nor max would pass on from every position, so
+        the mean-value bounds are NaN.
         """
         nan = math.nan
         assert all(math.isnan(v) for v in reference_kernels.mul(0.0, 1.0, 2.0, math.inf))
@@ -457,7 +444,7 @@ class TestMeanValueRigor:
         box = ((0.375, 0.37890625), (0.25, 0.25390625))
         centre = ((0.376, 0.376), (0.252, 0.252))
         for route in (rp.clipped_average, functools.partial(reference_kernels.clipped_average, rp)):
-            with pytest.raises(ValueError, match="enclosure endpoints must be finite"):
+            with pytest.raises(SoundnessError, match=r"mean-value bounds \[nan, nan\] not finite and ordered"):
                 route(box, centre, {(0, 1): (-math.inf, math.inf)})
 
 
@@ -569,6 +556,27 @@ class TestClippedAverage:
         with pytest.raises(SoundnessError, match="disjoint enclosures"):
             rp.clipped_average(box, centre, {})
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_overflowed_remainder_is_a_soundness_failure(self, monkeypatch, order):
+        """An infinite h_3 in `clipped_average`, or h_4 in `average`, raises SoundnessError.
+
+        The widened enclosure is then [-inf, inf]; intersected with the
+        value range it would pass that range off as the average's bounds.
+        """
+        rp = losses.ReciprocalProduct(losses._FACTORS["c"])
+        box = ((0.375, 0.37890625), (0.25, 0.25390625))
+        centre = ((0.376, 0.376), (0.252, 0.252))
+        walk = losses.ReciprocalProduct._walk
+
+        def overflowed(self, *args):
+            *head, h = walk(self, *args)
+            return (*head, h[:order] + (math.inf,) + h[order + 1:])
+
+        monkeypatch.setattr(losses.ReciprocalProduct, "_walk", overflowed)
+        route = rp.average if order == 4 else functools.partial(rp.clipped_average, centre=centre, cov={})
+        with pytest.raises(SoundnessError, match=r"mean-value bounds \[-inf, inf\] not finite and ordered"):
+            route(box)
 
 
 class TestArgumentRange:

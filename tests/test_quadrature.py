@@ -340,10 +340,17 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             integrate_mc(constant_one(), halfspace_region(), UNIT_SQUARE, samples=100, seed=1)
 
-    def test_workers_at_most_samples(self):
-        """A worker owns at least one sample, so samples + 1 workers is refused before any stream is built."""
-        with pytest.raises(ValueError, match="workers must not exceed samples"):
+    def test_workers_at_most_samples(self, monkeypatch):
+        """A worker owns at least one sample: the worker cap lies below the least sample count.
+
+        So samples + 1 workers is refused by the cap, before any stream is built.
+        """
+        seeds = []
+        monkeypatch.setattr(np.random, "SeedSequence", lambda *args: seeds.append(args))
+        assert quadrature.MAX_WORKERS < 10_000
+        with pytest.raises(ValueError, match=f"workers must not exceed {quadrature.MAX_WORKERS}, got 10001"):
             integrate_mc(constant_one(), halfspace_region(), UNIT_SQUARE, samples=10000, seed=1, workers=10001)
+        assert seeds == []
 
     def test_worker_cap(self, monkeypatch):
         """MAX_WORKERS + 1 workers is refused before any stream or process is made."""

@@ -1167,6 +1167,33 @@ class TestArgumentRangeByElimination:
         assert needs_clause == [("a3", 0)]
 
 
+class TestLossBoxesByElimination:
+    """Each loss region lies in its bounding box `losses._BOXES_EXACT`, by exact elimination.
+
+    For every coordinate t_i with box side [lo, hi], t_i < lo and t_i > hi
+    each meet the region's conjuncts and one branch of every window clause
+    in no real point, for every choice of branches.  The float box each
+    loss is integrated over (`losses._BOXES`) encloses the exact one.
+    """
+
+    def test_every_face_bounds_its_region(self):
+        needs_clause = []
+        for name in LOSS_NAMES:
+            _, _, region, box = integration_domain(name)
+            conjuncts = [c for c in region.tree.children if isinstance(c, LinearConstraint)]
+            clauses = [c for c in region.tree.children if not isinstance(c, LinearConstraint)]
+            for i, ((lo, hi), (f_lo, f_hi)) in enumerate(zip(losses._BOXES_EXACT[name], box, strict=True)):
+                assert F(f_lo) <= lo and hi <= F(f_hi), (name, i)
+                axis = tuple(F(k == i) for k in range(region.arity))
+                for end, beyond in (("lo", LinearConstraint(axis, "<", lo)), ("hi", LinearConstraint(axis, ">", hi))):
+                    for system in branch_systems(conjuncts, clauses):
+                        assert fourier_motzkin_empty(system + rows([beyond])), (name, i, end)
+                    if not fourier_motzkin_empty(rows(conjuncts + [beyond])):
+                        needs_clause.append((name, i, end))
+        # Four faces of the u_a3 box and one of the u_b3 box rest on a window clause.
+        assert needs_clause == [("a3", 0, "lo"), ("a3", 0, "hi"), ("a3", 1, "lo"), ("a3", 2, "lo"), ("b3", 0, "lo")]
+
+
 def combinations_type_ii_feasible(ts) -> bool:
     """Some nonempty subset sums into [8/19, 11/19], summed in Fractions subset by subset (test oracle)."""
     values = regions._exact_values(ts)
